@@ -1,12 +1,12 @@
 // Package hotpath rejects allocating constructs in functions annotated
 // //repro:hotpath.
 //
-// The engine's per-iteration-point code — the fused iteration-space
-// walker, the replay automaton, the stream reorder window, the disabled
-// observability paths — must not allocate: the existing AllocsPerRun
-// pins prove it for two entry points at runtime, this pass proves it
-// for every annotated function at compile time, and catches the
-// regression in the diff instead of the benchmark dashboard.
+// The engine's per-iteration-point code — the fragment walker's innermost
+// sweep, the replay automaton, the stream reorder window, the disabled
+// observability paths — must not allocate: AllocsPerRun pins prove it
+// for a few entry points at runtime, this pass proves it for every
+// annotated function at compile time, and catches the regression in the
+// diff instead of the benchmark dashboard.
 //
 // Flagged constructs (each an allocation or an allocation in disguise):
 //
@@ -16,8 +16,8 @@
 //   - function literals that capture enclosing variables (the closure
 //     context escapes to the heap)
 //   - conversions between string and []byte/[]rune — except string(b)
-//     used directly as a map index, which the compiler performs without
-//     copying
+//     used directly as the index of a map read, which the compiler
+//     performs without copying (a store through it still copies the key)
 //   - boxing into an interface: explicit conversions, assignments to
 //     interface-typed variables, and concrete arguments passed to
 //     interface-typed parameters
@@ -99,12 +99,28 @@ func (c *checker) report(n ast.Node, format string, args ...interface{}) {
 }
 
 func (c *checker) check(body *ast.BlockStmt) {
-	// string(b) directly indexing a map is the compiler's zero-copy map
-	// probe idiom; collect those conversions so the walk can allow them.
+	// string(b) directly indexing a map read is the compiler's zero-copy
+	// map probe idiom; collect those conversions so the walk can allow
+	// them. A store through the same index (m[string(b)] = v, += v, ++)
+	// materializes the key, so it gets no exemption. Preorder visits a
+	// statement before its operands, so stores are known when reached.
 	mapProbe := map[*ast.CallExpr]bool{}
+	stores := map[*ast.IndexExpr]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				if ix, ok := ast.Unparen(l).(*ast.IndexExpr); ok {
+					stores[ix] = true
+				}
+			}
+		case *ast.IncDecStmt:
+			if ix, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok {
+				stores[ix] = true
+			}
+		}
 		ix, ok := n.(*ast.IndexExpr)
-		if !ok {
+		if !ok || stores[ix] {
 			return true
 		}
 		if t := c.pass.TypesInfo.TypeOf(ix.X); t != nil {
@@ -173,7 +189,7 @@ func (c *checker) checkCall(call *ast.CallExpr, mapProbe map[*ast.CallExpr]bool)
 		case isString(src) && isByteOrRuneSlice(dst):
 			c.report(call, "string→slice conversion allocates")
 		case isByteOrRuneSlice(src) && isString(dst) && !mapProbe[call]:
-			c.report(call, "slice→string conversion allocates (map-index probes m[string(b)] are exempt)")
+			c.report(call, "slice→string conversion allocates (map-index reads m[string(b)] are exempt)")
 		}
 		return true
 	}

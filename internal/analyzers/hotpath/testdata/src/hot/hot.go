@@ -81,12 +81,25 @@ func stringToBytes(s string) []byte {
 
 var table = map[string]int{}
 
-// probe: string(b) directly indexing a map is the compiler's zero-copy
-// idiom and passes.
+// probe: string(b) directly indexing a map read (plain or comma-ok) is the
+// compiler's zero-copy idiom and passes.
 //
 //repro:hotpath
 func probe(b []byte) int {
-	return table[string(b)]
+	v, ok := table[string(b)]
+	if !ok {
+		return -1
+	}
+	return v + table[string(b)]
+}
+
+// store: writing through the same index materializes the key.
+//
+//repro:hotpath
+func store(b []byte) {
+	table[string(b)] = 1  // want `slice→string conversion allocates`
+	table[string(b)] += 2 // want `slice→string conversion allocates`
+	table[string(b)]++    // want `slice→string conversion allocates`
 }
 
 //repro:hotpath

@@ -31,9 +31,9 @@ func TestSimCachePanicDoesNotPoisonEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate against a nest whose innermost loop outruns the plan's
-	// precomputed residency window: HitInner fails loudly (panics). The
-	// graph comes from the valid nest — the walker panics before it is read.
+	// Simulate against a nest whose innermost loop outruns the plan's:
+	// HitInner fails loudly (panics) on the extra iteration. The graph
+	// comes from the valid nest — the walker panics before it is read.
 	wider := *k.Nest
 	wider.Loops = append([]ir.Loop(nil), k.Nest.Loops...)
 	wider.Loops[len(wider.Loops)-1].Hi++

@@ -51,19 +51,16 @@ type Entry struct {
 	// so register residency is disabled to preserve consistency.
 	Aliased bool
 
-	//repro:nohash derived in NewPlan from Info and the nest
-	innermost string // innermost loop variable
-	//repro:nohash derived in NewPlan from the nest's loop bounds
-	baseEnv map[string]int
-	//repro:nohash derived in NewPlan from the body's access order
-	ordinal map[int]int // window-relative flat index → first-touch ordinal
-
 	// The flat element index of an affine reference is itself an affine
-	// function of the loop variables; these precomputed pieces make the
-	// per-access residency test O(1) without map rebuilding.
+	// function of the loop variables. With every outer loop at its lower
+	// bound, one innermost sweep touches c + innerCoef·v for a constant c: a
+	// single element when innerCoef is 0, and a new element on every iteration
+	// otherwise. So the window and its first-touch ordinals are closed
+	// forms of the innermost loop, and the per-access residency test is
+	// O(1) arithmetic.
 	flatAff ir.Affine // flat index as affine function of all loop vars
-	//repro:nohash derived from flatAff with non-innermost vars at Lo
-	relConst int // flatAff with every non-innermost var at its Lo
+	//repro:nohash derived in NewPlan from the nest
+	inner ir.Loop // the nest's innermost loop
 	//repro:nohash derived from flatAff
 	innerCoef int // flatAff coefficient of the innermost variable
 	//repro:nohash derived from flatAff, Coverage and the loop bounds
@@ -80,9 +77,10 @@ func NewPlan(nest *ir.Nest, infos []*reuse.Info, beta map[string]int) (*Plan, er
 	if nest.Depth() == 0 {
 		return nil, fmt.Errorf("scalarrepl: empty nest")
 	}
-	// The window enumeration below (and every downstream walker) advances
-	// loop variables by Step; a hand-built nest that skipped ir.NewNest /
-	// Validate could otherwise hang it with a zero or negative step.
+	// The window ordinals below divide by Step, and every downstream walker
+	// advances loop variables by it; a hand-built nest that skipped
+	// ir.NewNest / Validate could otherwise hang them with a zero or
+	// negative step.
 	for _, l := range nest.Loops {
 		if l.Step <= 0 {
 			return nil, fmt.Errorf("scalarrepl: loop %q has non-positive step %d (validate the nest with ir.NewNest)", l.Var, l.Step)
@@ -120,7 +118,6 @@ func NewPlan(nest *ir.Nest, infos []*reuse.Info, beta map[string]int) (*Plan, er
 			Info:       inf,
 			Beta:       b,
 			WriteFirst: writeFirst[inf.Key()],
-			innermost:  inner.Var,
 		}
 		arr := inf.Group.Ref.Array.Name
 		// Aliased: the array is written and more than one static reference
@@ -139,73 +136,63 @@ func NewPlan(nest *ir.Nest, infos []*reuse.Info, beta map[string]int) (*Plan, er
 		default:
 			e.Coverage = 0
 		}
-		e.buildWindow(nest)
+		e.buildWindow(inner)
 		p.Entries[inf.Key()] = e
 		p.order = append(p.order, e)
 	}
 	return p, nil
 }
 
-// buildWindow derives the flat-index affine form and enumerates one
-// innermost-loop sweep with every outer loop at its lower bound, recording
-// the first-touch ordinal of each element.
-func (e *Entry) buildWindow(nest *ir.Nest) {
-	e.baseEnv = map[string]int{}
-	for _, l := range nest.Loops {
-		e.baseEnv[l.Var] = l.Lo
-	}
+// buildWindow derives the flat-index affine form and the closed-form
+// residency window of one innermost-loop sweep.
+func (e *Entry) buildWindow(inner ir.Loop) {
 	r := e.Info.Group.Ref
 	e.flatAff = ir.AffConst(0)
 	for dim, ix := range r.Index {
 		e.flatAff = e.flatAff.Scale(r.Array.Dims[dim]).Add(ix)
 	}
-	e.innerCoef = e.flatAff.Coeff(e.innermost)
-	base := e.flatAff.Eval(e.baseEnv)
-	innerLo := e.baseEnv[e.innermost]
-	e.relConst = base - e.innerCoef*innerLo
-	e.ordinal = map[int]int{}
-	inner := nest.Loops[nest.Depth()-1]
-	for v := inner.Lo; v < inner.Hi; v += inner.Step {
-		flat := e.relConst + e.innerCoef*v
-		if _, ok := e.ordinal[flat]; !ok {
-			e.ordinal[flat] = len(e.ordinal)
-		}
-	}
+	e.inner = inner
+	e.innerCoef = e.flatAff.Coeff(inner.Var)
 	if e.Coverage > 0 {
-		seen := make(map[int]bool, e.Coverage)
-		e.rotating = true
-		for flat, o := range e.ordinal {
-			if o >= e.Coverage {
-				continue
-			}
-			r := ((flat % e.Coverage) + e.Coverage) % e.Coverage
-			if seen[r] {
-				e.rotating = false
-				break
-			}
-			seen[r] = true
+		// The covered ordinals 0..m−1 touch flats |innerCoef·Step| apart.
+		// Two of them share a residue mod Coverage iff their distance is a
+		// multiple of Coverage/gcd(|innerCoef·Step|, Coverage) positions.
+		stride := e.innerCoef * inner.Step
+		if stride < 0 {
+			stride = -stride
 		}
+		e.rotating = min(e.Coverage, e.WindowSize()) <= e.Coverage/gcd(stride, e.Coverage)
 	}
 }
 
-// relFlat evaluates the reference's flat element index with all loops
-// except the innermost forced to their lower bounds, producing the
-// window-relative element identity.
-func (e *Entry) relFlat(env map[string]int) int {
-	return e.relConst + e.innerCoef*env[e.innermost]
+// gcd returns the greatest common divisor of a ≥ 0 and b > 0 (gcd(0, b) = b).
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// ordinal returns the first-touch ordinal, within one innermost sweep, of
+// the element the reference touches when the innermost variable is v: the
+// iteration position (v−Lo)/Step, or 0 when the innermost coefficient is
+// zero and every iteration touches the window's single element. A value
+// outside the plan's innermost loop fails loudly rather than silently
+// misclassify.
+func (e *Entry) ordinal(v int) int {
+	l := e.inner
+	if v < l.Lo || v >= l.Hi || (v-l.Lo)%l.Step != 0 {
+		panic(fmt.Sprintf("scalarrepl: %s: innermost value %d outside the plan's loop %s", e.Info.Key(), v, l.Var))
+	}
+	if e.innerCoef == 0 {
+		return 0
+	}
+	return (v - l.Lo) / l.Step
 }
 
 // WindowOrdinal returns the access's position within the innermost window
 // at the given iteration.
-func (e *Entry) WindowOrdinal(env map[string]int) int {
-	o, ok := e.ordinal[e.relFlat(env)]
-	if !ok {
-		// Cannot happen for affine references (the window is a translate),
-		// but fail loudly rather than silently misclassify.
-		panic(fmt.Sprintf("scalarrepl: %s: iteration outside precomputed window", e.Info.Key()))
-	}
-	return o
-}
+func (e *Entry) WindowOrdinal(env map[string]int) int { return e.ordinal(env[e.inner.Var]) }
 
 // Hit reports whether the access at the given iteration is a steady-state
 // register hit.
@@ -215,29 +202,28 @@ func (e *Entry) Hit(env map[string]int) bool {
 
 // HitInner reports whether the access hits registers when the innermost
 // loop variable has value v. The window-relative element identity — and so
-// the hit/miss outcome — depends only on the innermost position (relFlat
-// forces every outer loop to its lower bound), which lets iteration-space
-// walkers classify an iteration from its innermost index alone, without
-// building an environment.
+// the hit/miss outcome — depends only on the innermost position (the
+// window forces every outer loop to its lower bound), which lets
+// iteration-space walkers classify an iteration from its innermost index
+// alone, without building an environment.
 func (e *Entry) HitInner(v int) bool {
-	if e.Coverage == 0 {
-		return false
-	}
-	o, ok := e.ordinal[e.relConst+e.innerCoef*v]
-	if !ok {
-		panic(fmt.Sprintf("scalarrepl: %s: innermost value %d outside precomputed window", e.Info.Key(), v))
-	}
-	return o < e.Coverage
+	return e.Coverage > 0 && e.ordinal(v) < e.Coverage
 }
 
 // FullyReplaced reports whether every access of the reference hits.
 func (e *Entry) FullyReplaced() bool {
-	return e.Coverage > 0 && e.Coverage >= len(e.ordinal)
+	return e.Coverage > 0 && e.Coverage >= e.WindowSize()
 }
 
 // WindowSize returns the number of distinct elements in one innermost-loop
-// sweep of the reference.
-func (e *Entry) WindowSize() int { return len(e.ordinal) }
+// sweep of the reference: the innermost trip count, or one element when
+// the innermost coefficient is zero (none for an empty loop).
+func (e *Entry) WindowSize() int {
+	if e.innerCoef == 0 {
+		return min(1, e.inner.Trip())
+	}
+	return e.inner.Trip()
+}
 
 // RotatingSlots reports whether a direct-mapped register bank of size
 // Coverage can address the covered window by element-index modulo
@@ -245,7 +231,7 @@ func (e *Entry) WindowSize() int { return len(e.ordinal) }
 // the bank — the new element landing exactly in the slot the departing
 // element frees — so hardware register banks capture the same reuse as a
 // fully-associative file. Residue distinctness is translation-invariant,
-// so checking one window position suffices.
+// so one window position decides it.
 func (e *Entry) RotatingSlots() bool { return e.rotating }
 
 // SlotOf returns the register-bank slot for an element's absolute flat

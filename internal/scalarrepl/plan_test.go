@@ -1,10 +1,16 @@
 package scalarrepl
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dfg"
 	"repro/internal/dsl"
 	"repro/internal/ir"
+	"repro/internal/irgen"
+	"repro/internal/kernels"
 	"repro/internal/reuse"
 )
 
@@ -319,6 +325,231 @@ func TestNewPlanRejectsBadSteps(t *testing.T) {
 		}
 		if _, err := NewPlan(bad, infos, beta); err == nil {
 			t.Fatalf("NewPlan accepted step %d", step)
+		}
+	}
+}
+
+// windowOracle is the first-touch enumeration the closed-form window
+// replaced: one innermost-loop sweep with every outer loop at its lower
+// bound, recording the first-touch ordinal of each element, plus a residue
+// scan of the covered ordinals. It is the differential oracle of the
+// closed forms.
+type windowOracle struct {
+	relConst, innerCoef int
+	ordinal             map[int]int // window-relative flat index → first-touch ordinal
+	rotating            bool
+}
+
+func newWindowOracle(nest *ir.Nest, e *Entry) windowOracle {
+	base := map[string]int{}
+	for _, l := range nest.Loops {
+		base[l.Var] = l.Lo
+	}
+	inner := nest.Loops[nest.Depth()-1]
+	aff := e.FlatAffine()
+	o := windowOracle{innerCoef: aff.Coeff(inner.Var), ordinal: map[int]int{}}
+	o.relConst = aff.Eval(base) - o.innerCoef*inner.Lo
+	for v := inner.Lo; v < inner.Hi; v += inner.Step {
+		flat := o.relConst + o.innerCoef*v
+		if _, ok := o.ordinal[flat]; !ok {
+			o.ordinal[flat] = len(o.ordinal)
+		}
+	}
+	if e.Coverage > 0 {
+		seen := map[int]bool{}
+		o.rotating = true
+		for flat, ord := range o.ordinal {
+			if ord >= e.Coverage {
+				continue
+			}
+			r := ((flat % e.Coverage) + e.Coverage) % e.Coverage
+			if seen[r] {
+				o.rotating = false
+				break
+			}
+			seen[r] = true
+		}
+	}
+	return o
+}
+
+// checkWindow asserts that every closed-form window query of every plan
+// entry — WindowSize, FullyReplaced, RotatingSlots, and WindowOrdinal and
+// HitInner at each innermost position — equals the enumeration's answer,
+// and that innermost values outside the plan's loop panic.
+func checkWindow(t *testing.T, label string, nest *ir.Nest, p *Plan) {
+	t.Helper()
+	inner := nest.Loops[nest.Depth()-1]
+	// Outer loops sit at their last iteration: the window reads only the
+	// innermost variable.
+	env := map[string]int{}
+	for _, l := range nest.Loops {
+		env[l.Var] = l.Lo + max(0, l.Trip()-1)*l.Step
+	}
+	outside := []int{inner.Lo - 1, inner.Hi, inner.Lo + inner.Step*inner.Trip()}
+	if inner.Step > 1 {
+		outside = append(outside, inner.Lo+1)
+	}
+	for _, e := range p.Order() {
+		o := newWindowOracle(nest, e)
+		where := fmt.Sprintf("%s: %s (coverage %d)", label, e.Info.Key(), e.Coverage)
+		if got, want := e.WindowSize(), len(o.ordinal); got != want {
+			t.Fatalf("%s: WindowSize = %d, enumeration %d", where, got, want)
+		}
+		if got, want := e.FullyReplaced(), e.Coverage > 0 && e.Coverage >= len(o.ordinal); got != want {
+			t.Fatalf("%s: FullyReplaced = %t, enumeration %t", where, got, want)
+		}
+		if got, want := e.RotatingSlots(), o.rotating; got != want {
+			t.Fatalf("%s: RotatingSlots = %t, enumeration %t", where, got, want)
+		}
+		for v := inner.Lo; v < inner.Hi; v += inner.Step {
+			want := o.ordinal[o.relConst+o.innerCoef*v]
+			env[inner.Var] = v
+			if got := e.WindowOrdinal(env); got != want {
+				t.Fatalf("%s: WindowOrdinal at %s=%d is %d, enumeration %d", where, inner.Var, v, got, want)
+			}
+			if got, want := e.HitInner(v), e.Coverage > 0 && want < e.Coverage; got != want {
+				t.Fatalf("%s: HitInner(%d) = %t, enumeration %t", where, v, got, want)
+			}
+		}
+		for _, v := range outside {
+			env[inner.Var] = v
+			mustPanic(t, where+": WindowOrdinal outside the loop", func() { e.WindowOrdinal(env) })
+			if e.Coverage > 0 {
+				mustPanic(t, where+": HitInner outside the loop", func() { e.HitInner(v) })
+			}
+		}
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestWindowMatchesEnumerationOnKernels checks the closed-form window
+// against the enumeration on every Table-1 kernel (plus the running
+// example) under every allocator's plan.
+func TestWindowMatchesEnumerationOnKernels(t *testing.T) {
+	for _, k := range append(kernels.All(), kernels.Figure1()) {
+		prob, err := core.NewProblem(k.Nest, k.Rmax, dfg.DefaultLatencies())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range core.All() {
+			alloc, err := alg.Allocate(prob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPlan(k.Nest, prob.Infos, alloc.Beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWindow(t, k.Name+"/"+alg.Name(), k.Nest, p)
+		}
+	}
+}
+
+// TestWindowMatchesEnumerationOnRandomNests extends the check to random
+// programs biased toward interior zero coefficients, with random β.
+func TestWindowMatchesEnumerationOnRandomNests(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		nest := irgen.Nest(rng, irgen.Config{InteriorZeroProb: 0.35})
+		infos, err := reuse.Analyze(nest)
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, nest)
+		}
+		beta := map[string]int{}
+		for _, inf := range infos {
+			beta[inf.Key()] = 1 + rng.Intn(inf.Nu+2)
+		}
+		p, err := NewPlan(nest, infos, beta)
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, nest)
+		}
+		checkWindow(t, fmt.Sprintf("trial %d", trial), nest, p)
+	}
+}
+
+// TestWindowEdgeCases sweeps every β of every reference on the shapes the
+// closed forms special-case: a negative innermost coefficient, Step > 1,
+// innermost coefficient 0, one-trip and zero-trip innermost loops, and
+// coverage larger than the window.
+func TestWindowEdgeCases(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"negative", `
+array x[40]:8;
+array y[8]:16;
+for i = 0..8 {
+  for k = 0..30 {
+    y[i] = y[i] + x[i - k + 31];
+  }
+}`},
+		{"step", `
+array x[90]:8;
+array c[40]:8;
+array y[8]:16;
+for i = 0..8 {
+  for k = 1..31 step 3 {
+    y[i] = y[i] + c[k] * x[2 * i - 2 * k + 70];
+  }
+}`},
+		{"zero-coefficient", `
+array c[20]:8;
+array a[30]:8;
+array d[20][30]:8;
+for j = 0..20 {
+  for k = 0..30 {
+    d[j][k] = a[k] * c[j];
+  }
+}`},
+		{"one-trip", `
+array x[40]:8;
+array y[32]:16;
+for i = 0..32 {
+  for k = 5..6 {
+    y[i] = y[i] + x[i + k];
+  }
+}`},
+		{"coverage-over-window", `
+array b[6][8]:8;
+array o[4][6][8]:16;
+for i = 0..4 {
+  for j = 0..6 {
+    for k = 0..8 {
+      o[i][j][k] = b[j][k] * 3;
+    }
+  }
+}`},
+	} {
+		nest := dsl.MustParse(tc.src)
+		infos, err := reuse.Analyze(nest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty := &ir.Nest{Name: nest.Name, Loops: append([]ir.Loop(nil), nest.Loops...), Body: nest.Body}
+		empty.Loops[len(empty.Loops)-1].Hi = empty.Loops[len(empty.Loops)-1].Lo
+		for _, sweep := range infos {
+			for b := 1; b <= sweep.Nu+2; b++ {
+				beta := map[string]int{}
+				for _, inf := range infos {
+					beta[inf.Key()] = inf.Nu
+				}
+				beta[sweep.Key()] = b
+				for _, n := range []*ir.Nest{nest, empty} {
+					p, err := NewPlan(n, infos, beta)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkWindow(t, fmt.Sprintf("%s/trip %d/β(%s)=%d", tc.name, n.Loops[len(n.Loops)-1].Trip(), sweep.Key(), b), n, p)
+				}
+			}
 		}
 	}
 }

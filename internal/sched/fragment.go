@@ -327,8 +327,8 @@ func fragmentKey(nestFP string, nest *ir.Nest, e *scalarrepl.Entry, pattern []bo
 //     O(transient × cycle × inner trip) instead of O(trip product), at any
 //     mix of zero and non-zero interior coefficients.
 //
-// Eviction picks the smallest resident flat; a min-heap mirror of the
-// resident set makes that O(log coverage) instead of a linear scan.
+// Eviction picks the smallest resident flat; the automaton keeps the
+// resident set as one sorted run (replay.go), so that is the run's head.
 func computeFragment(nest *ir.Nest, e *scalarrepl.Entry, pattern []bool, hitAt []bool) simcache.Fragment {
 	frag, _, _ := computeFragmentWalked(nest, e, pattern, hitAt)
 	return frag
@@ -408,34 +408,29 @@ type fragWalker struct {
 	collapsed bool // some depth skipped cycles via steady-state detection
 }
 
+// walk replays the subtree at depth d for one iteration of the loops above
+// it, whose flat-index contribution is flat, collapsing loop d when its
+// automaton state recurs. The detection branch allocates by design: it
+// interns one history key per new state.
 func (w *fragWalker) walk(d, flat int) {
-	l := w.nest.Loops[d]
 	if d == w.depth-1 {
-		pos := 0
-		for v := l.Lo; v < l.Hi; v += l.Step {
-			if w.hitAt[pos] {
-				f := flat + w.coef[d]*v
-				for _, wr := range w.pattern {
-					w.st.access(f, wr)
-				}
-			}
-			pos++
-		}
-		w.walked += pos
+		w.walkInner(flat)
 		return
 	}
+	l := w.nest.Loops[d]
 	trip := l.Trip()
 	// Successive iterations of this loop replay the subtree's access
-	// sequence translated by delta. The automaton state after k iterations,
-	// normalized by delta·k, recurring at an earlier iteration q makes
-	// iterations q+1.. periodic with period k−q: per-iteration loads and
-	// stores repeat the cycle's exactly, and state after q+j iterations is
-	// the state after k+j translated by −delta·(k−q). So once a recurrence
-	// is found, only the remainder-of-cycle tail is walked for real; the
-	// skipped full cycles contribute n×(cycle loads/stores) and one state
-	// translation by the span they cover.
+	// sequence translated by delta: iteration k starts at first+k·delta.
+	// The automaton state after k iterations, normalized by delta·k,
+	// recurring at an earlier iteration q makes iterations q+1.. periodic
+	// with period k−q: per-iteration loads and stores repeat the cycle's
+	// exactly, and state after q+j iterations is the state after k+j
+	// translated by −delta·(k−q). So once a recurrence is found, only the
+	// remainder-of-cycle tail is walked for real; the skipped full cycles
+	// contribute n×(cycle loads/stores) and one state translation by the
+	// span they cover.
+	first := flat + w.coef[d]*l.Lo
 	delta := w.coef[d] * l.Step
-	sub := func(k int) { w.walk(d+1, flat+w.coef[d]*(l.Lo+k*l.Step)) }
 	// A state snapshot costs O(coverage); one skipped iteration saves a
 	// subtree walk. When the subtree is smaller than the resident set and
 	// the loop short, detection costs more than the walk it could save —
@@ -447,7 +442,7 @@ func (w *fragWalker) walk(d, flat int) {
 	// to take; they never affect the result.
 	if w.dead[d] || (w.subPoints[d] < w.cov && trip <= 4*w.cov) {
 		for k := 0; k < trip; k++ {
-			sub(k)
+			w.walk(d+1, first+k*delta)
 		}
 		return
 	}
@@ -456,7 +451,7 @@ func (w *fragWalker) walk(d, flat int) {
 	cumS := []int{w.st.stores}
 	tracking := true
 	for k := 1; k <= trip; k++ {
-		sub(k - 1)
+		w.walk(d+1, first+(k-1)*delta)
 		if k == trip {
 			// Completed every iteration with detection enabled and no
 			// recurrence: stop snapshotting this depth for the rest of the
@@ -475,7 +470,7 @@ func (w *fragWalker) walk(d, flat int) {
 			cycS := w.st.stores - cumS[q]
 			n := (trip - k) / cycle
 			for j := 0; j < (trip-k)%cycle; j++ {
-				sub(k + j)
+				w.walk(d+1, first+(k+j)*delta)
 			}
 			if n > 0 {
 				w.st.loads += n * cycL
@@ -492,4 +487,26 @@ func (w *fragWalker) walk(d, flat int) {
 		cumL = append(cumL, w.st.loads)
 		cumS = append(cumS, w.st.stores)
 	}
+}
+
+// walkInner replays one full sweep of the innermost loop starting at flat
+// offset flat. It is the walker's per-iteration-point path, so it must not
+// allocate: the hit vector gates each position, and every body occurrence
+// of the entry goes straight to the automaton.
+//
+//repro:hotpath
+func (w *fragWalker) walkInner(flat int) {
+	d := w.depth - 1
+	l := w.nest.Loops[d]
+	pos := 0
+	for v := l.Lo; v < l.Hi; v += l.Step {
+		if w.hitAt[pos] {
+			f := flat + w.coef[d]*v
+			for _, wr := range w.pattern {
+				w.st.access(f, wr)
+			}
+		}
+		pos++
+	}
+	w.walked += pos
 }

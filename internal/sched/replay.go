@@ -1,64 +1,113 @@
 package sched
 
-import (
-	"encoding/binary"
-	"sort"
-)
+import "encoding/binary"
 
 // replay is the transfer-protocol automaton of one covered entry: which
 // window elements are register-resident, which of those are dirty, and the
 // transfer traffic so far. Semantics match the fused walker's xferFile
 // exactly — first touch loads (reads only), capacity eviction of the
-// smallest resident flat (write-back when dirty), flush on demand — with
-// the resident set mirrored in a min-heap so eviction is O(log coverage)
-// instead of a scan, and the dirty count maintained incrementally so the
-// per-subtree walker's state snapshots never rescan the resident set.
+// smallest resident flat (write-back when dirty), flush on demand.
+//
+// The resident set is one run of slots sorted by flat, buf[head:tail],
+// inside a buffer of twice the capacity. Membership is a binary search.
+// Evicting the smallest element advances head, so a new minimum lands in
+// the slot below the run — after an eviction, the victim's. A new maximum
+// (the sliding-window case) appends at tail; the run is compacted to the
+// front of the buffer only when tail reaches its end, at least capacity
+// appends apart, so appends cost amortized O(1). The dirty count is
+// maintained incrementally, so the per-subtree walker's state snapshots
+// and the region-end flush never rescan the resident set.
 type replay struct {
 	capacity      int
-	dirty         map[int]bool
-	heap          []int // min-heap over the resident flats
-	ndirty        int   // resident elements with the dirty bit set
+	buf           []slot // the resident set is buf[head:tail], ascending by flat
+	head, tail    int
+	ndirty        int // resident elements with the dirty bit set
 	loads, stores int
 
-	// Scratch buffers reused across signature calls: the per-subtree walker
+	// Scratch buffer reused across signature calls: the per-subtree walker
 	// takes a snapshot per iteration of every non-innermost walk loop, so
 	// building one must not allocate. Callers consume the returned bytes
 	// (map probe or interning copy) before the next signature call.
-	sigBuf  []byte
-	sortBuf []int
+	sigBuf []byte
+}
+
+// slot is one register-resident window element.
+type slot struct {
+	flat  int
+	dirty bool
 }
 
 func newReplay(capacity int) *replay {
-	return &replay{capacity: capacity, dirty: make(map[int]bool, capacity)}
+	return &replay{capacity: capacity, buf: make([]slot, 2*capacity)}
 }
 
 // access replays one body occurrence (w = write) against the file.
 //
 //repro:hotpath
 func (r *replay) access(flat int, w bool) {
-	if _, resident := r.dirty[flat]; !resident {
-		if len(r.dirty) >= r.capacity {
-			victim := r.popMin()
-			if r.dirty[victim] {
-				r.stores++
-				r.ndirty--
-			}
-			delete(r.dirty, victim)
+	i := r.search(flat)
+	if i < r.tail && r.buf[i].flat == flat {
+		if w && !r.buf[i].dirty {
+			r.buf[i].dirty = true
+			r.ndirty++
 		}
-		if !w {
-			r.loads++
-		}
-		r.dirty[flat] = false
-		r.push(flat)
+		return
 	}
-	if w && !r.dirty[flat] {
-		r.dirty[flat] = true
+	if r.tail-r.head >= r.capacity {
+		// Evict the smallest resident flat, writing it back when dirty.
+		if r.buf[r.head].dirty {
+			r.stores++
+			r.ndirty--
+		}
+		r.head++
+	}
+	if w {
 		r.ndirty++
+	} else {
+		r.loads++
 	}
+	r.insert(i, slot{flat: flat, dirty: w})
+}
+
+// search returns the run position of flat, or the position it would be
+// inserted at: the first i in [head, tail] with buf[i].flat ≥ flat.
+//
+//repro:hotpath
+func (r *replay) search(flat int) int {
+	lo, hi := r.head, r.tail
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.buf[m].flat < flat {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// insert places a non-resident element at position i, which search
+// returned before any eviction: i ≤ head means s is the new minimum.
+//
+//repro:hotpath
+func (r *replay) insert(i int, s slot) {
+	if i <= r.head && r.head > 0 {
+		r.head--
+		r.buf[r.head] = s
+		return
+	}
+	if r.tail == len(r.buf) {
+		n := copy(r.buf, r.buf[r.head:r.tail])
+		i -= r.head
+		r.head, r.tail = 0, n
+	}
+	copy(r.buf[i+1:r.tail+1], r.buf[i:r.tail])
+	r.buf[i] = s
+	r.tail++
 }
 
 // dirtyCount returns how many resident elements a flush would write back.
-// O(1): the count is maintained by access/eviction/translate.
+// O(1): the count is maintained by access/eviction.
 //
 //repro:hotpath
 func (r *replay) dirtyCount() int { return r.ndirty }
@@ -68,26 +117,23 @@ func (r *replay) dirtyCount() int { return r.ndirty }
 // translation-aware form the per-subtree cycle detector compares: two
 // states yield equal signatures iff one is the other translated by the
 // difference of their offsets, dirty bits aligned. Transfer counters are
-// excluded — they are outputs, not state. The returned slice aliases an
-// internal scratch buffer valid until the next signature call; detectors
-// probe maps with string(sig) (no allocation) and copy only on insert.
+// excluded — they are outputs, not state. The run is already in flat
+// order, so it is read as is. The returned slice aliases an internal
+// scratch buffer valid until the next signature call; detectors probe maps
+// with string(sig) (no allocation) and copy only on insert.
 //
 //repro:hotpath
 func (r *replay) signature(offset int) []byte {
-	// The heap mirrors the resident set exactly; copying it avoids a Go map
-	// iteration (the dominant cost of a snapshot at real coverages).
-	flats := append(r.sortBuf[:0], r.heap...)
-	sort.Ints(flats)
 	buf := r.sigBuf[:0]
-	for _, f := range flats {
-		buf = binary.AppendVarint(buf, int64(f-offset))
-		if r.dirty[f] {
+	for _, s := range r.buf[r.head:r.tail] {
+		buf = binary.AppendVarint(buf, int64(s.flat-offset))
+		if s.dirty {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
 	}
-	r.sortBuf, r.sigBuf = flats, buf
+	r.sigBuf = buf
 	return buf
 }
 
@@ -95,61 +141,11 @@ func (r *replay) signature(offset int) []byte {
 // counters. Used when the cycle detector skips extrapolated iterations of a
 // non-zero-coefficient loop: the automaton state after the skipped span is
 // the current state translated by the span's accumulated flat offset. A
-// uniform shift preserves the heap order, so the heap is adjusted in place.
+// uniform shift preserves the run's order, so it is shifted in place.
+//
+//repro:hotpath
 func (r *replay) translate(delta int) {
-	if delta == 0 || len(r.dirty) == 0 {
-		return
+	for i := r.head; i < r.tail; i++ {
+		r.buf[i].flat += delta
 	}
-	shifted := make(map[int]bool, len(r.dirty))
-	for f, d := range r.dirty {
-		shifted[f+delta] = d
-	}
-	r.dirty = shifted
-	for i := range r.heap {
-		r.heap[i] += delta
-	}
-}
-
-// push inserts a flat into the heap. The caller only pushes flats absent
-// from the resident set, so heap contents always equal the map keys.
-//
-//repro:hotpath
-func (r *replay) push(f int) {
-	r.heap = append(r.heap, f)
-	i := len(r.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if r.heap[p] <= r.heap[i] {
-			break
-		}
-		r.heap[p], r.heap[i] = r.heap[i], r.heap[p]
-		i = p
-	}
-}
-
-// popMin removes and returns the smallest resident flat.
-//
-//repro:hotpath
-func (r *replay) popMin() int {
-	top := r.heap[0]
-	last := len(r.heap) - 1
-	r.heap[0] = r.heap[last]
-	r.heap = r.heap[:last]
-	i := 0
-	for {
-		l, rt := 2*i+1, 2*i+2
-		s := i
-		if l < last && r.heap[l] < r.heap[s] {
-			s = l
-		}
-		if rt < last && r.heap[rt] < r.heap[s] {
-			s = rt
-		}
-		if s == i {
-			break
-		}
-		r.heap[i], r.heap[s] = r.heap[s], r.heap[i]
-		i = s
-	}
-	return top
 }
