@@ -1,12 +1,9 @@
 package dse
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/hls"
 	"repro/internal/kernels"
+	"repro/internal/memo"
 	"repro/internal/simcache"
 )
 
@@ -21,62 +18,28 @@ import (
 // missing or invalid store blob degrades to a fresh hls.Analyze, never to
 // an error the caller would not have seen without the cache.
 type AnalysisCache struct {
-	mu sync.Mutex
-	m  map[string]*analysisEntry
-}
-
-// analysisEntry is one single-flight slot, mirroring simcache's entry: the
-// first claimant computes, concurrent claimants block on the once, and done
-// distinguishes a settled hit from a wait.
-type analysisEntry struct {
-	once sync.Once
-	done atomic.Bool
-	an   *hls.Analysis
-	err  error
+	memo memo.Memo[string, *hls.Analysis]
 }
 
 // NewAnalysisCache returns an empty decoded-analysis memo.
 func NewAnalysisCache() *AnalysisCache {
-	return &AnalysisCache{m: map[string]*analysisEntry{}}
+	return &AnalysisCache{memo: memo.Memo[string, *hls.Analysis]{What: "dse: analysis"}}
 }
 
 // Get returns the memoized analysis of k, computing it through the store on
 // the first claim. A nil store skips the byte tiers (NoSimCache, or a
 // store-less engine) — the memo still deduplicates within the process.
-// Memo hits are recorded on the store's analysis hit counter so the
-// snapshot's hit/disk/remote/miss tiers still sum to the number of lookups.
+// Memo hits (waits included) are recorded on the store's analysis hit
+// counter so the snapshot's hit/disk/remote/miss tiers still sum to the
+// number of lookups.
 func (ac *AnalysisCache) Get(k kernels.Kernel, store *simcache.Cache) (*hls.Analysis, error) {
-	key := k.Name + "\x00" + hls.KernelFingerprint(k)
-	ac.mu.Lock()
-	e := ac.m[key]
-	claimed := e == nil
-	if claimed {
-		e = &analysisEntry{}
-		ac.m[key] = e
-	}
-	ac.mu.Unlock()
-	fn := func() {
-		defer func() {
-			if v := recover(); v != nil {
-				e.err = fmt.Errorf("dse: analysis panic: %v", v)
-			}
-			e.done.Store(true)
-		}()
-		e.an, e.err = analyzeThrough(k, store)
-	}
-	if claimed {
-		e.once.Do(fn)
-	} else if store != nil && e.done.Load() {
+	an, o, err := ac.memo.Get(k.Name+"\x00"+hls.KernelFingerprint(k), func() (*hls.Analysis, error) {
+		return analyzeThrough(k, store)
+	})
+	if o != memo.Claimed && store != nil {
 		store.AnalysisHit()
-	} else {
-		// In flight on another goroutine (or settled with no store to
-		// count on): the once blocks until the claimant finishes.
-		e.once.Do(fn)
-		if store != nil {
-			store.AnalysisHit()
-		}
 	}
-	return e.an, e.err
+	return an, err
 }
 
 // analyzeThrough computes one analysis via the byte store: encoded blobs

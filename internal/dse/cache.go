@@ -1,12 +1,10 @@
 package dse
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/dfg"
 	"repro/internal/hls"
 	"repro/internal/ir"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/scalarrepl"
 	"repro/internal/sched"
@@ -22,16 +20,16 @@ import (
 // has points. The key pins everything the simulation reads: the kernel, the
 // plan's β/coverage fingerprint, the latency model and the RAM port count.
 //
-// The cache is concurrency-safe and single-flight: the first goroutine to
-// claim a key runs the simulation, concurrent claimants block on the entry's
-// once and share the resulting *sched.Result read-only.
+// The cache is a single-flight memo (internal/memo): the first goroutine to
+// claim a key runs the simulation, concurrent claimants block until it
+// settles and share the resulting *sched.Result read-only, and a
+// simulation panic becomes the key's memoized error.
 type simCache struct {
-	mu sync.Mutex
-	m  map[simKey]*simEntry
+	memo memo.Memo[simKey, *sched.Result]
 	// sim is the compositional simulator whose fragment/class-schedule
 	// store (sim.Cache) is shared by every plan the exploration simulates
 	// — across budgets, allocators (portfolio mode included) and kernels.
-	// The plan-level map above removes exact-duplicate plans outright; the
+	// The plan-level memo above removes exact-duplicate plans outright; the
 	// fragment store below makes the residual unique plans cheap, since
 	// plans differing in a few β values share most of their fragments.
 	sim *sched.Simulator
@@ -44,18 +42,19 @@ type simKey struct {
 	ports  int
 }
 
-type simEntry struct {
-	once sync.Once
-	res  *sched.Result
-	err  error
-}
+// simPanic names a simulation in a recovered panic's error, on the cached
+// and the cache-free path alike.
+const simPanic = "simulation"
 
 // newSimCache wraps a fragment store with the per-exploration plan-level
 // cache. It does not touch the fragment store's obs wiring — the store's
 // owner does that once (the engine for caches it builds itself, the serving
 // process for a shared Engine.SimCache).
 func newSimCache(frag *simcache.Cache, m *obs.Metrics) *simCache {
-	return &simCache{m: map[simKey]*simEntry{}, sim: &sched.Simulator{Cache: frag, Obs: m}}
+	return &simCache{
+		memo: memo.Memo[simKey, *sched.Result]{What: simPanic},
+		sim:  &sched.Simulator{Cache: frag, Obs: m},
+	}
 }
 
 // simulate implements hls.SimFunc. The "sim" span covers the whole lookup —
@@ -63,37 +62,21 @@ func newSimCache(frag *simcache.Cache, m *obs.Metrics) *simCache {
 // what the simulator cost — and carries the plan-cache outcome as its tier.
 func (c *simCache) simulate(ctx hls.SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (*sched.Result, error) {
 	key := simKey{kernel: ctx.Kernel, plan: plan.Fingerprint(), lat: cfg.Lat.Fingerprint(), ports: cfg.PortsPerRAM}
-	c.mu.Lock()
-	e := c.m[key]
-	claimed := e == nil
-	if claimed {
-		e = &simEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
+	sp := obs.Begin(ctx.Obs, ctx.Trace, ctx.Point, ctx.Kernel, "sim")
+	res, o, err := c.memo.Get(key, func() (*sched.Result, error) {
+		return c.sim.SimulateGraph(nest, g, plan, cfg)
+	})
 	// Hit/miss counts are deterministic for a space: misses count distinct
 	// keys, never worker scheduling.
 	tier := "plan-hit"
-	if claimed {
+	if o == memo.Claimed {
 		tier = "plan-miss"
 		c.sim.Cache.PlanMiss()
 	} else {
 		c.sim.Cache.PlanHit()
 	}
-	sp := obs.Begin(ctx.Obs, ctx.Trace, ctx.Point, ctx.Kernel, "sim")
-	e.once.Do(func() {
-		// A panic would consume the Once and leave (nil, nil) for every
-		// later claimant of the key; record it as the entry's error so all
-		// sharers see the real cause.
-		defer func() {
-			if v := recover(); v != nil {
-				e.err = fmt.Errorf("simulation panic: %v", v)
-			}
-		}()
-		e.res, e.err = c.sim.SimulateGraph(nest, g, plan, cfg)
-	})
 	sp.End(tier)
-	return e.res, e.err
+	return res, err
 }
 
 // snapshot returns the combined per-stage cache counters.
@@ -104,21 +87,14 @@ func (c *simCache) snapshot() simcache.Snapshot { return c.sim.Cache.Snapshot() 
 // byte-identical to the cached engine on every path, including failures.
 // Obs still works — the per-call Simulator carries the metrics, so the
 // fragment collapse split and "sim" spans survive disabling the cache.
-func simDirect(ctx hls.SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (res *sched.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, fmt.Errorf("simulation panic: %v", v)
-		}
-	}()
+func simDirect(ctx hls.SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (*sched.Result, error) {
 	sp := obs.Begin(ctx.Obs, ctx.Trace, ctx.Point, ctx.Kernel, "sim")
 	defer sp.End("")
 	sim := sched.Simulator{Obs: ctx.Obs}
-	return sim.SimulateGraph(nest, g, plan, cfg)
+	return memo.Do(simPanic, func() (*sched.Result, error) {
+		return sim.SimulateGraph(nest, g, plan, cfg)
+	})
 }
 
 // size returns the number of distinct simulations run so far.
-func (c *simCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
+func (c *simCache) size() int { return c.memo.Len() }

@@ -15,8 +15,9 @@ import (
 )
 
 // TestSimCachePanicDoesNotPoisonEntry: a simulation panic must be memoized
-// as the entry's error, not consume the sync.Once and hand (nil, nil) to
-// every later point sharing the key.
+// as the entry's error, not consume the entry and hand (nil, nil) to every
+// later point sharing the key — and the cache-free path must report the
+// same error text, so -nocache output stays byte-identical on failures.
 func TestSimCachePanicDoesNotPoisonEntry(t *testing.T) {
 	k := kernels.Figure1()
 	prob, err := core.NewProblem(k.Nest, k.Rmax, dfg.DefaultLatencies())
@@ -41,14 +42,19 @@ func TestSimCachePanicDoesNotPoisonEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := hls.SimCtx{Kernel: k.Name}
+	_, direct := simDirect(ctx, &wider, g, plan, sched.DefaultConfig())
+	if direct == nil || !strings.HasPrefix(direct.Error(), "simulation panic: ") {
+		t.Fatalf("cache-free error %v does not record the panic", direct)
+	}
 	c := newSimCache(simcache.New(), nil)
 	for call := 0; call < 2; call++ {
-		res, err := c.simulate(hls.SimCtx{Kernel: k.Name}, &wider, g, plan, sched.DefaultConfig())
+		res, err := c.simulate(ctx, &wider, g, plan, sched.DefaultConfig())
 		if res != nil || err == nil {
 			t.Fatalf("call %d: res=%v err=%v, want nil result and memoized panic error", call, res, err)
 		}
-		if !strings.Contains(err.Error(), "panic") {
-			t.Fatalf("call %d: error %q does not record the panic", call, err)
+		if err.Error() != direct.Error() {
+			t.Fatalf("call %d: cached error %q, cache-free error %q", call, err, direct)
 		}
 	}
 	if c.size() != 1 {

@@ -1,8 +1,8 @@
 package sched
 
 // fragment.go is the compositional simulation engine: instead of one
-// monolithic walk of the iteration space per plan (iterWalker, kept as the
-// differential oracle), a plan's cycle estimate is assembled from
+// monolithic walk of the iteration space per plan (iterWalker, now a test
+// oracle in walker_test.go), a plan's cycle estimate is assembled from
 // independent, content-addressed pieces —
 //
 //   - class weights are computed analytically: an iteration's class is a
@@ -67,8 +67,8 @@ type Simulator struct {
 // the plan on a prebuilt (and already validated) body data-flow graph. The
 // graph is only read, so one graph can back any number of concurrent
 // simulations. The Result is identical — field for field — to the fused
-// single-pass walker's (see seedref_test.go and fragment_test.go for the
-// differential contracts).
+// single-pass walker test oracle's and the seed reference's (see
+// fragment_test.go and seedref_test.go for the differential contracts).
 func (s *Simulator) SimulateGraph(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Config) (*Result, error) {
 	if cfg.PortsPerRAM < 1 {
 		return nil, fmt.Errorf("sched: PortsPerRAM must be ≥1, got %d", cfg.PortsPerRAM)
@@ -221,8 +221,8 @@ func classWeights(nest *ir.Nest, order []*scalarrepl.Entry, hitAt [][]bool, trip
 
 // innerHitVectors precomputes, per plan entry, the steady-state register
 // hit outcome at each innermost loop position — the single input both the
-// compositional engine and the fused walker oracle classify iterations
-// and gate replays with. Nil for depth-0 nests.
+// compositional engine and the fused walker test oracle classify
+// iterations and gate replays with. Nil for depth-0 nests.
 func innerHitVectors(nest *ir.Nest, order []*scalarrepl.Entry) [][]bool {
 	depth := nest.Depth()
 	if depth == 0 {

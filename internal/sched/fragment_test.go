@@ -235,6 +235,35 @@ func TestFragmentCacheReusesUnchangedEntries(t *testing.T) {
 	}
 }
 
+// TestWarmCacheHitsDoNotAllocate: a settled Fragment or ClassLen hit made
+// from this side of the package boundary, with compute closures that
+// capture locals as SimulateGraph's do, allocates nothing. The closures
+// stay on the caller's stack only while escape analysis can see through
+// simcache's generic lookup; a lookup written as a generic function behind
+// the inlined Fragment/ClassLen wrappers reads 2 allocations here.
+func TestWarmCacheHitsDoNotAllocate(t *testing.T) {
+	cache := simcache.New()
+	frag := simcache.Fragment{Loads: 3, Stores: 1}
+	cl := simcache.ClassLen{Iter: 4, Mem: 2}
+	var err error
+	lookups := func() {
+		if _, err = cache.Fragment("fragment", func() (simcache.Fragment, error) { return frag, nil }); err != nil {
+			return
+		}
+		_, err = cache.ClassLen("class", func() (simcache.ClassLen, error) { return cl, nil })
+	}
+	lookups() // settle both keys
+	if allocs := testing.AllocsPerRun(100, lookups); allocs != 0 {
+		t.Fatalf("warm Fragment+ClassLen hits allocate %.1f/op, want 0", allocs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := cache.Snapshot(); s.EntryMisses != 1 || s.ClassMisses != 1 || s.EntryHits != 101 || s.ClassHits != 101 {
+		t.Fatalf("stats %+v, want one miss and 101 settled hits per kind", s)
+	}
+}
+
 // fragmentInputs builds the per-entry fragment inputs of a kernel's CPA-RA
 // plan — the regression tests below drive computeFragmentWalked directly.
 func fragmentInputs(t *testing.T, k kernels.Kernel) (*scalarrepl.Plan, [][]bool, map[string][]bool) {

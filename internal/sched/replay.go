@@ -4,8 +4,8 @@ import "encoding/binary"
 
 // replay is the transfer-protocol automaton of one covered entry: which
 // window elements are register-resident, which of those are dirty, and the
-// transfer traffic so far. Semantics match the fused walker's xferFile
-// exactly — first touch loads (reads only), capacity eviction of the
+// transfer traffic so far. Semantics match the xferFile of the fused
+// walker test oracle (walker_test.go) exactly — first touch loads (reads only), capacity eviction of the
 // smallest resident flat (write-back when dirty), flush on demand.
 //
 // The resident set is one run of slots sorted by flat, buf[head:tail],

@@ -6,8 +6,8 @@
 // region count (fragment.go — the whole estimate is a composition of
 // independent per-entry and per-class pieces, memoizable across plans via
 // internal/simcache), and prices the cold-start/epilogue overhead. The
-// seed's fused full-space walker (iterWalker) is retained as a
-// differential oracle.
+// seed's fused full-space walker (iterWalker, walker_test.go) is test
+// code: a differential oracle, not a production path.
 //
 // Two cycle metrics are produced per iteration class and summed:
 //
@@ -126,11 +126,11 @@ func SimulateGraph(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Confi
 // implementations; hit is the residency map ScheduleClass consumes.
 type classLenFunc func(sig string, hit map[string]bool, order []*scalarrepl.Entry) (iter, mem int, err error)
 
-// assembleResult builds the Result shared by the compositional and fused
-// engines from the class weights and transfer counts: classes are emitted
-// in sorted-signature order, scheduled through classLen, then ordered
-// densest first — the exact construction both engines must agree on for
-// byte-identical results.
+// assembleResult builds the Result shared by the compositional engine and
+// the fused test oracle from the class weights and transfer counts:
+// classes are emitted in sorted-signature order, scheduled through
+// classLen, then ordered densest first — the exact construction both
+// engines must agree on for byte-identical results.
 func assembleResult(g *dfg.Graph, plan *scalarrepl.Plan, cfg Config, counts map[string]int, loads, stores int, classLen classLenFunc) (*Result, error) {
 	res := &Result{}
 	order := plan.Order()

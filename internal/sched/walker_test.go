@@ -8,12 +8,11 @@ import (
 	"repro/internal/scalarrepl"
 )
 
-// simulateFused is the PR-2 fused single-pass engine: one walk of the full
+// simulateFused is the fused single-pass engine: one walk of the full
 // iteration space weights the classes and replays every entry's transfer
-// protocol together. Superseded by the compositional engine (fragment.go)
-// as the production path, it is kept — on top of the shared assembleResult
-// — as the mid-level differential oracle between the compositional engine
-// and the seed two-pass reference (seedref_test.go).
+// protocol together, on top of the shared assembleResult. It is test code,
+// the mid-level differential oracle between the compositional engine
+// (fragment.go) and the seed two-pass reference (seedref_test.go).
 func simulateFused(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Config) (*Result, error) {
 	if cfg.PortsPerRAM < 1 {
 		return nil, fmt.Errorf("sched: PortsPerRAM must be ≥1, got %d", cfg.PortsPerRAM)
@@ -41,7 +40,7 @@ func simulateFused(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Confi
 }
 
 // iterWalker is the fused single-pass iteration-space engine behind
-// SimulateGraph. The seed implementation walked the full iteration space
+// simulateFused. The seed implementation walked the full iteration space
 // twice per design point — once to weight the iteration classes (allocating
 // a map environment and a signature string per iteration) and once more in
 // transferCounts to replay the register-file transfer protocol. The walker
@@ -186,8 +185,6 @@ func (w *iterWalker) compileAccess(r *ir.ArrayRef, f *xferFile, isWrite bool) bo
 }
 
 // run executes the fused pass: class weights plus transfer replay.
-//
-//repro:hotpath
 func (w *iterWalker) run() {
 	if w.depth == 0 {
 		w.counts[0]++
@@ -218,8 +215,6 @@ func (w *iterWalker) run() {
 // that advanced since the previous innermost iteration (-1 before the
 // first): a file's reuse region changes exactly when a loop outside its
 // reuse level advances.
-//
-//repro:hotpath
 func (w *iterWalker) walk(d, changed int) {
 	l := w.nest.Loops[d]
 	if d == w.depth-1 {
@@ -250,8 +245,6 @@ func (w *iterWalker) walk(d, changed int) {
 // leaf processes one iteration point: counts its class, flushes files whose
 // reuse region ended, and replays the body's accesses against the register
 // files.
-//
-//repro:hotpath
 func (w *iterWalker) leaf(pos, changed int) {
 	w.counts[w.classOf[pos]]++
 	for _, f := range w.files {
@@ -291,8 +284,6 @@ func (w *iterWalker) leaf(pos, changed int) {
 
 // flush writes back the file's dirty elements and empties it — a reuse
 // region boundary or the epilogue drain.
-//
-//repro:hotpath
 func (w *iterWalker) flush(f *xferFile) {
 	for flat, dirty := range f.dirty {
 		if dirty {
@@ -305,8 +296,6 @@ func (w *iterWalker) flush(f *xferFile) {
 // evict makes room for an incoming element by dropping the resident element
 // with the smallest flat index (deterministic, matching the functional
 // simulation), writing it back when dirty.
-//
-//repro:hotpath
 func (w *iterWalker) evict(f *xferFile) {
 	victim, first := 0, true
 	for flat := range f.dirty {

@@ -95,7 +95,7 @@ func TestAnalysisCorruptDiskIsAMiss(t *testing.T) {
 	}
 	// Flip a payload byte without touching the envelope header: the
 	// checksum catches it and the blob is a miss, not a wrong value.
-	name := filepath.Join(dir, kindAnalysis+hashKey("key"))
+	name := filepath.Join(dir, "a"+hashKey("key"))
 	data, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestAnalysisRemoteTier(t *testing.T) {
 	if s := c2.Snapshot(); s.AnalysisRemoteHits != 1 {
 		t.Fatalf("stats %+v, want 1 analysis remote hit", s)
 	}
-	if _, err := os.Stat(filepath.Join(dir2, kindAnalysis+hashKey("key"))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir2, "a"+hashKey("key"))); err != nil {
 		t.Fatalf("remote hit not written back to disk: %v", err)
 	}
 }
@@ -199,19 +199,19 @@ func TestBlobHandlerAnalysisKind(t *testing.T) {
 	if len(blob) <= maxValueBlobSize {
 		t.Fatalf("test payload too small to prove the larger cap (%d bytes)", len(blob))
 	}
-	if err := r.put(kindAnalysis, hash, blob); err != nil {
+	if err := r.put("a", hash, blob); err != nil {
 		t.Fatal(err)
 	}
-	data, ok, err := r.get(kindAnalysis, hash)
+	data, ok, err := r.get("a", hash, maxAnalysisBlobSize)
 	if err != nil || !ok || !bytes.Equal(data, blob) {
 		t.Fatalf("round trip: ok=%v err=%v", ok, err)
 	}
 	// A malformed analysis blob is rejected on PUT.
-	if err := r.put(kindAnalysis, hashKey("other"), []byte("garbage")); err == nil {
+	if err := r.put("a", hashKey("other"), []byte("garbage")); err == nil {
 		t.Error("malformed analysis blob accepted")
 	}
 	// The two-int kinds keep their tight cap.
-	if err := r.put(kindFragment, hashKey("big"), blob); err == nil {
+	if err := r.put("f", hashKey("big"), blob); err == nil {
 		t.Error("oversized fragment blob accepted")
 	}
 }

@@ -14,7 +14,9 @@ package simcache
 // can stand in for the server. The protocol is versioned by the path
 // prefix: a breaking change to the value encoding or the key derivation
 // bumps /v1/ to /v2/; v1 values are the "1 a b" text encoding of two
-// non-negative ints (validated on both ends before use).
+// non-negative ints for "f" and "c", and the checksummed envelope of
+// encodeAnalysisBlob for "a" (validated on both ends before use). Each
+// kind's cap on a transfer's size lives in its row of the kind table.
 //
 // Trust model: keys are content hashes, so distinct computations never
 // collide; values are syntactically revalidated on every decode (a corrupt
@@ -28,6 +30,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -35,23 +39,7 @@ import (
 	"repro/internal/obs"
 )
 
-const (
-	blobPathPrefix = "/v1/blob/"
-	// maxValueBlobSize bounds a two-int value transfer on both ends: v1
-	// values are two decimal ints and a flag, far under this, so anything
-	// larger is malformed by construction. Analysis blobs carry a
-	// per-reference-group payload and get a correspondingly larger cap.
-	maxValueBlobSize    = 256
-	maxAnalysisBlobSize = 1 << 16
-)
-
-// maxBlobSize returns the transfer cap of one blob kind.
-func maxBlobSize(kind string) int {
-	if kind == kindAnalysis {
-		return maxAnalysisBlobSize
-	}
-	return maxValueBlobSize
-}
+const blobPathPrefix = "/v1/blob/"
 
 // Remote is the client side of the blob protocol: the third lookup tier of
 // a Cache (memory → disk → remote), attached with SetRemote. Transient
@@ -143,10 +131,10 @@ func (r *Remote) sleepBeforeRetry(attempt int, hint time.Duration) {
 	time.Sleep(r.Backoff << (attempt - 1))
 }
 
-// get fetches one blob. A 404 is a definitive miss (false, nil error); a
-// transient failure that survives the retry budget returns an error, which
-// the cache's lookup path also treats as a miss.
-func (r *Remote) get(kind, hash string) ([]byte, bool, error) {
+// get fetches one blob of at most limit bytes. A 404 is a definitive miss
+// (false, nil error); a transient failure that survives the retry budget
+// returns an error, which the cache's lookup path also treats as a miss.
+func (r *Remote) get(kind, hash string, limit int) ([]byte, bool, error) {
 	var lastErr error
 	var hint time.Duration
 	for attempt := 0; attempt <= r.Retries; attempt++ {
@@ -159,7 +147,6 @@ func (r *Remote) get(kind, hash string) ([]byte, bool, error) {
 			lastErr = err
 			continue
 		}
-		limit := maxBlobSize(kind)
 		body, rerr := io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
 		resp.Body.Close()
 		switch {
@@ -221,10 +208,10 @@ func (r *Remote) put(kind, hash string, data []byte) error {
 }
 
 // blobHandler serves the v1 blob protocol over a directory-backed cache's
-// files. Every value is revalidated on decode in both directions: a PUT of
-// malformed bytes is rejected, and a corrupt file on disk is a 404, so a
-// poisonous or truncated blob never propagates past the process that holds
-// it.
+// files. Every value goes through its kind's codec in both directions: a
+// PUT of malformed bytes is rejected, a corrupt file on disk is a 404, and
+// what is stored or served is the canonical re-encoding, so a poisonous or
+// truncated blob never propagates past the process that holds it.
 type blobHandler struct {
 	c                      *Cache
 	get, miss, put, reject *obs.StageStats
@@ -251,16 +238,20 @@ func NewBlobHandler(c *Cache, m *obs.Metrics) (http.Handler, error) {
 
 // ServeHTTP implements http.Handler.
 func (h *blobHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	kind, hash, ok := splitBlobPath(r.URL.Path)
+	k, hash, ok := h.c.splitBlobPath(r.URL.Path)
 	if !ok {
 		h.reject.Inc()
 		http.Error(w, "bad blob path (want /v1/blob/<kind>/<sha256hex>)", http.StatusBadRequest)
 		return
 	}
+	name := k.blobName() + hash
 	switch r.Method {
 	case http.MethodGet:
-		data, err := h.c.readBlob(kind, hash)
-		if err != nil {
+		data, err := os.ReadFile(filepath.Join(h.c.dir, name))
+		if err == nil {
+			data, ok = k.canonical(data)
+		}
+		if err != nil || !ok {
 			h.miss.Inc()
 			http.Error(w, "no such blob", http.StatusNotFound)
 			return
@@ -269,30 +260,19 @@ func (h *blobHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write(data)
 	case http.MethodPut:
-		limit := maxBlobSize(kind)
-		data, err := io.ReadAll(io.LimitReader(r.Body, int64(limit)+1))
-		if err != nil || len(data) > limit {
+		data, err := io.ReadAll(io.LimitReader(r.Body, int64(k.limit())+1))
+		if err != nil || len(data) > k.limit() {
 			h.reject.Inc()
 			http.Error(w, "blob too large or unreadable", http.StatusBadRequest)
 			return
 		}
-		if kind == kindAnalysis {
-			if _, ok := decodeAnalysisBlob(data); !ok {
-				h.reject.Inc()
-				http.Error(w, "malformed blob value", http.StatusBadRequest)
-				return
-			}
-		} else {
-			var a, b int
-			if !decodeValue(data, &a, &b) {
-				h.reject.Inc()
-				http.Error(w, "malformed blob value", http.StatusBadRequest)
-				return
-			}
-			data = encodeValue(a, b) // persist the canonical form
+		if data, ok = k.canonical(data); !ok {
+			h.reject.Inc()
+			http.Error(w, "malformed blob value", http.StatusBadRequest)
+			return
 		}
 		h.put.Inc()
-		h.c.writeBlob(kind+hash, data)
+		h.c.writeBlob(name, data)
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		h.reject.Inc()
@@ -302,23 +282,27 @@ func (h *blobHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // splitBlobPath parses and validates "/v1/blob/<kind>/<hash>": the kind
-// must be a known fragment kind and the hash a lowercase SHA-256 hex
+// must be one of the cache's kinds and the hash a lowercase SHA-256 hex
 // digest, so a request can never escape the blob namespace (no dots, no
 // separators — the blob name is the exact disk filename).
-func splitBlobPath(path string) (kind, hash string, ok bool) {
+func (c *Cache) splitBlobPath(path string) (blobKind, string, bool) {
 	rest, found := strings.CutPrefix(path, blobPathPrefix)
 	if !found {
-		return "", "", false
+		return nil, "", false
 	}
-	kind, hash, found = strings.Cut(rest, "/")
-	if !found || (kind != kindFragment && kind != kindClass && kind != kindAnalysis) || len(hash) != 64 {
-		return "", "", false
+	name, hash, found := strings.Cut(rest, "/")
+	if !found || len(hash) != 64 {
+		return nil, "", false
 	}
 	for i := 0; i < len(hash); i++ {
-		c := hash[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return "", "", false
+		if ch := hash[i]; (ch < '0' || ch > '9') && (ch < 'a' || ch > 'f') {
+			return nil, "", false
 		}
 	}
-	return kind, hash, true
+	for _, k := range c.kinds() {
+		if k.blobName() == name {
+			return k, hash, true
+		}
+	}
+	return nil, "", false
 }

@@ -39,22 +39,21 @@ func TestBlobHandlerRoundTrip(t *testing.T) {
 	r := testRemote(srv.URL)
 	hash := hashKey("some canonical key")
 
-	if _, ok, err := r.get(kindFragment, hash); ok || err != nil {
+	if _, ok, err := r.get("f", hash, maxValueBlobSize); ok || err != nil {
 		t.Fatalf("get before put: ok=%v err=%v, want definitive miss", ok, err)
 	}
-	if err := r.put(kindFragment, hash, encodeValue(12, 34)); err != nil {
+	if err := r.put("f", hash, encodeValue(12, 34)); err != nil {
 		t.Fatal(err)
 	}
-	data, ok, err := r.get(kindFragment, hash)
+	data, ok, err := r.get("f", hash, maxValueBlobSize)
 	if err != nil || !ok {
 		t.Fatalf("get after put: ok=%v err=%v", ok, err)
 	}
-	var a, b int
-	if !decodeValue(data, &a, &b) || a != 12 || b != 34 {
+	if a, b, ok := decodeValue(data); !ok || a != 12 || b != 34 {
 		t.Fatalf("round-tripped %q -> (%d,%d)", data, a, b)
 	}
 	// The same hash under the other kind is a distinct blob.
-	if _, ok, _ := r.get(kindClass, hash); ok {
+	if _, ok, _ := r.get("c", hash, maxValueBlobSize); ok {
 		t.Fatal("class namespace leaked into fragment namespace")
 	}
 }
@@ -123,12 +122,11 @@ func TestRemoteGetRetriesTransientFailures(t *testing.T) {
 	defer srv.Close()
 	r := testRemote(srv.URL)
 
-	data, ok, err := r.get(kindFragment, hashKey("k"))
+	data, ok, err := r.get("f", hashKey("k"), maxValueBlobSize)
 	if err != nil || !ok {
 		t.Fatalf("get after retries: ok=%v err=%v", ok, err)
 	}
-	var a, b int
-	if !decodeValue(data, &a, &b) || a != 5 || b != 6 {
+	if a, b, ok := decodeValue(data); !ok || a != 5 || b != 6 {
 		t.Fatalf("got %q", data)
 	}
 	if n := calls.Load(); n != 3 {
@@ -145,7 +143,7 @@ func TestRemoteGetGivesUpAfterRetryBudget(t *testing.T) {
 	defer srv.Close()
 	r := testRemote(srv.URL)
 
-	if _, ok, err := r.get(kindFragment, hashKey("k")); ok || err == nil {
+	if _, ok, err := r.get("f", hashKey("k"), maxValueBlobSize); ok || err == nil {
 		t.Fatalf("get from dead server: ok=%v err=%v, want error", ok, err)
 	}
 	if n := calls.Load(); n != int64(r.Retries)+1 {
@@ -291,12 +289,11 @@ func TestRemoteHonorsRetryAfter(t *testing.T) {
 	r.SetObs(m)
 
 	start := time.Now()
-	data, ok, err := r.get(kindFragment, hashKey("k"))
+	data, ok, err := r.get("f", hashKey("k"), maxValueBlobSize)
 	if err != nil || !ok {
 		t.Fatalf("get after shed: ok=%v err=%v", ok, err)
 	}
-	var a, b int
-	if !decodeValue(data, &a, &b) || a != 7 || b != 8 {
+	if a, b, ok := decodeValue(data); !ok || a != 7 || b != 8 {
 		t.Fatalf("got %q", data)
 	}
 	if elapsed := time.Since(start); elapsed >= time.Hour/2 {
@@ -325,7 +322,7 @@ func TestRemotePutHonorsRetryAfter(t *testing.T) {
 	m := obs.New()
 	r.SetObs(m)
 
-	if err := r.put(kindFragment, hashKey("k"), encodeValue(1, 2)); err != nil {
+	if err := r.put("f", hashKey("k"), encodeValue(1, 2)); err != nil {
 		t.Fatalf("put after shed: %v", err)
 	}
 	if n := m.Snapshot().Stages["cache/remote/shed-retry"].Count; n != 1 {

@@ -13,29 +13,33 @@
 // so that across the plans of a design-space sweep, only entries that
 // actually changed re-walk their iteration sub-space and the scheduler runs
 // once per distinct class per kernel, whatever allocator or budget produced
-// the plan. Keys are pure content: two kernels (or two shard processes)
-// that agree on a key share the value.
+// the plan. A third kind holds the front-end analyses of whole kernels as
+// opaque encoded blobs. Keys are pure content: two kernels (or two shard
+// processes) that agree on a key share the value.
 //
-// The store is concurrency-safe and single-flight in memory; with a backing
-// directory (NewDir) values also persist as one small file per key, so
-// independent worker processes — the shards of one sweep — share fragments
-// through the filesystem, recovering the cross-shard deduplication a
-// per-process cache loses. Disk writes are atomic (temp file + rename) and
-// unreadable or corrupt files are treated as misses, so concurrent writers
-// are safe: content addressing makes every writer write the same bytes.
+// Each value kind is one row of a per-kind table (kind): its blob name,
+// obs stage segment, transfer cap, codec, counters and obs tiers. One
+// generic lookup runs every kind through the same tiers: a single-flight
+// memory memo (internal/memo) first; then, on the claiming call only, the
+// backing directory (NewDir) and the remote blob store (SetRemote); and
+// compute last. Values persist as one small file per key, so independent
+// worker processes — the shards of one sweep — share fragments through the
+// filesystem, recovering the cross-shard deduplication a per-process cache
+// loses. Disk writes are atomic (temp file + rename) and unreadable or
+// corrupt files are treated as misses, so concurrent writers are safe:
+// content addressing makes every writer write the same bytes.
 //
-// A third tier goes over the network (remote.go): SetRemote layers a
-// content-addressed HTTP blob store (NewBlobHandler server, NewRemote
-// client) behind memory and disk, so many hosts deduplicate simulation
-// work without a shared filesystem. Lookup order is memory → disk →
-// remote; computed and remotely-recovered values propagate back down
-// (disk write, best-effort remote PUT), and every tier is an accelerator
-// only — any remote failure degrades to a local recomputation.
+// The remote tier (remote.go) is a content-addressed HTTP blob store
+// (NewBlobHandler server, NewRemote client), so many hosts deduplicate
+// simulation work without a shared filesystem. Computed and remotely
+// recovered values propagate back down (disk write, best-effort remote
+// PUT), and every tier is an accelerator only — any remote failure
+// degrades to a local recomputation.
 //
 // The package also aggregates the per-stage hit statistics (entry
-// fragments, class schedules, whole-plan simulations — the last counted by
-// the sweep engine's plan-level cache) that the CLIs report and shard
-// merging sums.
+// fragments, class schedules, analyses, whole-plan simulations — the last
+// counted by the sweep engine's plan-level cache) that the CLIs report and
+// shard merging sums.
 package simcache
 
 import (
@@ -44,9 +48,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/memo"
 	"repro/internal/obs"
 )
 
@@ -66,78 +70,113 @@ type ClassLen struct {
 	Mem  int
 }
 
-// entry is one single-flight slot: the first claimant computes (or reads
-// from disk), concurrent claimants block on the once and share the result.
-// done flips after the once completes, so later claimants can tell a settled
-// memory hit from a wait on an in-flight computation.
-type entry[T any] struct {
-	once sync.Once
-	done atomic.Bool
-	val  T
-	err  error
+// kind is one value kind of the store: its static description (blob name,
+// obs stage segment, transfer cap, codec) and one cache's state for it
+// (memory memo, Snapshot counters, obs tier handles). The obs handles are
+// nil when obs is not attached; StageStats methods no-op on nil, so the
+// lookup never branches on enablement.
+type kind[V any] struct {
+	name   string // disk filename prefix and blob protocol path segment
+	stage  string // obs stage segment: cache/<stage>/{hit,disk,remote,miss,wait}
+	max    int    // blob transfer cap in bytes, enforced on both protocol ends
+	encode func(V) []byte
+	// decode is the revalidation gate on every ingest path (disk read,
+	// remote GET, blob-server PUT): anything that does not parse is a
+	// miss, never a crash.
+	decode func([]byte) (V, bool)
+
+	memo                               memo.Memo[string, V] // its Wait is the wait tier
+	hits, diskHits, remoteHits, misses atomic.Int64
+	hitT, diskT, remoteT, missT        *obs.StageStats
 }
 
-// tiers holds the pre-resolved obs stage handles of one lookup kind. All
-// fields are nil when obs is not attached; StageStats methods no-op on nil,
-// so the lookup paths never branch on enablement.
-type tiers struct {
-	hit    *obs.StageStats // settled in-memory reuse
-	disk   *obs.StageStats // value recovered from the backing directory
-	remote *obs.StageStats // value recovered from the remote blob store
-	miss   *obs.StageStats // fresh computation
-	wait   *obs.StageStats // blocked behind another goroutine's in-flight compute (ns histogram)
+// blobKind is the value-type-free face of a kind, for the code that handles
+// every kind alike: SetObs and the blob server.
+type blobKind interface {
+	blobName() string
+	limit() int
+	canonical(data []byte) ([]byte, bool)
+	resolve(m *obs.Metrics)
 }
 
-func (t *tiers) resolve(m *obs.Metrics, kind string) {
-	t.hit = m.Stage("cache/" + kind + "/hit")
-	t.disk = m.Stage("cache/" + kind + "/disk")
-	t.remote = m.Stage("cache/" + kind + "/remote")
-	t.miss = m.Stage("cache/" + kind + "/miss")
-	t.wait = m.Stage("cache/" + kind + "/wait")
+func (k *kind[V]) blobName() string { return k.name }
+func (k *kind[V]) limit() int       { return k.max }
+
+// canonical decodes one blob and re-encodes it: the form every blob takes
+// when it is persisted or served. ok is false when the blob does not decode.
+func (k *kind[V]) canonical(data []byte) ([]byte, bool) {
+	v, ok := k.decode(data)
+	if !ok {
+		return nil, false
+	}
+	return k.encode(v), true
 }
 
-// The value kinds, used as disk filename prefixes and blob protocol
-// path segments alike.
+func (k *kind[V]) resolve(m *obs.Metrics) {
+	k.hitT = m.Stage("cache/" + k.stage + "/hit")
+	k.diskT = m.Stage("cache/" + k.stage + "/disk")
+	k.remoteT = m.Stage("cache/" + k.stage + "/remote")
+	k.missT = m.Stage("cache/" + k.stage + "/miss")
+	k.memo.Wait = m.Stage("cache/" + k.stage + "/wait")
+}
+
+// Transfer caps: v1 two-int values are a flag and two decimal ints, far
+// under maxValueBlobSize, so anything larger is malformed by construction.
+// Analysis blobs carry a per-reference-group payload and get a
+// correspondingly larger cap.
 const (
-	kindFragment = "f" // entry fragments (transfer replays)
-	kindClass    = "c" // class lengths (list-scheduled latencies)
-	kindAnalysis = "a" // front-end analysis blobs (opaque encoded summaries)
+	maxValueBlobSize    = 256
+	maxAnalysisBlobSize = 1 << 16
 )
 
-// Lookup tiers below memory, as reported by load.
-type tier int
-
-const (
-	tierNone   tier = iota // not found: compute
-	tierDisk               // recovered from the backing directory
-	tierRemote             // recovered from the remote blob store
-)
-
-// Cache memoizes fragments and class lengths. The zero value is not usable;
-// use New or NewDir.
+// Cache memoizes fragments, class lengths and analysis blobs. The zero
+// value is not usable; use New or NewDir.
 type Cache struct {
 	dir    string  // "" = memory only
 	remote *Remote // nil = no network tier
 
-	mu       sync.Mutex
-	frags    map[string]*entry[Fragment]
-	classes  map[string]*entry[ClassLen]
-	analyses map[string]*entry[[]byte]
+	frags    kind[Fragment]
+	classes  kind[ClassLen]
+	analyses kind[[]byte]
 
-	stats stats
-
-	obsReg                   *obs.Metrics
-	fragT, classT, analysisT tiers
-	planHitT, planMissT      *obs.StageStats
+	planHits, planMisses atomic.Int64
+	obsReg               *obs.Metrics
+	planHitT, planMissT  *obs.StageStats
 }
 
 // New returns an in-memory cache.
 func New() *Cache {
 	return &Cache{
-		frags:    map[string]*entry[Fragment]{},
-		classes:  map[string]*entry[ClassLen]{},
-		analyses: map[string]*entry[[]byte]{},
+		frags: kind[Fragment]{
+			name: "f", stage: "frag", max: maxValueBlobSize,
+			encode: func(f Fragment) []byte { return encodeValue(f.Loads, f.Stores) },
+			decode: func(data []byte) (Fragment, bool) {
+				a, b, ok := decodeValue(data)
+				return Fragment{Loads: a, Stores: b}, ok
+			},
+			memo: memo.Memo[string, Fragment]{What: "simcache: fragment"},
+		},
+		classes: kind[ClassLen]{
+			name: "c", stage: "class", max: maxValueBlobSize,
+			encode: func(cl ClassLen) []byte { return encodeValue(cl.Iter, cl.Mem) },
+			decode: func(data []byte) (ClassLen, bool) {
+				a, b, ok := decodeValue(data)
+				return ClassLen{Iter: a, Mem: b}, ok
+			},
+			memo: memo.Memo[string, ClassLen]{What: "simcache: class"},
+		},
+		analyses: kind[[]byte]{
+			name: "a", stage: "analysis", max: maxAnalysisBlobSize,
+			encode: encodeAnalysisBlob,
+			decode: decodeAnalysisBlob,
+			memo:   memo.Memo[string, []byte]{What: "simcache: analysis"},
+		},
 	}
+}
+
+// kinds is the cache's kind list, for code that handles every kind alike.
+func (c *Cache) kinds() [3]blobKind {
+	return [3]blobKind{&c.frags, &c.classes, &c.analyses}
 }
 
 // NewDir returns a cache backed by dir (created if absent): every computed
@@ -169,196 +208,47 @@ func (c *Cache) SetRemote(r *Remote) {
 }
 
 // SetObs mirrors the cache's tier outcomes into per-stage obs counters
-// ("cache/{frag,class,analysis}/{hit,disk,miss,wait}", "cache/plan/{hit,miss}"),
-// with the wait tier a nanosecond histogram of time spent blocked behind
-// another goroutine's in-flight computation. An attached remote tier gets
-// its counters too (see Remote.SetObs), regardless of whether SetRemote
-// ran before or after this. The stats Snapshot counters are unaffected.
-// Call before concurrent use.
+// ("cache/{frag,class,analysis}/{hit,disk,remote,miss,wait}",
+// "cache/plan/{hit,miss}"), with the wait tier a nanosecond histogram of
+// time spent blocked behind another goroutine's in-flight computation. An
+// attached remote tier gets its counters too (see Remote.SetObs),
+// regardless of whether SetRemote ran before or after this. The stats
+// Snapshot counters are unaffected. Call before concurrent use.
 func (c *Cache) SetObs(m *obs.Metrics) {
 	if m == nil {
 		return
 	}
 	c.obsReg = m
-	c.fragT.resolve(m, "frag")
-	c.classT.resolve(m, "class")
-	c.analysisT.resolve(m, "analysis")
+	for _, k := range c.kinds() {
+		k.resolve(m)
+	}
 	c.planHitT = m.Stage("cache/plan/hit")
 	c.planMissT = m.Stage("cache/plan/miss")
 	c.remote.SetObs(m)
 }
 
 // Fragment returns the memoized fragment for key, running compute on the
-// first claim (after a disk probe when file-backed). Errors are memoized in
-// memory but never persisted.
+// first claim (after the disk and remote probes when those tiers are
+// attached). Errors are memoized in memory but never persisted.
 func (c *Cache) Fragment(key string, compute func() (Fragment, error)) (Fragment, error) {
-	c.mu.Lock()
-	e := c.frags[key]
-	claimed := e == nil
-	if claimed {
-		e = &entry[Fragment]{}
-		c.frags[key] = e
-	}
-	c.mu.Unlock()
-	fn := func() {
-		defer func() {
-			if v := recover(); v != nil {
-				e.err = fmt.Errorf("simcache: fragment panic: %v", v)
-			}
-			e.done.Store(true)
-		}()
-		var a, b int
-		switch c.load(kindFragment, key, &a, &b) {
-		case tierDisk:
-			c.stats.entryDiskHits.Add(1)
-			c.fragT.disk.Inc()
-			e.val = Fragment{Loads: a, Stores: b}
-			return
-		case tierRemote:
-			c.stats.entryRemoteHits.Add(1)
-			c.fragT.remote.Inc()
-			e.val = Fragment{Loads: a, Stores: b}
-			return
-		}
-		c.stats.entryMisses.Add(1)
-		c.fragT.miss.Inc()
-		e.val, e.err = compute()
-		if e.err == nil {
-			c.store(kindFragment, key, e.val.Loads, e.val.Stores)
-		}
-	}
-	if claimed {
-		e.once.Do(fn)
-	} else {
-		c.stats.entryHits.Add(1)
-		if e.done.Load() {
-			// Settled memory hit: the done acquire orders val/err reads.
-			c.fragT.hit.Inc()
-		} else {
-			// In flight on another goroutine: the once blocks until it
-			// settles — the single-flight wait the obs histogram records.
-			tm := c.fragT.wait.Start()
-			e.once.Do(fn)
-			tm.Stop()
-		}
-	}
-	return e.val, e.err
+	return c.frags.get(c, key, compute)
 }
 
 // ClassLen returns the memoized class lengths for key, running compute on
-// the first claim (after a disk probe when file-backed).
+// the first claim (after the disk and remote probes).
 func (c *Cache) ClassLen(key string, compute func() (ClassLen, error)) (ClassLen, error) {
-	c.mu.Lock()
-	e := c.classes[key]
-	claimed := e == nil
-	if claimed {
-		e = &entry[ClassLen]{}
-		c.classes[key] = e
-	}
-	c.mu.Unlock()
-	fn := func() {
-		defer func() {
-			if v := recover(); v != nil {
-				e.err = fmt.Errorf("simcache: class panic: %v", v)
-			}
-			e.done.Store(true)
-		}()
-		var a, b int
-		switch c.load(kindClass, key, &a, &b) {
-		case tierDisk:
-			c.stats.classDiskHits.Add(1)
-			c.classT.disk.Inc()
-			e.val = ClassLen{Iter: a, Mem: b}
-			return
-		case tierRemote:
-			c.stats.classRemoteHits.Add(1)
-			c.classT.remote.Inc()
-			e.val = ClassLen{Iter: a, Mem: b}
-			return
-		}
-		c.stats.classMisses.Add(1)
-		c.classT.miss.Inc()
-		e.val, e.err = compute()
-		if e.err == nil {
-			c.store(kindClass, key, e.val.Iter, e.val.Mem)
-		}
-	}
-	if claimed {
-		e.once.Do(fn)
-	} else {
-		c.stats.classHits.Add(1)
-		if e.done.Load() {
-			// Settled memory hit: the done acquire orders val/err reads.
-			c.classT.hit.Inc()
-		} else {
-			// In flight on another goroutine: the once blocks until it
-			// settles — the single-flight wait the obs histogram records.
-			tm := c.classT.wait.Start()
-			e.once.Do(fn)
-			tm.Stop()
-		}
-	}
-	return e.val, e.err
+	return c.classes.get(c, key, compute)
 }
 
 // Analysis returns the memoized front-end analysis blob for key, running
-// compute on the first claim (after a disk/remote probe when those tiers
-// are attached). The cache treats the blob as opaque validated bytes — the
-// semantic encoding (and its revalidation against the kernel) belongs to
-// the owner (internal/hls); this layer guards framing and integrity only,
-// via a checksummed envelope (encodeAnalysisBlob). The returned slice is
-// shared: callers must not mutate it.
+// compute on the first claim (after the disk and remote probes). The cache
+// treats the blob as opaque validated bytes — the semantic encoding (and
+// its revalidation against the kernel) belongs to the owner
+// (internal/hls); this layer guards framing and integrity only, via a
+// checksummed envelope (encodeAnalysisBlob). The returned slice is shared:
+// callers must not mutate it.
 func (c *Cache) Analysis(key string, compute func() ([]byte, error)) ([]byte, error) {
-	c.mu.Lock()
-	e := c.analyses[key]
-	claimed := e == nil
-	if claimed {
-		e = &entry[[]byte]{}
-		c.analyses[key] = e
-	}
-	c.mu.Unlock()
-	fn := func() {
-		defer func() {
-			if v := recover(); v != nil {
-				e.err = fmt.Errorf("simcache: analysis panic: %v", v)
-			}
-			e.done.Store(true)
-		}()
-		switch payload, t := c.loadBytes(kindAnalysis, key); t {
-		case tierDisk:
-			c.stats.analysisDiskHits.Add(1)
-			c.analysisT.disk.Inc()
-			e.val = payload
-			return
-		case tierRemote:
-			c.stats.analysisRemoteHits.Add(1)
-			c.analysisT.remote.Inc()
-			e.val = payload
-			return
-		}
-		c.stats.analysisMisses.Add(1)
-		c.analysisT.miss.Inc()
-		e.val, e.err = compute()
-		if e.err == nil {
-			c.storeBytes(kindAnalysis, key, e.val)
-		}
-	}
-	if claimed {
-		e.once.Do(fn)
-	} else {
-		c.stats.analysisHits.Add(1)
-		if e.done.Load() {
-			// Settled memory hit: the done acquire orders val/err reads.
-			c.analysisT.hit.Inc()
-		} else {
-			// In flight on another goroutine: the once blocks until it
-			// settles — the single-flight wait the obs histogram records.
-			tm := c.analysisT.wait.Start()
-			e.once.Do(fn)
-			tm.Stop()
-		}
-	}
-	return e.val, e.err
+	return c.analyses.get(c, key, compute)
 }
 
 // AnalysisHit records a memory-tier analysis hit observed by a
@@ -367,21 +257,108 @@ func (c *Cache) Analysis(key string, compute func() ([]byte, error)) ([]byte, er
 // memo miss), so the snapshot's hit/disk/remote/miss tiers still sum to
 // the number of lookups.
 func (c *Cache) AnalysisHit() {
-	c.stats.analysisHits.Add(1)
-	c.analysisT.hit.Inc()
+	c.analyses.hits.Add(1)
+	c.analyses.hitT.Inc()
 }
 
 // PlanHit and PlanMiss record the whole-plan simulation cache outcomes the
-// sweep engine's plan-level cache observes, so one snapshot carries all
-// three stages.
+// sweep engine's plan-level cache observes, so one snapshot carries every
+// stage.
 func (c *Cache) PlanHit() {
-	c.stats.planHits.Add(1)
+	c.planHits.Add(1)
 	c.planHitT.Inc()
 }
 
 func (c *Cache) PlanMiss() {
-	c.stats.planMisses.Add(1)
+	c.planMisses.Add(1)
 	c.planMissT.Inc()
+}
+
+// get is the one lookup of every kind. Only the claiming call probes the
+// tiers below memory and computes; every other call counts as a memory hit,
+// and one that blocked behind the claim is observed on the wait tier
+// instead of the hit tier. It is a method of the generic type rather than
+// a generic function: called through a generic function from an inlined
+// wrapper, a caller's compute closure escapes and every memory hit
+// allocates (TestWarmCacheHitsDoNotAllocate in internal/sched).
+func (k *kind[V]) get(c *Cache, key string, compute func() (V, error)) (V, error) {
+	v, o, err := k.memo.Get(key, func() (V, error) {
+		if v, ok := k.load(c, key); ok {
+			return v, nil
+		}
+		k.misses.Add(1)
+		k.missT.Inc()
+		v, err := compute()
+		if err == nil {
+			k.store(c, key, v)
+		}
+		return v, err
+	})
+	if o != memo.Claimed {
+		k.hits.Add(1)
+		if o == memo.Hit {
+			k.hitT.Inc()
+		}
+	}
+	return v, err
+}
+
+// load probes the tiers below memory for key — disk first, then the remote
+// blob store — and counts the tier that supplied the value. A remote hit is
+// written back to the local disk tier so the next process sharing the
+// directory (and this process after restart) finds it locally. Any read,
+// network or decode failure is a miss.
+func (k *kind[V]) load(c *Cache, key string) (V, bool) {
+	var zero V
+	if c.dir == "" && c.remote == nil {
+		return zero, false
+	}
+	hash := hashKey(key)
+	if c.dir != "" {
+		if data, err := os.ReadFile(filepath.Join(c.dir, k.name+hash)); err == nil {
+			if v, ok := k.decode(data); ok {
+				k.diskHits.Add(1)
+				k.diskT.Inc()
+				return v, true
+			}
+		}
+	}
+	if c.remote != nil {
+		if data, found, err := c.remote.get(k.name, hash, k.max); err == nil && found {
+			if v, ok := k.decode(data); ok {
+				k.remoteHits.Add(1)
+				k.remoteT.Inc()
+				if c.dir != "" {
+					c.writeBlob(k.name+hash, k.encode(v))
+				}
+				return v, true
+			}
+		}
+	}
+	return zero, false
+}
+
+// store persists one computed value to the tiers below memory: the local
+// disk file (when directory-backed) and the remote blob store (when
+// attached), both best-effort — the lower tiers are accelerators, never a
+// correctness dependency.
+func (k *kind[V]) store(c *Cache, key string, v V) {
+	if c.dir == "" && c.remote == nil {
+		return
+	}
+	hash := hashKey(key)
+	data := k.encode(v)
+	if c.dir != "" {
+		c.writeBlob(k.name+hash, data)
+	}
+	if c.remote != nil {
+		c.remote.put(k.name, hash, data)
+	}
+}
+
+// counts returns the kind's Snapshot counters.
+func (k *kind[V]) counts() (hits, diskHits, remoteHits, misses int64) {
+	return k.hits.Load(), k.diskHits.Load(), k.remoteHits.Load(), k.misses.Load()
 }
 
 // hashKey is the content address of one key: keys are long canonical
@@ -393,36 +370,26 @@ func hashKey(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// path returns the backing file of one key: the kind prefix plus the
-// key's content address.
-func (c *Cache) path(kind, key string) string {
-	return filepath.Join(c.dir, kind+hashKey(key))
-}
-
-// encodeValue and decodeValue are the v1 value wire/disk format: a leading
-// format flag and two non-negative decimal ints. decodeValue is the
-// revalidation gate on every ingest path (disk read, remote GET, blob-server
-// PUT): anything that does not parse is a miss, never a crash.
+// encodeValue and decodeValue are the v1 format of the two-int kinds
+// (fragments and class lengths): a leading format flag and two
+// non-negative decimal ints.
 func encodeValue(a, b int) []byte {
 	return []byte(fmt.Sprintf("1 %d %d\n", a, b))
 }
 
-func decodeValue(data []byte, a, b *int) bool {
+func decodeValue(data []byte) (a, b int, ok bool) {
 	var v int
-	if n, err := fmt.Sscanf(string(data), "%d %d %d", &v, a, b); n != 3 || err != nil || v != 1 {
-		return false
+	if n, err := fmt.Sscanf(string(data), "%d %d %d", &v, &a, &b); n != 3 || err != nil || v != 1 {
+		return 0, 0, false
 	}
-	return *a >= 0 && *b >= 0
+	return a, b, a >= 0 && b >= 0
 }
 
 // encodeAnalysisBlob and decodeAnalysisBlob are the v1 envelope of the
 // opaque analysis payloads: a header line carrying a format flag, the
 // payload length, and the payload's SHA-256, then the payload itself. The
 // semantic content is validated by the owner on decode (internal/hls
-// revalidates against the kernel); this envelope is the syntactic gate the
-// ingest paths (disk read, remote GET, blob-server PUT) share, mirroring
-// what decodeValue does for the two-int kinds. Anything that does not
-// parse or checksum is a miss, never a crash.
+// revalidates against the kernel); this envelope is the syntactic gate.
 func encodeAnalysisBlob(payload []byte) []byte {
 	sum := sha256.Sum256(payload)
 	header := fmt.Sprintf("a1 %d %s\n", len(payload), hex.EncodeToString(sum[:]))
@@ -454,123 +421,6 @@ func decodeAnalysisBlob(data []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return payload, true
-}
-
-// validBlob is the per-kind syntactic gate shared by the disk tier, the
-// remote client, and the blob server: two-int values for fragments and
-// classes, the checksummed envelope for analyses.
-func validBlob(kind string, data []byte) bool {
-	if kind == kindAnalysis {
-		_, ok := decodeAnalysisBlob(data)
-		return ok
-	}
-	var a, b int
-	return decodeValue(data, &a, &b)
-}
-
-// load probes the tiers below memory for key — disk first, then the remote
-// blob store — reporting which tier supplied the value. A remote hit is
-// written back to the local disk tier so the next process sharing the
-// directory (and this process after restart) finds it locally. Any read,
-// network or parse failure is a miss.
-func (c *Cache) load(kind, key string, a, b *int) tier {
-	var hash string
-	if c.dir != "" || c.remote != nil {
-		hash = hashKey(key)
-	}
-	if c.dir != "" {
-		if data, err := os.ReadFile(filepath.Join(c.dir, kind+hash)); err == nil && decodeValue(data, a, b) {
-			return tierDisk
-		}
-	}
-	if c.remote != nil {
-		data, found, err := c.remote.get(kind, hash)
-		if err == nil && found && decodeValue(data, a, b) {
-			if c.dir != "" {
-				c.writeBlob(kind+hash, encodeValue(*a, *b))
-			}
-			return tierRemote
-		}
-	}
-	return tierNone
-}
-
-// store persists one computed value to the tiers below memory: the local
-// disk file (when directory-backed) and the remote blob store (when
-// attached), both best-effort — the lower tiers are accelerators, never a
-// correctness dependency.
-func (c *Cache) store(kind, key string, a, b int) {
-	if c.dir == "" && c.remote == nil {
-		return
-	}
-	hash := hashKey(key)
-	data := encodeValue(a, b)
-	if c.dir != "" {
-		c.writeBlob(kind+hash, data)
-	}
-	if c.remote != nil {
-		c.remote.put(kind, hash, data)
-	}
-}
-
-// loadBytes probes the tiers below memory for one opaque-payload key —
-// disk first, then the remote blob store — returning the validated payload
-// and the tier that supplied it. A remote hit is written back to the local
-// disk tier, exactly as load does for the two-int kinds.
-func (c *Cache) loadBytes(kind, key string) ([]byte, tier) {
-	var hash string
-	if c.dir != "" || c.remote != nil {
-		hash = hashKey(key)
-	}
-	if c.dir != "" {
-		if data, err := os.ReadFile(filepath.Join(c.dir, kind+hash)); err == nil {
-			if payload, ok := decodeAnalysisBlob(data); ok {
-				return payload, tierDisk
-			}
-		}
-	}
-	if c.remote != nil {
-		data, found, err := c.remote.get(kind, hash)
-		if err == nil && found {
-			if payload, ok := decodeAnalysisBlob(data); ok {
-				if c.dir != "" {
-					c.writeBlob(kind+hash, data)
-				}
-				return payload, tierRemote
-			}
-		}
-	}
-	return nil, tierNone
-}
-
-// storeBytes persists one computed opaque payload to the tiers below
-// memory, wrapped in the checksummed envelope — best-effort, like store.
-func (c *Cache) storeBytes(kind, key string, payload []byte) {
-	if c.dir == "" && c.remote == nil {
-		return
-	}
-	hash := hashKey(key)
-	data := encodeAnalysisBlob(payload)
-	if c.dir != "" {
-		c.writeBlob(kind+hash, data)
-	}
-	if c.remote != nil {
-		c.remote.put(kind, hash, data)
-	}
-}
-
-// readBlob returns the raw validated bytes of one blob from the backing
-// directory, by its on-disk name (kind prefix + key hash). Unreadable or
-// malformed files are errors, which the blob server surfaces as a 404.
-func (c *Cache) readBlob(kind, hash string) ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(c.dir, kind+hash))
-	if err != nil {
-		return nil, err
-	}
-	if !validBlob(kind, data) {
-		return nil, fmt.Errorf("simcache: corrupt blob %s%s", kind, hash)
-	}
-	return data, nil
 }
 
 // writeBlob persists one blob atomically under its on-disk name: full write

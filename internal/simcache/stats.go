@@ -1,18 +1,6 @@
 package simcache
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// stats is the live atomic counter set of one cache.
-type stats struct {
-	entryHits, entryDiskHits, entryRemoteHits, entryMisses atomic.Int64
-	classHits, classDiskHits, classRemoteHits, classMisses atomic.Int64
-	analysisHits, analysisDiskHits                         atomic.Int64
-	analysisRemoteHits, analysisMisses                     atomic.Int64
-	planHits, planMisses                                   atomic.Int64
-}
+import "fmt"
 
 // Snapshot is a point-in-time copy of the per-stage cache counters, the
 // JSON-portable form shard trailers carry and merges sum. For each stage,
@@ -49,24 +37,12 @@ type Snapshot struct {
 
 // Snapshot returns the current counter values.
 func (c *Cache) Snapshot() Snapshot {
-	return Snapshot{
-		EntryHits:       c.stats.entryHits.Load(),
-		EntryDiskHits:   c.stats.entryDiskHits.Load(),
-		EntryRemoteHits: c.stats.entryRemoteHits.Load(),
-		EntryMisses:     c.stats.entryMisses.Load(),
-		ClassHits:       c.stats.classHits.Load(),
-		ClassDiskHits:   c.stats.classDiskHits.Load(),
-		ClassRemoteHits: c.stats.classRemoteHits.Load(),
-		ClassMisses:     c.stats.classMisses.Load(),
-
-		AnalysisHits:       c.stats.analysisHits.Load(),
-		AnalysisDiskHits:   c.stats.analysisDiskHits.Load(),
-		AnalysisRemoteHits: c.stats.analysisRemoteHits.Load(),
-		AnalysisMisses:     c.stats.analysisMisses.Load(),
-
-		PlanHits:   c.stats.planHits.Load(),
-		PlanMisses: c.stats.planMisses.Load(),
-	}
+	var s Snapshot
+	s.EntryHits, s.EntryDiskHits, s.EntryRemoteHits, s.EntryMisses = c.frags.counts()
+	s.ClassHits, s.ClassDiskHits, s.ClassRemoteHits, s.ClassMisses = c.classes.counts()
+	s.AnalysisHits, s.AnalysisDiskHits, s.AnalysisRemoteHits, s.AnalysisMisses = c.analyses.counts()
+	s.PlanHits, s.PlanMisses = c.planHits.Load(), c.planMisses.Load()
+	return s
 }
 
 // Add returns the counter-wise sum — how shard merging combines the hit
