@@ -72,6 +72,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -101,19 +102,10 @@ func main() {
 			return
 		}
 	}
-	var (
-		kernelList = flag.String("kernels", "", "comma-separated kernels (default: the six Table-1 kernels)")
-		allocList  = flag.String("allocs", "", "comma-separated allocators (default: FR-RA,PR-RA,CPA-RA,KS-RA)")
-		budgetList = flag.String("budgets", "16,32,64,128", "comma-separated register budgets (0 = kernel default)")
-		deviceList = flag.String("devices", "XCV1000,XC2V6000", "comma-separated device presets")
-		memlatList = flag.String("memlat", "1", "comma-separated RAM access latencies (cycles)")
-		portsList  = flag.String("ports", "1", "comma-separated RAM port counts")
-		cfg        cliConfig
-	)
+	cfg := cliConfig{space: addSpaceFlags(flag.CommandLine, "load the space from this spec JSON file instead of the axis flags (mutually exclusive with them)")}
 	flag.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.format, "format", "table", "output format: table, csv or json")
 	flag.StringVar(&cfg.shardSpec, "shard", "", "evaluate one shard i/n of the space and emit the portable shard encoding instead of a report")
-	flag.StringVar(&cfg.spacePath, "space", "", "load the space from this spec JSON file instead of the axis flags (mutually exclusive with them)")
 	flag.StringVar(&cfg.pointsSpec, "points", "", "evaluate exactly these comma-separated global point indices and emit the portable task encoding (the `dse fleet` worker shape)")
 	flag.BoolVar(&cfg.strict, "strict", false, "exit non-zero when any design point fails")
 	flag.BoolVar(&cfg.nocache, "nocache", false, "disable the cross-point simulation cache (diagnostic; output is byte-identical either way)")
@@ -131,16 +123,9 @@ func main() {
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
-	axisFlags := map[string]bool{
-		"kernels": true, "allocs": true, "budgets": true, "devices": true,
-		"memlat": true, "ports": true, "portfolio": true, "portfolio-all": true,
-	}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "format" {
 			cfg.formatSet = true
-		}
-		if axisFlags[f.Name] {
-			cfg.axisFlagSet = f.Name
 		}
 	})
 	if *cpuProf != "" {
@@ -154,7 +139,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	err := run(*kernelList, *allocList, *budgetList, *deviceList, *memlatList, *portsList, cfg)
+	err := run(cfg)
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
 	}
@@ -169,18 +154,73 @@ func main() {
 	}
 }
 
-// cliConfig is the non-space part of the command line.
+// cliConfig is the parsed command line.
 type cliConfig struct {
+	space                                 *spaceFlags
 	workers                               int
 	format, shardSpec, cacheDir, cacheURL string
-	spacePath, pointsSpec                 string
-	axisFlagSet                           string // name of an explicitly set axis flag ("" = none)
+	pointsSpec                            string
 	formatSet, strict, nocache            bool
 	portfolio, pfAll, quiet               bool
 	metricsPath, metricsAddr              string
 	linger                                time.Duration
 	tracePath, execTracePath              string
 	traceCap                              int
+}
+
+// spaceFlags are the space description `dse` and `dse fleet` share: the
+// six axis flags, or -space naming a spec file instead of them.
+type spaceFlags struct {
+	fs                                               *flag.FlagSet
+	kernels, allocs, budgets, devices, memlat, ports *string
+	path                                             *string
+}
+
+var axisFlagNames = []string{"kernels", "allocs", "budgets", "devices", "memlat", "ports"}
+
+func addSpaceFlags(fs *flag.FlagSet, spaceUsage string) *spaceFlags {
+	return &spaceFlags{
+		fs:      fs,
+		kernels: fs.String("kernels", "", "comma-separated kernels (default: the six Table-1 kernels)"),
+		allocs:  fs.String("allocs", "", "comma-separated allocators (default: FR-RA,PR-RA,CPA-RA,KS-RA)"),
+		budgets: fs.String("budgets", "16,32,64,128", "comma-separated register budgets (0 = kernel default)"),
+		devices: fs.String("devices", "XCV1000,XC2V6000", "comma-separated device presets"),
+		memlat:  fs.String("memlat", "1", "comma-separated RAM access latencies (cycles)"),
+		ports:   fs.String("ports", "1", "comma-separated RAM port counts"),
+		path:    fs.String("space", "", spaceUsage),
+	}
+}
+
+// resolve returns the space the parsed flags describe and, when it came
+// from -space, the spec file as written (a SpaceSpec: the body `dse
+// serve` accepts, the header shard files carry). -space excludes the axis
+// flags and any of the also-named flags.
+func (f *spaceFlags) resolve(also ...string) (dse.Space, *dse.SpaceSpec, error) {
+	if *f.path == "" {
+		sp, err := dse.BuildSpace(*f.kernels, *f.allocs, *f.budgets, *f.devices, *f.memlat, *f.ports)
+		return sp, nil, err
+	}
+	// A spec file is the whole space, axes included: combining it with
+	// axis flags would silently discard one of the two descriptions.
+	conflict := ""
+	f.fs.Visit(func(fl *flag.Flag) {
+		if slices.Contains(axisFlagNames, fl.Name) || slices.Contains(also, fl.Name) {
+			conflict = fl.Name
+		}
+	})
+	if conflict != "" {
+		return dse.Space{}, nil, fmt.Errorf("-space is mutually exclusive with the axis flags (-%s was set)", conflict)
+	}
+	data, err := os.ReadFile(*f.path)
+	if err != nil {
+		return dse.Space{}, nil, err
+	}
+	var spec dse.SpaceSpec
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return dse.Space{}, nil, fmt.Errorf("%s: not a space spec: %w", *f.path, err)
+	}
+	sp, err := spec.Space()
+	return sp, &spec, err
 }
 
 // buildCache constructs the fragment store for a hand-wired engine cache:
@@ -202,33 +242,18 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-func run(kernelList, allocList, budgetList, deviceList, memlatList, portsList string, cfg cliConfig) error {
+func run(cfg cliConfig) error {
 	if cfg.pfAll && (cfg.shardSpec != "" || cfg.pointsSpec != "") {
 		return errors.New("-portfolio-all is a local diagnostic and cannot be combined with -shard or -points (portable rows carry winners only)")
 	}
 	if cfg.shardSpec != "" && cfg.pointsSpec != "" {
 		return errors.New("-shard and -points are mutually exclusive slices of the space")
 	}
-	var sp dse.Space
-	var err error
-	if cfg.spacePath != "" {
-		// A spec file is the whole space, axes included: combining it with
-		// axis flags would silently discard one of the two descriptions.
-		if cfg.axisFlagSet != "" {
-			return fmt.Errorf("-space is mutually exclusive with the axis flags (-%s was set)", cfg.axisFlagSet)
-		}
-		spec, err := loadSpec(cfg.spacePath)
-		if err != nil {
-			return err
-		}
-		if sp, err = spec.Space(); err != nil {
-			return err
-		}
-	} else {
-		sp, err = dse.BuildSpace(kernelList, allocList, budgetList, deviceList, memlatList, portsList)
-		if err != nil {
-			return err
-		}
+	sp, spec, err := cfg.space.resolve("portfolio", "portfolio-all")
+	if err != nil {
+		return err
+	}
+	if spec == nil {
 		sp.Portfolio = cfg.portfolio || cfg.pfAll
 		sp.PortfolioAll = cfg.pfAll
 	}
@@ -603,20 +628,6 @@ func serveUntilSignal(ln net.Listener, h http.Handler, onDrain func()) error {
 	return hs.Shutdown(sctx)
 }
 
-// loadSpec reads a SpaceSpec JSON file (the body `dse serve` accepts, the
-// header shard files carry).
-func loadSpec(path string) (dse.SpaceSpec, error) {
-	var s dse.SpaceSpec
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return s, err
-	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("%s: not a space spec: %w", path, err)
-	}
-	return s, nil
-}
-
 // runFleet is the `dse fleet` entry point: the fault-tolerant
 // multi-executor sweep driver (internal/fleet) over local dse
 // subprocesses and/or remote `dse serve` endpoints, with checkpointed
@@ -624,13 +635,7 @@ func loadSpec(path string) (dse.SpaceSpec, error) {
 // whatever the previous run salvaged.
 func runFleet(args []string) error {
 	fs := flag.NewFlagSet("dse fleet", flag.ExitOnError)
-	kernelList := fs.String("kernels", "", "comma-separated kernels (default: the six Table-1 kernels)")
-	allocList := fs.String("allocs", "", "comma-separated allocators (default: FR-RA,PR-RA,CPA-RA,KS-RA)")
-	budgetList := fs.String("budgets", "16,32,64,128", "comma-separated register budgets (0 = kernel default)")
-	deviceList := fs.String("devices", "XCV1000,XC2V6000", "comma-separated device presets")
-	memlatList := fs.String("memlat", "1", "comma-separated RAM access latencies (cycles)")
-	portsList := fs.String("ports", "1", "comma-separated RAM port counts")
-	spacePath := fs.String("space", "", "load the space from this spec JSON file instead of the axis flags")
+	spaceArgs := addSpaceFlags(fs, "load the space from this spec JSON file instead of the axis flags")
 	format := fs.String("format", "table", "output format: table, csv or json")
 	dir := fs.String("dir", "", "checkpoint directory; rerun with the same -dir to resume (default: a fresh temp directory, removed on exit)")
 	local := fs.Int("local", 0, "local dse subprocess executors (default: 2 when no -remote is given)")
@@ -659,34 +664,13 @@ func runFleet(args []string) error {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
-	var spec dse.SpaceSpec
-	if *spacePath != "" {
-		axisFlags := map[string]bool{
-			"kernels": true, "allocs": true, "budgets": true, "devices": true,
-			"memlat": true, "ports": true,
-		}
-		conflict := ""
-		fs.Visit(func(f *flag.Flag) {
-			if axisFlags[f.Name] {
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			return fmt.Errorf("-space is mutually exclusive with the axis flags (-%s was set)", conflict)
-		}
-		var err error
-		if spec, err = loadSpec(*spacePath); err != nil {
-			return err
-		}
-		if _, err := spec.Space(); err != nil {
-			return err
-		}
-	} else {
-		sp, err := dse.BuildSpace(*kernelList, *allocList, *budgetList, *deviceList, *memlatList, *portsList)
-		if err != nil {
-			return err
-		}
-		spec = dse.Spec(sp)
+	sp, file, err := spaceArgs.resolve()
+	if err != nil {
+		return err
+	}
+	spec := dse.Spec(sp)
+	if file != nil {
+		spec = *file
 	}
 
 	nLocal := *local

@@ -49,7 +49,7 @@ func run(kernel, algo string, seed int64) error {
 	}
 	cfg := sched.DefaultConfig()
 	// One front-end pass (reuse analysis + DFG) feeds both the allocation
-	// problem and the cycle simulation, like cmd/dse and cmd/sweep.
+	// problem and the cycle simulation, like cmd/dse.
 	an, err := hls.Analyze(k)
 	if err != nil {
 		return err

@@ -11,9 +11,8 @@ import (
 	"repro/internal/sched"
 )
 
-// This file is the shared CLI space-builder: cmd/dse and cmd/sweep both
-// assemble their Space from comma-separated flag lists, and the parsing
-// helpers used to be copied between them.
+// This file is the CLI space-builder: cmd/dse assembles its Space from
+// comma-separated flag lists.
 
 // SplitList splits a comma-separated CLI list, trimming whitespace and
 // dropping empty fields.

@@ -10,17 +10,28 @@ import (
 	"time"
 )
 
-// cancelReporter cancels a context from inside Point after `after` rows,
-// returning nil from every call — so any halt the engine performs is
-// attributable to the context alone, not the reporter-error path.
+// cancelReporter cancels its context from inside Point after `after`
+// rows, returning nil from every call — so any halt the engine performs is
+// attributable to the context alone, not the reporter-error path — and
+// counts the Points delivered once the context was done.
 type cancelReporter struct {
 	after  int
+	ctx    context.Context
 	cancel context.CancelFunc
 	points atomic.Int64
+	late   atomic.Int64
+}
+
+func newCancelReporter(after int) *cancelReporter {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelReporter{after: after, ctx: ctx, cancel: cancel}
 }
 
 func (c *cancelReporter) Begin(Space, int) error { return nil }
 func (c *cancelReporter) Point(Result) error {
+	if c.ctx.Err() != nil {
+		c.late.Add(1)
+	}
 	if int(c.points.Add(1)) == c.after {
 		c.cancel()
 	}
@@ -28,16 +39,15 @@ func (c *cancelReporter) Point(Result) error {
 }
 func (c *cancelReporter) End(StreamStats) error { return errors.New("End after cancellation") }
 
-// TestExploreStreamCtxCancelExitsPromptly pins the fleet-executor
+// TestExploreShardStreamCancelExitsPromptly pins the fleet-executor
 // cancellation contract: a cancelled context halts dispatch, the engine
 // returns ctx.Err() without calling End, and no pool goroutine — worker,
 // feeder, closer or watcher — outlives the call.
-func TestExploreStreamCtxCancelExitsPromptly(t *testing.T) {
+func TestExploreShardStreamCancelExitsPromptly(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rep := &cancelReporter{after: 5, cancel: cancel}
-	st, err := Engine{Workers: 4}.ExploreStreamCtx(ctx, DefaultSpace(), rep)
+	rep := newCancelReporter(5)
+	defer rep.cancel()
+	st, err := Engine{Workers: 4}.ExploreShardStream(rep.ctx, DefaultSpace(), 0, 1, rep)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -59,13 +69,30 @@ func TestExploreStreamCtxCancelExitsPromptly(t *testing.T) {
 	}
 }
 
-// TestExploreStreamCtxPreCancelled: a context cancelled before the call
+// TestNoPointAfterCancel: the engine owns cancellation, so a reporter
+// needs no context check of its own — once ctx is done, results already
+// parked in the window are drained, never delivered.
+func TestNoPointAfterCancel(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		rep := newCancelReporter(5)
+		_, err := Engine{Workers: 4}.ExploreShardStream(rep.ctx, DefaultSpace(), 0, 1, rep)
+		rep.cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: err = %v, want context.Canceled", run, err)
+		}
+		if n := rep.late.Load(); n != 0 {
+			t.Fatalf("run %d: %d Point calls after cancellation, want 0", run, n)
+		}
+	}
+}
+
+// TestExploreShardStreamPreCancelled: a context cancelled before the call
 // evaluates nothing it can avoid and reports the cancellation.
-func TestExploreStreamCtxPreCancelled(t *testing.T) {
+func TestExploreShardStreamPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var col collector
-	_, err := Engine{Workers: 2}.ExploreStreamCtx(ctx, smallSpace(), &col)
+	_, err := Engine{Workers: 2}.ExploreShardStream(ctx, smallSpace(), 0, 1, &col)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

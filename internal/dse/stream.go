@@ -61,37 +61,43 @@ func (e Engine) ExploreStream(sp Space, sr StreamReporter) (StreamStats, error) 
 	return e.exploreStream(context.Background(), sp, 0, 1, e.window(), sr)
 }
 
-// ExploreStreamCtx is ExploreStream under a context: when ctx is
-// cancelled, dispatch halts immediately (workers finish at most their
-// in-flight point, the feeder exits, no goroutine lingers past the
-// return) and the stream ends without a trailer — the reporter's End is
-// never called, so a consumer of the portable encoding sees a truncated,
-// salvageable file rather than a complete one. Returns ctx.Err().
-func (e Engine) ExploreStreamCtx(ctx context.Context, sp Space, sr StreamReporter) (StreamStats, error) {
-	return e.exploreStream(ctx, sp, 0, 1, e.window(), sr)
-}
-
 // ExploreShardStream is ExploreStream restricted to one shard of an
-// n-way partition: only the points whose global index ≡ shardIndex
-// (mod shardCount) are evaluated, each still carrying its global Index.
-func (e Engine) ExploreShardStream(sp Space, shardIndex, shardCount int, sr StreamReporter) (StreamStats, error) {
-	return e.exploreStream(context.Background(), sp, shardIndex, shardCount, e.window(), sr)
-}
-
-// ExploreShardStreamCtx is ExploreShardStream under a context (see
-// ExploreStreamCtx for the cancellation contract).
-func (e Engine) ExploreShardStreamCtx(ctx context.Context, sp Space, shardIndex, shardCount int, sr StreamReporter) (StreamStats, error) {
+// n-way partition (0/1 is the whole space) and run under a context: only
+// the points whose global index ≡ shardIndex (mod shardCount) are
+// evaluated, each still carrying its global Index. When ctx is cancelled,
+// dispatch halts immediately (workers finish at most their in-flight
+// point, the feeder exits, no goroutine lingers past the return), sr
+// receives no further Point, and the stream ends without End — a consumer
+// of the portable encoding sees a truncated, salvageable file rather than
+// a complete one. Returns ctx.Err().
+func (e Engine) ExploreShardStream(ctx context.Context, sp Space, shardIndex, shardCount int, sr StreamReporter) (StreamStats, error) {
 	return e.exploreStream(ctx, sp, shardIndex, shardCount, e.window(), sr)
 }
 
 // ExploreSubsetStream evaluates exactly the given global point indices —
 // the residual point-sets a fleet driver re-partitions after salvaging a
 // failed shard — streaming them in increasing index order, each carrying
-// its global Index. points must be strictly increasing and within the
-// space; the canonical global numbering (and so output byte-identity
-// after reassembly) is unaffected by how the subset was chosen.
+// its global Index, under the ExploreShardStream cancellation contract.
+// points must pass CheckPoints; the canonical global numbering (and so
+// output byte-identity after reassembly) is unaffected by how the subset
+// was chosen.
 func (e Engine) ExploreSubsetStream(ctx context.Context, sp Space, points []int, sr StreamReporter) (StreamStats, error) {
 	return e.exploreOwned(ctx, sp, points, e.window(), sr)
+}
+
+// CheckPoints validates an explicit owned point list over a space of
+// total points: every index in [0,total), strictly increasing. The engine,
+// serve's points= parameter and task-file headers all apply this one rule.
+func CheckPoints(points []int, total int) error {
+	for i, g := range points {
+		if g < 0 || g >= total {
+			return fmt.Errorf("point index %d out of range [0,%d)", g, total)
+		}
+		if i > 0 && g <= points[i-1] {
+			return fmt.Errorf("point indices must be strictly increasing (%d after %d)", g, points[i-1])
+		}
+	}
+	return nil
 }
 
 // exploreStream selects the owned stride of an n-way partition and runs
@@ -128,8 +134,9 @@ func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCo
 // throttles the pool instead of growing an unbounded reorder buffer.
 // Deadlock-free because indices are dispatched in emission order, so the
 // next result to emit is always already dispatched. Cancelling ctx halts
-// dispatch (the same mechanism as a reporter error) and returns ctx.Err()
-// without delivering End.
+// dispatch (the same mechanism as a reporter error), stops delivery — no
+// Point after the cancellation is observed, however many results are
+// parked — and returns ctx.Err() without delivering End.
 func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, window int, sr StreamReporter) (StreamStats, error) {
 	sp, err := sp.normalized()
 	if err != nil {
@@ -139,13 +146,8 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, window 
 		ctx = context.Background()
 	}
 	pts := sp.Points()
-	for i, g := range owned {
-		if g < 0 || g >= len(pts) {
-			return StreamStats{}, fmt.Errorf("dse: owned point index %d out of range [0,%d)", g, len(pts))
-		}
-		if i > 0 && g <= owned[i-1] {
-			return StreamStats{}, fmt.Errorf("dse: owned point indices must be strictly increasing (%d after %d)", g, owned[i-1])
-		}
+	if err := CheckPoints(owned, len(pts)); err != nil {
+		return StreamStats{}, fmt.Errorf("dse: owned %w", err)
 	}
 	// Only analyze kernels the owned points touch: with more shards than
 	// points per kernel block, some kernels have no owned points at all.
@@ -305,10 +307,13 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, window 
 				}
 			}
 			if reportErr == nil {
-				if err := sr.Point(q); err != nil {
-					// Stop dispatching, but keep draining so the pool
-					// shuts down cleanly.
-					reportErr = err
+				// A cancelled context ends delivery like a reporter error:
+				// stop dispatching, but keep draining so the pool shuts
+				// down cleanly.
+				if reportErr = ctx.Err(); reportErr == nil {
+					reportErr = sr.Point(q)
+				}
+				if reportErr != nil {
 					halt()
 				}
 			}

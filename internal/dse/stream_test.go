@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -208,7 +209,7 @@ func TestShardStreamSkipsForeignKernels(t *testing.T) {
 		Allocators: []core.Allocator{core.FRRA{}},
 	} // 2 points: figure1 is point 0, fir is point 1
 	var got []string
-	st, err := Engine{}.ExploreShardStream(sp, 1, 2, funcReporter{
+	st, err := Engine{}.ExploreShardStream(context.Background(), sp, 1, 2, funcReporter{
 		point: func(r Result) error {
 			got = append(got, r.Point.Kernel.Name)
 			return nil

@@ -84,8 +84,8 @@ type Config struct {
 	// queued request still spends its deadline waiting.
 	MaxQueue int
 	// Timeout is the per-request deadline, queue wait included (≤0 =
-	// none). Cancellation is acknowledged at row granularity: the stream
-	// stops at the next point emission.
+	// none). The engine owns cancellation: at the deadline (or a client
+	// disconnect) it halts dispatch and writes no further row.
 	Timeout time.Duration
 	// RetryAfter is the hint sent with every 503 shed, telling clients
 	// when to come back (rounded up to whole seconds on the wire; ≤0 =
@@ -337,20 +337,13 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad space spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if total := len(sp.Points()); points != nil {
+	if points != nil {
 		// Validate here so a malformed list is the client's 400, not a 500
 		// from the engine after the request burned an admission slot.
-		for i, g := range points {
-			if g >= total {
-				s.errorT.Inc()
-				http.Error(w, fmt.Sprintf("point index %d out of range [0,%d)", g, total), http.StatusBadRequest)
-				return
-			}
-			if i > 0 && g <= points[i-1] {
-				s.errorT.Inc()
-				http.Error(w, "point indices must be strictly increasing", http.StatusBadRequest)
-				return
-			}
+		if err := dse.CheckPoints(points, sp.Size()); err != nil {
+			s.errorT.Inc()
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 	}
 
@@ -384,14 +377,14 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	case points != nil:
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		fw := newFlushWriter(w, ctx)
-		st, err = engine.ExploreSubsetStream(ctx, sp, points, &ctxReporter{ctx: ctx, sr: shard.NewTaskWriter(fw, points)})
+		st, err = engine.ExploreSubsetStream(ctx, sp, points, shard.NewTaskWriter(fw, points))
 	case format == "ndjson":
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		fw := newFlushWriter(w, ctx)
-		st, err = engine.ExploreShardStreamCtx(ctx, sp, plan.Index, plan.Count, &ctxReporter{ctx: ctx, sr: shard.NewWriter(fw, plan)})
+		st, err = engine.ExploreShardStream(ctx, sp, plan.Index, plan.Count, shard.NewWriter(fw, plan))
 	default:
 		var buf bytes.Buffer
-		st, err = engine.ExploreStreamCtx(ctx, sp, &ctxReporter{ctx: ctx, sr: dse.InstrumentReporter(render.Stream(&buf), reqObs, format)})
+		st, err = engine.ExploreShardStream(ctx, sp, 0, 1, dse.InstrumentReporter(render.Stream(&buf), reqObs, format))
 		if err == nil {
 			w.Header().Set("Content-Type", contentType(format))
 			_, err = w.Write(buf.Bytes())
@@ -439,34 +432,6 @@ func contentType(format string) string {
 		return "application/json"
 	}
 	return "text/plain; charset=utf-8"
-}
-
-// ctxReporter threads request cancellation into the engine: the first
-// Point after the deadline (or a client disconnect) returns the context's
-// error, which the engine's reporter-error path turns into a clean drain of
-// the worker pool — no goroutines outlive the request.
-type ctxReporter struct {
-	ctx context.Context
-	sr  dse.StreamReporter
-}
-
-//repro:nonnil constructed unconditionally next to the engine call; never nil
-func (c *ctxReporter) Begin(sp dse.Space, total int) error { return c.sr.Begin(sp, total) }
-
-//repro:nonnil constructed unconditionally next to the engine call; never nil
-func (c *ctxReporter) Point(r dse.Result) error {
-	if err := c.ctx.Err(); err != nil {
-		return err
-	}
-	return c.sr.Point(r)
-}
-
-//repro:nonnil constructed unconditionally next to the engine call; never nil
-func (c *ctxReporter) End(st dse.StreamStats) error {
-	if err := c.ctx.Err(); err != nil {
-		return err
-	}
-	return c.sr.End(st)
 }
 
 // flushWriter pushes each buffered chunk of the NDJSON stream to the

@@ -510,8 +510,8 @@ func TestServedPointsSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Complete || s.Rows() != 3 || len(s.Residual) != 0 {
-		t.Fatalf("task salvage: complete=%v rows=%d residual=%v", s.Complete, s.Rows(), s.Residual)
+	if !s.Complete || s.Rows() != 3 {
+		t.Fatalf("task salvage: complete=%v rows=%d stop=%v", s.Complete, s.Rows(), s.Stop)
 	}
 	if want := []int{0, 1, 3}; !slices.Equal(s.Owned, want) {
 		t.Fatalf("owned %v, want %v", s.Owned, want)

@@ -55,15 +55,12 @@ func TestMergeCombinesCacheStats(t *testing.T) {
 	bufs := runShards(t, sp, 2)
 	var sumPlanMisses, sumEntryMisses int64
 	for i, b := range bufs {
-		f, err := decode(bytes.NewReader(b.Bytes()))
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		if f.cache.Zero() {
+		f := salvageBytes(t, b.Bytes())
+		if f.Cache.Zero() {
 			t.Fatalf("shard %d trailer carries no cache stats", i)
 		}
-		sumPlanMisses += f.cache.PlanMisses
-		sumEntryMisses += f.cache.EntryMisses
+		sumPlanMisses += f.Cache.PlanMisses
+		sumEntryMisses += f.Cache.EntryMisses
 	}
 	rs, err := mergeBufs(bufs)
 	if err != nil {
@@ -97,11 +94,8 @@ func TestShardsSharingSimCacheDir(t *testing.T) {
 		if _, err := Run(dse.Engine{SimCacheDir: dir}, sp, Plan{Index: i, Count: n}, bufs[i]); err != nil {
 			t.Fatalf("shard %d/%d: %v", i, n, err)
 		}
-		f, err := decode(bytes.NewReader(bufs[i].Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		disk += f.cache.EntryDiskHits + f.cache.ClassDiskHits
+		f := salvageBytes(t, bufs[i].Bytes())
+		disk += f.Cache.EntryDiskHits + f.Cache.ClassDiskHits
 	}
 	if disk == 0 {
 		t.Error("no shard recovered work from the shared cache directory")

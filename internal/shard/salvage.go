@@ -1,18 +1,21 @@
 package shard
 
-// Point-granular recovery for fleet sweeps. A shard or task file whose
-// writer crashed, was killed as a straggler, or lost its connection
-// mid-stream is truncated: header, some valid prefix of rows, no trailer
-// (or a torn final line). Strict decode/Merge reject such files outright;
-// Salvage instead recovers every validated row of the prefix and reports
-// the residual owned point-set, so a fleet driver re-partitions only the
-// missing points across healthy executors instead of re-running the whole
-// shard. The Assembler then reassembles complete and salvaged pieces —
-// whatever mix of strided shard files and explicit-point task files the
-// recovery produced — into a ResultSet byte-identical (through every
-// reporter) to the single-process run, enforcing the same invariants as
-// Merge: one fingerprint, every point exactly once, every row owned by
-// the file that carried it.
+// Salvage is the one reader of shard and task files. A file whose writer
+// crashed, was killed as a straggler, or lost its connection mid-stream is
+// truncated: header, some valid prefix of rows, no trailer (or a torn
+// final line). Salvage recovers every validated row of the prefix and
+// says why it ended; a file that validates to its end is Complete. The
+// Assembler then reassembles complete and salvaged pieces — whatever mix
+// of strided shard files and explicit-point task files a fleet's recovery
+// produced — into a ResultSet byte-identical (through every reporter) to
+// the single-process run: one fingerprint, every point exactly once,
+// every row owned by the file that carried it. Strict Merge is the same
+// two steps with every file required complete.
+//
+// Nothing here allocates in proportion to what a header claims: the
+// stride is checked by arithmetic and a task file against the owned list
+// it actually carried, so a header declaring 2^40 points costs only the
+// rows that back it.
 //
 // Static invariants enforced by reprovet (DESIGN.md §10) hold here too:
 //
@@ -25,33 +28,34 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/dse"
 	"repro/internal/obs"
 	"repro/internal/simcache"
 )
 
-// Salvaged is the recovered content of one shard or task file: the valid
-// row prefix, the writer's owned point-set, and the residual points no
-// recovered row covers. A file with a consistent trailer salvages
-// completely (Complete true, Residual empty, stats populated).
+// Salvaged is the recovered content of one shard or task file: the
+// header's identity and ownership rule, and the valid row prefix.
 type Salvaged struct {
 	// Spec and Fingerprint identify the exploration the file belongs to.
 	Spec        dse.SpaceSpec
 	Fingerprint string
 	// SpacePoints is the global space size the header declared.
 	SpacePoints int
-	// Owned is the set of global point indices the file's writer was
-	// responsible for, increasing: the explicit header list for task
-	// files, the strided expansion for shard files.
+	// Shard is the header's partition coordinates (0/1 on a task file).
+	Shard Plan
+	// Owned is a task file's explicit owned point list, increasing; nil on
+	// a strided shard file, whose writer owned Shard's stride.
 	Owned []int
-	// Residual is Owned minus the recovered rows' indices, increasing —
-	// the points a fleet driver must re-run elsewhere. Empty iff every
-	// owned point has a recovered row.
-	Residual []int
-	// Complete reports a consistent trailer: the file is a finished run,
-	// not a salvaged fragment, and UniqueSims/Cache/Obs carry its stats.
+	// Complete reports a file that validated to its end: every owned point
+	// in order, header and trailer row counts agreeing with the rows,
+	// nothing after the trailer. Only then do UniqueSims/Cache/Obs carry
+	// the writer's stats. Stop is nil exactly when Complete holds;
+	// otherwise it says why the valid prefix ended, in the words strict
+	// Merge reports.
 	Complete   bool
+	Stop       error
 	UniqueSims int
 	Cache      simcache.Snapshot
 	Obs        obs.Snapshot
@@ -71,83 +75,132 @@ func (s *Salvaged) Rows() int {
 // (which must be intact — a file without one carries nothing attributable
 // to an exploration and is an error), then rows up to the first
 // truncation, torn line, or ownership violation, then the trailer if one
-// follows consistently. Unlike decode it never fails on missing rows or a
-// missing trailer: those become Residual. Complete files salvage in full,
-// so Salvage(complete file) and Merge agree.
+// follows consistently. A missing row or trailer is not an error: it ends
+// the prefix and becomes Stop.
 func Salvage(r io.Reader) (*Salvaged, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	var h header
 	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("shard: salvage: bad or missing header: %w", err)
+		return nil, fmt.Errorf("shard: bad or missing header: %w", err)
 	}
 	if h.Format != formatName {
-		return nil, fmt.Errorf("shard: salvage: not a shard file (format %q, want %q)", h.Format, formatName)
+		return nil, fmt.Errorf("shard: not a shard file (format %q, want %q)", h.Format, formatName)
 	}
 	if h.Version != formatVersion {
-		return nil, fmt.Errorf("shard: salvage: unsupported encoding version %d (want %d)", h.Version, formatVersion)
+		return nil, fmt.Errorf("shard: unsupported encoding version %d (want %d)", h.Version, formatVersion)
 	}
 	if err := h.Shard.Validate(); err != nil {
 		return nil, err
 	}
 	if h.Points < 0 {
-		return nil, fmt.Errorf("shard: salvage: negative point count %d", h.Points)
+		return nil, fmt.Errorf("shard: negative point count %d", h.Points)
+	}
+	if h.Owned != nil {
+		if err := dse.CheckPoints(h.Owned, h.Points); err != nil {
+			return nil, fmt.Errorf("shard: owned %w", err)
+		}
 	}
 	s := &Salvaged{
 		Spec:        h.Space,
 		Fingerprint: h.Fingerprint,
 		SpacePoints: h.Points,
+		Shard:       h.Shard,
+		Owned:       h.Owned,
 	}
-	if h.Owned != nil {
-		for i, g := range h.Owned {
-			if g < 0 || g >= h.Points {
-				return nil, fmt.Errorf("shard: salvage: owned index %d out of range [0,%d)", g, h.Points)
-			}
-			if i > 0 && g <= h.Owned[i-1] {
-				return nil, fmt.Errorf("shard: salvage: owned indices not strictly increasing (%d after %d)", g, h.Owned[i-1])
-			}
-		}
-		s.Owned = h.Owned
-	} else {
-		s.Owned = make([]int, 0, h.Shard.Size(h.Points))
-		for g := h.Shard.Index; g < h.Points; g += h.Shard.Count {
-			s.Owned = append(s.Owned, g)
-		}
-	}
+	s.Stop = s.read(dec, h.Rows)
+	s.Complete = s.Stop == nil
+	return s, nil
+}
 
-	// The writer emits rows in increasing owned order, so the valid prefix
-	// is exactly the rows matching s.Owned positionally: recovery stops at
-	// the first line that fails to decode (torn tail), claims a point out
-	// of sequence (foreign or corrupt content), or repeats.
-	next := 0 // position in Owned of the next expected row
+// read consumes the row section, keeping the valid prefix, and returns why
+// it ended (nil for a complete file). The writer emits rows in increasing
+// owned order, so the prefix is exactly the rows matching the owned
+// sequence positionally.
+func (s *Salvaged) read(dec *json.Decoder, headerRows int) error {
 	for {
 		var ln line
-		if err := dec.Decode(&ln); err != nil {
-			break // io.EOF or a torn line: the prefix ends here
+		if err := dec.Decode(&ln); err == io.EOF {
+			return fmt.Errorf("shard: shard %s: truncated file (no trailer after %d rows)", s.Shard, len(s.rows))
+		} else if err != nil {
+			return fmt.Errorf("shard: shard %s: bad row %d: %w", s.Shard, len(s.rows), err)
 		}
 		if ln.EOF {
-			if ln.Rows == len(s.rows) && next == len(s.Owned) {
-				s.Complete = true
-				s.UniqueSims = ln.UniqueSims
-				if ln.Cache != nil {
-					s.Cache = *ln.Cache
-				}
-				if ln.Obs != nil {
-					s.Obs = *ln.Obs
-				}
-			}
-			break // consistent or not, nothing after the trailer is a row
+			return s.trailer(dec, ln, headerRows)
 		}
-		if ln.Index == nil || (ln.Design == nil) == (ln.Error == "") {
-			break // malformed row: treat as the truncation point
+		if ln.Index == nil {
+			return fmt.Errorf("shard: shard %s: row %d has no point index", s.Shard, len(s.rows))
 		}
-		if next >= len(s.Owned) || *ln.Index != s.Owned[next] {
-			break // out-of-sequence row: foreign or corrupt beyond here
+		if (ln.Design == nil) == (ln.Error == "") {
+			return fmt.Errorf("shard: shard %s: point %d needs exactly one of design or error", s.Shard, *ln.Index)
+		}
+		if g, want := *ln.Index, s.owned(len(s.rows)); g != want {
+			return s.misplaced(g, want)
 		}
 		s.rows = append(s.rows, ln)
-		next++
 	}
-	s.Residual = s.Owned[next:]
-	return s, nil
+}
+
+// trailer checks the trailer line against the rows read and the header,
+// then requires the end of the file; a consistent trailer's stats become
+// the file's.
+func (s *Salvaged) trailer(dec *json.Decoder, ln line, headerRows int) error {
+	n := len(s.rows)
+	if ln.Rows != n {
+		return fmt.Errorf("shard: shard %s: trailer says %d rows, file has %d", s.Shard, ln.Rows, n)
+	}
+	var extra line
+	if err := dec.Decode(&extra); err == nil {
+		return fmt.Errorf("shard: shard %s: data after trailer", s.Shard)
+	} else if err != io.EOF {
+		return fmt.Errorf("shard: shard %s: bad row %d: %w", s.Shard, n, err)
+	}
+	if headerRows != n {
+		return fmt.Errorf("shard: shard %s: header says %d rows, file has %d", s.Shard, headerRows, n)
+	}
+	if g := s.owned(n); g >= 0 {
+		return fmt.Errorf("shard: shard %s: no row for owned point %d", s.Shard, g)
+	}
+	s.UniqueSims = ln.UniqueSims
+	if ln.Cache != nil {
+		s.Cache = *ln.Cache
+	}
+	if ln.Obs != nil {
+		s.Obs = *ln.Obs
+	}
+	return nil
+}
+
+// owned returns the k-th point index (from 0) the file's writer owned, or
+// -1 past the last: a task file's list by position, a stride by
+// arithmetic that cannot overflow (Index + k·Count stays below Points).
+func (s *Salvaged) owned(k int) int {
+	if s.Owned != nil {
+		if k < len(s.Owned) {
+			return s.Owned[k]
+		}
+		return -1
+	}
+	p := s.Shard
+	if p.Index >= s.SpacePoints || k > (s.SpacePoints-1-p.Index)/p.Count {
+		return -1
+	}
+	return p.Index + k*p.Count
+}
+
+// misplaced explains a row for point g where the owned sequence wants
+// point want (-1: every owned point already has its row).
+func (s *Salvaged) misplaced(g, want int) error {
+	owns := g < s.SpacePoints && s.Shard.Owns(g)
+	if s.Owned != nil {
+		_, owns = slices.BinarySearch(s.Owned, g)
+	}
+	switch {
+	case !owns:
+		return fmt.Errorf("shard: shard %s: row for point %d it does not own", s.Shard, g)
+	case want < 0 || g < want:
+		return fmt.Errorf("shard: duplicate row for point %d", g)
+	}
+	return fmt.Errorf("shard: shard %s: row for point %d out of order (want point %d)", s.Shard, g, want)
 }
 
 // SalvageFile is Salvage over a file on disk.
@@ -166,19 +219,18 @@ func SalvageFile(path string) (*Salvaged, error) {
 
 // Assembler reassembles one exploration from any mix of complete and
 // salvaged pieces, in any order, across however many recovery rounds the
-// fleet needed. It enforces the Merge invariants row-by-row as pieces
-// arrive — one space fingerprint, rows only for owned points, every point
-// at most once — and additionally cross-checks duplicate rows for
-// byte-equality, so a buggy double-assignment (or a non-deterministic
-// executor) surfaces as an error instead of silent last-writer-wins.
+// fleet needed. Salvage already confined every row to its file's owned
+// points; the Assembler adds the cross-file invariants as pieces arrive —
+// one space fingerprint, every point at most once — and cross-checks
+// duplicate rows for equality, so a buggy double-assignment (or a
+// non-deterministic executor) surfaces as an error instead of silent
+// last-writer-wins.
 type Assembler struct {
-	spec   dse.SpaceSpec
-	fp     string
-	sp     dse.Space
-	pts    []dse.Point
-	rows   []line
-	filled []bool
-	left   int
+	fp   string
+	sp   dse.Space
+	pts  []dse.Point
+	rows []*line // by global index; nil until a piece covers the point
+	left int
 
 	sims  int
 	cache simcache.Snapshot
@@ -195,13 +247,11 @@ func NewAssembler(spec dse.SpaceSpec) (*Assembler, error) {
 	}
 	pts := sp.Points()
 	return &Assembler{
-		spec:   spec,
-		fp:     spec.Fingerprint(),
-		sp:     sp,
-		pts:    pts,
-		rows:   make([]line, len(pts)),
-		filled: make([]bool, len(pts)),
-		left:   len(pts),
+		fp:   spec.Fingerprint(),
+		sp:   sp,
+		pts:  pts,
+		rows: make([]*line, len(pts)),
+		left: len(pts),
 	}, nil
 }
 
@@ -211,19 +261,16 @@ func (a *Assembler) Points() int { return len(a.pts) }
 // Remaining returns how many points still have no row.
 func (a *Assembler) Remaining() int { return a.left }
 
-// Complete reports whether every point has a row.
-func (a *Assembler) Complete() bool { return a.left == 0 }
-
 // Duplicates returns how many equal re-deliveries of already-covered rows
-// were absorbed (each verified byte-equal, never overwritten).
+// were absorbed (each verified equal, never overwritten).
 func (a *Assembler) Duplicates() int { return a.dups }
 
 // Missing returns the global indices still uncovered, increasing — what a
 // resumed fleet run must still evaluate.
 func (a *Assembler) Missing() []int {
 	var m []int
-	for g, ok := range a.filled {
-		if !ok {
+	for g, ln := range a.rows {
+		if ln == nil {
 			m = append(m, g)
 		}
 	}
@@ -242,7 +289,7 @@ var ErrForeign = errors.New("piece of a different exploration")
 func (a *Assembler) MissingOf(pts []int) []int {
 	var m []int
 	for _, g := range pts {
-		if g >= 0 && g < len(a.filled) && !a.filled[g] {
+		if g >= 0 && g < len(a.rows) && a.rows[g] == nil {
 			m = append(m, g)
 		}
 	}
@@ -265,20 +312,17 @@ func (a *Assembler) Absorb(s *Salvaged) (added int, err error) {
 	if s.SpacePoints != len(a.pts) {
 		return 0, fmt.Errorf("shard: piece declares %d points, space has %d: %w", s.SpacePoints, len(a.pts), ErrForeign)
 	}
-	for _, ln := range s.rows {
-		g := *ln.Index
-		if g < 0 || g >= len(a.pts) {
-			return added, fmt.Errorf("shard: row for point %d out of range [0,%d)", g, len(a.pts))
-		}
-		if a.filled[g] {
-			if !sameRow(a.rows[g], ln) {
+	for i := range s.rows {
+		ln := &s.rows[i]
+		g := *ln.Index // in range: Salvage kept only owned rows
+		if held := a.rows[g]; held != nil {
+			if !sameRow(held, ln) {
 				return added, fmt.Errorf("shard: point %d re-delivered with different content (determinism violation or foreign row)", g)
 			}
 			a.dups++
 			continue
 		}
 		a.rows[g] = ln
-		a.filled[g] = true
 		a.left--
 		added++
 	}
@@ -292,7 +336,7 @@ func (a *Assembler) Absorb(s *Salvaged) (added int, err error) {
 
 // sameRow reports whether two recovered rows agree on their result
 // content (index, metrics, error).
-func sameRow(a, b line) bool {
+func sameRow(a, b *line) bool {
 	if *a.Index != *b.Index || a.Error != b.Error {
 		return false
 	}

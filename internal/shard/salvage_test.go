@@ -3,6 +3,8 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -20,16 +22,13 @@ func salvageBytes(t *testing.T, b []byte) *Salvaged {
 }
 
 // TestSalvageCompleteFileAgreesWithMerge: a complete single-shard file
-// salvages in full — every row, no residual, stats carried.
+// salvages in full — every row, no stop, stats carried.
 func TestSalvageCompleteFileAgreesWithMerge(t *testing.T) {
 	sp := smallSpace()
 	bufs := runShards(t, sp, 1)
 	s := salvageBytes(t, bufs[0].Bytes())
-	if !s.Complete {
-		t.Fatalf("complete file salvaged as incomplete")
-	}
-	if len(s.Residual) != 0 {
-		t.Fatalf("complete file has residual %v", s.Residual)
+	if !s.Complete || s.Stop != nil {
+		t.Fatalf("complete file salvaged as incomplete: %v", s.Stop)
 	}
 	rs, err := Merge(bytes.NewReader(bufs[0].Bytes()))
 	if err != nil {
@@ -41,24 +40,32 @@ func TestSalvageCompleteFileAgreesWithMerge(t *testing.T) {
 }
 
 // TestSalvageEveryTruncationPoint: for every byte-level truncation of a
-// shard file, Salvage recovers a valid prefix and a residual that
-// together cover exactly the owned set. This is the property the fleet's
-// crash recovery rests on: no truncation loses coverage or double-counts.
+// shard file, Salvage recovers a prefix of the owned points in order and
+// reports why it stopped. This is the property the fleet's crash recovery
+// rests on: no truncation loses coverage or double-counts.
 func TestSalvageEveryTruncationPoint(t *testing.T) {
 	sp := smallSpace()
 	bufs := runShards(t, sp, 2)
 	full := bufs[1].Bytes()
-	owned := salvageBytes(t, full).Owned
-	// A header-only prefix must still salvage (zero rows, all residual);
-	// find the end of the header line first.
+	owned := []int{1, 3, 5, 7} // shard 1/2 of 8 points
+	// A header-only prefix must still salvage (zero rows); find the end of
+	// the header line first.
 	hdrEnd := bytes.IndexByte(full, '\n') + 1
 	for cut := hdrEnd; cut <= len(full); cut++ {
 		s, err := Salvage(bytes.NewReader(full[:cut]))
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
-		if got := s.Rows() + len(s.Residual); got != len(owned) {
-			t.Fatalf("cut at %d: rows %d + residual %d != owned %d", cut, s.Rows(), len(s.Residual), len(owned))
+		if s.Rows() > len(owned) {
+			t.Fatalf("cut at %d: %d rows from %d owned points", cut, s.Rows(), len(owned))
+		}
+		for k, ln := range s.rows {
+			if *ln.Index != owned[k] {
+				t.Fatalf("cut at %d: row %d is point %d, want %d", cut, k, *ln.Index, owned[k])
+			}
+		}
+		if s.Complete != (s.Stop == nil) {
+			t.Fatalf("cut at %d: complete %v with stop %v", cut, s.Complete, s.Stop)
 		}
 		if s.Complete && cut < len(full)-1 {
 			t.Fatalf("cut at %d marked complete (file is %d bytes)", cut, len(full))
@@ -68,6 +75,33 @@ func TestSalvageEveryTruncationPoint(t *testing.T) {
 	if _, err := Salvage(bytes.NewReader(full[:hdrEnd/2])); err == nil {
 		t.Fatalf("torn header salvaged successfully")
 	}
+}
+
+// TestSalvageHugeHeaderClaims: a ~300-byte header claiming 2^40 points and
+// rows must cost nothing in proportion to the claim. Salvage returns the
+// (empty) prefix with a stop, and strict Merge rejects the file.
+func TestSalvageHugeHeaderClaims(t *testing.T) {
+	for _, rest := range []string{"", `{"eof":true,"rows":0}` + "\n"} {
+		data := hugeHeader(t) + rest
+		s := salvageBytes(t, []byte(data))
+		if s.Complete || s.Stop == nil || s.Rows() != 0 {
+			t.Fatalf("huge header salvaged as complete=%v rows=%d stop=%v", s.Complete, s.Rows(), s.Stop)
+		}
+		if _, err := Merge(strings.NewReader(data)); err == nil {
+			t.Fatal("merge accepted a header claiming 2^40 rows")
+		}
+	}
+}
+
+// hugeHeader is a shard header of the small space claiming 2^40 points
+// and rows.
+func hugeHeader(t testing.TB) string {
+	spec, err := json.Marshal(dse.Spec(smallSpace()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf(`{"format":"repro-dse-shard","version":1,"fingerprint":"x","shard":{"index":0,"count":1},"points":%d,"rows":%d,"space":%s}`+"\n",
+		1<<40, 1<<40, spec)
 }
 
 // TestSalvageCorruptMidFile: flipping a row's JSON into garbage ends the
@@ -98,9 +132,6 @@ func TestAssemblerReassemblesSalvagedPieces(t *testing.T) {
 	// Truncate shard 1 to lose roughly half its rows.
 	cut := bufs[1].Len() * 2 / 3
 	s1 := salvageBytes(t, bufs[1].Bytes()[:cut])
-	if len(s1.Residual) == 0 || s1.Rows() == 0 {
-		t.Fatalf("truncation produced no interesting split: rows %d residual %d", s1.Rows(), len(s1.Residual))
-	}
 
 	a, err := NewAssembler(s1.Spec)
 	if err != nil {
@@ -112,22 +143,27 @@ func TestAssemblerReassemblesSalvagedPieces(t *testing.T) {
 	if _, err := a.Absorb(s1); err != nil {
 		t.Fatalf("absorb salvaged shard 1: %v", err)
 	}
-	if a.Complete() {
+	// The residual is what the fleet asks the Assembler for.
+	residual := a.MissingOf([]int{1, 3, 5, 7})
+	if len(residual) == 0 || s1.Rows() == 0 || s1.Rows()+len(residual) != 4 {
+		t.Fatalf("truncation produced no interesting split: rows %d residual %v", s1.Rows(), residual)
+	}
+	if a.Remaining() == 0 {
 		t.Fatalf("assembler complete before the residual ran")
 	}
 	// Re-run the residual as an explicit-point task, as the fleet would.
 	var task bytes.Buffer
-	if _, err := engine.ExploreSubsetStream(context.Background(), sp, s1.Residual, NewTaskWriter(&task, s1.Residual)); err != nil {
+	if _, err := engine.ExploreSubsetStream(context.Background(), sp, residual, NewTaskWriter(&task, residual)); err != nil {
 		t.Fatalf("residual run: %v", err)
 	}
 	st := salvageBytes(t, task.Bytes())
-	if !st.Complete || st.Rows() != len(s1.Residual) {
-		t.Fatalf("task salvage: complete %v rows %d, want complete %d", st.Complete, st.Rows(), len(s1.Residual))
+	if !st.Complete || st.Rows() != len(residual) {
+		t.Fatalf("task salvage: complete %v rows %d, want complete %d", st.Complete, st.Rows(), len(residual))
 	}
 	if _, err := a.Absorb(st); err != nil {
 		t.Fatalf("absorb task: %v", err)
 	}
-	if !a.Complete() {
+	if a.Remaining() != 0 {
 		t.Fatalf("assembler incomplete after all pieces: missing %v", a.Missing())
 	}
 	rs, err := a.ResultSet()
@@ -152,14 +188,14 @@ func TestAssemblerDuplicateRows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("assembler: %v", err)
 	}
-	if n, err := a.Absorb(s); err != nil || n != len(s.Owned) {
+	if n, err := a.Absorb(s); err != nil || n != a.Points() {
 		t.Fatalf("first absorb: %d, %v", n, err)
 	}
 	if n, err := a.Absorb(s); err != nil || n != 0 {
 		t.Fatalf("re-absorb: %d, %v (want 0, nil)", n, err)
 	}
-	if a.Duplicates() != len(s.Owned) {
-		t.Fatalf("duplicates = %d, want %d", a.Duplicates(), len(s.Owned))
+	if a.Duplicates() != a.Points() {
+		t.Fatalf("duplicates = %d, want %d", a.Duplicates(), a.Points())
 	}
 	// Conflicting content: change a metric in a copy and re-absorb. (Find
 	// a design row — error rows carry no metrics struct to perturb.)

@@ -14,12 +14,13 @@
 //
 // Rows carry only the design metrics the reporters and Pareto extraction
 // read — decoded designs have no allocation, storage plan or schedule
-// attached. Merge revalidates everything: one fingerprint across files,
-// every shard present exactly once, every point covered exactly once,
-// every row owned by the shard that wrote it. UniqueSims is summed across
-// shards (each process runs its own simulation cache, so the sum can
-// exceed a single process's count — plans deduplicated globally may be
-// simulated once per shard).
+// attached. One reader decodes every file (Salvage, salvage.go), and one
+// Assembler reassembles them; Merge is the strict front over the two: one
+// fingerprint across files, every shard present exactly once and
+// complete, every row owned by the shard that wrote it. UniqueSims is
+// summed across shards (each process runs its own simulation cache, so
+// the sum can exceed a single process's count — plans deduplicated
+// globally may be simulated once per shard).
 //
 // Static invariants enforced by reprovet (DESIGN.md §10):
 //
@@ -29,6 +30,7 @@ package shard
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -256,84 +258,16 @@ func Run(e dse.Engine, sp dse.Space, p Plan, w io.Writer) (dse.StreamStats, erro
 		// silently dropped on encode, so refuse it at any shard count.
 		return dse.StreamStats{}, fmt.Errorf("shard: the portfolio-all diagnostic is not supported in shard encodings (rows carry winners only)")
 	}
-	return e.ExploreShardStream(sp, p.Index, p.Count, NewWriter(w, p))
+	return e.ExploreShardStream(context.Background(), sp, p.Index, p.Count, NewWriter(w, p))
 }
 
-// shardFile is one decoded shard file.
-type shardFile struct {
-	h     header
-	rows  []line
-	sims  int
-	cache simcache.Snapshot
-	obs   obs.Snapshot
-}
-
-func decode(r io.Reader) (*shardFile, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var f shardFile
-	if err := dec.Decode(&f.h); err != nil {
-		return nil, fmt.Errorf("shard: bad or missing header: %w", err)
-	}
-	if f.h.Format != formatName {
-		return nil, fmt.Errorf("shard: not a shard file (format %q, want %q)", f.h.Format, formatName)
-	}
-	if f.h.Version != formatVersion {
-		return nil, fmt.Errorf("shard: unsupported encoding version %d (want %d)", f.h.Version, formatVersion)
-	}
-	if err := f.h.Shard.Validate(); err != nil {
-		return nil, err
-	}
-	if f.h.Owned != nil {
-		return nil, fmt.Errorf("shard: fleet task file (explicit owned point list); merge cannot reassemble tasks — use the fleet driver")
-	}
-	sawTrailer := false
-	for {
-		var ln line
-		if err := dec.Decode(&ln); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("shard: shard %s: bad row %d: %w", f.h.Shard, len(f.rows), err)
-		}
-		if sawTrailer {
-			return nil, fmt.Errorf("shard: shard %s: data after trailer", f.h.Shard)
-		}
-		if ln.EOF {
-			if ln.Rows != len(f.rows) {
-				return nil, fmt.Errorf("shard: shard %s: trailer says %d rows, file has %d", f.h.Shard, ln.Rows, len(f.rows))
-			}
-			f.sims = ln.UniqueSims
-			if ln.Cache != nil {
-				f.cache = *ln.Cache
-			}
-			if ln.Obs != nil {
-				f.obs = *ln.Obs
-			}
-			sawTrailer = true
-			continue
-		}
-		if ln.Index == nil {
-			return nil, fmt.Errorf("shard: shard %s: row %d has no point index", f.h.Shard, len(f.rows))
-		}
-		if (ln.Design == nil) == (ln.Error == "") {
-			return nil, fmt.Errorf("shard: shard %s: point %d needs exactly one of design or error", f.h.Shard, *ln.Index)
-		}
-		f.rows = append(f.rows, ln)
-	}
-	if !sawTrailer {
-		return nil, fmt.Errorf("shard: shard %s: truncated file (no trailer after %d rows)", f.h.Shard, len(f.rows))
-	}
-	if f.h.Rows != len(f.rows) {
-		return nil, fmt.Errorf("shard: shard %s: header says %d rows, file has %d", f.h.Shard, f.h.Rows, len(f.rows))
-	}
-	return &f, nil
-}
-
-// Merge reassembles the full ResultSet from one reader per shard file.
-// All shards must come from the same space fingerprint; missing shards,
-// duplicate shards, duplicate or foreign point indices, and truncated
-// files are all errors. The returned set reports identically — byte for
-// byte, Pareto frontiers recomputed on the merged results — to a
-// single-process Explore of the same space.
+// Merge reassembles the full ResultSet from one reader per shard file: a
+// strict front over Salvage and the Assembler. Every file must be complete
+// (a truncated, torn or foreign file fails with Salvaged.Stop), none may
+// be a fleet task file, and together they must be exactly the n shards of
+// one n-way partition of one space fingerprint. The returned set reports
+// identically — byte for byte, Pareto frontiers recomputed on the merged
+// results — to a single-process Explore of the same space.
 func Merge(readers ...io.Reader) (*dse.ResultSet, error) {
 	return merge(readers, nil)
 }
@@ -350,79 +284,59 @@ func merge(readers []io.Reader, names []string) (*dse.ResultSet, error) {
 		}
 		return fmt.Sprintf("file %d", i)
 	}
-	files := make([]*shardFile, len(readers))
+	files := make([]*Salvaged, len(readers))
 	for i, r := range readers {
-		f, err := decode(r)
+		s, err := Salvage(r)
+		if err == nil && s.Owned != nil {
+			err = errors.New("shard: fleet task file (explicit owned point list); merge cannot reassemble tasks — use the fleet driver")
+		}
+		if err == nil {
+			err = s.Stop
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name(i), err)
 		}
-		files[i] = f
+		files[i] = s
 	}
-	first := files[0].h
+	first := files[0]
 	seen := map[int]bool{}
 	for i, f := range files {
-		if f.h.Fingerprint != first.Fingerprint {
+		if f.Fingerprint != first.Fingerprint {
 			return nil, fmt.Errorf("shard: %s: space fingerprint mismatch: %s vs %s (shards of different explorations)",
-				name(i), f.h.Fingerprint, first.Fingerprint)
+				name(i), f.Fingerprint, first.Fingerprint)
 		}
-		if f.h.Shard.Count != first.Shard.Count || f.h.Points != first.Points {
+		if f.Shard.Count != first.Shard.Count || f.SpacePoints != first.SpacePoints {
 			return nil, fmt.Errorf("shard: %s: partition mismatch: shard %s of %d points vs shard %s of %d points",
-				name(i), f.h.Shard, f.h.Points, first.Shard, first.Points)
+				name(i), f.Shard, f.SpacePoints, first.Shard, first.SpacePoints)
 		}
-		if seen[f.h.Shard.Index] {
-			return nil, fmt.Errorf("shard: duplicate shard %s", f.h.Shard)
+		if seen[f.Shard.Index] {
+			return nil, fmt.Errorf("shard: duplicate shard %s", f.Shard)
 		}
-		seen[f.h.Shard.Index] = true
+		seen[f.Shard.Index] = true
 	}
 	for i := 0; i < first.Shard.Count; i++ {
 		if !seen[i] {
 			return nil, fmt.Errorf("shard: missing shard %d/%d", i, first.Shard.Count)
 		}
 	}
-	sp, err := first.Space.Space()
+	a, err := NewAssembler(first.Spec)
 	if err != nil {
 		return nil, err
 	}
-	pts := sp.Points()
-	if len(pts) != first.Points {
-		return nil, fmt.Errorf("shard: rebuilt space has %d points, header says %d", len(pts), first.Points)
+	if a.Points() != first.SpacePoints {
+		return nil, fmt.Errorf("shard: rebuilt space has %d points, header says %d", a.Points(), first.SpacePoints)
 	}
-	results := make([]dse.Result, len(pts))
-	filled := make([]bool, len(pts))
-	sims := 0
-	var cache simcache.Snapshot
-	var osnap obs.Snapshot
 	for _, f := range files {
-		plan := f.h.Shard
-		for _, ln := range f.rows {
-			g := *ln.Index
-			if g < 0 || g >= len(pts) {
-				return nil, fmt.Errorf("shard: shard %s: point index %d out of range [0,%d)", plan, g, len(pts))
-			}
-			if !plan.Owns(g) {
-				return nil, fmt.Errorf("shard: shard %s: row for point %d it does not own", plan, g)
-			}
-			if filled[g] {
-				return nil, fmt.Errorf("shard: duplicate row for point %d", g)
-			}
-			filled[g] = true
-			results[g] = rowResult(pts[g], ln)
-		}
-		sims += f.sims
-		cache = cache.Add(f.cache)
-		osnap = osnap.Add(f.obs)
-	}
-	for g, ok := range filled {
-		if !ok {
-			return nil, fmt.Errorf("shard: point %d missing from every shard", g)
+		if _, err := a.Absorb(f); err != nil {
+			return nil, err
 		}
 	}
-	return &dse.ResultSet{Space: sp, Results: results, UniqueSims: sims, Cache: cache, Obs: osnap}, nil
+	return a.ResultSet()
 }
 
 // rowResult decodes one row back into the Result for its global point —
-// the inverse of Writer.Point, shared by Merge and the fleet Assembler.
-func rowResult(p dse.Point, ln line) dse.Result {
+// the inverse of Writer.Point.
+func rowResult(p dse.Point, ln *line) dse.Result {
 	r := dse.Result{Point: p}
 	if ln.Design != nil {
 		m := ln.Design

@@ -87,7 +87,7 @@ func render(t *testing.T, rs *dse.ResultSet) [3]string {
 }
 
 // runShards evaluates every shard of an n-way partition into buffers.
-func runShards(t *testing.T, sp dse.Space, n int) []*bytes.Buffer {
+func runShards(t testing.TB, sp dse.Space, n int) []*bytes.Buffer {
 	t.Helper()
 	bufs := make([]*bytes.Buffer, n)
 	for i := 0; i < n; i++ {
@@ -230,6 +230,67 @@ func TestMergeDetectsForeignRow(t *testing.T) {
 	expectMergeError(t, []*bytes.Buffer{bufs[0], bytes.NewBufferString(s)}, "does not own")
 }
 
+// editLines applies edit to the lines of a shard file (header first,
+// trailer last) and returns the rejoined file.
+func editLines(b *bytes.Buffer, edit func(lines []string) []string) *bytes.Buffer {
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	return bytes.NewBufferString(strings.Join(edit(lines), "\n") + "\n")
+}
+
+// TestMergeRejectsInconsistentFiles: every per-file rejection the strict
+// front makes through Salvage's Stop, one case each.
+func TestMergeRejectsInconsistentFiles(t *testing.T) {
+	bufs := runShards(t, smallSpace(), 2)
+	for _, tc := range []struct {
+		name string
+		edit func(lines []string) []string
+		want string
+	}{
+		{"torn row", func(l []string) []string {
+			l[2] = l[2][:len(l[2])/2]
+			return l
+		}, "shard 1/2: bad row 1"},
+		{"row without index", func(l []string) []string {
+			l[1] = strings.Replace(l[1], `"index":1,`, ``, 1)
+			return l
+		}, "row 0 has no point index"},
+		{"row with design and error", func(l []string) []string {
+			l[1] = strings.Replace(l[1], `{"index":1,`, `{"index":1,"error":"x",`, 1)
+			return l
+		}, "needs exactly one of design or error"},
+		{"header row count", func(l []string) []string {
+			l[0] = strings.Replace(l[0], `"rows":4,`, `"rows":5,`, 1)
+			return l
+		}, "header says 5 rows, file has 4"},
+		{"trailer row count", func(l []string) []string {
+			n := len(l) - 1
+			l[n] = strings.Replace(l[n], `"rows":4`, `"rows":3`, 1)
+			return l
+		}, "trailer says 3 rows, file has 4"},
+		{"data after trailer", func(l []string) []string {
+			return append(l, l[1])
+		}, "data after trailer"},
+		{"dropped row", func(l []string) []string {
+			l[0] = strings.Replace(l[0], `"rows":4,`, `"rows":3,`, 1)
+			n := len(l) - 1
+			l[n] = strings.Replace(l[n], `"rows":4`, `"rows":3`, 1)
+			return append(l[:2], l[3:]...)
+		}, "row for point 5 out of order (want point 3)"},
+		{"repeated row", func(l []string) []string {
+			l[2] = l[1]
+			return l
+		}, "duplicate row for point 1"},
+		{"out-of-range row", func(l []string) []string {
+			l[1] = strings.Replace(l[1], `{"index":1,`, `{"index":99,`, 1)
+			return l
+		}, "row for point 99 it does not own"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			expectMergeError(t, []*bytes.Buffer{bufs[0], editLines(bufs[1], tc.edit)}, tc.want)
+		})
+	}
+}
+
 func TestMergeRejectsGarbage(t *testing.T) {
 	if _, err := Merge(strings.NewReader("not a shard file\n")); err == nil {
 		t.Error("garbage input accepted")
@@ -264,16 +325,14 @@ func TestWriterIsStreamReporter(t *testing.T) {
 	if lines != wantRows+2 { // header + rows + trailer
 		t.Errorf("shard file has %d lines, want %d", lines, wantRows+2)
 	}
-	f, err := decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.h.Points != 8 || f.h.Rows != wantRows {
-		t.Errorf("header says %d points / %d rows, want 8 / %d", f.h.Points, f.h.Rows, wantRows)
+	f := salvageBytes(t, buf.Bytes())
+	if !f.Complete || f.SpacePoints != 8 || f.Rows() != wantRows {
+		t.Errorf("salvaged complete=%v, %d points / %d rows, want complete 8 / %d (stop: %v)",
+			f.Complete, f.SpacePoints, f.Rows(), wantRows, f.Stop)
 	}
 	for _, ln := range f.rows {
-		if !f.h.Shard.Owns(*ln.Index) {
-			t.Errorf("row for point %d not owned by shard %s", *ln.Index, f.h.Shard)
+		if !f.Shard.Owns(*ln.Index) {
+			t.Errorf("row for point %d not owned by shard %s", *ln.Index, f.Shard)
 		}
 	}
 }
@@ -289,12 +348,8 @@ func TestMergeUniqueSimsSummed(t *testing.T) {
 	}
 	bufs := runShards(t, sp, 2)
 	sum := 0
-	for i, b := range bufs {
-		f, err := decode(bytes.NewReader(b.Bytes()))
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		sum += f.sims
+	for _, b := range bufs {
+		sum += salvageBytes(t, b.Bytes()).UniqueSims
 	}
 	rs, err := mergeBufs(bufs)
 	if err != nil {
