@@ -209,26 +209,13 @@ func BenchmarkAnalyze(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulate measures a cold compositional cycle simulation (no
-// shared cache) on every Table-1 kernel under its CPA-RA plan, with
-// allocation counts. This is the per-point DSE hot path; with the
-// per-subtree steady-state extrapolation the cost tracks the collapsed
-// walk (transient × cycle × inner region), not the trip product — BIC's
-// ~208k-point nest is the regression canary.
+// BenchmarkSimulate measures a cold cycle simulation (no shared cache) —
+// analytic class weights plus one schedule per class — on every Table-1
+// kernel under its CPA-RA plan, with allocation counts. This is the
+// per-point DSE hot path.
 func BenchmarkSimulate(b *testing.B) {
 	for _, k := range kernels.All() {
-		prob, err := core.NewProblem(k.Nest, k.Rmax, dfg.DefaultLatencies())
-		if err != nil {
-			b.Fatal(err)
-		}
-		alloc, err := (core.CPARA{}).Allocate(prob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := scalarrepl.NewPlan(k.Nest, prob.Infos, alloc.Beta)
-		if err != nil {
-			b.Fatal(err)
-		}
+		prob, plan := cpaPlan(b, k)
 		b.Run(k.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -238,6 +225,44 @@ func BenchmarkSimulate(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTransfers measures sched.Transfers, the transfer replay run on
+// demand, on every Table-1 kernel under its CPA-RA plan. With the
+// per-subtree steady-state extrapolation the cost tracks the collapsed
+// walk (transient × cycle × inner region), not the trip product — BIC's
+// ~208k-point nest is the regression canary.
+func BenchmarkTransfers(b *testing.B) {
+	for _, k := range kernels.All() {
+		_, plan := cpaPlan(b, k)
+		b.Run(k.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sched.Transfers(k.Nest, plan); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// cpaPlan builds the kernel's problem at its own budget and its CPA-RA
+// storage plan.
+func cpaPlan(b *testing.B, k kernels.Kernel) (*core.Problem, *scalarrepl.Plan) {
+	b.Helper()
+	prob, err := core.NewProblem(k.Nest, k.Rmax, dfg.DefaultLatencies())
+	if err != nil {
+		b.Fatal(err)
+	}
+	alloc, err := (core.CPARA{}).Allocate(prob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := scalarrepl.NewPlan(k.Nest, prob.Infos, alloc.Beta)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prob, plan
 }
 
 // BenchmarkExplore measures the full stock design-space sweep (DefaultSpace,
@@ -300,13 +325,12 @@ func BenchmarkStreamReport(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalSim measures the compositional engine on single-β
-// plan perturbations of the largest kernel (BIC, ~208k iteration points):
-// after a base plan warms the fragment store, each perturbed plan differing
-// in one reference's β re-simulates by re-walking at most that entry's
-// reuse-region sub-space and assembling everything else from cached
-// fragments — o(iteration-space) work, where the cold engine pays for the
-// full per-entry walks. The cold/incremental gap is the fragment reuse.
+// BenchmarkIncrementalSim measures the simulator on single-β plan
+// perturbations of the largest kernel (BIC, ~208k iteration points): after
+// a base plan warms the class-schedule store, each perturbed plan
+// differing in one reference's β schedules only the classes no earlier
+// plan produced and reads the rest from the store. The cold/incremental
+// gap is the class-schedule reuse.
 func BenchmarkIncrementalSim(b *testing.B) {
 	k := kernels.BIC()
 	prob, err := core.NewProblem(k.Nest, k.Rmax, dfg.DefaultLatencies())
@@ -344,7 +368,7 @@ func BenchmarkIncrementalSim(b *testing.B) {
 	cfg := sched.DefaultConfig()
 
 	b.Run("cold", func(b *testing.B) {
-		// No cache: every perturbed plan pays its full per-entry walks.
+		// No cache: every perturbed plan schedules all its classes.
 		sim := &sched.Simulator{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -355,7 +379,7 @@ func BenchmarkIncrementalSim(b *testing.B) {
 	})
 	b.Run("incremental", func(b *testing.B) {
 		// Shared store, warmed by the base plan and the first lap over the
-		// perturbation ring; steady state assembles from fragments only.
+		// perturbation ring; steady state schedules nothing.
 		sim := &sched.Simulator{Cache: simcache.New()}
 		if _, err := sim.SimulateGraph(k.Nest, prob.Graph, base, cfg); err != nil {
 			b.Fatal(err)

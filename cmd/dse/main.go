@@ -7,10 +7,10 @@
 // worker count.
 //
 // Simulation work is deduplicated at three levels: identical plans share
-// one simulation (the plan cache), distinct plans share per-entry transfer
-// replays and per-class schedules (the fragment store, see
-// internal/simcache), and with -simcache-dir the fragment store persists
-// to disk, so independent shard processes share it too. -portfolio
+// one simulation (the plan cache), distinct plans share per-class
+// schedules (the simulation store, see internal/simcache, which also holds
+// front-end analyses), and with -simcache-dir the store persists to disk,
+// so independent shard processes share it too. -portfolio
 // collapses the allocator axis: each point runs every allocator and keeps
 // the best design by (time, slices, registers).
 //
@@ -111,8 +111,8 @@ func main() {
 	flag.BoolVar(&cfg.nocache, "nocache", false, "disable the cross-point simulation cache (diagnostic; output is byte-identical either way)")
 	flag.BoolVar(&cfg.portfolio, "portfolio", false, "run every allocator per point and keep the best design by (time, slices, registers)")
 	flag.BoolVar(&cfg.pfAll, "portfolio-all", false, "with -portfolio (implied), additionally report every member allocator's metrics per point (CSV role column, JSON portfolio array, indented table rows)")
-	flag.StringVar(&cfg.cacheDir, "simcache-dir", "", "back the fragment/schedule store with files in this directory (shared across shard processes)")
-	flag.StringVar(&cfg.cacheURL, "simcache-url", "", "share the fragment/schedule store with a blob server at this base URL (`dse cached` or `dse serve`); combines with -simcache-dir as a local tier")
+	flag.StringVar(&cfg.cacheDir, "simcache-dir", "", "back the simulation store with files in this directory (shared across shard processes)")
+	flag.StringVar(&cfg.cacheURL, "simcache-url", "", "share the simulation store with a blob server at this base URL (`dse cached` or `dse serve`); combines with -simcache-dir as a local tier")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the stderr stats summary")
 	flag.StringVar(&cfg.metricsPath, "metrics", "", "write the per-stage metrics snapshot as JSON to this file")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve the live metrics snapshot as JSON over HTTP on this address (GET /metrics)")
@@ -223,7 +223,7 @@ func (f *spaceFlags) resolve(also ...string) (dse.Space, *dse.SpaceSpec, error) 
 	return sp, &spec, err
 }
 
-// buildCache constructs the fragment store for a hand-wired engine cache:
+// buildCache constructs the simulation store for a hand-wired engine cache:
 // directory-backed when dir is non-empty, memory-only otherwise.
 func buildCache(dir string) (*simcache.Cache, error) {
 	if dir != "" {
@@ -490,7 +490,7 @@ func cacheNote(s simcache.Snapshot) string {
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("dse serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	cacheDir := fs.String("simcache-dir", "", "backing directory of the shared fragment store (default: a fresh temp directory; also served at /v1/blob/)")
+	cacheDir := fs.String("simcache-dir", "", "backing directory of the shared simulation store (default: a fresh temp directory; also served at /v1/blob/)")
 	cacheURL := fs.String("simcache-url", "", "upstream blob server to layer behind memory and disk")
 	workers := fs.Int("workers", 0, "per-request worker pool size (0 = GOMAXPROCS)")
 	window := fs.Int("window", 0, "per-request order-restoring window (0 = engine default)")
@@ -558,8 +558,8 @@ func runServe(args []string) error {
 
 // runCached is the `dse cached` entry point: just the content-addressed
 // blob store over a backing directory, for fleets whose sweep processes
-// (-simcache-url) or serve instances share fragments without a shared
-// filesystem.
+// (-simcache-url) or serve instances share simulation work without a
+// shared filesystem.
 func runCached(args []string) error {
 	fs := flag.NewFlagSet("dse cached", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8081", "listen address")
@@ -641,7 +641,7 @@ func runFleet(args []string) error {
 	local := fs.Int("local", 0, "local dse subprocess executors (default: 2 when no -remote is given)")
 	remotes := fs.String("remote", "", "comma-separated base URLs of `dse serve` endpoints to enlist")
 	bin := fs.String("bin", "", "dse binary for local executors (default: this executable)")
-	cacheDir := fs.String("simcache-dir", "", "shared fragment store directory passed to local executors")
+	cacheDir := fs.String("simcache-dir", "", "shared simulation store directory passed to local executors")
 	cacheURL := fs.String("simcache-url", "", "blob server URL passed to local executors")
 	tasks := fs.Int("tasks", 0, "initial task partition count (0 = one per executor)")
 	maxAttempts := fs.Int("max-attempts", 0, "consecutive zero-progress attempts before a task fails the run (0 = 3)")

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hls"
 	"repro/internal/kernels"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -70,7 +71,11 @@ func run(kernel, algo string, regs, ports int, trace, verify bool) error {
 	}
 	fmt.Printf("\nmetrics: %d registers | %d cycles (Tmem %d, overhead %d) | clock %.1f ns | %.1f µs | %d slices (%.1f%%) | %d BRAMs\n",
 		d.Registers, d.Cycles, d.MemCycles, d.Sim.OverheadCycles, d.ClockNs, d.TimeUs, d.Slices, d.SliceUtil, d.RAMs)
-	fmt.Printf("transfer traffic: %d loads, %d stores (overlapped)\n", d.Sim.TransferLoads, d.Sim.TransferStores)
+	loads, stores, err := sched.Transfers(k.Nest, d.Plan)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("transfer traffic: %d loads, %d stores (overlapped)\n", loads, stores)
 	if verify {
 		if err := d.Verify(1); err != nil {
 			return fmt.Errorf("semantics check FAILED: %w", err)

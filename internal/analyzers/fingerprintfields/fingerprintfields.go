@@ -8,7 +8,7 @@
 // testing finds late and this pass finds at compile time.
 //
 // Scope: every function whose name ends in "Fingerprint" (Fingerprint,
-// ReplayFingerprint, nestFingerprint, ...). For such a function F the
+// KernelFingerprint, ...). For such a function F the
 // analyzer collects the struct types F digests — the subject (receiver,
 // or first struct-typed parameter) plus every same-package struct whose
 // fields F reads — and requires each of their fields to be either

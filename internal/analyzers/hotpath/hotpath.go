@@ -1,7 +1,7 @@
 // Package hotpath rejects allocating constructs in functions annotated
 // //repro:hotpath.
 //
-// The engine's per-iteration-point code — the fragment walker's innermost
+// The per-iteration-point code — the transfer replay walker's innermost
 // sweep, the replay automaton, the stream reorder window, the disabled
 // observability paths — must not allocate: AllocsPerRun pins prove it
 // for a few entry points at runtime, this pass proves it for every

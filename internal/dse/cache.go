@@ -26,12 +26,12 @@ import (
 // simulation panic becomes the key's memoized error.
 type simCache struct {
 	memo memo.Memo[simKey, *sched.Result]
-	// sim is the compositional simulator whose fragment/class-schedule
-	// store (sim.Cache) is shared by every plan the exploration simulates
-	// — across budgets, allocators (portfolio mode included) and kernels.
-	// The plan-level memo above removes exact-duplicate plans outright; the
-	// fragment store below makes the residual unique plans cheap, since
-	// plans differing in a few β values share most of their fragments.
+	// sim is the simulator whose class-schedule store (sim.Cache) is
+	// shared by every plan the exploration simulates — across budgets,
+	// allocators (portfolio mode included) and kernels. The plan-level memo
+	// above removes exact-duplicate plans outright; the store makes the
+	// residual unique plans cheap, since plans differing in a few β values
+	// share most of their iteration classes.
 	sim *sched.Simulator
 }
 
@@ -46,14 +46,14 @@ type simKey struct {
 // and the cache-free path alike.
 const simPanic = "simulation"
 
-// newSimCache wraps a fragment store with the per-exploration plan-level
-// cache. It does not touch the fragment store's obs wiring — the store's
-// owner does that once (the engine for caches it builds itself, the serving
-// process for a shared Engine.SimCache).
-func newSimCache(frag *simcache.Cache, m *obs.Metrics) *simCache {
+// newSimCache wraps a simulation store with the per-exploration plan-level
+// cache. It does not touch the store's obs wiring — the store's owner does
+// that once (the engine for caches it builds itself, the serving process
+// for a shared Engine.SimCache).
+func newSimCache(store *simcache.Cache, m *obs.Metrics) *simCache {
 	return &simCache{
 		memo: memo.Memo[simKey, *sched.Result]{What: simPanic},
-		sim:  &sched.Simulator{Cache: frag, Obs: m},
+		sim:  &sched.Simulator{Cache: store, Obs: m},
 	}
 }
 
@@ -86,7 +86,7 @@ func (c *simCache) snapshot() simcache.Snapshot { return c.sim.Cache.Snapshot() 
 // the same error the cache records, so NoSimCache output stays
 // byte-identical to the cached engine on every path, including failures.
 // Obs still works — the per-call Simulator carries the metrics, so the
-// fragment collapse split and "sim" spans survive disabling the cache.
+// "sim/class" stage and "sim" spans survive disabling the cache.
 func simDirect(ctx hls.SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (*sched.Result, error) {
 	sp := obs.Begin(ctx.Obs, ctx.Trace, ctx.Point, ctx.Kernel, "sim")
 	defer sp.End("")

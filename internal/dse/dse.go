@@ -74,9 +74,9 @@ type ResultSet struct {
 	// to len(Results) is the work the cross-point cache deduplicated; the
 	// count depends only on the space, never on worker scheduling.
 	UniqueSims int
-	// Cache holds the per-stage simulation-cache counters (entry
-	// fragments, class schedules, whole plans); for a merged sharded run
-	// it is the sum over the shard processes.
+	// Cache holds the per-stage simulation-cache counters (analyses,
+	// class schedules, whole plans); for a merged sharded run it is the
+	// sum over the shard processes.
 	Cache simcache.Snapshot
 	// Obs holds the per-stage timing/counter snapshot of the run (zero when
 	// Engine.Obs was nil); for a merged sharded run it is the stage-wise sum
@@ -125,12 +125,13 @@ type Engine struct {
 	// redundant work).
 	NoSimCache bool
 	// SimCacheDir, when non-empty (and the cache is enabled), backs the
-	// fragment/class-schedule store with one small file per entry in the
+	// simulation store (analyses, class schedules) with one small file per
+	// key in the
 	// given directory, so independent worker processes — the shards of one
 	// sweep — share simulation work through the filesystem (cross-shard
 	// dedup). The directory is created if absent.
 	SimCacheDir string
-	// SimCache, when non-nil, is a pre-built fragment/class-schedule store
+	// SimCache, when non-nil, is a pre-built simulation store
 	// the exploration uses instead of constructing its own (SimCacheDir is
 	// then ignored). This is how a long-running process keeps one warm
 	// store across many explorations, and how a sweep attaches the remote
@@ -155,7 +156,7 @@ type Engine struct {
 	Window int
 	// Obs, when non-nil, collects per-stage metrics across the whole
 	// pipeline — front-end analysis, allocator runs, planning, simulation
-	// (split by fragment collapse outcome), cache tiers, window occupancy —
+	// and its class scheduling, cache tiers, window occupancy —
 	// and labels worker goroutines with pprof (kernel, stage) pairs so CPU
 	// profiles decompose by stage. Results are byte-identical with or
 	// without it; the final snapshot lands on StreamStats.Obs /
@@ -206,10 +207,10 @@ func (e Engine) ExploreShard(sp Space, shardIndex, shardCount int) (*ResultSet, 
 	return &ResultSet{Space: col.space, Results: col.rows, UniqueSims: st.UniqueSims, Cache: st.Cache, Obs: st.Obs}, nil
 }
 
-// fragCache builds the fragment/class-schedule store one exploration's
-// simulator shares across all its plans: file-backed when SimCacheDir is
-// set, in-memory otherwise.
-func (e Engine) fragCache() (*simcache.Cache, error) {
+// simStore builds the simulation store one exploration's front-end and
+// simulator share across all its kernels and plans: file-backed when
+// SimCacheDir is set, in-memory otherwise.
+func (e Engine) simStore() (*simcache.Cache, error) {
 	if e.SimCacheDir != "" {
 		return simcache.NewDir(e.SimCacheDir)
 	}

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -75,16 +76,9 @@ func TestObsStageCoverage(t *testing.T) {
 			t.Errorf("stage %q missing or empty in snapshot (stages: %v)", stage, snap.Names())
 		}
 	}
-	// The fragment collapse split: every fragment computation lands in
-	// exactly one of walk/cycle.
-	walk := snap.Stages["sim/frag/walk"].Count
-	cycle := snap.Stages["sim/frag/cycle"].Count
-	if walk+cycle == 0 {
-		t.Error("no fragment computation recorded in sim/frag/walk or sim/frag/cycle")
-	}
-	if got := walk + cycle; got != snap.Stages["cache/frag/miss"].Count {
-		t.Errorf("fragment computations %d != cache/frag/miss %d (every miss computes exactly once)",
-			got, snap.Stages["cache/frag/miss"].Count)
+	// Every class-schedule miss schedules exactly once.
+	if got, want := snap.Stages["sim/class"].Count, snap.Stages["cache/class/miss"].Count; got == 0 || got != want {
+		t.Errorf("class schedules %d != cache/class/miss %d (every miss computes exactly once)", got, want)
 	}
 	// 16 points: one "point" span each, and the plan-cache tiers cover them.
 	if snap.Stages["point"].Count != 16 {
@@ -110,6 +104,25 @@ func TestObsStageCoverage(t *testing.T) {
 	}
 }
 
+// TestStockSweepReplaysNoTransfers: the estimate never replays transfers,
+// so an instrumented stock sweep has no sim/frag/* stage, every
+// cache/frag/* tier stays at 0 and so does every entry_* counter.
+func TestStockSweepReplaysNoTransfers(t *testing.T) {
+	rs := mustExplore(t, Engine{Workers: 2, Obs: obs.New()}, DefaultSpace())
+	snap := rs.Obs
+	for _, name := range snap.Names() {
+		if strings.HasPrefix(name, "sim/frag/") || (strings.HasPrefix(name, "cache/frag/") && snap.Stages[name].Count != 0) {
+			t.Errorf("stage %s recorded %d: the sweep touched transfer fragments", name, snap.Stages[name].Count)
+		}
+	}
+	if c := rs.Cache; c.EntryHits+c.EntryDiskHits+c.EntryRemoteHits+c.EntryMisses != 0 {
+		t.Errorf("entry counters %+v, want all 0", c)
+	}
+	if snap.Stages["sim/class"].Count == 0 {
+		t.Error("no class was scheduled")
+	}
+}
+
 // TestObsCacheTiersMirrorSnapshot: the obs cache tier counters and the
 // simcache stats Snapshot are two views of the same outcomes.
 func TestObsCacheTiersMirrorSnapshot(t *testing.T) {
@@ -121,12 +134,6 @@ func TestObsCacheTiersMirrorSnapshot(t *testing.T) {
 	cnt := func(name string) int64 { return snap.Stages[name].Count }
 	// Non-claimant lookups split between settled hits and single-flight
 	// waits; the stats counter lumps them.
-	if got := cnt("cache/frag/hit") + cnt("cache/frag/wait"); got != c.EntryHits {
-		t.Errorf("frag hit+wait = %d, stats EntryHits = %d", got, c.EntryHits)
-	}
-	if got := cnt("cache/frag/miss"); got != c.EntryMisses {
-		t.Errorf("frag miss = %d, stats EntryMisses = %d", got, c.EntryMisses)
-	}
 	if got := cnt("cache/class/hit") + cnt("cache/class/wait"); got != c.ClassHits {
 		t.Errorf("class hit+wait = %d, stats ClassHits = %d", got, c.ClassHits)
 	}

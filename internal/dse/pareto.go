@@ -1,9 +1,6 @@
 package dse
 
 import (
-	"slices"
-	"sort"
-
 	"repro/internal/hls"
 	"repro/internal/kernels"
 )
@@ -18,129 +15,24 @@ func dominates(a, b *hls.Design) bool {
 	return a.TimeUs < b.TimeUs || a.Slices < b.Slices || a.Registers < b.Registers
 }
 
-// Frontier extracts the Pareto-optimal subset of the given results over
-// (time, slices, registers), preserving point order. Failed results are
-// never on the frontier and never dominate. Results with identical
-// objective values are mutually non-dominating, so ties are all kept.
-//
-// The extraction is a sort-based skyline sweep, O(n log n) instead of the
-// all-pairs O(n²) scan: points are visited in lexicographic objective
-// order, so any dominator of a point has already been seen, and a Fenwick
-// prefix-minimum over (slices → registers) answers "does a seen point
-// dominate this one" in O(log n). Groups of identical objective triples
-// are decided together, before self-insertion, which preserves the
-// keep-all-ties semantics.
-func Frontier(results []Result) []Result {
-	type cand struct {
-		timeUs       float64
-		slices, regs int
-		pos          int // index into results
-	}
-	var cands []cand
-	for i, r := range results {
-		if r.Ok() {
-			d := r.Design
-			cands = append(cands, cand{timeUs: d.TimeUs, slices: d.Slices, regs: d.Registers, pos: i})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.timeUs != b.timeUs {
-			return a.timeUs < b.timeUs
-		}
-		if a.slices != b.slices {
-			return a.slices < b.slices
-		}
-		return a.regs < b.regs
-	})
-	// 2D dominance oracle over the points seen so far: a Fenwick tree over
-	// coordinate-compressed slice counts holding the minimum register count
-	// per prefix. Every seen point precedes the current one
-	// lexicographically, so a seen point with slices ≤ s and regs ≤ g is
-	// strictly better on at least one objective — it dominates.
-	xs := make([]int, 0, len(cands))
-	for _, c := range cands {
-		xs = append(xs, c.slices)
-	}
-	sort.Ints(xs)
-	xs = slices.Compact(xs)
-	const inf = int(^uint(0) >> 1)
-	fen := make([]int, len(xs)+1)
-	for i := range fen {
-		fen[i] = inf
-	}
-	// minRegsUpTo returns the minimum regs among seen points whose slices
-	// rank ≤ i (1-based Fenwick prefix).
-	minRegsUpTo := func(i int) int {
-		m := inf
-		for ; i > 0; i -= i & -i {
-			m = min(m, fen[i])
-		}
-		return m
-	}
-	dominated := func(s, g int) bool {
-		return minRegsUpTo(sort.SearchInts(xs, s+1)) <= g
-	}
-	insert := func(s, g int) {
-		for i := sort.SearchInts(xs, s) + 1; i <= len(xs); i += i & -i {
-			fen[i] = min(fen[i], g)
-		}
-	}
-	keep := map[int]bool{}
-	for i := 0; i < len(cands); {
-		j := i
-		for j < len(cands) && cands[j].timeUs == cands[i].timeUs &&
-			cands[j].slices == cands[i].slices && cands[j].regs == cands[i].regs {
-			j++
-		}
-		if !dominated(cands[i].slices, cands[i].regs) {
-			for k := i; k < j; k++ {
-				keep[cands[k].pos] = true
-			}
-		}
-		insert(cands[i].slices, cands[i].regs)
-		i = j
-	}
-	var frontier []Result
-	for i, r := range results {
-		if keep[i] {
-			frontier = append(frontier, r)
-		}
-	}
-	return frontier
-}
-
 // KernelFrontier is the Pareto frontier of one kernel's design points.
 type KernelFrontier struct {
 	Kernel string
 	Points []Result
 }
 
-// FrontierByKernel extracts one Pareto frontier per kernel, in the
-// space's kernel-axis order. Comparing design points across kernels would
-// be meaningless — they compute different things — so domination is only
-// ever evaluated within a kernel.
-func (rs *ResultSet) FrontierByKernel() []KernelFrontier {
-	byKernel := map[string][]Result{}
-	for _, r := range rs.Results {
-		byKernel[r.Point.Kernel.Name] = append(byKernel[r.Point.Kernel.Name], r)
-	}
-	var out []KernelFrontier
-	for _, k := range rs.Space.Kernels {
-		out = append(out, KernelFrontier{Kernel: k.Name, Points: Frontier(byKernel[k.Name])})
-	}
-	return out
-}
-
 // frontierTracker maintains per-kernel Pareto frontiers incrementally as
 // results stream in: a new design is dropped if some kept design
 // dominates it, and evicts the kept designs it dominates. A dominated
 // point can never re-enter (dominance is transitive: whatever removed its
-// dominator dominates it too), so after the last result the kept sets
-// equal the batch Frontier exactly — ties and point order included, since
+// dominator dominates it too), so after the last result the kept sets are
+// exactly the kernel's undominated successful results — ties kept (equal
+// objectives are mutually non-dominating) and in point order, since
 // results arrive in point order and evictions preserve relative order.
-// Memory is O(frontier), not O(points): this is what lets the streaming
-// reporters render frontier summaries without buffering the result set.
+// Failed results are never kept and never dominate. Memory is
+// O(frontier), not O(points), and each result costs O(frontier): this is
+// what lets the streaming reporters render frontier summaries without
+// buffering the result set.
 type frontierTracker struct {
 	byKernel map[string][]Result
 }
@@ -168,8 +60,9 @@ func (ft *frontierTracker) add(r Result) {
 	ft.byKernel[r.Point.Kernel.Name] = append(out, r)
 }
 
-// frontiers returns one frontier per kernel, in the given axis order —
-// the streaming counterpart of ResultSet.FrontierByKernel.
+// frontiers returns one frontier per kernel, in the given axis order.
+// Domination is only ever evaluated within a kernel: design points of
+// different kernels compute different things.
 func (ft *frontierTracker) frontiers(ks []kernels.Kernel) []KernelFrontier {
 	out := make([]KernelFrontier, 0, len(ks))
 	for _, k := range ks {

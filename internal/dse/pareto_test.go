@@ -19,12 +19,18 @@ func fakeResult(idx int, kernel string, timeUs float64, slices, regs int) Result
 	}
 }
 
-func frontierIndices(results []Result) []int {
-	var idx []int
-	for _, r := range Frontier(results) {
-		idx = append(idx, r.Point.Index)
+// frontierOf streams results through the frontier tracker every reporter
+// uses and returns kernel "k"'s frontier.
+func frontierOf(results []Result) []Result {
+	ft := newFrontierTracker()
+	for _, r := range results {
+		ft.add(r)
 	}
-	return idx
+	return ft.byKernel["k"]
+}
+
+func frontierIndices(results []Result) []int {
+	return frontierIndicesOf(frontierOf(results))
 }
 
 func equalInts(a, b []int) bool {
@@ -69,7 +75,7 @@ func TestFrontierSkipsFailures(t *testing.T) {
 	if got := frontierIndices(results); !equalInts(got, []int{1}) {
 		t.Errorf("frontier = %v, want [1]", got)
 	}
-	if got := Frontier([]Result{failed}); len(got) != 0 {
+	if got := frontierOf([]Result{failed}); len(got) != 0 {
 		t.Errorf("all-failed frontier = %v, want empty", got)
 	}
 }
@@ -77,7 +83,7 @@ func TestFrontierSkipsFailures(t *testing.T) {
 var errFake = fpga.Device{}.Fit(fpga.DesignStats{Registers: 1 << 20, RegisterBits: 1 << 24})
 
 // naiveFrontier is the seed all-pairs O(n²) extraction, kept as the oracle
-// for the sort-based skyline sweep.
+// for the frontier tracker.
 func naiveFrontier(results []Result) []Result {
 	var frontier []Result
 	for _, r := range results {
@@ -98,9 +104,10 @@ func naiveFrontier(results []Result) []Result {
 	return frontier
 }
 
-// TestFrontierMatchesNaiveOnRandomSets differentials the skyline sweep
+// TestFrontierMatchesNaiveOnRandomSets differentials the frontier tracker
 // against the all-pairs oracle on random objective sets dense with ties and
-// duplicate coordinates.
+// duplicate coordinates, where evictions reorder nothing only if the
+// tracker keeps relative point order.
 func TestFrontierMatchesNaiveOnRandomSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -117,7 +124,7 @@ func TestFrontierMatchesNaiveOnRandomSets(t *testing.T) {
 		want := frontierIndicesOf(naiveFrontier(results))
 		got := frontierIndices(results)
 		if !equalInts(got, want) {
-			t.Fatalf("trial %d: skyline %v != naive %v", trial, got, want)
+			t.Fatalf("trial %d: tracker %v != naive %v", trial, got, want)
 		}
 	}
 }
@@ -137,15 +144,15 @@ func TestFrontierByKernelGroups(t *testing.T) {
 		Kernels:    []kernels.Kernel{{Name: "a"}, {Name: "b"}},
 		Allocators: []core.Allocator{core.FRRA{}},
 	}
-	rs := &ResultSet{
-		Space: sp,
-		Results: []Result{
-			fakeResult(0, "a", 10, 10, 1), // would dominate everything in "b"
-			fakeResult(1, "b", 100, 100, 64),
-			fakeResult(2, "b", 100, 200, 64), // dominated within b
-		},
+	ft := newFrontierTracker()
+	for _, r := range []Result{
+		fakeResult(0, "a", 10, 10, 1), // would dominate everything in "b"
+		fakeResult(1, "b", 100, 100, 64),
+		fakeResult(2, "b", 100, 200, 64), // dominated within b
+	} {
+		ft.add(r)
 	}
-	fronts := rs.FrontierByKernel()
+	fronts := ft.frontiers(sp.Kernels)
 	if len(fronts) != 2 || fronts[0].Kernel != "a" || fronts[1].Kernel != "b" {
 		t.Fatalf("frontiers = %+v", fronts)
 	}
@@ -168,7 +175,11 @@ func TestFrontierOnRealSweep(t *testing.T) {
 		Devices:    []fpga.Device{fpga.XCV1000(), fpga.XC2V6000()},
 	}
 	rs := mustExplore(t, Engine{Workers: 4}, sp)
-	fronts := rs.FrontierByKernel()
+	ft := newFrontierTracker()
+	for _, r := range rs.Results {
+		ft.add(r)
+	}
+	fronts := ft.frontiers(rs.Space.Kernels)
 	if len(fronts) != 1 {
 		t.Fatalf("got %d frontiers", len(fronts))
 	}

@@ -168,8 +168,8 @@ func TestPortfolioSpecRoundTrip(t *testing.T) {
 }
 
 // TestSimCacheDirSharedAcrossRuns: a second engine over the same backing
-// directory must recover fragments and schedules from disk (the cross-shard
-// dedup mechanism) and produce byte-identical output.
+// directory must recover class schedules and analyses from disk (the
+// cross-shard dedup mechanism) and produce byte-identical output.
 func TestSimCacheDirSharedAcrossRuns(t *testing.T) {
 	sp := smallSpace()
 	dir := t.TempDir()
@@ -182,15 +182,15 @@ func TestSimCacheDirSharedAcrossRuns(t *testing.T) {
 		return buf.String(), st
 	}
 	first, st1 := render(Engine{SimCacheDir: dir})
-	if st1.Cache.EntryMisses == 0 {
-		t.Fatalf("cold run computed no fragments: %+v", st1.Cache)
+	if st1.Cache.ClassMisses == 0 {
+		t.Fatalf("cold run scheduled no classes: %+v", st1.Cache)
 	}
 	second, st2 := render(Engine{SimCacheDir: dir})
 	if second != first {
 		t.Error("file-backed cache changed the output bytes")
 	}
-	if st2.Cache.EntryMisses != 0 || st2.Cache.EntryDiskHits == 0 {
-		t.Errorf("warm run should serve fragments from disk: %+v", st2.Cache)
+	if st2.Cache.AnalysisMisses != 0 || st2.Cache.AnalysisDiskHits == 0 {
+		t.Errorf("warm run should serve analyses from disk: %+v", st2.Cache)
 	}
 	if st2.Cache.ClassMisses != 0 || st2.Cache.ClassDiskHits == 0 {
 		t.Errorf("warm run should serve class schedules from disk: %+v", st2.Cache)

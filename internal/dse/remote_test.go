@@ -11,7 +11,7 @@ import (
 // TestRemoteSimcacheDedup is the networked analogue of the shared-directory
 // shard round trip: two engines that share nothing but a blob server must
 // dedup simulation work — the first populates the store through its PUTs,
-// the second recovers every fragment remotely and computes none.
+// the second recovers every class schedule remotely and computes none.
 func TestRemoteSimcacheDedup(t *testing.T) {
 	store, err := simcache.NewDir(t.TempDir())
 	if err != nil {
@@ -33,21 +33,21 @@ func TestRemoteSimcacheDedup(t *testing.T) {
 	}
 
 	rsA, snapA := run()
-	if snapA.EntryMisses == 0 || snapA.ClassMisses == 0 {
-		t.Fatalf("first engine should compute fragments, got %+v", snapA)
+	if snapA.ClassMisses == 0 || snapA.AnalysisMisses == 0 {
+		t.Fatalf("first engine should compute class schedules and analyses, got %+v", snapA)
 	}
-	if snapA.EntryRemoteHits != 0 || snapA.ClassRemoteHits != 0 {
+	if snapA.ClassRemoteHits != 0 || snapA.AnalysisRemoteHits != 0 {
 		t.Fatalf("first engine hit an empty store: %+v", snapA)
 	}
 
 	rsB, snapB := run()
-	if snapB.EntryMisses != 0 || snapB.ClassMisses != 0 {
-		t.Errorf("second engine recomputed fragments: %+v", snapB)
+	if snapB.ClassMisses != 0 || snapB.AnalysisMisses != 0 {
+		t.Errorf("second engine recomputed class schedules or analyses: %+v", snapB)
 	}
-	if snapB.EntryRemoteHits == 0 || snapB.ClassRemoteHits == 0 {
+	if snapB.ClassRemoteHits == 0 || snapB.AnalysisRemoteHits == 0 {
 		t.Errorf("second engine did not hit the remote store: %+v", snapB)
 	}
-	if snapB.EntryRemoteHits+snapB.EntryHits != snapA.EntryMisses+snapA.EntryHits {
+	if snapB.ClassRemoteHits+snapB.ClassHits != snapA.ClassMisses+snapA.ClassHits {
 		t.Errorf("lookup totals drifted: A %+v, B %+v", snapA, snapB)
 	}
 
@@ -72,15 +72,15 @@ func TestEngineSimCachePrecedence(t *testing.T) {
 	sp := smallSpace()
 	mustExplore(t, e, sp)
 	first := shared.Snapshot()
-	if first.EntryMisses == 0 {
+	if first.ClassMisses == 0 {
 		t.Fatalf("shared cache saw no lookups: %+v", first)
 	}
 	mustExplore(t, e, sp)
 	second := shared.Snapshot().Sub(first)
-	if second.EntryMisses != 0 || second.ClassMisses != 0 {
-		t.Errorf("second exploration recomputed fragments through the shared cache: %+v", second)
+	if second.ClassMisses != 0 || second.AnalysisMisses != 0 {
+		t.Errorf("second exploration recomputed through the shared cache: %+v", second)
 	}
-	if second.EntryHits == 0 {
+	if second.ClassHits == 0 {
 		t.Errorf("second exploration did not reuse the shared cache: %+v", second)
 	}
 }

@@ -105,8 +105,9 @@ type CSVReporter struct {
 	// The mark needs hindsight over the whole kernel (a later point can
 	// dominate an earlier row), so with Pareto set the streaming reporter
 	// holds the current kernel's results and flushes them at each kernel
-	// boundary — memory is one kernel block, freed per kernel. Without
-	// Pareto every row streams straight through the in-flight window.
+	// boundary, marked from the frontier tracker — memory is one kernel
+	// block, freed per kernel. Without Pareto every row streams straight
+	// through the in-flight window.
 	Pareto bool
 }
 
@@ -117,15 +118,16 @@ func (c CSVReporter) Report(w io.Writer, rs *ResultSet) error {
 
 // Stream returns the streaming form of the reporter.
 func (c CSVReporter) Stream(w io.Writer) StreamReporter {
-	return &csvStream{cw: csv.NewWriter(w), pareto: c.Pareto}
+	return &csvStream{cw: csv.NewWriter(w), pareto: c.Pareto, ft: newFrontierTracker()}
 }
 
 type csvStream struct {
 	cw     *csv.Writer
 	pareto bool
-	all    bool     // portfolio-all: member rows + role column
-	kernel string   // current kernel block (pareto mode)
-	block  []Result // pending rows of the current kernel block (pareto mode)
+	all    bool             // portfolio-all: member rows + role column
+	kernel string           // current kernel block (pareto mode)
+	block  []Result         // pending rows of the current kernel block (pareto mode)
+	ft     *frontierTracker // the current block's frontier (pareto mode)
 }
 
 func (c *csvStream) Begin(sp Space, total int) error {
@@ -173,6 +175,7 @@ func (c *csvStream) Point(r Result) error {
 		c.kernel = r.Point.Kernel.Name
 	}
 	c.block = append(c.block, r)
+	c.ft.add(r)
 	return nil
 }
 
@@ -182,9 +185,10 @@ func (c *csvStream) flushBlock() error {
 		return nil
 	}
 	onFront := map[int]bool{}
-	for _, r := range Frontier(c.block) {
+	for _, r := range c.ft.byKernel[c.kernel] {
 		onFront[r.Point.Index] = true
 	}
+	delete(c.ft.byKernel, c.kernel)
 	for _, r := range c.block {
 		if err := c.writeResult(r, true, onFront[r.Point.Index]); err != nil {
 			return err
@@ -282,13 +286,13 @@ type jsonSpace struct {
 }
 
 type jsonPoint struct {
-	ID        string       `json:"id"`
-	Kernel    string       `json:"kernel"`
-	Algorithm string       `json:"algorithm"`
-	Rmax      int          `json:"rmax"`
-	Device    string       `json:"device"`
-	Sched     string       `json:"sched"`
-	Metrics   *jsonMetrics `json:"metrics,omitempty"`
+	ID        string   `json:"id"`
+	Kernel    string   `json:"kernel"`
+	Algorithm string   `json:"algorithm"`
+	Rmax      int      `json:"rmax"`
+	Device    string   `json:"device"`
+	Sched     string   `json:"sched"`
+	Metrics   *Metrics `json:"metrics,omitempty"`
 	// Portfolio carries every member allocator's metrics (allocator order,
 	// winner included) in portfolio-all diagnostic mode.
 	Portfolio []jsonMember `json:"portfolio,omitempty"`
@@ -296,19 +300,61 @@ type jsonPoint struct {
 }
 
 type jsonMember struct {
-	Algorithm string      `json:"algorithm"`
-	Metrics   jsonMetrics `json:"metrics"`
+	Algorithm string  `json:"algorithm"`
+	Metrics   Metrics `json:"metrics"`
 }
 
-type jsonMetrics struct {
-	Registers    int     `json:"registers"`
-	Cycles       int     `json:"cycles"`
-	MemCycles    int     `json:"tmem"`
-	ClockNs      float64 `json:"clock_ns"`
-	TimeUs       float64 `json:"time_us"`
-	Slices       int     `json:"slices"`
-	SliceUtilPct float64 `json:"slice_util_pct"`
-	RAMs         int     `json:"brams"`
+// Metrics is the portable record of one design: exactly what the reporters
+// and the Pareto objectives read. The JSON reporter and shard rows both
+// encode it; float64 fields round-trip bit-exactly through encoding/json
+// (shortest-representation encoding), which keeps merged output
+// byte-identical.
+type Metrics struct {
+	// Algorithm is set only where the record must name its design's
+	// allocator: a shard row whose design's algorithm differs from the
+	// point's allocator coordinate (the winner of a portfolio point).
+	// Reporter records leave it empty, and so do ordinary shard rows,
+	// which keeps their encodings byte-identical to earlier writers.
+	Algorithm string  `json:"algorithm,omitempty"`
+	Registers int     `json:"registers"`
+	Cycles    int     `json:"cycles"`
+	MemCycles int     `json:"tmem"`
+	ClockNs   float64 `json:"clock_ns"`
+	TimeUs    float64 `json:"time_us"`
+	Slices    int     `json:"slices"`
+	SliceUtil float64 `json:"slice_util_pct"`
+	RAMs      int     `json:"brams"`
+}
+
+// MetricsOf returns the design's record, Algorithm left empty.
+func MetricsOf(d *hls.Design) Metrics {
+	return Metrics{
+		Registers: d.Registers,
+		Cycles:    d.Cycles,
+		MemCycles: d.MemCycles,
+		ClockNs:   d.ClockNs,
+		TimeUs:    d.TimeUs,
+		Slices:    d.Slices,
+		SliceUtil: d.SliceUtil,
+		RAMs:      d.RAMs,
+	}
+}
+
+// Design rebuilds the design the record describes, for the named kernel
+// and algorithm — the inverse of MetricsOf.
+func (m Metrics) Design(kernel, algorithm string) *hls.Design {
+	return &hls.Design{
+		Kernel:    kernel,
+		Algorithm: algorithm,
+		Registers: m.Registers,
+		Cycles:    m.Cycles,
+		MemCycles: m.MemCycles,
+		ClockNs:   m.ClockNs,
+		TimeUs:    m.TimeUs,
+		Slices:    m.Slices,
+		SliceUtil: m.SliceUtil,
+		RAMs:      m.RAMs,
+	}
 }
 
 type jsonFrontier struct {
@@ -436,28 +482,15 @@ func jsonPointOf(r Result) jsonPoint {
 		Sched:     p.Sched.Name,
 	}
 	if r.Ok() {
-		m := metricsOf(r.Design)
+		m := MetricsOf(r.Design)
 		jp.Metrics = &m
 		for _, d := range r.Members {
-			jp.Portfolio = append(jp.Portfolio, jsonMember{Algorithm: d.Algorithm, Metrics: metricsOf(d)})
+			jp.Portfolio = append(jp.Portfolio, jsonMember{Algorithm: d.Algorithm, Metrics: MetricsOf(d)})
 		}
 	} else {
 		jp.Error = errString(r)
 	}
 	return jp
-}
-
-func metricsOf(d *hls.Design) jsonMetrics {
-	return jsonMetrics{
-		Registers:    d.Registers,
-		Cycles:       d.Cycles,
-		MemCycles:    d.MemCycles,
-		ClockNs:      d.ClockNs,
-		TimeUs:       d.TimeUs,
-		Slices:       d.Slices,
-		SliceUtilPct: d.SliceUtil,
-		RAMs:         d.RAMs,
-	}
 }
 
 // TableReporter renders a fixed-width text table with a per-kernel Pareto

@@ -79,8 +79,32 @@ func DefaultSpace() Space {
 	}
 }
 
+// maxPoints bounds the size of every space the engine resolves or
+// explores. Specs arrive as outside bytes (serve's POST body, shard and
+// task headers, fleet executors, -space files) and exploration allocates
+// per point — 184 B per Point, plus index state — so a few hundred KB of
+// spec could otherwise ask for terabytes. 2^20 points is about 200 MB of
+// index state; the stock space has 192 points and README's widest 1,728.
+const maxPoints = 1 << 20
+
+// checkSize rejects a cross-product of more than maxPoints design points,
+// given the length of each axis (allocators: the coordinates Points
+// enumerates, 1 in portfolio mode). It never forms a product that could
+// overflow.
+func checkSize(kernels, allocators, budgets, devices, scheds int) error {
+	n := 1
+	for _, axis := range []int{kernels, allocators, budgets, devices, scheds} {
+		if axis > 0 && n > maxPoints/axis {
+			return fmt.Errorf("dse: space of %d kernels × %d allocators × %d budgets × %d devices × %d scheds exceeds %d design points",
+				kernels, allocators, budgets, devices, scheds, maxPoints)
+		}
+		n *= axis
+	}
+	return nil
+}
+
 // normalized fills singleton defaults for empty optional axes and
-// validates the required ones.
+// validates the required ones and the space's size.
 func (sp Space) normalized() (Space, error) {
 	if len(sp.Kernels) == 0 {
 		return sp, fmt.Errorf("dse: space has no kernels")
@@ -111,6 +135,9 @@ func (sp Space) normalized() (Space, error) {
 	}
 	if len(sp.Scheds) == 0 {
 		sp.Scheds = []SchedVariant{DefaultSchedVariant()}
+	}
+	if err := checkSize(len(sp.Kernels), len(sp.allocAxis()), len(sp.Budgets), len(sp.Devices), len(sp.Scheds)); err != nil {
+		return sp, err
 	}
 	return sp, nil
 }

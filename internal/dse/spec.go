@@ -94,11 +94,20 @@ func Spec(sp Space) SpaceSpec {
 
 // Space resolves the spec back into a concrete space through the package
 // registries. Every axis must be populated — specs are taken from
-// normalized spaces, so an empty axis means a corrupt or hand-rolled spec.
+// normalized spaces, so an empty axis means a corrupt or hand-rolled spec —
+// and the space may hold at most maxPoints design points, checked before
+// any axis is resolved.
 func (s SpaceSpec) Space() (Space, error) {
 	if len(s.Kernels) == 0 || len(s.Allocators) == 0 || len(s.Budgets) == 0 ||
 		len(s.Devices) == 0 || len(s.Scheds) == 0 {
 		return Space{}, fmt.Errorf("dse: space spec has an empty axis (want all of kernels, allocators, budgets, devices, scheds)")
+	}
+	allocators := len(s.Allocators)
+	if s.Portfolio {
+		allocators = 1
+	}
+	if err := checkSize(len(s.Kernels), allocators, len(s.Budgets), len(s.Devices), len(s.Scheds)); err != nil {
+		return Space{}, err
 	}
 	sp := Space{Portfolio: s.Portfolio}
 	for _, name := range s.Kernels {

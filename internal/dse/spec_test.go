@@ -104,6 +104,39 @@ func TestSpecRejectsUnknownNamesAndEmptyAxes(t *testing.T) {
 	}
 }
 
+// TestSpaceSizeCap: a space of more than maxPoints design points is
+// refused where it is resolved (SpaceSpec.Space) and where it is
+// explored (normalization), before anything is sized from it, and the
+// check survives axis lengths whose product overflows.
+func TestSpaceSizeCap(t *testing.T) {
+	at := Spec(DefaultSpace())
+	at.Kernels, at.Allocators, at.Devices = at.Kernels[:1], at.Allocators[:1], at.Devices[:1]
+	at.Budgets = make([]int, maxPoints)
+	if sp, err := at.Space(); err != nil || sp.Size() != maxPoints {
+		t.Fatalf("a spec of exactly maxPoints points: size %d, err %v", sp.Size(), err)
+	}
+	over := at
+	over.Budgets = make([]int, maxPoints+1)
+	if _, err := over.Space(); err == nil {
+		t.Fatal("a spec of maxPoints+1 points resolved")
+	}
+	// Portfolio mode counts one allocator coordinate however many compete.
+	pf := at
+	pf.Allocators, pf.Portfolio = Spec(DefaultSpace()).Allocators, true
+	if _, err := pf.Space(); err != nil {
+		t.Fatalf("a portfolio spec of maxPoints points: %v", err)
+	}
+	// 2^64 points: a plain int product wraps to 0.
+	if err := checkSize(1<<16, 1<<16, 1<<16, 1<<16, 1); err == nil {
+		t.Fatal("an overflowing product passed the size check")
+	}
+	sp := DefaultSpace()
+	sp.Budgets = make([]int, maxPoints/len(sp.Kernels))
+	if _, err := (Engine{Workers: 1}).Explore(sp); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("exploring a space over the cap: err %v", err)
+	}
+}
+
 func TestSpecPortfolioRoundTrip(t *testing.T) {
 	// The portfolio flag changes the point set (one pseudo-allocator point
 	// replaces the per-allocator points), so it must survive the round trip

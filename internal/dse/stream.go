@@ -36,8 +36,8 @@ type StreamStats struct {
 	// UniqueSims is the number of distinct cycle simulations run (0 when
 	// the simulation cache was disabled), as on ResultSet.
 	UniqueSims int
-	// Cache holds the per-stage cache counters of the run — entry
-	// fragments, class schedules and whole-plan simulations (zero when the
+	// Cache holds the per-stage cache counters of the run — analyses,
+	// class schedules and whole-plan simulations (zero when the
 	// simulation cache was disabled). Disk-hit counters are only non-zero
 	// for file-backed runs (Engine.SimCacheDir).
 	Cache simcache.Snapshot
@@ -158,27 +158,27 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, window 
 	// The byte store is built (or adopted) before the front-end runs, and
 	// the baseline snapshot taken first, so this run's analysis-cache
 	// lookups land in the per-run delta alongside its simulation lookups.
-	var frag *simcache.Cache
+	var store *simcache.Cache
 	var cacheBase simcache.Snapshot
 	if !e.NoSimCache {
-		frag = e.SimCache
-		if frag == nil {
+		store = e.SimCache
+		if store == nil {
 			// Engine-owned store: built fresh for this exploration, so the
 			// engine also wires its observability. A provided SimCache is
 			// externally owned and arrives already wired (re-attaching obs
 			// here would race with concurrent explorations sharing it).
 			var err error
-			if frag, err = e.fragCache(); err != nil {
+			if store, err = e.simStore(); err != nil {
 				return StreamStats{}, err
 			}
-			frag.SetObs(e.Obs)
+			store.SetObs(e.Obs)
 		}
 		// A shared store arrives with history; StreamStats reports this
 		// exploration's own lookups, so shard trailers and request metrics
 		// stay per-run whatever the store's age.
-		cacheBase = frag.Snapshot()
+		cacheBase = store.Snapshot()
 	}
-	analyses, err := e.analyzeKernels(sp, ownedKernels, frag)
+	analyses, err := e.analyzeKernels(sp, ownedKernels, store)
 	if err != nil {
 		return StreamStats{}, err
 	}
@@ -188,8 +188,8 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, window 
 
 	sim := hls.SimFunc(simDirect)
 	var cache *simCache
-	if frag != nil {
-		cache = newSimCache(frag, e.Obs)
+	if store != nil {
+		cache = newSimCache(store, e.Obs)
 		sim = cache.simulate
 	}
 	// The "explore" stage is the engine's own wall clock, stopped before the

@@ -72,7 +72,7 @@ type ProcExecutor struct {
 	// Args are extra CLI arguments appended to every attempt (e.g.
 	// -simcache-dir or -simcache-url, so workers share simulation work).
 	// The shared store carries front-end analysis blobs alongside
-	// fragments and class schedules, so a worker process also skips
+	// class schedules, so a worker process also skips
 	// re-deriving any kernel another attempt analyzed first.
 	Args []string
 }

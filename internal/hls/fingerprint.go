@@ -7,10 +7,10 @@
 // profiles — the one part of the analysis that costs anything to compute.
 // Reuse levels, ν, benefits, and the data-flow graph are re-derived from
 // the kernel at decode time, so a blob can never smuggle in a summary that
-// is inconsistent with the nest it claims to describe; the worst a corrupt
-// or poisoned blob can do is fail the shape checks and fall back to a
-// fresh analysis (the same accelerator-only stance DESIGN.md §11 takes for
-// simulation fragments).
+// is inconsistent with the nest it claims to describe: a stale or corrupt
+// blob fails the shape and envelope checks and falls back to a fresh
+// analysis. A profile edited within the envelope decodes as written —
+// blob writers are trusted, not authenticated (DESIGN.md §11, §13).
 package hls
 
 import (

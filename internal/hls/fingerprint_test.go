@@ -97,6 +97,31 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeAcceptsInEnvelopeProfile pins the trust model (DESIGN.md §11,
+// §13): decode checks a blob's shape and per-level envelope, not its
+// provenance, so a profile edited within the envelope — FIR's first group
+// 992 1 1 → 991 1 1 — decodes without error to what the blob says, not to
+// a fresh analysis.
+func TestDecodeAcceptsInEnvelopeProfile(t *testing.T) {
+	fir := kernels.FIR()
+	an, err := Analyze(fir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := string(an.Encode())
+	edited := strings.Replace(blob, "\n992 1 1\n", "\n991 1 1\n", 1)
+	if edited == blob {
+		t.Fatalf("FIR blob %q has no 992 1 1 group", blob)
+	}
+	back, err := DecodeAnalysis(fir, []byte(edited))
+	if err != nil {
+		t.Fatalf("in-envelope edit rejected: %v", err)
+	}
+	if got := back.Infos[0].Distinct; !reflect.DeepEqual(got, []int{991, 1, 1}) {
+		t.Fatalf("decoded profile %v, want the blob's [991 1 1]", got)
+	}
+}
+
 // TestDecodeRejectsMismatches: version, cross-kernel, and corrupt blobs
 // all fail decode instead of producing a wrong analysis.
 func TestDecodeRejectsMismatches(t *testing.T) {

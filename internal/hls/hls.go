@@ -215,7 +215,7 @@ func (an *Analysis) EstimateSim(alg core.Allocator, opt Options, sim SimFunc) (*
 // candidates run through the same sim function, so a sweep's simulation
 // caches are shared across the whole portfolio (allocators frequently
 // agree on β for part of the space, and even disagreeing plans share
-// per-entry fragments). Per-allocator failures (infeasible budget, device
+// iteration-class schedules). Per-allocator failures (infeasible budget, device
 // capacity) only fail the point when every allocator fails.
 func (an *Analysis) EstimatePortfolio(algs []core.Allocator, opt Options, sim SimFunc) (*Design, error) {
 	best, _, err := an.EstimatePortfolioAll(algs, opt, sim)

@@ -9,7 +9,7 @@
 //   - Allocation-free when disabled. Every API is nil-safe: a nil *Metrics,
 //     *StageStats, *Tracer or zero Span/Timer no-ops without calling
 //     time.Now and without allocating, so instrumentation can sit inside
-//     the fragment walker and stream-window hot loops at zero cost until a
+//     the simulator and stream-window hot loops at zero cost until a
 //     caller opts in (alloc_test.go pins this).
 //
 //   - Mergeable. A Snapshot is a pure value: counters and histogram buckets

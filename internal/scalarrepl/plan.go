@@ -294,34 +294,11 @@ func (p *Plan) HitKeys(env map[string]int) string {
 //
 //repro:nohash Plan.Nest — cache keys carry the kernel name, which pins the nest
 //repro:nohash Plan.Entries — the same entry set as order, hashed in first-use order
-//repro:nohash Entry.flatAff — derived from Info's reference; ReplayFingerprint hashes it where it is the replay identity
+//repro:nohash Entry.flatAff — derived from Info's reference, which the entry key pins
 func (p *Plan) Fingerprint() string {
 	var b strings.Builder
 	for _, e := range p.order {
 		fmt.Fprintf(&b, "%s=β%d,c%d,w%t,a%t;", e.Info.Key(), e.Beta, e.Coverage, e.WriteFirst, e.Aliased)
-	}
-	return b.String()
-}
-
-// ReplayFingerprint returns the content-addressed identity of the entry's
-// register<->RAM transfer replay: coverage, reuse level, and the flat
-// element index as an affine form over the nest's loops by depth (constant
-// first, then one coefficient per loop, outermost first). Together with the
-// nest's loop bounds and the entry's body access pattern this determines
-// the replay's loads and stores exactly — the per-entry state (residency
-// window, dirty set, region boundaries) reads nothing else — so simulation
-// caches can share one replay among the plans of any kernel whose entries
-// agree on it. Names (array, loop variables) are deliberately absent: the
-// replay is invariant under renaming.
-//
-//repro:nohash Entry.Beta — Coverage (hashed) is β's only replay-visible consequence
-//repro:nohash Entry.WriteFirst — the occurrence pattern hashed alongside in fragmentKey carries it
-//repro:nohash Entry.Aliased — aliased entries have Coverage 0 and no residency to replay
-func (e *Entry) ReplayFingerprint(nest *ir.Nest) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "c%d,l%d,k%d", e.Coverage, e.Info.ReuseLevel, e.flatAff.Const)
-	for _, l := range nest.Loops {
-		fmt.Fprintf(&b, ",%d", e.flatAff.Coeff(l.Var))
 	}
 	return b.String()
 }

@@ -1,244 +1,43 @@
 package sched
 
-// fragment.go is the compositional simulation engine: instead of one
-// monolithic walk of the iteration space per plan (iterWalker, now a test
-// oracle in walker_test.go), a plan's cycle estimate is assembled from
-// independent, content-addressed pieces —
+// fragment.go counts a plan's register<->RAM transfers on demand. The cycle
+// estimate never reads them (they overlap loop execution), so nothing on a
+// sweep's path replays them; cmd/regalloc and the differential tests do,
+// through Transfers.
 //
-//   - class weights are computed analytically: an iteration's class is a
-//     pure function of its innermost position (scalarrepl.Entry.HitInner),
-//     so each innermost position's signature is counted once and weighted
-//     by the outer trip product — no walk at all;
-//
-//   - each covered entry's register<->RAM transfer replay is an
-//     independent automaton (its own residency window, dirty set and
-//     region boundaries — entries never interact), so its loads/stores are
-//     computed per entry. And because the elements an affine reference
-//     touches in one reuse region are a translate of those in any other —
-//     translation preserves both element identity and the smallest-flat
-//     eviction order — every region replays identically: one region
-//     sub-space walk (loops at and below the reuse level), multiplied by
-//     the region count, is exact. Cost is Π trips of the loops inside the
-//     reuse level, not the whole iteration space;
-//
-//   - each class is list-scheduled once per (DFG, scheduler config,
-//     register-hit set), shared across every plan and allocator that
-//     produces the class.
-//
-// With a simcache.Cache attached, fragments and class schedules are
-// memoized across plans (and, file-backed, across processes): a plan
-// differing from an already-simulated one in a single reference's β
-// recomputes exactly that entry's fragment and any genuinely new class
-// schedules — everything else is assembled from the store in
-// o(iteration-space) time.
+// Each covered entry's transfer replay is an independent automaton (its own
+// residency window, dirty set and region boundaries — entries never
+// interact), so a plan's loads and stores are the sum of per-entry
+// fragments, each computed from one reuse region (computeFragment).
 
 import (
-	"fmt"
-	"strings"
-	"time"
-
-	"repro/internal/dfg"
 	"repro/internal/ir"
-	"repro/internal/obs"
 	"repro/internal/scalarrepl"
-	"repro/internal/simcache"
 )
 
-// Simulator runs compositional cycle simulations, optionally memoizing
-// entry fragments and class schedules in a shared cache. The zero value
-// (nil Cache) computes every piece directly and is what the package-level
-// SimulateGraph uses; sweep engines attach a cache shared across all their
-// plans. Safe for concurrent use.
-type Simulator struct {
-	// Cache memoizes entry fragments and class-schedule lengths across
-	// simulations; nil disables memoization (results are identical either
-	// way — the cache only removes redundant work).
-	Cache *simcache.Cache
-
-	// Obs, when non-nil, receives per-piece stage timings: fragment replays
-	// split by collapse outcome ("sim/frag/cycle" when the walker skipped
-	// whole cycles via steady-state detection, "sim/frag/walk" when it
-	// visited every point) and class scheduling ("sim/class"). Cache hits
-	// record nothing here — the cache's own Snapshot counts them.
-	Obs *obs.Metrics
-}
-
-// SimulateGraph runs the compositional cycle simulation of the nest under
-// the plan on a prebuilt (and already validated) body data-flow graph. The
-// graph is only read, so one graph can back any number of concurrent
-// simulations. The Result is identical — field for field — to the fused
-// single-pass walker test oracle's and the seed reference's (see
-// fragment_test.go and seedref_test.go for the differential contracts).
-func (s *Simulator) SimulateGraph(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Config) (*Result, error) {
-	if cfg.PortsPerRAM < 1 {
-		return nil, fmt.Errorf("sched: PortsPerRAM must be ≥1, got %d", cfg.PortsPerRAM)
-	}
-	// The walkers advance loop variables by Step; reject hand-built nests
-	// with zero/negative steps instead of spinning forever.
-	for _, l := range nest.Loops {
-		if l.Step <= 0 {
-			return nil, fmt.Errorf("sched: loop %q has non-positive step %d (validate the nest with ir.NewNest)", l.Var, l.Step)
-		}
+// Transfers counts the register-file transfers of the nest under the plan:
+// fill loads (first touches, sliding-window refills) and write-back stores
+// (evictions of dirty elements, region flushes and the epilogue drain). In
+// steady state they overlap loop execution through the load/store unit —
+// the RAM ports are idle most cycles — so they are traffic, not stalls, and
+// no cycle count includes them. The counts equal the seed's full-space
+// replay and the functional simulation's fills and write-backs exactly.
+func Transfers(nest *ir.Nest, plan *scalarrepl.Plan) (loads, stores int, err error) {
+	if err := checkSteps(nest); err != nil {
+		return 0, 0, err
 	}
 	order := plan.Order()
-	depth := nest.Depth()
-
-	// Per-entry innermost hit vectors: the shared input of the analytic
-	// class weights and the per-entry replays.
 	hitAt := innerHitVectors(nest, order)
-	trip := 0
-	if depth > 0 {
-		trip = nest.Loops[depth-1].Trip()
-	}
-	counts := classWeights(nest, order, hitAt, trip)
-
-	// Transfer traffic: the sum of the covered entries' replay fragments.
 	pats := accessPatterns(nest, plan)
-	loads, stores := 0, 0
-	nestFP := ""
 	for i, e := range order {
 		if e.Coverage == 0 {
 			continue
 		}
-		pat := pats[e.Info.Key()]
-		var frag simcache.Fragment
-		if s.Cache != nil {
-			if nestFP == "" {
-				nestFP = nestFingerprint(nest)
-			}
-			i := i
-			var err error
-			frag, err = s.Cache.Fragment(fragmentKey(nestFP, nest, e, pat), func() (simcache.Fragment, error) {
-				return s.computeFragmentObs(nest, e, pat, hitAt[i]), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			frag = s.computeFragmentObs(nest, e, pat, hitAt[i])
-		}
-		loads += frag.Loads
-		stores += frag.Stores
+		l, s, _ := computeFragment(nest, e, pats[e.Info.Key()], hitAt[i])
+		loads += l
+		stores += s
 	}
-
-	return assembleResult(g, plan, cfg, counts, loads, stores, s.classLen(g, cfg))
-}
-
-// computeFragmentObs is computeFragment plus, when Obs is attached, one
-// timed observation split by collapse outcome: "sim/frag/cycle" when
-// steady-state detection skipped whole cycles, "sim/frag/walk" when every
-// iteration point was visited.
-func (s *Simulator) computeFragmentObs(nest *ir.Nest, e *scalarrepl.Entry, pattern []bool, hitAt []bool) simcache.Fragment {
-	if s.Obs == nil {
-		return computeFragment(nest, e, pattern, hitAt)
-	}
-	t0 := time.Now()
-	frag, _, collapsed := computeFragmentWalked(nest, e, pattern, hitAt)
-	d := int64(time.Since(t0))
-	if collapsed {
-		s.Obs.Stage("sim/frag/cycle").Observe(d)
-	} else {
-		s.Obs.Stage("sim/frag/walk").Observe(d)
-	}
-	return frag
-}
-
-// classLen returns the class-length function: memoized per (DFG
-// fingerprint, scheduler config, register-hit set) when a cache is
-// attached, direct scheduling otherwise.
-func (s *Simulator) classLen(g *dfg.Graph, cfg Config) classLenFunc {
-	direct := func(hit map[string]bool) (int, int, error) {
-		tm := s.Obs.Stage("sim/class").Start()
-		defer tm.Stop()
-		iter, err := scheduleClass(g, hit, cfg, false)
-		if err != nil {
-			return 0, 0, err
-		}
-		mem, err := scheduleClass(g, hit, cfg, true)
-		if err != nil {
-			return 0, 0, err
-		}
-		return iter, mem, nil
-	}
-	if s.Cache == nil {
-		return func(_ string, hit map[string]bool, _ []*scalarrepl.Entry) (int, int, error) {
-			return direct(hit)
-		}
-	}
-	prefix := g.Fingerprint() + "|" + cfg.Lat.Fingerprint() + "|P" + fmt.Sprint(cfg.PortsPerRAM) + "|"
-	return func(sig string, hit map[string]bool, order []*scalarrepl.Entry) (int, int, error) {
-		// The hit set in first-use entry order is canonical: all plans of
-		// one nest list entries identically, and across nests the DFG
-		// fingerprint already differs.
-		var b strings.Builder
-		for i, e := range order {
-			if sig[i] == '1' {
-				b.WriteString(e.Info.Key())
-				b.WriteByte(',')
-			}
-		}
-		cl, err := s.Cache.ClassLen(prefix+b.String(), func() (simcache.ClassLen, error) {
-			iter, mem, err := direct(hit)
-			return simcache.ClassLen{Iter: iter, Mem: mem}, err
-		})
-		return cl.Iter, cl.Mem, err
-	}
-}
-
-// classWeights computes the iteration-class weights analytically: the class
-// of an iteration depends only on its innermost position, and every
-// innermost position occurs exactly once per combination of outer loop
-// values. Only classes with a positive count are returned (zero-trip nests
-// yield none), matching the walkers' filtered output exactly.
-func classWeights(nest *ir.Nest, order []*scalarrepl.Entry, hitAt [][]bool, trip int) map[string]int {
-	counts := map[string]int{}
-	if nest.Depth() == 0 {
-		// Depth-0 nests execute one (empty-environment) iteration with an
-		// all-miss signature, mirroring the seed walker.
-		counts[strings.Repeat("0", len(order))] = 1
-		return counts
-	}
-	outer := 1
-	for _, l := range nest.Loops[:nest.Depth()-1] {
-		outer *= l.Trip()
-	}
-	if outer == 0 {
-		return counts
-	}
-	sig := make([]byte, len(order))
-	for pos := 0; pos < trip; pos++ {
-		for i := range order {
-			if hitAt[i][pos] {
-				sig[i] = '1'
-			} else {
-				sig[i] = '0'
-			}
-		}
-		counts[string(sig)] += outer
-	}
-	return counts
-}
-
-// innerHitVectors precomputes, per plan entry, the steady-state register
-// hit outcome at each innermost loop position — the single input both the
-// compositional engine and the fused walker test oracle classify
-// iterations and gate replays with. Nil for depth-0 nests.
-func innerHitVectors(nest *ir.Nest, order []*scalarrepl.Entry) [][]bool {
-	depth := nest.Depth()
-	if depth == 0 {
-		return nil
-	}
-	inner := nest.Loops[depth-1]
-	hitAt := make([][]bool, len(order))
-	for i, e := range order {
-		hitAt[i] = make([]bool, inner.Trip())
-		pos := 0
-		for v := inner.Lo; v < inner.Hi; v += inner.Step {
-			hitAt[i][pos] = e.HitInner(v)
-			pos++
-		}
-	}
-	return hitAt
+	return loads, stores, nil
 }
 
 // accessPatterns collects, for every covered plan entry, its occurrence
@@ -269,38 +68,6 @@ func accessPatterns(nest *ir.Nest, plan *scalarrepl.Plan) map[string][]bool {
 	return pats
 }
 
-// nestFingerprint pins the loop bounds the replay iterates over. Loop
-// variable names are deliberately absent (the replay reads coefficients by
-// depth), so structurally identical nests share fragments.
-//
-//repro:nohash Nest.Name — replay coefficients are read by depth; renaming-invariant
-//repro:nohash Nest.Body — the body occurrence pattern is hashed separately into fragmentKey
-func nestFingerprint(nest *ir.Nest) string {
-	var b strings.Builder
-	for _, l := range nest.Loops {
-		fmt.Fprintf(&b, "%d:%d:%d;", l.Lo, l.Hi, l.Step)
-	}
-	return b.String()
-}
-
-// fragmentKey is the content address of one entry's replay: loop bounds ×
-// entry replay fingerprint × body occurrence pattern.
-func fragmentKey(nestFP string, nest *ir.Nest, e *scalarrepl.Entry, pattern []bool) string {
-	var b strings.Builder
-	b.WriteString(nestFP)
-	b.WriteByte('|')
-	b.WriteString(e.ReplayFingerprint(nest))
-	b.WriteByte('|')
-	for _, w := range pattern {
-		if w {
-			b.WriteByte('w')
-		} else {
-			b.WriteByte('r')
-		}
-	}
-	return b.String()
-}
-
 // computeFragment replays one covered entry's transfer protocol exactly,
 // in far less than one pass over the iteration space:
 //
@@ -329,18 +96,11 @@ func fragmentKey(nestFP string, nest *ir.Nest, e *scalarrepl.Entry, pattern []bo
 //
 // Eviction picks the smallest resident flat; the automaton keeps the
 // resident set as one sorted run (replay.go), so that is the run's head.
-func computeFragment(nest *ir.Nest, e *scalarrepl.Entry, pattern []bool, hitAt []bool) simcache.Fragment {
-	frag, _, _ := computeFragmentWalked(nest, e, pattern, hitAt)
-	return frag
-}
-
-// computeFragmentWalked is computeFragment plus the number of innermost
-// iteration points the walker actually visited — the extrapolation
-// effectiveness metric the regression tests pin (walked ≪ trip product on
-// kernels with collapsible interior loops) — and whether any walk loop
-// collapsed via steady-state cycle detection (the outcome obs splits
-// fragment timings by).
-func computeFragmentWalked(nest *ir.Nest, e *scalarrepl.Entry, pattern []bool, hitAt []bool) (simcache.Fragment, int, bool) {
+//
+// walked is the number of innermost iteration points the walker actually
+// visited — the extrapolation effectiveness metric the regression tests
+// pin (walked ≪ trip product on kernels with collapsible interior loops).
+func computeFragment(nest *ir.Nest, e *scalarrepl.Entry, pattern []bool, hitAt []bool) (loads, stores, walked int) {
 	depth := nest.Depth()
 	level := e.Info.ReuseLevel
 	if level < 0 {
@@ -351,7 +111,7 @@ func computeFragmentWalked(nest *ir.Nest, e *scalarrepl.Entry, pattern []bool, h
 		regions *= l.Trip()
 	}
 	if depth == 0 || regions == 0 || len(pattern) == 0 {
-		return simcache.Fragment{}, 0, false
+		return 0, 0, 0
 	}
 	aff := e.FlatAffine()
 	base := aff.Const
@@ -377,8 +137,7 @@ func computeFragmentWalked(nest *ir.Nest, e *scalarrepl.Entry, pattern []bool, h
 	}
 	w.walk(level, base)
 	// The region-end flush writes back whatever is dirty after the walk.
-	stores := w.st.stores + w.st.dirtyCount()
-	return simcache.Fragment{Loads: regions * w.st.loads, Stores: regions * stores}, w.walked, w.collapsed
+	return regions * w.st.loads, regions * (w.st.stores + w.st.dirtyCount()), w.walked
 }
 
 // maxTrackedStates caps the cycle-detection history of one walk loop: past
@@ -404,8 +163,7 @@ type fragWalker struct {
 	pattern   []bool
 	hitAt     []bool
 	st        *replay
-	walked    int  // innermost iteration points visited (diagnostic)
-	collapsed bool // some depth skipped cycles via steady-state detection
+	walked    int // innermost iteration points visited (diagnostic)
 }
 
 // walk replays the subtree at depth d for one iteration of the loops above
@@ -464,7 +222,6 @@ func (w *fragWalker) walk(d, flat int) {
 		}
 		sig := w.st.signature(delta * k)
 		if q, ok := seen[string(sig)]; ok {
-			w.collapsed = true
 			cycle := k - q
 			cycL := w.st.loads - cumL[q]
 			cycS := w.st.stores - cumS[q]

@@ -1,12 +1,12 @@
 package sched
 
-// Differential contracts of the compositional engine (fragment.go): the
-// fragment-assembled Result must equal, field for field, both the fused
-// single-pass walker's and the seed two-pass reference's — with and
-// without a shared cache, across every Table-1 kernel and allocator,
-// random nests, and random single-β plan perturbations (the exact case the
-// cross-plan fragment reuse must get right: one entry changes, everything
-// else is served from the store).
+// Differential contracts of the production engine: SimulateGraph's Result
+// must equal, field for field, both the fused single-pass walker's and the
+// seed reference's — with and without a shared cache — and Transfers must
+// equal both oracles' transfer counts, across every Table-1 kernel and
+// allocator, random nests, and random single-β plan perturbations (the
+// case a shared class-schedule store must get right: one entry changes,
+// every class the plans share is served from the store).
 
 import (
 	"math/rand"
@@ -23,41 +23,54 @@ import (
 	"repro/internal/simcache"
 )
 
-// checkThreeWay asserts compositional (with the given shared cache and
-// without any cache) == fused == seed reference for one (nest, plan, cfg).
+// checkThreeWay asserts production == fused == seed reference for one
+// (nest, plan, cfg): SimulateGraph (with the given shared cache and without
+// any cache) against both oracles' Result, and Transfers against both
+// oracles' transfer counts.
 func checkThreeWay(t *testing.T, label string, cache *simcache.Cache, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Config) {
 	t.Helper()
 	want, err := simulateReference(nest, plan, cfg)
 	if err != nil {
 		t.Fatalf("%s: seed reference: %v", label, err)
 	}
-	fused, err := simulateFused(nest, g, plan, cfg)
+	wantLoads, wantStores := transferCountsReference(nest, plan)
+	fused, fusedLoads, fusedStores, err := simulateFused(nest, g, plan, cfg)
 	if err != nil {
 		t.Fatalf("%s: fused: %v", label, err)
 	}
 	if !reflect.DeepEqual(fused, want) {
 		t.Fatalf("%s: fused diverges from seed\n got %+v\nwant %+v", label, fused, want)
 	}
+	if fusedLoads != wantLoads || fusedStores != wantStores {
+		t.Fatalf("%s: fused transfers %d/%d, seed %d/%d", label, fusedLoads, fusedStores, wantLoads, wantStores)
+	}
 	plain, err := (&Simulator{}).SimulateGraph(nest, g, plan, cfg)
 	if err != nil {
-		t.Fatalf("%s: compositional: %v", label, err)
+		t.Fatalf("%s: SimulateGraph: %v", label, err)
 	}
 	if !reflect.DeepEqual(plain, want) {
-		t.Fatalf("%s: compositional (no cache) diverges from seed\n got %+v\nwant %+v", label, plain, want)
+		t.Fatalf("%s: SimulateGraph (no cache) diverges from seed\n got %+v\nwant %+v", label, plain, want)
 	}
 	cached, err := (&Simulator{Cache: cache}).SimulateGraph(nest, g, plan, cfg)
 	if err != nil {
-		t.Fatalf("%s: compositional cached: %v", label, err)
+		t.Fatalf("%s: SimulateGraph cached: %v", label, err)
 	}
 	if !reflect.DeepEqual(cached, want) {
-		t.Fatalf("%s: compositional (shared cache) diverges from seed\n got %+v\nwant %+v", label, cached, want)
+		t.Fatalf("%s: SimulateGraph (shared cache) diverges from seed\n got %+v\nwant %+v", label, cached, want)
+	}
+	loads, stores, err := Transfers(nest, plan)
+	if err != nil {
+		t.Fatalf("%s: Transfers: %v", label, err)
+	}
+	if loads != wantLoads || stores != wantStores {
+		t.Fatalf("%s: Transfers = %d/%d, seed %d/%d", label, loads, stores, wantLoads, wantStores)
 	}
 }
 
 // TestFragmentSimMatchesOraclesOnKernels runs the three-way differential
 // over every Table-1 kernel and allocator with ONE cache shared across all
-// of them — cross-plan and cross-kernel fragment reuse must never leak a
-// stale value into a different plan.
+// of them — cross-plan and cross-kernel class-schedule reuse must never
+// leak a stale value into a different plan.
 func TestFragmentSimMatchesOraclesOnKernels(t *testing.T) {
 	cache := simcache.New()
 	for _, k := range append(kernels.All(), kernels.Figure1()) {
@@ -118,10 +131,10 @@ func TestFragmentSimMatchesOraclesOnRandomNests(t *testing.T) {
 }
 
 // TestFragmentSimSingleBetaPerturbations drives the incremental case the
-// caches exist for: simulate a base plan (warming the store), then flip one
-// reference's β at a time and re-simulate. Each perturbed plan shares every
-// unchanged entry's fragment with the base — the result must still match
-// the seed reference exactly, and unchanged entries must not recompute.
+// cache exists for: simulate a base plan (warming the store), then flip one
+// reference's β at a time and re-simulate. Each perturbed plan shares most
+// of its classes with the base — the result must still match the seed
+// reference exactly, and so must its transfer counts.
 func TestFragmentSimSingleBetaPerturbations(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -175,11 +188,12 @@ func TestFragmentSimSingleBetaPerturbations(t *testing.T) {
 	}
 }
 
-// TestFragmentCacheReusesUnchangedEntries pins the reuse claim down with
-// counters: re-simulating the same plan computes nothing new, and a
-// single-β perturbation recomputes at most the perturbed entry's fragment
-// (plus any genuinely new class schedules).
-func TestFragmentCacheReusesUnchangedEntries(t *testing.T) {
+// TestClassCacheReusesSchedules pins the reuse claim down with counters:
+// re-simulating the same plan schedules nothing new, a single-β
+// perturbation schedules exactly the classes no earlier plan produced, and
+// the simulator never looks up an entry fragment — the estimate does not
+// replay transfers.
+func TestClassCacheReusesSchedules(t *testing.T) {
 	k := kernels.FIR()
 	g, err := dfg.Build(k.Nest)
 	if err != nil {
@@ -199,73 +213,81 @@ func TestFragmentCacheReusesUnchangedEntries(t *testing.T) {
 	}
 	cache := simcache.New()
 	sim := &Simulator{Cache: cache}
-	if _, err := sim.SimulateGraph(k.Nest, g, plan, DefaultConfig()); err != nil {
+	base, err := sim.SimulateGraph(k.Nest, g, plan, DefaultConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
 	warm := cache.Snapshot()
-	if warm.EntryMisses == 0 {
-		t.Fatalf("expected fragment computations on a cold cache, got %+v", warm)
+	if warm.ClassMisses != int64(len(base.Classes)) {
+		t.Fatalf("cold cache scheduled %d classes, the plan has %d: %+v", warm.ClassMisses, len(base.Classes), warm)
 	}
 
-	// Identical plan again: zero new computations of any kind.
+	// Identical plan again: every class is a hit.
 	if _, err := sim.SimulateGraph(k.Nest, g, plan, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	again := cache.Snapshot()
-	if again.EntryMisses != warm.EntryMisses || again.ClassMisses != warm.ClassMisses {
-		t.Fatalf("re-simulating an identical plan recomputed fragments: %+v -> %+v", warm, again)
-	}
-	if again.EntryHits <= warm.EntryHits {
-		t.Fatalf("re-simulating an identical plan did not hit the fragment cache: %+v -> %+v", warm, again)
+	if again.ClassMisses != warm.ClassMisses || again.ClassHits != warm.ClassHits+int64(len(base.Classes)) {
+		t.Fatalf("re-simulating an identical plan rescheduled classes: %+v -> %+v", warm, again)
 	}
 
-	// Single-β perturbation: at most one new fragment.
+	// Single-β perturbation: only the classes the base plan lacks miss.
 	pert := infos[0]
 	beta[pert.Key()]++
 	plan2, err := scalarrepl.NewPlan(k.Nest, infos, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.SimulateGraph(k.Nest, g, plan2, DefaultConfig()); err != nil {
+	res2, err := sim.SimulateGraph(k.Nest, g, plan2, DefaultConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
+	seen := map[string]bool{}
+	for _, c := range base.Classes {
+		seen[c.Signature] = true
+	}
+	fresh := int64(0)
+	for _, c := range res2.Classes {
+		if !seen[c.Signature] {
+			fresh++
+		}
+	}
 	after := cache.Snapshot()
-	if got := after.EntryMisses - again.EntryMisses; got > 1 {
-		t.Fatalf("single-β perturbation recomputed %d fragments, want ≤ 1 (%+v -> %+v)", got, again, after)
+	if got := after.ClassMisses - again.ClassMisses; got != fresh {
+		t.Fatalf("single-β perturbation scheduled %d classes, %d are new (%+v -> %+v)", got, fresh, again, after)
+	}
+	if after.EntryHits+after.EntryMisses != 0 {
+		t.Fatalf("the simulator looked up entry fragments: %+v", after)
 	}
 }
 
-// TestWarmCacheHitsDoNotAllocate: a settled Fragment or ClassLen hit made
-// from this side of the package boundary, with compute closures that
-// capture locals as SimulateGraph's do, allocates nothing. The closures
-// stay on the caller's stack only while escape analysis can see through
-// simcache's generic lookup; a lookup written as a generic function behind
-// the inlined Fragment/ClassLen wrappers reads 2 allocations here.
+// TestWarmCacheHitsDoNotAllocate: a settled ClassLen hit made from this
+// side of the package boundary, with a compute closure that captures
+// locals as classLen's does, allocates nothing. The closure stays on the
+// caller's stack only while escape analysis can see through simcache's
+// generic lookup; a lookup written as a generic function behind the
+// inlined ClassLen wrapper reads allocations here.
 func TestWarmCacheHitsDoNotAllocate(t *testing.T) {
 	cache := simcache.New()
-	frag := simcache.Fragment{Loads: 3, Stores: 1}
 	cl := simcache.ClassLen{Iter: 4, Mem: 2}
 	var err error
-	lookups := func() {
-		if _, err = cache.Fragment("fragment", func() (simcache.Fragment, error) { return frag, nil }); err != nil {
-			return
-		}
+	lookup := func() {
 		_, err = cache.ClassLen("class", func() (simcache.ClassLen, error) { return cl, nil })
 	}
-	lookups() // settle both keys
-	if allocs := testing.AllocsPerRun(100, lookups); allocs != 0 {
-		t.Fatalf("warm Fragment+ClassLen hits allocate %.1f/op, want 0", allocs)
+	lookup() // settle the key
+	if allocs := testing.AllocsPerRun(100, lookup); allocs != 0 {
+		t.Fatalf("warm ClassLen hits allocate %.1f/op, want 0", allocs)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := cache.Snapshot(); s.EntryMisses != 1 || s.ClassMisses != 1 || s.EntryHits != 101 || s.ClassHits != 101 {
-		t.Fatalf("stats %+v, want one miss and 101 settled hits per kind", s)
+	if s := cache.Snapshot(); s.ClassMisses != 1 || s.ClassHits != 101 {
+		t.Fatalf("stats %+v, want one miss and 101 settled hits", s)
 	}
 }
 
 // fragmentInputs builds the per-entry fragment inputs of a kernel's CPA-RA
-// plan — the regression tests below drive computeFragmentWalked directly.
+// plan — the regression tests below drive computeFragment directly.
 func fragmentInputs(t *testing.T, k kernels.Kernel) (*scalarrepl.Plan, [][]bool, map[string][]bool) {
 	t.Helper()
 	prob, err := core.NewProblem(k.Nest, k.Rmax, dfg.DefaultLatencies())
@@ -313,7 +335,7 @@ func TestInteriorCollapseTriggers(t *testing.T) {
 			if e.Coverage == 0 {
 				continue
 			}
-			_, walked, _ := computeFragmentWalked(k.Nest, e, pats[e.Info.Key()], hitAt[i])
+			_, _, walked := computeFragment(k.Nest, e, pats[e.Info.Key()], hitAt[i])
 			if walked*10 > trips {
 				t.Errorf("%s/%s: walked %d of %d iteration points — interior collapse did not trigger",
 					k.Name, e.Info.Key(), walked, trips)
@@ -369,10 +391,10 @@ func TestFragmentHistoryCapFallsBack(t *testing.T) {
 }
 
 // TestSimulateGraphRejectsBadSteps: a hand-built nest with a zero or
-// negative step must produce an error, not an endless walk. (Validated
-// construction paths — the DSL parser, ir.NewNest, dfg.Build — reject such
-// nests earlier; this guards the SimulateGraph entry that trusts a
-// prebuilt graph.)
+// negative step must produce an error, not an endless walk, from both
+// SimulateGraph and Transfers. (Validated construction paths — the DSL
+// parser, ir.NewNest, dfg.Build — reject such nests earlier; this guards
+// the entries that trust a prebuilt graph or nest.)
 func TestSimulateGraphRejectsBadSteps(t *testing.T) {
 	k := kernels.FIR()
 	g, err := dfg.Build(k.Nest)
@@ -386,31 +408,35 @@ func TestSimulateGraphRejectsBadSteps(t *testing.T) {
 		if _, err := SimulateGraph(bad, g, plan, DefaultConfig()); err == nil {
 			t.Fatalf("SimulateGraph accepted step %d", step)
 		}
+		if _, _, err := Transfers(bad, plan); err == nil {
+			t.Fatalf("Transfers accepted step %d", step)
+		}
 	}
 }
 
-// TestFragmentKeyAndValueStability asserts the simcache compatibility
-// contract of the rewrite: fragment keys are unchanged byte for byte (a
-// golden pin on the key grammar) and fragment values stay semantically
-// identical, so stores written by earlier engine versions remain valid.
-func TestFragmentKeyAndValueStability(t *testing.T) {
+// TestFragmentValueStability pins one fragment value and the plan total it
+// sums into, so a change to the replay shows as a number, not only as an
+// oracle disagreement.
+func TestFragmentValueStability(t *testing.T) {
 	k := kernels.FIR()
 	plan, hitAt, pats := fragmentInputs(t, k)
 	e := plan.ByKey("x[i + k]")
-	key := fragmentKey(nestFingerprint(k.Nest), k.Nest, e, pats[e.Info.Key()])
-	if want := "0:992:1;0:32:1;|c31,l0,k0,1,1|r"; key != want {
-		t.Fatalf("fragment key drifted:\n got %q\nwant %q", key, want)
-	}
 	var idx int
 	for i, x := range plan.Order() {
 		if x == e {
 			idx = i
 		}
 	}
-	frag := computeFragment(k.Nest, e, pats[e.Info.Key()], hitAt[idx])
 	// The sliding FIR window loads each of the 1023 distinct x elements
 	// once (31 covered at a time) and never writes back.
-	if want := (simcache.Fragment{Loads: 1022, Stores: 0}); frag != want {
-		t.Fatalf("fragment value drifted: got %+v, want %+v", frag, want)
+	if loads, stores, _ := computeFragment(k.Nest, e, pats[e.Info.Key()], hitAt[idx]); loads != 1022 || stores != 0 {
+		t.Fatalf("fragment value drifted: got %d/%d, want 1022/0", loads, stores)
+	}
+	loads, stores, err := Transfers(k.Nest, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wl, ws := transferCountsReference(k.Nest, plan); loads != wl || stores != ws {
+		t.Fatalf("Transfers = %d/%d, seed %d/%d", loads, stores, wl, ws)
 	}
 }

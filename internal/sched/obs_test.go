@@ -9,70 +9,35 @@ import (
 	"repro/internal/obs"
 )
 
-// TestSimulatorObsCollapseSplit: an instrumented simulator attributes
-// every fragment computation to exactly one collapse outcome — BIC's
-// translation-collapsible entries land in sim/frag/cycle, FIR's plain
-// reduction walks land in sim/frag/walk — and instrumentation never
-// changes the Result.
-func TestSimulatorObsCollapseSplit(t *testing.T) {
-	for _, tc := range []struct {
-		k     kernels.Kernel
-		stage string
-	}{
-		{kernels.BIC(), "sim/frag/cycle"},
-		{kernels.FIR(), "sim/frag/walk"},
-	} {
-		plan, _, _ := fragmentInputs(t, tc.k)
-		g, err := dfg.Build(tc.k.Nest)
+// TestSimulatorObsRecordsClassStageOnly: an instrumented simulator times
+// class scheduling under sim/class and records no other stage — the
+// estimate replays no transfers — and instrumentation never changes the
+// Result.
+func TestSimulatorObsRecordsClassStageOnly(t *testing.T) {
+	for _, k := range []kernels.Kernel{kernels.BIC(), kernels.FIR()} {
+		plan, _, _ := fragmentInputs(t, k)
+		g, err := dfg.Build(k.Nest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := (&Simulator{}).SimulateGraph(tc.k.Nest, g, plan, DefaultConfig())
+		plain, err := (&Simulator{}).SimulateGraph(k.Nest, g, plan, DefaultConfig())
 		if err != nil {
-			t.Fatalf("%s: plain: %v", tc.k.Name, err)
+			t.Fatalf("%s: plain: %v", k.Name, err)
 		}
 		m := obs.New()
-		instr, err := (&Simulator{Obs: m}).SimulateGraph(tc.k.Nest, g, plan, DefaultConfig())
+		instr, err := (&Simulator{Obs: m}).SimulateGraph(k.Nest, g, plan, DefaultConfig())
 		if err != nil {
-			t.Fatalf("%s: instrumented: %v", tc.k.Name, err)
+			t.Fatalf("%s: instrumented: %v", k.Name, err)
 		}
 		if !reflect.DeepEqual(plain, instr) {
-			t.Fatalf("%s: instrumented Result diverges from plain\n got %+v\nwant %+v", tc.k.Name, instr, plain)
+			t.Fatalf("%s: instrumented Result diverges from plain\n got %+v\nwant %+v", k.Name, instr, plain)
 		}
 		snap := m.Snapshot()
-		if c := snap.Stages[tc.stage].Count; c == 0 {
-			t.Errorf("%s: expected %s observations, snapshot has stages %v", tc.k.Name, tc.stage, snap.Names())
+		if c := snap.Stages["sim/class"].Count; c != int64(len(plain.Classes)) {
+			t.Errorf("%s: %d sim/class observations, the plan has %d classes", k.Name, c, len(plain.Classes))
 		}
-		if c := snap.Stages["sim/class"].Count; c == 0 {
-			t.Errorf("%s: no sim/class observations recorded", tc.k.Name)
+		if names := snap.Names(); len(names) != 1 {
+			t.Errorf("%s: stages %v, want sim/class alone", k.Name, names)
 		}
-	}
-}
-
-// TestComputeFragmentObsDisabledAllocFree pins the hot-loop satellite at
-// the walker level: with Obs nil, the instrumented entry point must cost
-// exactly as many allocations per fragment as the raw computeFragment it
-// wraps — the timing branch may add zero.
-func TestComputeFragmentObsDisabledAllocFree(t *testing.T) {
-	k := kernels.FIR()
-	plan, hitAt, pats := fragmentInputs(t, k)
-	var e = plan.Order()[0]
-	var idx int
-	for i, cand := range plan.Order() {
-		if cand.Coverage > 0 {
-			e, idx = cand, i
-			break
-		}
-	}
-	pattern, hits := pats[e.Info.Key()], hitAt[idx]
-	s := &Simulator{}
-	raw := testing.AllocsPerRun(200, func() {
-		computeFragment(k.Nest, e, pattern, hits)
-	})
-	wrapped := testing.AllocsPerRun(200, func() {
-		s.computeFragmentObs(k.Nest, e, pattern, hits)
-	})
-	if wrapped > raw {
-		t.Fatalf("disabled-obs fragment path allocates %.1f/op, raw walker %.1f/op", wrapped, raw)
 	}
 }

@@ -1,13 +1,17 @@
 // Package sched turns a storage plan into cycle counts: it schedules the
 // loop body's data-flow graph per iteration class (ASAP list scheduling
 // with per-RAM port constraints), weights the classes analytically from the
-// per-entry innermost hit vectors, replays each covered entry's
-// register<->RAM transfer traffic over one reuse region and scales by the
-// region count (fragment.go — the whole estimate is a composition of
-// independent per-entry and per-class pieces, memoizable across plans via
-// internal/simcache), and prices the cold-start/epilogue overhead. The
-// seed's fused full-space walker (iterWalker, walker_test.go) is test
-// code: a differential oracle, not a production path.
+// per-entry innermost hit vectors, and prices the cold-start/epilogue
+// overhead. The estimate is class weights + class schedules + overhead;
+// the class schedules are memoizable across plans via internal/simcache.
+//
+// Register<->RAM transfers overlap loop execution and no cycle count
+// includes them, so the estimate never replays them. Transfers
+// (fragment.go) counts them on demand: each covered entry's transfer
+// protocol replayed over one reuse region and scaled by the region count.
+// The seed's two-pass walk (seedref_test.go) and the fused full-space
+// walker (iterWalker, walker_test.go) are test code: differential
+// oracles, not production paths.
 //
 // Two cycle metrics are produced per iteration class and summed:
 //
@@ -26,11 +30,15 @@
 package sched
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/dfg"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/scalarrepl"
+	"repro/internal/simcache"
 )
 
 // Config parameterizes the simulation.
@@ -62,16 +70,6 @@ type Result struct {
 	LoopCycles int
 	// MemCycles is Tmem: cycles the critical path spends on RAM accesses.
 	MemCycles int
-	// TransferLoads/TransferStores count the register-file fill and
-	// write-back transfers — first-touch loads, sliding-window refills,
-	// region flushes and the epilogue drain. In steady state these overlap
-	// loop execution through the load/store unit (the RAM ports are idle
-	// most cycles), so they are reported as traffic, not stalls.
-	TransferLoads  int
-	TransferStores int
-	// TransferCycles prices the transfer traffic at one RAM access each —
-	// an upper bound on the overlap the prefetch unit must hide.
-	TransferCycles int
 	// OverheadCycles is the non-overlappable part: the cold-start register
 	// fill before the first iteration plus the final write-back drain (the
 	// paper's pre-peeled loads and epilogue stores).
@@ -79,7 +77,7 @@ type Result struct {
 	// TotalCycles = LoopCycles + OverheadCycles.
 	TotalCycles int
 	// RAMAccesses is the dynamic RAM traffic of the steady-state loop
-	// (excluding transfers).
+	// (excluding the register-file transfers Transfers counts).
 	RAMAccesses int
 	// Classes lists the iteration classes, densest first.
 	Classes []ClassStat
@@ -108,17 +106,157 @@ func Simulate(nest *ir.Nest, plan *scalarrepl.Plan, cfg Config) (*Result, error)
 }
 
 // SimulateGraph runs the cycle-level simulation of the nest under the plan
-// on a prebuilt (and already validated) body data-flow graph. The estimate
-// is assembled compositionally (see fragment.go): class weights come
-// analytically from the per-entry innermost hit vectors, each covered
-// entry's transfer traffic from an independent one-region replay scaled by
-// its region count, and each iteration class is list-scheduled once. The
-// graph is only read, so one graph can back any number of concurrent
-// simulations. Sweeps that simulate many related plans should share a
-// Simulator with a simcache.Cache instead, which additionally memoizes the
-// fragments and schedules across plans.
+// on a prebuilt (and already validated) body data-flow graph: class
+// weights come analytically from the per-entry innermost hit vectors and
+// each iteration class is list-scheduled once. The graph is only read, so
+// one graph can back any number of concurrent simulations. Sweeps that
+// simulate many related plans should share a Simulator with a
+// simcache.Cache instead, which memoizes the class schedules across plans.
 func SimulateGraph(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Config) (*Result, error) {
 	return (&Simulator{}).SimulateGraph(nest, g, plan, cfg)
+}
+
+// Simulator runs cycle simulations, optionally memoizing class schedules
+// in a shared cache. The zero value (nil Cache) schedules every class
+// directly and is what the package-level SimulateGraph uses; sweep engines
+// attach a cache shared across all their plans. Safe for concurrent use.
+type Simulator struct {
+	// Cache memoizes class-schedule lengths across simulations; nil
+	// disables memoization (results are identical either way — the cache
+	// only removes redundant work).
+	Cache *simcache.Cache
+
+	// Obs, when non-nil, receives the class-scheduling stage timings
+	// ("sim/class"). Cache hits record nothing here — the cache's own
+	// Snapshot counts them.
+	Obs *obs.Metrics
+}
+
+// SimulateGraph runs the cycle simulation of the nest under the plan on a
+// prebuilt (and already validated) body data-flow graph. The Result is
+// identical — field for field — to the fused walker test oracle's and the
+// seed reference's (see fragment_test.go and seedref_test.go for the
+// differential contracts).
+func (s *Simulator) SimulateGraph(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Config) (*Result, error) {
+	if cfg.PortsPerRAM < 1 {
+		return nil, fmt.Errorf("sched: PortsPerRAM must be ≥1, got %d", cfg.PortsPerRAM)
+	}
+	if err := checkSteps(nest); err != nil {
+		return nil, err
+	}
+	order := plan.Order()
+	counts := classWeights(nest, order, innerHitVectors(nest, order))
+	return assembleResult(g, plan, cfg, counts, s.classLen(g, cfg))
+}
+
+// checkSteps rejects hand-built nests with zero or negative steps: every
+// loop over a nest's positions advances by Step and would never end.
+func checkSteps(nest *ir.Nest) error {
+	for _, l := range nest.Loops {
+		if l.Step <= 0 {
+			return fmt.Errorf("sched: loop %q has non-positive step %d (validate the nest with ir.NewNest)", l.Var, l.Step)
+		}
+	}
+	return nil
+}
+
+// classLen returns the class-length function: memoized per (DFG
+// fingerprint, scheduler config, register-hit set) when a cache is
+// attached, direct scheduling otherwise.
+func (s *Simulator) classLen(g *dfg.Graph, cfg Config) classLenFunc {
+	direct := func(hit map[string]bool) (int, int, error) {
+		tm := s.Obs.Stage("sim/class").Start()
+		defer tm.Stop()
+		iter, err := scheduleClass(g, hit, cfg, false)
+		if err != nil {
+			return 0, 0, err
+		}
+		mem, err := scheduleClass(g, hit, cfg, true)
+		if err != nil {
+			return 0, 0, err
+		}
+		return iter, mem, nil
+	}
+	if s.Cache == nil {
+		return func(_ string, hit map[string]bool, _ []*scalarrepl.Entry) (int, int, error) {
+			return direct(hit)
+		}
+	}
+	prefix := g.Fingerprint() + "|" + cfg.Lat.Fingerprint() + "|P" + fmt.Sprint(cfg.PortsPerRAM) + "|"
+	return func(sig string, hit map[string]bool, order []*scalarrepl.Entry) (int, int, error) {
+		// The hit set in first-use entry order is canonical: all plans of
+		// one nest list entries identically, and across nests the DFG
+		// fingerprint already differs.
+		var b strings.Builder
+		for i, e := range order {
+			if sig[i] == '1' {
+				b.WriteString(e.Info.Key())
+				b.WriteByte(',')
+			}
+		}
+		cl, err := s.Cache.ClassLen(prefix+b.String(), func() (simcache.ClassLen, error) {
+			iter, mem, err := direct(hit)
+			return simcache.ClassLen{Iter: iter, Mem: mem}, err
+		})
+		return cl.Iter, cl.Mem, err
+	}
+}
+
+// classWeights computes the iteration-class weights analytically: the class
+// of an iteration depends only on its innermost position, and every
+// innermost position occurs exactly once per combination of outer loop
+// values. Only classes with a positive count are returned (zero-trip nests
+// yield none), matching the walkers' filtered output exactly.
+func classWeights(nest *ir.Nest, order []*scalarrepl.Entry, hitAt [][]bool) map[string]int {
+	counts := map[string]int{}
+	depth := nest.Depth()
+	if depth == 0 {
+		// Depth-0 nests execute one (empty-environment) iteration with an
+		// all-miss signature, mirroring the seed walker.
+		counts[strings.Repeat("0", len(order))] = 1
+		return counts
+	}
+	outer := 1
+	for _, l := range nest.Loops[:depth-1] {
+		outer *= l.Trip()
+	}
+	if outer == 0 {
+		return counts
+	}
+	sig := make([]byte, len(order))
+	for pos := range nest.Loops[depth-1].Trip() {
+		for i := range order {
+			if hitAt[i][pos] {
+				sig[i] = '1'
+			} else {
+				sig[i] = '0'
+			}
+		}
+		counts[string(sig)] += outer
+	}
+	return counts
+}
+
+// innerHitVectors precomputes, per plan entry, the steady-state register
+// hit outcome at each innermost loop position — the single input the class
+// weights, the transfer replay and the fused walker test oracle classify
+// iterations and gate replays with. Nil for depth-0 nests.
+func innerHitVectors(nest *ir.Nest, order []*scalarrepl.Entry) [][]bool {
+	depth := nest.Depth()
+	if depth == 0 {
+		return nil
+	}
+	inner := nest.Loops[depth-1]
+	hitAt := make([][]bool, len(order))
+	for i, e := range order {
+		hitAt[i] = make([]bool, inner.Trip())
+		pos := 0
+		for v := inner.Lo; v < inner.Hi; v += inner.Step {
+			hitAt[i][pos] = e.HitInner(v)
+			pos++
+		}
+	}
+	return hitAt
 }
 
 // classLenFunc returns one iteration class's scheduled lengths (full model,
@@ -126,12 +264,12 @@ func SimulateGraph(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Confi
 // implementations; hit is the residency map ScheduleClass consumes.
 type classLenFunc func(sig string, hit map[string]bool, order []*scalarrepl.Entry) (iter, mem int, err error)
 
-// assembleResult builds the Result shared by the compositional engine and
-// the fused test oracle from the class weights and transfer counts:
-// classes are emitted in sorted-signature order, scheduled through
-// classLen, then ordered densest first — the exact construction both
-// engines must agree on for byte-identical results.
-func assembleResult(g *dfg.Graph, plan *scalarrepl.Plan, cfg Config, counts map[string]int, loads, stores int, classLen classLenFunc) (*Result, error) {
+// assembleResult builds the Result shared by the simulator and the fused
+// test oracle from the class weights: classes are emitted in
+// sorted-signature order, scheduled through classLen, then ordered densest
+// first — the exact construction both engines must agree on for
+// byte-identical results.
+func assembleResult(g *dfg.Graph, plan *scalarrepl.Plan, cfg Config, counts map[string]int, classLen classLenFunc) (*Result, error) {
 	res := &Result{}
 	order := plan.Order()
 	// RAM traffic counts DFG nodes, not body occurrences: a value written
@@ -179,8 +317,6 @@ func assembleResult(g *dfg.Graph, plan *scalarrepl.Plan, cfg Config, counts map[
 	}
 	sort.Slice(res.Classes, func(i, j int) bool { return res.Classes[i].Count > res.Classes[j].Count })
 
-	res.TransferLoads, res.TransferStores = loads, stores
-	res.TransferCycles = (loads + stores) * cfg.Lat.Mem
 	res.OverheadCycles = overheadCycles(plan, cfg)
 	res.TotalCycles = res.LoopCycles + res.OverheadCycles
 	return res, nil

@@ -29,7 +29,8 @@ for i = 0..2 {
 }
 `
 
-func figure1Sim(t *testing.T, beta map[string]int) (*ir.Nest, *Result) {
+// figure1Plan builds the running example's storage plan for β.
+func figure1Plan(t *testing.T, beta map[string]int) (*ir.Nest, *scalarrepl.Plan) {
 	t.Helper()
 	n := dsl.MustParse(figure1Src)
 	infos, err := reuse.Analyze(n)
@@ -40,6 +41,12 @@ func figure1Sim(t *testing.T, beta map[string]int) (*ir.Nest, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return n, plan
+}
+
+func figure1Sim(t *testing.T, beta map[string]int) (*ir.Nest, *Result) {
+	t.Helper()
+	n, plan := figure1Plan(t, beta)
 	res, err := Simulate(n, plan, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -114,23 +121,21 @@ func TestFigure2cIterationClasses(t *testing.T) {
 // regions, read-only) and write nothing back; CPA-RA additionally holds d
 // fully (write-back 30 per i region) and windows of a and b.
 func TestTransferAccounting(t *testing.T) {
-	_, fr := figure1Sim(t, frBeta())
-	if fr.TransferLoads != 50 || fr.TransferStores != 0 {
-		t.Errorf("FR-RA transfers = %d loads/%d stores, want 50/0", fr.TransferLoads, fr.TransferStores)
+	n, plan := figure1Plan(t, frBeta())
+	if loads, stores, err := Transfers(n, plan); err != nil || loads != 50 || stores != 0 {
+		t.Errorf("FR-RA transfers = %d loads/%d stores (%v), want 50/0", loads, stores, err)
 	}
-	_, cpa := figure1Sim(t, cpaBeta())
 	// a: 16 covered elements loaded once (global window, never evicted).
 	// b: the 16-element window b[k<16][j] refills on (almost) every j sweep
 	// — 16 loads × 40 sweeps = 640, minus 15 of b's last-column elements
 	// that the min-flat eviction policy happens to keep resident across the
 	// i boundary: 625. d: write-first, no loads. Stores: d's 30 covered
 	// elements write back once per i region = 60.
-	if cpa.TransferLoads != 16+625 || cpa.TransferStores != 60 {
-		t.Errorf("CPA-RA transfers = %d loads/%d stores, want 641/60", cpa.TransferLoads, cpa.TransferStores)
+	n, plan = figure1Plan(t, cpaBeta())
+	if loads, stores, err := Transfers(n, plan); err != nil || loads != 16+625 || stores != 60 {
+		t.Errorf("CPA-RA transfers = %d loads/%d stores (%v), want 641/60", loads, stores, err)
 	}
-	if cpa.TransferCycles != (641+60)*1 {
-		t.Errorf("transfer cycles = %d", cpa.TransferCycles)
-	}
+	_, cpa := figure1Sim(t, cpaBeta())
 	// Non-overlappable overhead: cold fill of a (16) and b (16), drain of
 	// d's 30-element window; c and e are uncovered.
 	if cpa.OverheadCycles != 16+16+30 {
@@ -321,16 +326,12 @@ for i = 0..32 {
 // enumeration (loads exclude write-first references, stores count dirty
 // write-backs).
 func TestFuncSimTrafficMatchesTransferCounts(t *testing.T) {
-	n := dsl.MustParse(figure1Src)
-	infos, err := reuse.Analyze(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := scalarrepl.NewPlan(n, infos, cpaBeta())
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, plan := figure1Plan(t, cpaBeta())
 	res, err := Simulate(n, plan, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads, stores, err := Transfers(n, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,11 +339,11 @@ func TestFuncSimTrafficMatchesTransferCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Fills != res.TransferLoads {
-		t.Errorf("functional fills %d != analytic loads %d", stats.Fills, res.TransferLoads)
+	if stats.Fills != loads {
+		t.Errorf("functional fills %d != analytic loads %d", stats.Fills, loads)
 	}
-	if stats.WriteBacks != res.TransferStores {
-		t.Errorf("functional write-backs %d != analytic stores %d", stats.WriteBacks, res.TransferStores)
+	if stats.WriteBacks != stores {
+		t.Errorf("functional write-backs %d != analytic stores %d", stats.WriteBacks, stores)
 	}
 	// Steady-state misses must also agree: RAM traffic minus transfers.
 	if got := stats.RAMReads - stats.Fills + stats.RAMWrites - stats.WriteBacks; got != res.RAMAccesses {

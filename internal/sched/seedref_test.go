@@ -3,10 +3,11 @@ package sched
 // The seed implementation of the simulator walked the full iteration space
 // twice per design point: once to weight the iteration classes (allocating
 // a map environment and a signature string per iteration) and once in
-// transferCounts to replay the register-file transfer protocol. It is kept
-// here, verbatim, as the differential oracle for the fused single-pass
-// engine: SimulateGraph must reproduce its Result byte for byte on every
-// kernel, every allocator and every scheduler configuration.
+// transferCounts to replay the register-file transfer protocol. Both walks
+// are kept here, verbatim, as the differential oracles of the production
+// engine: SimulateGraph must reproduce the first walk's Result byte for
+// byte on every kernel, every allocator and every scheduler configuration,
+// and Transfers the second walk's counts (checkThreeWay).
 
 import (
 	"fmt"
@@ -24,7 +25,8 @@ import (
 	"repro/internal/scalarrepl"
 )
 
-// simulateReference is the seed two-pass implementation.
+// simulateReference is the seed's class-weighting pass and schedule. The
+// transfer replay, its second pass, is transferCountsReference.
 func simulateReference(nest *ir.Nest, plan *scalarrepl.Plan, cfg Config) (*Result, error) {
 	if cfg.PortsPerRAM < 1 {
 		return nil, fmt.Errorf("sched: PortsPerRAM must be ≥1, got %d", cfg.PortsPerRAM)
@@ -98,16 +100,14 @@ func simulateReference(nest *ir.Nest, plan *scalarrepl.Plan, cfg Config) (*Resul
 	}
 	sort.Slice(res.Classes, func(i, j int) bool { return res.Classes[i].Count > res.Classes[j].Count })
 
-	loads, stores := transferCountsReference(nest, plan)
-	res.TransferLoads, res.TransferStores = loads, stores
-	res.TransferCycles = (loads + stores) * cfg.Lat.Mem
 	res.OverheadCycles = overheadCycles(plan, cfg)
 	res.TotalCycles = res.LoopCycles + res.OverheadCycles
 	return res, nil
 }
 
 // transferCountsReference is the seed transfer-protocol replay: a second
-// full iteration-space walk over map environments.
+// full iteration-space walk over map environments, and the costlier one
+// (each eviction scans the whole dirty map).
 func transferCountsReference(nest *ir.Nest, plan *scalarrepl.Plan) (loads, stores int) {
 	type file struct {
 		entry      *scalarrepl.Entry
@@ -224,11 +224,12 @@ func referencePlans(t *testing.T, nest *ir.Nest, rmax int, lat dfg.Latencies) []
 	return plans
 }
 
-// TestSimulateGraphMatchesSeedReference is the tentpole's differential
+// TestSimulateGraphMatchesSeedReference is the estimate's differential
 // contract: on every Table-1 kernel (plus the running example), for every
-// allocator, budget and scheduler configuration exercised, the fused
-// single-pass engine reproduces the seed two-pass Result exactly — classes,
-// counts, cycles, transfers and all.
+// allocator, budget and scheduler configuration exercised, SimulateGraph
+// reproduces the seed Result exactly — classes, counts, cycles and all.
+// Transfers do not depend on the scheduler configuration; checkThreeWay
+// pins them on the same kernels and plans.
 func TestSimulateGraphMatchesSeedReference(t *testing.T) {
 	cfgs := []Config{DefaultConfig()}
 	for _, mem := range []int{2, 4} {
@@ -249,7 +250,7 @@ func TestSimulateGraphMatchesSeedReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ci, cfg := range cfgs {
-			// The seed oracle walks the space twice per plan; sweep the
+			// The seed oracle walks the whole space per plan; sweep the
 			// non-default configs only on the small kernels to keep the
 			// differential affordable. Every kernel still runs the default.
 			if ci > 0 && k.Nest.IterationCount() > 50000 {
@@ -262,10 +263,10 @@ func TestSimulateGraphMatchesSeedReference(t *testing.T) {
 				}
 				got, err := SimulateGraph(k.Nest, g, plan, cfg)
 				if err != nil {
-					t.Fatalf("%s fused: %v", k.Name, err)
+					t.Fatalf("%s: %v", k.Name, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s plan %d mem=%d ports=%d: fused engine diverges from seed\n got %+v\nwant %+v",
+					t.Errorf("%s plan %d mem=%d ports=%d: SimulateGraph diverges from seed\n got %+v\nwant %+v",
 						k.Name, pi, cfg.Lat.Mem, cfg.PortsPerRAM, got, want)
 				}
 			}
@@ -275,7 +276,8 @@ func TestSimulateGraphMatchesSeedReference(t *testing.T) {
 
 // TestSimulateGraphMatchesSeedOnRandomNests extends the differential to
 // randomly generated programs — shapes no hand-written kernel covers
-// (write-first references, aliased arrays, strided loops).
+// (write-first references, aliased arrays, strided loops) — for the
+// estimate and the transfer counts both.
 func TestSimulateGraphMatchesSeedOnRandomNests(t *testing.T) {
 	trials := 60
 	if testing.Short() {
@@ -305,10 +307,17 @@ func TestSimulateGraphMatchesSeedOnRandomNests(t *testing.T) {
 		}
 		got, err := Simulate(nest, plan, cfg)
 		if err != nil {
-			t.Fatalf("trial %d fused: %v\n%s", trial, err, nest)
+			t.Fatalf("trial %d: %v\n%s", trial, err, nest)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("trial %d: fused engine diverges from seed\n got %+v\nwant %+v\n%s", trial, got, want, nest)
+			t.Errorf("trial %d: Simulate diverges from seed\n got %+v\nwant %+v\n%s", trial, got, want, nest)
+		}
+		loads, stores, err := Transfers(nest, plan)
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, nest)
+		}
+		if wl, ws := transferCountsReference(nest, plan); loads != wl || stores != ws {
+			t.Errorf("trial %d: Transfers = %d/%d, seed %d/%d\n%s", trial, loads, stores, wl, ws, nest)
 		}
 	}
 }

@@ -10,12 +10,13 @@ import (
 
 // simulateFused is the fused single-pass engine: one walk of the full
 // iteration space weights the classes and replays every entry's transfer
-// protocol together, on top of the shared assembleResult. It is test code,
-// the mid-level differential oracle between the compositional engine
-// (fragment.go) and the seed two-pass reference (seedref_test.go).
-func simulateFused(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Config) (*Result, error) {
+// protocol together, on top of the shared assembleResult, and returns the
+// transfer counts beside the Result. It is test code, the mid-level
+// differential oracle between the production engine (SimulateGraph and
+// Transfers) and the seed two-pass reference (seedref_test.go).
+func simulateFused(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Config) (res *Result, loads, stores int, err error) {
 	if cfg.PortsPerRAM < 1 {
-		return nil, fmt.Errorf("sched: PortsPerRAM must be ≥1, got %d", cfg.PortsPerRAM)
+		return nil, 0, 0, fmt.Errorf("sched: PortsPerRAM must be ≥1, got %d", cfg.PortsPerRAM)
 	}
 	w := newIterWalker(nest, plan)
 	w.run()
@@ -36,7 +37,8 @@ func simulateFused(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Confi
 		}
 		return iter, mem, nil
 	}
-	return assembleResult(g, plan, cfg, counts, w.loads, w.stores, classLen)
+	res, err = assembleResult(g, plan, cfg, counts, classLen)
+	return res, w.loads, w.stores, err
 }
 
 // iterWalker is the fused single-pass iteration-space engine behind

@@ -1,7 +1,7 @@
 // Package serve is the long-running estimation service behind `dse serve`:
 // an HTTP/JSON API that runs design-space explorations against one
 // process-wide warm simcache, so most traffic after warm-up is answered
-// from memoized fragments instead of recomputation.
+// from memoized analyses and class schedules instead of recomputation.
 //
 //	POST /v1/explore?format=ndjson|table|csv|json   run a dse.SpaceSpec
 //	     &shard=i/n                                 strided slice (ndjson only)

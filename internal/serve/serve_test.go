@@ -130,7 +130,7 @@ func TestExploreByteIdentity(t *testing.T) {
 }
 
 // TestSecondRequestWarm: the service's reason to exist — a repeated spec
-// recomputes nothing, every fragment lookup is a memory hit.
+// recomputes nothing, every class-schedule lookup is a memory hit.
 func TestSecondRequestWarm(t *testing.T) {
 	s, ts, cache := newTestServer(t, Config{})
 	spec := smallSpec(t)
@@ -141,7 +141,7 @@ func TestSecondRequestWarm(t *testing.T) {
 		t.Fatalf("cold: status %d: %s", resp.StatusCode, cold)
 	}
 	after1 := cache.Snapshot()
-	if after1.EntryMisses == 0 || after1.ClassMisses == 0 {
+	if after1.ClassMisses == 0 || after1.AnalysisMisses == 0 {
 		t.Fatalf("cold request computed nothing: %+v", after1)
 	}
 
@@ -151,10 +151,10 @@ func TestSecondRequestWarm(t *testing.T) {
 		t.Fatalf("warm: status %d: %s", resp.StatusCode, warm)
 	}
 	delta := cache.Snapshot().Sub(after1)
-	if delta.EntryMisses != 0 || delta.ClassMisses != 0 {
-		t.Errorf("warm request recomputed fragments: %+v", delta)
+	if delta.ClassMisses != 0 || delta.AnalysisMisses != 0 {
+		t.Errorf("warm request recomputed class schedules or analyses: %+v", delta)
 	}
-	if delta.EntryHits == 0 {
+	if delta.ClassHits == 0 {
 		t.Errorf("warm request did not hit the shared store: %+v", delta)
 	}
 	if !bytes.Equal(cold, warm) {
@@ -174,7 +174,7 @@ func TestSecondRequestWarm(t *testing.T) {
 		}
 		return false
 	}
-	for _, want := range []string{"serve/request", "cache/frag/hit", "explore"} {
+	for _, want := range []string{"serve/request", "cache/class/hit", "explore"} {
 		if !has(want) {
 			t.Errorf("metrics doc missing stage %q (have %v)", want, names)
 		}
@@ -200,10 +200,10 @@ func TestNDJSONTrailerCarriesRequestDelta(t *testing.T) {
 	if trailer.Cache == nil {
 		t.Fatal("trailer carries no cache snapshot")
 	}
-	if trailer.Cache.EntryMisses != 0 {
+	if trailer.Cache.ClassMisses != 0 {
 		t.Errorf("warm request trailer reports misses: %+v", *trailer.Cache)
 	}
-	if trailer.Cache.EntryHits == 0 {
+	if trailer.Cache.ClassHits == 0 {
 		t.Errorf("warm request trailer reports no hits: %+v", *trailer.Cache)
 	}
 	// The front-end memo is process-lifetime: the warm request's analyze
@@ -262,6 +262,33 @@ func TestExploreValidation(t *testing.T) {
 
 // TestQueueReject: with every in-flight slot held and no queue, a request
 // is shed immediately with 503.
+// TestExploreRejectsOversizedSpace: a body of about 330 KB, under
+// maxSpecSize, can describe 6 kernels × 4 allocators × 150,001 budgets ×
+// 2,778 devices — 1e10 design points, whose index state alone is 80 GB.
+// The spec's size is checked where it is resolved, so the request gets a
+// 400 before anything is sized from it.
+func TestExploreRejectsOversizedSpace(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	spec := dse.Spec(dse.DefaultSpace())
+	spec.Budgets = make([]int, 150001)
+	spec.Devices = slices.Repeat([]string{"XCV1000"}, 2778)
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) >= maxSpecSize {
+		t.Fatalf("body is %d bytes, not under maxSpecSize", len(body))
+	}
+	resp, err := http.Post(ts.URL+"/v1/explore?format=csv", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := readBody(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "exceeds") {
+		t.Fatalf("oversized space: status %d: %s", resp.StatusCode, msg)
+	}
+}
+
 func TestQueueReject(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{MaxInflight: 1, MaxQueue: 0})
 	s.sem <- struct{}{} // occupy the only slot

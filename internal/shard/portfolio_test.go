@@ -53,22 +53,22 @@ func TestShardMergePortfolioRejectsPlainShards(t *testing.T) {
 func TestMergeCombinesCacheStats(t *testing.T) {
 	sp := smallSpace()
 	bufs := runShards(t, sp, 2)
-	var sumPlanMisses, sumEntryMisses int64
+	var sumPlanMisses, sumClassMisses int64
 	for i, b := range bufs {
 		f := salvageBytes(t, b.Bytes())
 		if f.Cache.Zero() {
 			t.Fatalf("shard %d trailer carries no cache stats", i)
 		}
 		sumPlanMisses += f.Cache.PlanMisses
-		sumEntryMisses += f.Cache.EntryMisses
+		sumClassMisses += f.Cache.ClassMisses
 	}
 	rs, err := mergeBufs(bufs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Cache.PlanMisses != sumPlanMisses || rs.Cache.EntryMisses != sumEntryMisses {
-		t.Errorf("merged cache stats %+v, want plan misses %d and entry misses %d summed",
-			rs.Cache, sumPlanMisses, sumEntryMisses)
+	if rs.Cache.PlanMisses != sumPlanMisses || rs.Cache.ClassMisses != sumClassMisses {
+		t.Errorf("merged cache stats %+v, want plan misses %d and class misses %d summed",
+			rs.Cache, sumPlanMisses, sumClassMisses)
 	}
 	if int64(rs.UniqueSims) != rs.Cache.PlanMisses {
 		t.Errorf("summed unique sims %d disagree with summed plan misses %d", rs.UniqueSims, rs.Cache.PlanMisses)
@@ -76,8 +76,8 @@ func TestMergeCombinesCacheStats(t *testing.T) {
 }
 
 // TestShardsSharingSimCacheDir: shards pointed at one backing directory
-// recover each other's fragments (cross-shard dedup) and still merge to
-// byte-identical output.
+// recover each other's class schedules and analyses (cross-shard dedup)
+// and still merge to byte-identical output.
 func TestShardsSharingSimCacheDir(t *testing.T) {
 	sp := smallSpace()
 	single, err := dse.Engine{}.Explore(sp)
@@ -95,7 +95,7 @@ func TestShardsSharingSimCacheDir(t *testing.T) {
 			t.Fatalf("shard %d/%d: %v", i, n, err)
 		}
 		f := salvageBytes(t, bufs[i].Bytes())
-		disk += f.Cache.EntryDiskHits + f.Cache.ClassDiskHits
+		disk += f.Cache.ClassDiskHits + f.Cache.AnalysisDiskHits
 	}
 	if disk == 0 {
 		t.Error("no shard recovered work from the shared cache directory")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,6 +91,29 @@ func TestSalvageHugeHeaderClaims(t *testing.T) {
 		if _, err := Merge(strings.NewReader(data)); err == nil {
 			t.Fatal("merge accepted a header claiming 2^40 rows")
 		}
+	}
+}
+
+// TestMergeRefusesOversizedSpace: a shard file of about 330 KB whose spec
+// describes 1e10 design points (6 kernels × 4 allocators × 150,001
+// budgets × 2,778 devices) and whose header claims 0 points is complete
+// with no rows, so Merge hands the spec to the Assembler, which would
+// size the point list from it. The spec is refused there instead.
+func TestMergeRefusesOversizedSpace(t *testing.T) {
+	spec := dse.Spec(dse.DefaultSpace())
+	spec.Budgets = make([]int, 150001)
+	spec.Devices = slices.Repeat([]string{"XCV1000"}, 2778)
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := fmt.Sprintf(`{"format":"repro-dse-shard","version":1,"fingerprint":%q,"shard":{"index":0,"count":1},"points":0,"rows":0,"space":%s}`+"\n"+
+		`{"eof":true}`+"\n", spec.Fingerprint(), data)
+	if s := salvageBytes(t, []byte(file)); !s.Complete {
+		t.Fatalf("file did not salvage complete: %v", s.Stop)
+	}
+	if _, err := Merge(strings.NewReader(file)); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("merge of a 1e10-point space: err %v", err)
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"strings"
 
 	"repro/internal/dse"
-	"repro/internal/hls"
 	"repro/internal/obs"
 	"repro/internal/simcache"
 )
@@ -117,36 +116,16 @@ type header struct {
 	Owned []int `json:"owned,omitempty"`
 }
 
-// metrics is the portable subset of hls.Design: exactly what the
-// reporters and the Pareto objectives read. float64 fields round-trip
-// bit-exactly through encoding/json (shortest-representation encoding),
-// which is what keeps merged output byte-identical.
-type metrics struct {
-	// Algorithm records the design's algorithm only when it differs from
-	// the point's allocator coordinate — i.e. the winning member of a
-	// portfolio point. Ordinary rows omit it, keeping the stock encoding
-	// byte-identical to earlier writers.
-	Algorithm string  `json:"algorithm,omitempty"`
-	Registers int     `json:"registers"`
-	Cycles    int     `json:"cycles"`
-	MemCycles int     `json:"tmem"`
-	ClockNs   float64 `json:"clock_ns"`
-	TimeUs    float64 `json:"time_us"`
-	Slices    int     `json:"slices"`
-	SliceUtil float64 `json:"slice_util_pct"`
-	RAMs      int     `json:"brams"`
-}
-
 // line is the union of the three post-header line shapes: a result row
 // (Index + Design or Error) or the trailer (EOF, written last — a file
 // without one was truncated mid-run).
 type line struct {
-	Index      *int     `json:"index,omitempty"`
-	Design     *metrics `json:"design,omitempty"`
-	Error      string   `json:"error,omitempty"`
-	EOF        bool     `json:"eof,omitempty"`
-	Rows       int      `json:"rows,omitempty"`
-	UniqueSims int      `json:"unique_sims,omitempty"`
+	Index      *int         `json:"index,omitempty"`
+	Design     *dse.Metrics `json:"design,omitempty"`
+	Error      string       `json:"error,omitempty"`
+	EOF        bool         `json:"eof,omitempty"`
+	Rows       int          `json:"rows,omitempty"`
+	UniqueSims int          `json:"unique_sims,omitempty"`
 	// Cache carries the shard process's per-stage simulation-cache
 	// counters on the trailer; merge sums them across shards. Omitted when
 	// the cache was disabled (and by earlier writers).
@@ -205,20 +184,11 @@ func (sw *Writer) Point(r dse.Result) error {
 	idx := r.Point.Index
 	ln := line{Index: &idx}
 	if r.Ok() {
-		d := r.Design
-		ln.Design = &metrics{
-			Registers: d.Registers,
-			Cycles:    d.Cycles,
-			MemCycles: d.MemCycles,
-			ClockNs:   d.ClockNs,
-			TimeUs:    d.TimeUs,
-			Slices:    d.Slices,
-			SliceUtil: d.SliceUtil,
-			RAMs:      d.RAMs,
+		m := dse.MetricsOf(r.Design)
+		if r.Design.Algorithm != r.Point.Allocator.Name() {
+			m.Algorithm = r.Design.Algorithm
 		}
-		if d.Algorithm != r.Point.Allocator.Name() {
-			ln.Design.Algorithm = d.Algorithm
-		}
+		ln.Design = &m
 	} else if r.Err != nil && r.Err.Error() != "" {
 		ln.Error = r.Err.Error()
 	} else {
@@ -339,23 +309,11 @@ func merge(readers []io.Reader, names []string) (*dse.ResultSet, error) {
 func rowResult(p dse.Point, ln *line) dse.Result {
 	r := dse.Result{Point: p}
 	if ln.Design != nil {
-		m := ln.Design
 		algo := p.Allocator.Name()
-		if m.Algorithm != "" {
-			algo = m.Algorithm // portfolio winner
+		if ln.Design.Algorithm != "" {
+			algo = ln.Design.Algorithm // portfolio winner
 		}
-		r.Design = &hls.Design{
-			Kernel:    p.Kernel.Name,
-			Algorithm: algo,
-			Registers: m.Registers,
-			Cycles:    m.Cycles,
-			MemCycles: m.MemCycles,
-			ClockNs:   m.ClockNs,
-			TimeUs:    m.TimeUs,
-			Slices:    m.Slices,
-			SliceUtil: m.SliceUtil,
-			RAMs:      m.RAMs,
-		}
+		r.Design = ln.Design.Design(p.Kernel.Name, algo)
 	} else {
 		r.Err = errors.New(ln.Error)
 	}

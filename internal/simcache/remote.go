@@ -1,7 +1,7 @@
 package simcache
 
 // The network tier: a dumb content-addressed blob protocol that lets many
-// hosts share one fragment store without a shared filesystem.
+// hosts share one simulation store without a shared filesystem.
 //
 //	GET /v1/blob/<kind>/<key>   -> 200 + value bytes | 404
 //	PUT /v1/blob/<kind>/<key>   -> 204 | 400 on a malformed blob

@@ -1,21 +1,21 @@
-// Package simcache is the content-addressed store behind the compositional
-// cycle simulator: it memoizes the two kinds of simulation fragments a
-// storage plan's cycle estimate is assembled from —
+// Package simcache is the content-addressed store behind the sweep engine.
+// It memoizes three kinds of values:
 //
-//   - entry fragments: the register<->RAM transfer replay of one covered
-//     plan entry (loads and stores over the whole nest), keyed by the nest's
-//     loop bounds and the entry's replay fingerprint (flat-index affine
-//     form × coverage × reuse level × body access pattern); and
 //   - class lengths: the list-scheduled latency of one iteration class
 //     (full model and memory-level), keyed by the body DFG fingerprint,
-//     the scheduler configuration and the class's register-hit set —
+//     the scheduler configuration and the class's register-hit set — so
+//     across the plans of a design-space sweep the scheduler runs once per
+//     distinct class per kernel, whatever allocator or budget produced the
+//     plan (sched.Simulator);
+//   - analyses: the front-end analyses of whole kernels, as opaque encoded
+//     blobs (dse's analysis memo); and
+//   - entry fragments: one covered plan entry's register<->RAM transfer
+//     counts, readable and writable through Cache.Fragment under the "f"
+//     blob prefix. No sweep looks them up: the estimate never replays
+//     transfers, and sched.Transfers computes them on demand.
 //
-// so that across the plans of a design-space sweep, only entries that
-// actually changed re-walk their iteration sub-space and the scheduler runs
-// once per distinct class per kernel, whatever allocator or budget produced
-// the plan. A third kind holds the front-end analyses of whole kernels as
-// opaque encoded blobs. Keys are pure content: two kernels (or two shard
-// processes) that agree on a key share the value.
+// Keys are pure content: two kernels (or two shard processes) that agree
+// on a key share the value.
 //
 // Each value kind is one row of a per-kind table (kind): its blob name,
 // obs stage segment, transfer cap, codec, counters and obs tiers. One
@@ -23,7 +23,7 @@
 // memory memo (internal/memo) first; then, on the claiming call only, the
 // backing directory (NewDir) and the remote blob store (SetRemote); and
 // compute last. Values persist as one small file per key, so independent
-// worker processes — the shards of one sweep — share fragments through the
+// worker processes — the shards of one sweep — share values through the
 // filesystem, recovering the cross-shard deduplication a per-process cache
 // loses. Disk writes are atomic (temp file + rename) and unreadable or
 // corrupt files are treated as misses, so concurrent writers are safe:
@@ -39,7 +39,7 @@
 // The package also aggregates the per-stage hit statistics (entry
 // fragments, class schedules, analyses, whole-plan simulations — the last
 // counted by the sweep engine's plan-level cache) that the CLIs report and
-// shard merging sums.
+// shard merging sums; a sweep's entry counters read 0.
 package simcache
 
 import (
