@@ -13,6 +13,8 @@
 //   - BenchmarkAllocator*  — the cost of the allocation algorithms
 //     themselves (the paper argues CPA-RA's exponential worst case is
 //     irrelevant on real loop bodies; these put numbers on that).
+//   - BenchmarkAnalyze, BenchmarkPlan, BenchmarkSimulate, ... — one
+//     benchmark per pipeline layer, with allocation counts.
 package repro
 
 import (
@@ -263,6 +265,40 @@ func cpaPlan(b *testing.B, k kernels.Kernel) (*core.Problem, *scalarrepl.Plan) {
 		b.Fatal(err)
 	}
 	return prob, plan
+}
+
+// BenchmarkPlan measures the plan layer: building the storage plan and
+// its cache-key fingerprint, per Table-1 kernel over the four allocators'
+// β vectors at the kernel's budget. Every per-kernel fact the plan needs
+// (reference keys, write-first flags, flat index functions) comes
+// precomputed from the analysis, so the cost is per-entry arithmetic.
+func BenchmarkPlan(b *testing.B) {
+	for _, k := range kernels.All() {
+		prob, err := core.NewProblem(k.Nest, k.Rmax, dfg.DefaultLatencies())
+		if err != nil {
+			b.Fatal(err)
+		}
+		var betas []map[string]int
+		for _, alg := range core.All() {
+			alloc, err := alg.Allocate(prob)
+			if err != nil {
+				b.Fatal(err)
+			}
+			betas = append(betas, alloc.Beta)
+		}
+		b.Run(k.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, beta := range betas {
+					plan, err := scalarrepl.NewPlan(k.Nest, prob.Infos, beta)
+					if err != nil {
+						b.Fatal(err)
+					}
+					_ = plan.Fingerprint()
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkExplore measures the full stock design-space sweep (DefaultSpace,

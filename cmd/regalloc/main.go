@@ -65,7 +65,7 @@ func run(kernel, algo string, regs, ports int, trace, verify bool) error {
 	}
 	if trace {
 		fmt.Println("\ndecision trace:")
-		for _, line := range d.Allocation.Trace {
+		for _, line := range d.Allocation.Trace() {
 			fmt.Println("  " + line)
 		}
 	}

@@ -59,7 +59,7 @@ for i = 0..2 {
 	}
 	fmt.Printf("\n%s\n", alloc)
 	fmt.Println("\ndecision trace:")
-	for _, line := range alloc.Trace {
+	for _, line := range alloc.Trace() {
 		fmt.Println("  " + line)
 	}
 

@@ -358,8 +358,8 @@ func (p *Program) Run(store *ir.Store) (*RunStats, error) {
 }
 
 func evalIdx(r *ir.ArrayRef, env map[string]int) []int {
-	idx := make([]int, len(r.Index))
-	for d, ix := range r.Index {
+	idx := make([]int, len(r.Index()))
+	for d, ix := range r.Index() {
 		idx[d] = ix.Eval(env)
 	}
 	return idx

@@ -65,23 +65,22 @@ func NewProblemFrom(nest *ir.Nest, infos []*reuse.Info, g *dfg.Graph, rmax int, 
 	return &Problem{Nest: nest, Infos: infos, Graph: g, Rmax: rmax, Lat: lat}, nil
 }
 
-// InfoByKey returns the reuse info for a reference key, or nil.
-func (p *Problem) InfoByKey(key string) *reuse.Info {
-	for _, inf := range p.Infos {
-		if inf.Key() == key {
-			return inf
-		}
-	}
-	return nil
-}
-
 // Allocation is the outcome of one allocator run: the per-reference
 // register counts β plus a decision trace for diagnostics.
 type Allocation struct {
 	Algorithm string
 	Rmax      int
 	Beta      map[string]int
-	Trace     []string
+	// steps records every decision unrendered: sweeps never read the
+	// trace, so they pay for no formatting.
+	steps []step
+}
+
+// step is one recorded allocator decision: a format and its arguments,
+// captured by value when the decision is made.
+type step struct {
+	format string
+	args   []any
 }
 
 // Total returns Σβ, the registers consumed.
@@ -113,8 +112,18 @@ func (a *Allocation) String() string {
 	return s
 }
 
+// Trace renders the allocator's decision trace, one line per decision in
+// the order the decisions were made.
+func (a *Allocation) Trace() []string {
+	lines := make([]string, len(a.steps))
+	for i, st := range a.steps {
+		lines[i] = fmt.Sprintf(st.format, st.args...)
+	}
+	return lines
+}
+
 func (a *Allocation) tracef(format string, args ...any) {
-	a.Trace = append(a.Trace, fmt.Sprintf(format, args...))
+	a.steps = append(a.steps, step{format, args})
 }
 
 // Allocator is the common interface of all allocation algorithms.

@@ -54,7 +54,7 @@ func TestFRRAPaperExample(t *testing.T) {
 	}
 	want := map[string]int{"a": 30, "b": 1, "c": 20, "d": 1, "e": 1}
 	if got := betaByArray(a); !reflect.DeepEqual(got, want) {
-		t.Fatalf("FR-RA β = %v, want %v\ntrace:\n%s", got, want, strings.Join(a.Trace, "\n"))
+		t.Fatalf("FR-RA β = %v, want %v\ntrace:\n%s", got, want, strings.Join(a.Trace(), "\n"))
 	}
 	if a.Total() != 53 {
 		t.Errorf("FR-RA total = %d, want 53", a.Total())
@@ -71,7 +71,7 @@ func TestPRRAPaperExample(t *testing.T) {
 	}
 	want := map[string]int{"a": 30, "b": 1, "c": 20, "d": 12, "e": 1}
 	if got := betaByArray(a); !reflect.DeepEqual(got, want) {
-		t.Fatalf("PR-RA β = %v, want %v\ntrace:\n%s", got, want, strings.Join(a.Trace, "\n"))
+		t.Fatalf("PR-RA β = %v, want %v\ntrace:\n%s", got, want, strings.Join(a.Trace(), "\n"))
 	}
 	if a.Total() != 64 {
 		t.Errorf("PR-RA total = %d, want 64", a.Total())
@@ -89,7 +89,7 @@ func TestCPARAPaperExample(t *testing.T) {
 	}
 	want := map[string]int{"a": 16, "b": 16, "c": 1, "d": 30, "e": 1}
 	if got := betaByArray(a); !reflect.DeepEqual(got, want) {
-		t.Fatalf("CPA-RA β = %v, want %v\ntrace:\n%s", got, want, strings.Join(a.Trace, "\n"))
+		t.Fatalf("CPA-RA β = %v, want %v\ntrace:\n%s", got, want, strings.Join(a.Trace(), "\n"))
 	}
 	if a.Total() != 64 {
 		t.Errorf("CPA-RA total = %d, want 64", a.Total())
@@ -288,8 +288,8 @@ func TestAllocationStringAndTrace(t *testing.T) {
 	if !strings.HasPrefix(s, "CPA-RA:") || !strings.Contains(s, "β(d[i][k])=30") {
 		t.Errorf("String = %q", s)
 	}
-	if len(a.Trace) < 2 {
-		t.Errorf("expected a decision trace, got %v", a.Trace)
+	if len(a.Trace()) < 2 {
+		t.Errorf("expected a decision trace, got %v", a.Trace())
 	}
 }
 
@@ -301,22 +301,11 @@ func TestCPARATraceShowsRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(a.Trace, "\n")
+	joined := strings.Join(a.Trace(), "\n")
 	if !strings.Contains(joined, "cut {d[i][k]} fully replaced") {
 		t.Errorf("trace missing d cut:\n%s", joined)
 	}
 	if !strings.Contains(joined, "split equally") {
 		t.Errorf("trace missing equal split:\n%s", joined)
-	}
-}
-
-// TestProblemInfoByKey exercises the lookup helper.
-func TestProblemInfoByKey(t *testing.T) {
-	p := figure1Problem(t, 64)
-	if inf := p.InfoByKey("a[k]"); inf == nil || inf.Nu != 30 {
-		t.Errorf("InfoByKey(a[k]) = %+v", inf)
-	}
-	if p.InfoByKey("zz") != nil {
-		t.Error("unknown key should return nil")
 	}
 }

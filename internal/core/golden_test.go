@@ -69,7 +69,7 @@ func TestAllocationGolden(t *testing.T) {
 					continue
 				}
 				b.WriteString(a.String() + "\n")
-				for _, line := range a.Trace {
+				for _, line := range a.Trace() {
 					b.WriteString("  " + line + "\n")
 				}
 			}

@@ -87,7 +87,7 @@ func Analyze(nest *ir.Nest) ([]Dependence, error) {
 	seq := 0
 	record := func(r *ir.ArrayRef, w bool) {
 		flat := 0
-		for d, ix := range r.Index {
+		for d, ix := range r.Index() {
 			flat = flat*r.Array.Dims[d] + ix.Eval(env)
 		}
 		iter := make([]int, len(nest.Loops))

@@ -1,7 +1,9 @@
 package dfg
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -548,5 +550,40 @@ func TestLatenciesFingerprint(t *testing.T) {
 		if l.Fingerprint() == base.Fingerprint() {
 			t.Errorf("model change not reflected in fingerprint %s", base.Fingerprint())
 		}
+	}
+}
+
+// TestLatenciesFingerprintBytes pins the fingerprint's exact bytes — they
+// name schedule-cache entries and disk files — against the fmt rendering
+// it replaced, for operator kinds defined and not (a spec may name any
+// integer kind), and pins its cost at the one allocation of the result.
+func TestLatenciesFingerprintBytes(t *testing.T) {
+	oracle := func(l Latencies) string {
+		kinds := make([]int, 0, len(l.Op))
+		for k := range l.Op {
+			kinds = append(kinds, int(k))
+		}
+		sort.Ints(kinds)
+		s := fmt.Sprintf("mem%d,def%d", l.Mem, l.DefaultOp)
+		for _, k := range kinds {
+			s += fmt.Sprintf(",op%d=%d", k, l.Op[ir.OpKind(k)])
+		}
+		return s
+	}
+	wide := DefaultLatencies()
+	wide.Mem, wide.DefaultOp = 12, -1
+	wide.Op[ir.OpKind(-3)] = 5
+	wide.Op[ir.OpKind(99)] = 1 << 40
+	for i := 20; i < 40; i++ { // more kinds than the on-stack sort buffer
+		wide.Op[ir.OpKind(i)] = i
+	}
+	for _, l := range []Latencies{DefaultLatencies(), {Mem: 0}, wide} {
+		if got, want := l.Fingerprint(), oracle(l); got != want {
+			t.Errorf("Fingerprint() = %q, want %q", got, want)
+		}
+	}
+	l := DefaultLatencies()
+	if allocs := testing.AllocsPerRun(100, func() { _ = l.Fingerprint() }); allocs != 1 {
+		t.Errorf("Latencies.Fingerprint allocates %v times, want 1", allocs)
 	}
 }

@@ -1,9 +1,8 @@
 package dfg
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"repro/internal/ir"
 )
@@ -42,17 +41,26 @@ func DefaultLatencies() Latencies {
 // assign identical latencies to every node, so schedule caches can key on
 // it.
 func (l Latencies) Fingerprint() string {
-	kinds := make([]int, 0, len(l.Op))
+	// Every kind sorts, not just the defined ones: SchedSpec.Op accepts
+	// any integer kind.
+	var kindBuf [16]int
+	kinds := kindBuf[:0]
 	for k := range l.Op {
 		kinds = append(kinds, int(k))
 	}
-	sort.Ints(kinds)
-	var b strings.Builder
-	fmt.Fprintf(&b, "mem%d,def%d", l.Mem, l.DefaultOp)
+	slices.Sort(kinds)
+	var buf [64]byte
+	b := append(buf[:0], "mem"...)
+	b = strconv.AppendInt(b, int64(l.Mem), 10)
+	b = append(b, ",def"...)
+	b = strconv.AppendInt(b, int64(l.DefaultOp), 10)
 	for _, k := range kinds {
-		fmt.Fprintf(&b, ",op%d=%d", k, l.Op[ir.OpKind(k)])
+		b = append(b, ",op"...)
+		b = strconv.AppendInt(b, int64(k), 10)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(l.Op[ir.OpKind(k)]), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // OpLat returns the latency of one operator.

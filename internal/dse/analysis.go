@@ -33,8 +33,9 @@ func NewAnalysisCache() *AnalysisCache {
 // counter so the snapshot's hit/disk/remote/miss tiers still sum to the
 // number of lookups.
 func (ac *AnalysisCache) Get(k kernels.Kernel, store *simcache.Cache) (*hls.Analysis, error) {
-	an, o, err := ac.memo.Get(k.Name+"\x00"+hls.KernelFingerprint(k), func() (*hls.Analysis, error) {
-		return analyzeThrough(k, store)
+	fp := hls.KernelFingerprint(k)
+	an, o, err := ac.memo.Get(k.Name+"\x00"+fp, func() (*hls.Analysis, error) {
+		return analyzeThrough(k, fp, store)
 	})
 	if o != memo.Claimed && store != nil {
 		store.AnalysisHit()
@@ -43,15 +44,15 @@ func (ac *AnalysisCache) Get(k kernels.Kernel, store *simcache.Cache) (*hls.Anal
 }
 
 // analyzeThrough computes one analysis via the byte store: encoded blobs
-// are looked up (and published) under the kernel fingerprint, and a blob
-// that fails semantic revalidation against the kernel is discarded in
+// are looked up (and published) under the kernel fingerprint fp, and a
+// blob that fails semantic revalidation against the kernel is discarded in
 // favor of a fresh analysis.
-func analyzeThrough(k kernels.Kernel, store *simcache.Cache) (*hls.Analysis, error) {
+func analyzeThrough(k kernels.Kernel, fp string, store *simcache.Cache) (*hls.Analysis, error) {
 	if store == nil {
 		return hls.Analyze(k)
 	}
 	var computed *hls.Analysis
-	data, err := store.Analysis(hls.KernelFingerprint(k), func() ([]byte, error) {
+	data, err := store.Analysis(fp, func() ([]byte, error) {
 		an, aerr := hls.Analyze(k)
 		if aerr != nil {
 			return nil, aerr

@@ -45,7 +45,7 @@ func Format(n *ir.Nest) string {
 func formatRef(r *ir.ArrayRef) string {
 	var b strings.Builder
 	b.WriteString(r.Array.Name)
-	for _, ix := range r.Index {
+	for _, ix := range r.Index() {
 		fmt.Fprintf(&b, "[%s]", ix) // Affine.String is DSL-compatible
 	}
 	return b.String()

@@ -110,7 +110,7 @@ for i = 0..10 {
 	if xRef == nil {
 		t.Fatal("no x reference")
 	}
-	ix := xRef.Index[0]
+	ix := xRef.Index()[0]
 	if ix.Coeff("i") != 2 || ix.Coeff("k") != 1 || ix.Const != 1 {
 		t.Errorf("x index parsed as %v, want 2*i + k + 1", ix)
 	}
@@ -132,8 +132,8 @@ for i = 0..31 step 2 {
 	if n.Loops[0].Step != 2 || n.Loops[0].Trip() != 16 {
 		t.Errorf("loop = %+v", n.Loops[0])
 	}
-	if !n.Body[0].LHS.Index[0].IsConst() {
-		t.Errorf("index should fold to a constant, got %v", n.Body[0].LHS.Index[0])
+	if !n.Body[0].LHS.Index()[0].IsConst() {
+		t.Errorf("index should fold to a constant, got %v", n.Body[0].LHS.Index()[0])
 	}
 }
 

@@ -81,7 +81,11 @@ type Config struct {
 	// MaxAttempts bounds how many consecutive zero-progress attempts one
 	// task survives before the run fails (0 = 3). An attempt that
 	// salvages at least one new row resets the count — progress is never
-	// punished.
+	// punished. A failure is charged to the task only when its executor
+	// has not failed since it last made progress, so one dead executor
+	// charges a task lineage at most once before MaxExecFails retires it:
+	// the count measures how many executors the task has defeated, not
+	// how often one bad host picked it up.
 	MaxAttempts int
 	// AttemptBudget bounds total dispatches across the run (0 = 8 per
 	// executor + initial tasks); it is the global backstop against a
@@ -198,7 +202,7 @@ func New(cfg Config, execs ...Executor) (*Driver, error) {
 type task struct {
 	id     int
 	points []int
-	fails  int    // consecutive zero-progress attempts
+	fails  int    // consecutive zero-progress attempts charged to the lineage
 	origin string // first executor to attempt it ("" = fresh)
 }
 
@@ -420,7 +424,7 @@ func (s *sched) worker(ex Executor) {
 			return
 		case t = <-s.queue:
 		}
-		if s.runTask(ex, t) {
+		if s.runTask(ex, t, fails) {
 			fails = 0
 			continue
 		}
@@ -440,8 +444,9 @@ func (s *sched) worker(ex Executor) {
 }
 
 // runTask runs one attempt of t on ex and reports whether the attempt
-// made progress (covered at least one previously missing point).
-func (s *sched) runTask(ex Executor, t *task) bool {
+// made progress (covered at least one previously missing point). streak
+// is ex's count of consecutive failed attempts before this one.
+func (s *sched) runTask(ex Executor, t *task, streak int) bool {
 	if int(s.attempts.Add(1)) > s.d.cfg.AttemptBudget {
 		s.fail(fmt.Errorf("fleet: attempt budget (%d) exhausted", s.d.cfg.AttemptBudget))
 		return false
@@ -546,9 +551,15 @@ func (s *sched) runTask(ex Executor, t *task) bool {
 	}
 	s.d.logf("task %d on %s failed (%v): %d rows salvaged, %d residual", t.id, ex.Name(), runErr, added, len(need))
 
-	fails := t.fails + 1
-	if added > 0 {
+	fails := t.fails
+	switch {
+	case added > 0:
 		fails = 0 // progress resets the consecutive-failure clock
+	case streak == 0:
+		// Charge the lineage once per executor failure streak: the pieces
+		// below inherit the count, so a dead executor that keeps picking
+		// them up must not charge them again before it retires.
+		fails++
 	}
 	if fails >= s.d.cfg.MaxAttempts {
 		s.fail(fmt.Errorf("fleet: task %d failed %d consecutive attempts without progress: %w", t.id, fails, runErr))

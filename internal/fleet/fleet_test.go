@@ -12,7 +12,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -338,6 +340,113 @@ func TestFleetAllExecutorsRetired(t *testing.T) {
 	}
 	if rep.Retired == 0 && !strings.Contains(err.Error(), "budget") {
 		t.Errorf("no retirements recorded: %+v", rep)
+	}
+}
+
+// gatedExec holds its attempts until release closes, after signalling
+// entered on its first attempt.
+type gatedExec struct {
+	inner   fleet.Executor
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedExec) Name() string { return g.inner.Name() }
+func (g *gatedExec) Run(ctx context.Context, spec dse.SpaceSpec, points []int, w io.Writer) error {
+	g.once.Do(func() { close(g.entered) })
+	select {
+	case <-g.release:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return g.inner.Run(ctx, spec, points, w)
+}
+
+// deadAfterGate fails every attempt without writing a byte, but only once
+// the gated executor holds its task, and opens the gate on its third
+// failure.
+type deadAfterGate struct {
+	gate  *gatedExec
+	fails int
+}
+
+func (d *deadAfterGate) Name() string { return "dead" }
+func (d *deadAfterGate) Run(ctx context.Context, _ dse.SpaceSpec, _ []int, _ io.Writer) error {
+	select {
+	case <-d.gate.entered:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	if d.fails++; d.fails == 3 {
+		close(d.gate.release)
+	}
+	return errors.New("broken host")
+}
+
+// TestFleetDeadExecutorChargesTaskOnce: a dead executor that keeps picking
+// up the residual pieces of one task while the healthy executor is busy
+// charges that lineage once per failure streak, not once per attempt. Two
+// one-point tasks pin the schedule: the healthy executor holds one until
+// the dead one has failed three times in a row on the other's lineage,
+// which used to exhaust MaxAttempts (3) before MaxExecFails (4) retired
+// the dead host.
+func TestFleetDeadExecutorChargesTaskOnce(t *testing.T) {
+	sp, err := dse.BuildSpace("figure1", "FR-RA", "16,32", "XCV1000", "1", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wantRender(t, sp)
+	healthy := &gatedExec{inner: engineExec("steady"), entered: make(chan struct{}), release: make(chan struct{})}
+	dead := &deadAfterGate{gate: healthy}
+	d, err := fleet.New(fleet.Config{Tasks: 2, Backoff: time.Millisecond, MaxExecFails: 4}, dead, healthy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, rep, err := d.Run(context.Background(), dse.Spec(sp))
+	if err != nil {
+		t.Fatalf("%v (report %+v)", err, rep)
+	}
+	assertIdentical(t, want, rs)
+	if dead.fails < 3 {
+		t.Errorf("dead executor failed %d times, want ≥ 3", dead.fails)
+	}
+}
+
+// poisonExec fails, without writing a byte, every attempt whose point set
+// holds the poison point, and runs every other attempt normally.
+type poisonExec struct {
+	fleet.Executor
+	poison int
+}
+
+func (p *poisonExec) Run(ctx context.Context, spec dse.SpaceSpec, points []int, w io.Writer) error {
+	if slices.Contains(points, p.poison) {
+		return errors.New("poisoned point")
+	}
+	return p.Executor.Run(ctx, spec, points, w)
+}
+
+// TestFleetPoisonTaskExhaustsAttempts: a task no executor can make
+// progress on fails the run on MaxAttempts, even though each executor
+// charges it once per failure streak and the other tasks keep
+// succeeding.
+func TestFleetPoisonTaskExhaustsAttempts(t *testing.T) {
+	_, spec := testSpace(t)
+	var execs []fleet.Executor
+	for _, label := range []string{"a", "b", "c"} {
+		execs = append(execs, &poisonExec{Executor: engineExec(label), poison: 5})
+	}
+	d, err := fleet.New(fleet.Config{Tasks: 4, Backoff: time.Millisecond}, execs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := d.Run(context.Background(), spec)
+	if err == nil {
+		t.Fatal("a run with a poison point succeeded")
+	}
+	if !strings.Contains(err.Error(), "consecutive attempts without progress") {
+		t.Errorf("err = %v, want the MaxAttempts failure (report %+v)", err, rep)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/dfg"
 	"repro/internal/kernels"
 	"repro/internal/reuse"
 )
@@ -43,7 +42,7 @@ func KernelFingerprint(k kernels.Kernel) string {
 	for _, g := range k.Nest.RefGroups() {
 		r := g.Ref
 		fmt.Fprintf(&b, "r%d,w%d", g.Reads, g.Writes)
-		for dim, ix := range r.Index {
+		for dim, ix := range r.Index() {
 			fmt.Fprintf(&b, "@%d[%d", r.Array.Dims[dim], ix.Const)
 			for _, l := range k.Nest.Loops {
 				fmt.Fprintf(&b, ",%d", ix.Coeff(l.Var))
@@ -60,6 +59,7 @@ func KernelFingerprint(k kernels.Kernel) string {
 //
 //repro:nohash Analysis.Infos — derived: re-computed from the nest at decode, never identity
 //repro:nohash Analysis.Graph — derived: rebuilt from the nest at decode, never identity
+//repro:nohash Analysis.kernelStats — derived: recomputed from the nest at decode, never identity
 func (an *Analysis) Fingerprint() string {
 	an.fpOnce.Do(func() { an.fp = KernelFingerprint(an.Kernel) })
 	return an.fp
@@ -129,9 +129,5 @@ func DecodeAnalysis(k kernels.Kernel, data []byte) (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hls: %s: %w", k.Name, err)
 	}
-	g, err := dfg.Build(k.Nest)
-	if err != nil {
-		return nil, fmt.Errorf("hls: %s: %w", k.Name, err)
-	}
-	return &Analysis{Kernel: k, Infos: infos, Graph: g}, nil
+	return newAnalysis(k, infos)
 }

@@ -68,8 +68,7 @@ type Design struct {
 	SliceUtil float64 // percentage of device slices
 	RAMs      int
 
-	nest      *ir.Nest
-	seedStats fpga.DesignStats
+	nest *ir.Nest
 }
 
 // Analysis is the memoized front-end of the estimator: the reuse summary
@@ -83,6 +82,11 @@ type Analysis struct {
 	Infos  []*reuse.Info
 	Graph  *dfg.Graph
 
+	// kernelStats holds the allocation-independent area/clock model
+	// inputs — operator counts, datapath width, loop depth and the
+	// RAM-mapped arrays — shared read-only by every design of the kernel.
+	kernelStats fpga.DesignStats
+
 	fp     string
 	fpOnce sync.Once
 }
@@ -93,11 +97,17 @@ func Analyze(k kernels.Kernel) (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hls: %s: %w", k.Name, err)
 	}
+	return newAnalysis(k, infos)
+}
+
+// newAnalysis completes a front-end from the kernel's reuse summary: it
+// builds the body DFG and the kernel-constant design statistics.
+func newAnalysis(k kernels.Kernel, infos []*reuse.Info) (*Analysis, error) {
 	g, err := dfg.Build(k.Nest)
 	if err != nil {
 		return nil, fmt.Errorf("hls: %s: %w", k.Name, err)
 	}
-	return &Analysis{Kernel: k, Infos: infos, Graph: g}, nil
+	return &Analysis{Kernel: k, Infos: infos, Graph: g, kernelStats: kernelStats(k.Nest)}, nil
 }
 
 // Estimate runs the full pipeline: reuse analysis → allocation → storage
@@ -183,7 +193,7 @@ func (an *Analysis) EstimateSim(alg core.Allocator, opt Options, sim SimFunc) (*
 	if err != nil {
 		return nil, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
 	}
-	stats := designStats(k.Nest, prob, alloc, res)
+	stats := an.designStats(alloc, res)
 	if err := opt.Device.Fit(stats); err != nil {
 		return nil, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
 	}
@@ -201,7 +211,6 @@ func (an *Analysis) EstimateSim(alg core.Allocator, opt Options, sim SimFunc) (*
 		SliceUtil:  opt.Device.Utilization(stats),
 		RAMs:       opt.Device.RAMBlocks(stats),
 		nest:       k.Nest,
-		seedStats:  stats,
 	}
 	d.TimeUs = float64(d.Cycles) * d.ClockNs / 1000.0
 	return d, nil
@@ -270,12 +279,12 @@ func betterDesign(a, b *Design) bool {
 	return a.Registers < b.Registers
 }
 
-// designStats derives the area/clock model inputs from the pipeline state.
-func designStats(nest *ir.Nest, prob *core.Problem, alloc *core.Allocation, sim *sched.Result) fpga.DesignStats {
+// kernelStats derives the allocation-independent area/clock model inputs
+// of a nest.
+func kernelStats(nest *ir.Nest) fpga.DesignStats {
 	s := fpga.DesignStats{
 		OpCounts: map[ir.OpKind]int{},
 		Depth:    nest.Depth(),
-		Classes:  len(sim.Classes),
 	}
 	for _, st := range nest.Body {
 		ir.WalkExpr(st.RHS, func(e ir.Expr) {
@@ -302,7 +311,16 @@ func designStats(nest *ir.Nest, prob *core.Problem, alloc *core.Allocation, sim 
 			s.RAMArrays = append(s.RAMArrays, a.Bits())
 		}
 	}
-	for _, inf := range prob.Infos {
+	return s
+}
+
+// designStats completes the kernel's statistics with one design's
+// register file and iteration-class count. The result shares the
+// kernel's OpCounts and RAMArrays, which the device models only read.
+func (an *Analysis) designStats(alloc *core.Allocation, sim *sched.Result) fpga.DesignStats {
+	s := an.kernelStats
+	s.Classes = len(sim.Classes)
+	for _, inf := range an.Infos {
 		b := alloc.Of(inf.Key())
 		s.Registers += b
 		s.RegisterBits += b * inf.Group.Ref.Array.ElemBits
@@ -316,9 +334,6 @@ func (d *Design) Verify(seed int64) error {
 	_, err := sched.VerifyPlan(d.nest, d.Plan, seed)
 	return err
 }
-
-// Stats exposes the model inputs (for ablation harnesses).
-func (d *Design) Stats() fpga.DesignStats { return d.seedStats }
 
 // Speedup returns the wall-clock speedup of this design over a baseline.
 func (d *Design) Speedup(base *Design) float64 {

@@ -170,8 +170,8 @@ func Interp(n *Nest, s *Store) (accesses int, err error) {
 }
 
 func evalIndex(r *ArrayRef, env map[string]int) ([]int, error) {
-	idx := make([]int, len(r.Index))
-	for d, ix := range r.Index {
+	idx := make([]int, len(r.index))
+	for d, ix := range r.index {
 		idx[d] = ix.Eval(env)
 	}
 	return idx, nil

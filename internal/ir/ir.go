@@ -146,43 +146,64 @@ type Expr interface {
 
 // ArrayRef is an array reference a[f1(i...)][f2(i...)]...; it appears both
 // as an Expr (a read) and as the left-hand side of an Assign (a write).
+//
+// A reference is immutable once built. Ref and Clone render its key once
+// and own their index storage, the index is readable only through Index,
+// and a changed reference is a new one built through Ref — so the key can
+// never go stale, and Key costs nothing on the per-point paths that group
+// and look up references by it.
 type ArrayRef struct {
 	Array *Array
-	Index []Affine
+	index []Affine
+	key   string // String() rendered once by Ref or Clone
 }
 
-// Ref builds an ArrayRef over the given affine index expressions.
+// Ref builds an ArrayRef over the given affine index expressions. The
+// reference keeps its own copy of every index function.
 func Ref(a *Array, index ...Affine) *ArrayRef {
-	return &ArrayRef{Array: a, Index: append([]Affine(nil), index...)}
+	idx := make([]Affine, len(index))
+	for i, ix := range index {
+		idx[i] = ix.Clone()
+	}
+	r := &ArrayRef{Array: a, index: idx}
+	r.key = r.String()
+	return r
 }
 
 func (*ArrayRef) isExpr() {}
+
+// Index returns the reference's index functions, outermost dimension
+// first. The slice and its affines are the reference's own storage and
+// read-only: build a new reference with Ref to change an index.
+func (r *ArrayRef) Index() []Affine { return r.index }
 
 // String renders the reference like d[i][k].
 func (r *ArrayRef) String() string {
 	var b strings.Builder
 	b.WriteString(r.Array.Name)
-	for _, ix := range r.Index {
-		fmt.Fprintf(&b, "[%s]", ix)
+	for _, ix := range r.index {
+		b.WriteByte('[')
+		b.WriteString(ix.String())
+		b.WriteByte(']')
 	}
 	return b.String()
 }
 
 // Key returns the canonical identity of the *static* reference: array name
-// plus index functions. The paper treats textually identical references in
-// different statements (e.g. d[i][k] written by one statement and read by
-// the next) as a single reference for allocation purposes; Key is what
-// groups them.
-func (r *ArrayRef) Key() string { return r.String() }
+// plus index functions, rendered like String. The paper treats textually
+// identical references in different statements (e.g. d[i][k] written by
+// one statement and read by the next) as a single reference for allocation
+// purposes; Key is what groups them.
+func (r *ArrayRef) Key() string { return r.key }
 
 // Clone returns a deep copy of the reference (the Array is shared; index
 // affines are copied).
 func (r *ArrayRef) Clone() *ArrayRef {
-	idx := make([]Affine, len(r.Index))
-	for i, ix := range r.Index {
+	idx := make([]Affine, len(r.index))
+	for i, ix := range r.index {
 		idx[i] = ix.Clone()
 	}
-	return &ArrayRef{Array: r.Array, Index: idx}
+	return &ArrayRef{Array: r.Array, index: idx, key: r.key}
 }
 
 // BinOp is a binary operator application.
@@ -327,6 +348,9 @@ type RefGroup struct {
 	Reads    int       // number of read occurrences in the body
 	Writes   int       // number of write occurrences in the body
 	FirstUse int       // body order of first occurrence (for stable sorting)
+	// WriteFirst reports that the first occurrence in body order is a
+	// write, so the reference's first value needs no load.
+	WriteFirst bool
 }
 
 // RefGroups returns the reference groups of the nest in first-use order.
@@ -336,7 +360,7 @@ func (n *Nest) RefGroups() []*RefGroup {
 	for pos, u := range n.RefUses() {
 		g := byKey[u.Ref.Key()]
 		if g == nil {
-			g = &RefGroup{Key: u.Ref.Key(), Ref: u.Ref, FirstUse: pos}
+			g = &RefGroup{Key: u.Ref.Key(), Ref: u.Ref, FirstUse: pos, WriteFirst: u.IsWrite}
 			byKey[g.Key] = g
 			order = append(order, g)
 		}

@@ -200,19 +200,55 @@ func TestOpKindString(t *testing.T) {
 	}
 }
 
+// TestRefKeyAllocFree: the key is rendered once, when the reference is
+// built, so the per-point lookups that group references by it are free.
+func TestRefKeyAllocFree(t *testing.T) {
+	r := Ref(NewArray("b", 8, 30, 20), AffVar("k"), AffVar("j").Add(AffConst(1)))
+	var key string
+	if allocs := testing.AllocsPerRun(100, func() { key = r.Key() }); allocs != 0 {
+		t.Errorf("ArrayRef.Key allocates %v times, want 0", allocs)
+	}
+	if key != "b[k][j + 1]" || key != r.String() {
+		t.Errorf("Key() = %q, String() = %q, want b[k][j + 1]", key, r.String())
+	}
+}
+
+// TestRefClone: a clone owns its index storage, a changed reference gets
+// its own key, and the original's key and rendering do not change.
 func TestRefClone(t *testing.T) {
 	x := NewArray("x", 8, 10, 10)
 	r := Ref(x, AffVar("i"), AffVar("j").Add(AffConst(1)))
-	c := r.Clone()
-	if c.Key() != r.Key() {
-		t.Fatalf("clone key %q != %q", c.Key(), r.Key())
+	key, text := r.Key(), r.String()
+	if key != text {
+		t.Fatalf("key %q != rendering %q", key, text)
 	}
-	// Mutating the clone's index must not affect the original.
-	c.Index[0] = c.Index[0].Add(AffConst(5))
-	if c.Key() == r.Key() {
-		t.Error("clone shares index storage with original")
+	c := r.Clone()
+	if c.Key() != key || c.String() != text {
+		t.Fatalf("clone key %q, rendering %q; want %q", c.Key(), c.String(), key)
 	}
 	if c.Array != r.Array {
 		t.Error("clone should share the Array object")
+	}
+	// Writing into the clone's own index storage must not reach the
+	// original.
+	c.index[0].Coeffs["i"] = 7
+	c.index[1].Const = 9
+	if r.String() != text {
+		t.Errorf("clone shares index storage with original: %s", r)
+	}
+	// A changed reference is a new one, with its own key.
+	moved := Ref(r.Array, r.Index()[0].Add(AffConst(5)), r.Index()[1])
+	if moved.Key() == key || moved.Key() != moved.String() {
+		t.Errorf("changed reference key %q (rendering %q), original %q", moved.Key(), moved.String(), key)
+	}
+	if r.Key() != key || r.String() != text {
+		t.Errorf("original changed to key %q, rendering %q; want %q", r.Key(), r.String(), key)
+	}
+	// Ref copies its arguments: the caller's affines stay the caller's.
+	ix := AffVar("i")
+	own := Ref(NewArray("y", 8, 10), ix)
+	ix.Coeffs["i"] = 3
+	if own.String() != "y[i]" || own.Key() != own.String() {
+		t.Errorf("Ref shares index storage with its caller: %s (key %q)", own, own.Key())
 	}
 }

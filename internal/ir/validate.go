@@ -81,11 +81,14 @@ func (n *Nest) checkRef(r *ArrayRef, arrays map[string]*Array) error {
 		return fmt.Errorf("nest %q: two distinct Array objects named %q", n.Name, r.Array.Name)
 	}
 	arrays[r.Array.Name] = r.Array
-	if len(r.Index) != len(r.Array.Dims) {
-		return fmt.Errorf("nest %q: %s has %d indices, array has %d dimensions",
-			n.Name, r, len(r.Index), len(r.Array.Dims))
+	if r.key == "" {
+		return fmt.Errorf("nest %q: reference to %s not built by ir.Ref", n.Name, r.Array.Name)
 	}
-	for d, ix := range r.Index {
+	if len(r.index) != len(r.Array.Dims) {
+		return fmt.Errorf("nest %q: %s has %d indices, array has %d dimensions",
+			n.Name, r, len(r.index), len(r.Array.Dims))
+	}
+	for d, ix := range r.index {
 		for _, v := range ix.Vars() {
 			if n.LoopIndex(v) < 0 {
 				return fmt.Errorf("nest %q: %s index %d uses non-loop variable %q", n.Name, r, d, v)

@@ -69,7 +69,7 @@ func TestValidateRejects(t *testing.T) {
 		},
 		{
 			"arity mismatch",
-			mk(func(n *Nest) { n.Body[0].RHS = &ArrayRef{Array: x, Index: []Affine{AffVar("i"), AffVar("k")}} }),
+			mk(func(n *Nest) { n.Body[0].RHS = Ref(x, AffVar("i"), AffVar("k")) }),
 			"indices",
 		},
 		{

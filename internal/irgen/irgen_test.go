@@ -25,6 +25,11 @@ func TestNestValidByConstruction(t *testing.T) {
 		if err := n.Validate(); err != nil {
 			t.Fatalf("nest %d invalid: %v\n%s", i, err, n)
 		}
+		for _, u := range n.RefUses() {
+			if k, s := u.Ref.Key(), u.Ref.String(); k != s {
+				t.Fatalf("nest %d: reference key %q, rendering %q", i, k, s)
+			}
+		}
 	}
 }
 

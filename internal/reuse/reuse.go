@@ -55,6 +55,11 @@ type Info struct {
 	// B/C ordering (c > a > d > b > e for Figure 1) — but the scheduler
 	// still charges write traffic cycle by cycle.
 	SavedReads int
+
+	// Flat is the reference's flattened element index as one affine
+	// function of the loop variables (see flatAffine). Storage plans read
+	// their residency windows and register slots off it.
+	Flat ir.Affine
 }
 
 // BenefitCost returns the paper's B/C ratio: eliminated accesses per
@@ -136,8 +141,10 @@ func FromDistinct(n *ir.Nest, distinct [][]int) ([]*Info, error) {
 }
 
 // derive fills the summary fields computed from the Distinct profile and
-// the access totals: reuse level, ν, and the benefit B.
+// the access totals — reuse level, ν, and the benefit B — plus the flat
+// index function.
 func (inf *Info) derive(n *ir.Nest) {
+	inf.Flat = flatAffine(inf.Group.Ref)
 	d := n.Depth()
 	inf.ReuseLevel = -1
 	for l := 0; l < d; l++ {
@@ -152,15 +159,10 @@ func (inf *Info) derive(n *ir.Nest) {
 		inf.Nu = 1
 	}
 	if inf.TotalReads > 0 {
-		inf.SavedReads = inf.TotalReads - inf.Distinct[0]*readRegions(inf)
+		// With reuse captured at ReuseLevel the footprint persists across
+		// the reuse loop, so each distinct element loads exactly once.
+		inf.SavedReads = inf.TotalReads - inf.Distinct[0]
 	}
-}
-
-// readRegions returns how many times the full footprint must be (re)loaded:
-// with reuse captured at ReuseLevel the footprint persists across the reuse
-// loop, so each distinct element loads exactly once — one region.
-func readRegions(inf *Info) int {
-	return 1
 }
 
 // distinctAtLevel counts the distinct elements the reference touches while
@@ -183,7 +185,7 @@ func distinctAtLevel(n *ir.Nest, r *ir.ArrayRef, l int) int {
 // miss.
 func flatAffine(r *ir.ArrayRef) ir.Affine {
 	var flat ir.Affine
-	for dim, ix := range r.Index {
+	for dim, ix := range r.Index() {
 		flat = flat.Scale(r.Array.Dims[dim]).Add(ix)
 	}
 	return flat
@@ -278,7 +280,7 @@ func distinctEnumerated(n *ir.Nest, r *ir.ArrayRef, l int) int {
 	walk = func(depth int) {
 		if depth == n.Depth() {
 			flat := 0
-			for dim, ix := range r.Index {
+			for dim, ix := range r.Index() {
 				flat = flat*r.Array.Dims[dim] + ix.Eval(env)
 			}
 			seen[flat] = struct{}{}

@@ -330,8 +330,8 @@ func maxInt(a, b int) int {
 }
 
 func evalIdx(r *ir.ArrayRef, env map[string]int) []int {
-	idx := make([]int, len(r.Index))
-	for d, ix := range r.Index {
+	idx := make([]int, len(r.Index()))
+	for d, ix := range r.Index() {
 		idx[d] = ix.Eval(env)
 	}
 	return idx

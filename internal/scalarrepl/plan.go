@@ -25,7 +25,7 @@ package scalarrepl
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/ir"
 	"repro/internal/reuse"
@@ -52,24 +52,23 @@ type Entry struct {
 	Aliased bool
 
 	// The flat element index of an affine reference is itself an affine
-	// function of the loop variables. With every outer loop at its lower
-	// bound, one innermost sweep touches c + innerCoef·v for a constant c: a
-	// single element when innerCoef is 0, and a new element on every iteration
-	// otherwise. So the window and its first-touch ordinals are closed
-	// forms of the innermost loop, and the per-access residency test is
-	// O(1) arithmetic.
-	flatAff ir.Affine // flat index as affine function of all loop vars
+	// function of the loop variables (Info.Flat). With every outer loop at
+	// its lower bound, one innermost sweep touches c + innerCoef·v for a
+	// constant c: a single element when innerCoef is 0, and a new element
+	// on every iteration otherwise. So the window and its first-touch
+	// ordinals are closed forms of the innermost loop, and the per-access
+	// residency test is O(1) arithmetic.
 	//repro:nohash derived in NewPlan from the nest
 	inner ir.Loop // the nest's innermost loop
-	//repro:nohash derived from flatAff
-	innerCoef int // flatAff coefficient of the innermost variable
-	//repro:nohash derived from flatAff, Coverage and the loop bounds
+	//repro:nohash derived from Info.Flat
+	innerCoef int // Info.Flat coefficient of the innermost variable
+	//repro:nohash derived from Info.Flat, Coverage and the loop bounds
 	rotating bool // covered window is collision-free mod Coverage
 }
 
 // FlatAffine returns the reference's flat element index as an affine
 // function of the loop variables.
-func (e *Entry) FlatAffine() ir.Affine { return e.flatAff }
+func (e *Entry) FlatAffine() ir.Affine { return e.Info.Flat }
 
 // NewPlan builds the storage plan for the nest, reuse summary and register
 // assignment. Every reference in infos must have an entry in beta.
@@ -96,15 +95,6 @@ func NewPlan(nest *ir.Nest, infos []*reuse.Info, beta map[string]int) (*Plan, er
 			arrayWritten[arr] = true
 		}
 	}
-	writeFirst := map[string]bool{}
-	seen := map[string]bool{}
-	for _, u := range nest.RefUses() {
-		key := u.Ref.Key()
-		if !seen[key] {
-			seen[key] = true
-			writeFirst[key] = u.IsWrite
-		}
-	}
 	inner := nest.Loops[nest.Depth()-1]
 	for _, inf := range infos {
 		b, ok := beta[inf.Key()]
@@ -117,7 +107,7 @@ func NewPlan(nest *ir.Nest, infos []*reuse.Info, beta map[string]int) (*Plan, er
 		e := &Entry{
 			Info:       inf,
 			Beta:       b,
-			WriteFirst: writeFirst[inf.Key()],
+			WriteFirst: inf.Group.WriteFirst,
 		}
 		arr := inf.Group.Ref.Array.Name
 		// Aliased: the array is written and more than one static reference
@@ -143,16 +133,11 @@ func NewPlan(nest *ir.Nest, infos []*reuse.Info, beta map[string]int) (*Plan, er
 	return p, nil
 }
 
-// buildWindow derives the flat-index affine form and the closed-form
-// residency window of one innermost-loop sweep.
+// buildWindow derives the closed-form residency window of one
+// innermost-loop sweep.
 func (e *Entry) buildWindow(inner ir.Loop) {
-	r := e.Info.Group.Ref
-	e.flatAff = ir.AffConst(0)
-	for dim, ix := range r.Index {
-		e.flatAff = e.flatAff.Scale(r.Array.Dims[dim]).Add(ix)
-	}
 	e.inner = inner
-	e.innerCoef = e.flatAff.Coeff(inner.Var)
+	e.innerCoef = e.Info.Flat.Coeff(inner.Var)
 	if e.Coverage > 0 {
 		// The covered ordinals 0..m−1 touch flats |innerCoef·Step| apart.
 		// Two of them share a residue mod Coverage iff their distance is a
@@ -239,7 +224,7 @@ func (e *Entry) RotatingSlots() bool { return e.rotating }
 // collision-free, window ordinal otherwise).
 func (e *Entry) SlotOf(env map[string]int) int {
 	if e.RotatingSlots() {
-		flat := e.flatAff.Eval(env)
+		flat := e.Info.Flat.Eval(env)
 		return ((flat % e.Coverage) + e.Coverage) % e.Coverage
 	}
 	return e.WindowOrdinal(env)
@@ -294,13 +279,25 @@ func (p *Plan) HitKeys(env map[string]int) string {
 //
 //repro:nohash Plan.Nest — cache keys carry the kernel name, which pins the nest
 //repro:nohash Plan.Entries — the same entry set as order, hashed in first-use order
-//repro:nohash Entry.flatAff — derived from Info's reference, which the entry key pins
 func (p *Plan) Fingerprint() string {
-	var b strings.Builder
+	n := 0
 	for _, e := range p.order {
-		fmt.Fprintf(&b, "%s=β%d,c%d,w%t,a%t;", e.Info.Key(), e.Beta, e.Coverage, e.WriteFirst, e.Aliased)
+		n += len(e.Info.Key()) + 32 // 20 bytes of fixed text, 12 of digits
 	}
-	return b.String()
+	b := make([]byte, 0, n)
+	for _, e := range p.order {
+		b = append(b, e.Info.Key()...)
+		b = append(b, "=β"...)
+		b = strconv.AppendInt(b, int64(e.Beta), 10)
+		b = append(b, ",c"...)
+		b = strconv.AppendInt(b, int64(e.Coverage), 10)
+		b = append(b, ",w"...)
+		b = strconv.AppendBool(b, e.WriteFirst)
+		b = append(b, ",a"...)
+		b = strconv.AppendBool(b, e.Aliased)
+		b = append(b, ';')
+	}
+	return string(b)
 }
 
 // TotalRegisters sums β across the plan (diagnostic).

@@ -553,3 +553,42 @@ for i = 0..4 {
 		}
 	}
 }
+
+// TestFingerprintBytes pins the plan fingerprint's exact bytes — they key
+// the sweep's simulation memo and name simcache entries — against the
+// fmt rendering it replaced, over every allocator's plan of every kernel,
+// and pins its cost at no more than two allocations.
+func TestFingerprintBytes(t *testing.T) {
+	oracle := func(p *Plan) string {
+		s := ""
+		for _, e := range p.Order() {
+			s += fmt.Sprintf("%s=β%d,c%d,w%t,a%t;", e.Info.Key(), e.Beta, e.Coverage, e.WriteFirst, e.Aliased)
+		}
+		return s
+	}
+	for _, k := range append([]kernels.Kernel{kernels.Figure1()}, kernels.All()...) {
+		for _, rmax := range []int{16, 64, 1024} {
+			prob, err := core.NewProblem(k.Nest, rmax, dfg.DefaultLatencies())
+			if err != nil {
+				continue // budget below the reference count
+			}
+			for _, alg := range core.All() {
+				alloc, err := alg.Allocate(prob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := NewPlan(k.Nest, prob.Infos, alloc.Beta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := p.Fingerprint(), oracle(p); got != want {
+					t.Errorf("%s/%s/%d: Fingerprint() = %q, want %q", k.Name, alg.Name(), rmax, got, want)
+				}
+			}
+		}
+	}
+	p := figure1Plan(t, cpaBeta())
+	if allocs := testing.AllocsPerRun(100, func() { _ = p.Fingerprint() }); allocs > 2 {
+		t.Errorf("Plan.Fingerprint allocates %v times, want ≤ 2", allocs)
+	}
+}

@@ -265,8 +265,8 @@ func (fs *funcSim) flush(rf *regFile) error {
 }
 
 func evalIdx(r *ir.ArrayRef, env map[string]int) []int {
-	idx := make([]int, len(r.Index))
-	for d, ix := range r.Index {
+	idx := make([]int, len(r.Index()))
+	for d, ix := range r.Index() {
 		idx[d] = ix.Eval(env)
 	}
 	return idx

@@ -32,6 +32,7 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/dfg"
@@ -182,7 +183,7 @@ func (s *Simulator) classLen(g *dfg.Graph, cfg Config) classLenFunc {
 			return direct(hit)
 		}
 	}
-	prefix := g.Fingerprint() + "|" + cfg.Lat.Fingerprint() + "|P" + fmt.Sprint(cfg.PortsPerRAM) + "|"
+	prefix := g.Fingerprint() + "|" + cfg.Lat.Fingerprint() + "|P" + strconv.Itoa(cfg.PortsPerRAM) + "|"
 	return func(sig string, hit map[string]bool, order []*scalarrepl.Entry) (int, int, error) {
 		// The hit set in first-use entry order is canonical: all plans of
 		// one nest list entries identically, and across nests the DFG

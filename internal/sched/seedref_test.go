@@ -149,7 +149,7 @@ func transferCountsReference(nest *ir.Nest, plan *scalarrepl.Plan) (loads, store
 			return
 		}
 		flat := 0
-		for dim, ix := range r.Index {
+		for dim, ix := range r.Index() {
 			flat = flat*r.Array.Dims[dim] + ix.Eval(env)
 		}
 		if _, resident := f.dirty[flat]; !resident {

@@ -176,7 +176,7 @@ func newIterWalker(nest *ir.Nest, plan *scalarrepl.Plan) *iterWalker {
 // flat-index evaluator.
 func (w *iterWalker) compileAccess(r *ir.ArrayRef, f *xferFile, isWrite bool) bodyAccess {
 	aff := ir.AffConst(0)
-	for dim, ix := range r.Index {
+	for dim, ix := range r.Index() {
 		aff = aff.Scale(r.Array.Dims[dim]).Add(ix)
 	}
 	a := bodyAccess{file: f, isWrite: isWrite, flatConst: aff.Const, flatCoef: make([]int, w.depth)}

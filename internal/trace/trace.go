@@ -29,7 +29,7 @@ func Walk(nest *ir.Nest, fn func(Event)) error {
 	env := map[string]int{}
 	flat := func(r *ir.ArrayRef) int {
 		f := 0
-		for d, ix := range r.Index {
+		for d, ix := range r.Index() {
 			f = f*r.Array.Dims[d] + ix.Eval(env)
 		}
 		return f

@@ -210,7 +210,7 @@ func TestWalkOrder(t *testing.T) {
 // LRU-sufficient — a documented limitation of the analytic model (see
 // DESIGN.md) that the random-program probe below quantifies.
 func refInPaperClass(inf *reuse.Info) bool {
-	for _, ix := range inf.Group.Ref.Index {
+	for _, ix := range inf.Group.Ref.Index() {
 		if len(ix.Vars()) > 1 {
 			return false
 		}

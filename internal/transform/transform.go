@@ -75,19 +75,14 @@ func Unroll(nest *ir.Nest, factor int) (*ir.Nest, error) {
 	return out, nil
 }
 
-// shiftRef clones a reference substituting var := var + offset in every
-// index function (affine, so the substitution adds coeff·offset).
+// shiftRef builds a copy of a reference substituting var := var + offset
+// in every index function (affine, so the substitution adds coeff·offset).
 func shiftRef(r *ir.ArrayRef, v string, offset int) *ir.ArrayRef {
-	out := r.Clone()
-	if offset == 0 {
-		return out
+	idx := make([]ir.Affine, len(r.Index()))
+	for d, ix := range r.Index() {
+		idx[d] = ix.Add(ir.AffConst(ix.Coeff(v) * offset))
 	}
-	for d := range out.Index {
-		if c := out.Index[d].Coeff(v); c != 0 {
-			out.Index[d] = out.Index[d].Add(ir.AffConst(c * offset))
-		}
-	}
-	return out
+	return ir.Ref(r.Array, idx...)
 }
 
 // shiftExpr rewrites an expression substituting loop-variable reads of v

@@ -83,6 +83,18 @@ func TestPeelStriddenLoop(t *testing.T) {
 	}
 }
 
+// checkKeys asserts that every reference of n carries the key its
+// rendering spells: Unroll rebuilds each shifted reference through ir.Ref,
+// which renders the key once.
+func checkKeys(t *testing.T, n *ir.Nest) {
+	t.Helper()
+	for _, u := range n.RefUses() {
+		if k, s := u.Ref.Key(), u.Ref.String(); k != s {
+			t.Errorf("%s: reference key %q, rendering %q", n.Name, k, s)
+		}
+	}
+}
+
 // TestUnrollPreservesSemantics for factors 2, 4, 8 on FIR.
 func TestUnrollPreservesSemantics(t *testing.T) {
 	k := kernels.FIR()
@@ -91,6 +103,7 @@ func TestUnrollPreservesSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkKeys(t, u)
 		ref := ir.NewStore()
 		ref.RandomizeInputs(k.Nest, 9)
 		un := ref.Clone()
@@ -122,6 +135,7 @@ func TestUnrollLoopVarReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkKeys(t, u)
 	ref := ir.NewStore()
 	ref.RandomizeInputs(n, 2)
 	un := ref.Clone()
@@ -150,6 +164,7 @@ func TestUnrolledReuseScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkKeys(t, u)
 	infos, err := reuse.Analyze(u)
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +192,7 @@ func TestUnrolledPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkKeys(t, u)
 	uk := kernels.Kernel{Name: "fir_u2", Nest: u, Rmax: k.Rmax, Description: "unrolled FIR"}
 	fr, err := hls.Estimate(uk, core.FRRA{}, hls.DefaultOptions())
 	if err != nil {
