@@ -194,15 +194,23 @@ func All() []Kernel {
 	return []Kernel{FIR(), DecFIR(), IMI(), MAT(), PAT(), BIC()}
 }
 
-// ByName resolves a kernel (including "figure1") by name.
+// constructors maps every kernel name ByName resolves to its constructor.
+var constructors = map[string]func() Kernel{
+	"figure1": Figure1,
+	"fir":     FIR,
+	"decfir":  DecFIR,
+	"imi":     IMI,
+	"mat":     MAT,
+	"pat":     PAT,
+	"bic":     BIC,
+}
+
+// ByName resolves a kernel (including "figure1") by name. It parses only
+// the named kernel's source, and every call returns a fresh Kernel: a
+// nest's fields are writable, so no two callers share one.
 func ByName(name string) (Kernel, error) {
-	if name == "figure1" {
-		return Figure1(), nil
-	}
-	for _, k := range All() {
-		if k.Name == name {
-			return k, nil
-		}
+	if mk, ok := constructors[name]; ok {
+		return mk(), nil
 	}
 	return Kernel{}, fmt.Errorf("kernels: unknown kernel %q (have figure1, fir, decfir, imi, mat, pat, bic)", name)
 }

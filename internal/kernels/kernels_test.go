@@ -3,6 +3,7 @@ package kernels
 import (
 	"testing"
 
+	"repro/internal/dsl"
 	"repro/internal/ir"
 	"repro/internal/reuse"
 )
@@ -32,8 +33,44 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%s) = %v, %v", name, k.Name, err)
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown kernel should error")
+	_, err := ByName("nope")
+	if want := `kernels: unknown kernel "nope" (have figure1, fir, decfir, imi, mat, pat, bic)`; err == nil || err.Error() != want {
+		t.Errorf("ByName(nope) error = %v, want %q", err, want)
+	}
+}
+
+// TestByNameMatchesConstructors: every name resolves to the kernel its
+// constructor builds, and each call returns its own nest.
+func TestByNameMatchesConstructors(t *testing.T) {
+	for _, k := range append([]Kernel{Figure1()}, All()...) {
+		got, err := ByName(k.Name)
+		if err != nil {
+			t.Fatalf("ByName(%s): %v", k.Name, err)
+		}
+		if got.Description != k.Description || got.Rmax != k.Rmax {
+			t.Errorf("ByName(%s) = %+v, want %+v", k.Name, got, k)
+		}
+		if g, w := dsl.Format(got.Nest), dsl.Format(k.Nest); g != w {
+			t.Errorf("ByName(%s) formats as\n%s\nwant\n%s", k.Name, g, w)
+		}
+		again, _ := ByName(k.Name)
+		if again.Nest == got.Nest {
+			t.Errorf("ByName(%s) returned the same nest twice", k.Name)
+		}
+	}
+}
+
+// TestByNameBuildsOnlyTheNamedKernel: resolving one kernel costs what
+// its constructor costs, not a parse of every kernel.
+func TestByNameBuildsOnlyTheNamedKernel(t *testing.T) {
+	byName := testing.AllocsPerRun(20, func() {
+		if _, err := ByName("bic"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	direct := testing.AllocsPerRun(20, func() { BIC() })
+	if byName != direct {
+		t.Errorf("ByName(bic) allocates %.0f times, BIC() %.0f", byName, direct)
 	}
 }
 
