@@ -493,7 +493,7 @@ func runServe(args []string) error {
 	cacheDir := fs.String("simcache-dir", "", "backing directory of the shared simulation store (default: a fresh temp directory; also served at /v1/blob/)")
 	cacheURL := fs.String("simcache-url", "", "upstream blob server to layer behind memory and disk")
 	workers := fs.Int("workers", 0, "per-request worker pool size (0 = GOMAXPROCS)")
-	window := fs.Int("window", 0, "per-request order-restoring window (0 = engine default)")
+	window := fs.Int("window", 0, "per-request order-restoring window in points (0 = engine default; raised to the largest unit, |devices|·|sched variants|)")
 	maxInflight := fs.Int("max-inflight", 2, "maximum concurrently running sweeps")
 	maxQueue := fs.Int("max-queue", 16, "maximum sweeps waiting for a slot before 503")
 	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-request deadline, queue wait included (0 = none)")

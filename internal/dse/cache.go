@@ -11,14 +11,15 @@ import (
 	"repro/internal/simcache"
 )
 
-// simCache memoizes cycle simulations across the design points of one
-// exploration. Distinct points frequently converge to identical storage
-// plans — saturated budgets collapse onto the kernel's full allocation,
-// different allocators agree on small kernels, and every device on the
-// device axis shares the schedule outright (the device only affects the
-// area/clock models) — so the sweep pays for far fewer simulations than it
-// has points. The key pins everything the simulation reads: the kernel, the
-// plan's β/coverage fingerprint, the latency model and the RAM port count.
+// simCache memoizes cycle simulations across the schedules of one
+// exploration. The device axis never reaches it: a unit's devices share
+// one schedule, computed once per sched variant. Distinct schedules still
+// frequently converge to identical storage plans — saturated budgets
+// collapse onto the kernel's full allocation and different allocators
+// agree on small kernels — so the sweep pays for far fewer simulations
+// than it has schedules. The key pins everything the simulation reads:
+// the kernel, the plan's β/coverage fingerprint, the latency model and the
+// RAM port count.
 //
 // The cache is a single-flight memo (internal/memo): the first goroutine to
 // claim a key runs the simulation, concurrent claimants block until it

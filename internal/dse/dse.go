@@ -11,11 +11,15 @@
 // allocators and S scheduler variants, the front-end runs once instead of
 // A·B·D·S times per kernel.
 //
-// The back-end is deduplicated too: a concurrency-safe simulation cache
-// keyed by (kernel, plan fingerprint, latency model, RAM ports) shares one
-// cycle simulation among every design point whose allocator converged to
-// the same β vector — saturated budgets, agreeing allocators, and the
-// entire device axis (devices only affect the area/clock models).
+// The back-end is shared across the device axis outright: devices only
+// affect the area/clock models, so the pool takes units — the owned
+// points of one (kernel, allocator, budget) block — and a worker
+// allocates, plans and simulates each sched variant of its unit once
+// (hls.Schedule), then applies each point's device to that schedule
+// (hls.Realize). A concurrency-safe simulation cache keyed by (kernel,
+// plan fingerprint, latency model, RAM ports) then shares one cycle
+// simulation among every schedule whose allocator converged to the same
+// β vector — saturated budgets and agreeing allocators.
 //
 // Results are stored by point index, so the output is byte-identical
 // whatever the worker count or completion order; per-point estimation
@@ -150,9 +154,11 @@ type Engine struct {
 	// points (ExploreStream/ExploreShardStream): at most Window results
 	// are dispatched-but-unemitted at any moment, so a slow head-of-line
 	// point throttles the pool instead of growing an unbounded reorder
-	// buffer. ≤0 uses 4×workers (minimum 16). The buffered
-	// Explore/ExploreShard entries are unaffected — they hold every
-	// result anyway.
+	// buffer. ≤0 uses 4×workers (minimum 16). A unit takes one slot per
+	// point before it is dispatched, so a window below the largest owned
+	// unit (|Devices|·|Scheds| points) is raised to that size. The
+	// buffered Explore/ExploreShard entries are unaffected — they hold
+	// every result anyway.
 	Window int
 	// Obs, when non-nil, collects per-stage metrics across the whole
 	// pipeline — front-end analysis, allocator runs, planning, simulation
@@ -217,30 +223,66 @@ func (e Engine) simStore() (*simcache.Cache, error) {
 	return simcache.New(), nil
 }
 
-// evaluate estimates one design point, converting an estimator panic into
-// the point's error. Without the recover, a panicking allocator would kill
-// its worker goroutine with the index channel undrained, blocking the
-// producer send and deadlocking Explore's wg.Wait forever. A portfolio
-// point runs every member allocator through the shared sim function and
-// keeps the best design; with members set it also carries every member's
-// design on the result (the -portfolio-all diagnostic).
-func evaluate(an *hls.Analysis, p Point, sim hls.SimFunc, members bool, m *obs.Metrics, tr *obs.Tracer) (res Result) {
+// scheduled is one sched variant's schedule within a unit: the
+// device-independent half of its points, computed at the first owned
+// point that needs it and realized on each owned point's device. In
+// portfolio mode it holds every member's schedule instead.
+type scheduled struct {
+	done    bool
+	sched   hls.Schedule
+	members []hls.Member
+	err     error
+}
+
+// schedule computes the slot for point p, converting an estimator panic
+// into the slot's error, so every point of the unit that shares the
+// schedule records the same panic.
+func (s *scheduled) schedule(an *hls.Analysis, p Point, sim hls.SimFunc, m *obs.Metrics, tr *obs.Tracer) {
+	s.done = true
 	defer func() {
 		if v := recover(); v != nil {
-			res = Result{Point: p, Err: fmt.Errorf("estimator panic: %v", v)}
+			*s = scheduled{done: true, err: estimatorPanic(v)}
 		}
 	}()
 	opt := p.Options()
 	opt.Obs, opt.Trace, opt.Point = m, tr, p.Index
 	if pf, ok := p.Allocator.(Portfolio); ok {
-		if members {
-			d, ms, err := an.EstimatePortfolioAll(pf.Allocators, opt, sim)
-			return Result{Point: p, Design: d, Members: ms, Err: err}
-		}
-		d, err := an.EstimatePortfolio(pf.Allocators, opt, sim)
-		return Result{Point: p, Design: d, Err: err}
+		s.members = an.SchedulePortfolio(pf.Allocators, opt, sim)
+		return
 	}
-	d, err := an.EstimateSim(p.Allocator, opt, sim)
+	s.sched, s.err = an.Schedule(p.Allocator, opt, sim)
+}
+
+func estimatorPanic(v any) error { return fmt.Errorf("estimator panic: %v", v) }
+
+// evaluate estimates one design point from its sched variant's slot,
+// scheduling it first if no earlier point of the unit did, and converts
+// an estimator panic into the point's error. Without the recover, a
+// panicking allocator would kill its worker goroutine with the unit
+// channel undrained, blocking the feeder and deadlocking Explore's
+// wg.Wait forever. A portfolio point realizes every member on its device
+// and keeps the best design; with members set it also carries every
+// member's design on the result (the -portfolio-all diagnostic).
+func evaluate(an *hls.Analysis, p Point, sim hls.SimFunc, members bool, slot *scheduled, m *obs.Metrics, tr *obs.Tracer) (res Result) {
+	if !slot.done {
+		slot.schedule(an, p, sim, m, tr)
+	}
+	if slot.err != nil {
+		return Result{Point: p, Err: slot.err}
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			res = Result{Point: p, Err: estimatorPanic(v)}
+		}
+	}()
+	if _, ok := p.Allocator.(Portfolio); ok {
+		d, ms, err := an.RealizePortfolio(slot.members, p.Device)
+		if !members {
+			ms = nil
+		}
+		return Result{Point: p, Design: d, Members: ms, Err: err}
+	}
+	d, err := an.Realize(&slot.sched, p.Device)
 	return Result{Point: p, Design: d, Err: err}
 }
 
@@ -248,16 +290,18 @@ func evaluate(an *hls.Analysis, p Point, sim hls.SimFunc, members bool, m *obs.M
 // spanning the whole per-point pipeline, a runtime/trace user region (so
 // `go tool trace` shows per-point blocks when -exectrace is on), and pprof
 // (kernel, stage) labels on the worker goroutine so CPU profiles decompose
-// by kernel and stage. With obs disabled it is exactly evaluate.
-func (e Engine) evalPoint(an *hls.Analysis, p Point, sim hls.SimFunc, members bool) Result {
+// by kernel and stage. A point that computes its unit's schedule carries
+// the allocator, plan and simulation stages in its span; the others carry
+// only the device models. With obs disabled it is exactly evaluate.
+func (e Engine) evalPoint(an *hls.Analysis, p Point, sim hls.SimFunc, members bool, slot *scheduled) Result {
 	if e.Obs == nil && e.Trace == nil {
-		return evaluate(an, p, sim, members, nil, nil)
+		return evaluate(an, p, sim, members, slot, nil, nil)
 	}
 	var r Result
 	sp := obs.Begin(e.Obs, e.Trace, p.Index, p.Kernel.Name, "point")
 	e.Obs.Do(func() {
 		rtrace.WithRegion(context.Background(), "point", func() {
-			r = evaluate(an, p, sim, members, e.Obs, e.Trace)
+			r = evaluate(an, p, sim, members, slot, e.Obs, e.Trace)
 		})
 	}, "kernel", p.Kernel.Name, "stage", "point")
 	sp.End("")

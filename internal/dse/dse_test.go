@@ -2,7 +2,6 @@ package dse
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -167,40 +166,48 @@ func (a panicAllocator) Allocate(p *core.Problem) (*core.Allocation, error) {
 
 // TestExploreSurvivesEstimatorPanic guards against the worker-pool
 // deadlock: a panicking estimator used to kill its worker goroutine, leaving
-// the index channel undrained so the producer blocked and wg.Wait never
+// the unit channel undrained so the feeder blocked and wg.Wait never
 // returned. The panic must instead surface as the point's error, with every
-// other point still evaluated.
+// other point still evaluated. On a two-device space the panic happens
+// once per schedule, and every point of the unit that shares the schedule
+// records it — in portfolio mode too, where one panicking member fails
+// its kernel's every point.
 func TestExploreSurvivesEstimatorPanic(t *testing.T) {
-	sp := Space{
-		Kernels:    []kernels.Kernel{kernels.Figure1(), kernels.FIR()},
-		Allocators: []core.Allocator{panicAllocator{kernel: "fir"}, core.CPARA{}},
-		Budgets:    []int{32, 64},
-	}
-	done := make(chan *ResultSet, 1)
-	go func() { //repro:norecover test harness: a panic here fails the test via the timeout below
-		// Fewer workers than panicking points: without recovery the pool
-		// drains completely and Explore hangs.
-		rs := mustExplore(t, Engine{Workers: 1}, sp)
-		done <- rs
-	}()
-	var rs *ResultSet
-	select {
-	case rs = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Explore deadlocked on a panicking estimator")
-	}
-	if len(rs.Results) != 8 {
-		t.Fatalf("got %d results", len(rs.Results))
-	}
-	for _, r := range rs.Results {
-		panics := r.Point.Allocator.Name() == "PANIC-RA" && r.Point.Kernel.Name == "fir"
-		switch {
-		case panics && r.Ok():
-			t.Errorf("%s: panicking point succeeded", r.Point.ID())
-		case panics && !strings.Contains(r.Err.Error(), "estimator panic"):
-			t.Errorf("%s: error %q does not record the panic", r.Point.ID(), r.Err)
-		case !panics && !r.Ok():
-			t.Errorf("%s: unexpected failure: %v", r.Point.ID(), r.Err)
+	for _, portfolio := range []bool{false, true} {
+		sp := Space{
+			Kernels:    []kernels.Kernel{kernels.Figure1(), kernels.FIR()},
+			Allocators: []core.Allocator{panicAllocator{kernel: "fir"}, core.CPARA{}},
+			Budgets:    []int{32, 64},
+			Devices:    []fpga.Device{fpga.XCV1000(), fpga.XC2V6000()},
+			Scheds:     []SchedVariant{DefaultSchedVariant()},
+			Portfolio:  portfolio,
+		}
+		done := make(chan *ResultSet, 1)
+		go func() { //repro:norecover test harness: a panic here fails the test via the timeout below
+			// Fewer workers than panicking points: without recovery the pool
+			// drains completely and Explore hangs.
+			rs := mustExplore(t, Engine{Workers: 1}, sp)
+			done <- rs
+		}()
+		var rs *ResultSet
+		select {
+		case rs = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("Explore deadlocked on a panicking estimator")
+		}
+		if len(rs.Results) != sp.Size() {
+			t.Fatalf("got %d results, want %d", len(rs.Results), sp.Size())
+		}
+		for _, r := range rs.Results {
+			panics := r.Point.Kernel.Name == "fir" && (portfolio || r.Point.Allocator.Name() == "PANIC-RA")
+			switch {
+			case panics && r.Ok():
+				t.Errorf("%s: panicking point succeeded", r.Point.ID())
+			case panics && r.Err.Error() != "estimator panic: injected allocator panic":
+				t.Errorf("%s: error %q does not record the panic", r.Point.ID(), r.Err)
+			case !panics && !r.Ok():
+				t.Errorf("%s: unexpected failure: %v", r.Point.ID(), r.Err)
+			}
 		}
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/fpga"
+	"repro/internal/kernels"
 	"repro/internal/obs"
 )
 
@@ -53,46 +56,79 @@ func TestObsOutputByteIdentical(t *testing.T) {
 }
 
 // TestObsStageCoverage pins the stage vocabulary one instrumented
-// exploration produces: every layer of the pipeline must report.
+// exploration produces: every layer of the pipeline must report, once per
+// point for the point span and once per schedule for the work a device
+// does not change.
 func TestObsStageCoverage(t *testing.T) {
 	m := obs.New()
 	tr := obs.NewTracer(1024)
 	e := Engine{Workers: 4, Obs: m, Trace: tr}
 	var buf bytes.Buffer
-	st, err := e.ExploreStream(smallSpace(), InstrumentReporter(TableReporter{}.Stream(&buf), m, "table"))
+	sp := smallSpace()
+	st, err := e.ExploreStream(sp, InstrumentReporter(TableReporter{}.Stream(&buf), m, "table"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := st.Obs
+	cnt := func(name string) int64 { return snap.Stages[name].Count }
 	for _, stage := range []string{
 		"analyze", "alloc/FR-RA", "alloc/CPA-RA", "plan", "sim",
 		"point", "explore", "window",
-		"cache/plan/hit", "cache/plan/miss", "report/table",
+		"cache/plan/miss", "report/table",
 		// A cold engine-owned run: every kernel's analysis is a miss.
 		"cache/analysis/miss",
 	} {
-		ss, ok := snap.Stages[stage]
-		if !ok || ss.Count == 0 {
+		if cnt(stage) == 0 {
 			t.Errorf("stage %q missing or empty in snapshot (stages: %v)", stage, snap.Names())
 		}
 	}
 	// Every class-schedule miss schedules exactly once.
-	if got, want := snap.Stages["sim/class"].Count, snap.Stages["cache/class/miss"].Count; got == 0 || got != want {
+	if got, want := cnt("sim/class"), cnt("cache/class/miss"); got == 0 || got != want {
 		t.Errorf("class schedules %d != cache/class/miss %d (every miss computes exactly once)", got, want)
 	}
-	// 16 points: one "point" span each, and the plan-cache tiers cover them.
-	if snap.Stages["point"].Count != 16 {
-		t.Errorf("point spans = %d, want 16", snap.Stages["point"].Count)
+	// 16 points: one "point" span each.
+	if cnt("point") != 16 {
+		t.Errorf("point spans = %d, want 16", cnt("point"))
 	}
-	hits := snap.Stages["cache/plan/hit"].Count
-	misses := snap.Stages["cache/plan/miss"].Count
-	if hits+misses != 16 {
-		t.Errorf("plan tiers hit+miss = %d+%d, want 16", hits, misses)
+	// The two devices share each (kernel, allocator, budget) schedule: 8
+	// schedules, each allocated, planned, looked up and simulated once.
+	const schedules = 8
+	if got := cnt("alloc/FR-RA") + cnt("alloc/CPA-RA"); got != schedules {
+		t.Errorf("allocator runs = %d, want %d", got, schedules)
+	}
+	if cnt("plan") != schedules || cnt("sim") != schedules {
+		t.Errorf("plan %d, sim %d, want %d each", cnt("plan"), cnt("sim"), schedules)
+	}
+	hits, misses := cnt("cache/plan/hit"), cnt("cache/plan/miss")
+	if hits+misses != schedules {
+		t.Errorf("plan tiers hit+miss = %d+%d, want %d", hits, misses, schedules)
 	}
 	if misses != int64(st.UniqueSims) {
 		t.Errorf("plan misses %d != UniqueSims %d", misses, st.UniqueSims)
 	}
-	// The trace carries per-point sim spans with plan-cache tiers.
+	// Every plan-memo hit smallSpace had came from the device axis.
+	if hits != 0 {
+		t.Errorf("plan hits = %d, want 0: no two schedules of smallSpace share a plan", hits)
+	}
+}
+
+// TestObsTracePlanTiers: the trace's sim spans carry the plan-memo tier.
+// FR-RA's figure1 allocation saturates at 82 registers (b[k][j], ν=600,
+// stays in RAM), so budgets 128 and 256 yield one plan: one miss, then one
+// hit.
+func TestObsTracePlanTiers(t *testing.T) {
+	m := obs.New()
+	tr := obs.NewTracer(256)
+	sp := Space{
+		Kernels:    []kernels.Kernel{kernels.Figure1()},
+		Allocators: []core.Allocator{core.FRRA{}},
+		Budgets:    []int{128, 256},
+		Devices:    []fpga.Device{fpga.XCV1000(), fpga.XC2V6000()},
+	}
+	rs := mustExplore(t, Engine{Workers: 2, Obs: m, Trace: tr}, sp)
+	if hits, misses := rs.Obs.Stages["cache/plan/hit"].Count, rs.Obs.Stages["cache/plan/miss"].Count; hits != 1 || misses != 1 {
+		t.Errorf("plan hit/miss = %d/%d, want 1/1", hits, misses)
+	}
 	tiers := map[string]bool{}
 	for _, ev := range tr.Events() {
 		if ev.Stage == "sim" {

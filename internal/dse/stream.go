@@ -125,18 +125,25 @@ func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCo
 
 // exploreOwned is the engine core every entry point funnels into: it
 // normalizes the space, validates the owned index list, analyzes the
-// kernels the owned points touch, and runs the worker pool. Workers
-// complete out of order; completed results park in an order-restoring
-// window keyed by global point index and are emitted as soon as the run
-// of consecutive owned indices extends. A window semaphore (window > 0)
-// backpressures the producer so at most `window` results are
-// dispatched-but-unemitted at any moment: a slow head-of-line point
-// throttles the pool instead of growing an unbounded reorder buffer.
-// Deadlock-free because indices are dispatched in emission order, so the
-// next result to emit is always already dispatched. Cancelling ctx halts
-// dispatch (the same mechanism as a reporter error), stops delivery — no
-// Point after the cancellation is observed, however many results are
-// parked — and returns ctx.Err() without delivering End.
+// kernels the owned points touch, and runs the worker pool. The pool
+// takes units, not points: a unit is the owned run of one (kernel,
+// allocator, budget) block (see nextUnit), and one worker schedules it
+// once per sched variant and realizes each owned point's device on that
+// schedule, sending each result as it is made. Workers complete out of
+// order; completed results park in an order-restoring window keyed by
+// global point index and are emitted as soon as the run of consecutive
+// owned indices extends. A window semaphore (window > 0) backpressures
+// the feeder, one slot per point, so at most `window` results are
+// dispatched-but-unemitted at any moment: a slow head-of-line unit
+// throttles the pool instead of growing an unbounded reorder buffer. A
+// window below the largest owned unit is raised to that size, so every
+// unit can be dispatched. Deadlock-free because units are contiguous and
+// dispatched in emission order: if the next result to emit is not yet
+// dispatched, every dispatched result has been emitted and its slot
+// released. Cancelling ctx halts dispatch (the same mechanism as a
+// reporter error), stops delivery — no Point after the cancellation is
+// observed, however many results are parked — and returns ctx.Err()
+// without delivering End.
 func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, window int, sr StreamReporter) (StreamStats, error) {
 	sp, err := sp.normalized()
 	if err != nil {
@@ -199,11 +206,17 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, window 
 	exploreTm := e.Obs.Stage("explore").Start()
 	winStats := e.Obs.Stage("window")
 
+	block := len(sp.Devices) * len(sp.Scheds)
 	var sem chan struct{}
 	if window > 0 {
+		for lo := 0; lo < len(owned); {
+			hi := nextUnit(owned, lo, block)
+			window = max(window, hi-lo)
+			lo = hi
+		}
 		sem = make(chan struct{}, window)
 	}
-	idxCh := make(chan int)
+	unitCh := make(chan []int)
 	results := make(chan Result)
 	stop := make(chan struct{})
 	// A worker or feeder panic becomes an error returned after the drain
@@ -223,34 +236,47 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, window 
 		halt()
 	}
 	var wg sync.WaitGroup
+	nsched := len(sp.Scheds)
 	for w := 0; w < e.workers(); w++ {
 		wg.Add(1)
 		goRecover(&wg, onPanic, func() {
-			for i := range idxCh {
-				select {
-				case results <- e.evalPoint(analyses[pts[i].Kernel.Name], pts[i], sim, sp.PortfolioAll):
-				case <-stop:
-					return
+			// One slot per sched variant; a unit's points cycle through
+			// them (the sched axis is innermost), and clearing them after
+			// the unit keeps no schedule alive past it.
+			slots := make([]scheduled, nsched)
+			for unit := range unitCh {
+				an := analyses[pts[unit[0]].Kernel.Name]
+				for _, i := range unit {
+					select {
+					case results <- e.evalPoint(an, pts[i], sim, sp.PortfolioAll, &slots[i%nsched]):
+					case <-stop:
+						return
+					}
 				}
+				clear(slots)
 			}
 		})
 	}
 	wg.Add(1)
 	goRecover(&wg, onPanic, func() {
-		defer close(idxCh)
-		for _, i := range owned {
+		defer close(unitCh)
+		for lo := 0; lo < len(owned); {
+			hi := nextUnit(owned, lo, block)
 			if sem != nil {
-				select {
-				case sem <- struct{}{}:
-				case <-stop:
-					return
+				for range hi - lo {
+					select {
+					case sem <- struct{}{}:
+					case <-stop:
+						return
+					}
 				}
 			}
 			select {
-			case idxCh <- i:
+			case unitCh <- owned[lo:hi]:
 			case <-stop:
 				return
 			}
+			lo = hi
 		}
 	})
 	go func() {
@@ -347,6 +373,20 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, window 
 		return st, err
 	}
 	return st, nil
+}
+
+// nextUnit returns the end of the unit that starts at owned[lo]: the
+// owned points of one (kernel, allocator, budget) block, which holds
+// block = |Devices|·|Scheds| consecutive global indices (devices outer,
+// sched variants inner). A unit is a contiguous subslice of owned, so
+// units dispatched in order keep results in emission order.
+func nextUnit(owned []int, lo, block int) int {
+	b := owned[lo] / block
+	hi := lo + 1
+	for hi < len(owned) && owned[hi]/block == b {
+		hi++
+	}
+	return hi
 }
 
 // reorderWindow is the order-restoring buffer between the pool's

@@ -55,8 +55,10 @@ type Design struct {
 	Algorithm  string
 	Allocation *core.Allocation
 	Plan       *scalarrepl.Plan
-	// Sim is read-only after construction and may be shared with other
-	// Designs when a sweep's simulation cache deduplicated the point.
+	// Allocation, Plan and Sim are read-only after construction. The
+	// designs Realize builds from one Schedule share all three, and Sim
+	// may also be shared with other Designs when a sweep's simulation
+	// cache deduplicated the plan.
 	Sim *sched.Result
 
 	Registers int     // Σβ
@@ -145,9 +147,42 @@ func (an *Analysis) Estimate(alg core.Allocator, opt Options) (*Design, error) {
 }
 
 // EstimateSim is Estimate with a pluggable simulation step: sim, when
-// non-nil, replaces (or memoizes) sched.SimulateGraph. The memoized body
-// DFG is threaded through in either case, so no design point rebuilds it.
+// non-nil, replaces (or memoizes) sched.SimulateGraph. It is Schedule then
+// Realize on opt.Device.
 func (an *Analysis) EstimateSim(alg core.Allocator, opt Options, sim SimFunc) (*Design, error) {
+	s, err := an.Schedule(alg, opt, sim)
+	if err != nil {
+		return nil, err
+	}
+	return an.Realize(&s, opt.Device)
+}
+
+// Schedule is the device-independent part of one design point: the
+// allocation, its storage plan and their cycle simulation. It depends on
+// the kernel, the allocator, the register budget and the scheduler
+// configuration, and on nothing a device sets, so one Schedule backs the
+// design of every device (Realize). It is read-only once built, and a
+// small value: callers hold it by value, so it costs no allocation of its
+// own.
+type Schedule struct {
+	Algorithm  string
+	Allocation *core.Allocation
+	Plan       *scalarrepl.Plan
+	// Sim may be shared with other Schedules when a sweep's simulation
+	// cache deduplicated the plan.
+	Sim *sched.Result
+
+	// stats holds the device models' inputs: the kernel's statistics
+	// completed with this schedule's register file and class count.
+	stats fpga.DesignStats
+}
+
+// Schedule runs the device-independent half of an estimate: allocation,
+// storage plan and simulation. It reads every option except Device. sim,
+// when non-nil, replaces (or memoizes) sched.SimulateGraph; the memoized
+// body DFG is threaded through in either case, so no design point
+// rebuilds it. Safe to call concurrently.
+func (an *Analysis) Schedule(alg core.Allocator, opt Options, sim SimFunc) (Schedule, error) {
 	if sim == nil {
 		sim = func(_ SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (*sched.Result, error) {
 			return sched.SimulateGraph(nest, g, plan, cfg)
@@ -160,7 +195,7 @@ func (an *Analysis) EstimateSim(alg core.Allocator, opt Options, sim SimFunc) (*
 	}
 	prob, err := core.NewProblemFrom(k.Nest, an.Infos, an.Graph, rmax, opt.Sched.Lat)
 	if err != nil {
-		return nil, fmt.Errorf("hls: %s: %w", k.Name, err)
+		return Schedule{}, fmt.Errorf("hls: %s: %w", k.Name, err)
 	}
 	var alloc *core.Allocation
 	if opt.obsOn() {
@@ -175,7 +210,7 @@ func (an *Analysis) EstimateSim(alg core.Allocator, opt Options, sim SimFunc) (*
 		alloc, err = alg.Allocate(prob)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
+		return Schedule{}, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
 	}
 	var plan *scalarrepl.Plan
 	if opt.obsOn() {
@@ -186,31 +221,43 @@ func (an *Analysis) EstimateSim(alg core.Allocator, opt Options, sim SimFunc) (*
 		plan, err = scalarrepl.NewPlan(k.Nest, prob.Infos, alloc.Beta)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
+		return Schedule{}, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
 	}
 	res, err := sim(SimCtx{Kernel: k.Name, Point: opt.Point, Obs: opt.Obs, Trace: opt.Trace},
 		k.Nest, an.Graph, plan, opt.Sched)
 	if err != nil {
-		return nil, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
+		return Schedule{}, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
 	}
-	stats := an.designStats(alloc, res)
-	if err := opt.Device.Fit(stats); err != nil {
-		return nil, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
-	}
-	d := &Design{
-		Kernel:     k.Name,
+	return Schedule{
 		Algorithm:  alg.Name(),
 		Allocation: alloc,
 		Plan:       plan,
 		Sim:        res,
-		Registers:  alloc.Total(),
-		Cycles:     res.TotalCycles,
-		MemCycles:  res.MemCycles,
-		ClockNs:    opt.Device.ClockNs(stats),
-		Slices:     opt.Device.SlicesFor(stats),
-		SliceUtil:  opt.Device.Utilization(stats),
-		RAMs:       opt.Device.RAMBlocks(stats),
-		nest:       k.Nest,
+		stats:      an.designStats(alloc, res),
+	}, nil
+}
+
+// Realize applies one device's models to a schedule of this analysis:
+// the capacity check (Fit), then the clock, area and RAM-block models.
+// Safe to call concurrently, on one schedule from many goroutines too.
+func (an *Analysis) Realize(s *Schedule, dev fpga.Device) (*Design, error) {
+	if err := dev.Fit(s.stats); err != nil {
+		return nil, fmt.Errorf("hls: %s/%s: %w", an.Kernel.Name, s.Algorithm, err)
+	}
+	d := &Design{
+		Kernel:     an.Kernel.Name,
+		Algorithm:  s.Algorithm,
+		Allocation: s.Allocation,
+		Plan:       s.Plan,
+		Sim:        s.Sim,
+		Registers:  s.Allocation.Total(),
+		Cycles:     s.Sim.TotalCycles,
+		MemCycles:  s.Sim.MemCycles,
+		ClockNs:    dev.ClockNs(s.stats),
+		Slices:     dev.SlicesFor(s.stats),
+		SliceUtil:  dev.Utilization(s.stats),
+		RAMs:       dev.RAMBlocks(s.stats),
+		nest:       an.Kernel.Nest,
 	}
 	d.TimeUs = float64(d.Cycles) * d.ClockNs / 1000.0
 	return d, nil
@@ -235,17 +282,49 @@ func (an *Analysis) EstimatePortfolio(algs []core.Allocator, opt Options, sim Si
 // additionally returns every member allocator's design, in allocator list
 // order (failed members are absent) — the winner included. Diagnostic
 // sweeps (`dse -portfolio-all`) report the members next to the winner so
-// the win margins are visible per point.
+// the win margins are visible per point. It is SchedulePortfolio then
+// RealizePortfolio on opt.Device.
 func (an *Analysis) EstimatePortfolioAll(algs []core.Allocator, opt Options, sim SimFunc) (*Design, []*Design, error) {
-	if len(algs) == 0 {
+	return an.RealizePortfolio(an.SchedulePortfolio(algs, opt, sim), opt.Device)
+}
+
+// Member is one portfolio allocator's schedule, or the error that stopped
+// it before any device was applied.
+type Member struct {
+	Schedule Schedule
+	Err      error
+}
+
+// SchedulePortfolio schedules the design point under every allocator in
+// algs, in list order. A member's failure is kept as its Err rather than
+// returned: whether it fails the point depends on the other members and,
+// through Fit, on the device (RealizePortfolio).
+func (an *Analysis) SchedulePortfolio(algs []core.Allocator, opt Options, sim SimFunc) []Member {
+	ms := make([]Member, len(algs))
+	for i, alg := range algs {
+		ms[i].Schedule, ms[i].Err = an.Schedule(alg, opt, sim)
+	}
+	return ms
+}
+
+// RealizePortfolio realizes every member schedule on dev and returns the
+// best design by EstimatePortfolio's objective order, with every member's
+// design in list order (failed members absent). The point fails only
+// when every member fails, with their deduplicated errors in list order.
+func (an *Analysis) RealizePortfolio(ms []Member, dev fpga.Device) (*Design, []*Design, error) {
+	if len(ms) == 0 {
 		return nil, nil, fmt.Errorf("hls: %s: empty allocator portfolio", an.Kernel.Name)
 	}
 	var best *Design
 	var members []*Design
 	var msgs []string
 	seen := map[string]bool{}
-	for _, alg := range algs {
-		d, err := an.EstimateSim(alg, opt, sim)
+	for i := range ms {
+		err := ms[i].Err
+		var d *Design
+		if err == nil {
+			d, err = an.Realize(&ms[i].Schedule, dev)
+		}
 		if err != nil {
 			// Deduplicated, "; "-joined single line: the error lands in
 			// line-oriented reports (table rows, CSV fields), and members
