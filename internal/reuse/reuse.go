@@ -15,8 +15,10 @@
 // arithmetic progression and the footprint is the cardinality of their
 // sumset (distinctClosedForm). The brute-force sub-space enumerator the
 // analysis originally shipped with is retained as the differential oracle
-// (distinctEnumerated) and as the fallback for the rare shape the
-// progression reduction cannot fold.
+// (distinctEnumerated) and as the fallback for the shapes the
+// progression reduction cannot fold (three or more irreducible
+// progressions; see distinctClosedForm for how often generated nests
+// reach it).
 package reuse
 
 import (
@@ -204,8 +206,11 @@ func flatAffine(r *ir.ArrayRef) ir.Affine {
 // longer progression (m + (n-1)·q), and a final pair of irreducible
 // progressions has the exact closed form m·n − (m−C)⁺·(n−G)⁺ with
 // G = g/gcd, C = c/gcd — collisions a₁g+b₁c = a₂g+b₂c pair points along
-// (a,b) → (a+C, b−G) chains, one collision per chain edge. More than two
-// irreducible progressions (not seen in practice) fall back to the oracle.
+// (a,b) → (a+C, b−G) chains, one collision per chain edge. Three or more
+// irreducible progressions fall back to the oracle. The Table-1 kernels
+// never produce them, but generated nests do: at the random-nests
+// benchmark's generator config (seed 1, 128 sets × 48 nests), 503 of
+// 83,237 per-level counts (0.6%) fall back, in 425 of 6,144 nests (6.9%).
 func distinctClosedForm(n *ir.Nest, r *ir.ArrayRef, l int) (int, bool) {
 	flat := flatAffine(r)
 	type ap struct{ g, m int } // {0, g, …, (m-1)·g}
