@@ -154,11 +154,12 @@ type Engine struct {
 	// points (ExploreStream/ExploreShardStream): at most Window results
 	// are dispatched-but-unemitted at any moment, so a slow head-of-line
 	// point throttles the pool instead of growing an unbounded reorder
-	// buffer. ≤0 uses 4×workers (minimum 16). A unit takes one slot per
-	// point before it is dispatched, so a window below the largest owned
-	// unit (|Devices|·|Scheds| points) is raised to that size. The
-	// buffered Explore/ExploreShard entries are unaffected — they hold
-	// every result anyway.
+	// buffer. It counts points, and a unit (the owned points of one
+	// kernel, allocator and budget: up to |Devices|·|Scheds|) takes one
+	// slot per point before it is dispatched, so a window below the
+	// largest owned unit is raised to that size. ≤0 uses 4×workers units
+	// (minimum 16 points). The buffered Explore/ExploreShard entries are
+	// unaffected — they hold every result anyway.
 	Window int
 	// Obs, when non-nil, collects per-stage metrics across the whole
 	// pipeline — front-end analysis, allocator runs, planning, simulation
@@ -180,11 +181,15 @@ func (e Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (e Engine) window() int {
+// window resolves Engine.Window for a run whose largest owned unit has
+// unit points: a unit takes one slot per point before it is dispatched,
+// so the window is never below one unit, and the default holds four
+// units per worker.
+func (e Engine) window(unit int) int {
 	if e.Window > 0 {
-		return e.Window
+		return max(e.Window, unit)
 	}
-	return max(4*e.workers(), 16)
+	return max(4*e.workers()*unit, 16)
 }
 
 // Explore evaluates every point of the space and returns the full result
@@ -205,8 +210,8 @@ func (e Engine) Explore(sp Space) (*ResultSet, error) {
 // per-kernel front-end memoization keeps paying off inside each shard.
 func (e Engine) ExploreShard(sp Space, shardIndex, shardCount int) (*ResultSet, error) {
 	var col collector
-	// Window 0 = no backpressure: the collector buffers everything anyway.
-	st, err := e.exploreStream(context.Background(), sp, shardIndex, shardCount, 0, &col)
+	// No backpressure: the collector buffers everything anyway.
+	st, err := e.exploreStream(context.Background(), sp, shardIndex, shardCount, false, &col)
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func TestObsOutputByteIdentical(t *testing.T) {
 // TestObsStageCoverage pins the stage vocabulary one instrumented
 // exploration produces: every layer of the pipeline must report, once per
 // point for the point span and once per schedule for the work a device
-// does not change.
+// does not change, and the trace carries both plan-memo tiers.
 func TestObsStageCoverage(t *testing.T) {
 	m := obs.New()
 	tr := obs.NewTracer(1024)
@@ -110,24 +110,20 @@ func TestObsStageCoverage(t *testing.T) {
 	if hits != 0 {
 		t.Errorf("plan hits = %d, want 0: no two schedules of smallSpace share a plan", hits)
 	}
-}
 
-// TestObsTracePlanTiers: the trace's sim spans carry the plan-memo tier.
-// FR-RA's figure1 allocation saturates at 82 registers (b[k][j], ν=600,
-// stays in RAM), so budgets 128 and 256 yield one plan: one miss, then one
-// hit.
-func TestObsTracePlanTiers(t *testing.T) {
-	m := obs.New()
-	tr := obs.NewTracer(256)
-	sp := Space{
+	// FR-RA's figure1 allocation saturates at 82 registers (b[k][j],
+	// ν=600, stays in RAM), so budgets 128 and 256 yield one plan: one
+	// miss, then one hit, and the trace's sim spans carry both tiers.
+	tr = obs.NewTracer(256)
+	sat := Space{
 		Kernels:    []kernels.Kernel{kernels.Figure1()},
 		Allocators: []core.Allocator{core.FRRA{}},
 		Budgets:    []int{128, 256},
 		Devices:    []fpga.Device{fpga.XCV1000(), fpga.XC2V6000()},
 	}
-	rs := mustExplore(t, Engine{Workers: 2, Obs: m, Trace: tr}, sp)
+	rs := mustExplore(t, Engine{Workers: 2, Obs: obs.New(), Trace: tr}, sat)
 	if hits, misses := rs.Obs.Stages["cache/plan/hit"].Count, rs.Obs.Stages["cache/plan/miss"].Count; hits != 1 || misses != 1 {
-		t.Errorf("plan hit/miss = %d/%d, want 1/1", hits, misses)
+		t.Errorf("saturating budgets: plan hit/miss = %d/%d, want 1/1", hits, misses)
 	}
 	tiers := map[string]bool{}
 	for _, ev := range tr.Events() {

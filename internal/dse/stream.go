@@ -42,8 +42,8 @@ type StreamStats struct {
 	// for file-backed runs (Engine.SimCacheDir).
 	Cache simcache.Snapshot
 	// MaxWindow is the peak number of completed-but-unemitted results the
-	// order-restoring window held — bounded by Engine.Window, and the
-	// memory high-water mark of the streaming path.
+	// order-restoring window held — bounded by the window Engine.Window
+	// resolves to, and the memory high-water mark of the streaming path.
 	MaxWindow int
 	// Obs is the per-stage metrics snapshot of the run, taken just before
 	// End is delivered (so End's own encode time is excluded — the CLIs
@@ -58,7 +58,7 @@ type StreamStats struct {
 // complete. Unlike Explore, memory is bounded by the window (plus whatever
 // sr retains), not by the number of points.
 func (e Engine) ExploreStream(sp Space, sr StreamReporter) (StreamStats, error) {
-	return e.exploreStream(context.Background(), sp, 0, 1, e.window(), sr)
+	return e.exploreStream(context.Background(), sp, 0, 1, true, sr)
 }
 
 // ExploreShardStream is ExploreStream restricted to one shard of an
@@ -71,7 +71,7 @@ func (e Engine) ExploreStream(sp Space, sr StreamReporter) (StreamStats, error) 
 // of the portable encoding sees a truncated, salvageable file rather than
 // a complete one. Returns ctx.Err().
 func (e Engine) ExploreShardStream(ctx context.Context, sp Space, shardIndex, shardCount int, sr StreamReporter) (StreamStats, error) {
-	return e.exploreStream(ctx, sp, shardIndex, shardCount, e.window(), sr)
+	return e.exploreStream(ctx, sp, shardIndex, shardCount, true, sr)
 }
 
 // ExploreSubsetStream evaluates exactly the given global point indices —
@@ -82,7 +82,7 @@ func (e Engine) ExploreShardStream(ctx context.Context, sp Space, shardIndex, sh
 // output byte-identity after reassembly) is unaffected by how the subset
 // was chosen.
 func (e Engine) ExploreSubsetStream(ctx context.Context, sp Space, points []int, sr StreamReporter) (StreamStats, error) {
-	return e.exploreOwned(ctx, sp, points, e.window(), sr)
+	return e.exploreOwned(ctx, sp, points, true, sr)
 }
 
 // CheckPoints validates an explicit owned point list over a space of
@@ -102,7 +102,7 @@ func CheckPoints(points []int, total int) error {
 
 // exploreStream selects the owned stride of an n-way partition and runs
 // the core over it.
-func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCount, window int, sr StreamReporter) (StreamStats, error) {
+func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCount int, bounded bool, sr StreamReporter) (StreamStats, error) {
 	if shardCount < 1 || shardIndex < 0 || shardIndex >= shardCount {
 		return StreamStats{}, fmt.Errorf("dse: invalid shard %d/%d (want count ≥ 1 and 0 ≤ index < count)", shardIndex, shardCount)
 	}
@@ -120,7 +120,7 @@ func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCo
 	for i := shardIndex; i < n; i += shardCount {
 		owned = append(owned, i)
 	}
-	return e.exploreOwned(ctx, sp, owned, window, sr)
+	return e.exploreOwned(ctx, sp, owned, bounded, sr)
 }
 
 // exploreOwned is the engine core every entry point funnels into: it
@@ -132,19 +132,19 @@ func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCo
 // schedule, sending each result as it is made. Workers complete out of
 // order; completed results park in an order-restoring window keyed by
 // global point index and are emitted as soon as the run of consecutive
-// owned indices extends. A window semaphore (window > 0) backpressures
-// the feeder, one slot per point, so at most `window` results are
+// owned indices extends. When bounded, a window semaphore backpressures
+// the feeder, one slot per point, so at most Engine.window results are
 // dispatched-but-unemitted at any moment: a slow head-of-line unit
-// throttles the pool instead of growing an unbounded reorder buffer. A
-// window below the largest owned unit is raised to that size, so every
-// unit can be dispatched. Deadlock-free because units are contiguous and
+// throttles the pool instead of growing an unbounded reorder buffer. The
+// window is never below the largest owned unit, so every unit can be
+// dispatched. Deadlock-free because units are contiguous and
 // dispatched in emission order: if the next result to emit is not yet
 // dispatched, every dispatched result has been emitted and its slot
 // released. Cancelling ctx halts dispatch (the same mechanism as a
 // reporter error), stops delivery — no Point after the cancellation is
 // observed, however many results are parked — and returns ctx.Err()
 // without delivering End.
-func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, window int, sr StreamReporter) (StreamStats, error) {
+func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded bool, sr StreamReporter) (StreamStats, error) {
 	sp, err := sp.normalized()
 	if err != nil {
 		return StreamStats{}, err
@@ -208,13 +208,14 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, window 
 
 	block := len(sp.Devices) * len(sp.Scheds)
 	var sem chan struct{}
-	if window > 0 {
+	if bounded {
+		unit := 0
 		for lo := 0; lo < len(owned); {
 			hi := nextUnit(owned, lo, block)
-			window = max(window, hi-lo)
+			unit = max(unit, hi-lo)
 			lo = hi
 		}
-		sem = make(chan struct{}, window)
+		sem = make(chan struct{}, e.window(unit))
 	}
 	unitCh := make(chan []int)
 	results := make(chan Result)

@@ -1,9 +1,7 @@
 package dse
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -50,7 +48,7 @@ func standalone(t *testing.T, an map[string]*hls.Analysis, p Point, members bool
 	t.Helper()
 	a := an[p.Kernel.Name]
 	if pf, ok := p.Allocator.(Portfolio); ok {
-		d, ms, err := a.EstimatePortfolioAll(pf.Allocators, p.Options(), nil)
+		d, ms, err := a.EstimatePortfolio(pf.Allocators, p.Options(), nil)
 		if !members {
 			ms = nil
 		}
@@ -209,21 +207,24 @@ func TestUnitsFollowBlocks(t *testing.T) {
 	}
 }
 
-// TestUnitStreamsBytesLikeBuffered: the window floor changes no output
-// byte — a Window-1 stream renders what the buffered exploration does.
-func TestUnitStreamsBytesLikeBuffered(t *testing.T) {
-	sp := unitSpace()
-	var buffered, streamed bytes.Buffer
-	if err := (CSVReporter{Pareto: true}).Report(&buffered, mustExplore(t, Engine{Workers: 3}, sp)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (Engine{Workers: 3, Window: 1}).ExploreStream(sp, CSVReporter{Pareto: true}.Stream(&streamed)); err != nil {
-		t.Fatal(err)
-	}
-	if buffered.String() != streamed.String() {
-		t.Fatal("Window-1 stream differs from the buffered exploration")
-	}
-	if !strings.Contains(buffered.String(), "small has 380") {
-		t.Error("no point failed Fit on the small device")
+// TestWindowCountsUnits: an explicit window is raised to the largest
+// unit, and the default holds four units per worker (at least 16 points),
+// which on one-point units is the old 4×workers.
+func TestWindowCountsUnits(t *testing.T) {
+	for _, tc := range []struct {
+		e          Engine
+		unit, want int
+	}{
+		{Engine{Workers: 1}, 1, 16},
+		{Engine{Workers: 8}, 1, 32},
+		{Engine{Workers: 2}, 2, 16},
+		{Engine{Workers: 2}, 18, 144},
+		{Engine{Workers: 2, Window: 4}, 18, 18},
+		{Engine{Workers: 2, Window: 40}, 18, 40},
+	} {
+		if got := tc.e.window(tc.unit); got != tc.want {
+			t.Errorf("Engine{Workers: %d, Window: %d}.window(%d) = %d, want %d",
+				tc.e.Workers, tc.e.Window, tc.unit, got, tc.want)
+		}
 	}
 }

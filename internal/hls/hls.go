@@ -165,13 +165,12 @@ func (an *Analysis) EstimateSim(alg core.Allocator, opt Options, sim SimFunc) (*
 // small value: callers hold it by value, so it costs no allocation of its
 // own.
 type Schedule struct {
-	Algorithm  string
-	Allocation *core.Allocation
-	Plan       *scalarrepl.Plan
-	// Sim may be shared with other Schedules when a sweep's simulation
+	algorithm string
+	alloc     *core.Allocation
+	plan      *scalarrepl.Plan
+	// sim may be shared with other Schedules when a sweep's simulation
 	// cache deduplicated the plan.
-	Sim *sched.Result
-
+	sim *sched.Result
 	// stats holds the device models' inputs: the kernel's statistics
 	// completed with this schedule's register file and class count.
 	stats fpga.DesignStats
@@ -229,11 +228,11 @@ func (an *Analysis) Schedule(alg core.Allocator, opt Options, sim SimFunc) (Sche
 		return Schedule{}, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
 	}
 	return Schedule{
-		Algorithm:  alg.Name(),
-		Allocation: alloc,
-		Plan:       plan,
-		Sim:        res,
-		stats:      an.designStats(alloc, res),
+		algorithm: alg.Name(),
+		alloc:     alloc,
+		plan:      plan,
+		sim:       res,
+		stats:     an.designStats(alloc, res),
 	}, nil
 }
 
@@ -242,17 +241,17 @@ func (an *Analysis) Schedule(alg core.Allocator, opt Options, sim SimFunc) (Sche
 // Safe to call concurrently, on one schedule from many goroutines too.
 func (an *Analysis) Realize(s *Schedule, dev fpga.Device) (*Design, error) {
 	if err := dev.Fit(s.stats); err != nil {
-		return nil, fmt.Errorf("hls: %s/%s: %w", an.Kernel.Name, s.Algorithm, err)
+		return nil, fmt.Errorf("hls: %s/%s: %w", an.Kernel.Name, s.algorithm, err)
 	}
 	d := &Design{
 		Kernel:     an.Kernel.Name,
-		Algorithm:  s.Algorithm,
-		Allocation: s.Allocation,
-		Plan:       s.Plan,
-		Sim:        s.Sim,
-		Registers:  s.Allocation.Total(),
-		Cycles:     s.Sim.TotalCycles,
-		MemCycles:  s.Sim.MemCycles,
+		Algorithm:  s.algorithm,
+		Allocation: s.alloc,
+		Plan:       s.plan,
+		Sim:        s.sim,
+		Registers:  s.alloc.Total(),
+		Cycles:     s.sim.TotalCycles,
+		MemCycles:  s.sim.MemCycles,
 		ClockNs:    dev.ClockNs(s.stats),
 		Slices:     dev.SlicesFor(s.stats),
 		SliceUtil:  dev.Utilization(s.stats),
@@ -267,24 +266,17 @@ func (an *Analysis) Realize(s *Schedule, dev fpga.Device) (*Design, error) {
 // algs and returns the best design by the objective order: lowest
 // wall-clock time, then fewest slices, then fewest registers, then the
 // earlier allocator in list order — a deterministic total order, so
-// portfolio sweeps are reproducible whatever the evaluation schedule. All
+// portfolio sweeps are reproducible whatever the evaluation schedule. It
+// also returns every member's design, in allocator list order (failed
+// members are absent), the winner included: `dse -portfolio-all`
+// reports them next to the winner so the win margins are visible. All
 // candidates run through the same sim function, so a sweep's simulation
 // caches are shared across the whole portfolio (allocators frequently
 // agree on β for part of the space, and even disagreeing plans share
-// iteration-class schedules). Per-allocator failures (infeasible budget, device
-// capacity) only fail the point when every allocator fails.
-func (an *Analysis) EstimatePortfolio(algs []core.Allocator, opt Options, sim SimFunc) (*Design, error) {
-	best, _, err := an.EstimatePortfolioAll(algs, opt, sim)
-	return best, err
-}
-
-// EstimatePortfolioAll is EstimatePortfolio exposing the whole field: it
-// additionally returns every member allocator's design, in allocator list
-// order (failed members are absent) — the winner included. Diagnostic
-// sweeps (`dse -portfolio-all`) report the members next to the winner so
-// the win margins are visible per point. It is SchedulePortfolio then
-// RealizePortfolio on opt.Device.
-func (an *Analysis) EstimatePortfolioAll(algs []core.Allocator, opt Options, sim SimFunc) (*Design, []*Design, error) {
+// iteration-class schedules). Per-allocator failures (infeasible budget,
+// device capacity) only fail the point when every allocator fails. It is
+// SchedulePortfolio then RealizePortfolio on opt.Device.
+func (an *Analysis) EstimatePortfolio(algs []core.Allocator, opt Options, sim SimFunc) (*Design, []*Design, error) {
 	return an.RealizePortfolio(an.SchedulePortfolio(algs, opt, sim), opt.Device)
 }
 

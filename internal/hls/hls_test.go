@@ -1,9 +1,12 @@
 package hls
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fpga"
 	"repro/internal/kernels"
 )
 
@@ -140,5 +143,71 @@ func TestClockDegradationBounded(t *testing.T) {
 		if pct < -1 || pct > 20 {
 			t.Errorf("%s: clock degradation %.1f%% outside [-1,20]", k.Name, pct)
 		}
+	}
+}
+
+// TestScheduleRealizePerDevice: one schedule realized on each device gives
+// the design a full estimate for that device gives, and scheduling reads
+// no device — a schedule taken under a device that fits nothing realizes
+// like one taken under the paper's target.
+func TestScheduleRealizePerDevice(t *testing.T) {
+	k := kernels.FIR()
+	an, err := Analyze(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Device = fpga.Device{Name: "none"}
+	for _, alg := range core.All() {
+		s, err := an.Schedule(alg, opt, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		for _, dev := range append(fpga.Devices(), fpga.Device{Name: "tiny", Slices: 100, BlockRAMs: 1, BlockRAMBits: 4096}) {
+			devOpt := DefaultOptions()
+			devOpt.Device = dev
+			want, wantErr := an.Estimate(alg, devOpt)
+			got, gotErr := an.Realize(&s, dev)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s on %s: Realize error %v, Estimate %v", alg.Name(), dev.Name, gotErr, wantErr)
+				continue
+			}
+			if wantErr == nil && (got.Registers != want.Registers || got.Cycles != want.Cycles || got.MemCycles != want.MemCycles ||
+				got.ClockNs != want.ClockNs || got.TimeUs != want.TimeUs || got.Slices != want.Slices ||
+				got.SliceUtil != want.SliceUtil || got.RAMs != want.RAMs || got.Algorithm != want.Algorithm) {
+				t.Errorf("%s on %s: Realize %+v, Estimate %+v", alg.Name(), dev.Name, got, want)
+			}
+		}
+	}
+}
+
+// TestRealizePortfolioErrors: a portfolio point fails only when every
+// member fails on the device, with the members' distinct errors in list
+// order; an empty portfolio is an error of its own.
+func TestRealizePortfolioErrors(t *testing.T) {
+	an, err := Analyze(kernels.Figure1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Rmax = 3 // figure1 has 5 references: every allocator refuses
+	ms := an.SchedulePortfolio(core.All(), opt, nil)
+	_, _, err = an.RealizePortfolio(ms, fpga.XCV1000())
+	want := "hls: figure1: every portfolio allocator failed: " + ms[0].Err.Error()
+	if err == nil || err.Error() != want {
+		t.Errorf("infeasible portfolio error %v, want %q", err, want)
+	}
+	opt.Rmax = 64
+	ms = an.SchedulePortfolio(core.All(), opt, nil)
+	tiny := fpga.Device{Name: "tiny", Slices: 10, BlockRAMs: 1, BlockRAMBits: 4096}
+	if _, _, err := an.RealizePortfolio(ms, tiny); err == nil || !strings.Contains(err.Error(), "every portfolio allocator failed") {
+		t.Errorf("portfolio on a 10-slice device: %v", err)
+	}
+	best, members, err := an.RealizePortfolio(ms, fpga.XCV1000())
+	if err != nil || best == nil || len(members) != len(ms) {
+		t.Errorf("portfolio on XCV1000: best %v, %d members, %v", best, len(members), err)
+	}
+	if _, _, err := an.RealizePortfolio(nil, fpga.XCV1000()); err == nil || err.Error() != "hls: figure1: empty allocator portfolio" {
+		t.Errorf("empty portfolio: %v", err)
 	}
 }

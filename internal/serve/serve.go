@@ -73,8 +73,8 @@ const maxSpecSize = 1 << 20
 // Config tunes one Server.
 type Config struct {
 	// Workers and Window are handed to each request's engine (0 = engine
-	// defaults: GOMAXPROCS workers, 4×workers window). The engine raises a
-	// window below the space's largest unit to that size.
+	// defaults: GOMAXPROCS workers, a window of 4×workers units). The
+	// engine raises a window below the space's largest unit to that size.
 	Workers int
 	Window  int
 	// MaxInflight caps concurrently running sweeps (≤0 = 2): each sweep
