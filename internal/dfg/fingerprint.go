@@ -3,8 +3,7 @@ package dfg
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Fingerprint returns a digest identifying everything a scheduler reads
@@ -16,19 +15,37 @@ import (
 // mutated afterwards (Build's product is read-only by convention).
 func (g *Graph) Fingerprint() string {
 	g.fpOnce.Do(func() {
-		var b strings.Builder
-		for i, n := range g.Nodes {
-			if n.Kind == KindRef {
-				fmt.Fprintf(&b, "%d:r:%s:%s:%t:%t<", i, n.RefKey, n.Ref.Array.Name, n.IsWrite, n.IsRead)
-			} else {
-				fmt.Fprintf(&b, "%d:o:%d<", i, int(n.Op))
+		n := 0
+		for i, nd := range g.Nodes {
+			n += 32 + len(nd.RefKey) + 4*len(g.Pred[i]) // fixed text and digits, key, preds
+			if nd.Kind == KindRef {
+				n += len(nd.Ref.Array.Name)
 			}
-			for _, p := range g.Pred[i] {
-				fmt.Fprintf(&b, "%d,", p)
-			}
-			b.WriteByte(';')
 		}
-		sum := sha256.Sum256([]byte(b.String()))
+		b := make([]byte, 0, n)
+		for i, nd := range g.Nodes {
+			b = strconv.AppendInt(b, int64(i), 10)
+			if nd.Kind == KindRef {
+				b = append(b, ":r:"...)
+				b = append(b, nd.RefKey...)
+				b = append(b, ':')
+				b = append(b, nd.Ref.Array.Name...)
+				b = append(b, ':')
+				b = strconv.AppendBool(b, nd.IsWrite)
+				b = append(b, ':')
+				b = strconv.AppendBool(b, nd.IsRead)
+			} else {
+				b = append(b, ":o:"...)
+				b = strconv.AppendInt(b, int64(nd.Op), 10)
+			}
+			b = append(b, '<')
+			for _, p := range g.Pred[i] {
+				b = strconv.AppendInt(b, int64(p), 10)
+				b = append(b, ',')
+			}
+			b = append(b, ';')
+		}
+		sum := sha256.Sum256(b)
 		g.fp = hex.EncodeToString(sum[:])
 	})
 	return g.fp

@@ -15,6 +15,7 @@ package hls
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/kernels"
@@ -33,25 +34,43 @@ import (
 //repro:nohash Kernel.Description — documentation only
 //repro:nohash Kernel.Rmax — a budget for allocation, applied after analysis
 func KernelFingerprint(k kernels.Kernel) string {
-	var b strings.Builder
-	b.WriteString("fe1|")
-	for _, l := range k.Nest.Loops {
-		fmt.Fprintf(&b, "%d:%d:%d;", l.Lo, l.Hi, l.Step)
+	loops := k.Nest.Loops
+	groups := k.Nest.RefGroups()
+	n := 8 + 16*len(loops) // the prefix, then lo:hi:step; per loop
+	for _, g := range groups {
+		n += 12 + len(g.Ref.Index())*(12+4*len(loops))
 	}
-	b.WriteByte('|')
-	for _, g := range k.Nest.RefGroups() {
+	b := make([]byte, 0, n)
+	b = append(b, "fe1|"...)
+	for _, l := range loops {
+		b = strconv.AppendInt(b, int64(l.Lo), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(l.Hi), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(l.Step), 10)
+		b = append(b, ';')
+	}
+	b = append(b, '|')
+	for _, g := range groups {
 		r := g.Ref
-		fmt.Fprintf(&b, "r%d,w%d", g.Reads, g.Writes)
+		b = append(b, 'r')
+		b = strconv.AppendInt(b, int64(g.Reads), 10)
+		b = append(b, ",w"...)
+		b = strconv.AppendInt(b, int64(g.Writes), 10)
 		for dim, ix := range r.Index() {
-			fmt.Fprintf(&b, "@%d[%d", r.Array.Dims[dim], ix.Const)
-			for _, l := range k.Nest.Loops {
-				fmt.Fprintf(&b, ",%d", ix.Coeff(l.Var))
+			b = append(b, '@')
+			b = strconv.AppendInt(b, int64(r.Array.Dims[dim]), 10)
+			b = append(b, '[')
+			b = strconv.AppendInt(b, int64(ix.Const), 10)
+			for _, l := range loops {
+				b = append(b, ',')
+				b = strconv.AppendInt(b, int64(ix.Coeff(l.Var)), 10)
 			}
-			b.WriteByte(']')
+			b = append(b, ']')
 		}
-		b.WriteByte(';')
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Fingerprint returns the kernel fingerprint of the analysis, memoized.

@@ -1,11 +1,14 @@
 package hls
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/dsl"
+	"repro/internal/irgen"
 	"repro/internal/kernels"
 )
 
@@ -145,5 +148,54 @@ func TestDecodeRejectsMismatches(t *testing.T) {
 	}
 	if _, err := DecodeAnalysis(fig, nil); err == nil {
 		t.Error("empty blob accepted")
+	}
+}
+
+// kernelFingerprintFmt is the fmt rendering KernelFingerprint replaced.
+// The fingerprint names analysis-cache entries and disk blobs, so the
+// strconv rendering must reproduce its bytes exactly.
+func kernelFingerprintFmt(k kernels.Kernel) string {
+	var b strings.Builder
+	b.WriteString("fe1|")
+	for _, l := range k.Nest.Loops {
+		fmt.Fprintf(&b, "%d:%d:%d;", l.Lo, l.Hi, l.Step)
+	}
+	b.WriteByte('|')
+	for _, g := range k.Nest.RefGroups() {
+		r := g.Ref
+		fmt.Fprintf(&b, "r%d,w%d", g.Reads, g.Writes)
+		for dim, ix := range r.Index() {
+			fmt.Fprintf(&b, "@%d[%d", r.Array.Dims[dim], ix.Const)
+			for _, l := range k.Nest.Loops {
+				fmt.Fprintf(&b, ",%d", ix.Coeff(l.Var))
+			}
+			b.WriteByte(']')
+		}
+		b.WriteByte(';')
+	}
+	return b.String()
+}
+
+// TestKernelFingerprintMatchesFmt pins KernelFingerprint against its fmt
+// rendering on the seven kernels and 2,000 generated nests at the
+// random-nests benchmark's generator config, and pins its cost.
+func TestKernelFingerprintMatchesFmt(t *testing.T) {
+	ks := append(kernels.All(), kernels.Figure1())
+	rng := rand.New(rand.NewSource(1))
+	cfg := irgen.Config{MaxDepth: 3, MaxTrip: 24, MaxArrays: 5, MaxStmts: 4, InteriorZeroProb: 0.35}
+	for i := range 2000 {
+		ks = append(ks, kernels.Kernel{Name: fmt.Sprintf("rand%d", i), Nest: irgen.Nest(rng, cfg)})
+	}
+	for _, k := range ks {
+		if got, want := KernelFingerprint(k), kernelFingerprintFmt(k); got != want {
+			t.Fatalf("%s: KernelFingerprint() = %q, fmt rendering %q", k.Name, got, want)
+		}
+	}
+	// Beyond grouping the references, the rendering costs its buffer and
+	// the result.
+	fig := kernels.Figure1()
+	groups := testing.AllocsPerRun(100, func() { _ = fig.Nest.RefGroups() })
+	if allocs := testing.AllocsPerRun(100, func() { _ = KernelFingerprint(fig) }); allocs > groups+2 {
+		t.Errorf("KernelFingerprint allocates %v times, RefGroups %v; want ≤ 2 more", allocs, groups)
 	}
 }
