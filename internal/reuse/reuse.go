@@ -13,16 +13,16 @@
 // test would miss. The count itself is closed-form: the flattened index is a
 // single affine function of the loop variables, so each loop contributes an
 // arithmetic progression and the footprint is the cardinality of their
-// sumset (distinctClosedForm). The brute-force sub-space enumerator the
-// analysis originally shipped with is retained as the differential oracle
-// (distinctEnumerated) and as the fallback for the shapes the
-// progression reduction cannot fold (three or more irreducible
-// progressions; see distinctClosedForm for how often generated nests
-// reach it).
+// sumset (distinctClosedForm), counted exactly for any number of
+// progressions. The brute-force sub-space enumerator the analysis
+// originally shipped with is test code, the differential oracle
+// (distinctEnumerated in closedform_test.go).
 package reuse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
@@ -91,11 +91,12 @@ func Analyze(n *ir.Nest) ([]*Info, error) {
 			Group:       g,
 			TotalReads:  g.Reads * iters,
 			TotalWrites: g.Writes * iters,
+			Flat:        flatAffine(g.Ref),
 		}
 		inf.Distinct = make([]int, d+1)
 		inf.Distinct[d] = 1
 		for l := d - 1; l >= 0; l-- {
-			inf.Distinct[l] = distinctAtLevel(n, g.Ref, l)
+			inf.Distinct[l] = distinctClosedForm(n, inf.Flat, l)
 		}
 		inf.derive(n)
 		out = append(out, inf)
@@ -135,6 +136,7 @@ func FromDistinct(n *ir.Nest, distinct [][]int) ([]*Info, error) {
 			TotalReads:  g.Reads * iters,
 			TotalWrites: g.Writes * iters,
 			Distinct:    append([]int(nil), dist...),
+			Flat:        flatAffine(g.Ref),
 		}
 		inf.derive(n)
 		out = append(out, inf)
@@ -143,10 +145,8 @@ func FromDistinct(n *ir.Nest, distinct [][]int) ([]*Info, error) {
 }
 
 // derive fills the summary fields computed from the Distinct profile and
-// the access totals — reuse level, ν, and the benefit B — plus the flat
-// index function.
+// the access totals: reuse level, ν, and the benefit B.
 func (inf *Info) derive(n *ir.Nest) {
-	inf.Flat = flatAffine(inf.Group.Ref)
 	d := n.Depth()
 	inf.ReuseLevel = -1
 	for l := 0; l < d; l++ {
@@ -167,24 +167,13 @@ func (inf *Info) derive(n *ir.Nest) {
 	}
 }
 
-// distinctAtLevel counts the distinct elements the reference touches while
-// loops l..depth-1 run and loops 0..l-1 sit at their lower bounds. For an
-// affine reference the count is invariant in the choice of the fixed outer
-// iteration. The closed form answers almost every shape; the enumerating
-// oracle backs the rest.
-func distinctAtLevel(n *ir.Nest, r *ir.ArrayRef, l int) int {
-	if cnt, ok := distinctClosedForm(n, r, l); ok {
-		return cnt
-	}
-	return distinctEnumerated(n, r, l)
-}
-
 // flatAffine folds the reference's multi-dimensional index into the single
 // affine function of the loop variables that addresses the flattened array:
 // flat = ((i0·D1 + i1)·D2 + i2)…, the same arithmetic the enumerating
 // oracle evaluates point by point — including any cross-dimension collisions
 // an undersized dimension introduces, which per-dimension counting would
-// miss.
+// miss. Analyze folds it once per reference group and counts every level
+// from it.
 func flatAffine(r *ir.ArrayRef) ir.Affine {
 	var flat ir.Affine
 	for dim, ix := range r.Index() {
@@ -193,7 +182,10 @@ func flatAffine(r *ir.ArrayRef) ir.Affine {
 	return flat
 }
 
-// distinctClosedForm computes the level-l footprint without enumeration.
+// distinctClosedForm counts the distinct elements the flat index touches
+// while loops l..depth-1 run and loops 0..l-1 sit at their lower bounds.
+// For an affine reference the count is invariant in the choice of the
+// fixed outer iteration, so it is computed without enumeration.
 //
 // Over loops l..depth-1 the flat index is a sum of arithmetic progressions:
 // loop v with trip m and flat-index coefficient c contributes
@@ -201,38 +193,34 @@ func flatAffine(r *ir.ArrayRef) ir.Affine {
 // the progression, which preserves cardinality; outer loops and zero
 // coefficients shift it, which preserves cardinality too). The footprint is
 // the cardinality of the sumset. The progressions are reduced smallest
-// stride first: equal strides merge (m+n-1), a stride that is a multiple
-// q·g of a progression dense enough to absorb it (q ≤ m) folds into a
-// longer progression (m + (n-1)·q), and a final pair of irreducible
+// stride first: equal strides merge (m+n-1), and a stride that is a
+// multiple q·g of a progression dense enough to absorb it (q ≤ m) folds
+// into a longer progression (m + (n-1)·q). A final pair of irreducible
 // progressions has the exact closed form m·n − (m−C)⁺·(n−G)⁺ with
 // G = g/gcd, C = c/gcd — collisions a₁g+b₁c = a₂g+b₂c pair points along
 // (a,b) → (a+C, b−G) chains, one collision per chain edge. Three or more
-// irreducible progressions fall back to the oracle. The Table-1 kernels
-// never produce them, but generated nests do: at the random-nests
-// benchmark's generator config (seed 1, 128 sets × 48 nests), 503 of
-// 83,237 per-level counts (0.6%) fall back, in 425 of 6,144 nests (6.9%).
-func distinctClosedForm(n *ir.Nest, r *ir.ArrayRef, l int) (int, bool) {
-	flat := flatAffine(r)
-	type ap struct{ g, m int } // {0, g, …, (m-1)·g}
-	var aps []ap
+// are counted by sumsetSize.
+func distinctClosedForm(n *ir.Nest, flat ir.Affine, l int) int {
+	var buf [8]progression
+	aps := buf[:0]
 	for _, loop := range n.Loops[l:] {
 		m := loop.Trip()
 		if m == 0 {
-			return 0, true // empty sub-space: nothing is accessed
+			return 0 // empty sub-space: nothing is accessed
 		}
 		c := flat.Coeff(loop.Var)
 		if c < 0 {
 			c = -c
 		}
 		if g := c * loop.Step; g != 0 && m > 1 {
-			aps = append(aps, ap{g, m})
+			aps = append(aps, progression{g, m})
 		}
 	}
 	if len(aps) == 0 {
-		return 1, true
+		return 1
 	}
-	sort.Slice(aps, func(i, j int) bool { return aps[i].g < aps[j].g })
-	var irred []ap
+	slices.SortFunc(aps, func(a, b progression) int { return cmp.Compare(a.g, b.g) })
+	irred := aps[:0] // reduces in place: irred never outruns the scan
 	cur := aps[0]
 	for _, t := range aps[1:] {
 		if t.g == cur.g {
@@ -249,7 +237,7 @@ func distinctClosedForm(n *ir.Nest, r *ir.ArrayRef, l int) (int, bool) {
 	irred = append(irred, cur)
 	switch len(irred) {
 	case 1:
-		return irred[0].m, true
+		return irred[0].m
 	case 2:
 		g, m := irred[0].g, irred[0].m
 		c, k := irred[1].g, irred[1].m
@@ -259,9 +247,59 @@ func distinctClosedForm(n *ir.Nest, r *ir.ArrayRef, l int) (int, bool) {
 		if m > C && k > G {
 			over = (m - C) * (k - G)
 		}
-		return m*k - over, true
+		return m*k - over
 	}
-	return 0, false
+	return sumsetSize(irred)
+}
+
+// progression is the arithmetic progression {0, g, …, (m-1)·g}.
+type progression struct{ g, m int }
+
+// sumsetSize counts the sumset of three or more progressions exactly.
+// Every element is s + k·g_L for a sum s of the other progressions and a
+// step k < m_L of the longest one, L. Sums in different residue classes
+// mod g_L never meet, and within one class each sum adds the run of m_L
+// consecutive quotients starting at ⌊s/g_L⌋. So the sums are enumerated,
+// sorted by (residue, quotient), and each class's equal-length runs merge
+// in one pass: a run adds min(m_L, its start minus the previous start).
+// The cost is O(P log P) for P the product of the other progressions'
+// lengths — the enumerator's cost is the whole trip product.
+func sumsetSize(aps []progression) int {
+	longest := 0
+	for i, a := range aps {
+		if a.m > aps[longest].m {
+			longest = i
+		}
+	}
+	L := aps[longest]
+	sums := []int{0}
+	for i, a := range aps {
+		if i == longest {
+			continue
+		}
+		next := make([]int, 0, len(sums)*a.m)
+		for _, s := range sums {
+			for k := range a.m {
+				next = append(next, s+k*a.g)
+			}
+		}
+		sums = next
+	}
+	slices.SortFunc(sums, func(a, b int) int {
+		if c := cmp.Compare(a%L.g, b%L.g); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	count := L.m
+	for i := 1; i < len(sums); i++ {
+		if sums[i]%L.g != sums[i-1]%L.g {
+			count += L.m
+		} else {
+			count += min(L.m, (sums[i]-sums[i-1])/L.g)
+		}
+	}
+	return count
 }
 
 func gcd(a, b int) int {
@@ -269,36 +307,6 @@ func gcd(a, b int) int {
 		a, b = b, a%b
 	}
 	return a
-}
-
-// distinctEnumerated is the original brute-force counter: walk the whole
-// iteration sub-space and collect flattened addresses. It is the
-// differential oracle for distinctClosedForm and the fallback for shapes
-// the progression reduction cannot fold.
-func distinctEnumerated(n *ir.Nest, r *ir.ArrayRef, l int) int {
-	env := map[string]int{}
-	for i := 0; i < l; i++ {
-		env[n.Loops[i].Var] = n.Loops[i].Lo
-	}
-	seen := map[int]struct{}{}
-	var walk func(depth int)
-	walk = func(depth int) {
-		if depth == n.Depth() {
-			flat := 0
-			for dim, ix := range r.Index() {
-				flat = flat*r.Array.Dims[dim] + ix.Eval(env)
-			}
-			seen[flat] = struct{}{}
-			return
-		}
-		loop := n.Loops[depth]
-		for v := loop.Lo; v < loop.Hi; v += loop.Step {
-			env[loop.Var] = v
-			walk(depth + 1)
-		}
-	}
-	walk(l)
-	return len(seen)
 }
 
 // SortByBenefitCost returns the infos ordered by descending B/C ratio, with
