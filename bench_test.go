@@ -20,6 +20,7 @@ package repro
 import (
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/codegen"
@@ -278,7 +279,7 @@ func BenchmarkPlan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var betas []map[string]int
+		var betas [][]int
 		for _, alg := range core.All() {
 			alloc, err := alg.Allocate(prob)
 			if err != nil {
@@ -380,16 +381,13 @@ func BenchmarkIncrementalSim(b *testing.B) {
 	// A ring of single-β perturbations of the CPA-RA plan: each plan
 	// differs from the base in exactly one reference's register count.
 	var plans []*scalarrepl.Plan
-	for _, inf := range prob.Infos {
+	for i := range prob.Infos {
 		for _, delta := range []int{-1, 1} {
-			beta := map[string]int{}
-			for key, v := range alloc.Beta {
-				beta[key] = v
-			}
-			if beta[inf.Key()]+delta < 1 {
+			beta := slices.Clone(alloc.Beta)
+			if beta[i]+delta < 1 {
 				continue
 			}
-			beta[inf.Key()] += delta
+			beta[i] += delta
 			p, err := scalarrepl.NewPlan(k.Nest, prob.Infos, beta)
 			if err != nil {
 				b.Fatal(err)

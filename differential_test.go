@@ -123,9 +123,9 @@ func TestDifferentialRandomBetas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		beta := map[string]int{}
-		for _, inf := range prob.Infos {
-			beta[inf.Key()] = 1 + rng.Intn(inf.Nu)
+		beta := make([]int, len(prob.Infos))
+		for i, inf := range prob.Infos {
+			beta[i] = 1 + rng.Intn(inf.Nu)
 		}
 		plan, err := scalarrepl.NewPlan(nest, prob.Infos, beta)
 		if err != nil {

@@ -128,9 +128,9 @@ func TestRandomPlansProperty(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
-		beta := map[string]int{}
-		for _, inf := range infos {
-			beta[inf.Key()] = 1 + rng.Intn(inf.Nu)
+		beta := make([]int, len(infos))
+		for i, inf := range infos {
+			beta[i] = 1 + rng.Intn(inf.Nu)
 		}
 		plan, err := scalarrepl.NewPlan(k.Nest, infos, beta)
 		if err != nil {
@@ -150,9 +150,12 @@ func TestSlidingWindowCodegen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bx := range []int{2, 7, 16, 31, 32} {
-		plan, err := scalarrepl.NewPlan(k.Nest, infos, map[string]int{
-			"x[i + k]": bx, "c[k]": 32, "y[i]": 1,
-		})
+		byKey := map[string]int{"x[i + k]": bx, "c[k]": 32, "y[i]": 1}
+		beta := make([]int, len(infos))
+		for i, inf := range infos {
+			beta[i] = byKey[inf.Key()]
+		}
+		plan, err := scalarrepl.NewPlan(k.Nest, infos, beta)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dfg"
@@ -56,8 +57,26 @@ func NewProblem(nest *ir.Nest, rmax int, lat dfg.Latencies) (*Problem, error) {
 // infos and body DFG), so a caller sweeping many budgets or latency models
 // over one nest analyzes it once. The infos and graph are shared, never
 // copied; they are read-only to every allocator, so one analysis may back
-// any number of concurrent problems.
+// any number of concurrent problems. Allocators index both by reference
+// number, so the infos and the graph must number the same references:
+// Infos[i] is the group with ID i, and a graph node with RefID i carries
+// its key. A front-end mixed from two nests is an error.
 func NewProblemFrom(nest *ir.Nest, infos []*reuse.Info, g *dfg.Graph, rmax int, lat dfg.Latencies) (*Problem, error) {
+	if g.NumRefs() != len(infos) {
+		return nil, fmt.Errorf("core: %q: the graph numbers %d references, the reuse summary %d",
+			nest.Name, g.NumRefs(), len(infos))
+	}
+	for i, inf := range infos {
+		if inf.Group.ID != i {
+			return nil, fmt.Errorf("core: %q: reuse summary %d is reference %d (%s)", nest.Name, i, inf.Group.ID, inf.Key())
+		}
+	}
+	for _, n := range g.Nodes {
+		if n.Kind == dfg.KindRef && infos[n.RefID].Key() != n.RefKey {
+			return nil, fmt.Errorf("core: %q: graph reference %d is %s, the reuse summary's %s",
+				nest.Name, n.RefID, n.RefKey, infos[n.RefID].Key())
+		}
+	}
 	if rmax < len(infos) {
 		return nil, fmt.Errorf("core: budget %d below the %d references of %q (one staging register each)",
 			rmax, len(infos), nest.Name)
@@ -70,7 +89,11 @@ func NewProblemFrom(nest *ir.Nest, infos []*reuse.Info, g *dfg.Graph, rmax int, 
 type Allocation struct {
 	Algorithm string
 	Rmax      int
-	Beta      map[string]int
+	// Beta holds β per reference in the problem's Infos order: Beta[i] is
+	// the count of the reference numbered i (Infos[i].Group.ID).
+	Beta []int
+	// infos names the references for String.
+	infos []*reuse.Info
 	// steps records every decision unrendered: sweeps never read the
 	// trace, so they pay for no formatting.
 	steps []step
@@ -92,22 +115,16 @@ func (a *Allocation) Total() int {
 	return t
 }
 
-// Of returns β for one reference key (0 when unknown).
-func (a *Allocation) Of(key string) int { return a.Beta[key] }
-
 // FullyReplaced reports whether the reference's full reuse is captured.
-func (a *Allocation) FullyReplaced(inf *reuse.Info) bool { return a.Beta[inf.Key()] >= inf.Nu }
+func (a *Allocation) FullyReplaced(inf *reuse.Info) bool { return a.Beta[inf.Group.ID] >= inf.Nu }
 
 // String renders the β vector sorted by key.
 func (a *Allocation) String() string {
-	keys := make([]string, 0, len(a.Beta))
-	for k := range a.Beta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	order := slices.Clone(a.infos)
+	sort.Slice(order, func(i, j int) bool { return order[i].Key() < order[j].Key() })
 	s := a.Algorithm + ":"
-	for _, k := range keys {
-		s += fmt.Sprintf(" β(%s)=%d", k, a.Beta[k])
+	for _, inf := range order {
+		s += fmt.Sprintf(" β(%s)=%d", inf.Key(), a.Beta[inf.Group.ID])
 	}
 	return s
 }
@@ -153,9 +170,9 @@ func ByName(name string) (Allocator, error) {
 
 // newAllocation seeds β=1 for every reference: the staging register.
 func newAllocation(p *Problem, algorithm string) *Allocation {
-	a := &Allocation{Algorithm: algorithm, Rmax: p.Rmax, Beta: map[string]int{}}
-	for _, inf := range p.Infos {
-		a.Beta[inf.Key()] = 1
+	a := &Allocation{Algorithm: algorithm, Rmax: p.Rmax, Beta: make([]int, len(p.Infos)), infos: p.Infos}
+	for i := range a.Beta {
+		a.Beta[i] = 1
 	}
 	a.tracef("init: %d references, 1 staging register each, budget %d", len(p.Infos), p.Rmax)
 	return a
@@ -164,22 +181,22 @@ func newAllocation(p *Problem, algorithm string) *Allocation {
 // Validate checks the feasibility invariants of an allocation against its
 // problem; allocator tests and property tests run it after every solve.
 func (a *Allocation) Validate(p *Problem) error {
+	if len(a.Beta) != len(p.Infos) {
+		return fmt.Errorf("%s: allocation covers %d references, problem has %d",
+			a.Algorithm, len(a.Beta), len(p.Infos))
+	}
 	if a.Total() > p.Rmax {
 		return fmt.Errorf("%s: allocation uses %d registers, budget %d", a.Algorithm, a.Total(), p.Rmax)
 	}
-	for _, inf := range p.Infos {
-		b, ok := a.Beta[inf.Key()]
-		if !ok || b < 1 {
+	for i, inf := range p.Infos {
+		b := a.Beta[i]
+		if b < 1 {
 			return fmt.Errorf("%s: reference %s has β=%d, want ≥1", a.Algorithm, inf.Key(), b)
 		}
 		if b > inf.Nu {
 			return fmt.Errorf("%s: reference %s has β=%d beyond its full requirement ν=%d",
 				a.Algorithm, inf.Key(), b, inf.Nu)
 		}
-	}
-	if len(a.Beta) != len(p.Infos) {
-		return fmt.Errorf("%s: allocation covers %d references, problem has %d",
-			a.Algorithm, len(a.Beta), len(p.Infos))
 	}
 	return nil
 }

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/dfg"
 	"repro/internal/dsl"
+	"repro/internal/kernels"
+	"repro/internal/reuse"
 )
 
 const figure1Src = `
@@ -38,8 +40,8 @@ func figure1Problem(t *testing.T, rmax int) *Problem {
 
 func betaByArray(a *Allocation) map[string]int {
 	out := map[string]int{}
-	for k, v := range a.Beta {
-		out[k[:strings.Index(k, "[")]] = v
+	for i, inf := range a.infos {
+		out[inf.Key()[:strings.Index(inf.Key(), "[")]] = a.Beta[i]
 	}
 	return out
 }
@@ -173,7 +175,7 @@ func TestAllFitFastPath(t *testing.T) {
 		for _, inf := range p.Infos {
 			if !a.FullyReplaced(inf) {
 				t.Errorf("%s: %s not fully replaced with ample budget (β=%d, ν=%d)",
-					alg.Name(), inf.Key(), a.Of(inf.Key()), inf.Nu)
+					alg.Name(), inf.Key(), a.Beta[inf.Group.ID], inf.Nu)
 			}
 		}
 	}
@@ -188,9 +190,9 @@ func TestMinimumBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
-		for key, b := range a.Beta {
+		for i, b := range a.Beta {
 			if b != 1 {
-				t.Errorf("%s: β(%s)=%d with minimum budget, want 1", alg.Name(), key, b)
+				t.Errorf("%s: β(%s)=%d with minimum budget, want 1", alg.Name(), p.Infos[i].Key(), b)
 			}
 		}
 	}
@@ -307,5 +309,37 @@ func TestCPARATraceShowsRounds(t *testing.T) {
 	}
 	if !strings.Contains(joined, "split equally") {
 		t.Errorf("trace missing equal split:\n%s", joined)
+	}
+}
+
+// TestNewProblemFromRejectsMixedFrontEnds: allocators index the reuse
+// summary and the graph by reference number, so a summary and a graph
+// from different nests must fail to package, whether or not their
+// reference counts agree, instead of panicking on an index later.
+func TestNewProblemFromRejectsMixedFrontEnds(t *testing.T) {
+	ks := append(kernels.All(), kernels.Figure1())
+	type frontEnd struct {
+		infos []*reuse.Info
+		g     *dfg.Graph
+	}
+	fes := make([]frontEnd, len(ks))
+	for i, k := range ks {
+		infos, err := reuse.Analyze(k.Nest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := dfg.Build(k.Nest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fes[i] = frontEnd{infos, g}
+	}
+	for i, a := range ks {
+		for j, b := range ks {
+			_, err := NewProblemFrom(b.Nest, fes[i].infos, fes[j].g, 1<<20, dfg.DefaultLatencies())
+			if (err == nil) != (i == j) {
+				t.Errorf("%s summary with %s graph: err = %v", a.Name, b.Name, err)
+			}
+		}
 	}
 }

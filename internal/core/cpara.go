@@ -31,17 +31,20 @@ func (CPARA) Allocate(p *Problem) (*Allocation, error) {
 	a := newAllocation(p, "CPA-RA")
 	byKey := reuse.ByKey(p.Infos)
 	remaining := p.Rmax - a.Total()
-	satisfied := func(key string) bool {
-		inf := byKey[key]
-		return inf != nil && a.Beta[key] >= inf.Nu
+	// satisfied[i] tracks β ≥ ν for reference i: such references are
+	// register-resident on every path and no longer eligible for a cut.
+	satisfied := make([]bool, len(p.Infos))
+	for i, inf := range p.Infos {
+		satisfied[i] = a.Beta[i] >= inf.Nu
 	}
+	lat := p.Lat.NodeLat(func(ref int) bool { return satisfied[ref] })
+	eligible := func(n *dfg.Node) bool { return !satisfied[n.RefID] }
 	for round := 1; remaining > 0; round++ {
-		lat := p.Lat.NodeLat(satisfied)
 		cg, err := p.Graph.CriticalGraph(lat)
 		if err != nil {
 			return nil, fmt.Errorf("cpa-ra: %w", err)
 		}
-		cuts, err := cg.Cuts(func(n *dfg.Node) bool { return !satisfied(n.RefKey) })
+		cuts, err := cg.Cuts(eligible)
 		if err != nil {
 			// Some critical path has no improvable reference left: no
 			// allocation can shorten the computation further.
@@ -55,9 +58,11 @@ func (CPARA) Allocate(p *Problem) (*Allocation, error) {
 		}
 		if bestReq <= remaining {
 			for _, key := range best {
-				need := byKey[key].Nu - a.Beta[key]
-				a.Beta[key] = byKey[key].Nu
-				remaining -= need
+				inf := byKey[key]
+				i := inf.Group.ID
+				remaining -= inf.Nu - a.Beta[i]
+				a.Beta[i] = inf.Nu
+				satisfied[i] = true
 			}
 			a.tracef("round %d: cut %s fully replaced (CP latency %d, req %d, %d left)",
 				round, best, cg.Total, bestReq, remaining)
@@ -68,15 +73,16 @@ func (CPARA) Allocate(p *Problem) (*Allocation, error) {
 		share := remaining / len(best)
 		extra := remaining % len(best)
 		granted := 0
-		for i, key := range best {
+		for j, key := range best {
+			inf := byKey[key]
+			i := inf.Group.ID
 			g := share
-			if i < extra {
+			if j < extra {
 				g++
 			}
-			if max := byKey[key].Nu - a.Beta[key]; g > max {
-				g = max
-			}
-			a.Beta[key] += g
+			g = min(g, inf.Nu-a.Beta[i])
+			a.Beta[i] += g
+			satisfied[i] = a.Beta[i] >= inf.Nu
 			granted += g
 		}
 		remaining -= granted
@@ -107,7 +113,8 @@ func pickCut(cuts []dfg.Cut, byKey map[string]*reuse.Info, a *Allocation) (dfg.C
 	for _, c := range cuts {
 		req := 0
 		for _, key := range c {
-			req += byKey[key].Nu - a.Beta[key]
+			inf := byKey[key]
+			req += inf.Nu - a.Beta[inf.Group.ID]
 		}
 		if best == nil || req < bestReq || (req == bestReq && len(c) < len(best)) {
 			best, bestReq = c, req

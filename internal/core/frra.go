@@ -29,20 +29,20 @@ func greedyFullReuse(p *Problem, a *Allocation) (remaining int, sorted []*reuse.
 		need += inf.Nu - 1
 	}
 	if need <= remaining {
-		for _, inf := range p.Infos {
-			a.Beta[inf.Key()] = inf.Nu
+		for i, inf := range p.Infos {
+			a.Beta[i] = inf.Nu
 		}
 		a.tracef("all references fit fully (%d registers); no selection needed", a.Total())
 		return p.Rmax - a.Total(), reuse.SortByBenefitCost(p.Infos)
 	}
 	sorted = reuse.SortByBenefitCost(p.Infos)
 	for _, inf := range sorted {
-		cost := inf.Nu - a.Beta[inf.Key()]
+		cost := inf.Nu - a.Beta[inf.Group.ID]
 		if cost == 0 {
 			continue
 		}
 		if cost <= remaining {
-			a.Beta[inf.Key()] = inf.Nu
+			a.Beta[inf.Group.ID] = inf.Nu
 			remaining -= cost
 			a.tracef("full reuse for %s: B/C=%.2f, +%d registers, %d left", inf.Key(), inf.BenefitCost(), cost, remaining)
 		} else {

@@ -45,7 +45,7 @@ func (Knapsack) Allocate(p *Problem) (*Allocation, error) {
 		// prefer taking on ties so zero-cost full replacements always land.
 		if cost[i] <= c && dp[i+1][c-cost[i]]+value[i] >= dp[i][c] && dp[i][c] != dp[i+1][c] || cost[i] == 0 {
 			inf := p.Infos[i]
-			a.Beta[inf.Key()] = inf.Nu
+			a.Beta[i] = inf.Nu
 			c -= cost[i]
 			a.tracef("select %s: value %d for %d registers", inf.Key(), value[i], cost[i])
 		}

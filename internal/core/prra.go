@@ -33,7 +33,8 @@ func spendResidue(a *Allocation, remaining int, sorted []*reuse.Info) {
 		if remaining == 0 {
 			break
 		}
-		have := a.Beta[inf.Key()]
+		i := inf.Group.ID
+		have := a.Beta[i]
 		if have >= inf.Nu {
 			continue
 		}
@@ -41,9 +42,9 @@ func spendResidue(a *Allocation, remaining int, sorted []*reuse.Info) {
 		if grant > remaining {
 			grant = remaining
 		}
-		a.Beta[inf.Key()] = have + grant
+		a.Beta[i] = have + grant
 		remaining -= grant
 		a.tracef("partial reuse for %s: +%d registers (β=%d of ν=%d), %d left",
-			inf.Key(), grant, a.Beta[inf.Key()], inf.Nu, remaining)
+			inf.Key(), grant, a.Beta[i], inf.Nu, remaining)
 	}
 }

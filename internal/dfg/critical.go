@@ -2,6 +2,7 @@ package dfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -51,7 +52,9 @@ func (g *Graph) Longest(lat LatencyFunc) (total int, distFrom, distTo []int, err
 // Critical is the Critical Graph (CG): the subgraph of a DFG induced by the
 // union of all critical (maximum-latency) paths.
 type Critical struct {
-	// Graph is the CG itself. Node objects are shared with the parent DFG.
+	// Graph is the CG itself. Node objects are shared with the parent DFG
+	// (so a node's ID is its parent index); the CG's own indices are
+	// positions in Graph.Nodes.
 	Graph *Graph
 	// Total is the critical-path latency of the parent graph.
 	Total int
@@ -61,35 +64,33 @@ type Critical struct {
 
 // CriticalGraph extracts the CG under the latency model. A node is on some
 // critical path iff distFrom+distTo-lat == total; an edge u→v is on some
-// critical path iff distFrom[u]+distTo[v] == total.
+// critical path iff distFrom[u]+distTo[v] == total. The CG shares the
+// parent's nodes, which every graph reader treats as read-only, and its
+// reference numbering.
 func (g *Graph) CriticalGraph(lat LatencyFunc) (*Critical, error) {
 	total, distFrom, distTo, err := g.Longest(lat)
 	if err != nil {
 		return nil, err
 	}
-	cg := newGraph()
+	cg := &Graph{numRefs: g.numRefs, numArrays: g.numArrays, rank: g.rank}
 	toCG := make([]int, len(g.Nodes))
 	var parent []int
-	for i := range toCG {
-		toCG[i] = -1
-	}
 	for i, n := range g.Nodes {
+		toCG[i] = -1
 		if distFrom[i]+distTo[i]-lat(n) == total {
-			cn := *n // shallow copy so CG IDs don't clobber parent IDs
-			added := cg.addNode(&cn)
-			toCG[i] = added.ID
+			toCG[i] = len(cg.Nodes)
+			cg.Nodes = append(cg.Nodes, n)
 			parent = append(parent, i)
 		}
 	}
+	cg.Succ = make([][]int, len(cg.Nodes))
+	cg.Pred = make([][]int, len(cg.Nodes))
 	for u := range g.Nodes {
 		if toCG[u] < 0 {
 			continue
 		}
 		for _, v := range g.Succ[u] {
-			if toCG[v] < 0 {
-				continue
-			}
-			if distFrom[u]+distTo[v] == total {
+			if toCG[v] >= 0 && distFrom[u]+distTo[v] == total {
 				cg.addEdge(toCG[u], toCG[v])
 			}
 		}
@@ -152,7 +153,12 @@ func (c Cut) contains(key string) bool {
 // nodes, considering only references for which eligible returns true
 // (CPA-RA excludes references that are already fully replaced). Each cut is
 // a minimal hitting set: every source→sink path of the CG contains at least
-// one node of the cut, and no proper subset has that property.
+// one node of the cut, and no proper subset has that property. Cuts come
+// sorted by their String rendering.
+//
+// The enumeration runs on the references' key ranks (Build ranks each
+// reference by its key once), so the sets it builds, probes and compares
+// are small integer vectors; keys are rendered only for the result.
 //
 // It returns an error when some CG path contains no eligible reference — no
 // cut can shorten such a path, which is the allocator's termination signal.
@@ -161,92 +167,98 @@ func (c *Critical) Cuts(eligible func(*Node) bool) ([]Cut, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Reduce each path to its set of eligible reference keys.
-	var pathKeys []map[string]bool
-	for _, p := range paths {
-		keys := map[string]bool{}
+	g := c.Graph
+	keyOf := make([]string, g.numRefs) // rank → key
+	// Reduce each path to its ascending set of eligible reference ranks.
+	pathRanks := make([][]int, len(paths))
+	for i, p := range paths {
+		var rs []int
 		for _, id := range p {
-			n := c.Graph.Nodes[id]
-			if n.Kind == KindRef && eligible(n) {
-				keys[n.RefKey] = true
+			n := g.Nodes[id]
+			if n.Kind != KindRef || !eligible(n) {
+				continue
+			}
+			r := g.rank[n.RefID]
+			keyOf[r] = n.RefKey
+			if j, found := slices.BinarySearch(rs, r); !found {
+				rs = slices.Insert(rs, j, r)
 			}
 		}
-		if len(keys) == 0 {
+		if len(rs) == 0 {
 			return nil, fmt.Errorf("dfg: critical path with no eligible reference nodes")
 		}
-		pathKeys = append(pathKeys, keys)
+		pathRanks[i] = rs
 	}
-	var cuts []Cut
+	// chosen[r] is 1 while rank r is in the set being extended; as a byte
+	// string it is also the set's canonical identity.
+	chosen := make([]byte, g.numRefs)
 	seen := map[string]bool{}
-	var extend func(chosen map[string]bool)
-	extend = func(chosen map[string]bool) {
+	var cuts [][]int
+	var extend func()
+	extend = func() {
 		// Find the first path not yet hit.
-		var uncovered map[string]bool
-		for _, keys := range pathKeys {
+		var uncovered []int
+		for _, rs := range pathRanks {
 			hit := false
-			for k := range keys {
-				if chosen[k] {
+			for _, r := range rs {
+				if chosen[r] == 1 {
 					hit = true
 					break
 				}
 			}
 			if !hit {
-				uncovered = keys
+				uncovered = rs
 				break
 			}
 		}
 		if uncovered == nil {
-			cut := canonical(chosen)
-			sig := cut.String()
-			if !seen[sig] {
-				seen[sig] = true
+			if !seen[string(chosen)] {
+				seen[string(chosen)] = true
+				var cut []int
+				for r, in := range chosen {
+					if in == 1 {
+						cut = append(cut, r)
+					}
+				}
 				cuts = append(cuts, cut)
 			}
 			return
 		}
-		var ks []string
-		for k := range uncovered {
-			ks = append(ks, k)
-		}
-		sort.Strings(ks)
-		for _, k := range ks {
-			chosen[k] = true
-			extend(chosen)
-			delete(chosen, k)
+		for _, r := range uncovered { // ascending rank: ascending key
+			chosen[r] = 1
+			extend()
+			chosen[r] = 0
 		}
 	}
-	extend(map[string]bool{})
-	cuts = minimalOnly(cuts)
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i].String() < cuts[j].String() })
-	return cuts, nil
-}
-
-func canonical(set map[string]bool) Cut {
-	var cut Cut
-	for k := range set {
-		cut = append(cut, k)
+	extend()
+	type rendered struct {
+		cut Cut
+		s   string
 	}
-	sort.Strings(cut)
-	return cut
+	var out []rendered
+	for _, rs := range minimalOnly(cuts) {
+		cut := make(Cut, len(rs))
+		for i, r := range rs {
+			cut[i] = keyOf[r]
+		}
+		out = append(out, rendered{cut, cut.String()})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].s < out[j].s })
+	res := make([]Cut, len(out))
+	for i, r := range out {
+		res[i] = r.cut
+	}
+	return res, nil
 }
 
-// minimalOnly removes cuts that are supersets of another cut.
-func minimalOnly(cuts []Cut) []Cut {
-	var out []Cut
-	for i, c := range cuts {
+// minimalOnly removes rank sets that are supersets of another. Each set
+// is ascending, so containment is one merge walk.
+func minimalOnly(sets [][]int) [][]int {
+	var out [][]int
+	for i, c := range sets {
 		minimal := true
-		for j, o := range cuts {
-			if i == j || len(o) >= len(c) {
-				continue
-			}
-			subset := true
-			for _, k := range o {
-				if !c.contains(k) {
-					subset = false
-					break
-				}
-			}
-			if subset {
+		for j, o := range sets {
+			if i != j && len(o) < len(c) && subset(o, c) {
 				minimal = false
 				break
 			}
@@ -256,6 +268,21 @@ func minimalOnly(cuts []Cut) []Cut {
 		}
 	}
 	return out
+}
+
+// subset reports whether ascending set a is contained in ascending set b.
+func subset(a, b []int) bool {
+	j := 0
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		if j == len(b) || b[j] != x {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // Disconnects verifies the defining property of a cut against the CG:

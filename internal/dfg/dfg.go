@@ -36,10 +36,18 @@ type Node struct {
 	Kind NodeKind
 
 	// Reference fields (KindRef).
-	Ref     *ir.ArrayRef
-	RefKey  string // canonical reference identity, e.g. "b[k][j]"
-	IsWrite bool   // the node receives a stored value
-	IsRead  bool   // the node's value is consumed by an operation
+	Ref    *ir.ArrayRef
+	RefKey string // canonical reference identity, e.g. "b[k][j]"
+	// RefID is the reference's number: the position of its key in
+	// Nest.RefGroups, so nodes of one static reference share it.
+	//repro:nohash numbers the keys in first-use order, which the hashed RefKeys in node order determine
+	RefID int
+	// ArrayID numbers the node's array densely in first-use order over
+	// the graph's reference nodes: the index of its RAM's port row.
+	//repro:nohash numbers the array names in first-use order, which the hashed names in node order determine
+	ArrayID int
+	IsWrite bool // the node receives a stored value
+	IsRead  bool // the node's value is consumed by an operation
 
 	// Operation fields (KindOp).
 	Op ir.OpKind
@@ -78,6 +86,16 @@ type Graph struct {
 	//repro:nohash the transpose of Pred, which is hashed in node order
 	Succ [][]int
 	Pred [][]int
+
+	// Derived by Build once the graph is complete, and read-only after.
+	//repro:nohash derived from Pred
+	topo []int // topological order (Topo)
+	//repro:nohash derived from the nodes' RefIDs
+	numRefs int // distinct references: RefIDs are 0..numRefs-1
+	//repro:nohash derived from the nodes' ArrayIDs
+	numArrays int // distinct arrays: ArrayIDs are 0..numArrays-1
+	//repro:nohash derived from the hashed RefKeys
+	rank []int // RefID → position of its key in sorted key order
 
 	// Fingerprint cache; computed lazily, safe for concurrent readers.
 	fpOnce sync.Once
@@ -126,6 +144,14 @@ func (g *Graph) Sinks() []int {
 	return out
 }
 
+// NumRefs returns the number of distinct references in the graph: every
+// reference node's RefID lies in [0, NumRefs).
+func (g *Graph) NumRefs() int { return g.numRefs }
+
+// NumArrays returns the number of distinct arrays the graph's reference
+// nodes touch: every reference node's ArrayID lies in [0, NumArrays).
+func (g *Graph) NumArrays() int { return g.numArrays }
+
 // RefKeys returns the distinct reference keys present in the graph, sorted.
 func (g *Graph) RefKeys() []string {
 	set := map[string]bool{}
@@ -159,6 +185,22 @@ func Build(nest *ir.Nest) (*Graph, error) {
 		return nil, fmt.Errorf("dfg: %w", err)
 	}
 	g := newGraph()
+	// Reference and array numbers in first-use order. The body is walked
+	// in Nest.RefUses order (each statement's reads left to right, then its
+	// write), so a key's number is its position in Nest.RefGroups.
+	refIDs := map[string]int{}
+	arrayIDs := map[string]int{}
+	number := func(r *ir.ArrayRef) {
+		if _, ok := refIDs[r.Key()]; !ok {
+			refIDs[r.Key()] = len(refIDs)
+		}
+		if _, ok := arrayIDs[r.Array.Name]; !ok {
+			arrayIDs[r.Array.Name] = len(arrayIDs)
+		}
+	}
+	refNode := func(r *ir.ArrayRef, stmt int) *Node {
+		return &Node{Kind: KindRef, Ref: r, RefKey: r.Key(), RefID: refIDs[r.Key()], ArrayID: arrayIDs[r.Array.Name], Stmt: stmt}
+	}
 	// written maps a reference key to the node holding the value produced
 	// by the most recent write in body order.
 	written := map[string]*Node{}
@@ -170,6 +212,7 @@ func Build(nest *ir.Nest) (*Graph, error) {
 	readsSince := map[string][]*Node{}
 
 	readNode := func(r *ir.ArrayRef, stmt int) *Node {
+		number(r)
 		key := r.Key()
 		arr := r.Array.Name
 		if n, ok := written[key]; ok && lastWrite[arr] == n {
@@ -181,7 +224,9 @@ func Build(nest *ir.Nest) (*Graph, error) {
 		if n, ok := inputs[key]; ok && afterLastWrite(g, n, lastWrite[arr]) {
 			return n
 		}
-		n := g.addNode(&Node{Kind: KindRef, Ref: r, RefKey: key, IsRead: true, Stmt: stmt})
+		n := refNode(r, stmt)
+		n.IsRead = true
+		g.addNode(n)
 		if w := lastWrite[arr]; w != nil {
 			g.addEdge(w.ID, n.ID) // read-after-write on a possible alias
 		}
@@ -228,9 +273,12 @@ func Build(nest *ir.Nest) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
+		number(st.LHS)
 		key := st.LHS.Key()
 		arr := st.LHS.Array.Name
-		w := g.addNode(&Node{Kind: KindRef, Ref: st.LHS, RefKey: key, IsWrite: true, Stmt: si, Args: []Arg{root}})
+		w := refNode(st.LHS, si)
+		w.IsWrite, w.Args = true, []Arg{root}
+		g.addNode(w)
 		if root.Lit == nil && root.Var == "" {
 			g.addEdge(root.NodeID, w.ID)
 		}
@@ -249,7 +297,38 @@ func Build(nest *ir.Nest) (*Graph, error) {
 		lastWrite[arr] = w
 		written[key] = w
 	}
+	g.numRefs, g.numArrays = len(refIDs), len(arrayIDs)
+	if err := g.finish(); err != nil {
+		return nil, err
+	}
 	return g, nil
+}
+
+// finish derives what every consumer of a complete graph reads: the
+// topological order, and the rank of each reference's key in sorted key
+// order (Cuts enumerates over ranks, so its cuts come out in key order).
+func (g *Graph) finish() error {
+	order, err := g.topoSort()
+	if err != nil {
+		return err
+	}
+	g.topo = order
+	keys := make([]string, g.numRefs)
+	for _, n := range g.Nodes {
+		if n.Kind == KindRef {
+			keys[n.RefID] = n.RefKey
+		}
+	}
+	byKey := make([]int, g.numRefs)
+	for i := range byKey {
+		byKey[i] = i
+	}
+	sort.Slice(byKey, func(i, j int) bool { return keys[byKey[i]] < keys[byKey[j]] })
+	g.rank = make([]int, g.numRefs)
+	for r, id := range byKey {
+		g.rank[id] = r
+	}
+	return nil
 }
 
 // afterLastWrite reports whether node n was created after the array's
@@ -276,9 +355,20 @@ func (g *Graph) String() string {
 	return b.String()
 }
 
-// Topo returns a topological order of the graph. Build only produces DAGs;
-// Topo returns an error if edges added by other means created a cycle.
+// Topo returns a topological order of the graph. Build computes it once,
+// and the returned slice is then the graph's own and read-only. Build only
+// produces DAGs; Topo returns an error if edges added by other means
+// created a cycle.
 func (g *Graph) Topo() ([]int, error) {
+	if g.topo != nil {
+		return g.topo, nil
+	}
+	return g.topoSort()
+}
+
+// topoSort computes a topological order by Kahn's algorithm, sources and
+// successors in index order.
+func (g *Graph) topoSort() ([]int, error) {
 	indeg := make([]int, len(g.Nodes))
 	for i := range g.Nodes {
 		indeg[i] = len(g.Pred[i])

@@ -296,19 +296,25 @@ func TestWriteAfterWriteOrdering(t *testing.T) {
 }
 
 // randomDAG builds a random layered DAG with ref nodes (letters) and op
-// nodes for property testing.
+// nodes for property testing. Letters repeat after 26 reference nodes, and
+// nodes of one letter share a reference number, as Build numbers keys.
 func randomDAG(rng *rand.Rand) *Graph {
 	g := newGraph()
 	layers := rng.Intn(4) + 2
 	var prev []int
 	refID := 0
+	ids := map[string]int{}
 	for l := 0; l < layers; l++ {
 		width := rng.Intn(3) + 1
 		var cur []int
 		for w := 0; w < width; w++ {
 			var n *Node
 			if rng.Intn(2) == 0 {
-				n = &Node{Kind: KindRef, RefKey: string(rune('a' + refID%26)), IsRead: true}
+				key := string(rune('a' + refID%26))
+				if _, ok := ids[key]; !ok {
+					ids[key] = len(ids)
+				}
+				n = &Node{Kind: KindRef, RefKey: key, RefID: ids[key], IsRead: true}
 				refID++
 			} else {
 				n = &Node{Kind: KindOp, Op: ir.OpAdd}
@@ -326,6 +332,10 @@ func randomDAG(rng *rand.Rand) *Graph {
 			}
 		}
 		prev = cur
+	}
+	g.numRefs, g.numArrays = len(ids), 1
+	if err := g.finish(); err != nil {
+		panic(err)
 	}
 	return g
 }

@@ -71,13 +71,14 @@ func (l Latencies) OpLat(op ir.OpKind) int {
 	return l.DefaultOp
 }
 
-// NodeLat builds a LatencyFunc where reference nodes for which inReg
-// returns true are register-resident (free) and all others pay the RAM
-// access latency.
-func (l Latencies) NodeLat(inReg func(key string) bool) LatencyFunc {
+// NodeLat builds a LatencyFunc where reference nodes for whose reference
+// number (Node.RefID) inReg returns true are register-resident (free) and
+// all others pay the RAM access latency. A nil inReg keeps every
+// reference in RAM.
+func (l Latencies) NodeLat(inReg func(ref int) bool) LatencyFunc {
 	return func(n *Node) int {
 		if n.Kind == KindRef {
-			if inReg != nil && inReg(n.RefKey) {
+			if inReg != nil && inReg(n.RefID) {
 				return 0
 			}
 			return l.Mem

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/hls"
-	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/scalarrepl"
 	"repro/internal/sched"
@@ -32,24 +31,18 @@ func TestSimCachePanicDoesNotPoisonEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate against a nest whose innermost loop outruns the plan's:
-	// HitInner fails loudly (panics) on the extra iteration. The graph
-	// comes from the valid nest — the walker panics before it is read.
-	wider := *k.Nest
-	wider.Loops = append([]ir.Loop(nil), k.Nest.Loops...)
-	wider.Loops[len(wider.Loops)-1].Hi++
-	g, err := dfg.Build(k.Nest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Simulate on a nil graph: the simulator dereferences it and panics.
+	// (A plan from another nest no longer reaches a panic: SimulateGraph
+	// rejects it with an error before indexing anything.)
+	var g *dfg.Graph
 	ctx := hls.SimCtx{Kernel: k.Name}
-	_, direct := simDirect(ctx, &wider, g, plan, sched.DefaultConfig())
+	_, direct := simDirect(ctx, k.Nest, g, plan, sched.DefaultConfig())
 	if direct == nil || !strings.HasPrefix(direct.Error(), "simulation panic: ") {
 		t.Fatalf("cache-free error %v does not record the panic", direct)
 	}
 	c := newSimCache(simcache.New(), nil)
 	for call := 0; call < 2; call++ {
-		res, err := c.simulate(ctx, &wider, g, plan, sched.DefaultConfig())
+		res, err := c.simulate(ctx, k.Nest, g, plan, sched.DefaultConfig())
 		if res != nil || err == nil {
 			t.Fatalf("call %d: res=%v err=%v, want nil result and memoized panic error", call, res, err)
 		}

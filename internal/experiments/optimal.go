@@ -50,7 +50,7 @@ func TmemOptimum(nest *ir.Nest, rmax int, candidates map[string][]int, cfg sched
 	}
 	var best *GridPoint
 	evaluated := 0
-	beta := map[string]int{}
+	beta := make([]int, len(infos))
 	var walk func(i, used int) error
 	walk = func(i, used int) error {
 		if used > rmax {
@@ -70,21 +70,20 @@ func TmemOptimum(nest *ir.Nest, rmax int, candidates map[string][]int, cfg sched
 				res.MemCycles < best.Tmem ||
 				(res.MemCycles == best.Tmem && res.LoopCycles < best.Loop)
 			if better {
-				cp := map[string]int{}
-				for k, v := range beta {
-					cp[k] = v
+				cp := make(map[string]int, len(keys))
+				for i, k := range keys {
+					cp[k] = beta[i]
 				}
 				best = &GridPoint{Beta: cp, Tmem: res.MemCycles, Loop: res.LoopCycles}
 			}
 			return nil
 		}
 		for _, c := range cand[i] {
-			beta[keys[i]] = c
+			beta[i] = c
 			if err := walk(i+1, used+c); err != nil {
 				return err
 			}
 		}
-		delete(beta, keys[i])
 		return nil
 	}
 	if err := walk(0, 0); err != nil {

@@ -391,8 +391,8 @@ func kernelStats(nest *ir.Nest) fpga.DesignStats {
 func (an *Analysis) designStats(alloc *core.Allocation, sim *sched.Result) fpga.DesignStats {
 	s := an.kernelStats
 	s.Classes = len(sim.Classes)
-	for _, inf := range an.Infos {
-		b := alloc.Of(inf.Key())
+	for i, inf := range an.Infos {
+		b := alloc.Beta[i]
 		s.Registers += b
 		s.RegisterBits += b * inf.Group.Ref.Array.ElemBits
 	}

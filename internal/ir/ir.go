@@ -343,7 +343,12 @@ func (n *Nest) RefUses() []RefUse {
 // RefGroup aggregates all occurrences of one static reference (same array,
 // same index functions) across the body — the paper's unit of allocation.
 type RefGroup struct {
-	Key      string
+	Key string
+	// ID is the group's position in RefGroups (first-use order): the dense
+	// reference number every later stage indexes by. The body DFG carries
+	// it as dfg.Node.RefID, the reuse summary lists the group at Infos[ID],
+	// and allocations and storage plans hold it at index ID.
+	ID       int
 	Ref      *ArrayRef // representative occurrence
 	Reads    int       // number of read occurrences in the body
 	Writes   int       // number of write occurrences in the body
@@ -351,6 +356,10 @@ type RefGroup struct {
 	// WriteFirst reports that the first occurrence in body order is a
 	// write, so the reference's first value needs no load.
 	WriteFirst bool
+	// Aliased reports that the reference's array is written and touched
+	// by another static reference too, so one may observe the other's
+	// elements and register residency could break consistency.
+	Aliased bool
 }
 
 // RefGroups returns the reference groups of the nest in first-use order.
@@ -360,7 +369,7 @@ func (n *Nest) RefGroups() []*RefGroup {
 	for pos, u := range n.RefUses() {
 		g := byKey[u.Ref.Key()]
 		if g == nil {
-			g = &RefGroup{Key: u.Ref.Key(), Ref: u.Ref, FirstUse: pos, WriteFirst: u.IsWrite}
+			g = &RefGroup{Key: u.Ref.Key(), ID: len(order), Ref: u.Ref, FirstUse: pos, WriteFirst: u.IsWrite}
 			byKey[g.Key] = g
 			order = append(order, g)
 		}
@@ -368,6 +377,14 @@ func (n *Nest) RefGroups() []*RefGroup {
 			g.Writes++
 		} else {
 			g.Reads++
+		}
+	}
+	for _, g := range order {
+		for _, h := range order {
+			if h != g && h.Ref.Array.Name == g.Ref.Array.Name && (g.Writes > 0 || h.Writes > 0) {
+				g.Aliased = true
+				break
+			}
 		}
 	}
 	return order

@@ -90,7 +90,14 @@ func (f *FSMD) buildClass(sig string) (*ClassFSM, error) {
 	for i, e := range f.Plan.Order() {
 		hit[e.Info.Key()] = sig[i] == '1'
 	}
-	sc, err := sched.ScheduleClass(f.Graph, hit, f.Cfg, false)
+	// The scheduler reads residency by reference number.
+	hitVec := make([]bool, f.Graph.NumRefs())
+	for _, n := range f.Graph.Nodes {
+		if n.Kind == dfg.KindRef {
+			hitVec[n.RefID] = hit[n.RefKey]
+		}
+	}
+	sc, err := sched.ScheduleClass(f.Graph, hitVec, f.Cfg, false)
 	if err != nil {
 		return nil, err
 	}

@@ -26,6 +26,7 @@ package scalarrepl
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/reuse"
@@ -33,10 +34,15 @@ import (
 
 // Plan is the storage plan for one nest under one allocation.
 type Plan struct {
-	Nest    *ir.Nest
-	Entries map[string]*Entry
-	// order lists entries in first-use order for deterministic iteration.
+	Nest *ir.Nest
+	// order lists the entries in first-use order: order[i] is the entry of
+	// the reference numbered i (ir.RefGroup.ID).
 	order []*Entry
+	// byKey indexes order by reference key for ByKey, built on first use:
+	// the functional simulation and code generation look entries up by
+	// key, the sweep's plan and simulation never do.
+	byKeyOnce sync.Once         //repro:nohash lookup index over order, never identity
+	byKey     map[string]*Entry //repro:nohash lookup index over order, never identity
 }
 
 // Entry is the storage decision for one static reference.
@@ -47,8 +53,9 @@ type Entry struct {
 	// WriteFirst reports that the reference's first occurrence in body
 	// order is a write (so covered elements need no initial load).
 	WriteFirst bool
-	// Aliased reports that another static reference writes the same array,
-	// so register residency is disabled to preserve consistency.
+	// Aliased reports that the array is written and another static
+	// reference touches it too (ir.RefGroup.Aliased), so register residency
+	// is disabled to preserve consistency.
 	Aliased bool
 
 	// The flat element index of an affine reference is itself an affine
@@ -71,8 +78,9 @@ type Entry struct {
 func (e *Entry) FlatAffine() ir.Affine { return e.Info.Flat }
 
 // NewPlan builds the storage plan for the nest, reuse summary and register
-// assignment. Every reference in infos must have an entry in beta.
-func NewPlan(nest *ir.Nest, infos []*reuse.Info, beta map[string]int) (*Plan, error) {
+// assignment. beta holds β per reference in infos order, one entry each
+// (core.Allocation.Beta).
+func NewPlan(nest *ir.Nest, infos []*reuse.Info, beta []int) (*Plan, error) {
 	if nest.Depth() == 0 {
 		return nil, fmt.Errorf("scalarrepl: empty nest")
 	}
@@ -85,22 +93,13 @@ func NewPlan(nest *ir.Nest, infos []*reuse.Info, beta map[string]int) (*Plan, er
 			return nil, fmt.Errorf("scalarrepl: loop %q has non-positive step %d (validate the nest with ir.NewNest)", l.Var, l.Step)
 		}
 	}
-	p := &Plan{Nest: nest, Entries: map[string]*Entry{}}
-	refsPerArray := map[string]int{}
-	arrayWritten := map[string]bool{}
-	for _, inf := range infos {
-		arr := inf.Group.Ref.Array.Name
-		refsPerArray[arr]++
-		if inf.Group.Writes > 0 {
-			arrayWritten[arr] = true
-		}
+	if len(beta) != len(infos) {
+		return nil, fmt.Errorf("scalarrepl: %d register assignments for %d references", len(beta), len(infos))
 	}
+	p := &Plan{Nest: nest, order: make([]*Entry, len(infos))}
 	inner := nest.Loops[nest.Depth()-1]
-	for _, inf := range infos {
-		b, ok := beta[inf.Key()]
-		if !ok {
-			return nil, fmt.Errorf("scalarrepl: no register assignment for %s", inf.Key())
-		}
+	for i, inf := range infos {
+		b := beta[i]
 		if b < 1 {
 			return nil, fmt.Errorf("scalarrepl: %s has β=%d, want ≥1", inf.Key(), b)
 		}
@@ -108,12 +107,8 @@ func NewPlan(nest *ir.Nest, infos []*reuse.Info, beta map[string]int) (*Plan, er
 			Info:       inf,
 			Beta:       b,
 			WriteFirst: inf.Group.WriteFirst,
+			Aliased:    inf.Group.Aliased,
 		}
-		arr := inf.Group.Ref.Array.Name
-		// Aliased: the array is written and more than one static reference
-		// touches it — register residency could let a RAM access observe a
-		// stale value (or vice versa), so it is disabled for all of them.
-		e.Aliased = arrayWritten[arr] && refsPerArray[arr] > 1
 		switch {
 		case e.Aliased:
 			e.Coverage = 0
@@ -127,8 +122,7 @@ func NewPlan(nest *ir.Nest, infos []*reuse.Info, beta map[string]int) (*Plan, er
 			e.Coverage = 0
 		}
 		e.buildWindow(inner)
-		p.Entries[inf.Key()] = e
-		p.order = append(p.order, e)
+		p.order[i] = e
 	}
 	return p, nil
 }
@@ -248,8 +242,17 @@ func (e *Entry) RegionOf(nest *ir.Nest, env map[string]int) int {
 	return id
 }
 
-// ByKey returns the entry for a reference key (nil when absent).
-func (p *Plan) ByKey(key string) *Entry { return p.Entries[key] }
+// ByKey returns the entry for a reference key (nil when absent). The
+// index is built on the first call; concurrent callers share it.
+func (p *Plan) ByKey(key string) *Entry {
+	p.byKeyOnce.Do(func() {
+		p.byKey = make(map[string]*Entry, len(p.order))
+		for _, e := range p.order {
+			p.byKey[e.Info.Key()] = e
+		}
+	})
+	return p.byKey[key]
+}
 
 // Order returns the plan entries in first-use order.
 func (p *Plan) Order() []*Entry { return p.order }
@@ -278,7 +281,6 @@ func (p *Plan) HitKeys(env map[string]int) string {
 // among all points whose allocators converged to the same β vector.
 //
 //repro:nohash Plan.Nest — cache keys carry the kernel name, which pins the nest
-//repro:nohash Plan.Entries — the same entry set as order, hashed in first-use order
 func (p *Plan) Fingerprint() string {
 	n := 0
 	for _, e := range p.order {

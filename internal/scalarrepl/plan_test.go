@@ -38,11 +38,21 @@ func figure1Plan(t *testing.T, beta map[string]int) *Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPlan(n, infos, beta)
+	p, err := NewPlan(n, infos, betaVec(infos, beta))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// betaVec lays a β map keyed by reference out in infos order, the form
+// NewPlan takes; a reference the map omits gets β=0.
+func betaVec(infos []*reuse.Info, byKey map[string]int) []int {
+	beta := make([]int, len(infos))
+	for i, inf := range infos {
+		beta[i] = byKey[inf.Key()]
+	}
+	return beta
 }
 
 // cpaBeta is the paper's CPA-RA outcome for Figure 1 at Rmax=64.
@@ -146,7 +156,7 @@ for i = 0..32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPlan(n, infos, map[string]int{"x[i + k]": 5, "c[k]": 8, "y[i]": 1})
+	p, err := NewPlan(n, infos, betaVec(infos, map[string]int{"x[i + k]": 5, "c[k]": 8, "y[i]": 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,18 +210,18 @@ for i = 0..32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta := map[string]int{}
-	for _, inf := range infos {
-		beta[inf.Key()] = inf.Nu
+	beta := make([]int, len(infos))
+	for i, inf := range infos {
+		beta[i] = inf.Nu
 	}
 	p, err := NewPlan(n, infos, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, e := range p.Entries {
+	for _, e := range p.Order() {
 		if e.Info.Group.Ref.Array.Name == "x" {
 			if !e.Aliased || e.Coverage != 0 {
-				t.Errorf("%s: aliased=%v coverage=%d, want true/0", key, e.Aliased, e.Coverage)
+				t.Errorf("%s: aliased=%v coverage=%d, want true/0", e.Info.Key(), e.Aliased, e.Coverage)
 			}
 		}
 	}
@@ -260,15 +270,18 @@ func TestNewPlanErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPlan(n, infos, map[string]int{}); err == nil {
+	if _, err := NewPlan(n, infos, nil); err == nil {
 		t.Error("missing β entries should fail")
+	}
+	if _, err := NewPlan(n, infos, append(betaVec(infos, cpaBeta()), 1)); err == nil {
+		t.Error("a β entry beyond the references should fail")
 	}
 	bad := cpaBeta()
 	bad["a[k]"] = 0
-	if _, err := NewPlan(n, infos, bad); err == nil {
+	if _, err := NewPlan(n, infos, betaVec(infos, bad)); err == nil {
 		t.Error("β=0 should fail")
 	}
-	if _, err := NewPlan(&ir.Nest{}, infos, cpaBeta()); err == nil {
+	if _, err := NewPlan(&ir.Nest{}, infos, betaVec(infos, cpaBeta())); err == nil {
 		t.Error("empty nest should fail")
 	}
 }
@@ -319,9 +332,9 @@ func TestNewPlanRejectsBadSteps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		beta := map[string]int{}
-		for _, inf := range infos {
-			beta[inf.Key()] = 1
+		beta := make([]int, len(infos))
+		for i := range beta {
+			beta[i] = 1
 		}
 		if _, err := NewPlan(bad, infos, beta); err == nil {
 			t.Fatalf("NewPlan accepted step %d", step)
@@ -465,9 +478,9 @@ func TestWindowMatchesEnumerationOnRandomNests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, nest)
 		}
-		beta := map[string]int{}
-		for _, inf := range infos {
-			beta[inf.Key()] = 1 + rng.Intn(inf.Nu+2)
+		beta := make([]int, len(infos))
+		for i, inf := range infos {
+			beta[i] = 1 + rng.Intn(inf.Nu+2)
 		}
 		p, err := NewPlan(nest, infos, beta)
 		if err != nil {
@@ -535,13 +548,13 @@ for i = 0..4 {
 		}
 		empty := &ir.Nest{Name: nest.Name, Loops: append([]ir.Loop(nil), nest.Loops...), Body: nest.Body}
 		empty.Loops[len(empty.Loops)-1].Hi = empty.Loops[len(empty.Loops)-1].Lo
-		for _, sweep := range infos {
+		for si, sweep := range infos {
 			for b := 1; b <= sweep.Nu+2; b++ {
-				beta := map[string]int{}
-				for _, inf := range infos {
-					beta[inf.Key()] = inf.Nu
+				beta := make([]int, len(infos))
+				for i, inf := range infos {
+					beta[i] = inf.Nu
 				}
-				beta[sweep.Key()] = b
+				beta[si] = b
 				for _, n := range []*ir.Nest{nest, empty} {
 					p, err := NewPlan(n, infos, beta)
 					if err != nil {

@@ -11,6 +11,7 @@ package sched
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -115,9 +116,9 @@ func TestFragmentSimMatchesOraclesOnRandomNests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, nest)
 		}
-		beta := map[string]int{}
-		for _, inf := range infos {
-			beta[inf.Key()] = 1 + rng.Intn(inf.Nu+2)
+		beta := make([]int, len(infos))
+		for i, inf := range infos {
+			beta[i] = 1 + rng.Intn(inf.Nu+2)
 		}
 		plan, err := scalarrepl.NewPlan(nest, infos, beta)
 		if err != nil {
@@ -155,9 +156,9 @@ func TestFragmentSimSingleBetaPerturbations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, nest)
 		}
-		base := map[string]int{}
-		for _, inf := range infos {
-			base[inf.Key()] = 1 + rng.Intn(inf.Nu+2)
+		base := make([]int, len(infos))
+		for i, inf := range infos {
+			base[i] = 1 + rng.Intn(inf.Nu+2)
 		}
 		basePlan, err := scalarrepl.NewPlan(nest, infos, base)
 		if err != nil {
@@ -167,17 +168,14 @@ func TestFragmentSimSingleBetaPerturbations(t *testing.T) {
 		cfg := DefaultConfig()
 		checkThreeWay(t, "base", cache, nest, g, basePlan, cfg)
 
-		for _, inf := range infos {
+		for i, inf := range infos {
 			for _, delta := range []int{-1, 1, inf.Nu} {
-				b := base[inf.Key()] + delta
+				b := base[i] + delta
 				if b < 1 {
 					continue
 				}
-				beta := map[string]int{}
-				for k, v := range base {
-					beta[k] = v
-				}
-				beta[inf.Key()] = b
+				beta := slices.Clone(base)
+				beta[i] = b
 				plan, err := scalarrepl.NewPlan(nest, infos, beta)
 				if err != nil {
 					t.Fatalf("trial %d: %v\n%s", trial, err, nest)
@@ -203,9 +201,9 @@ func TestClassCacheReusesSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta := map[string]int{}
-	for _, inf := range infos {
-		beta[inf.Key()] = max(2, inf.Nu/2)
+	beta := make([]int, len(infos))
+	for i, inf := range infos {
+		beta[i] = max(2, inf.Nu/2)
 	}
 	plan, err := scalarrepl.NewPlan(k.Nest, infos, beta)
 	if err != nil {
@@ -232,8 +230,7 @@ func TestClassCacheReusesSchedules(t *testing.T) {
 	}
 
 	// Single-β perturbation: only the classes the base plan lacks miss.
-	pert := infos[0]
-	beta[pert.Key()]++
+	beta[0]++
 	plan2, err := scalarrepl.NewPlan(k.Nest, infos, beta)
 	if err != nil {
 		t.Fatal(err)

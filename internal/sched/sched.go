@@ -31,6 +31,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -145,9 +146,32 @@ func (s *Simulator) SimulateGraph(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.
 	if err := checkSteps(nest); err != nil {
 		return nil, err
 	}
+	if err := checkPlan(nest, g, plan); err != nil {
+		return nil, err
+	}
 	order := plan.Order()
 	counts := classWeights(nest, order, innerHitVectors(nest, order))
 	return assembleResult(g, plan, cfg, counts, s.classLen(g, cfg))
+}
+
+// checkPlan rejects a plan built for another nest than the one simulated:
+// the simulation indexes plan entries by the graph's reference numbers and
+// classifies positions of the nest's innermost loop by the plan's windows.
+func checkPlan(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan) error {
+	order := plan.Order()
+	if len(order) != g.NumRefs() {
+		return fmt.Errorf("sched: %q: the plan has %d entries, the graph %d references", nest.Name, len(order), g.NumRefs())
+	}
+	if !slices.Equal(plan.Nest.Loops, nest.Loops) {
+		return fmt.Errorf("sched: %q: the plan was built for another loop nest", nest.Name)
+	}
+	for _, n := range g.Nodes {
+		if n.Kind == dfg.KindRef && order[n.RefID].Info.Key() != n.RefKey {
+			return fmt.Errorf("sched: %q: graph reference %d is %s, the plan's %s",
+				nest.Name, n.RefID, n.RefKey, order[n.RefID].Info.Key())
+		}
+	}
+	return nil
 }
 
 // checkSteps rejects hand-built nests with zero or negative steps: every
@@ -165,7 +189,7 @@ func checkSteps(nest *ir.Nest) error {
 // fingerprint, scheduler config, register-hit set) when a cache is
 // attached, direct scheduling otherwise.
 func (s *Simulator) classLen(g *dfg.Graph, cfg Config) classLenFunc {
-	direct := func(hit map[string]bool) (int, int, error) {
+	direct := func(hit []bool) (int, int, error) {
 		tm := s.Obs.Stage("sim/class").Start()
 		defer tm.Stop()
 		iter, err := scheduleClass(g, hit, cfg, false)
@@ -179,12 +203,12 @@ func (s *Simulator) classLen(g *dfg.Graph, cfg Config) classLenFunc {
 		return iter, mem, nil
 	}
 	if s.Cache == nil {
-		return func(_ string, hit map[string]bool, _ []*scalarrepl.Entry) (int, int, error) {
+		return func(_ string, hit []bool, _ []*scalarrepl.Entry) (int, int, error) {
 			return direct(hit)
 		}
 	}
 	prefix := g.Fingerprint() + "|" + cfg.Lat.Fingerprint() + "|P" + strconv.Itoa(cfg.PortsPerRAM) + "|"
-	return func(sig string, hit map[string]bool, order []*scalarrepl.Entry) (int, int, error) {
+	return func(sig string, hit []bool, order []*scalarrepl.Entry) (int, int, error) {
 		// The hit set in first-use entry order is canonical: all plans of
 		// one nest list entries identically, and across nests the DFG
 		// fingerprint already differs.
@@ -262,8 +286,9 @@ func innerHitVectors(nest *ir.Nest, order []*scalarrepl.Entry) [][]bool {
 
 // classLenFunc returns one iteration class's scheduled lengths (full model,
 // memory-level). sig and order give the class's identity for memoized
-// implementations; hit is the residency map ScheduleClass consumes.
-type classLenFunc func(sig string, hit map[string]bool, order []*scalarrepl.Entry) (iter, mem int, err error)
+// implementations; hit is the residency vector ScheduleClass consumes,
+// read only during the call.
+type classLenFunc func(sig string, hit []bool, order []*scalarrepl.Entry) (iter, mem int, err error)
 
 // assembleResult builds the Result shared by the simulator and the fused
 // test oracle from the class weights: classes are emitted in
@@ -276,10 +301,10 @@ func assembleResult(g *dfg.Graph, plan *scalarrepl.Plan, cfg Config, counts map[
 	// RAM traffic counts DFG nodes, not body occurrences: a value written
 	// and read back within the iteration is forwarded through the datapath
 	// and costs a single RAM transaction when RAM-bound.
-	nodesPerKey := map[string]int{}
+	nodesPerRef := make([]int, len(order))
 	for _, n := range g.Nodes {
 		if n.Kind == dfg.KindRef {
-			nodesPerKey[n.RefKey]++
+			nodesPerRef[n.RefID]++
 		}
 	}
 	sigs := make([]string, 0, len(counts))
@@ -287,14 +312,13 @@ func assembleResult(g *dfg.Graph, plan *scalarrepl.Plan, cfg Config, counts map[
 		sigs = append(sigs, sig)
 	}
 	sort.Strings(sigs)
+	hit := make([]bool, len(order))
 	for _, sig := range sigs {
-		hit := map[string]bool{}
 		ram := 0
-		for i, e := range order {
-			h := sig[i] == '1'
-			hit[e.Info.Key()] = h
-			if !h {
-				ram += nodesPerKey[e.Info.Key()]
+		for i := range order {
+			hit[i] = sig[i] == '1'
+			if !hit[i] {
+				ram += nodesPerRef[i]
 			}
 		}
 		iterLen, memLen, err := classLen(sig, hit, order)
@@ -359,7 +383,7 @@ type Schedule struct {
 // scheduleClass performs ASAP list scheduling of the body DFG for one
 // residency pattern and returns only the length; ScheduleClass exposes the
 // full timing to the RTL builder.
-func scheduleClass(g *dfg.Graph, hit map[string]bool, cfg Config, zeroOps bool) (int, error) {
+func scheduleClass(g *dfg.Graph, hit []bool, cfg Config, zeroOps bool) (int, error) {
 	s, err := ScheduleClass(g, hit, cfg, zeroOps)
 	if err != nil {
 		return 0, err
@@ -368,73 +392,63 @@ func scheduleClass(g *dfg.Graph, hit map[string]bool, cfg Config, zeroOps bool) 
 }
 
 // ScheduleClass performs ASAP list scheduling of the body DFG for one
-// residency pattern. Register-resident reference nodes are free; RAM-bound
+// residency pattern: hit[r] reports whether the reference numbered r
+// (dfg.Node.RefID) is register-resident, and has one entry per reference
+// of the graph. Register-resident reference nodes are free; RAM-bound
 // ones occupy a port of their array's RAM for the access latency. When
 // zeroOps is true operator latencies are suppressed, yielding the
 // memory-level (Tmem) length of the class.
-func ScheduleClass(g *dfg.Graph, hit map[string]bool, cfg Config, zeroOps bool) (*Schedule, error) {
+func ScheduleClass(g *dfg.Graph, hit []bool, cfg Config, zeroOps bool) (*Schedule, error) {
+	if len(hit) != g.NumRefs() {
+		return nil, fmt.Errorf("sched: hit vector has %d entries, the graph %d references", len(hit), g.NumRefs())
+	}
 	order, err := g.Topo()
 	if err != nil {
 		return nil, err
-	}
-	lat := func(n *dfg.Node) int {
-		if n.Kind == dfg.KindRef {
-			if hit[n.RefKey] {
-				return 0
-			}
-			return cfg.Lat.Mem
-		}
-		if zeroOps {
-			return 0
-		}
-		return cfg.Lat.OpLat(n.Op)
 	}
 	sc := &Schedule{
 		Start:  make([]int, len(g.Nodes)),
 		Finish: make([]int, len(g.Nodes)),
 	}
 	finish := sc.Finish
-	// portUse[array][cycle] counts accesses occupying the array's RAM.
-	portUse := map[string]map[int]int{}
+	// ports[a][c] counts the accesses occupying array a's RAM in cycle c;
+	// a row grows to the latest cycle booked on it.
+	ports := make([][]int, g.NumArrays())
 	length := 0
 	for _, id := range order {
 		n := g.Nodes[id]
 		ready := 0
 		for _, p := range g.Pred[id] {
-			if finish[p] > ready {
-				ready = finish[p]
-			}
+			ready = max(ready, finish[p])
 		}
-		l := lat(n)
+		l := 0
+		switch {
+		case n.Kind == dfg.KindRef && !hit[n.RefID]:
+			l = cfg.Lat.Mem
+		case n.Kind == dfg.KindOp && !zeroOps:
+			l = cfg.Lat.OpLat(n.Op)
+		}
 		start := ready
-		if n.Kind == dfg.KindRef && !hit[n.RefKey] && l > 0 {
-			arr := n.Ref.Array.Name
-			if portUse[arr] == nil {
-				portUse[arr] = map[int]int{}
+		if n.Kind == dfg.KindRef && l > 0 {
+			row := ports[n.ArrayID]
+			// Find the earliest start where all l cycles have a free port:
+			// a full cycle rules out every start up to it.
+			for c := start; c < start+l; c++ {
+				if c < len(row) && row[c] >= cfg.PortsPerRAM {
+					start = c + 1
+				}
 			}
-			// Find the earliest start where all l cycles have a free port.
-			for {
-				ok := true
-				for c := start; c < start+l; c++ {
-					if portUse[arr][c] >= cfg.PortsPerRAM {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					break
-				}
-				start++
+			if end := start + l; len(row) < end {
+				row = append(row, make([]int, end-len(row))...)
 			}
 			for c := start; c < start+l; c++ {
-				portUse[arr][c]++
+				row[c]++
 			}
+			ports[n.ArrayID] = row
 		}
 		sc.Start[id] = start
 		finish[id] = start + l
-		if finish[id] > length {
-			length = finish[id]
-		}
+		length = max(length, finish[id])
 	}
 	sc.Length = length
 	return sc, nil

@@ -2,12 +2,14 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/dsl"
 	"repro/internal/ir"
+	"repro/internal/kernels"
 	"repro/internal/reuse"
 	"repro/internal/scalarrepl"
 )
@@ -29,6 +31,16 @@ for i = 0..2 {
 }
 `
 
+// betaVec lays a β map keyed by reference out in infos order, the form
+// scalarrepl.NewPlan takes; a reference the map omits gets β=0.
+func betaVec(infos []*reuse.Info, byKey map[string]int) []int {
+	beta := make([]int, len(infos))
+	for i, inf := range infos {
+		beta[i] = byKey[inf.Key()]
+	}
+	return beta
+}
+
 // figure1Plan builds the running example's storage plan for β.
 func figure1Plan(t *testing.T, beta map[string]int) (*ir.Nest, *scalarrepl.Plan) {
 	t.Helper()
@@ -37,7 +49,7 @@ func figure1Plan(t *testing.T, beta map[string]int) (*ir.Nest, *scalarrepl.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := scalarrepl.NewPlan(n, infos, beta)
+	plan, err := scalarrepl.NewPlan(n, infos, betaVec(infos, beta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +186,9 @@ for i = 0..32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta := map[string]int{}
-	for _, inf := range infos {
-		beta[inf.Key()] = 1
+	beta := make([]int, len(infos))
+	for i := range beta {
+		beta[i] = 1
 	}
 	plan, err := scalarrepl.NewPlan(n, infos, beta)
 	if err != nil {
@@ -209,7 +221,7 @@ func TestMemLatencySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := scalarrepl.NewPlan(n, infos, frBeta())
+	plan, err := scalarrepl.NewPlan(n, infos, betaVec(infos, frBeta()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +277,11 @@ func TestFuncSimPropertyRandomBetas(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
-		beta := map[string]int{}
+		beta := make([]int, len(infos))
 		total := 0
-		for _, inf := range infos {
+		for i, inf := range infos {
 			b := 1 + rng.Intn(inf.Nu)
-			beta[inf.Key()] = b
+			beta[i] = b
 			total += b
 		}
 		plan, err := scalarrepl.NewPlan(n, infos, beta)
@@ -309,9 +321,9 @@ for i = 0..32 {
 		t.Fatal(err)
 	}
 	for bx := 1; bx <= 8; bx++ {
-		plan, err := scalarrepl.NewPlan(n, infos, map[string]int{
+		plan, err := scalarrepl.NewPlan(n, infos, betaVec(infos, map[string]int{
 			"x[i + k]": bx, "c[k]": 8, "y[i]": 1,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +367,7 @@ func TestFuncSimTrafficMatchesTransferCounts(t *testing.T) {
 func TestSimulateRejectsBadPorts(t *testing.T) {
 	n := dsl.MustParse(figure1Src)
 	infos, _ := reuse.Analyze(n)
-	plan, _ := scalarrepl.NewPlan(n, infos, frBeta())
+	plan, _ := scalarrepl.NewPlan(n, infos, betaVec(infos, frBeta()))
 	cfg := DefaultConfig()
 	cfg.PortsPerRAM = 0
 	if _, err := Simulate(n, plan, cfg); err == nil {
@@ -371,7 +383,7 @@ func TestMoreRegistersNeverSlower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := frBeta()
+	base := betaVec(infos, frBeta())
 	plan, err := scalarrepl.NewPlan(n, infos, base)
 	if err != nil {
 		t.Fatal(err)
@@ -380,14 +392,9 @@ func TestMoreRegistersNeverSlower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, inf := range infos {
-		grown := map[string]int{}
-		for k, v := range base {
-			grown[k] = v
-		}
-		if grown[inf.Key()] < inf.Nu {
-			grown[inf.Key()] = inf.Nu
-		}
+	for i, inf := range infos {
+		grown := slices.Clone(base)
+		grown[i] = max(grown[i], inf.Nu)
 		plan, err := scalarrepl.NewPlan(n, infos, grown)
 		if err != nil {
 			t.Fatal(err)
@@ -400,5 +407,46 @@ func TestMoreRegistersNeverSlower(t *testing.T) {
 			t.Errorf("growing %s to ν worsened cycles: %d→%d mem, %d→%d loop",
 				inf.Key(), res0.MemCycles, res.MemCycles, res0.LoopCycles, res.LoopCycles)
 		}
+	}
+}
+
+// TestSimulateGraphRejectsForeignPlans: the simulation indexes plan
+// entries by the graph's reference numbers, so a plan built for another
+// nest — another kernel, or the same references under other loop bounds —
+// must fail with an error, never panic on an index.
+func TestSimulateGraphRejectsForeignPlans(t *testing.T) {
+	ks := append(kernels.All(), kernels.Figure1())
+	plans := make([]*scalarrepl.Plan, len(ks))
+	graphs := make([]*dfg.Graph, len(ks))
+	for i, k := range ks {
+		prob, err := core.NewProblem(k.Nest, 1<<20, dfg.DefaultLatencies())
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc, err := (core.CPARA{}).Allocate(prob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plans[i], err = scalarrepl.NewPlan(k.Nest, prob.Infos, alloc.Beta); err != nil {
+			t.Fatal(err)
+		}
+		graphs[i] = prob.Graph
+	}
+	for i, a := range ks {
+		for j, b := range ks {
+			if i == j {
+				continue
+			}
+			if _, err := SimulateGraph(b.Nest, graphs[j], plans[i], DefaultConfig()); err == nil {
+				t.Errorf("%s plan simulated on %s", a.Name, b.Name)
+			}
+		}
+	}
+	fig := kernels.Figure1()
+	wider := &ir.Nest{Name: fig.Nest.Name, Loops: slices.Clone(fig.Nest.Loops), Body: fig.Nest.Body}
+	wider.Loops[len(wider.Loops)-1].Hi++
+	last := len(ks) - 1
+	if _, err := SimulateGraph(wider, graphs[last], plans[last], DefaultConfig()); err == nil {
+		t.Error("figure1 plan simulated on a nest with a longer innermost loop")
 	}
 }

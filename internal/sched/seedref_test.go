@@ -7,7 +7,10 @@ package sched
 // are kept here, verbatim, as the differential oracles of the production
 // engine: SimulateGraph must reproduce the first walk's Result byte for
 // byte on every kernel, every allocator and every scheduler configuration,
-// and Transfers the second walk's counts (checkThreeWay).
+// and Transfers the second walk's counts (checkThreeWay). The first walk
+// schedules its classes with the seed's map-keyed ASAP list scheduler,
+// kept verbatim too (scheduleClassReference), so the oracle checks the
+// production scheduler rather than calling it.
 
 import (
 	"fmt"
@@ -75,11 +78,11 @@ func simulateReference(nest *ir.Nest, plan *scalarrepl.Plan, cfg Config) (*Resul
 				ram += nodesPerKey[e.Info.Key()]
 			}
 		}
-		iterLen, err := scheduleClass(g, hit, cfg, false)
+		iterLen, err := scheduleClassReference(g, hit, cfg, false)
 		if err != nil {
 			return nil, err
 		}
-		memLen, err := scheduleClass(g, hit, cfg, true)
+		memLen, err := scheduleClassReference(g, hit, cfg, true)
 		if err != nil {
 			return nil, err
 		}
@@ -103,6 +106,72 @@ func simulateReference(nest *ir.Nest, plan *scalarrepl.Plan, cfg Config) (*Resul
 	res.OverheadCycles = overheadCycles(plan, cfg)
 	res.TotalCycles = res.LoopCycles + res.OverheadCycles
 	return res, nil
+}
+
+// scheduleClassReference is the seed's class scheduler: ASAP list
+// scheduling of the body DFG for one residency pattern keyed by reference
+// key, with per-array port occupancy in nested maps. It returns the
+// schedule length.
+func scheduleClassReference(g *dfg.Graph, hit map[string]bool, cfg Config, zeroOps bool) (int, error) {
+	order, err := g.Topo()
+	if err != nil {
+		return 0, err
+	}
+	lat := func(n *dfg.Node) int {
+		if n.Kind == dfg.KindRef {
+			if hit[n.RefKey] {
+				return 0
+			}
+			return cfg.Lat.Mem
+		}
+		if zeroOps {
+			return 0
+		}
+		return cfg.Lat.OpLat(n.Op)
+	}
+	finish := make([]int, len(g.Nodes))
+	// portUse[array][cycle] counts accesses occupying the array's RAM.
+	portUse := map[string]map[int]int{}
+	length := 0
+	for _, id := range order {
+		n := g.Nodes[id]
+		ready := 0
+		for _, p := range g.Pred[id] {
+			if finish[p] > ready {
+				ready = finish[p]
+			}
+		}
+		l := lat(n)
+		start := ready
+		if n.Kind == dfg.KindRef && !hit[n.RefKey] && l > 0 {
+			arr := n.Ref.Array.Name
+			if portUse[arr] == nil {
+				portUse[arr] = map[int]int{}
+			}
+			// Find the earliest start where all l cycles have a free port.
+			for {
+				ok := true
+				for c := start; c < start+l; c++ {
+					if portUse[arr][c] >= cfg.PortsPerRAM {
+						ok = false
+						break
+					}
+				}
+				if ok {
+					break
+				}
+				start++
+			}
+			for c := start; c < start+l; c++ {
+				portUse[arr][c]++
+			}
+		}
+		finish[id] = start + l
+		if finish[id] > length {
+			length = finish[id]
+		}
+	}
+	return length, nil
 }
 
 // transferCountsReference is the seed transfer-protocol replay: a second
@@ -290,9 +359,9 @@ func TestSimulateGraphMatchesSeedOnRandomNests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, nest)
 		}
-		beta := map[string]int{}
-		for _, inf := range infos {
-			beta[inf.Key()] = 1 + rng.Intn(inf.Nu+2)
+		beta := make([]int, len(infos))
+		for i, inf := range infos {
+			beta[i] = 1 + rng.Intn(inf.Nu+2)
 		}
 		plan, err := scalarrepl.NewPlan(nest, infos, beta)
 		if err != nil {

@@ -26,7 +26,7 @@ func simulateFused(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg Confi
 			counts[sig] = w.counts[c]
 		}
 	}
-	classLen := func(_ string, hit map[string]bool, _ []*scalarrepl.Entry) (int, int, error) {
+	classLen := func(_ string, hit []bool, _ []*scalarrepl.Entry) (int, int, error) {
 		iter, err := scheduleClass(g, hit, cfg, false)
 		if err != nil {
 			return 0, 0, err
