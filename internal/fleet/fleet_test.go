@@ -122,19 +122,48 @@ func TestFleetByteIdentity(t *testing.T) {
 	}
 }
 
+// killThenOpen runs the flaky executor and opens the gate once its
+// attempts have all been killed.
+type killThenOpen struct {
+	*faultinject.KillAfterRows
+	gate *gatedExec
+	once sync.Once
+}
+
+func (k *killThenOpen) Run(ctx context.Context, spec dse.SpaceSpec, points []int, w io.Writer) error {
+	err := k.KillAfterRows.Run(ctx, spec, points, w)
+	if k.Killed() >= k.Times {
+		k.once.Do(func() { close(k.gate.release) })
+	}
+	return err
+}
+
 // TestFleetSurvivesKilledExecutor: an executor whose first two attempts
 // die mid-stream costs nothing — the salvaged prefixes are kept, the
 // residuals re-run, output stays byte-identical.
+//
+// The steady executor's attempts wait until the flaky one has been killed
+// twice; otherwise a fast steady executor could drain both tasks and the
+// residuals first. The wait cannot deadlock: steady holds at most one of
+// the two 8-point tasks, so flaky pulls the other and is killed after four
+// lines, salvaging three rows. The progress resets the task's failure
+// count, and the five-point residual is requeued as 3- and 2-point pieces
+// with no backoff. Flaky pulls one and is killed again, since any piece of
+// two or more points streams at least four lines. The test's deadline
+// bounds the wait all the same.
 func TestFleetSurvivesKilledExecutor(t *testing.T) {
 	sp, spec := testSpace(t)
 	want := wantRender(t, sp)
 	killer := &faultinject.KillAfterRows{Exec: engineExec("flaky"), Rows: 4, Times: 2}
+	steady := &gatedExec{inner: engineExec("steady"), entered: make(chan struct{}), release: make(chan struct{})}
 	m := obs.New()
-	d, err := fleet.New(fleet.Config{Tasks: 2, Obs: m}, killer, engineExec("steady"))
+	d, err := fleet.New(fleet.Config{Tasks: 2, Obs: m}, &killThenOpen{KillAfterRows: killer, gate: steady}, steady)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, rep, err := d.Run(context.Background(), spec)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rs, rep, err := d.Run(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
