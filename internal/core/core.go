@@ -66,11 +66,6 @@ func NewProblemFrom(nest *ir.Nest, infos []*reuse.Info, g *dfg.Graph, rmax int, 
 		return nil, fmt.Errorf("core: %q: the graph numbers %d references, the reuse summary %d",
 			nest.Name, g.NumRefs(), len(infos))
 	}
-	for i, inf := range infos {
-		if inf.Group.ID != i {
-			return nil, fmt.Errorf("core: %q: reuse summary %d is reference %d (%s)", nest.Name, i, inf.Group.ID, inf.Key())
-		}
-	}
 	for _, n := range g.Nodes {
 		if n.Kind == dfg.KindRef && infos[n.RefID].Key() != n.RefKey {
 			return nil, fmt.Errorf("core: %q: graph reference %d is %s, the reuse summary's %s",

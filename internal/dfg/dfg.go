@@ -185,21 +185,25 @@ func Build(nest *ir.Nest) (*Graph, error) {
 		return nil, fmt.Errorf("dfg: %w", err)
 	}
 	g := newGraph()
-	// Reference and array numbers in first-use order. The body is walked
-	// in Nest.RefUses order (each statement's reads left to right, then its
-	// write), so a key's number is its position in Nest.RefGroups.
+	// refNode creates a reference node and numbers its key and array in
+	// first-use order. The body is walked in Nest.RefUses order (each
+	// statement's reads left to right, then its write), and a key's first
+	// use always creates a node, so a key's number is its position in
+	// Nest.RefGroups.
 	refIDs := map[string]int{}
 	arrayIDs := map[string]int{}
-	number := func(r *ir.ArrayRef) {
-		if _, ok := refIDs[r.Key()]; !ok {
-			refIDs[r.Key()] = len(refIDs)
-		}
-		if _, ok := arrayIDs[r.Array.Name]; !ok {
-			arrayIDs[r.Array.Name] = len(arrayIDs)
-		}
-	}
 	refNode := func(r *ir.ArrayRef, stmt int) *Node {
-		return &Node{Kind: KindRef, Ref: r, RefKey: r.Key(), RefID: refIDs[r.Key()], ArrayID: arrayIDs[r.Array.Name], Stmt: stmt}
+		id, ok := refIDs[r.Key()]
+		if !ok {
+			id = len(refIDs)
+			refIDs[r.Key()] = id
+		}
+		arr, ok := arrayIDs[r.Array.Name]
+		if !ok {
+			arr = len(arrayIDs)
+			arrayIDs[r.Array.Name] = arr
+		}
+		return &Node{Kind: KindRef, Ref: r, RefKey: r.Key(), RefID: id, ArrayID: arr, Stmt: stmt}
 	}
 	// written maps a reference key to the node holding the value produced
 	// by the most recent write in body order.
@@ -212,7 +216,6 @@ func Build(nest *ir.Nest) (*Graph, error) {
 	readsSince := map[string][]*Node{}
 
 	readNode := func(r *ir.ArrayRef, stmt int) *Node {
-		number(r)
 		key := r.Key()
 		arr := r.Array.Name
 		if n, ok := written[key]; ok && lastWrite[arr] == n {
@@ -273,7 +276,6 @@ func Build(nest *ir.Nest) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		number(st.LHS)
 		key := st.LHS.Key()
 		arr := st.LHS.Array.Name
 		w := refNode(st.LHS, si)

@@ -32,8 +32,8 @@ func TestSimCachePanicDoesNotPoisonEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate on a nil graph: the simulator dereferences it and panics.
-	// (A plan from another nest no longer reaches a panic: SimulateGraph
-	// rejects it with an error before indexing anything.)
+	// A plan from another nest cannot serve here: SimulateGraph rejects it
+	// with an error before indexing anything.
 	var g *dfg.Graph
 	ctx := hls.SimCtx{Kernel: k.Name}
 	_, direct := simDirect(ctx, k.Nest, g, plan, sched.DefaultConfig())

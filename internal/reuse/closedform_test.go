@@ -11,7 +11,7 @@ import (
 	"repro/internal/kernels"
 )
 
-// distinctEnumerated is the original brute-force counter: walk the whole
+// distinctEnumerated is the brute-force counter: walk the whole
 // iteration sub-space of loops l..depth-1, outer loops at their lower
 // bounds, and collect flattened addresses. It is the differential oracle
 // for distinctClosedForm; production never enumerates.
