@@ -75,8 +75,10 @@ func (g *Graph) CriticalGraph(lat LatencyFunc) (*Critical, error) {
 	cg := &Graph{numRefs: g.numRefs, numArrays: g.numArrays, rank: g.rank}
 	toCG := make([]int, len(g.Nodes))
 	var parent []int
-	for i, n := range g.Nodes {
+	for i := range toCG {
 		toCG[i] = -1
+	}
+	for i, n := range g.Nodes {
 		if distFrom[i]+distTo[i]-lat(n) == total {
 			toCG[i] = len(cg.Nodes)
 			cg.Nodes = append(cg.Nodes, n)
@@ -90,7 +92,10 @@ func (g *Graph) CriticalGraph(lat LatencyFunc) (*Critical, error) {
 			continue
 		}
 		for _, v := range g.Succ[u] {
-			if toCG[v] >= 0 && distFrom[u]+distTo[v] == total {
+			if toCG[v] < 0 {
+				continue
+			}
+			if distFrom[u]+distTo[v] == total {
 				cg.addEdge(toCG[u], toCG[v])
 			}
 		}
