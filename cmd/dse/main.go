@@ -8,9 +8,10 @@
 //
 // Simulation work is deduplicated at three levels: identical plans share
 // one simulation (the plan cache), distinct plans share per-class
-// schedules (the simulation store, see internal/simcache, which also holds
-// front-end analyses), and with -simcache-dir the store persists to disk,
-// so independent shard processes share it too. -portfolio
+// schedules (the simulation store, see internal/simcache), and with
+// -simcache-dir the store persists to disk, so independent shard processes
+// share it too. Front-end analyses are computed once per kernel in every
+// process and never stored. -portfolio
 // collapses the allocator axis: each point runs every allocator and keeps
 // the best design by (time, slices, registers).
 //

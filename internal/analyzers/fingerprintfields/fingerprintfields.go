@@ -2,10 +2,12 @@
 // every field of the struct types they digest.
 //
 // The simcache (DESIGN.md §8) is content-addressed: two design points
-// share one simulation iff their fingerprints collide. A fingerprint
-// that omits a semantically relevant field silently aliases distinct
-// cache entries — the classic poisoned-cache bug that differential
-// testing finds late and this pass finds at compile time.
+// share one simulation iff their fingerprints collide. The in-process
+// analysis memo is keyed the same way: two kernels of one name share one
+// analysis iff their KernelFingerprints collide (DESIGN.md §18). A
+// fingerprint that omits a semantically relevant field silently aliases
+// distinct cache entries — the classic poisoned-cache bug that
+// differential testing finds late and this pass finds at compile time.
 //
 // Scope: every function whose name ends in "Fingerprint" (Fingerprint,
 // KernelFingerprint, ...). For such a function F the

@@ -1,28 +1,21 @@
 package dse
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"os"
-	"path/filepath"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dsl"
+	"repro/internal/fpga"
 	"repro/internal/hls"
 	"repro/internal/kernels"
 	"repro/internal/simcache"
 )
 
-// blobFile reproduces the store's on-disk name for one analysis key: the
-// "a" kind prefix plus the key's SHA-256 content address.
-func blobFile(dir, key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(dir, "a"+hex.EncodeToString(sum[:]))
-}
-
-// TestAnalysisCacheMemoizes: the decoded-object memo answers repeats
-// without touching the byte store, and counts them as analysis hits.
+// TestAnalysisCacheMemoizes: the memo answers repeats with the object it
+// computed first, and counts them as analysis hits.
 func TestAnalysisCacheMemoizes(t *testing.T) {
 	ac := NewAnalysisCache()
 	store := simcache.New()
@@ -50,7 +43,7 @@ func TestAnalysisCacheMemoizes(t *testing.T) {
 	}
 }
 
-// TestAnalysisCacheNilStore: without a byte store the memo still
+// TestAnalysisCacheNilStore: without a store to count on, the memo still
 // deduplicates within the process.
 func TestAnalysisCacheNilStore(t *testing.T) {
 	ac := NewAnalysisCache()
@@ -65,82 +58,28 @@ func TestAnalysisCacheNilStore(t *testing.T) {
 	}
 }
 
-// TestAnalysisCacheDiskDecode: a second process (fresh memo, shared
-// directory) decodes the first process's blob instead of re-deriving.
-func TestAnalysisCacheDiskDecode(t *testing.T) {
-	dir := t.TempDir()
+// TestAnalysisCacheNil: a nil cache memoizes nothing — it analyzes on
+// every call and counts one miss per call — and tolerates a nil store.
+func TestAnalysisCacheNil(t *testing.T) {
+	var ac *AnalysisCache
+	store := simcache.New()
 	k := kernels.Figure1()
-	s1, err := simcache.NewDir(dir)
+	first, err := ac.Get(k, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewAnalysisCache().Get(k, s1)
+	second, err := ac.Get(k, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	s2, err := simcache.NewDir(dir)
-	if err != nil {
+	if first == second {
+		t.Error("a nil cache returned one object twice")
+	}
+	if s := store.Snapshot(); s.AnalysisMisses != 2 || s.AnalysisHits != 0 {
+		t.Errorf("stats %+v, want 2 analysis misses and no hit", s)
+	}
+	if _, err := ac.Get(k, nil); err != nil {
 		t.Fatal(err)
-	}
-	got, err := NewAnalysisCache().Get(k, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := s2.Snapshot(); s.AnalysisDiskHits != 1 || s.AnalysisMisses != 0 {
-		t.Errorf("stats %+v, want 1 analysis disk hit", s)
-	}
-	if !reflect.DeepEqual(got.Infos, want.Infos) {
-		t.Error("decoded analysis diverges from the computed one")
-	}
-	if got.Graph.Fingerprint() != want.Graph.Fingerprint() {
-		t.Error("decoded graph diverges from the computed one")
-	}
-}
-
-// TestAnalysisCachePoisonedBlobFallsBack: a blob that passes the store's
-// envelope but fails semantic revalidation degrades to a fresh analysis,
-// never to an error or a wrong result.
-func TestAnalysisCachePoisonedBlobFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	fig, fir := kernels.Figure1(), kernels.FIR()
-	s1, err := simcache.NewDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed the store, then graft fir's blob onto figure1's key on disk: the
-	// envelope checksum still matches (it covers the payload we copy), but
-	// the payload describes the wrong kernel.
-	if _, err := NewAnalysisCache().Get(fig, s1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewAnalysisCache().Get(fir, s1); err != nil {
-		t.Fatal(err)
-	}
-	figName := blobFile(dir, hls.KernelFingerprint(fig))
-	firName := blobFile(dir, hls.KernelFingerprint(fir))
-	blob, err := os.ReadFile(firName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(figName, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := simcache.NewDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewAnalysisCache().Get(fig, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := hls.Analyze(fig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Infos, want.Infos) {
-		t.Error("poisoned blob produced a wrong analysis instead of a fallback")
 	}
 }
 
@@ -199,5 +138,67 @@ func TestAnalysisCacheEngineShared(t *testing.T) {
 	// The per-run snapshot delta isolates each run's lookups.
 	if first.Cache.AnalysisHits != 0 {
 		t.Errorf("cold run inherited %d hits from nowhere", first.Cache.AnalysisHits)
+	}
+}
+
+// twoKernels explores a then b under one engine and returns b's output,
+// with b's output under a fresh engine: a shared memo must not change it.
+func twoKernels(t *testing.T, sp Space, a, b kernels.Kernel) (got, want *ResultSet) {
+	t.Helper()
+	shared := Engine{Workers: 2, Analyses: NewAnalysisCache()}
+	sp.Kernels = []kernels.Kernel{a}
+	mustExplore(t, shared, sp)
+	sp.Kernels = []kernels.Kernel{b}
+	return mustExplore(t, shared, sp), mustExplore(t, Engine{Workers: 2}, sp)
+}
+
+// sameDesigns compares two result sets point by point, as the reporters
+// read them.
+func sameDesigns(t *testing.T, got, want *ResultSet) {
+	t.Helper()
+	for i, r := range got.Results {
+		if g, w := designText(r.Design)+errText(r.Err), designText(want.Results[i].Design)+errText(want.Results[i].Err); g != w {
+			t.Errorf("%s: shared memo gives %s, a fresh engine %s", r.Point.ID(), g, w)
+		}
+	}
+}
+
+// TestAnalysisCacheKeysOperatorsAndWidths: two kernels of one name whose
+// nests differ only in the body's operator and element widths get their
+// own analyses, since the memo key renders the whole nest.
+func TestAnalysisCacheKeysOperatorsAndWidths(t *testing.T) {
+	mk := func(op string, bits int) kernels.Kernel {
+		src := fmt.Sprintf(`
+kernel k;
+array x[64]:%[1]d;
+array y[64]:%[1]d;
+array o[64]:%[1]d;
+for i = 0..64 {
+  o[i] = x[i] %[2]s y[i];
+}
+`, bits, op)
+		return kernels.Kernel{Name: "k", Rmax: 64, Nest: dsl.MustParse(src)}
+	}
+	got, want := twoKernels(t, smallSpace(), mk("+", 8), mk("*", 16))
+	sameDesigns(t, got, want)
+}
+
+// TestAnalysisCacheBudgetZero: at budget 0 a point allocates under its own
+// kernel's Rmax, not under that of the kernel the shared memo analyzed.
+func TestAnalysisCacheBudgetZero(t *testing.T) {
+	big, small := kernels.FIR(), kernels.FIR()
+	big.Rmax, small.Rmax = 64, 8
+	sp := Space{
+		Allocators: core.All(),
+		Budgets:    []int{0},
+		Devices:    []fpga.Device{fpga.XCV1000()},
+		Scheds:     []SchedVariant{DefaultSchedVariant()},
+	}
+	got, want := twoKernels(t, sp, big, small)
+	sameDesigns(t, got, want)
+	for _, r := range got.Results {
+		if !r.Ok() || r.Design.Registers > small.Rmax {
+			t.Errorf("%s: %s, want at most %d registers", r.Point.ID(), designText(r.Design)+errText(r.Err), small.Rmax)
+		}
 	}
 }

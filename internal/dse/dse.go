@@ -129,11 +129,11 @@ type Engine struct {
 	// redundant work).
 	NoSimCache bool
 	// SimCacheDir, when non-empty (and the cache is enabled), backs the
-	// simulation store (analyses, class schedules) with one small file per
-	// key in the
-	// given directory, so independent worker processes — the shards of one
-	// sweep — share simulation work through the filesystem (cross-shard
-	// dedup). The directory is created if absent.
+	// simulation store's class schedules with one small file per key in
+	// the given directory, so independent worker processes — the shards of
+	// one sweep — share simulation work through the filesystem
+	// (cross-shard dedup). Analyses are not stored: every process computes
+	// its own. The directory is created if absent.
 	SimCacheDir string
 	// SimCache, when non-nil, is a pre-built simulation store
 	// the exploration uses instead of constructing its own (SimCacheDir is
@@ -143,12 +143,12 @@ type Engine struct {
 	// externally owned: it never calls SetObs on it — wire observability
 	// once, at construction, before concurrent use.
 	SimCache *simcache.Cache
-	// Analyses, when non-nil, is a process-lifetime memo of decoded
-	// front-end analyses shared across explorations: a warm request's
-	// analyze stage becomes one map lookup. Nil builds a fresh memo per
-	// exploration (deduplication within the run only). Like SimCache, a
-	// provided memo is externally owned and safe for concurrent
-	// explorations.
+	// Analyses, when non-nil, is a process-lifetime memo of front-end
+	// analyses shared across explorations: a warm request's analyze stage
+	// becomes one key and one map lookup. Nil memoizes nothing: an
+	// exploration analyzes each of its kernels once anyway, since a space
+	// names every kernel once. Like SimCache, a provided memo is
+	// externally owned and safe for concurrent explorations.
 	Analyses *AnalysisCache
 	// Window caps the order-restoring window of the streaming entry
 	// points (ExploreStream/ExploreShardStream): at most Window results
@@ -313,19 +313,13 @@ func (e Engine) evalPoint(an *hls.Analysis, p Point, sim hls.SimFunc, members bo
 	return r
 }
 
-// analyzeKernels builds the memoized front-end of every included kernel
-// on the axis, concurrently (one analysis per kernel, however many points
-// share it). A nil include set means every kernel. Lookups go through the
-// engine's AnalysisCache (a fresh one when the engine carries none) and,
-// when store is non-nil, through its byte tiers — so a kernel analyzed by
-// an earlier run, another shard, or another host is decoded instead of
-// re-derived, and the cache/analysis/* obs stages record the tier that
-// answered.
+// analyzeKernels builds the front-end of every included kernel on the
+// axis, concurrently (one analysis per kernel, however many points share
+// it). A nil include set means every kernel. Lookups go through the
+// engine's AnalysisCache, which may be nil, and are counted on store when
+// it is non-nil: the cache/analysis/{hit,miss} obs stages record whether
+// the memo answered.
 func (e Engine) analyzeKernels(sp Space, include map[string]bool, store *simcache.Cache) (map[string]*hls.Analysis, error) {
-	ac := e.Analyses
-	if ac == nil {
-		ac = NewAnalysisCache()
-	}
 	analyses := make(map[string]*hls.Analysis, len(sp.Kernels))
 	errs := make([]error, len(sp.Kernels))
 	var (
@@ -353,11 +347,11 @@ func (e Engine) analyzeKernels(sp Space, include map[string]bool, store *simcach
 			var err error
 			if e.Obs != nil || e.Trace != nil {
 				sp := obs.Begin(e.Obs, e.Trace, -1, k.Name, "analyze")
-				e.Obs.Do(func() { a, err = ac.Get(k, store) },
+				e.Obs.Do(func() { a, err = e.Analyses.Get(k, store) },
 					"kernel", k.Name, "stage", "analyze")
 				sp.End("")
 			} else {
-				a, err = ac.Get(k, store)
+				a, err = e.Analyses.Get(k, store)
 			}
 			if err != nil {
 				errs[i] = err

@@ -178,8 +178,8 @@ func TestObsCacheTiersMirrorSnapshot(t *testing.T) {
 	if got := cnt("cache/plan/miss"); got != c.PlanMisses {
 		t.Errorf("plan miss = %d, stats PlanMisses = %d", got, c.PlanMisses)
 	}
-	if got := cnt("cache/analysis/hit") + cnt("cache/analysis/wait"); got != c.AnalysisHits {
-		t.Errorf("analysis hit+wait = %d, stats AnalysisHits = %d", got, c.AnalysisHits)
+	if got := cnt("cache/analysis/hit"); got != c.AnalysisHits {
+		t.Errorf("analysis hit = %d, stats AnalysisHits = %d", got, c.AnalysisHits)
 	}
 	if got := cnt("cache/analysis/miss"); got != c.AnalysisMisses {
 		t.Errorf("analysis miss = %d, stats AnalysisMisses = %d", got, c.AnalysisMisses)

@@ -3,6 +3,7 @@ package dse
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -168,8 +169,10 @@ func TestPortfolioSpecRoundTrip(t *testing.T) {
 }
 
 // TestSimCacheDirSharedAcrossRuns: a second engine over the same backing
-// directory must recover class schedules and analyses from disk (the
-// cross-shard dedup mechanism) and produce byte-identical output.
+// directory must recover class schedules from disk (the cross-shard dedup
+// mechanism) and produce byte-identical output. Analyses are not stored:
+// the warm run computes each one again, and the directory holds class
+// blobs only.
 func TestSimCacheDirSharedAcrossRuns(t *testing.T) {
 	sp := smallSpace()
 	dir := t.TempDir()
@@ -189,8 +192,8 @@ func TestSimCacheDirSharedAcrossRuns(t *testing.T) {
 	if second != first {
 		t.Error("file-backed cache changed the output bytes")
 	}
-	if st2.Cache.AnalysisMisses != 0 || st2.Cache.AnalysisDiskHits == 0 {
-		t.Errorf("warm run should serve analyses from disk: %+v", st2.Cache)
+	if n := int64(len(sp.Kernels)); st1.Cache.AnalysisMisses != n || st2.Cache.AnalysisMisses != n || st2.Cache.AnalysisDiskHits != 0 {
+		t.Errorf("each run should analyze its %d kernels and read no analysis from disk: cold %+v, warm %+v", n, st1.Cache, st2.Cache)
 	}
 	if st2.Cache.ClassMisses != 0 || st2.Cache.ClassDiskHits == 0 {
 		t.Errorf("warm run should serve class schedules from disk: %+v", st2.Cache)
@@ -198,6 +201,15 @@ func TestSimCacheDirSharedAcrossRuns(t *testing.T) {
 	memory, _ := render(Engine{})
 	if memory != first {
 		t.Error("file-backed output differs from in-memory output")
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !strings.HasPrefix(f.Name(), "c") {
+			t.Errorf("directory holds %s, want class blobs only", f.Name())
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 // shard round trip: two engines that share nothing but a blob server must
 // dedup simulation work — the first populates the store through its PUTs,
 // the second recovers every class schedule remotely and computes none.
+// Analyses do not travel: each engine computes its own.
 func TestRemoteSimcacheDedup(t *testing.T) {
 	store, err := simcache.NewDir(t.TempDir())
 	if err != nil {
@@ -41,11 +42,14 @@ func TestRemoteSimcacheDedup(t *testing.T) {
 	}
 
 	rsB, snapB := run()
-	if snapB.ClassMisses != 0 || snapB.AnalysisMisses != 0 {
-		t.Errorf("second engine recomputed class schedules or analyses: %+v", snapB)
+	if snapB.ClassMisses != 0 {
+		t.Errorf("second engine recomputed class schedules: %+v", snapB)
 	}
-	if snapB.ClassRemoteHits == 0 || snapB.AnalysisRemoteHits == 0 {
+	if snapB.ClassRemoteHits == 0 {
 		t.Errorf("second engine did not hit the remote store: %+v", snapB)
+	}
+	if snapB.AnalysisMisses != snapA.AnalysisMisses || snapB.AnalysisRemoteHits != 0 {
+		t.Errorf("second engine should analyze as the first did (%d misses), not fetch: %+v", snapA.AnalysisMisses, snapB)
 	}
 	if snapB.ClassRemoteHits+snapB.ClassHits != snapA.ClassMisses+snapA.ClassHits {
 		t.Errorf("lookup totals drifted: A %+v, B %+v", snapA, snapB)
@@ -64,11 +68,12 @@ func TestRemoteSimcacheDedup(t *testing.T) {
 	}
 }
 
-// TestEngineSimCachePrecedence: a provided SimCache wins over SimCacheDir
-// and accumulates across explorations — the long-running-service contract.
+// TestEngineSimCachePrecedence: a provided SimCache wins over SimCacheDir,
+// and it and a provided analysis memo accumulate across explorations —
+// the long-running-service contract.
 func TestEngineSimCachePrecedence(t *testing.T) {
 	shared := simcache.New()
-	e := Engine{Workers: 2, SimCache: shared, SimCacheDir: t.TempDir() + "/never-created"}
+	e := Engine{Workers: 2, SimCache: shared, Analyses: NewAnalysisCache(), SimCacheDir: t.TempDir() + "/never-created"}
 	sp := smallSpace()
 	mustExplore(t, e, sp)
 	first := shared.Snapshot()

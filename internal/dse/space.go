@@ -183,9 +183,12 @@ func (p Point) EffectiveBudget() int {
 	return p.Kernel.Rmax
 }
 
-// Options assembles the estimator options for this point.
+// Options assembles the estimator options for this point. The point owns
+// its budget: the kernel's Rmax is resolved here, never from the kernel an
+// analysis was built for, which a shared memo may have analyzed under
+// another budget.
 func (p Point) Options() hls.Options {
-	return hls.Options{Device: p.Device, Sched: p.Sched.Config, Rmax: p.Budget}
+	return hls.Options{Device: p.Device, Sched: p.Sched.Config, Rmax: p.EffectiveBudget()}
 }
 
 // ID renders the point's coordinates as a stable slash-joined identifier,

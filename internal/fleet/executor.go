@@ -70,10 +70,9 @@ type ProcExecutor struct {
 	// the dse binary when the driver runs inside `dse fleet`).
 	Bin string
 	// Args are extra CLI arguments appended to every attempt (e.g.
-	// -simcache-dir or -simcache-url, so workers share simulation work).
-	// The shared store carries front-end analysis blobs alongside
-	// class schedules, so a worker process also skips
-	// re-deriving any kernel another attempt analyzed first.
+	// -simcache-dir or -simcache-url, so workers share class schedules).
+	// Each worker process analyzes the kernels it owns itself: analyses
+	// are cheaper to compute than to fetch.
 	Args []string
 }
 

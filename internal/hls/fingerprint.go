@@ -1,48 +1,45 @@
-// Content-addressing for the front-end: a fingerprint that names an
-// analysis by everything it reads, and a versioned encoding that lets the
-// result live in a store (internal/simcache kind "a") and be revalidated
-// on the way back in.
-//
-// The encoding deliberately carries only the per-group distinct-element
-// profiles — the one part of the analysis that costs anything to compute.
-// Reuse levels, ν, benefits, and the data-flow graph are re-derived from
-// the kernel at decode time, so a blob can never smuggle in a summary that
-// is inconsistent with the nest it claims to describe: a stale or corrupt
-// blob fails the shape and envelope checks and falls back to a fresh
-// analysis. A profile edited within the envelope decodes as written —
-// blob writers are trusted, not authenticated (DESIGN.md §11, §13).
+// The key of the in-process analysis memo (internal/dse): a rendering of
+// the whole nest, since every part of it reaches the Analysis. The key
+// names no stored value — analyses are a closed form, recomputed in every
+// process that needs one (DESIGN.md §18) — so its format may change
+// freely.
 package hls
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 
+	"repro/internal/ir"
 	"repro/internal/kernels"
-	"repro/internal/reuse"
 )
 
-// KernelFingerprint renders everything the front-end analysis reads into a
-// canonical string: loop bounds and steps by depth, and per reference
-// group (in first-use order) the read/write counts, array dimensions, and
-// flattened-index coefficients by loop depth. Loop variable and array
-// names are deliberately absent — coefficients are keyed by depth, so two
-// kernels that differ only by renaming share one analysis. The version
-// prefix makes any future change to what Analyze reads a clean cache miss.
+// KernelFingerprint renders the kernel's nest, so any change to what
+// Analyze reads from it changes the string. It renders the nest's name;
+// every loop's variable, bounds and step; and each statement's left-hand
+// reference and right-hand tree in prefix order — operators by kind,
+// literal values, loop-variable reads, and references by their key (the
+// identity Analyze itself groups them by) with the array's element width
+// and dimensions. Names are length-prefixed and every operator takes two
+// operands, so no token runs into the next: the literal -5 renders "#-5"
+// and 0 - 5 renders "o1#0#5".
 //
-//repro:nohash Kernel.Name — identity label only; never read by Analyze's math
+//repro:nohash Kernel.Name — identity label; the analysis memo keys it separately
 //repro:nohash Kernel.Description — documentation only
-//repro:nohash Kernel.Rmax — a budget for allocation, applied after analysis
+//repro:nohash Kernel.Rmax — a budget for allocation, which every design point sets
 func KernelFingerprint(k kernels.Kernel) string {
-	loops := k.Nest.Loops
-	groups := k.Nest.RefGroups()
-	n := 8 + 16*len(loops) // the prefix, then lo:hi:step; per loop
-	for _, g := range groups {
-		n += 12 + len(g.Ref.Index())*(12+4*len(loops))
+	n := k.Nest
+	size := 23 + len(n.Name)
+	for _, l := range n.Loops {
+		size += 84 + len(l.Var)
 	}
-	b := make([]byte, 0, n)
-	b = append(b, "fe1|"...)
-	for _, l := range loops {
+	for _, st := range n.Body {
+		size += 2 + nodeBound(st.LHS)
+		ir.WalkExpr(st.RHS, func(e ir.Expr) { size += nodeBound(e) })
+	}
+	b := make([]byte, 0, size)
+	b = appendName(b, n.Name)
+	b = append(b, '|')
+	for _, l := range n.Loops {
+		b = appendName(b, l.Var)
 		b = strconv.AppendInt(b, int64(l.Lo), 10)
 		b = append(b, ':')
 		b = strconv.AppendInt(b, int64(l.Hi), 10)
@@ -51,102 +48,56 @@ func KernelFingerprint(k kernels.Kernel) string {
 		b = append(b, ';')
 	}
 	b = append(b, '|')
-	for _, g := range groups {
-		r := g.Ref
-		b = append(b, 'r')
-		b = strconv.AppendInt(b, int64(g.Reads), 10)
-		b = append(b, ",w"...)
-		b = strconv.AppendInt(b, int64(g.Writes), 10)
-		for dim, ix := range r.Index() {
-			b = append(b, '@')
-			b = strconv.AppendInt(b, int64(r.Array.Dims[dim]), 10)
-			b = append(b, '[')
-			b = strconv.AppendInt(b, int64(ix.Const), 10)
-			for _, l := range loops {
-				b = append(b, ',')
-				b = strconv.AppendInt(b, int64(ix.Coeff(l.Var)), 10)
-			}
-			b = append(b, ']')
-		}
+	for _, st := range n.Body {
+		b = appendNode(b, st.LHS)
+		b = append(b, '=')
+		ir.WalkExpr(st.RHS, func(e ir.Expr) { b = appendNode(b, e) })
 		b = append(b, ';')
 	}
 	return string(b)
 }
 
-// Fingerprint returns the kernel fingerprint of the analysis, memoized.
-// It is the content address the analysis cache stores this Analysis under.
-//
-//repro:nohash Analysis.Infos — derived: re-computed from the nest at decode, never identity
-//repro:nohash Analysis.Graph — derived: rebuilt from the nest at decode, never identity
-//repro:nohash Analysis.kernelStats — derived: recomputed from the nest at decode, never identity
-func (an *Analysis) Fingerprint() string {
-	an.fpOnce.Do(func() { an.fp = KernelFingerprint(an.Kernel) })
-	return an.fp
+// appendNode renders one expression node, without its operands: a marker
+// byte, then the node's operator kind, value, or length-prefixed name.
+func appendNode(b []byte, e ir.Expr) []byte {
+	switch e := e.(type) {
+	case *ir.ArrayRef:
+		b = append(b, 'r')
+		b = appendName(b, e.Key())
+		b = strconv.AppendInt(b, int64(e.Array.ElemBits), 10)
+		for _, d := range e.Array.Dims {
+			b = append(b, 'x')
+			b = strconv.AppendInt(b, int64(d), 10)
+		}
+	case *ir.BinOp:
+		b = append(b, 'o')
+		b = strconv.AppendInt(b, int64(e.Op), 10)
+	case *ir.IntLit:
+		b = append(b, '#')
+		b = strconv.AppendInt(b, e.Value, 10)
+	case *ir.VarRef:
+		b = append(b, '$')
+		b = appendName(b, e.Name)
+	}
+	return b
 }
 
-// analysisBlobVersion prefixes every encoded analysis; bump it whenever
-// the payload layout or its semantics change, so stale blobs in shared
-// stores miss instead of decoding wrong.
-const analysisBlobVersion = "A1"
-
-// Encode renders the storable part of the analysis: version, nest depth,
-// group count, then one line of distinct-element counts per reference
-// group in first-use order. The output is deterministic, so shards, serve
-// requests, and fleet subprocesses that analyze the same kernel write
-// byte-identical blobs.
-func (an *Analysis) Encode() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %d %d\n", analysisBlobVersion, an.Kernel.Nest.Depth(), len(an.Infos))
-	for _, inf := range an.Infos {
-		for i, d := range inf.Distinct {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%d", d)
-		}
-		b.WriteByte('\n')
+// nodeBound bounds the bytes appendNode writes for e: every integer takes
+// at most 20 bytes with its sign.
+func nodeBound(e ir.Expr) int {
+	switch e := e.(type) {
+	case *ir.ArrayRef:
+		return 43 + len(e.Key()) + 21*len(e.Array.Dims)
+	case *ir.VarRef:
+		return 22 + len(e.Name)
 	}
-	return []byte(b.String())
+	return 21
 }
 
-// DecodeAnalysis rebuilds an Analysis for k from an encoded blob,
-// revalidating it against the kernel on the way: the version, depth, and
-// group count must match, and every distinct profile must satisfy the
-// per-level envelope reuse.FromDistinct enforces. Any mismatch is an
-// error — the caller treats it as a cache miss and re-analyzes.
-func DecodeAnalysis(k kernels.Kernel, data []byte) (*Analysis, error) {
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	var version string
-	var depth, groups int
-	if _, err := fmt.Sscanf(lines[0], "%s %d %d", &version, &depth, &groups); err != nil {
-		return nil, fmt.Errorf("hls: %s: malformed analysis blob header: %w", k.Name, err)
-	}
-	if version != analysisBlobVersion {
-		return nil, fmt.Errorf("hls: %s: analysis blob version %q, want %q", k.Name, version, analysisBlobVersion)
-	}
-	if depth != k.Nest.Depth() {
-		return nil, fmt.Errorf("hls: %s: analysis blob depth %d, nest depth %d", k.Name, depth, k.Nest.Depth())
-	}
-	if groups != len(lines)-1 {
-		return nil, fmt.Errorf("hls: %s: analysis blob claims %d groups, carries %d", k.Name, groups, len(lines)-1)
-	}
-	profile := make([][]int, 0, groups)
-	for _, line := range lines[1:] {
-		fields := strings.Fields(line)
-		if len(fields) != depth+1 {
-			return nil, fmt.Errorf("hls: %s: analysis blob row %q, want %d counts", k.Name, line, depth+1)
-		}
-		dist := make([]int, len(fields))
-		for i, f := range fields {
-			if _, err := fmt.Sscanf(f, "%d", &dist[i]); err != nil {
-				return nil, fmt.Errorf("hls: %s: analysis blob count %q: %w", k.Name, f, err)
-			}
-		}
-		profile = append(profile, dist)
-	}
-	infos, err := reuse.FromDistinct(k.Nest, profile)
-	if err != nil {
-		return nil, fmt.Errorf("hls: %s: %w", k.Name, err)
-	}
-	return newAnalysis(k, infos)
+// appendName renders a name with its length, so no name can run into the
+// text that follows it.
+func appendName(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	b = append(b, ':')
+	return append(b, s...)
 }

@@ -8,7 +8,6 @@ package hls
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dfg"
@@ -88,23 +87,15 @@ type Analysis struct {
 	// inputs — operator counts, datapath width, loop depth and the
 	// RAM-mapped arrays — shared read-only by every design of the kernel.
 	kernelStats fpga.DesignStats
-
-	fp     string
-	fpOnce sync.Once
 }
 
-// Analyze runs the kernel front-end once: reuse analysis + DFG build.
+// Analyze runs the kernel front-end once: reuse analysis, DFG build and
+// the kernel-constant design statistics.
 func Analyze(k kernels.Kernel) (*Analysis, error) {
 	infos, err := reuse.Analyze(k.Nest)
 	if err != nil {
 		return nil, fmt.Errorf("hls: %s: %w", k.Name, err)
 	}
-	return newAnalysis(k, infos)
-}
-
-// newAnalysis completes a front-end from the kernel's reuse summary: it
-// builds the body DFG and the kernel-constant design statistics.
-func newAnalysis(k kernels.Kernel, infos []*reuse.Info) (*Analysis, error) {
 	g, err := dfg.Build(k.Nest)
 	if err != nil {
 		return nil, fmt.Errorf("hls: %s: %w", k.Name, err)

@@ -1,7 +1,6 @@
 // Package memo is the single-flight memo every cache in this repository is
-// built on: the plan-level simulation cache and the decoded-analysis memo
-// of internal/dse, and the memory tier of each internal/simcache value
-// kind.
+// built on: the plan-level simulation cache and the analysis memo of
+// internal/dse, and the memory tier of each internal/simcache value kind.
 //
 // The first caller to claim a key runs the computation; concurrent callers
 // of the same key block until it settles and share the result, and later

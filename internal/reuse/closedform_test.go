@@ -3,7 +3,6 @@ package reuse
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/ir"
@@ -238,57 +237,5 @@ func TestSumsetSizeMatchesBruteForce(t *testing.T) {
 		if got := sumsetSize(aps); got != len(seen) {
 			t.Fatalf("%v: sumsetSize %d, brute force %d", aps, got, len(seen))
 		}
-	}
-}
-
-// TestFromDistinctRoundTrip: Analyze → profile → FromDistinct reproduces
-// the summaries exactly — the property the analysis cache's decode path
-// rests on.
-func TestFromDistinctRoundTrip(t *testing.T) {
-	for _, k := range kernels.All() {
-		infos, err := Analyze(k.Nest)
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		profile := make([][]int, len(infos))
-		for i, inf := range infos {
-			profile[i] = inf.Distinct
-		}
-		back, err := FromDistinct(k.Nest, profile)
-		if err != nil {
-			t.Fatalf("%s: FromDistinct: %v", k.Name, err)
-		}
-		if !reflect.DeepEqual(infos, back) {
-			t.Errorf("%s: FromDistinct diverges from Analyze", k.Name)
-		}
-	}
-}
-
-// TestFromDistinctRejectsMalformed: the decode path refuses profiles whose
-// shape or bounds do not match the nest — wrong group count, wrong depth,
-// and counts outside the per-level envelope.
-func TestFromDistinctRejectsMalformed(t *testing.T) {
-	n := kernels.Figure1().Nest
-	infos, err := Analyze(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := make([][]int, len(infos))
-	for i, inf := range infos {
-		good[i] = append([]int(nil), inf.Distinct...)
-	}
-	if _, err := FromDistinct(n, good[:len(good)-1]); err == nil {
-		t.Error("wrong group count accepted")
-	}
-	bad := append([][]int(nil), good...)
-	bad[0] = good[0][:len(good[0])-1]
-	if _, err := FromDistinct(n, bad); err == nil {
-		t.Error("wrong depth accepted")
-	}
-	bad = append([][]int(nil), good...)
-	bad[1] = append([]int(nil), good[1]...)
-	bad[1][0] = bad[1][1] * n.Loops[0].Trip() * 2 // above the trip envelope
-	if _, err := FromDistinct(n, bad); err == nil {
-		t.Error("out-of-envelope count accepted")
 	}
 }

@@ -104,46 +104,6 @@ func Analyze(n *ir.Nest) ([]*Info, error) {
 	return out, nil
 }
 
-// FromDistinct rebuilds the full reuse summary from a stored per-group
-// distinct-element profile — the decode path of the content-addressed
-// analysis cache (internal/hls). distinct holds one profile per reference
-// group of the nest, in first-use order; everything else in Info is
-// re-derived from the nest itself, so a blob that passes the shape checks
-// here cannot make the summary internally inconsistent.
-func FromDistinct(n *ir.Nest, distinct [][]int) ([]*Info, error) {
-	if err := n.Validate(); err != nil {
-		return nil, fmt.Errorf("reuse: %w", err)
-	}
-	groups := n.RefGroups()
-	if len(distinct) != len(groups) {
-		return nil, fmt.Errorf("reuse: distinct profile has %d groups, nest has %d", len(distinct), len(groups))
-	}
-	iters := n.IterationCount()
-	d := n.Depth()
-	out := make([]*Info, 0, len(groups))
-	for i, g := range groups {
-		dist := distinct[i]
-		if len(dist) != d+1 || dist[d] != 1 {
-			return nil, fmt.Errorf("reuse: %s: malformed distinct profile %v for depth %d", g.Key, dist, d)
-		}
-		for l := d - 1; l >= 0; l-- {
-			if dist[l] < dist[l+1] || dist[l] > n.Loops[l].Trip()*dist[l+1] {
-				return nil, fmt.Errorf("reuse: %s: distinct profile %v violates level-%d bounds", g.Key, dist, l)
-			}
-		}
-		inf := &Info{
-			Group:       g,
-			TotalReads:  g.Reads * iters,
-			TotalWrites: g.Writes * iters,
-			Distinct:    append([]int(nil), dist...),
-			Flat:        flatAffine(g.Ref),
-		}
-		inf.derive(n)
-		out = append(out, inf)
-	}
-	return out, nil
-}
-
 // derive fills the summary fields computed from the Distinct profile and
 // the access totals: reuse level, ν, and the benefit B.
 func (inf *Info) derive(n *ir.Nest) {

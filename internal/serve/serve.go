@@ -99,9 +99,9 @@ type Config struct {
 // Server runs explorations against one shared warm cache.
 type Server struct {
 	cache *simcache.Cache
-	// analyses is the process-lifetime memo of decoded front-end analyses:
-	// a warm request's analyze stage is a map lookup, no decode and no
-	// disk probe, however many requests came before.
+	// analyses is the process-lifetime memo of front-end analyses: a warm
+	// request's analyze stage is one key and one map lookup, however many
+	// requests came before.
 	analyses *dse.AnalysisCache
 	metrics  *obs.Metrics
 	cfg      Config

@@ -95,7 +95,7 @@ func TestShardsSharingSimCacheDir(t *testing.T) {
 			t.Fatalf("shard %d/%d: %v", i, n, err)
 		}
 		f := salvageBytes(t, bufs[i].Bytes())
-		disk += f.Cache.ClassDiskHits + f.Cache.AnalysisDiskHits
+		disk += f.Cache.ClassDiskHits
 	}
 	if disk == 0 {
 		t.Error("no shard recovered work from the shared cache directory")

@@ -16,13 +16,13 @@ import (
 //   - no input panics;
 //   - an accepted blob's canonical form is a fixed point and decodes to the
 //     same value as the blob;
-//   - PUT accepts exactly the blobs the codec accepts (within the kind's
+//   - PUT accepts exactly the blobs the codec accepts (within the
 //     transfer cap), and GET then serves the canonical form.
 //
 // The seeds are real blobs from a stock sweep's -simcache-dir
 // (testdata/*.blob) and truncated copies of them.
 func FuzzBlobCodecs(f *testing.F) {
-	for _, name := range []string{"fragment.blob", "class.blob", "analysis.blob"} {
+	for _, name := range []string{"fragment.blob", "class.blob"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
@@ -43,7 +43,6 @@ func FuzzBlobCodecs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkCodec(t, h, &c.frags, data)
 		checkCodec(t, h, &c.classes, data)
-		checkCodec(t, h, &c.analyses, data)
 	})
 }
 
@@ -67,8 +66,8 @@ func checkCodec[V any](t *testing.T, h http.Handler, k *kind[V], data []byte) {
 	path := blobPathPrefix + k.name + "/" + hashKey("fuzz")
 	put := httptest.NewRecorder()
 	h.ServeHTTP(put, httptest.NewRequest(http.MethodPut, path, bytes.NewReader(data)))
-	if accepted, want := put.Code == http.StatusNoContent, ok && len(data) <= k.max; accepted != want {
-		t.Fatalf("%s: PUT answered %d, codec accepts=%v (%d bytes, cap %d)", k.name, put.Code, ok, len(data), k.max)
+	if accepted, want := put.Code == http.StatusNoContent, ok && len(data) <= maxValueBlobSize; accepted != want {
+		t.Fatalf("%s: PUT answered %d, codec accepts=%v (%d bytes, cap %d)", k.name, put.Code, ok, len(data), maxValueBlobSize)
 	}
 	if put.Code != http.StatusNoContent {
 		return

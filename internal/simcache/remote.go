@@ -7,16 +7,16 @@ package simcache
 //	PUT /v1/blob/<kind>/<key>   -> 204 | 400 on a malformed blob
 //
 // <kind> is the one-letter value kind the disk tier already uses ("f"
-// for entry fragments, "c" for class lengths, "a" for front-end analysis
-// blobs) and <key> is the SHA-256 hex
-// digest of the canonical cache key — so a blob name equals the disk
+// for entry fragments, "c" for class lengths) and <key> is the SHA-256
+// hex digest of the canonical cache key — so a blob name equals the disk
 // filename, and any HTTP cache or object store that can serve the paths
 // can stand in for the server. The protocol is versioned by the path
 // prefix: a breaking change to the value encoding or the key derivation
 // bumps /v1/ to /v2/; v1 values are the "1 a b" text encoding of two
-// non-negative ints for "f" and "c", and the checksummed envelope of
-// encodeAnalysisBlob for "a" (validated on both ends before use). Each
-// kind's cap on a transfer's size lives in its row of the kind table.
+// non-negative ints, validated on both ends before use and capped at
+// maxValueBlobSize bytes per transfer. The retired analysis kind "a"
+// (DESIGN.md §18) is an unknown kind: its requests get a 400, which an
+// older client treats as a miss.
 //
 // Trust model: keys are content hashes, so distinct computations never
 // collide; values are syntactically revalidated on every decode (a corrupt
@@ -131,10 +131,11 @@ func (r *Remote) sleepBeforeRetry(attempt int, hint time.Duration) {
 	time.Sleep(r.Backoff << (attempt - 1))
 }
 
-// get fetches one blob of at most limit bytes. A 404 is a definitive miss
-// (false, nil error); a transient failure that survives the retry budget
-// returns an error, which the cache's lookup path also treats as a miss.
-func (r *Remote) get(kind, hash string, limit int) ([]byte, bool, error) {
+// get fetches one blob of at most maxValueBlobSize bytes. A 404 is a
+// definitive miss (false, nil error); a transient failure that survives
+// the retry budget returns an error, which the cache's lookup path also
+// treats as a miss.
+func (r *Remote) get(kind, hash string) ([]byte, bool, error) {
 	var lastErr error
 	var hint time.Duration
 	for attempt := 0; attempt <= r.Retries; attempt++ {
@@ -147,7 +148,7 @@ func (r *Remote) get(kind, hash string, limit int) ([]byte, bool, error) {
 			lastErr = err
 			continue
 		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
+		body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxValueBlobSize+1))
 		resp.Body.Close()
 		switch {
 		case resp.StatusCode == http.StatusNotFound:
@@ -163,8 +164,8 @@ func (r *Remote) get(kind, hash string, limit int) ([]byte, bool, error) {
 		case rerr != nil:
 			lastErr = rerr
 			continue
-		case len(body) > limit:
-			return nil, false, fmt.Errorf("simcache: remote blob %s/%s exceeds %d bytes", kind, hash, limit)
+		case len(body) > maxValueBlobSize:
+			return nil, false, fmt.Errorf("simcache: remote blob %s/%s exceeds %d bytes", kind, hash, maxValueBlobSize)
 		}
 		return body, true, nil
 	}
@@ -260,8 +261,8 @@ func (h *blobHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write(data)
 	case http.MethodPut:
-		data, err := io.ReadAll(io.LimitReader(r.Body, int64(k.limit())+1))
-		if err != nil || len(data) > k.limit() {
+		data, err := io.ReadAll(io.LimitReader(r.Body, maxValueBlobSize+1))
+		if err != nil || len(data) > maxValueBlobSize {
 			h.reject.Inc()
 			http.Error(w, "blob too large or unreadable", http.StatusBadRequest)
 			return

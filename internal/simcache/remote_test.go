@@ -39,13 +39,13 @@ func TestBlobHandlerRoundTrip(t *testing.T) {
 	r := testRemote(srv.URL)
 	hash := hashKey("some canonical key")
 
-	if _, ok, err := r.get("f", hash, maxValueBlobSize); ok || err != nil {
+	if _, ok, err := r.get("f", hash); ok || err != nil {
 		t.Fatalf("get before put: ok=%v err=%v, want definitive miss", ok, err)
 	}
 	if err := r.put("f", hash, encodeValue(12, 34)); err != nil {
 		t.Fatal(err)
 	}
-	data, ok, err := r.get("f", hash, maxValueBlobSize)
+	data, ok, err := r.get("f", hash)
 	if err != nil || !ok {
 		t.Fatalf("get after put: ok=%v err=%v", ok, err)
 	}
@@ -53,7 +53,7 @@ func TestBlobHandlerRoundTrip(t *testing.T) {
 		t.Fatalf("round-tripped %q -> (%d,%d)", data, a, b)
 	}
 	// The same hash under the other kind is a distinct blob.
-	if _, ok, _ := r.get("c", hash, maxValueBlobSize); ok {
+	if _, ok, _ := r.get("c", hash); ok {
 		t.Fatal("class namespace leaked into fragment namespace")
 	}
 }
@@ -86,6 +86,13 @@ func TestBlobHandlerRejectsMalformedRequests(t *testing.T) {
 	}
 	if got := status(http.MethodPut, "/v1/blob/x/"+hash, "1 1 2\n"); got != http.StatusBadRequest {
 		t.Fatalf("unknown kind: %d, want 400", got)
+	}
+	// The retired analysis kind is an unknown kind on both methods.
+	if got := status(http.MethodPut, "/v1/blob/a/"+hash, "1 1 2\n"); got != http.StatusBadRequest {
+		t.Fatalf("PUT of the retired analysis kind: %d, want 400", got)
+	}
+	if got := status(http.MethodGet, "/v1/blob/a/"+hash, ""); got != http.StatusBadRequest {
+		t.Fatalf("GET of the retired analysis kind: %d, want 400", got)
 	}
 	if got := status(http.MethodGet, "/v1/blob/f/abc", ""); got != http.StatusBadRequest {
 		t.Fatalf("short hash: %d, want 400", got)
@@ -122,7 +129,7 @@ func TestRemoteGetRetriesTransientFailures(t *testing.T) {
 	defer srv.Close()
 	r := testRemote(srv.URL)
 
-	data, ok, err := r.get("f", hashKey("k"), maxValueBlobSize)
+	data, ok, err := r.get("f", hashKey("k"))
 	if err != nil || !ok {
 		t.Fatalf("get after retries: ok=%v err=%v", ok, err)
 	}
@@ -143,7 +150,7 @@ func TestRemoteGetGivesUpAfterRetryBudget(t *testing.T) {
 	defer srv.Close()
 	r := testRemote(srv.URL)
 
-	if _, ok, err := r.get("f", hashKey("k"), maxValueBlobSize); ok || err == nil {
+	if _, ok, err := r.get("f", hashKey("k")); ok || err == nil {
 		t.Fatalf("get from dead server: ok=%v err=%v, want error", ok, err)
 	}
 	if n := calls.Load(); n != int64(r.Retries)+1 {
@@ -289,7 +296,7 @@ func TestRemoteHonorsRetryAfter(t *testing.T) {
 	r.SetObs(m)
 
 	start := time.Now()
-	data, ok, err := r.get("f", hashKey("k"), maxValueBlobSize)
+	data, ok, err := r.get("f", hashKey("k"))
 	if err != nil || !ok {
 		t.Fatalf("get after shed: ok=%v err=%v", ok, err)
 	}

@@ -1,14 +1,12 @@
 // Package simcache is the content-addressed store behind the sweep engine.
-// It memoizes three kinds of values:
+// It memoizes two kinds of values:
 //
 //   - class lengths: the list-scheduled latency of one iteration class
 //     (full model and memory-level), keyed by the body DFG fingerprint,
 //     the scheduler configuration and the class's register-hit set — so
 //     across the plans of a design-space sweep the scheduler runs once per
 //     distinct class per kernel, whatever allocator or budget produced the
-//     plan (sched.Simulator);
-//   - analyses: the front-end analyses of whole kernels, as opaque encoded
-//     blobs (dse's analysis memo); and
+//     plan (sched.Simulator); and
 //   - entry fragments: one covered plan entry's register<->RAM transfer
 //     counts, readable and writable through Cache.Fragment under the "f"
 //     blob prefix. No sweep looks them up: the estimate never replays
@@ -18,12 +16,12 @@
 // on a key share the value.
 //
 // Each value kind is one row of a per-kind table (kind): its blob name,
-// obs stage segment, transfer cap, codec, counters and obs tiers. One
-// generic lookup runs every kind through the same tiers: a single-flight
-// memory memo (internal/memo) first; then, on the claiming call only, the
-// backing directory (NewDir) and the remote blob store (SetRemote); and
-// compute last. Values persist as one small file per key, so independent
-// worker processes — the shards of one sweep — share values through the
+// obs stage segment, codec, counters and obs tiers. One generic lookup
+// runs every kind through the same tiers: a single-flight memory memo
+// (internal/memo) first; then, on the claiming call only, the backing
+// directory (NewDir) and the remote blob store (SetRemote); and compute
+// last. Values persist as one small file per key, so independent worker
+// processes — the shards of one sweep — share values through the
 // filesystem, recovering the cross-shard deduplication a per-process cache
 // loses. Disk writes are atomic (temp file + rename) and unreadable or
 // corrupt files are treated as misses, so concurrent writers are safe:
@@ -36,8 +34,11 @@
 // PUT), and every tier is an accelerator only — any remote failure
 // degrades to a local recomputation.
 //
-// The package also aggregates the per-stage hit statistics (entry
-// fragments, class schedules, analyses, whole-plan simulations — the last
+// Front-end analyses are not stored: they are a closed form, cheaper to
+// recompute than to decode (DESIGN.md §18). The package still counts
+// them, as reported by the in-process analysis memo of internal/dse
+// (AnalysisHit, AnalysisMiss), next to the per-stage hit statistics of
+// entry fragments, class schedules and whole-plan simulations (the last
 // counted by the sweep engine's plan-level cache) that the CLIs report and
 // shard merging sums; a sweep's entry counters read 0.
 package simcache
@@ -71,14 +72,13 @@ type ClassLen struct {
 }
 
 // kind is one value kind of the store: its static description (blob name,
-// obs stage segment, transfer cap, codec) and one cache's state for it
+// obs stage segment, codec) and one cache's state for it
 // (memory memo, Snapshot counters, obs tier handles). The obs handles are
 // nil when obs is not attached; StageStats methods no-op on nil, so the
 // lookup never branches on enablement.
 type kind[V any] struct {
 	name   string // disk filename prefix and blob protocol path segment
 	stage  string // obs stage segment: cache/<stage>/{hit,disk,remote,miss,wait}
-	max    int    // blob transfer cap in bytes, enforced on both protocol ends
 	encode func(V) []byte
 	// decode is the revalidation gate on every ingest path (disk read,
 	// remote GET, blob-server PUT): anything that does not parse is a
@@ -94,13 +94,11 @@ type kind[V any] struct {
 // every kind alike: SetObs and the blob server.
 type blobKind interface {
 	blobName() string
-	limit() int
 	canonical(data []byte) ([]byte, bool)
 	resolve(m *obs.Metrics)
 }
 
 func (k *kind[V]) blobName() string { return k.name }
-func (k *kind[V]) limit() int       { return k.max }
 
 // canonical decodes one blob and re-encodes it: the form every blob takes
 // when it is persisted or served. ok is false when the blob does not decode.
@@ -120,35 +118,33 @@ func (k *kind[V]) resolve(m *obs.Metrics) {
 	k.memo.Wait = m.Stage("cache/" + k.stage + "/wait")
 }
 
-// Transfer caps: v1 two-int values are a flag and two decimal ints, far
-// under maxValueBlobSize, so anything larger is malformed by construction.
-// Analysis blobs carry a per-reference-group payload and get a
-// correspondingly larger cap.
-const (
-	maxValueBlobSize    = 256
-	maxAnalysisBlobSize = 1 << 16
-)
+// maxValueBlobSize is the transfer cap of every blob, enforced on both
+// protocol ends: a v1 value is a flag and two decimal ints, far under the
+// cap, so anything larger is malformed by construction.
+const maxValueBlobSize = 256
 
-// Cache memoizes fragments, class lengths and analysis blobs. The zero
-// value is not usable; use New or NewDir.
+// Cache memoizes fragments and class lengths, and counts the analysis and
+// whole-plan lookups its owners report. The zero value is not usable; use
+// New or NewDir.
 type Cache struct {
 	dir    string  // "" = memory only
 	remote *Remote // nil = no network tier
 
-	frags    kind[Fragment]
-	classes  kind[ClassLen]
-	analyses kind[[]byte]
+	frags   kind[Fragment]
+	classes kind[ClassLen]
 
-	planHits, planMisses atomic.Int64
-	obsReg               *obs.Metrics
-	planHitT, planMissT  *obs.StageStats
+	analysisHits, analysisMisses atomic.Int64
+	planHits, planMisses         atomic.Int64
+	obsReg                       *obs.Metrics
+	analysisHitT, analysisMissT  *obs.StageStats
+	planHitT, planMissT          *obs.StageStats
 }
 
 // New returns an in-memory cache.
 func New() *Cache {
 	return &Cache{
 		frags: kind[Fragment]{
-			name: "f", stage: "frag", max: maxValueBlobSize,
+			name: "f", stage: "frag",
 			encode: func(f Fragment) []byte { return encodeValue(f.Loads, f.Stores) },
 			decode: func(data []byte) (Fragment, bool) {
 				a, b, ok := decodeValue(data)
@@ -157,7 +153,7 @@ func New() *Cache {
 			memo: memo.Memo[string, Fragment]{What: "simcache: fragment"},
 		},
 		classes: kind[ClassLen]{
-			name: "c", stage: "class", max: maxValueBlobSize,
+			name: "c", stage: "class",
 			encode: func(cl ClassLen) []byte { return encodeValue(cl.Iter, cl.Mem) },
 			decode: func(data []byte) (ClassLen, bool) {
 				a, b, ok := decodeValue(data)
@@ -165,18 +161,12 @@ func New() *Cache {
 			},
 			memo: memo.Memo[string, ClassLen]{What: "simcache: class"},
 		},
-		analyses: kind[[]byte]{
-			name: "a", stage: "analysis", max: maxAnalysisBlobSize,
-			encode: encodeAnalysisBlob,
-			decode: decodeAnalysisBlob,
-			memo:   memo.Memo[string, []byte]{What: "simcache: analysis"},
-		},
 	}
 }
 
 // kinds is the cache's kind list, for code that handles every kind alike.
-func (c *Cache) kinds() [3]blobKind {
-	return [3]blobKind{&c.frags, &c.classes, &c.analyses}
+func (c *Cache) kinds() [2]blobKind {
+	return [2]blobKind{&c.frags, &c.classes}
 }
 
 // NewDir returns a cache backed by dir (created if absent): every computed
@@ -208,9 +198,10 @@ func (c *Cache) SetRemote(r *Remote) {
 }
 
 // SetObs mirrors the cache's tier outcomes into per-stage obs counters
-// ("cache/{frag,class,analysis}/{hit,disk,remote,miss,wait}",
-// "cache/plan/{hit,miss}"), with the wait tier a nanosecond histogram of
-// time spent blocked behind another goroutine's in-flight computation. An
+// ("cache/{frag,class}/{hit,disk,remote,miss,wait}",
+// "cache/{analysis,plan}/{hit,miss}"), with the wait tier a nanosecond
+// histogram of time spent blocked behind another goroutine's in-flight
+// computation. An
 // attached remote tier gets its counters too (see Remote.SetObs),
 // regardless of whether SetRemote ran before or after this. The stats
 // Snapshot counters are unaffected. Call before concurrent use.
@@ -222,6 +213,8 @@ func (c *Cache) SetObs(m *obs.Metrics) {
 	for _, k := range c.kinds() {
 		k.resolve(m)
 	}
+	c.analysisHitT = m.Stage("cache/analysis/hit")
+	c.analysisMissT = m.Stage("cache/analysis/miss")
 	c.planHitT = m.Stage("cache/plan/hit")
 	c.planMissT = m.Stage("cache/plan/miss")
 	c.remote.SetObs(m)
@@ -240,25 +233,18 @@ func (c *Cache) ClassLen(key string, compute func() (ClassLen, error)) (ClassLen
 	return c.classes.get(c, key, compute)
 }
 
-// Analysis returns the memoized front-end analysis blob for key, running
-// compute on the first claim (after the disk and remote probes). The cache
-// treats the blob as opaque validated bytes — the semantic encoding (and
-// its revalidation against the kernel) belongs to the owner
-// (internal/hls); this layer guards framing and integrity only, via a
-// checksummed envelope (encodeAnalysisBlob). The returned slice is shared:
-// callers must not mutate it.
-func (c *Cache) Analysis(key string, compute func() ([]byte, error)) ([]byte, error) {
-	return c.analyses.get(c, key, compute)
+// AnalysisHit and AnalysisMiss record the outcomes of the in-process
+// analysis memo (internal/dse): a lookup answered by the memo, and one
+// that ran the analysis. The store holds no analyses — they are cheaper to
+// recompute than to decode — so these are its only analysis counters.
+func (c *Cache) AnalysisHit() {
+	c.analysisHits.Add(1)
+	c.analysisHitT.Inc()
 }
 
-// AnalysisHit records a memory-tier analysis hit observed by a
-// decoded-object memo layered above the byte store (internal/dse keeps
-// decoded analyses per fingerprint and only consults the byte tier on a
-// memo miss), so the snapshot's hit/disk/remote/miss tiers still sum to
-// the number of lookups.
-func (c *Cache) AnalysisHit() {
-	c.analyses.hits.Add(1)
-	c.analyses.hitT.Inc()
+func (c *Cache) AnalysisMiss() {
+	c.analysisMisses.Add(1)
+	c.analysisMissT.Inc()
 }
 
 // PlanHit and PlanMiss record the whole-plan simulation cache outcomes the
@@ -324,7 +310,7 @@ func (k *kind[V]) load(c *Cache, key string) (V, bool) {
 		}
 	}
 	if c.remote != nil {
-		if data, found, err := c.remote.get(k.name, hash, k.max); err == nil && found {
+		if data, found, err := c.remote.get(k.name, hash); err == nil && found {
 			if v, ok := k.decode(data); ok {
 				k.remoteHits.Add(1)
 				k.remoteT.Inc()
@@ -370,9 +356,9 @@ func hashKey(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// encodeValue and decodeValue are the v1 format of the two-int kinds
-// (fragments and class lengths): a leading format flag and two
-// non-negative decimal ints.
+// encodeValue and decodeValue are the v1 format of both kinds (fragments
+// and class lengths): a leading format flag and two non-negative decimal
+// ints.
 func encodeValue(a, b int) []byte {
 	return []byte(fmt.Sprintf("1 %d %d\n", a, b))
 }
@@ -383,44 +369,6 @@ func decodeValue(data []byte) (a, b int, ok bool) {
 		return 0, 0, false
 	}
 	return a, b, a >= 0 && b >= 0
-}
-
-// encodeAnalysisBlob and decodeAnalysisBlob are the v1 envelope of the
-// opaque analysis payloads: a header line carrying a format flag, the
-// payload length, and the payload's SHA-256, then the payload itself. The
-// semantic content is validated by the owner on decode (internal/hls
-// revalidates against the kernel); this envelope is the syntactic gate.
-func encodeAnalysisBlob(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("a1 %d %s\n", len(payload), hex.EncodeToString(sum[:]))
-	return append([]byte(header), payload...)
-}
-
-func decodeAnalysisBlob(data []byte) ([]byte, bool) {
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl < 0 {
-		return nil, false
-	}
-	var size int
-	var sumHex string
-	if n, err := fmt.Sscanf(string(data[:nl]), "a1 %d %s", &size, &sumHex); n != 2 || err != nil {
-		return nil, false
-	}
-	payload := data[nl+1:]
-	if size < 0 || len(payload) != size {
-		return nil, false
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != sumHex {
-		return nil, false
-	}
-	return payload, true
 }
 
 // writeBlob persists one blob atomically under its on-disk name: full write

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestFragmentMemoizes(t *testing.T) {
@@ -195,6 +197,24 @@ func TestComputePanicBecomesError(t *testing.T) {
 	_, err2 := c.Fragment("k", func() (Fragment, error) { return Fragment{Loads: 1}, nil })
 	if err2 == nil || err2.Error() != err.Error() {
 		t.Fatalf("panic not memoized as error: %v vs %v", err2, err)
+	}
+}
+
+// TestAnalysisHitCountsMemoLayer: the analysis counters are the memo
+// layer's reports, one per call, on the snapshot and on the obs stages.
+func TestAnalysisHitCountsMemoLayer(t *testing.T) {
+	c := New()
+	m := obs.New()
+	c.SetObs(m)
+	c.AnalysisHit()
+	c.AnalysisHit()
+	c.AnalysisMiss()
+	if s := c.Snapshot(); s.AnalysisHits != 2 || s.AnalysisMisses != 1 {
+		t.Fatalf("stats %+v, want 2 analysis hits and 1 miss", s)
+	}
+	st := m.Snapshot().Stages
+	if hit, miss := st["cache/analysis/hit"].Count, st["cache/analysis/miss"].Count; hit != 2 || miss != 1 {
+		t.Fatalf("obs hit %d miss %d, want 2 and 1", hit, miss)
 	}
 }
 

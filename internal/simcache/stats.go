@@ -23,9 +23,11 @@ type Snapshot struct {
 	ClassRemoteHits int64 `json:"class_remote_hits,omitempty"`
 	ClassMisses     int64 `json:"class_misses"`
 
-	// The analysis tier arrived after the wire format froze: every field is
-	// omitempty so trailers from sweeps that never touch it stay
-	// byte-identical to older readers and writers.
+	// The analysis counters arrived after the wire format froze: every
+	// field is omitempty so trailers from sweeps that never touch them stay
+	// byte-identical to older readers and writers. Analyses are not stored
+	// (DESIGN.md §18), so this writer counts only memo hits and misses;
+	// the disk and remote hits of trailers from older writers still sum.
 	AnalysisHits       int64 `json:"analysis_hits,omitempty"`
 	AnalysisDiskHits   int64 `json:"analysis_disk_hits,omitempty"`
 	AnalysisRemoteHits int64 `json:"analysis_remote_hits,omitempty"`
@@ -40,7 +42,7 @@ func (c *Cache) Snapshot() Snapshot {
 	var s Snapshot
 	s.EntryHits, s.EntryDiskHits, s.EntryRemoteHits, s.EntryMisses = c.frags.counts()
 	s.ClassHits, s.ClassDiskHits, s.ClassRemoteHits, s.ClassMisses = c.classes.counts()
-	s.AnalysisHits, s.AnalysisDiskHits, s.AnalysisRemoteHits, s.AnalysisMisses = c.analyses.counts()
+	s.AnalysisHits, s.AnalysisMisses = c.analysisHits.Load(), c.analysisMisses.Load()
 	s.PlanHits, s.PlanMisses = c.planHits.Load(), c.planMisses.Load()
 	return s
 }
