@@ -1,7 +1,11 @@
 package dse
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -80,6 +84,44 @@ func TestAnalysisCacheNil(t *testing.T) {
 	}
 	if _, err := ac.Get(k, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAnalysisCachePoisonedBlobFallsBack: an analysis blob an older writer
+// left in a shared directory is never read nor deleted. The one planted
+// here, at the name the retired kind "a" gave figure1's key, is a
+// well-formed a1 envelope around another kernel's profile; figure1's
+// analysis is computed afresh and counted as a miss.
+func TestAnalysisCachePoisonedBlobFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	fig := kernels.Figure1()
+	payload := "A1 3 3\n4096 4096 64 1\n4096 4096 64 1\n65536 4096 64 1\n"
+	blob := fmt.Sprintf("a1 %d %x\n%s", len(payload), sha256.Sum256([]byte(payload)), payload)
+	key := sha256.Sum256([]byte(hls.KernelFingerprint(fig)))
+	name := filepath.Join(dir, "a"+hex.EncodeToString(key[:]))
+	if err := os.WriteFile(name, []byte(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := simcache.NewDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewAnalysisCache().Get(fig, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hls.Analyze(fig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Infos, want.Infos) || got.Graph.Fingerprint() != want.Graph.Fingerprint() {
+		t.Error("the planted blob changed figure1's analysis")
+	}
+	if s := store.Snapshot(); s.AnalysisMisses != 1 || s.AnalysisDiskHits != 0 {
+		t.Errorf("stats %+v, want 1 analysis miss and no disk hit", s)
+	}
+	if left, err := os.ReadFile(name); err != nil || string(left) != blob {
+		t.Errorf("the planted blob was touched: %q, %v", left, err)
 	}
 }
 

@@ -20,9 +20,11 @@ import (
 //     transfer cap), and GET then serves the canonical form.
 //
 // The seeds are real blobs from a stock sweep's -simcache-dir
-// (testdata/*.blob) and truncated copies of them.
+// (testdata/*.blob) and truncated copies of them. analysis.blob is one of
+// the retired kind "a" (the a1 envelope, DESIGN.md §18): older writers
+// left such files in shared directories, so both kinds left are fed it.
 func FuzzBlobCodecs(f *testing.F) {
-	for _, name := range []string{"fragment.blob", "class.blob"} {
+	for _, name := range []string{"fragment.blob", "class.blob", "analysis.blob"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
