@@ -18,6 +18,7 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -32,9 +33,11 @@ import (
 	"repro/internal/hls"
 	"repro/internal/ir"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/scalarrepl"
 	"repro/internal/sched"
+	"repro/internal/shard"
 	"repro/internal/simcache"
 	"repro/internal/trace"
 	"repro/internal/transform"
@@ -569,6 +572,67 @@ func BenchmarkMissCurve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := trace.LRUMisses(n, "x[i + k]", 32); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// stockShard returns the results shard 0/3 of the stock space owns (64
+// of its 192 points) and that shard's file as `dse -shard 0/3` writes it,
+// trailer metrics included.
+func stockShard(b *testing.B) ([]dse.Result, []byte) {
+	sp := dse.DefaultSpace()
+	p := shard.Plan{Index: 0, Count: 3}
+	rs, err := dse.Engine{}.Explore(sp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var owned []dse.Result
+	for _, r := range rs.Results {
+		if p.Owns(r.Point.Index) {
+			owned = append(owned, r)
+		}
+	}
+	var file bytes.Buffer
+	if _, err := shard.Run(dse.Engine{Obs: obs.New()}, sp, p, &file); err != nil {
+		b.Fatal(err)
+	}
+	return owned, file.Bytes()
+}
+
+// BenchmarkShardWrite measures the shard encoder on the rows and trailer
+// of the stock space's 64-row shard 0/3; the header, written once per
+// file, is left out.
+func BenchmarkShardWrite(b *testing.B) {
+	owned, _ := stockShard(b)
+	p := shard.Plan{Index: 0, Count: 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := shard.NewWriter(io.Discard, p)
+		for _, r := range owned {
+			if err := w.Point(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.End(dse.StreamStats{Points: len(owned)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSalvage measures the shard reader on the stock space's 64-row
+// shard 0/3 as the CLI writes it.
+func BenchmarkSalvage(b *testing.B) {
+	_, file := stockShard(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := shard.Salvage(bytes.NewReader(file))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !s.Complete || s.Rows() != 64 {
+			b.Fatalf("salvaged %d rows, stop %v", s.Rows(), s.Stop)
 		}
 	}
 }

@@ -65,22 +65,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
 	"slices"
-	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/dse"
-	"repro/internal/fleet"
-	"repro/internal/fleet/faultinject"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -416,58 +408,6 @@ func writeTrace(path string, tr *obs.Tracer) error {
 	return f.Close()
 }
 
-func runMerge(args []string) error {
-	fs := flag.NewFlagSet("dse merge", flag.ExitOnError)
-	format := fs.String("format", "table", "output format: table, csv or json")
-	strict := fs.Bool("strict", false, "exit non-zero when any design point fails")
-	quiet := fs.Bool("quiet", false, "suppress the stderr stats summary")
-	metricsPath := fs.String("metrics", "", "write the merged (stage-wise summed) metrics snapshot as JSON to this file")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dse merge [-format table|csv|json] [-strict] [-quiet] [-metrics m.json] shard.jsonl ...")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() == 0 {
-		return errors.New("no shard files given (usage: dse merge [-format f] shard.jsonl ...)")
-	}
-	start := time.Now()
-	rs, err := shard.MergeFiles(fs.Args()...)
-	if err != nil {
-		return err
-	}
-	rep, err := dse.RendererFor(*format)
-	if err != nil {
-		return err
-	}
-	if *metricsPath != "" {
-		doc := serve.MetricsDoc{
-			Format: serve.MetricsFormat, Version: serve.MetricsVersion,
-			Points: len(rs.Results), Failed: len(rs.Failed()), UniqueSims: rs.UniqueSims,
-			WallNs: int64(time.Since(start)), Cache: rs.Cache, Obs: rs.Obs,
-		}
-		if err := serve.WriteMetricsFile(*metricsPath, doc); err != nil {
-			return err
-		}
-	}
-	if !*quiet {
-		summary := ""
-		if !rs.Obs.Zero() {
-			summary = fmt.Sprintf("\ndse merge: stages: %s", rs.Obs.Summary(5))
-		}
-		fmt.Fprintf(os.Stderr, "dse merge: %d shards, %d points (%d failed, %d unique simulations summed%s)%s\n",
-			fs.NArg(), len(rs.Results), len(rs.Failed()), rs.UniqueSims, cacheNote(rs.Cache), summary)
-	}
-	if err := rep.Report(os.Stdout, rs); err != nil {
-		return err
-	}
-	if *strict {
-		return rs.FirstErr()
-	}
-	return nil
-}
-
 func simsNote(st dse.StreamStats, nocache bool) string {
 	if nocache {
 		return "cache off"
@@ -483,326 +423,4 @@ func cacheNote(s simcache.Snapshot) string {
 		return ""
 	}
 	return "; " + s.String()
-}
-
-// runServe is the `dse serve` entry point: the long-running estimation
-// service (internal/serve) over one warm shared simcache, with graceful
-// drain on SIGINT/SIGTERM.
-func runServe(args []string) error {
-	fs := flag.NewFlagSet("dse serve", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	cacheDir := fs.String("simcache-dir", "", "backing directory of the shared simulation store (default: a fresh temp directory; also served at /v1/blob/)")
-	cacheURL := fs.String("simcache-url", "", "upstream blob server to layer behind memory and disk")
-	workers := fs.Int("workers", 0, "per-request worker pool size (0 = GOMAXPROCS)")
-	window := fs.Int("window", 0, "per-request order-restoring window in points (0 = engine default; raised to the largest unit, |devices|·|sched variants|)")
-	maxInflight := fs.Int("max-inflight", 2, "maximum concurrently running sweeps")
-	maxQueue := fs.Int("max-queue", 16, "maximum sweeps waiting for a slot before 503")
-	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-request deadline, queue wait included (0 = none)")
-	quiet := fs.Bool("quiet", false, "suppress stderr request and lifecycle lines")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dse serve [-addr host:port] [-simcache-dir d] [-simcache-url u] [-workers n] [-max-inflight n] [-max-queue n] [-request-timeout d] [-quiet]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-
-	dir := *cacheDir
-	if dir == "" {
-		// The blob endpoint and restart warm-up both want a directory; a
-		// temp one gives every default server the full protocol surface.
-		var err error
-		if dir, err = os.MkdirTemp("", "dse-simcache-"); err != nil {
-			return err
-		}
-	}
-	cache, err := simcache.NewDir(dir)
-	if err != nil {
-		return err
-	}
-	metrics := obs.New()
-	cache.SetObs(metrics)
-	if *cacheURL != "" {
-		cache.SetRemote(simcache.NewRemote(*cacheURL))
-	}
-	var logw io.Writer
-	if !*quiet {
-		logw = os.Stderr
-	}
-	srv, err := serve.New(cache, metrics, serve.Config{
-		Workers: *workers, Window: *window,
-		MaxInflight: *maxInflight, MaxQueue: *maxQueue,
-		Timeout: *reqTimeout, Log: logw,
-	})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "dse serve: listening on http://%s (simcache dir %s)\n", ln.Addr(), dir)
-	}
-	return serveUntilSignal(ln, srv.Handler(), func() {
-		srv.SetDraining(true)
-		if !*quiet {
-			doc := srv.Doc()
-			fmt.Fprintf(os.Stderr, "dse serve: draining (%d points served, %d failed; cache %s)\n",
-				doc.Points, doc.Failed, doc.Cache.String())
-		}
-	})
-}
-
-// runCached is the `dse cached` entry point: just the content-addressed
-// blob store over a backing directory, for fleets whose sweep processes
-// (-simcache-url) or serve instances share simulation work without a
-// shared filesystem.
-func runCached(args []string) error {
-	fs := flag.NewFlagSet("dse cached", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:8081", "listen address")
-	cacheDir := fs.String("simcache-dir", "", "backing directory of the blob store (default: a fresh temp directory)")
-	quiet := fs.Bool("quiet", false, "suppress stderr lifecycle lines")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dse cached [-addr host:port] [-simcache-dir d] [-quiet]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	dir := *cacheDir
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "dse-simcache-"); err != nil {
-			return err
-		}
-	}
-	cache, err := simcache.NewDir(dir)
-	if err != nil {
-		return err
-	}
-	h, err := simcache.NewBlobHandler(cache, obs.New())
-	if err != nil {
-		return err
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/v1/blob/", h)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "ok\n")
-	})
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "dse cached: serving blobs on http://%s (dir %s)\n", ln.Addr(), dir)
-	}
-	return serveUntilSignal(ln, mux, nil)
-}
-
-// serveUntilSignal serves HTTP until SIGINT/SIGTERM, then drains: onDrain
-// (readiness flip, log line) runs first, then in-flight requests get a
-// bounded grace period to finish. A clean drain exits 0.
-func serveUntilSignal(ln net.Listener, h http.Handler, onDrain func()) error {
-	hs := &http.Server{Handler: h}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	if onDrain != nil {
-		onDrain()
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return hs.Shutdown(sctx)
-}
-
-// runFleet is the `dse fleet` entry point: the fault-tolerant
-// multi-executor sweep driver (internal/fleet) over local dse
-// subprocesses and/or remote `dse serve` endpoints, with checkpointed
-// point-granular recovery. Rerunning with the same -dir resumes from
-// whatever the previous run salvaged.
-func runFleet(args []string) error {
-	fs := flag.NewFlagSet("dse fleet", flag.ExitOnError)
-	spaceArgs := addSpaceFlags(fs, "load the space from this spec JSON file instead of the axis flags")
-	format := fs.String("format", "table", "output format: table, csv or json")
-	dir := fs.String("dir", "", "checkpoint directory; rerun with the same -dir to resume (default: a fresh temp directory, removed on exit)")
-	local := fs.Int("local", 0, "local dse subprocess executors (default: 2 when no -remote is given)")
-	remotes := fs.String("remote", "", "comma-separated base URLs of `dse serve` endpoints to enlist")
-	bin := fs.String("bin", "", "dse binary for local executors (default: this executable)")
-	cacheDir := fs.String("simcache-dir", "", "shared simulation store directory passed to local executors")
-	cacheURL := fs.String("simcache-url", "", "blob server URL passed to local executors")
-	tasks := fs.Int("tasks", 0, "initial task partition count (0 = one per executor)")
-	maxAttempts := fs.Int("max-attempts", 0, "consecutive zero-progress attempts before a task fails the run (0 = 3)")
-	budget := fs.Int("attempt-budget", 0, "total dispatches across the run (0 = tasks + 8 per executor)")
-	backoff := fs.Duration("backoff", 0, "first-retry backoff, doubling per consecutive failure (0 = 100ms)")
-	stallFloor := fs.Duration("stall-floor", 0, "minimum no-progress time before a straggler kill (0 = 10s)")
-	stallFactor := fs.Float64("stall-factor", 0, "straggler threshold as a multiple of the fleet-wide p99 row gap (0 = 16)")
-	maxExecFails := fs.Int("max-exec-fails", 0, "consecutive failures before an executor retires (0 = 3)")
-	reportPath := fs.String("report", "", "write the recovery report (attempts, salvages, steals, stragglers) as JSON to this file")
-	strict := fs.Bool("strict", false, "exit non-zero when any design point fails")
-	quiet := fs.Bool("quiet", false, "suppress stderr scheduling and summary lines")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dse fleet [-local n] [-remote url,url] [-dir d] [axis flags | -space spec.json] [-format f] [tuning flags]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-
-	sp, file, err := spaceArgs.resolve()
-	if err != nil {
-		return err
-	}
-	spec := dse.Spec(sp)
-	if file != nil {
-		spec = *file
-	}
-
-	nLocal := *local
-	if nLocal == 0 && *remotes == "" {
-		nLocal = 2
-	}
-	var workerArgs []string
-	if *cacheDir != "" {
-		workerArgs = append(workerArgs, "-simcache-dir", *cacheDir)
-	}
-	if *cacheURL != "" {
-		workerArgs = append(workerArgs, "-simcache-url", *cacheURL)
-	}
-	var execs []fleet.Executor
-	for i := 0; i < nLocal; i++ {
-		execs = append(execs, &fleet.ProcExecutor{Label: fmt.Sprintf("local%d", i), Bin: *bin, Args: workerArgs})
-	}
-	ri := 0
-	for _, u := range strings.Split(*remotes, ",") {
-		if u = strings.TrimSpace(u); u == "" {
-			continue
-		}
-		execs = append(execs, &fleet.HTTPExecutor{Label: fmt.Sprintf("remote%d", ri), Base: u})
-		ri++
-	}
-	if len(execs) == 0 {
-		return errors.New("no executors: -local 0 and no -remote endpoints")
-	}
-
-	var logw io.Writer
-	if !*quiet {
-		logw = os.Stderr
-	}
-	d, err := fleet.New(fleet.Config{
-		Dir: *dir, Tasks: *tasks,
-		MaxAttempts: *maxAttempts, AttemptBudget: *budget, Backoff: *backoff,
-		StallFloor: *stallFloor, StallFactor: *stallFactor,
-		MaxExecFails: *maxExecFails, Log: logw,
-	}, execs...)
-	if err != nil {
-		return err
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	start := time.Now()
-	rs, frep, err := d.Run(ctx, spec)
-	if *reportPath != "" {
-		// The report is the run's recovery record; write it on failure too —
-		// the CI chaos smoke and a resuming operator both want it.
-		data, merr := json.MarshalIndent(frep, "", "  ")
-		if merr == nil {
-			merr = os.WriteFile(*reportPath, append(data, '\n'), 0o644)
-		}
-		if merr != nil && err == nil {
-			err = merr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	rep, err := dse.RendererFor(*format)
-	if err != nil {
-		return err
-	}
-	out := bufio.NewWriter(os.Stdout)
-	if err := rep.Report(out, rs); err != nil {
-		return err
-	}
-	if err := out.Flush(); err != nil {
-		return err
-	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "dse fleet: %d points on %d executors in %v (%d tasks, %d attempts; resumed %d rows, salvaged %d attempts, stole %d tasks, killed %d stragglers, retired %d executors)\n",
-			len(rs.Results), len(execs), time.Since(start).Round(time.Millisecond),
-			frep.Tasks, frep.Attempts, frep.ResumedRows, frep.Salvaged, frep.Stolen, frep.Stragglers, frep.Retired)
-	}
-	if *strict {
-		return rs.FirstErr()
-	}
-	return nil
-}
-
-// runFaultProxy is the `dse faultproxy` entry point: a seeded
-// fault-injecting HTTP pass-through (internal/fleet/faultinject) for
-// chaos-testing fleets across real processes — stand it between workers
-// and a `dse cached`/`dse serve` upstream and dial in sheds, errors,
-// latency and mid-stream cuts.
-func runFaultProxy(args []string) error {
-	fs := flag.NewFlagSet("dse faultproxy", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:8090", "listen address")
-	target := fs.String("target", "", "upstream base URL to forward to (required)")
-	seed := fs.Int64("seed", 1, "fault schedule seed (same seed, same fault sequence)")
-	errorRate := fs.Float64("error-rate", 0, "probability a request fails upstream-less with 502")
-	shedRate := fs.Float64("shed-rate", 0, "probability a request is shed with 503 + Retry-After")
-	retryAfter := fs.Int("retry-after", 1, "Retry-After seconds on synthetic sheds")
-	latencyRate := fs.Float64("latency-rate", 0, "probability a request is delayed by -latency")
-	latency := fs.Duration("latency", 0, "injected delay for -latency-rate requests")
-	cutRate := fs.Float64("cut-rate", 0, "probability a response body is cut mid-stream")
-	cutAfter := fs.Int64("cut-after", 0, "bytes forwarded before a cut (0 = 64)")
-	quiet := fs.Bool("quiet", false, "suppress stderr lifecycle lines")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dse faultproxy -target url [-addr host:port] [-seed n] [-shed-rate p] [-error-rate p] [-latency-rate p -latency d] [-cut-rate p] [-cut-after bytes]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	if *target == "" {
-		return errors.New("-target is required")
-	}
-	p := &faultinject.Proxy{
-		Target: *target,
-		T: &faultinject.Transport{
-			S:         faultinject.NewSchedule(*seed),
-			ErrorRate: *errorRate,
-			ShedRate:  *shedRate, RetryAfterSecs: *retryAfter,
-			LatencyRate: *latencyRate, Latency: *latency,
-			CutRate: *cutRate, CutAfter: *cutAfter,
-		},
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "dse faultproxy: %s -> %s (seed %d, shed %.2f, error %.2f, cut %.2f)\n",
-			ln.Addr(), *target, *seed, *shedRate, *errorRate, *cutRate)
-	}
-	return serveUntilSignal(ln, p, nil)
 }

@@ -3,6 +3,10 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -115,4 +119,118 @@ func checkOwnedPrefix(t *testing.T, s *Salvaged) {
 	case s.Owned == nil && n > 0 && s.SpacePoints-*s.rows[n-1].Index > p.Count:
 		t.Fatalf("complete shard %s of %d points stops at point %d", p, s.SpacePoints, *s.rows[n-1].Index)
 	}
+}
+
+// FuzzRowCodec holds the row codec to encoding/json. Properties:
+//
+//   - on raw bytes: whenever scanRow accepts a line, json.Unmarshal of
+//     that line gives the same line, floats equal bit for bit;
+//   - on an index, the eight metric values, an algorithm and an error
+//     message: appendRow's design row and error row are byte for byte
+//     what json.Encoder writes for the same line, a NaN or infinite
+//     metric fails both with the same error text and appends nothing, and
+//     scanRow reads the row back whenever its strings need no escape.
+//
+// The seeds are every row of testdata/rows.golden (stock, portfolio and
+// error rows), with strings holding '<', U+2028 and invalid UTF-8 (which
+// json.Encoder writes as \u003c, \u2028 and \ufffd) and the values -0,
+// 1e-7, 1e21, 5e-324, NaN and +Inf.
+func FuzzRowCodec(f *testing.F) {
+	golden, err := os.ReadFile("testdata/rows.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, text := range bytes.SplitAfter(golden, []byte("\n")) {
+		var ln line
+		if json.Unmarshal(text, &ln) != nil || ln.Index == nil {
+			continue // a header
+		}
+		m := dse.Metrics{Algorithm: "CPA-RA"}
+		if ln.Design != nil {
+			m = *ln.Design
+		}
+		f.Add(text, *ln.Index, m.Registers, m.Cycles, m.MemCycles, m.ClockNs, m.TimeUs, m.Slices, m.SliceUtil, m.RAMs, m.Algorithm, ln.Error)
+	}
+	for _, s := range []string{"a<b>&c", "line\u2028separator", "bad \xff byte"} {
+		f.Add([]byte(`{"index":1,"error":"`+s+`"}`), 1, 1, 2, 3, 4.5, 6.5, 7, 8.5, 9, s, s)
+	}
+	for _, v := range []float64{math.Copysign(0, -1), 1e-7, 1e21, 5e-324, math.NaN(), math.Inf(1)} {
+		row := fmt.Sprintf(`{"index":0,"design":{"registers":1,"cycles":2,"tmem":3,"clock_ns":%v,"time_us":%v,"slices":4,"slice_util_pct":%v,"brams":5}}`, v, v, v)
+		f.Add([]byte(row), 0, 1, 2, 3, v, v, 4, v, 5, "", "no design")
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte, index, registers, cycles, tmem int, clockNs, timeUs float64, slices int, util float64, brams int, algorithm, msg string) {
+		var got line
+		if scanRow(raw, &got) {
+			var want line
+			if err := json.Unmarshal(raw, &want); err != nil {
+				t.Fatalf("scanner accepted %q, json.Unmarshal rejects it: %v", raw, err)
+			}
+			if !sameLine(&got, &want) {
+				t.Fatalf("scanner read %q as %+v, json.Unmarshal as %+v", raw, got, want)
+			}
+		}
+
+		m := dse.Metrics{Algorithm: algorithm, Registers: registers, Cycles: cycles, MemCycles: tmem,
+			ClockNs: clockNs, TimeUs: timeUs, Slices: slices, SliceUtil: util, RAMs: brams}
+		checkRow(t, line{Index: &index, Design: &m}, "x")
+		if msg != "" { // the writer never writes an empty error
+			checkRow(t, line{Index: &index, Error: msg}, "x")
+		}
+	})
+}
+
+// checkRow holds appendRow's encoding of ln to json.Encoder's, and the
+// scanner to reading it back. The row is appended after prefix, which
+// must stay as it was.
+func checkRow(t *testing.T, ln line, prefix string) {
+	t.Helper()
+	var want bytes.Buffer
+	werr := json.NewEncoder(&want).Encode(ln)
+	got, gerr := appendRow([]byte(prefix), *ln.Index, ln.Design, ln.Error)
+	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+		t.Fatalf("appendRow error %v, json.Encoder error %v", gerr, werr)
+	}
+	if string(got[:len(prefix)]) != prefix {
+		t.Fatalf("appendRow overwrote its prefix: %q", got)
+	}
+	if got = got[len(prefix):]; gerr != nil {
+		if len(got) != 0 {
+			t.Fatalf("failed appendRow appended %q", got)
+		}
+		return
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("appendRow wrote\n%q\njson.Encoder wrote\n%q", got, want.Bytes())
+	}
+	var back line
+	if !scanRow(got, &back) {
+		if plain(ln.Error) && (ln.Design == nil || plain(ln.Design.Algorithm)) {
+			t.Fatalf("scanner declined the writer's row %q", got)
+		}
+		return
+	}
+	if !sameLine(&back, &ln) {
+		t.Fatalf("scanner read the writer's row %q as %+v", got, back)
+	}
+}
+
+// plain reports a string the scanner reads: printable ASCII without '"',
+// '\' or a character json.Encoder escapes for HTML.
+func plain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || strings.IndexByte(`"\<>&`, c) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sameLine compares two rows field by field, floats bit for bit; a
+// trailer field set on either fails the comparison.
+func sameLine(a, b *line) bool {
+	row := func(l *line) bool {
+		return l.Index != nil && !l.EOF && l.Rows == 0 && l.UniqueSims == 0 && l.Cache == nil && l.Obs == nil
+	}
+	return row(a) && row(b) && sameRow(a, b) && sameFloats(a, b)
 }

@@ -23,6 +23,7 @@ package shard
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -78,7 +79,7 @@ func (s *Salvaged) Rows() int {
 // follows consistently. A missing row or trailer is not an error: it ends
 // the prefix and becomes Stop.
 func Salvage(r io.Reader) (*Salvaged, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
+	dec := json.NewDecoder(r)
 	var h header
 	if err := dec.Decode(&h); err != nil {
 		return nil, fmt.Errorf("shard: bad or missing header: %w", err)
@@ -107,7 +108,7 @@ func Salvage(r io.Reader) (*Salvaged, error) {
 		Shard:       h.Shard,
 		Owned:       h.Owned,
 	}
-	s.Stop = s.read(dec, h.Rows)
+	s.Stop = s.read(bufio.NewReader(io.MultiReader(dec.Buffered(), r)), h.Rows)
 	s.Complete = s.Stop == nil
 	return s, nil
 }
@@ -115,8 +116,35 @@ func Salvage(r io.Reader) (*Salvaged, error) {
 // read consumes the row section, keeping the valid prefix, and returns why
 // it ended (nil for a complete file). The writer emits rows in increasing
 // owned order, so the prefix is exactly the rows matching the owned
-// sequence positionally.
-func (s *Salvaged) read(dec *json.Decoder, headerRows int) error {
+// sequence positionally. Lines scanRow accepts are read by it; the first
+// line it declines (the trailer, a torn or reformatted row) hands that
+// line and the rest of the stream to encoding/json, which reads to the
+// end. Both read the same rows, so where the handover falls changes no
+// row, stop or error text.
+func (s *Salvaged) read(br *bufio.Reader, headerRows int) error {
+	for {
+		text, err := br.ReadSlice('\n')
+		var ln line
+		if err == nil && scanRow(text, &ln) {
+			if err := s.keep(ln); err != nil {
+				return err
+			}
+			continue
+		}
+		if err == nil && len(bytes.TrimLeft(text, " \t\r\n")) == 0 {
+			continue // a blank line holds no value
+		}
+		var rest io.Reader = br
+		if err != nil && err != bufio.ErrBufferFull {
+			rest = failedReader{err}
+		}
+		return s.decode(json.NewDecoder(io.MultiReader(bytes.NewReader(text), rest)), headerRows)
+	}
+}
+
+// decode is read's encoding/json half: it reads the rest of the row
+// section and the trailer.
+func (s *Salvaged) decode(dec *json.Decoder, headerRows int) error {
 	for {
 		var ln line
 		if err := dec.Decode(&ln); err == io.EOF {
@@ -127,18 +155,32 @@ func (s *Salvaged) read(dec *json.Decoder, headerRows int) error {
 		if ln.EOF {
 			return s.trailer(dec, ln, headerRows)
 		}
-		if ln.Index == nil {
-			return fmt.Errorf("shard: shard %s: row %d has no point index", s.Shard, len(s.rows))
+		if err := s.keep(ln); err != nil {
+			return err
 		}
-		if (ln.Design == nil) == (ln.Error == "") {
-			return fmt.Errorf("shard: shard %s: point %d needs exactly one of design or error", s.Shard, *ln.Index)
-		}
-		if g, want := *ln.Index, s.owned(len(s.rows)); g != want {
-			return s.misplaced(g, want)
-		}
-		s.rows = append(s.rows, ln)
 	}
 }
+
+// keep checks one row and appends it to the prefix.
+func (s *Salvaged) keep(ln line) error {
+	if ln.Index == nil {
+		return fmt.Errorf("shard: shard %s: row %d has no point index", s.Shard, len(s.rows))
+	}
+	if (ln.Design == nil) == (ln.Error == "") {
+		return fmt.Errorf("shard: shard %s: point %d needs exactly one of design or error", s.Shard, *ln.Index)
+	}
+	if g, want := *ln.Index, s.owned(len(s.rows)); g != want {
+		return s.misplaced(g, want)
+	}
+	s.rows = append(s.rows, ln)
+	return nil
+}
+
+// failedReader is the rest of a stream whose read failed: the same error
+// on every call, as the reader gave it.
+type failedReader struct{ err error }
+
+func (f failedReader) Read([]byte) (int, error) { return 0, f.err }
 
 // trailer checks the trailer line against the rows read and the header,
 // then requires the end of the file; a consistent trailer's stats become

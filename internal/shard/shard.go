@@ -14,7 +14,13 @@
 //
 // Rows carry only the design metrics the reporters and Pareto extraction
 // read — decoded designs have no allocation, storage plan or schedule
-// attached. One reader decodes every file (Salvage, salvage.go), and one
+// attached. Rows are written and read without reflection (row.go): the
+// Writer appends each with strconv, in exactly the bytes encoding/json
+// writes, and the reader scans that form (strings without escapes) line
+// by line, handing the first line it does not recognise, and everything
+// after it, to encoding/json. Headers and trailers always go through
+// encoding/json.
+// One reader decodes every file (Salvage, salvage.go), and one
 // Assembler reassembles them; Merge is the strict front over the two: one
 // fingerprint across files, every shard present exactly once and
 // complete, every row owned by the shard that wrote it. UniqueSims is
@@ -141,7 +147,8 @@ type line struct {
 // Engine.ExploreShardStream and holds no per-point state.
 type Writer struct {
 	w     *bufio.Writer
-	enc   *json.Encoder
+	enc   *json.Encoder // header and trailer
+	buf   []byte        // one row's encoding, reused (row.go)
 	plan  Plan
 	owned []int // explicit task ownership; nil for strided shards
 	rows  int
@@ -181,23 +188,28 @@ func (sw *Writer) Begin(sp dse.Space, total int) error {
 
 // Point implements dse.StreamReporter: one JSON line per result.
 func (sw *Writer) Point(r dse.Result) error {
-	idx := r.Point.Index
-	ln := line{Index: &idx}
+	var m *dse.Metrics
+	msg := ""
 	if r.Ok() {
-		m := dse.MetricsOf(r.Design)
+		mm := dse.MetricsOf(r.Design)
 		if r.Design.Algorithm != r.Point.Allocator.Name() {
-			m.Algorithm = r.Design.Algorithm
+			mm.Algorithm = r.Design.Algorithm
 		}
-		ln.Design = &m
+		m = &mm
 	} else if r.Err != nil && r.Err.Error() != "" {
-		ln.Error = r.Err.Error()
+		msg = r.Err.Error()
 	} else {
 		// Also covers an error whose message is empty: the row must carry
 		// exactly one of design or error, or decode would reject the file.
-		ln.Error = "no design"
+		msg = "no design"
 	}
 	sw.rows++
-	return sw.enc.Encode(ln)
+	var err error
+	if sw.buf, err = appendRow(sw.buf[:0], r.Point.Index, m, msg); err != nil {
+		return err
+	}
+	_, err = sw.w.Write(sw.buf)
+	return err
 }
 
 // End implements dse.StreamReporter: it writes the trailer and flushes.
