@@ -334,6 +334,54 @@ func BenchmarkExplore(b *testing.B) {
 	}
 }
 
+// BenchmarkExploreInstrumented measures the stock sweep on a warm
+// one-worker engine (store and analysis memo filled by an earlier sweep,
+// as `dse serve` runs a repeated request) with and without metrics; the
+// gap in allocs/op is what instrumentation costs a sweep, built once per
+// exploration rather than per point.
+func BenchmarkExploreInstrumented(b *testing.B) {
+	store, ac := simcache.New(), dse.NewAnalysisCache()
+	sp := dse.DefaultSpace()
+	if _, err := (dse.Engine{Workers: 1, SimCache: store, Analyses: ac}).Explore(sp); err != nil {
+		b.Fatal(err)
+	}
+	for _, bench := range []struct {
+		name string
+		obs  bool
+	}{{"plain", false}, {"obs", true}} {
+		b.Run(bench.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e := dse.Engine{Workers: 1, SimCache: store, Analyses: ac}
+				if bench.obs {
+					e.Obs = obs.New()
+				}
+				if _, err := e.Explore(sp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSpaceSpecResolve measures resolving the stock space's spec
+// into a Space, the first step of every served request, shard merge and
+// fleet task, once the process has parsed its kernels: registry lookups
+// over the shared kernels, no parse.
+func BenchmarkSpaceSpecResolve(b *testing.B) {
+	spec := dse.Spec(dse.DefaultSpace())
+	if _, err := spec.Space(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := spec.Space(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStreamReport measures the streaming reporters on the stock
 // 192-point result set, with allocation counts: the buffered reporters
 // are thin wrappers over the same streaming cores, so allocs/op here is

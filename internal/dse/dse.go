@@ -308,7 +308,7 @@ func (e Engine) evalPoint(an *hls.Analysis, p Point, sim hls.SimFunc, members bo
 		rtrace.WithRegion(context.Background(), "point", func() {
 			r = evaluate(an, p, sim, members, slot, e.Obs, e.Trace)
 		})
-	}, "kernel", p.Kernel.Name, "stage", "point")
+	}, p.Kernel.Name, "point", "")
 	sp.End("")
 	return r
 }
@@ -347,8 +347,7 @@ func (e Engine) analyzeKernels(sp Space, include map[string]bool, store *simcach
 			var err error
 			if e.Obs != nil || e.Trace != nil {
 				sp := obs.Begin(e.Obs, e.Trace, -1, k.Name, "analyze")
-				e.Obs.Do(func() { a, err = e.Analyses.Get(k, store) },
-					"kernel", k.Name, "stage", "analyze")
+				e.Obs.Do(func() { a, err = e.Analyses.Get(k, store) }, k.Name, "analyze", "")
 				sp.End("")
 			} else {
 				a, err = e.Analyses.Get(k, store)

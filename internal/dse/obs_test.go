@@ -2,13 +2,22 @@ package dse
 
 import (
 	"bytes"
+	"math"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dfg"
 	"repro/internal/fpga"
+	"repro/internal/hls"
+	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/obs"
+	"repro/internal/scalarrepl"
+	"repro/internal/sched"
+	"repro/internal/simcache"
 )
 
 // renderAll streams the space through every reporter format under one
@@ -262,4 +271,120 @@ func mustNormalize(t *testing.T, sp Space) Space {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// goroutineLabels returns the calling goroutine's pprof labels as the
+// goroutine profile prints them on its "# labels:" line, or "" when it
+// has none. The calling goroutine's record is the one whose stack is
+// writing the profile.
+func goroutineLabels(t *testing.T) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range strings.Split(b.String(), "\n\n") {
+		if !strings.Contains(rec, "runtime/pprof.writeGoroutine") {
+			continue
+		}
+		for _, line := range strings.Split(rec, "\n") {
+			if l, ok := strings.CutPrefix(line, "# labels: "); ok {
+				return l
+			}
+		}
+		return ""
+	}
+	t.Fatal("the calling goroutine is missing from the goroutine profile")
+	return ""
+}
+
+// labelAllocator runs its allocator and records the pprof labels it ran
+// under.
+type labelAllocator struct {
+	core.Allocator
+	t      *testing.T
+	labels *string
+}
+
+func (a labelAllocator) Allocate(p *core.Problem) (*core.Allocation, error) {
+	*a.labels = goroutineLabels(a.t)
+	return a.Allocator.Allocate(p)
+}
+
+// TestPointStagesKeepTheirLabels: within an instrumented point, the
+// allocator runs under (kernel, alloc) and hands the goroutine back to
+// the point's labels, so the simulation runs under (kernel, point); the
+// point leaves no labels behind.
+func TestPointStagesKeepTheirLabels(t *testing.T) {
+	m := obs.New()
+	m.SetBase("shard", "0/1")
+	var allocLabels, simLabels string
+	sp := mustNormalize(t, Space{
+		Kernels:    []kernels.Kernel{kernels.FIR()},
+		Allocators: []core.Allocator{labelAllocator{core.CPARA{}, t, &allocLabels}},
+	})
+	p := sp.Points()[0]
+	an, err := hls.Analyze(p.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := func(_ hls.SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (*sched.Result, error) {
+		simLabels = goroutineLabels(t)
+		return sched.SimulateGraph(nest, g, plan, cfg)
+	}
+	if r := (Engine{Obs: m}).evalPoint(an, p, sim, false, &scheduled{}); !r.Ok() {
+		t.Fatalf("point failed: %v", r.Err)
+	}
+	if want := `{"kernel":"fir", "shard":"0/1", "stage":"alloc"}`; allocLabels != want {
+		t.Errorf("allocator ran under %q, want %s", allocLabels, want)
+	}
+	if want := `{"kernel":"fir", "shard":"0/1", "stage":"point"}`; simLabels != want {
+		t.Errorf("simulation ran under %q, want %s", simLabels, want)
+	}
+	if got := goroutineLabels(t); got != "" {
+		t.Errorf("labels after the point = %s, want none", got)
+	}
+}
+
+// TestInstrumentationCostPerExploration: on a warm engine, metrics add
+// as many allocations to a 96-point sweep (two budgets, 48 schedules) as
+// to the 192-point stock sweep (96 schedules) of the same kernels: label
+// sets and stages are built once per exploration, and no point or
+// schedule allocates for instrumentation. Each count is the fewest
+// allocations over several runs, since goroutine start-up adds a few
+// allocations to some runs and not others; a cost of one allocation per
+// schedule would part the two by 48.
+func TestInstrumentationCostPerExploration(t *testing.T) {
+	store, ac := simcache.New(), NewAnalysisCache()
+	explore := func(sp Space, m *obs.Metrics) {
+		if _, err := (Engine{Workers: 1, SimCache: store, Analyses: ac, Obs: m}).Explore(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fewest := func(sp Space, instrument bool) uint64 {
+		n := uint64(math.MaxUint64)
+		for range 8 {
+			var m *obs.Metrics
+			if instrument {
+				m = obs.New()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			explore(sp, m)
+			runtime.ReadMemStats(&after)
+			n = min(n, after.Mallocs-before.Mallocs)
+		}
+		return n
+	}
+	added := func(sp Space) int {
+		explore(sp, nil) // warm the store and the analysis memo
+		return int(fewest(sp, true)) - int(fewest(sp, false))
+	}
+	stock := DefaultSpace()
+	half := DefaultSpace()
+	half.Budgets = half.Budgets[:2]
+	a, b := added(half), added(stock)
+	if d := b - a; d < -4 || d > 4 {
+		t.Errorf("metrics add %d allocations to the 96-point sweep and %d to the 192-point one; want equal", a, b)
+	}
 }

@@ -55,7 +55,7 @@ func (s SchedSpec) Variant() SchedVariant {
 // SpaceSpec is the registry-name form of a Space: a portable, JSON-safe
 // description of every axis, the self-describing header a shard file
 // carries. Axes resolve back through the package registries
-// (kernels.ByName, core.ByName, fpga.ByName), so a spec only round-trips
+// (kernels.Shared, core.ByName, fpga.ByName), so a spec only round-trips
 // for spaces built from registered kernels, allocators and device presets
 // — which covers everything the CLIs can express.
 type SpaceSpec struct {
@@ -93,10 +93,12 @@ func Spec(sp Space) SpaceSpec {
 }
 
 // Space resolves the spec back into a concrete space through the package
-// registries. Every axis must be populated — specs are taken from
-// normalized spaces, so an empty axis means a corrupt or hand-rolled spec —
-// and the space may hold at most maxPoints design points, checked before
-// any axis is resolved.
+// registries. Its kernels are the process's shared read-only instances
+// (kernels.Shared), so resolving a spec parses nothing and every space
+// resolved from a spec holds the same nest per kernel. Every axis must be
+// populated — specs are taken from normalized spaces, so an empty axis
+// means a corrupt or hand-rolled spec — and the space may hold at most
+// maxPoints design points, checked before any axis is resolved.
 func (s SpaceSpec) Space() (Space, error) {
 	if len(s.Kernels) == 0 || len(s.Allocators) == 0 || len(s.Budgets) == 0 ||
 		len(s.Devices) == 0 || len(s.Scheds) == 0 {
@@ -111,7 +113,7 @@ func (s SpaceSpec) Space() (Space, error) {
 	}
 	sp := Space{Portfolio: s.Portfolio}
 	for _, name := range s.Kernels {
-		k, err := kernels.ByName(name)
+		k, err := kernels.Shared(name)
 		if err != nil {
 			return Space{}, err
 		}

@@ -1,9 +1,72 @@
 package dse
 
 import (
+	"bytes"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/kernels"
+	"repro/internal/obs"
+	"repro/internal/simcache"
 )
+
+// TestSpecSpacesShareKernels: spaces resolved from a spec on concurrent
+// goroutines hold one nest per kernel name, kernels.Shared's, and
+// concurrent instrumented explorations over them, on one store and
+// analysis memo as a server runs them, render what a space of fresh
+// kernels renders (and, under -race, read the shared nests race-free).
+func TestSpecSpacesShareKernels(t *testing.T) {
+	fresh := mustNormalize(t, Space{
+		Kernels:    []kernels.Kernel{kernels.Figure1(), kernels.FIR()},
+		Allocators: []core.Allocator{core.FRRA{}, core.CPARA{}},
+		Budgets:    []int{16, 64},
+	})
+	csv := func(rs *ResultSet) string {
+		var b bytes.Buffer
+		if err := (CSVReporter{}).Report(&b, rs); err != nil {
+			t.Error(err)
+		}
+		return b.String()
+	}
+	want := csv(mustExplore(t, Engine{Workers: 1}, fresh))
+	spec := Spec(fresh)
+	store, ac := simcache.New(), NewAnalysisCache()
+	const n = 4
+	spaces := make([]Space, n)
+	outs := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() { //repro:norecover test goroutine: a panic fails the test binary
+			defer wg.Done()
+			sp, err := spec.Space()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			spaces[i] = sp
+			rs, err := Engine{Workers: 2, SimCache: store, Analyses: ac, Obs: obs.New()}.Explore(sp)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			outs[i] = csv(rs)
+		}()
+	}
+	wg.Wait()
+	for i := range n {
+		if outs[i] != want {
+			t.Errorf("exploration %d of a resolved spec renders differently from the fresh space", i)
+		}
+		for _, k := range spaces[i].Kernels {
+			if shared, _ := kernels.Shared(k.Name); k.Nest != shared.Nest {
+				t.Errorf("space %d: %s's nest is not the shared one", i, k.Name)
+			}
+		}
+	}
+}
 
 func TestSpecRoundTrip(t *testing.T) {
 	sp := DefaultSpace()

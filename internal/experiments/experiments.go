@@ -171,11 +171,18 @@ func (a Aggregate) String() string {
 // reproduction matches the published shape).
 func CheckPaperShape(rows []Row) []string {
 	var violations []string
+	// Kernels in Table-1 row order (first appearance), so the violations
+	// come out in the same order on every call.
+	var order []string
 	byKernel := map[string][]Row{}
 	for _, r := range rows {
+		if _, ok := byKernel[r.Kernel]; !ok {
+			order = append(order, r.Kernel)
+		}
 		byKernel[r.Kernel] = append(byKernel[r.Kernel], r)
 	}
-	for k, v := range byKernel {
+	for _, k := range order {
+		v := byKernel[k]
 		if len(v) != 3 {
 			violations = append(violations, fmt.Sprintf("%s: %d versions, want 3", k, len(v)))
 			continue
@@ -195,7 +202,6 @@ func CheckPaperShape(rows []Row) []string {
 				violations = append(violations, fmt.Sprintf("%s %s: %d registers exceed the %d budget", k, r.Version, r.TotalRegs, kernels.DefaultRmax))
 			}
 		}
-		_ = v2
 	}
 	agg := Aggregates(rows)
 	if agg.AvgCycleRedV3 <= agg.AvgCycleRedV2 {

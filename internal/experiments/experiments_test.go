@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -50,6 +51,33 @@ func TestPaperShape(t *testing.T) {
 	if violations := CheckPaperShape(rows); len(violations) != 0 {
 		t.Fatalf("paper-shape violations:\n%s\n\ntable:\n%s",
 			strings.Join(violations, "\n"), Format(rows))
+	}
+}
+
+// TestPaperShapeViolationOrder: with several kernels violating, the
+// violations come out in Table-1 row order, the same on every call.
+func TestPaperShapeViolationOrder(t *testing.T) {
+	rows := append([]Row(nil), table(t)...)
+	// Break v3's cycle claim on the last kernel and v2's register claim on
+	// the first, so map order could put either first.
+	last, first := rows[len(rows)-1].Kernel, rows[0].Kernel
+	for i := range rows {
+		switch {
+		case rows[i].Kernel == last && rows[i].Version == "v3":
+			rows[i].Cycles = 1 << 30
+		case rows[i].Kernel == first && rows[i].Version == "v2":
+			rows[i].TotalRegs = 0
+		}
+	}
+	want := CheckPaperShape(rows)
+	if len(want) < 2 || !strings.HasPrefix(want[0], first+": v2 uses fewer registers") ||
+		!strings.HasPrefix(want[1], last+": v3 cycles") {
+		t.Fatalf("violations = %q, want %s's then %s's first", want, first, last)
+	}
+	for range 50 {
+		if got := CheckPaperShape(rows); !slices.Equal(got, want) {
+			t.Fatalf("violations changed between calls:\n%q\nthen\n%q", want, got)
+		}
 	}
 }
 

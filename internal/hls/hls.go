@@ -8,6 +8,7 @@ package hls
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dfg"
@@ -28,12 +29,14 @@ type Options struct {
 	Rmax int
 	// Obs, when non-nil, receives per-stage timings: the allocator run
 	// ("alloc/<algorithm>", one stage per portfolio member) and the storage
-	// plan build ("plan"). The front-end analysis and the simulation are
-	// timed by their owners (the sweep engine and the SimFunc). Trace
-	// additionally records per-point spans; Point is the global design
-	// point index those spans carry (sweeps set it; standalone estimates
-	// leave it 0). Both nil by default — the disabled path adds no
-	// allocations and no clock reads.
+	// plan build ("plan"). The allocator also runs under the pprof labels
+	// (kernel, "alloc") and then hands the goroutine back to (kernel,
+	// "point"), the labels a sweep evaluates each design point under. The
+	// front-end analysis and the simulation are timed by their owners (the
+	// sweep engine and the SimFunc). Trace additionally records per-point
+	// spans; Point is the global design point index those spans carry
+	// (sweeps set it; standalone estimates leave it 0). Both nil by
+	// default — the disabled path adds no allocations and no clock reads.
 	Obs   *obs.Metrics
 	Trace *obs.Tracer
 	Point int
@@ -41,6 +44,19 @@ type Options struct {
 
 // obsOn reports whether any observability sink is attached.
 func (o Options) obsOn() bool { return o.Obs != nil || o.Trace != nil }
+
+// allocStages maps an allocator name to its metrics stage name,
+// "alloc/<name>", built once per name: the names are a handful of
+// registry constants, and a schedule should not concatenate one.
+var allocStages sync.Map
+
+func allocStage(name string) string {
+	if s, ok := allocStages.Load(name); ok {
+		return s.(string)
+	}
+	s, _ := allocStages.LoadOrStore(name, "alloc/"+name)
+	return s.(string)
+}
 
 // DefaultOptions targets the XCV1000 with single-ported RAM blocks under
 // the default latency model.
@@ -191,10 +207,12 @@ func (an *Analysis) Schedule(alg core.Allocator, opt Options, sim SimFunc) (Sche
 	if opt.obsOn() {
 		// One metrics stage per allocator name, so a portfolio point's
 		// member costs read apart; the pprof label stays coarse ("alloc")
-		// to keep profile label cardinality down.
-		sp := obs.Begin(opt.Obs, opt.Trace, opt.Point, k.Name, "alloc/"+alg.Name())
-		opt.Obs.Do(func() { alloc, err = alg.Allocate(prob) },
-			"kernel", k.Name, "stage", "alloc")
+		// to keep profile label cardinality down. Schedule runs within
+		// its design point's stage, so the allocator hands the goroutine
+		// back to the point's labels and the plan and simulation stay
+		// labelled.
+		sp := obs.Begin(opt.Obs, opt.Trace, opt.Point, k.Name, allocStage(alg.Name()))
+		opt.Obs.Do(func() { alloc, err = alg.Allocate(prob) }, k.Name, "alloc", "point")
 		sp.End("")
 	} else {
 		alloc, err = alg.Allocate(prob)

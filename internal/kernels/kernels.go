@@ -11,6 +11,7 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/dsl"
 	"repro/internal/ir"
@@ -213,4 +214,36 @@ func ByName(name string) (Kernel, error) {
 		return mk(), nil
 	}
 	return Kernel{}, fmt.Errorf("kernels: unknown kernel %q (have figure1, fir, decfir, imi, mat, pat, bic)", name)
+}
+
+// sharedKernel is the one instance Shared hands out for a name, parsed on
+// first use.
+type sharedKernel struct {
+	mk   func() Kernel
+	once sync.Once
+	k    Kernel
+}
+
+// shared holds a sharedKernel per registered name; the map itself is
+// never written after initialization.
+var shared = func() map[string]*sharedKernel {
+	m := make(map[string]*sharedKernel, len(constructors))
+	for name, mk := range constructors {
+		m[name] = &sharedKernel{mk: mk}
+	}
+	return m
+}()
+
+// Shared resolves a kernel by name like ByName, but parses each name once
+// per process, on first use, and returns that one instance to every
+// caller: its nest is shared and must not be modified (a caller that
+// needs to modify one takes ByName's fresh copy). Safe for concurrent
+// use; the registry's seven names bound what it keeps.
+func Shared(name string) (Kernel, error) {
+	s, ok := shared[name]
+	if !ok {
+		return ByName(name)
+	}
+	s.once.Do(func() { s.k = s.mk() })
+	return s.k, nil
 }

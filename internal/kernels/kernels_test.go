@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/dsl"
@@ -57,6 +58,50 @@ func TestByNameMatchesConstructors(t *testing.T) {
 		if again.Nest == got.Nest {
 			t.Errorf("ByName(%s) returned the same nest twice", k.Name)
 		}
+	}
+}
+
+// TestShared: every name resolves to one instance per process, the
+// kernel its constructor builds, even when first resolved on concurrent
+// goroutines; later calls parse nothing, and an unknown name fails as in
+// ByName.
+func TestShared(t *testing.T) {
+	names := []string{"figure1", "fir", "decfir", "imi", "mat", "pat", "bic"}
+	got := make([][]Kernel, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range names {
+				k, err := Shared(name)
+				if err != nil {
+					t.Error(err)
+				}
+				got[g] = append(got[g], k)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, name := range names {
+		want, _ := ByName(name)
+		k := got[0][i]
+		if k.Name != name || k.Description != want.Description || k.Rmax != want.Rmax ||
+			dsl.Format(k.Nest) != dsl.Format(want.Nest) {
+			t.Errorf("Shared(%s) = %+v, want the kernel ByName builds", name, k)
+		}
+		for g := range got {
+			if got[g][i].Nest != k.Nest {
+				t.Errorf("Shared(%s) returned two nests", name)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { Shared("bic") }); allocs != 0 {
+		t.Errorf("Shared(bic) after first use allocates %.0f times, want 0", allocs)
+	}
+	_, err := Shared("nope")
+	if _, want := ByName("nope"); err == nil || err.Error() != want.Error() {
+		t.Errorf("Shared(nope) error = %v, want %v", err, want)
 	}
 }
 

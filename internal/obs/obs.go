@@ -152,7 +152,11 @@ func (t Timer) Stop() int64 {
 type Metrics struct {
 	stages sync.Map     // string → *StageStats
 	base   atomic.Value // []string: pprof label pairs prepended by Do
+	labels sync.Map     // labelKey → context.Context carrying its label set
 }
+
+// labelKey names one pprof label set of a Metrics: a stage of a kernel.
+type labelKey struct{ kernel, stage string }
 
 // New returns an enabled, empty Metrics.
 func New() *Metrics { return &Metrics{} }
@@ -173,27 +177,49 @@ func (m *Metrics) Stage(name string) *StageStats {
 
 // SetBase sets pprof label pairs prepended to every Do call — e.g.
 // ("shard", "0/3") so a worker process's profile samples carry their shard
-// coordinate. Safe to call before concurrent use of Do.
+// coordinate. Call it before the first Do: the label sets Do has built
+// are dropped, so concurrent Do calls could mix old and new sets.
 func (m *Metrics) SetBase(pairs ...string) {
 	if m == nil {
 		return
 	}
 	m.base.Store(pairs)
+	m.labels.Clear()
 }
 
-// Do runs f under pprof labels (the base pairs plus the given pairs) on
-// the current goroutine, so CPU profiles decompose by the labels — stage,
-// kernel, shard. A nil Metrics calls f directly. Callers on disabled-path
-// hot loops should branch on enablement before building the pairs.
-func (m *Metrics) Do(f func(), pairs ...string) {
+// Do runs f on the calling goroutine under the pprof labels of one stage
+// — the base pairs, then ("kernel", kernel, "stage", stage) — so CPU
+// profiles decompose by shard, kernel and stage. When f returns, or
+// panics, Do hands the goroutine back to the labels of the stage it was
+// called in: (kernel, parent), or no labels when parent is "". A stage
+// nested in another therefore leaves its parent's labels in place.
+// Each label set is built once per Metrics and switched with
+// pprof.SetGoroutineLabels, so a Do whose two sets exist allocates
+// nothing. A nil Metrics calls f directly.
+func (m *Metrics) Do(f func(), kernel, stage, parent string) {
 	if m == nil {
 		f()
 		return
 	}
+	defer pprof.SetGoroutineLabels(m.labelSet(kernel, parent))
+	pprof.SetGoroutineLabels(m.labelSet(kernel, stage))
+	f()
+}
+
+// labelSet returns the context carrying the label set of (kernel, stage),
+// building it on first use; stage "" is the empty set.
+func (m *Metrics) labelSet(kernel, stage string) context.Context {
+	if stage == "" {
+		return context.Background()
+	}
+	key := labelKey{kernel, stage}
+	if ctx, ok := m.labels.Load(key); ok {
+		return ctx.(context.Context)
+	}
 	base, _ := m.base.Load().([]string)
-	all := make([]string, 0, len(base)+len(pairs))
-	all = append(append(all, base...), pairs...)
-	pprof.Do(context.Background(), pprof.Labels(all...), func(context.Context) { f() })
+	pairs := append(append(make([]string, 0, len(base)+4), base...), "kernel", kernel, "stage", stage)
+	ctx, _ := m.labels.LoadOrStore(key, pprof.WithLabels(context.Background(), pprof.Labels(pairs...)))
+	return ctx.(context.Context)
 }
 
 // Snapshot returns the current value of every registered stage. The result

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -190,7 +192,7 @@ func TestDisabledPathsAllocFree(t *testing.T) {
 		sp.End("")
 		_ = m.Stage("window")
 		tr.Record(Event{})
-		m.Do(f)
+		m.Do(f, "fir", "point", "")
 		m.SetBase()
 	})
 	if allocs != 0 {
@@ -238,18 +240,95 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
+// goroutineLabels returns the calling goroutine's pprof labels as the
+// goroutine profile prints them on its "# labels:" line, or "" when it
+// has none. The calling goroutine's record is the one whose stack is
+// writing the profile.
+func goroutineLabels(t *testing.T) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range strings.Split(b.String(), "\n\n") {
+		if !strings.Contains(rec, "runtime/pprof.writeGoroutine") {
+			continue
+		}
+		for _, line := range strings.Split(rec, "\n") {
+			if l, ok := strings.CutPrefix(line, "# labels: "); ok {
+				return l
+			}
+		}
+		return ""
+	}
+	t.Fatal("the calling goroutine is missing from the goroutine profile")
+	return ""
+}
+
 func TestDoAppliesLabels(t *testing.T) {
 	m := New()
 	m.SetBase("shard", "0/3")
-	ran := false
-	m.Do(func() { ran = true }, "stage", "point")
-	if !ran {
-		t.Fatal("Do did not run f")
+	var inside string
+	m.Do(func() { inside = goroutineLabels(t) }, "fir", "point", "")
+	if want := `{"kernel":"fir", "shard":"0/3", "stage":"point"}`; inside != want {
+		t.Errorf("labels inside Do = %s, want %s", inside, want)
+	}
+	if got := goroutineLabels(t); got != "" {
+		t.Errorf("labels after an outermost Do = %s, want none", got)
 	}
 	var nilM *Metrics
-	ran = false
-	nilM.Do(func() { ran = true })
-	if !ran {
-		t.Fatal("nil Metrics Do did not run f")
+	ran := false
+	nilM.Do(func() { ran = true; inside = goroutineLabels(t) }, "fir", "point", "")
+	if !ran || inside != "" {
+		t.Fatalf("nil Metrics Do: ran %v under labels %q, want a run without labels", ran, inside)
+	}
+}
+
+// TestNestedDoKeepsParentLabels: a stage nested in another runs under its
+// own labels and, on return or panic, leaves the outer stage's labels in
+// place.
+func TestNestedDoKeepsParentLabels(t *testing.T) {
+	m := New()
+	m.SetBase("shard", "1/2")
+	var inner, after, afterPanic string
+	m.Do(func() {
+		m.Do(func() { inner = goroutineLabels(t) }, "mat", "alloc", "point")
+		after = goroutineLabels(t)
+		func() {
+			defer func() { _ = recover() }()
+			m.Do(func() { panic("allocator") }, "mat", "alloc", "point")
+		}()
+		afterPanic = goroutineLabels(t)
+	}, "mat", "point", "")
+	if want := `{"kernel":"mat", "shard":"1/2", "stage":"alloc"}`; inner != want {
+		t.Errorf("nested stage labels = %s, want %s", inner, want)
+	}
+	want := `{"kernel":"mat", "shard":"1/2", "stage":"point"}`
+	if after != want {
+		t.Errorf("labels after the nested stage = %q, want the outer stage's %s", after, want)
+	}
+	if afterPanic != want {
+		t.Errorf("labels after a panicking nested stage = %q, want the outer stage's %s", afterPanic, want)
+	}
+	if got := goroutineLabels(t); got != "" {
+		t.Errorf("labels after the outer stage = %s, want none", got)
+	}
+}
+
+// TestDoReusesLabelSets: once a stage's label sets exist, Do allocates
+// nothing, and SetBase drops the sets built under the old base.
+func TestDoReusesLabelSets(t *testing.T) {
+	m := New()
+	m.SetBase("shard", "0/1")
+	f := func() {}
+	m.Do(f, "fir", "alloc", "point")
+	if allocs := testing.AllocsPerRun(100, func() { m.Do(f, "fir", "alloc", "point") }); allocs != 0 {
+		t.Errorf("Do with built label sets allocates %.1f/op, want 0", allocs)
+	}
+	m.SetBase("points", "3")
+	var got string
+	m.Do(func() { got = goroutineLabels(t) }, "fir", "alloc", "")
+	if want := `{"kernel":"fir", "points":"3", "stage":"alloc"}`; got != want {
+		t.Errorf("labels after SetBase = %s, want %s", got, want)
 	}
 }
