@@ -636,7 +636,7 @@ func stockShard(b *testing.B) ([]dse.Result, []byte) {
 	}
 	var owned []dse.Result
 	for _, r := range rs.Results {
-		if p.Owns(r.Point.Index) {
+		if p.Owns(r.Point.Index, dse.Spec(sp).UnitSize()) {
 			owned = append(owned, r)
 		}
 	}
@@ -682,5 +682,32 @@ func BenchmarkSalvage(b *testing.B) {
 		if !s.Complete || s.Rows() != 64 {
 			b.Fatalf("salvaged %d rows, stop %v", s.Rows(), s.Stop)
 		}
+	}
+}
+
+// BenchmarkShardedSweep measures the stock space swept as 2 and 3 shards,
+// each on a fresh one-worker engine writing its shard file as a `dse
+// -shard i/n` process does, and reports the shards' summed unique_sims.
+// Shards own whole (kernel, allocator, budget) units, so together they
+// schedule each unit once; their simulation caches are their own, so a
+// plan two shards share is simulated by both.
+func BenchmarkShardedSweep(b *testing.B) {
+	sp := dse.DefaultSpace()
+	for _, n := range []int{2, 3} {
+		b.Run(fmt.Sprintf("shards%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			sims := 0
+			for i := 0; i < b.N; i++ {
+				sims = 0
+				for s := range n {
+					st, err := shard.Run(dse.Engine{Workers: 1}, sp, shard.Plan{Index: s, Count: n}, io.Discard)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sims += st.UniqueSims
+				}
+			}
+			b.ReportMetric(float64(sims), "unique_sims")
+		})
 	}
 }

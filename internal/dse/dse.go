@@ -48,8 +48,9 @@ import (
 // The engine also streams: ExploreStream/ExploreShardStream (stream.go)
 // feed a StreamReporter through a bounded order-restoring window instead
 // of buffering the whole ResultSet, and the space partitions across
-// processes by strided point index (internal/shard) — ExploreShard
-// evaluates one stride while preserving global point numbering.
+// processes by whole (kernel, allocator, budget) units (partition.go,
+// internal/shard) — ExploreShard evaluates one shard's units while
+// preserving global point numbering.
 
 // Result is the outcome of one design point: the estimated design, or the
 // estimation error (infeasible budget, device capacity, ...).
@@ -201,11 +202,13 @@ func (e Engine) Explore(sp Space) (*ResultSet, error) {
 }
 
 // ExploreShard evaluates one shard of an n-way partition of the space:
-// the points whose global index ≡ shardIndex (mod shardCount). Results
-// holds only the owned points, in increasing global index order, with
-// every Point still carrying its global Index — so shard result sets
-// reassemble into the exact single-process ResultSet (see internal/shard
-// for the portable encoding and the merge). The stride interleaves, so
+// whole units, dealt round-robin — the points g with ⌊g/w⌋ mod shardCount
+// = shardIndex, where w = |Devices|·|Scheds| is the unit size
+// (ShardPoint). Results holds only the owned points, in increasing global
+// index order, with every Point still carrying its global Index — so
+// shard result sets reassemble into the exact single-process ResultSet
+// (see internal/shard for the portable encoding and the merge). Each
+// unit is scheduled by one shard only, and the units interleave, so
 // every shard sees every kernel (while shardCount allows) and the
 // per-kernel front-end memoization keeps paying off inside each shard.
 func (e Engine) ExploreShard(sp Space, shardIndex, shardCount int) (*ResultSet, error) {

@@ -388,3 +388,36 @@ func TestInstrumentationCostPerExploration(t *testing.T) {
 		t.Errorf("metrics add %d allocations to the 96-point sweep and %d to the 192-point one; want equal", a, b)
 	}
 }
+
+// TestWarmRequestInstrumentationBytes: serve runs each request on a warm
+// shared store under a fresh metrics registry. Registries with equal base
+// pairs share their pprof label sets, so such a request builds none of
+// its 18: instrumentation adds about 8 KB to a warm one-worker stock
+// sweep, where rebuilding the label sets per registry added 14.5 KB.
+func TestWarmRequestInstrumentationBytes(t *testing.T) {
+	store, ac := simcache.New(), NewAnalysisCache()
+	explore := func(m *obs.Metrics) {
+		if _, err := (Engine{Workers: 1, SimCache: store, Analyses: ac, Obs: m}).Explore(DefaultSpace()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fewest := func(instrument bool) uint64 {
+		n := uint64(math.MaxUint64)
+		for range 8 {
+			var m *obs.Metrics
+			if instrument {
+				m = obs.New()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			explore(m)
+			runtime.ReadMemStats(&after)
+			n = min(n, after.TotalAlloc-before.TotalAlloc)
+		}
+		return n
+	}
+	explore(obs.New()) // warm the store, the analysis memo and the label sets
+	if added := int(fewest(true)) - int(fewest(false)); added > 12<<10 {
+		t.Errorf("a fresh registry adds %d bytes to a warm sweep, want under 12 KiB", added)
+	}
+}

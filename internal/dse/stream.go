@@ -63,8 +63,9 @@ func (e Engine) ExploreStream(sp Space, sr StreamReporter) (StreamStats, error) 
 
 // ExploreShardStream is ExploreStream restricted to one shard of an
 // n-way partition (0/1 is the whole space) and run under a context: only
-// the points whose global index ≡ shardIndex (mod shardCount) are
-// evaluated, each still carrying its global Index. When ctx is cancelled,
+// the points of the shard's whole units are evaluated — point g when
+// ⌊g/w⌋ mod shardCount = shardIndex, w = |Devices|·|Scheds| (ShardPoint)
+// — each still carrying its global Index. When ctx is cancelled,
 // dispatch halts immediately (workers finish at most their in-flight
 // point, the feeder exits, no goroutine lingers past the return), sr
 // receives no further Point, and the stream ends without End — a consumer
@@ -100,8 +101,8 @@ func CheckPoints(points []int, total int) error {
 	return nil
 }
 
-// exploreStream selects the owned stride of an n-way partition and runs
-// the core over it.
+// exploreStream selects the owned units of an n-way partition and runs
+// the core over them.
 func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCount int, bounded bool, sr StreamReporter) (StreamStats, error) {
 	if shardCount < 1 || shardIndex < 0 || shardIndex >= shardCount {
 		return StreamStats{}, fmt.Errorf("dse: invalid shard %d/%d (want count ≥ 1 and 0 ≤ index < count)", shardIndex, shardCount)
@@ -115,11 +116,7 @@ func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCo
 	if err != nil {
 		return StreamStats{}, err
 	}
-	n := nsp.Size()
-	owned := make([]int, 0, (n+shardCount-1)/shardCount)
-	for i := shardIndex; i < n; i += shardCount {
-		owned = append(owned, i)
-	}
+	owned := shardPoints(shardIndex, shardCount, nsp.Size(), len(nsp.Devices)*len(nsp.Scheds))
 	return e.exploreOwned(ctx, sp, owned, bounded, sr)
 }
 

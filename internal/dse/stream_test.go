@@ -155,23 +155,28 @@ func TestStreamReporterErrorAborts(t *testing.T) {
 	}
 }
 
-// TestExploreShardPartition: shards of any count union back to exactly
-// the full exploration, preserving global numbering, and invalid shard
-// coordinates are rejected.
+// TestExploreShardPartition: shards of any count own whole units dealt
+// round-robin (⌊g/w⌋ mod n = i, w = |Devices|·|Scheds| = 2 here), union
+// back to exactly the full exploration, preserving global numbering, and
+// invalid shard coordinates are rejected.
 func TestExploreShardPartition(t *testing.T) {
 	sp := smallSpace()
+	w := len(sp.Devices) * len(sp.Scheds)
 	full := mustExplore(t, Engine{Workers: 4}, sp)
-	for _, n := range []int{1, 2, 3, 5} {
+	for _, n := range []int{1, 2, 3, 5, 8} {
 		seen := map[int]bool{}
 		for i := 0; i < n; i++ {
 			rs, err := Engine{Workers: 2}.ExploreShard(sp, i, n)
 			if err != nil {
 				t.Fatalf("shard %d/%d: %v", i, n, err)
 			}
-			for _, r := range rs.Results {
+			if want := ShardSize(i, n, sp.Size(), w); len(rs.Results) != want {
+				t.Fatalf("shard %d/%d evaluated %d points, want %d", i, n, len(rs.Results), want)
+			}
+			for k, r := range rs.Results {
 				g := r.Point.Index
-				if g%n != i {
-					t.Fatalf("shard %d/%d evaluated foreign point %d", i, n, g)
+				if g/w%n != i || g != ShardPoint(k, i, n, sp.Size(), w) {
+					t.Fatalf("shard %d/%d evaluated point %d as its owned point %d, want %d", i, n, g, k, ShardPoint(k, i, n, sp.Size(), w))
 				}
 				if seen[g] {
 					t.Fatalf("point %d evaluated by two shards", g)

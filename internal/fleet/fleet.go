@@ -18,9 +18,12 @@
 //   - flaky remote simcache: the cache tier already degrades to local
 //     recomputation, so the fleet needs no special handling.
 //
-// Recovery is point-granular and work-stealing: a failed attempt's
-// residual is re-partitioned across the live executors, so one bad host
-// slows the sweep instead of stalling it. Retries back off per task and
+// Tasks hold whole (kernel, allocator, budget) units, dealt round-robin
+// as shard plans deal them (split), so no unit is scheduled by two
+// executors. Recovery is point-granular and work-stealing: a failed
+// attempt's residual is re-partitioned across the live executors, each
+// unit's remaining points kept together, so one bad host slows the sweep
+// instead of stalling it. Retries back off per task and
 // draw from a global attempt budget; when the budget or the executors are
 // exhausted the run fails but the state directory keeps every salvaged
 // row, so a rerun resumes instead of restarting.
@@ -256,7 +259,7 @@ func (d *Driver) Run(ctx context.Context, spec dse.SpaceSpec) (*dse.ResultSet, R
 	s.ctx, s.cancel = context.WithCancel(ctx)
 	defer s.cancel()
 	s.live.Store(int64(len(d.execs)))
-	for _, pts := range split(missing, d.cfg.Tasks) {
+	for _, pts := range split(missing, d.cfg.Tasks, spec.UnitSize()) {
 		s.enqueue(&task{id: s.nextID(), points: pts})
 	}
 
@@ -567,7 +570,7 @@ func (s *sched) runTask(ex Executor, t *task, streak int) bool {
 	}
 	// Work-stealing: re-partition the residual across the live executors
 	// so idle ones pick the pieces up immediately.
-	parts := split(need, int(max(s.live.Load(), 1)))
+	parts := split(need, int(max(s.live.Load(), 1)), s.spec.UnitSize())
 	for _, pts := range parts {
 		s.enqueue(&task{id: s.nextID(), points: pts, fails: fails, origin: t.origin})
 	}
@@ -641,19 +644,23 @@ func (pw *progressWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// split partitions pts into at most n strided, strictly-increasing
-// slices — the same stride rule shard plans use, so task cost spreads
-// evenly across the space's axes.
-func split(pts []int, n int) [][]int {
-	if n > len(pts) {
-		n = len(pts)
-	}
-	if n <= 1 {
-		return [][]int{pts}
-	}
-	out := make([][]int, n)
+// split partitions pts (strictly increasing) into at most n strictly
+// increasing slices of whole units: the points of one (kernel, allocator,
+// budget) unit, ⌊g/unit⌋ equal, stay together, and the units are dealt
+// round-robin — the rule shard plans use, so no unit is scheduled by two
+// tasks and task cost spreads evenly across the space's axes. Over a
+// whole space, part i is exactly shard i of n.
+func split(pts []int, n, unit int) [][]int {
+	var out [][]int
+	u := -1 // rank of g's unit among the units of pts
 	for i, g := range pts {
-		out[i%n] = append(out[i%n], g)
+		if i == 0 || g/unit != pts[i-1]/unit {
+			u++
+		}
+		if u == len(out) && u < n {
+			out = append(out, nil)
+		}
+		out[u%n] = append(out[u%n], g)
 	}
 	return out
 }

@@ -36,6 +36,7 @@ import (
 	"math/bits"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,13 +151,36 @@ func (t Timer) Stop() int64 {
 // New. A nil *Metrics is the disabled instance: Stage returns nil handles
 // and Do runs the function unlabeled.
 type Metrics struct {
-	stages sync.Map     // string → *StageStats
-	base   atomic.Value // []string: pprof label pairs prepended by Do
-	labels sync.Map     // labelKey → context.Context carrying its label set
+	stages sync.Map                  // string → *StageStats
+	base   atomic.Pointer[labelBase] // pprof label pairs prepended by Do; nil for none
 }
 
-// labelKey names one pprof label set of a Metrics: a stage of a kernel.
-type labelKey struct{ kernel, stage string }
+// labelBase is a Metrics' base label pairs and the key they give its label
+// sets in labelSets.
+type labelBase struct {
+	pairs []string
+	key   string // the pairs, each quoted: equal keys, equal pairs
+}
+
+// labelKey names one pprof label set: a stage of a kernel under some base
+// pairs.
+type labelKey struct{ base, kernel, stage string }
+
+// labelSets holds the context carrying every label set a Metrics has
+// built, keyed by (base, kernel, stage). Counters are per registry, but a
+// label set depends only on its key, so registries with equal base pairs
+// share them: serve builds a registry per request, and a warm request
+// builds no label set. The table keeps at most maxLabelSets sets; past
+// that, Do builds the sets the table lacks on every call.
+var (
+	labelSets     sync.Map // labelKey → context.Context
+	labelSetCount atomic.Int64
+)
+
+// maxLabelSets bounds labelSets. The stock sweep labels 18 (kernel,
+// stage) pairs per base; a process that labels more kernels than a
+// registry names (generated nests) must not grow the table without end.
+const maxLabelSets = 1 << 12
 
 // New returns an enabled, empty Metrics.
 func New() *Metrics { return &Metrics{} }
@@ -177,14 +201,17 @@ func (m *Metrics) Stage(name string) *StageStats {
 
 // SetBase sets pprof label pairs prepended to every Do call — e.g.
 // ("shard", "0/3") so a worker process's profile samples carry their shard
-// coordinate. Call it before the first Do: the label sets Do has built
-// are dropped, so concurrent Do calls could mix old and new sets.
+// coordinate. Call it before the first Do: Do calls running while the
+// base changes may label under either base.
 func (m *Metrics) SetBase(pairs ...string) {
 	if m == nil {
 		return
 	}
-	m.base.Store(pairs)
-	m.labels.Clear()
+	var key []byte
+	for _, p := range pairs {
+		key = strconv.AppendQuote(key, p)
+	}
+	m.base.Store(&labelBase{pairs: pairs, key: string(key)})
 }
 
 // Do runs f on the calling goroutine under the pprof labels of one stage
@@ -193,9 +220,10 @@ func (m *Metrics) SetBase(pairs ...string) {
 // panics, Do hands the goroutine back to the labels of the stage it was
 // called in: (kernel, parent), or no labels when parent is "". A stage
 // nested in another therefore leaves its parent's labels in place.
-// Each label set is built once per Metrics and switched with
-// pprof.SetGoroutineLabels, so a Do whose two sets exist allocates
-// nothing. A nil Metrics calls f directly.
+// Each label set is built once per process for all registries with the
+// same base pairs (labelSets) and switched with pprof.SetGoroutineLabels,
+// so a Do whose two sets exist allocates nothing, on a fresh registry
+// too. A nil Metrics calls f directly.
 func (m *Metrics) Do(f func(), kernel, stage, parent string) {
 	if m == nil {
 		f()
@@ -206,20 +234,31 @@ func (m *Metrics) Do(f func(), kernel, stage, parent string) {
 	f()
 }
 
-// labelSet returns the context carrying the label set of (kernel, stage),
-// building it on first use; stage "" is the empty set.
+// labelSet returns the context carrying the label set of (kernel, stage)
+// under m's base pairs, building it on the process's first use; stage ""
+// is the empty set.
 func (m *Metrics) labelSet(kernel, stage string) context.Context {
 	if stage == "" {
 		return context.Background()
 	}
-	key := labelKey{kernel, stage}
-	if ctx, ok := m.labels.Load(key); ok {
+	var base labelBase
+	if b := m.base.Load(); b != nil {
+		base = *b
+	}
+	key := labelKey{base.key, kernel, stage}
+	if ctx, ok := labelSets.Load(key); ok {
 		return ctx.(context.Context)
 	}
-	base, _ := m.base.Load().([]string)
-	pairs := append(append(make([]string, 0, len(base)+4), base...), "kernel", kernel, "stage", stage)
-	ctx, _ := m.labels.LoadOrStore(key, pprof.WithLabels(context.Background(), pprof.Labels(pairs...)))
-	return ctx.(context.Context)
+	pairs := append(append(make([]string, 0, len(base.pairs)+4), base.pairs...), "kernel", kernel, "stage", stage)
+	ctx := pprof.WithLabels(context.Background(), pprof.Labels(pairs...))
+	if labelSetCount.Load() >= maxLabelSets {
+		return ctx
+	}
+	if built, loaded := labelSets.LoadOrStore(key, ctx); loaded {
+		return built.(context.Context)
+	}
+	labelSetCount.Add(1)
+	return ctx
 }
 
 // Snapshot returns the current value of every registered stage. The result

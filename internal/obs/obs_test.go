@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime/pprof"
@@ -316,7 +317,8 @@ func TestNestedDoKeepsParentLabels(t *testing.T) {
 }
 
 // TestDoReusesLabelSets: once a stage's label sets exist, Do allocates
-// nothing, and SetBase drops the sets built under the old base.
+// nothing, and after SetBase Do labels under the new base, not with the
+// sets built under the old one.
 func TestDoReusesLabelSets(t *testing.T) {
 	m := New()
 	m.SetBase("shard", "0/1")
@@ -330,5 +332,40 @@ func TestDoReusesLabelSets(t *testing.T) {
 	m.Do(func() { got = goroutineLabels(t) }, "fir", "alloc", "")
 	if want := `{"kernel":"fir", "points":"3", "stage":"alloc"}`; got != want {
 		t.Errorf("labels after SetBase = %s, want %s", got, want)
+	}
+}
+
+// TestRegistriesShareLabelSets: registries with equal base pairs share
+// their label sets — a fresh registry's first Do over sets another built
+// allocates nothing beyond the registry (serve builds one per request) —
+// while each still labels with its own base pairs, and counters stay per
+// registry.
+func TestRegistriesShareLabelSets(t *testing.T) {
+	f := func() {}
+	New().Do(f, "bic", "alloc", "point") // built under no base pairs
+	if allocs := testing.AllocsPerRun(100, func() { New().Do(f, "bic", "alloc", "point") }); allocs > 1 {
+		t.Errorf("a fresh registry's Do over shared label sets allocates %.1f/op, want only the registry", allocs)
+	}
+	for _, base := range [][]string{{"shard", "0/2"}, {"shard", "1/2"}, {"shard", "1", "/2", ""}, nil} {
+		for range 2 {
+			m := New()
+			m.SetBase(base...)
+			m.Stage("point").Inc()
+			var got string
+			m.Do(func() { got = goroutineLabels(t) }, "bic", "alloc", "")
+			want := `{"kernel":"bic", "stage":"alloc"}`
+			switch len(base) {
+			case 2:
+				want = fmt.Sprintf(`{"kernel":"bic", "shard":%q, "stage":"alloc"}`, base[1])
+			case 4:
+				want = `{"/2":"", "kernel":"bic", "shard":"1", "stage":"alloc"}`
+			}
+			if got != want {
+				t.Errorf("base %q: labels %s, want %s", base, got, want)
+			}
+			if n := m.Snapshot().Stages["point"].Count; n != 1 {
+				t.Errorf("base %q: a fresh registry counts %d points, want its own 1", base, n)
+			}
+		}
 	}
 }

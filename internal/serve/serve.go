@@ -4,7 +4,7 @@
 // from memoized analyses and class schedules instead of recomputation.
 //
 //	POST /v1/explore?format=ndjson|table|csv|json   run a dse.SpaceSpec
-//	     &shard=i/n                                 strided slice (ndjson only)
+//	     &shard=i/n                                 shard i of n (ndjson only)
 //	     &points=3,17,42                            explicit points (ndjson only)
 //	GET  /v1/metrics                                live repro-dse-metrics doc
 //	GET  /healthz                                   readiness (503 when draining)
@@ -19,8 +19,10 @@
 // client can reassemble it with `dse merge` (or internal/shard.Merge) into
 // output byte-identical to a local run. The buffered table, csv and json
 // formats return the CLI's exact bytes directly. With shard=i/n the
-// response is the shard-i-of-n slice of the space (the same bytes `dse
-// -shard i/n -out` writes); with points= it is an explicit-point task file
+// response is shard i of the space's n-way partition — every n-th
+// (kernel, allocator, budget) unit from unit i, ⌊g/w⌋ mod n = i with
+// w = |Devices|·|Scheds| (dse.ShardPoint); the same bytes `dse -shard
+// i/n` writes — and with points= it is an explicit-point task file
 // (header carries the owned list) — both ndjson-only, and together they
 // let a fleet driver treat remote servers as executors.
 //
@@ -294,7 +296,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// A slice request — strided shard or explicit point list — streams the
+	// A slice request — a shard or an explicit point list — streams the
 	// portable shard encoding only: the buffered formats render a whole
 	// exploration, and a fleet reassembles slices with the shard tooling.
 	shardArg, pointsArg := q.Get("shard"), q.Get("points")

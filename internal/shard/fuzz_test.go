@@ -31,30 +31,41 @@ const maxFuzzMergePoints = 4096
 //     not a task file (given a spec that resolves to the declared size and
 //     fingerprint), and anything Salvage rejects, Merge rejects.
 //
-// The seeds are a real strided shard, a real task file, a whole-space
-// shard, truncations of each, a reordered file, a foreign-fingerprint
-// file and the 2^40-point header.
+// The seeds are real version 2 shards in units of one and of two points,
+// a version 1 shard as the CLI wrote it before units, a real task file, a
+// whole-space shard, truncations of each, a reordered file, a
+// foreign-fingerprint file, a version 2 header without a device axis and
+// the 2^40-point headers of both versions.
 func FuzzSalvage(f *testing.F) {
 	sp := smallSpace()
-	strided := runShards(f, sp, 2)[1].Bytes()
+	single := runShards(f, sp, 2)[1].Bytes()
+	units := runShards(f, unitSpace(), 3)[1].Bytes()
 	whole := runShards(f, sp, 1)[0].Bytes()
+	v1, err := os.ReadFile("testdata/v1-stock-1-of-3.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
 	var task bytes.Buffer
 	pts := []int{0, 2, 5}
 	if _, err := (dse.Engine{}).ExploreSubsetStream(context.Background(), sp, pts, NewTaskWriter(&task, pts)); err != nil {
 		f.Fatal(err)
 	}
-	for _, data := range [][]byte{strided, whole, task.Bytes()} {
+	for _, data := range [][]byte{single, units, v1, whole, task.Bytes()} {
 		f.Add(data)
 		for n := 0; n < len(data); n += max(1, len(data)/6) {
 			f.Add(data[:n])
 		}
 	}
+	noDevices := dse.Spec(unitSpace())
+	noDevices.Devices = nil
+	f.Add(append([]byte(headerLine(f, formatVersion, noDevices, Plan{Index: 1, Count: 3}, 16, 6)), units[bytes.IndexByte(units, '\n')+1:]...))
 	lines := strings.SplitAfter(string(whole), "\n")
 	lines[1], lines[2] = lines[2], lines[1]
 	f.Add([]byte(strings.Join(lines, "")))
 	fp := dse.Spec(sp).Fingerprint()
 	f.Add(bytes.Replace(whole, []byte(fp), []byte(strings.Repeat("0", len(fp))), 1))
-	f.Add([]byte(hugeHeader(f)))
+	f.Add([]byte(hugeHeader(f, 1)))
+	f.Add([]byte(hugeHeader(f, formatVersion)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Salvage(bytes.NewReader(data))
@@ -88,10 +99,20 @@ func FuzzSalvage(f *testing.F) {
 
 // checkOwnedPrefix checks the kept rows against the header's ownership
 // rule, recomputed here without Salvaged.owned: row k must be the k-th
-// owned point, and a complete file must hold every owned point.
+// point of the shard's units (units of one point on version 1, of the
+// header spec's |Devices|·|Scheds| on version 2), and a complete file
+// must hold every owned point.
 func checkOwnedPrefix(t *testing.T, s *Salvaged) {
 	t.Helper()
 	p := s.Shard
+	unit := 1
+	if s.Version == 2 {
+		unit = len(s.Spec.Devices) * len(s.Spec.Scheds)
+	}
+	units := s.SpacePoints / unit // units holding a point, the last possibly partial
+	if s.SpacePoints%unit != 0 {
+		units++
+	}
 	for k, ln := range s.rows {
 		if ln.Index == nil || (ln.Design == nil) == (ln.Error == "") {
 			t.Fatalf("kept malformed row %d", k)
@@ -103,21 +124,34 @@ func checkOwnedPrefix(t *testing.T, s *Salvaged) {
 			}
 			continue
 		}
-		if g < p.Index || g >= s.SpacePoints || (g-p.Index)%p.Count != 0 || (g-p.Index)/p.Count != k {
-			t.Fatalf("row %d is point %d, not the %d-th point of shard %s over %d points", k, g, k, p, s.SpacePoints)
+		u := g / unit
+		below := 0 // owned units before u
+		if u > p.Index {
+			below = (u-1-p.Index)/p.Count + 1
+		}
+		if g < 0 || g >= s.SpacePoints || u%p.Count != p.Index || below*unit+g%unit != k {
+			t.Fatalf("row %d is point %d, not the %d-th point of shard %s over %d points in units of %d", k, g, k, p, s.SpacePoints, unit)
 		}
 	}
 	if !s.Complete {
 		return
 	}
 	n := len(s.rows)
-	switch {
-	case s.Owned != nil && n != len(s.Owned):
-		t.Fatalf("complete task file kept %d of %d owned rows", n, len(s.Owned))
-	case s.Owned == nil && n == 0 && p.Index < s.SpacePoints:
-		t.Fatalf("complete shard %s of %d points kept no rows", p, s.SpacePoints)
-	case s.Owned == nil && n > 0 && s.SpacePoints-*s.rows[n-1].Index > p.Count:
-		t.Fatalf("complete shard %s of %d points stops at point %d", p, s.SpacePoints, *s.rows[n-1].Index)
+	if s.Owned != nil {
+		if n != len(s.Owned) {
+			t.Fatalf("complete task file kept %d of %d owned rows", n, len(s.Owned))
+		}
+		return
+	}
+	if n == 0 {
+		if p.Index < units {
+			t.Fatalf("complete shard %s of %d points in units of %d kept no rows", p, s.SpacePoints, unit)
+		}
+		return
+	}
+	g := *s.rows[n-1].Index
+	if (g+1)%unit != 0 && g+1 < s.SpacePoints || (g+1)%unit == 0 && p.Count < units-g/unit {
+		t.Fatalf("complete shard %s of %d points in units of %d stops at point %d", p, s.SpacePoints, unit, g)
 	}
 }
 

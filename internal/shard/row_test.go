@@ -26,7 +26,9 @@ type goldenFile struct {
 // without the trailer (which carries timings), in order: the stock
 // space's three shards, a portfolio shard and a shard with error rows.
 // The golden was generated by the CLI while json.Encoder still wrote
-// every row.
+// every row, and generated again when shards moved to whole units and
+// format version 2 (DESIGN.md §21): the headers' version and which rows
+// each stock shard holds changed, no row's bytes did.
 var goldenFiles = []goldenFile{
 	{"", "16,32,64,128", false, Plan{0, 3}},
 	{"", "16,32,64,128", false, Plan{1, 3}},

@@ -79,17 +79,20 @@ func TestSalvageEveryTruncationPoint(t *testing.T) {
 }
 
 // TestSalvageHugeHeaderClaims: a ~300-byte header claiming 2^40 points and
-// rows must cost nothing in proportion to the claim. Salvage returns the
-// (empty) prefix with a stop, and strict Merge rejects the file.
+// rows must cost nothing in proportion to the claim, in either version.
+// Salvage returns the (empty) prefix with a stop, and strict Merge
+// rejects the file.
 func TestSalvageHugeHeaderClaims(t *testing.T) {
-	for _, rest := range []string{"", `{"eof":true,"rows":0}` + "\n"} {
-		data := hugeHeader(t) + rest
-		s := salvageBytes(t, []byte(data))
-		if s.Complete || s.Stop == nil || s.Rows() != 0 {
-			t.Fatalf("huge header salvaged as complete=%v rows=%d stop=%v", s.Complete, s.Rows(), s.Stop)
-		}
-		if _, err := Merge(strings.NewReader(data)); err == nil {
-			t.Fatal("merge accepted a header claiming 2^40 rows")
+	for _, version := range []int{1, formatVersion} {
+		for _, rest := range []string{"", `{"eof":true,"rows":0}` + "\n"} {
+			data := hugeHeader(t, version) + rest
+			s := salvageBytes(t, []byte(data))
+			if s.Complete || s.Stop == nil || s.Rows() != 0 {
+				t.Fatalf("version %d huge header salvaged as complete=%v rows=%d stop=%v", version, s.Complete, s.Rows(), s.Stop)
+			}
+			if _, err := Merge(strings.NewReader(data)); err == nil {
+				t.Fatalf("merge accepted a version %d header claiming 2^40 rows", version)
+			}
 		}
 	}
 }
@@ -119,13 +122,13 @@ func TestMergeRefusesOversizedSpace(t *testing.T) {
 
 // hugeHeader is a shard header of the small space claiming 2^40 points
 // and rows.
-func hugeHeader(t testing.TB) string {
+func hugeHeader(t testing.TB, version int) string {
 	spec, err := json.Marshal(dse.Spec(smallSpace()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf(`{"format":"repro-dse-shard","version":1,"fingerprint":"x","shard":{"index":0,"count":1},"points":%d,"rows":%d,"space":%s}`+"\n",
-		1<<40, 1<<40, spec)
+	return fmt.Sprintf(`{"format":"repro-dse-shard","version":%d,"fingerprint":"x","shard":{"index":0,"count":1},"points":%d,"rows":%d,"space":%s}`+"\n",
+		version, 1<<40, 1<<40, spec)
 }
 
 // TestSalvageCorruptMidFile: flipping a row's JSON into garbage ends the

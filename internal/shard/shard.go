@@ -1,16 +1,22 @@
 // Package shard makes design-space exploration distributable: it
-// partitions a dse.Space across processes by global point index, defines
-// a versioned, self-describing encoding for one shard's results (JSON
+// partitions a dse.Space across processes by whole units, defines a
+// versioned, self-describing encoding for one shard's results (JSON
 // lines: a header carrying the space fingerprint and shard coordinates,
 // one row per point, a trailer marking completeness), and merges shard
 // files back into a ResultSet byte-identical — through every reporter —
 // to a single-process run.
 //
-// The partition is strided: shard i of n owns the points whose global
-// index ≡ i (mod n). Because the point order is row-major with the kernel
-// axis outermost, a stride interleaves across kernels, so every shard
-// sees every kernel (while the shard count allows) and the per-kernel
-// front-end memoization keeps paying off inside each worker process.
+// The partition deals whole units round-robin: shard i of n owns the
+// points g with ⌊g/w⌋ mod n = i, where the unit size w = |Devices|·|Scheds|
+// is read from the header's space spec (dse.ShardPoint). A unit is the
+// consecutive points of one (kernel, allocator, budget) block, which the
+// engine schedules once, so each unit is scheduled by one shard only.
+// Because the point order is row-major with the kernel axis outermost,
+// the units interleave across kernels, so every shard sees every kernel
+// (while the shard count allows) and the per-kernel front-end
+// memoization keeps paying off inside each worker process. Version 1
+// files, written before the partition dealt units, dealt single points
+// (g ≡ i mod n); Salvage reads them as units of one point.
 //
 // Rows carry only the design metrics the reporters and Pareto extraction
 // read — decoded designs have no allocation, storage plan or schedule
@@ -22,11 +28,11 @@
 // encoding/json.
 // One reader decodes every file (Salvage, salvage.go), and one
 // Assembler reassembles them; Merge is the strict front over the two: one
-// fingerprint across files, every shard present exactly once and
-// complete, every row owned by the shard that wrote it. UniqueSims is
-// summed across shards (each process runs its own simulation cache, so
-// the sum can exceed a single process's count — plans deduplicated
-// globally may be simulated once per shard).
+// fingerprint and one encoding version across files, every shard present
+// exactly once and complete, every row owned by the shard that wrote it.
+// UniqueSims is summed across shards (each process runs its own
+// simulation cache, so the sum can exceed a single process's count —
+// plans deduplicated globally may be simulated once per shard).
 //
 // Static invariants enforced by reprovet (DESIGN.md §10):
 //
@@ -50,8 +56,8 @@ import (
 	"repro/internal/simcache"
 )
 
-// Plan names one shard of an n-way partition: the design points whose
-// global index ≡ Index (mod Count).
+// Plan names one shard of an n-way partition: the design points of every
+// Count-th unit, starting at unit Index.
 type Plan struct {
 	Index int `json:"index"`
 	Count int `json:"count"`
@@ -86,20 +92,22 @@ func (p Plan) Validate() error {
 // String renders the CLI syntax "i/n".
 func (p Plan) String() string { return fmt.Sprintf("%d/%d", p.Index, p.Count) }
 
-// Owns reports whether this shard evaluates global point index i.
-func (p Plan) Owns(i int) bool { return i >= 0 && i%p.Count == p.Index }
+// Owns reports whether this shard evaluates global point g of a space
+// whose units span unit points: ⌊g/unit⌋ mod Count = Index.
+func (p Plan) Owns(g, unit int) bool { return g >= 0 && unit > 0 && g/unit%p.Count == p.Index }
 
-// Size returns how many of total points this shard owns.
-func (p Plan) Size(total int) int {
-	if total <= p.Index {
-		return 0
-	}
-	return (total - p.Index + p.Count - 1) / p.Count
-}
+// Size returns how many of total points, in units of unit points, this
+// shard owns.
+func (p Plan) Size(total, unit int) int { return dse.ShardSize(p.Index, p.Count, total, unit) }
 
+// formatVersion is the encoding version Writer writes. Version 2 files
+// are partitioned by units; version 1 files, which Salvage still reads,
+// by single points. A shard file's rows depend on its version, so an
+// older reader refuses a version 2 file instead of rejecting its rows as
+// foreign.
 const (
 	formatName    = "repro-dse-shard"
-	formatVersion = 1
+	formatVersion = 2
 )
 
 // header is the first line of a shard file: enough to validate a merge
@@ -113,7 +121,7 @@ type header struct {
 	Points      int           `json:"points"` // global space size
 	Rows        int           `json:"rows"`   // points this shard owns
 	Space       dse.SpaceSpec `json:"space"`
-	// Owned, when present, replaces the strided ownership rule with an
+	// Owned, when present, replaces the unit ownership rule with an
 	// explicit global-index list: the file is a fleet task file carrying a
 	// residual point-set (salvage.go), not one shard of a uniform
 	// partition. Absent on ordinary shard files, so their encoding — and
@@ -150,7 +158,7 @@ type Writer struct {
 	enc   *json.Encoder // header and trailer
 	buf   []byte        // one row's encoding, reused (row.go)
 	plan  Plan
-	owned []int // explicit task ownership; nil for strided shards
+	owned []int // explicit task ownership; nil for shard files
 	rows  int
 }
 
@@ -162,7 +170,7 @@ func NewWriter(w io.Writer, p Plan) *Writer {
 
 // NewTaskWriter returns a Writer for a fleet task file: the same row and
 // trailer encoding as a shard file, but the header carries the explicit
-// owned point-index list instead of a strided partition rule. Task files
+// owned point-index list instead of a partition rule. Task files
 // are produced by `dse -points` and the serve ?points= form, salvaged
 // like shard files, and reassembled by the fleet Assembler; strict Merge
 // rejects them.
@@ -247,9 +255,10 @@ func Run(e dse.Engine, sp dse.Space, p Plan, w io.Writer) (dse.StreamStats, erro
 // strict front over Salvage and the Assembler. Every file must be complete
 // (a truncated, torn or foreign file fails with Salvaged.Stop), none may
 // be a fleet task file, and together they must be exactly the n shards of
-// one n-way partition of one space fingerprint. The returned set reports
-// identically — byte for byte, Pareto frontiers recomputed on the merged
-// results — to a single-process Explore of the same space.
+// one n-way partition, in one encoding version, of one space fingerprint.
+// The returned set reports identically — byte for byte, Pareto frontiers
+// recomputed on the merged results — to a single-process Explore of the
+// same space.
 func Merge(readers ...io.Reader) (*dse.ResultSet, error) {
 	return merge(readers, nil)
 }
@@ -290,6 +299,12 @@ func merge(readers []io.Reader, names []string) (*dse.ResultSet, error) {
 		if f.Shard.Count != first.Shard.Count || f.SpacePoints != first.SpacePoints {
 			return nil, fmt.Errorf("shard: %s: partition mismatch: shard %s of %d points vs shard %s of %d points",
 				name(i), f.Shard, f.SpacePoints, first.Shard, first.SpacePoints)
+		}
+		if f.Version != first.Version {
+			// Version 1 deals points and version 2 units: shards of one
+			// count own different points.
+			return nil, fmt.Errorf("shard: %s: partition mismatch: shard %s of version %d vs shard %s of version %d",
+				name(i), f.Shard, f.Version, first.Shard, first.Version)
 		}
 		if seen[f.Shard.Index] {
 			return nil, fmt.Errorf("shard: duplicate shard %s", f.Shard)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dse"
+	"repro/internal/fpga"
 	"repro/internal/kernels"
 )
 
@@ -36,23 +37,28 @@ func TestParsePlan(t *testing.T) {
 
 func TestPlanOwnsAndSize(t *testing.T) {
 	for _, total := range []int{0, 1, 7, 16, 192} {
-		for _, count := range []int{1, 2, 3, 5, 8} {
-			covered := 0
-			for i := 0; i < count; i++ {
-				p := Plan{Index: i, Count: count}
-				owned := 0
-				for g := 0; g < total; g++ {
-					if p.Owns(g) {
-						owned++
+		for _, unit := range []int{1, 2, 3, 12} {
+			for _, count := range []int{1, 2, 3, 5, 8} {
+				covered := 0
+				for i := 0; i < count; i++ {
+					p := Plan{Index: i, Count: count}
+					owned := 0
+					for g := 0; g < total; g++ {
+						if p.Owns(g, unit) {
+							if dse.ShardPoint(owned, i, count, total, unit) != g {
+								t.Errorf("Plan %s over %d points in units of %d owns %d, not its owned point %d", p, total, unit, g, owned)
+							}
+							owned++
+						}
 					}
+					if owned != p.Size(total, unit) {
+						t.Errorf("Plan %s over %d points in units of %d: owns %d, Size says %d", p, total, unit, owned, p.Size(total, unit))
+					}
+					covered += owned
 				}
-				if owned != p.Size(total) {
-					t.Errorf("Plan %s over %d points: owns %d, Size says %d", p, total, owned, p.Size(total))
+				if covered != total {
+					t.Errorf("%d shards over %d points in units of %d cover %d", count, total, unit, covered)
 				}
-				covered += owned
-			}
-			if covered != total {
-				t.Errorf("%d shards over %d points cover %d", count, total, covered)
 			}
 		}
 	}
@@ -60,11 +66,15 @@ func TestPlanOwnsAndSize(t *testing.T) {
 
 // smallSpace is a fast space with error rows (budget 3 is infeasible for
 // figure1's five references) so the encoding's error path is exercised.
+// Its axes are all given, so dse.Spec of it is the spec its shard files
+// carry; one device and one sched variant make its units single points.
 func smallSpace() dse.Space {
 	return dse.Space{
 		Kernels:    []kernels.Kernel{kernels.Figure1(), kernels.FIR()},
 		Allocators: []core.Allocator{core.FRRA{}, core.CPARA{}},
 		Budgets:    []int{3, 64},
+		Devices:    []fpga.Device{fpga.XCV1000()},
+		Scheds:     []dse.SchedVariant{dse.DefaultSchedVariant()},
 	}
 }
 
@@ -317,7 +327,7 @@ func TestWriterIsStreamReporter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := (Plan{Index: 1, Count: 2}).Size(8)
+	wantRows := (Plan{Index: 1, Count: 2}).Size(8, 1)
 	if st.Points != wantRows {
 		t.Errorf("stream reported %d points, want %d", st.Points, wantRows)
 	}
@@ -331,7 +341,7 @@ func TestWriterIsStreamReporter(t *testing.T) {
 			f.Complete, f.SpacePoints, f.Rows(), wantRows, f.Stop)
 	}
 	for _, ln := range f.rows {
-		if !f.Shard.Owns(*ln.Index) {
+		if !f.Shard.Owns(*ln.Index, 1) {
 			t.Errorf("row for point %d not owned by shard %s", *ln.Index, f.Shard)
 		}
 	}
