@@ -233,6 +233,72 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
+// BenchmarkClassLen measures the two per-class costs the class store
+// rests on (DESIGN.md §22). compute list-schedules every class of the
+// Table-1 kernels' CPA-RA plans, full and memory-level, as a store miss
+// does, and reports one class's share as ns/class; hit is one warm lookup
+// in a memory store, under a key as long as the one the simulator renders
+// for FIR's densest class.
+func BenchmarkClassLen(b *testing.B) {
+	type class struct {
+		g   *dfg.Graph
+		hit []bool
+	}
+	var classes []class
+	var key string
+	cfg := sched.DefaultConfig()
+	for _, k := range kernels.All() {
+		prob, plan := cpaPlan(b, k)
+		inner := k.Nest.Loops[k.Nest.Depth()-1]
+		seen := map[string]bool{}
+		for v := inner.Lo; v < inner.Hi; v += inner.Step {
+			hit := make([]bool, len(plan.Order()))
+			sig, hitKeys := make([]byte, len(hit)), ""
+			for i, e := range plan.Order() {
+				hit[i], sig[i] = e.HitInner(v), '0'
+				if hit[i] {
+					sig[i] = '1'
+					hitKeys += e.Info.Key() + ","
+				}
+			}
+			if !seen[string(sig)] {
+				seen[string(sig)] = true
+				classes = append(classes, class{prob.Graph, hit})
+			}
+			if k.Name == "fir" && len(hitKeys) > len(key) {
+				key = fmt.Sprintf("%s|%s|P%d|%s", prob.Graph.Fingerprint(), cfg.Lat.Fingerprint(), cfg.PortsPerRAM, hitKeys)
+			}
+		}
+	}
+	b.Run("compute", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, c := range classes {
+				for _, zeroOps := range []bool{false, true} {
+					if _, err := sched.ScheduleClass(c.g, c.hit, cfg, zeroOps); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(classes)), "ns/class")
+		b.ReportMetric(float64(len(classes)), "classes")
+	})
+	b.Run("hit", func(b *testing.B) {
+		store := simcache.New()
+		compute := func() (simcache.ClassLen, error) { return simcache.ClassLen{Iter: 4, Mem: 2}, nil }
+		if _, err := store.ClassLen(key, compute); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := store.ClassLen(key, compute); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkTransfers measures sched.Transfers, the transfer replay run on
 // demand, on every Table-1 kernel under its CPA-RA plan. With the
 // per-subtree steady-state extrapolation the cost tracks the collapsed

@@ -12,9 +12,9 @@ import (
 
 // runFaultProxy is the `dse faultproxy` entry point: a seeded
 // fault-injecting HTTP pass-through (internal/fleet/faultinject) for
-// chaos-testing fleets across real processes — stand it between workers
-// and a `dse cached`/`dse serve` upstream and dial in sheds, errors,
-// latency and mid-stream cuts.
+// chaos-testing fleets across real processes — stand it between the fleet
+// driver and a `dse serve` upstream and dial in sheds, errors, latency and
+// mid-stream cuts.
 func runFaultProxy(args []string) error {
 	fs := flag.NewFlagSet("dse faultproxy", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8090", "listen address")

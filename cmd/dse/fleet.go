@@ -31,8 +31,6 @@ func runFleet(args []string) error {
 	local := fs.Int("local", 0, "local dse subprocess executors (default: 2 when no -remote is given)")
 	remotes := fs.String("remote", "", "comma-separated base URLs of `dse serve` endpoints to enlist")
 	bin := fs.String("bin", "", "dse binary for local executors (default: this executable)")
-	cacheDir := fs.String("simcache-dir", "", "shared simulation store directory passed to local executors")
-	cacheURL := fs.String("simcache-url", "", "blob server URL passed to local executors")
 	tasks := fs.Int("tasks", 0, "initial task partition count (0 = one per executor)")
 	maxAttempts := fs.Int("max-attempts", 0, "consecutive zero-progress attempts before a task fails the run (0 = 3)")
 	budget := fs.Int("attempt-budget", 0, "total dispatches across the run (0 = tasks + 8 per executor)")
@@ -67,16 +65,9 @@ func runFleet(args []string) error {
 	if nLocal == 0 && *remotes == "" {
 		nLocal = 2
 	}
-	var workerArgs []string
-	if *cacheDir != "" {
-		workerArgs = append(workerArgs, "-simcache-dir", *cacheDir)
-	}
-	if *cacheURL != "" {
-		workerArgs = append(workerArgs, "-simcache-url", *cacheURL)
-	}
 	var execs []fleet.Executor
 	for i := 0; i < nLocal; i++ {
-		execs = append(execs, &fleet.ProcExecutor{Label: fmt.Sprintf("local%d", i), Bin: *bin, Args: workerArgs})
+		execs = append(execs, &fleet.ProcExecutor{Label: fmt.Sprintf("local%d", i), Bin: *bin})
 	}
 	ri := 0
 	for _, u := range strings.Split(*remotes, ",") {

@@ -6,12 +6,12 @@
 // per-kernel Pareto frontiers. Output is byte-identical whatever the
 // worker count.
 //
-// Simulation work is deduplicated at three levels: identical plans share
-// one simulation (the plan cache), distinct plans share per-class
-// schedules (the simulation store, see internal/simcache), and with
-// -simcache-dir the store persists to disk, so independent shard processes
-// share it too. Front-end analyses are computed once per kernel in every
-// process and never stored. -portfolio
+// Simulation work is deduplicated at two levels within a process:
+// identical plans share one simulation (the plan cache), and distinct
+// plans share per-class schedules (the in-memory simulation store, see
+// internal/simcache). Nothing is stored across processes: a class schedule
+// and a front-end analysis are cheaper to compute than to read back, so
+// every process computes the ones it needs. -portfolio
 // collapses the allocator axis: each point runs every allocator and keeps
 // the best design by (time, slices, registers).
 //
@@ -25,10 +25,7 @@
 // identical with or without any of these.
 //
 // `dse serve` runs exploration as a long-running HTTP service over one
-// warm shared simcache (internal/serve); `dse cached` serves only the
-// content-addressed blob store, so sweeps on other hosts (-simcache-url)
-// and other `dse serve` instances dedup simulation work without a shared
-// filesystem.
+// warm shared simcache (internal/serve).
 //
 // Usage:
 //
@@ -42,20 +39,18 @@
 //	dse -metrics-addr 127.0.0.1:9090 &                # ...or scrape it live
 //	dse -cpuprofile cpu.pprof                         # then: go tool pprof -tags
 //
-//	dse -shard 0/3 -simcache-dir /tmp/sc > s0.jsonl   # one shard per process/host...
-//	dse -shard 1/3 -simcache-dir /tmp/sc > s1.jsonl   # ...sharing simulation work
-//	dse -shard 2/3 -simcache-dir /tmp/sc > s2.jsonl
+//	dse -shard 0/3 > s0.jsonl                         # one shard per process/host...
+//	dse -shard 1/3 > s1.jsonl
+//	dse -shard 2/3 > s2.jsonl
 //	dse merge -format csv s0.jsonl s1.jsonl s2.jsonl  # ...merged back, metrics summed
 //
-//	dse serve -addr :8080 &                           # estimation service...
+//	dse serve -addr :8080 &                           # estimation service
 //	curl -d @spec.json 'localhost:8080/v1/explore?format=csv'
-//	dse cached -addr :8081 -simcache-dir /var/sc &    # ...or just the blob store
-//	dse -simcache-url http://cachehost:8081           # sweep against it
 //
 //	dse -space spec.json -points 3,17,40 > t.jsonl    # explicit points, task encoding
 //	dse fleet -local 3 -dir /tmp/sweep                # fault-tolerant multi-executor sweep
 //	dse fleet -remote http://a:8080,http://b:8080     # ...across serve endpoints
-//	dse faultproxy -target http://localhost:8081 -shed-rate 0.2 -cut-rate 0.1
+//	dse faultproxy -target http://localhost:8080 -shed-rate 0.2 -cut-rate 0.1
 package main
 
 import (
@@ -84,7 +79,6 @@ func main() {
 		if sub, ok := map[string]func([]string) error{
 			"merge":      runMerge,
 			"serve":      runServe,
-			"cached":     runCached,
 			"fleet":      runFleet,
 			"faultproxy": runFaultProxy,
 		}[os.Args[1]]; ok {
@@ -104,8 +98,6 @@ func main() {
 	flag.BoolVar(&cfg.nocache, "nocache", false, "disable the cross-point simulation cache (diagnostic; output is byte-identical either way)")
 	flag.BoolVar(&cfg.portfolio, "portfolio", false, "run every allocator per point and keep the best design by (time, slices, registers)")
 	flag.BoolVar(&cfg.pfAll, "portfolio-all", false, "with -portfolio (implied), additionally report every member allocator's metrics per point (CSV role column, JSON portfolio array, indented table rows)")
-	flag.StringVar(&cfg.cacheDir, "simcache-dir", "", "back the simulation store with files in this directory (shared across shard processes)")
-	flag.StringVar(&cfg.cacheURL, "simcache-url", "", "share the simulation store with a blob server at this base URL (`dse cached` or `dse serve`); combines with -simcache-dir as a local tier")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the stderr stats summary")
 	flag.StringVar(&cfg.metricsPath, "metrics", "", "write the per-stage metrics snapshot as JSON to this file")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve the live metrics snapshot as JSON over HTTP on this address (GET /metrics)")
@@ -149,16 +141,16 @@ func main() {
 
 // cliConfig is the parsed command line.
 type cliConfig struct {
-	space                                 *spaceFlags
-	workers                               int
-	format, shardSpec, cacheDir, cacheURL string
-	pointsSpec                            string
-	formatSet, strict, nocache            bool
-	portfolio, pfAll, quiet               bool
-	metricsPath, metricsAddr              string
-	linger                                time.Duration
-	tracePath, execTracePath              string
-	traceCap                              int
+	space                      *spaceFlags
+	workers                    int
+	format, shardSpec          string
+	pointsSpec                 string
+	formatSet, strict, nocache bool
+	portfolio, pfAll, quiet    bool
+	metricsPath, metricsAddr   string
+	linger                     time.Duration
+	tracePath, execTracePath   string
+	traceCap                   int
 }
 
 // spaceFlags are the space description `dse` and `dse fleet` share: the
@@ -216,15 +208,6 @@ func (f *spaceFlags) resolve(also ...string) (dse.Space, *dse.SpaceSpec, error) 
 	return sp, &spec, err
 }
 
-// buildCache constructs the simulation store for a hand-wired engine cache:
-// directory-backed when dir is non-empty, memory-only otherwise.
-func buildCache(dir string) (*simcache.Cache, error) {
-	if dir != "" {
-		return simcache.NewDir(dir)
-	}
-	return simcache.New(), nil
-}
-
 func writeHeapProfile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -260,20 +243,8 @@ func run(cfg cliConfig) error {
 		tracer = obs.NewTracer(cfg.traceCap)
 	}
 	engine := dse.Engine{
-		Workers: cfg.workers, NoSimCache: cfg.nocache, SimCacheDir: cfg.cacheDir,
+		Workers: cfg.workers, NoSimCache: cfg.nocache,
 		Obs: metrics, Trace: tracer,
-	}
-	if cfg.cacheURL != "" && !cfg.nocache {
-		// A remote blob tier needs a hand-built store: layered
-		// memory → disk (when -simcache-dir is also given) → remote, wired
-		// to this run's metrics, handed to the engine pre-built.
-		store, err := buildCache(cfg.cacheDir)
-		if err != nil {
-			return err
-		}
-		store.SetRemote(simcache.NewRemote(cfg.cacheURL))
-		store.SetObs(metrics)
-		engine.SimCache = store
 	}
 
 	if cfg.execTracePath != "" {
@@ -416,8 +387,7 @@ func simsNote(st dse.StreamStats, nocache bool) string {
 }
 
 // cacheNote renders the per-stage hit counters (front-end analyses, entry
-// fragments, class schedules, whole plans) as hits[+diskHits]/misses per
-// stage.
+// fragments, class schedules, whole plans) as hits/misses per stage.
 func cacheNote(s simcache.Snapshot) string {
 	if s.Zero() {
 		return ""

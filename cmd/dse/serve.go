@@ -23,8 +23,6 @@ import (
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("dse serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	cacheDir := fs.String("simcache-dir", "", "backing directory of the shared simulation store (default: a fresh temp directory; also served at /v1/blob/)")
-	cacheURL := fs.String("simcache-url", "", "upstream blob server to layer behind memory and disk")
 	workers := fs.Int("workers", 0, "per-request worker pool size (0 = GOMAXPROCS)")
 	window := fs.Int("window", 0, "per-request order-restoring window in points (0 = engine default; raised to the largest unit, |devices|·|sched variants|)")
 	maxInflight := fs.Int("max-inflight", 2, "maximum concurrently running sweeps")
@@ -32,7 +30,7 @@ func runServe(args []string) error {
 	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-request deadline, queue wait included (0 = none)")
 	quiet := fs.Bool("quiet", false, "suppress stderr request and lifecycle lines")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dse serve [-addr host:port] [-simcache-dir d] [-simcache-url u] [-workers n] [-max-inflight n] [-max-queue n] [-request-timeout d] [-quiet]")
+		fmt.Fprintln(os.Stderr, "usage: dse serve [-addr host:port] [-workers n] [-max-inflight n] [-max-queue n] [-request-timeout d] [-quiet]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -42,24 +40,9 @@ func runServe(args []string) error {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
-	dir := *cacheDir
-	if dir == "" {
-		// The blob endpoint and restart warm-up both want a directory; a
-		// temp one gives every default server the full protocol surface.
-		var err error
-		if dir, err = os.MkdirTemp("", "dse-simcache-"); err != nil {
-			return err
-		}
-	}
-	cache, err := simcache.NewDir(dir)
-	if err != nil {
-		return err
-	}
+	cache := simcache.New()
 	metrics := obs.New()
 	cache.SetObs(metrics)
-	if *cacheURL != "" {
-		cache.SetRemote(simcache.NewRemote(*cacheURL))
-	}
 	var logw io.Writer
 	if !*quiet {
 		logw = os.Stderr
@@ -77,7 +60,7 @@ func runServe(args []string) error {
 		return err
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "dse serve: listening on http://%s (simcache dir %s)\n", ln.Addr(), dir)
+		fmt.Fprintf(os.Stderr, "dse serve: listening on http://%s\n", ln.Addr())
 	}
 	return serveUntilSignal(ln, srv.Handler(), func() {
 		srv.SetDraining(true)

@@ -14,8 +14,9 @@ import (
 )
 
 // fingerprintFmt is the fmt rendering Graph.Fingerprint replaced. Its
-// bytes feed the SHA-256 that names class-schedule cache entries and disk
-// blobs, so the strconv rendering must reproduce them exactly.
+// bytes key class-schedule cache entries (and, before DESIGN.md §22,
+// named their disk files), so the strconv rendering must reproduce them
+// exactly.
 func fingerprintFmt(g *Graph) string {
 	var b strings.Builder
 	for i, n := range g.Nodes {

@@ -1,6 +1,15 @@
 package dse
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -53,4 +62,118 @@ func TestSimCachePanicDoesNotPoisonEntry(t *testing.T) {
 	if c.size() != 1 {
 		t.Errorf("cache holds %d entries, want the single poisoned-key entry", c.size())
 	}
+}
+
+// TestEngineSimCachePrecedence: a provided SimCache wins over SimCacheDir,
+// whose directory is then never created, and it and a provided analysis
+// memo accumulate across explorations — the long-running-service
+// contract.
+func TestEngineSimCachePrecedence(t *testing.T) {
+	shared := simcache.New()
+	dir := filepath.Join(t.TempDir(), "never-created")
+	e := Engine{Workers: 2, SimCache: shared, Analyses: NewAnalysisCache(), SimCacheDir: dir}
+	sp := smallSpace()
+	mustExplore(t, e, sp)
+	first := shared.Snapshot()
+	if first.ClassMisses == 0 {
+		t.Fatalf("shared cache saw no lookups: %+v", first)
+	}
+	mustExplore(t, e, sp)
+	second := shared.Snapshot().Sub(first)
+	if second.ClassMisses != 0 || second.AnalysisMisses != 0 {
+		t.Errorf("second exploration recomputed through the shared cache: %+v", second)
+	}
+	if second.ClassHits == 0 {
+		t.Errorf("second exploration did not reuse the shared cache: %+v", second)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("SimCacheDir was created beside a provided SimCache: %v", err)
+	}
+}
+
+// TestPoisonedClassFileIgnored: a class file that an older build left in
+// a shared directory is never read. Every class of FIR's CPA-RA plan at
+// budget 16 is planted at the name older builds gave its key (c + the
+// SHA-256 of the key sched.Simulator renders) with a wrong, well-formed
+// value; shard 0 of 2 of the stock space, which owns that unit, still
+// renders the in-memory run's bytes over the directory, and reports no
+// class disk hit.
+func TestPoisonedClassFileIgnored(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultSchedVariant().Config
+	keys := classKeys(t, kernels.FIR(), core.CPARA{}, 16, cfg)
+	for _, key := range keys {
+		name := filepath.Join(dir, fmt.Sprintf("c%x", sha256.Sum256([]byte(key))))
+		if err := os.WriteFile(name, []byte("1 1 1\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render := func(e Engine) (string, *ResultSet) {
+		t.Helper()
+		rs, err := e.ExploreShard(DefaultSpace(), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := (CSVReporter{Pareto: true}).Report(&buf, rs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), rs
+	}
+	want, _ := render(Engine{Workers: 1})
+	got, rs := render(Engine{Workers: 1, SimCacheDir: dir})
+	if got != want {
+		t.Error("planted class files changed the shard's bytes")
+	}
+	if rs.Cache.ClassDiskHits != 0 || rs.Cache.ClassMisses == 0 {
+		t.Errorf("stats %+v, want class misses and no class disk hit", rs.Cache)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != len(keys) {
+		t.Errorf("directory holds %d files, want the %d planted", len(ents), len(keys))
+	}
+}
+
+// classKeys renders the class-store key of every class of kernel k's plan
+// under alg at budget, as sched.Simulator forms them: the body DFG
+// fingerprint, the latency model's fingerprint and the RAM port count,
+// then the keys of the class's register-resident references in plan
+// order. A class is the hit pattern of one innermost loop position.
+func classKeys(t *testing.T, k kernels.Kernel, alg core.Allocator, budget int, cfg sched.Config) []string {
+	t.Helper()
+	an, err := hls.Analyze(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := core.NewProblemFrom(k.Nest, an.Infos, an.Graph, budget, cfg.Lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := alg.Allocate(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := scalarrepl.NewPlan(k.Nest, prob.Infos, alloc.Beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := an.Graph.Fingerprint() + "|" + cfg.Lat.Fingerprint() + "|P" + strconv.Itoa(cfg.PortsPerRAM) + "|"
+	inner := k.Nest.Loops[k.Nest.Depth()-1]
+	var keys []string
+	for v := inner.Lo; v < inner.Hi; v += inner.Step {
+		var b strings.Builder
+		for _, e := range plan.Order() {
+			if e.HitInner(v) {
+				b.WriteString(e.Info.Key())
+				b.WriteByte(',')
+			}
+		}
+		if key := prefix + b.String(); !slices.Contains(keys, key) {
+			keys = append(keys, key)
+		}
+	}
+	return keys
 }

@@ -129,18 +129,18 @@ type Engine struct {
 	// results are byte-identical either way, the cache only removes
 	// redundant work).
 	NoSimCache bool
-	// SimCacheDir, when non-empty (and the cache is enabled), backs the
-	// simulation store's class schedules with one small file per key in
-	// the given directory, so independent worker processes — the shards of
-	// one sweep — share simulation work through the filesystem
-	// (cross-shard dedup). Analyses are not stored: every process computes
-	// its own. The directory is created if absent.
+	// SimCacheDir, when non-empty (and the cache is enabled), builds the
+	// exploration's store with simcache.NewDir over the given directory
+	// (created if absent). No sweep reads or writes it: class schedules
+	// live in memory, since computing one is cheaper than reading it back
+	// (DESIGN.md §22), and analyses are never stored. The field remains
+	// for the benchmark's shard-disk workload and goes when it stops
+	// setting it (ROADMAP item 1).
 	SimCacheDir string
 	// SimCache, when non-nil, is a pre-built simulation store
 	// the exploration uses instead of constructing its own (SimCacheDir is
 	// then ignored). This is how a long-running process keeps one warm
-	// store across many explorations, and how a sweep attaches the remote
-	// blob tier (simcache.SetRemote). The engine treats a provided cache as
+	// store across many explorations. The engine treats a provided cache as
 	// externally owned: it never calls SetObs on it — wire observability
 	// once, at construction, before concurrent use.
 	SimCache *simcache.Cache
@@ -222,8 +222,9 @@ func (e Engine) ExploreShard(sp Space, shardIndex, shardCount int) (*ResultSet, 
 }
 
 // simStore builds the simulation store one exploration's front-end and
-// simulator share across all its kernels and plans: file-backed when
-// SimCacheDir is set, in-memory otherwise.
+// simulator share across all its kernels and plans: a NewDir store over
+// SimCacheDir when it is set (a sweep reads none of its files), a memory
+// store otherwise.
 func (e Engine) simStore() (*simcache.Cache, error) {
 	if e.SimCacheDir != "" {
 		return simcache.NewDir(e.SimCacheDir)

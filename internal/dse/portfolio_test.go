@@ -168,11 +168,11 @@ func TestPortfolioSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSimCacheDirSharedAcrossRuns: a second engine over the same backing
-// directory must recover class schedules from disk (the cross-shard dedup
-// mechanism) and produce byte-identical output. Analyses are not stored:
-// the warm run computes each one again, and the directory holds class
-// blobs only.
+// TestSimCacheDirSharedAcrossRuns: two engines over one SimCacheDir
+// render the in-memory run's bytes, and share nothing through it: class
+// schedules live in memory (DESIGN.md §22) and analyses are never stored,
+// so the second run computes what the first did and the directory stays
+// empty.
 func TestSimCacheDirSharedAcrossRuns(t *testing.T) {
 	sp := smallSpace()
 	dir := t.TempDir()
@@ -190,26 +190,21 @@ func TestSimCacheDirSharedAcrossRuns(t *testing.T) {
 	}
 	second, st2 := render(Engine{SimCacheDir: dir})
 	if second != first {
-		t.Error("file-backed cache changed the output bytes")
+		t.Error("a second run over the directory changed the output bytes")
 	}
-	if n := int64(len(sp.Kernels)); st1.Cache.AnalysisMisses != n || st2.Cache.AnalysisMisses != n || st2.Cache.AnalysisDiskHits != 0 {
-		t.Errorf("each run should analyze its %d kernels and read no analysis from disk: cold %+v, warm %+v", n, st1.Cache, st2.Cache)
-	}
-	if st2.Cache.ClassMisses != 0 || st2.Cache.ClassDiskHits == 0 {
-		t.Errorf("warm run should serve class schedules from disk: %+v", st2.Cache)
+	if st2.Cache != st1.Cache || st2.Cache.ClassDiskHits != 0 || st2.Cache.AnalysisDiskHits != 0 {
+		t.Errorf("the second run should count what the first did, with no disk hit: first %+v, second %+v", st1.Cache, st2.Cache)
 	}
 	memory, _ := render(Engine{})
 	if memory != first {
-		t.Error("file-backed output differs from in-memory output")
+		t.Error("output over SimCacheDir differs from in-memory output")
 	}
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		if !strings.HasPrefix(f.Name(), "c") {
-			t.Errorf("directory holds %s, want class blobs only", f.Name())
-		}
+		t.Errorf("directory holds %s, want nothing", f.Name())
 	}
 }
 

@@ -38,8 +38,8 @@ type StreamStats struct {
 	UniqueSims int
 	// Cache holds the per-stage cache counters of the run — analyses,
 	// class schedules and whole-plan simulations (zero when the
-	// simulation cache was disabled). Disk-hit counters are only non-zero
-	// for file-backed runs (Engine.SimCacheDir).
+	// simulation cache was disabled). Its disk and remote counters read 0:
+	// a sweep reads no file and no network store.
 	Cache simcache.Snapshot
 	// MaxWindow is the peak number of completed-but-unemitted results the
 	// order-restoring window held — bounded by the window Engine.Window

@@ -63,17 +63,14 @@ func (e *EngineExecutor) Run(ctx context.Context, spec dse.SpaceSpec, points []i
 // ProcExecutor runs points in a `dse` subprocess (`dse -space spec.json
 // -points ...`), the local multi-process fleet shape: a worker crash or
 // kill -9 takes down only its own attempt, and the stdout stream that
-// reached the driver before death salvages as usual.
+// reached the driver before death salvages as usual. Each worker process
+// computes the analyses and class schedules its points need: both are
+// cheaper to compute than to fetch.
 type ProcExecutor struct {
 	Label string
 	// Bin is the dse binary ("" = this process's own executable, which is
 	// the dse binary when the driver runs inside `dse fleet`).
 	Bin string
-	// Args are extra CLI arguments appended to every attempt (e.g.
-	// -simcache-dir or -simcache-url, so workers share class schedules).
-	// Each worker process analyzes the kernels it owns itself: analyses
-	// are cheaper to compute than to fetch.
-	Args []string
 }
 
 // Name identifies the executor in logs and steal accounting.
@@ -108,7 +105,7 @@ func (p *ProcExecutor) Run(ctx context.Context, spec dse.SpaceSpec, points []int
 	if err := f.Close(); err != nil {
 		return err
 	}
-	args := append([]string{"-space", f.Name(), "-points", FormatPoints(points), "-quiet"}, p.Args...)
+	args := []string{"-space", f.Name(), "-points", FormatPoints(points), "-quiet"}
 	cmd := exec.CommandContext(ctx, bin, args...)
 	cmd.Stdout = w
 	var stderr bytes.Buffer

@@ -12,10 +12,10 @@
 // properties, not exact schedules.)
 //
 // The injectors compose with the real code rather than mocking it: a
-// Transport wraps any http.RoundTripper (a simcache Remote's client, an
-// HTTPExecutor's client), KillAfterRows wraps any fleet.Executor, Proxy
-// stands between real processes in the CI chaos smoke, and TruncateFile
-// corrupts real checkpoint files.
+// Transport wraps any http.RoundTripper (an HTTPExecutor's client),
+// KillAfterRows wraps any fleet.Executor, Proxy stands between real
+// processes in the CI chaos smoke, and TruncateFile corrupts real
+// checkpoint files.
 package faultinject
 
 import (
@@ -71,7 +71,7 @@ func (s *Schedule) Intn(n int) int {
 // Transport injects faults in front of any http.RoundTripper: synthetic
 // 503 sheds (with a Retry-After hint), network errors, added latency,
 // and mid-body cuts that truncate the response stream partway — the
-// flaky-remote-simcache and dying-serve-endpoint failure modes.
+// shedding, flaky and dying serve-endpoint failure modes.
 type Transport struct {
 	// Base performs real round trips (nil = http.DefaultTransport).
 	Base http.RoundTripper
@@ -261,7 +261,7 @@ func TruncateFile(path string, frac float64) error {
 // truncated copy then violates, which the client observes as an
 // unexpected EOF.
 type Proxy struct {
-	// Target is the upstream base URL (e.g. the real `dse cached`).
+	// Target is the upstream base URL (e.g. a real `dse serve`).
 	Target string
 	// T decides and performs the faults; its Base issues the upstream
 	// requests.

@@ -12,11 +12,9 @@
 //     gap) and cancels attempts that fall off the distribution;
 //   - truncated or foreign checkpoint files: resume salvages valid
 //     prefixes and skips pieces of other explorations (shard.ErrForeign);
-//   - shedding or dead serve endpoints: 503s are retried inside the
-//     attempt honoring Retry-After, dead endpoints fail attempts and
-//     eventually retire the executor;
-//   - flaky remote simcache: the cache tier already degrades to local
-//     recomputation, so the fleet needs no special handling.
+//   - shedding, erroring or dead serve endpoints: 503s are retried
+//     inside the attempt honoring Retry-After, other failures fail the
+//     attempt, and an endpoint that keeps failing retires.
 //
 // Tasks hold whole (kernel, allocator, budget) units, dealt round-robin
 // as shard plans deal them (split), so no unit is scheduled by two

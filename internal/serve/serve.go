@@ -8,8 +8,6 @@
 //	     &points=3,17,42                            explicit points (ndjson only)
 //	GET  /v1/metrics                                live repro-dse-metrics doc
 //	GET  /healthz                                   readiness (503 when draining)
-//	GET/PUT /v1/blob/<kind>/<key>                   simcache blob protocol
-//	                                                (directory-backed caches)
 //
 // The explore body is a dse.SpaceSpec (the same JSON-safe registry-name
 // form shard headers carry). The default ndjson response is the portable
@@ -31,16 +29,16 @@
 // deadline), and everything beyond that is rejected with 503 — an
 // overloaded estimator sheds load instead of stacking unbounded work. Shed
 // responses carry a Retry-After hint (integer seconds) so well-behaved
-// clients — the fleet driver, the simcache Remote tier — come back when
-// capacity is likely, instead of guessing with blind backoff. SetDraining
+// clients — the fleet driver's HTTP executors — come back when capacity
+// is likely, instead of guessing with blind backoff. SetDraining
 // flips readiness for graceful shutdown: /healthz and new explores return
 // 503 while in-flight sweeps finish.
 //
 // Observability is split by scope: engine stages of one request land in a
 // request-scoped registry (its snapshot rides the response trailer), while
-// the serve/* stages, the shared cache's tier counters and the blob/*
-// counters are process-wide; /v1/metrics serves the process registry with
-// all request snapshots summed in, so the scrape sees the whole service.
+// the serve/* stages and the shared cache's tier counters are
+// process-wide; /v1/metrics serves the process registry with all request
+// snapshots summed in, so the scrape sees the whole service.
 //
 // Static invariants enforced by reprovet (DESIGN.md §10):
 //
@@ -127,10 +125,9 @@ type Server struct {
 }
 
 // New builds a Server over a shared cache and the process metrics registry.
-// The cache arrives fully wired (SetObs/SetRemote done by the caller — the
-// server never reconfigures it, because requests race on it); when it is
-// directory-backed the blob protocol is mounted so other hosts can share
-// the store. metrics may be nil (observability off).
+// The cache arrives fully wired (SetObs done by the caller — the server
+// never reconfigures it, because requests race on it). metrics may be nil
+// (observability off).
 func New(cache *simcache.Cache, metrics *obs.Metrics, cfg Config) (*Server, error) {
 	if cache == nil {
 		return nil, errors.New("serve: nil simcache (the shared store is the point of the service)")
@@ -165,13 +162,6 @@ func New(cache *simcache.Cache, metrics *obs.Metrics, cfg Config) (*Server, erro
 	s.mux.Handle("/v1/metrics", metricsH)
 	s.mux.Handle("/metrics", metricsH) // alias: the -metrics-addr surface
 	s.mux.Handle("/healthz", s.protect(s.handleHealthz))
-	if cache.Dir() != "" {
-		bh, err := simcache.NewBlobHandler(cache, metrics)
-		if err != nil {
-			return nil, err
-		}
-		s.mux.Handle("/v1/blob/", bh)
-	}
 	return s, nil
 }
 
@@ -192,7 +182,7 @@ func (s *Server) SetDraining(v bool) {
 
 // Doc assembles the live metrics document: totals and request-scoped obs
 // summed over completed requests, the shared cache's lifetime counters,
-// and the process registry (serve/*, cache tiers, blob/*).
+// and the process registry (serve/*, cache tiers).
 func (s *Server) Doc() MetricsDoc {
 	if s == nil {
 		return MetricsDoc{Format: MetricsFormat, Version: MetricsVersion}

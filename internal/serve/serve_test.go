@@ -382,56 +382,28 @@ func TestMetricsEndpointAliases(t *testing.T) {
 	}
 }
 
-// TestBlobEndpointMounted: a directory-backed server exposes the blob
-// protocol on the same mux.
-func TestBlobEndpointMounted(t *testing.T) {
-	cache, err := simcache.NewDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(cache, obs.New(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	hash := strings.Repeat("ab", 32)
-	resp, err := http.Get(ts.URL + "/v1/blob/f/" + hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if readBody(t, resp); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("absent blob: status %d, want 404", resp.StatusCode)
-	}
-
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/blob/f/"+hash, strings.NewReader("1 3 4\n"))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if readBody(t, resp); resp.StatusCode != http.StatusNoContent {
-		t.Errorf("put: status %d, want 204", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/v1/blob/f/" + hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body := readBody(t, resp); resp.StatusCode != http.StatusOK || string(body) != "1 3 4\n" {
-		t.Errorf("round trip: status %d body %q", resp.StatusCode, body)
-	}
-}
-
-// TestMemoryOnlyServerHasNoBlobEndpoint: without a backing directory there
-// is nothing to serve, and the route must not exist.
+// TestMemoryOnlyServerHasNoBlobEndpoint: no server mounts /v1/blob/, over
+// a memory store or a directory-backed one; the blob protocol is gone
+// (DESIGN.md §22).
 func TestMemoryOnlyServerHasNoBlobEndpoint(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v1/blob/f/" + strings.Repeat("ab", 32))
+	dirCache, err := simcache.NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if readBody(t, resp); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("status %d, want 404", resp.StatusCode)
+	for _, cache := range []*simcache.Cache{simcache.New(), dirCache} {
+		s, err := New(cache, obs.New(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		resp, err := http.Get(ts.URL + "/v1/blob/f/" + strings.Repeat("ab", 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if readBody(t, resp); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("dir %q: status %d, want 404", cache.Dir(), resp.StatusCode)
+		}
 	}
 }
 

@@ -2,27 +2,27 @@ package simcache
 
 import (
 	"bytes"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
-// FuzzBlobCodecs feeds every input to every kind's codec and to the blob
-// server. Properties, per kind:
+// FuzzBlobCodecs feeds every input to the fragment file codec, the one
+// decoder of outside bytes left in the package, and through it to a
+// directory-backed cache. Properties:
 //
 //   - no input panics;
-//   - an accepted blob's canonical form is a fixed point and decodes to the
-//     same value as the blob;
-//   - PUT accepts exactly the blobs the codec accepts (within the
-//     transfer cap), and GET then serves the canonical form.
+//   - an accepted file's canonical form (its value re-encoded) is a fixed
+//     point and decodes to the same value as the file;
+//   - planted as a key's fragment file, the input is a disk hit with the
+//     decoded value exactly when the codec accepts it, and a miss that
+//     computes otherwise.
 //
-// The seeds are real blobs from a stock sweep's -simcache-dir
-// (testdata/*.blob) and truncated copies of them. analysis.blob is one of
-// the retired kind "a" (the a1 envelope, DESIGN.md §18): older writers
-// left such files in shared directories, so both kinds left are fed it.
+// The seeds are real files from a stock sweep's simcache directory
+// (testdata/*.blob) and truncated copies of them. class.blob is one of the
+// class kind, which reads no files since DESIGN.md §22, and analysis.blob
+// one of the retired kind "a" (the a1 envelope, §18): older builds left
+// such files in shared directories, so the codec is fed them too.
 func FuzzBlobCodecs(f *testing.F) {
 	for _, name := range []string{"fragment.blob", "class.blob", "analysis.blob"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -34,49 +34,37 @@ func FuzzBlobCodecs(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	c, err := NewDir(f.TempDir())
-	if err != nil {
-		f.Fatal(err)
-	}
-	h, err := NewBlobHandler(c, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
+	dir := f.TempDir()
+	file := filepath.Join(dir, "f"+hashKey("fuzz"))
+	computed := Fragment{Loads: 7, Stores: 7}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkCodec(t, h, &c.frags, data)
-		checkCodec(t, h, &c.classes, data)
+		c, err := NewDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := &c.frags
+		v, ok := k.decode(data)
+		if ok {
+			canon := k.encode(v)
+			again, aok := k.decode(canon)
+			if !aok || again != v || !bytes.Equal(k.encode(again), canon) {
+				t.Fatalf("canonical form %q of %v is not a fixed point (%v, %v)", canon, v, again, aok)
+			}
+		}
+
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Fragment("fuzz", func() (Fragment, error) { return computed, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, hits := computed, int64(0)
+		if ok {
+			want, hits = v, 1
+		}
+		if s := c.Snapshot(); got != want || s.EntryDiskHits != hits || s.EntryDiskHits+s.EntryMisses != 1 {
+			t.Fatalf("file %q read %v with stats %+v, want %v and %d disk hits (codec accepts=%v)", data, got, s, want, hits, ok)
+		}
 	})
-}
-
-func checkCodec[V any](t *testing.T, h http.Handler, k *kind[V], data []byte) {
-	t.Helper()
-	v, ok := k.decode(data)
-	canon, cok := k.canonical(data)
-	if ok != cok {
-		t.Fatalf("%s: decode accepts=%v but canonical accepts=%v", k.name, ok, cok)
-	}
-	if ok {
-		again, ok := k.canonical(canon)
-		if !ok || !bytes.Equal(again, canon) {
-			t.Fatalf("%s: canonical form %q is not a fixed point (%q, %v)", k.name, canon, again, ok)
-		}
-		if w, _ := k.decode(canon); !reflect.DeepEqual(w, v) {
-			t.Fatalf("%s: canonical form decodes to %v, the blob to %v", k.name, w, v)
-		}
-	}
-
-	path := blobPathPrefix + k.name + "/" + hashKey("fuzz")
-	put := httptest.NewRecorder()
-	h.ServeHTTP(put, httptest.NewRequest(http.MethodPut, path, bytes.NewReader(data)))
-	if accepted, want := put.Code == http.StatusNoContent, ok && len(data) <= maxValueBlobSize; accepted != want {
-		t.Fatalf("%s: PUT answered %d, codec accepts=%v (%d bytes, cap %d)", k.name, put.Code, ok, len(data), maxValueBlobSize)
-	}
-	if put.Code != http.StatusNoContent {
-		return
-	}
-	get := httptest.NewRecorder()
-	h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, path, nil))
-	if get.Code != http.StatusOK || !bytes.Equal(get.Body.Bytes(), canon) {
-		t.Fatalf("%s: GET after PUT answered %d %q, want the canonical %q", k.name, get.Code, get.Body.Bytes(), canon)
-	}
 }

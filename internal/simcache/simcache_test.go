@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -77,6 +78,9 @@ func TestErrorsAreMemoizedButNotPersisted(t *testing.T) {
 	}
 }
 
+// TestDirBackendSharesAcrossCaches: fragments round-trip through the
+// backing directory, so a second cache over it recovers a value without
+// computing. Class lengths do not (TestClassLenNeverTouchesTheDirectory).
 func TestDirBackendSharesAcrossCaches(t *testing.T) {
 	dir := t.TempDir()
 	c1, err := NewDir(dir)
@@ -87,8 +91,8 @@ func TestDirBackendSharesAcrossCaches(t *testing.T) {
 	if _, err := c1.Fragment("shared", func() (Fragment, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
-	// A second cache (standing in for another shard process) must recover
-	// the value from disk without computing.
+	// A second cache (standing in for another process) must recover the
+	// value from disk without computing.
 	c2, err := NewDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -106,15 +110,43 @@ func TestDirBackendSharesAcrossCaches(t *testing.T) {
 	if s.EntryDiskHits != 1 || s.EntryMisses != 0 {
 		t.Fatalf("stats %+v, want 1 disk hit / 0 misses", s)
 	}
-	cl := ClassLen{Iter: 3, Mem: 1}
-	if _, err := c1.ClassLen("cls", func() (ClassLen, error) { return cl, nil }); err != nil {
+}
+
+// TestClassLenNeverTouchesTheDirectory: class lengths live in memory only
+// (DESIGN.md §22). On a directory-backed cache ClassLen writes no file,
+// and a well-formed class file that an older build left under a key's
+// name (c + the key's SHA-256), holding a wrong value, is neither read
+// nor touched.
+func TestClassLenNeverTouchesTheDirectory(t *testing.T) {
+	dir := t.TempDir()
+	const stale = "1 99 98\n"
+	planted := filepath.Join(dir, fmt.Sprintf("c%x", sha256.Sum256([]byte("planted"))))
+	if err := os.WriteFile(planted, []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c2.ClassLen("cls", func() (ClassLen, error) {
-		return ClassLen{}, errors.New("must not recompute")
-	})
-	if err != nil || got != cl {
-		t.Fatalf("got %+v, %v, want %+v", got, err, cl)
+	c, err := NewDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ClassLen{Iter: 3, Mem: 1}
+	for _, key := range []string{"fresh", "planted"} {
+		got, err := c.ClassLen(key, func() (ClassLen, error) { return want, nil })
+		if err != nil || got != want {
+			t.Errorf("key %s: got %+v, %v, want the computed %+v", key, got, err, want)
+		}
+	}
+	if s := c.Snapshot(); s.ClassMisses != 2 || s.ClassDiskHits != 0 {
+		t.Errorf("stats %+v, want 2 class misses and no disk hit", s)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != filepath.Base(planted) {
+		t.Errorf("directory holds %v, want only the planted file", ents)
+	}
+	if data, err := os.ReadFile(planted); err != nil || string(data) != stale {
+		t.Errorf("the planted file was touched: %q, %v", data, err)
 	}
 }
 

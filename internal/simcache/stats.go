@@ -5,14 +5,15 @@ import "fmt"
 // Snapshot is a point-in-time copy of the per-stage cache counters, the
 // JSON-portable form shard trailers carry and merges sum. For each stage,
 // hits are in-memory reuses, disk hits are values recovered from the
-// backing directory (written by this or another process), remote hits are
-// values recovered from the network blob store, and misses are fresh
-// computations; hits + disk hits + remote hits + misses = total lookups.
-// Within one process the miss counts are deterministic for a given space
-// (they count distinct keys, never goroutine scheduling); across processes
-// racing on one backing directory or blob server, the split between
-// misses and disk/remote hits depends on which process persisted a key
-// first, so summed multi-process counters are diagnostics, not invariants.
+// backing directory, remote hits are values recovered from a network blob
+// store, and misses are fresh computations; hits + disk hits + remote hits
+// + misses = total lookups. Within one process the miss counts are
+// deterministic for a given space (they count distinct keys, never
+// goroutine scheduling). This writer records no remote hits, and no class
+// disk hits: class lengths live in memory only (DESIGN.md §22). The disk
+// and remote fields stay because trailers from older writers carry them
+// and merges still sum them, and because the benchmark reads them; the
+// class ones are omitempty and read 0 in every new trailer.
 type Snapshot struct {
 	EntryHits       int64 `json:"entry_hits"`
 	EntryDiskHits   int64 `json:"entry_disk_hits,omitempty"`
@@ -40,8 +41,8 @@ type Snapshot struct {
 // Snapshot returns the current counter values.
 func (c *Cache) Snapshot() Snapshot {
 	var s Snapshot
-	s.EntryHits, s.EntryDiskHits, s.EntryRemoteHits, s.EntryMisses = c.frags.counts()
-	s.ClassHits, s.ClassDiskHits, s.ClassRemoteHits, s.ClassMisses = c.classes.counts()
+	s.EntryHits, s.EntryDiskHits, s.EntryMisses = c.frags.counts()
+	s.ClassHits, s.ClassDiskHits, s.ClassMisses = c.classes.counts()
 	s.AnalysisHits, s.AnalysisMisses = c.analysisHits.Load(), c.analysisMisses.Load()
 	s.PlanHits, s.PlanMisses = c.planHits.Load(), c.planMisses.Load()
 	return s
