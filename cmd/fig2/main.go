@@ -2,6 +2,8 @@
 // example: the data-flow graph, the critical graph and its cuts, and the
 // register distribution plus memory-cycle count each allocation algorithm
 // produces under the 64-register budget.
+//
+//repro:deterministic-output
 package main
 
 import (

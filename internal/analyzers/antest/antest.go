@@ -1,9 +1,10 @@
-// Package antest is a minimal stand-in for
-// golang.org/x/tools/go/analysis/analysistest, which is not shipped in
-// the toolchain's vendored x/tools subset. It loads fixture packages
-// from a testdata/src tree with go/parser + go/types (source importer,
-// std-only imports), runs an analyzer and its Requires closure, and
-// compares diagnostics against `// want` comments.
+// Package antest runs an analyzer over fixture packages and checks its
+// diagnostics against `// want` comments, in the manner of x/tools'
+// analysistest. A fixture package lives in testdata/src/<pkg>, imports
+// only the standard library (type-checked from source), and goes
+// through the same analysis.Run as cmd/reprovet; Parse and Check also
+// serve cmd/reprovet's test, which holds the tool's output over the
+// same fixtures to the same comments.
 //
 // Expectation syntax, same shape as analysistest:
 //
@@ -16,7 +17,6 @@
 package antest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -25,12 +25,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"repro/internal/analyzers/analysis"
 )
 
 // TestData returns the absolute path of the caller package's testdata
@@ -50,14 +49,21 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkg := range pkgs {
 		t.Run(pkg, func(t *testing.T) {
-			runOne(t, filepath.Join(testdata, "src", pkg), pkg, a)
+			fset := token.NewFileSet()
+			files := Parse(t, fset, filepath.Join(testdata, "src", pkg))
+			conf := &types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+			diags, err := analysis.Run(conf, pkg, fset, files, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Check(t, fset, files, diags)
 		})
 	}
 }
 
-func runOne(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
+// Parse parses every .go file in dir, comments included.
+func Parse(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 	t.Helper()
-	fset := token.NewFileSet()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading fixture dir: %v", err)
@@ -76,68 +82,7 @@ func runOne(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	if len(files) == 0 {
 		t.Fatalf("no Go files in %s", dir)
 	}
-
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		t.Fatalf("type-checking fixture %s: %v", pkgPath, err)
-	}
-
-	var diags []analysis.Diagnostic
-	results := map[*analysis.Analyzer]interface{}{}
-	if err := runAnalyzer(a, fset, files, tpkg, info, results, &diags); err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-
-	checkDiagnostics(t, fset, files, diags)
-}
-
-// runAnalyzer executes the analyzer after its Requires closure,
-// memoizing results; only the root analyzer's diagnostics are kept.
-func runAnalyzer(a *analysis.Analyzer, fset *token.FileSet, files []*ast.File, tpkg *types.Package, info *types.Info, results map[*analysis.Analyzer]interface{}, diags *[]analysis.Diagnostic) error {
-	if _, done := results[a]; done {
-		return nil
-	}
-	deps := map[*analysis.Analyzer]interface{}{}
-	for _, req := range a.Requires {
-		if err := runAnalyzer(req, fset, files, tpkg, info, results, diags); err != nil {
-			return err
-		}
-		deps[req] = results[req]
-	}
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      files,
-		Pkg:        tpkg,
-		TypesInfo:  info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   deps,
-		Report: func(d analysis.Diagnostic) {
-			*diags = append(*diags, d)
-		},
-		ImportObjectFact:  func(types.Object, analysis.Fact) bool { return false },
-		ExportObjectFact:  func(types.Object, analysis.Fact) {},
-		ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-		ExportPackageFact: func(analysis.Fact) {},
-		AllObjectFacts:    func() []analysis.ObjectFact { return nil },
-		AllPackageFacts:   func() []analysis.PackageFact { return nil },
-	}
-	res, err := a.Run(pass)
-	if err != nil {
-		return fmt.Errorf("%s: %w", a.Name, err)
-	}
-	results[a] = res
-	return nil
+	return files
 }
 
 type expectation struct {
@@ -148,7 +93,10 @@ type expectation struct {
 	hit  bool
 }
 
-func checkDiagnostics(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+// Check matches diagnostics against the // want comments of files. Each
+// diagnostic must match an unused want on its file and line, and every
+// want must be matched.
+func Check(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
 	t.Helper()
 	var wants []*expectation
 	for _, f := range files {
@@ -172,19 +120,17 @@ func checkDiagnostics(t *testing.T, fset *token.FileSet, files []*ast.File, diag
 		}
 	}
 
-	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
 		matched := false
 		for _, w := range wants {
-			if !w.hit && w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
+			if !w.hit && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
 				w.hit = true
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("%s:%d: unexpected diagnostic: %s", filepath.Base(pos.Filename), pos.Line, d.Message)
+			t.Errorf("%s:%d: unexpected diagnostic: %s", filepath.Base(d.Pos.Filename), d.Pos.Line, d.Message)
 		}
 	}
 	for _, w := range wants {

@@ -26,18 +26,14 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"repro/internal/analyzers/analysis"
 	"repro/internal/analyzers/directives"
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:     "detmap",
-	Doc:      "flag map iteration feeding output/hash sinks in //repro:deterministic-output packages",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name: "detmap",
+	Doc:  "flag map iteration feeding output/hash sinks in //repro:deterministic-output packages",
+	Run:  run,
 }
 
 // sinkMethods are method names that emit bytes in call order.
@@ -47,76 +43,60 @@ var sinkMethods = map[string]bool{
 	"Print": true, "Printf": true, "Println": true,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) error {
 	if !directives.PkgHas(pass.Files, "deterministic-output") {
-		return nil, nil
-	}
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	lineIdx := map[*ast.File]directives.LineIndex{}
-	for _, f := range pass.Files {
-		lineIdx[f] = directives.IndexFile(pass.Fset, f)
-	}
-	fileOf := func(pos ast.Node) *ast.File {
-		for _, f := range pass.Files {
-			if f.FileStart <= pos.Pos() && pos.Pos() < f.FileEnd {
-				return f
-			}
-		}
 		return nil
 	}
-	escaped := func(n ast.Node) bool {
-		f := fileOf(n)
-		if f == nil {
-			return false
-		}
-		line := pass.Fset.Position(n.Pos()).Line
-		d, ok := lineIdx[f].At(line, "unordered")
-		if !ok {
-			return false
-		}
-		if d.Arg == "" {
-			pass.Reportf(d.Pos, "//repro:unordered escape needs a reason")
-		}
-		return true
-	}
-
-	insp.Preorder([]ast.Node{(*ast.RangeStmt)(nil), (*ast.CallExpr)(nil)}, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			t := pass.TypesInfo.TypeOf(n.X)
-			if t == nil {
-				return
-			}
-			if _, ok := t.Underlying().(*types.Map); !ok {
-				return
-			}
-			if sink, name := firstSink(pass, n.Body); sink != nil && !escaped(n) {
-				pass.Reportf(n.Pos(),
-					"range over map reaches output sink %s in nondeterministic order; collect and sort first, or annotate //repro:unordered <reason>",
-					name)
-			}
-		case *ast.CallExpr:
-			// sync.Map.Range(func(k, v any) bool { ... })
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Range" || len(n.Args) != 1 {
-				return
-			}
-			if !isSyncMap(pass.TypesInfo.TypeOf(sel.X)) {
-				return
-			}
-			lit, ok := n.Args[0].(*ast.FuncLit)
+	for _, f := range pass.Files {
+		idx := directives.IndexFile(pass.Fset, f)
+		escaped := func(n ast.Node) bool {
+			d, ok := idx.At(pass.Fset.Position(n.Pos()).Line, "unordered")
 			if !ok {
-				return
+				return false
 			}
-			if sink, name := firstSink(pass, lit.Body); sink != nil && !escaped(n) {
-				pass.Reportf(n.Pos(),
-					"sync.Map.Range callback reaches output sink %s in nondeterministic order; collect and sort first, or annotate //repro:unordered <reason>",
-					name)
+			if d.Arg == "" {
+				pass.Reportf(d.Pos, "//repro:unordered escape needs a reason")
 			}
+			return true
 		}
-	})
-	return nil, nil
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				t := pass.TypesInfo.TypeOf(n.X)
+				if t == nil {
+					return true
+				}
+				if _, ok := t.Underlying().(*types.Map); !ok {
+					return true
+				}
+				if sink, name := firstSink(pass, n.Body); sink != nil && !escaped(n) {
+					pass.Reportf(n.Pos(),
+						"range over map reaches output sink %s in nondeterministic order; collect and sort first, or annotate //repro:unordered <reason>",
+						name)
+				}
+			case *ast.CallExpr:
+				// sync.Map.Range(func(k, v any) bool { ... })
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "Range" || len(n.Args) != 1 {
+					return true
+				}
+				if !isSyncMap(pass.TypesInfo.TypeOf(sel.X)) {
+					return true
+				}
+				lit, ok := n.Args[0].(*ast.FuncLit)
+				if !ok {
+					return true
+				}
+				if sink, name := firstSink(pass, lit.Body); sink != nil && !escaped(n) {
+					pass.Reportf(n.Pos(),
+						"sync.Map.Range callback reaches output sink %s in nondeterministic order; collect and sort first, or annotate //repro:unordered <reason>",
+						name)
+				}
+			}
+			return true
+		})
+	}
+	return nil
 }
 
 // firstSink returns the first output-sink call in the body, if any.

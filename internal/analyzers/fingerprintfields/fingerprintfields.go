@@ -41,78 +41,82 @@ import (
 	"sort"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"repro/internal/analyzers/analysis"
 	"repro/internal/analyzers/directives"
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:     "fingerprintfields",
-	Doc:      "check that fingerprint functions hash every struct field or carry //repro:nohash exemptions",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name: "fingerprintfields",
+	Doc:  "check that fingerprint functions hash every struct field or carry //repro:nohash exemptions",
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
+func run(pass *analysis.Pass) error {
 	// Index the package's struct types: field object → owning type, and
 	// field-site //repro:nohash exemptions (global across fingerprints).
 	fieldOwner := map[*types.Var]*types.Named{}
 	globalExempt := map[*types.Var]bool{}
 
-	insp.Preorder([]ast.Node{(*ast.TypeSpec)(nil)}, func(n ast.Node) {
-		ts := n.(*ast.TypeSpec)
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			return
-		}
-		obj, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
-		if !ok {
-			return
-		}
-		named, ok := types.Unalias(obj.Type()).(*types.Named)
-		if !ok {
-			return
-		}
-		under, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			return
-		}
-		idx := 0
-		for _, fl := range st.Fields.List {
-			n := len(fl.Names)
-			if n == 0 {
-				n = 1 // embedded field
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				indexStruct(pass, ts, fieldOwner, globalExempt)
 			}
-			d, ok := directives.Named(fl.Doc, "nohash")
-			if !ok {
-				d, ok = directives.Named(fl.Comment, "nohash")
-			}
-			for k := 0; k < n && idx+k < under.NumFields(); k++ {
-				f := under.Field(idx + k)
-				fieldOwner[f] = named
-				if ok && d.Arg != "" {
-					globalExempt[f] = true
-				}
-			}
-			if ok && d.Arg == "" {
-				pass.Reportf(d.Pos, "//repro:nohash exemption needs a reason")
-			}
-			idx += n
-		}
-	})
+			return true
+		})
+	}
 
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fn := n.(*ast.FuncDecl)
-		if fn.Body == nil || !strings.HasSuffix(fn.Name.Name, "Fingerprint") {
-			return
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Body != nil && strings.HasSuffix(fn.Name.Name, "Fingerprint") {
+				checkFingerprint(pass, fn, fieldOwner, globalExempt)
+			}
 		}
-		checkFingerprint(pass, fn, fieldOwner, globalExempt)
-	})
-	return nil, nil
+	}
+	return nil
+}
+
+// indexStruct records the owner of each field of a struct type
+// declaration, and its field-site //repro:nohash exemption.
+func indexStruct(pass *analysis.Pass, ts *ast.TypeSpec, fieldOwner map[*types.Var]*types.Named, globalExempt map[*types.Var]bool) {
+	st, ok := ts.Type.(*ast.StructType)
+	if !ok {
+		return
+	}
+	obj, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
+	if !ok {
+		return
+	}
+	named, ok := types.Unalias(obj.Type()).(*types.Named)
+	if !ok {
+		return
+	}
+	under, ok := named.Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	idx := 0
+	for _, fl := range st.Fields.List {
+		n := len(fl.Names)
+		if n == 0 {
+			n = 1 // embedded field
+		}
+		d, ok := directives.Named(fl.Doc, "nohash")
+		if !ok {
+			d, ok = directives.Named(fl.Comment, "nohash")
+		}
+		for k := 0; k < n && idx+k < under.NumFields(); k++ {
+			f := under.Field(idx + k)
+			fieldOwner[f] = named
+			if ok && d.Arg != "" {
+				globalExempt[f] = true
+			}
+		}
+		if ok && d.Arg == "" {
+			pass.Reportf(d.Pos, "//repro:nohash exemption needs a reason")
+		}
+		idx += n
+	}
 }
 
 // funcExempt is one //repro:nohash line from a fingerprint's doc comment.

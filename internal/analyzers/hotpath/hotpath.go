@@ -34,50 +34,34 @@ import (
 	"sort"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"repro/internal/analyzers/analysis"
 	"repro/internal/analyzers/directives"
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:     "hotpath",
-	Doc:      "reject allocating constructs in //repro:hotpath functions",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name: "hotpath",
+	Doc:  "reject allocating constructs in //repro:hotpath functions",
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	idxCache := map[*ast.File]directives.LineIndex{}
-
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fn := n.(*ast.FuncDecl)
-		if fn.Body == nil {
-			return
-		}
-		if _, ok := directives.Named(fn.Doc, "hotpath"); !ok {
-			return
-		}
-		var file *ast.File
-		for _, f := range pass.Files {
-			if f.FileStart <= fn.Pos() && fn.Pos() < f.FileEnd {
-				file = f
-				break
+func run(pass *analysis.Pass) error {
+	for _, f := range pass.Files {
+		var idx directives.LineIndex
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
 			}
+			if _, ok := directives.Named(fn.Doc, "hotpath"); !ok {
+				continue
+			}
+			if idx == nil {
+				idx = directives.IndexFile(pass.Fset, f)
+			}
+			(&checker{pass: pass, idx: idx, fname: fn.Name.Name}).check(fn.Body)
 		}
-		if file == nil {
-			return
-		}
-		idx, ok := idxCache[file]
-		if !ok {
-			idx = directives.IndexFile(pass.Fset, file)
-			idxCache[file] = idx
-		}
-		(&checker{pass: pass, idx: idx, fname: fn.Name.Name}).check(fn.Body)
-	})
-	return nil, nil
+	}
+	return nil
 }
 
 type checker struct {

@@ -22,83 +22,86 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"repro/internal/analyzers/analysis"
 	"repro/internal/analyzers/directives"
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:     "nilsafeobs",
-	Doc:      "require nil-receiver guards on exported pointer methods in //repro:nilsafe packages",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name: "nilsafeobs",
+	Doc:  "require nil-receiver guards on exported pointer methods in //repro:nilsafe packages",
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) error {
 	if !directives.PkgHas(pass.Files, "nilsafe") {
-		return nil, nil
+		return nil
 	}
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fn := n.(*ast.FuncDecl)
-		if fn.Body == nil || fn.Recv == nil || len(fn.Recv.List) == 0 || !fn.Name.IsExported() {
-			return
-		}
-		recv := fn.Recv.List[0]
-		if _, ok := recv.Type.(*ast.StarExpr); !ok {
-			return // value receiver: a copy, nothing to nil-guard
-		}
-		if d, ok := directives.Named(fn.Doc, "nonnil"); ok {
-			if d.Arg == "" {
-				pass.Reportf(d.Pos, "//repro:nonnil escape needs a reason")
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				checkMethod(pass, fn)
 			}
-			return
 		}
-		if len(recv.Names) == 0 {
-			return // anonymous receiver: no field access possible
-		}
-		recvObj, ok := pass.TypesInfo.Defs[recv.Names[0]].(*types.Var)
-		if !ok {
-			return
-		}
+	}
+	return nil
+}
 
-		guardPos := token.NoPos
-		derefPos := token.NoPos
-		var derefField string
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.BinaryExpr:
-				if (n.Op == token.EQL || n.Op == token.NEQ) && isNilCheckOf(pass, n, recvObj) {
-					if !guardPos.IsValid() || n.Pos() < guardPos {
-						guardPos = n.Pos()
-					}
-				}
-			case *ast.SelectorExpr:
-				sel, ok := pass.TypesInfo.Selections[n]
-				if !ok || sel.Kind() != types.FieldVal {
-					return true
-				}
-				if !isUseOf(pass, n.X, recvObj) {
-					return true
-				}
-				if !derefPos.IsValid() || n.Pos() < derefPos {
-					derefPos = n.Pos()
-					derefField = n.Sel.Name
+// checkMethod reports an exported pointer method that reads a receiver
+// field before it nil-checks the receiver.
+func checkMethod(pass *analysis.Pass, fn *ast.FuncDecl) {
+	if fn.Body == nil || fn.Recv == nil || len(fn.Recv.List) == 0 || !fn.Name.IsExported() {
+		return
+	}
+	recv := fn.Recv.List[0]
+	if _, ok := recv.Type.(*ast.StarExpr); !ok {
+		return // value receiver: a copy, nothing to nil-guard
+	}
+	if d, ok := directives.Named(fn.Doc, "nonnil"); ok {
+		if d.Arg == "" {
+			pass.Reportf(d.Pos, "//repro:nonnil escape needs a reason")
+		}
+		return
+	}
+	if len(recv.Names) == 0 {
+		return // anonymous receiver: no field access possible
+	}
+	recvObj, ok := pass.TypesInfo.Defs[recv.Names[0]].(*types.Var)
+	if !ok {
+		return
+	}
+
+	guardPos := token.NoPos
+	derefPos := token.NoPos
+	var derefField string
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			if (n.Op == token.EQL || n.Op == token.NEQ) && isNilCheckOf(pass, n, recvObj) {
+				if !guardPos.IsValid() || n.Pos() < guardPos {
+					guardPos = n.Pos()
 				}
 			}
-			return true
-		})
-
-		if derefPos.IsValid() && (!guardPos.IsValid() || guardPos > derefPos) {
-			pass.Reportf(fn.Name.Pos(),
-				"exported method %s accesses %s.%s before a nil-receiver guard; start with `if %s == nil { ... }` or annotate //repro:nonnil <reason>",
-				fn.Name.Name, recv.Names[0].Name, derefField, recv.Names[0].Name)
+		case *ast.SelectorExpr:
+			sel, ok := pass.TypesInfo.Selections[n]
+			if !ok || sel.Kind() != types.FieldVal {
+				return true
+			}
+			if !isUseOf(pass, n.X, recvObj) {
+				return true
+			}
+			if !derefPos.IsValid() || n.Pos() < derefPos {
+				derefPos = n.Pos()
+				derefField = n.Sel.Name
+			}
 		}
+		return true
 	})
-	return nil, nil
+
+	if derefPos.IsValid() && (!guardPos.IsValid() || guardPos > derefPos) {
+		pass.Reportf(fn.Name.Pos(),
+			"exported method %s accesses %s.%s before a nil-receiver guard; start with `if %s == nil { ... }` or annotate //repro:nonnil <reason>",
+			fn.Name.Name, recv.Names[0].Name, derefField, recv.Names[0].Name)
+	}
 }
 
 // isNilCheckOf reports whether the comparison is `recv == nil` or

@@ -25,68 +25,55 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
+	"repro/internal/analyzers/analysis"
 	"repro/internal/analyzers/directives"
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:     "recoverworker",
-	Doc:      "require panic recovery in goroutines of //repro:recover-workers packages",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name: "recoverworker",
+	Doc:  "require panic recovery in goroutines of //repro:recover-workers packages",
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) error {
 	if !directives.PkgHas(pass.Files, "recover-workers") {
-		return nil, nil
+		return nil
 	}
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	// Map package functions to their declarations so `go worker(...)`
 	// can be checked through the callee's body.
 	decls := map[*types.Func]*ast.FuncDecl{}
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fn := n.(*ast.FuncDecl)
-		if obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func); ok {
-			decls[obj] = fn
-		}
-	})
-
-	lineIdx := map[*ast.File]directives.LineIndex{}
-	fileOf := func(n ast.Node) *ast.File {
-		for _, f := range pass.Files {
-			if f.FileStart <= n.Pos() && n.Pos() < f.FileEnd {
-				return f
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				if obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func); ok {
+					decls[obj] = fn
+				}
 			}
 		}
-		return nil
 	}
 
-	insp.Preorder([]ast.Node{(*ast.GoStmt)(nil)}, func(n ast.Node) {
-		g := n.(*ast.GoStmt)
-		if f := fileOf(g); f != nil {
-			idx, ok := lineIdx[f]
+	for _, f := range pass.Files {
+		idx := directives.IndexFile(pass.Fset, f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			g, ok := n.(*ast.GoStmt)
 			if !ok {
-				idx = directives.IndexFile(pass.Fset, f)
-				lineIdx[f] = idx
+				return true
 			}
 			if d, ok := idx.At(pass.Fset.Position(g.Pos()).Line, "norecover"); ok {
 				if d.Arg == "" {
 					pass.Reportf(d.Pos, "//repro:norecover escape needs a reason")
 				}
-				return
+				return true
 			}
-		}
-		if protected(pass, g.Call, decls) {
-			return
-		}
-		pass.Reportf(g.Pos(),
-			"goroutine does not recover panics; begin it with `defer func() { if v := recover(); v != nil { ... } }()` or annotate //repro:norecover <reason>")
-	})
-	return nil, nil
+			if !protected(pass, g.Call, decls) {
+				pass.Reportf(g.Pos(),
+					"goroutine does not recover panics; begin it with `defer func() { if v := recover(); v != nil { ... } }()` or annotate //repro:norecover <reason>")
+			}
+			return true
+		})
+	}
+	return nil
 }
 
 func protected(pass *analysis.Pass, call *ast.CallExpr, decls map[*types.Func]*ast.FuncDecl) bool {

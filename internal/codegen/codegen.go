@@ -8,6 +8,8 @@
 // The generated program is an executable lowered form (interpreted by Run)
 // and a printable C-like listing (String), and is machine-checked against
 // the reference interpreter: generating code must never change semantics.
+//
+//repro:deterministic-output
 package codegen
 
 import (

@@ -17,6 +17,8 @@
 // All allocators guarantee at least one register per reference (the operand
 // staging register that renders the computation feasible) and never exceed
 // the budget.
+//
+//repro:deterministic-output
 package core
 
 import (

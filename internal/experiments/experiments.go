@@ -4,6 +4,8 @@
 // algorithms with registers, cycles, clock, wall-clock time, area and RAM
 // blocks), plus the aggregate percentages quoted in §5 and shape checks
 // that compare our measurements against the paper's qualitative claims.
+//
+//repro:deterministic-output
 package experiments
 
 import (

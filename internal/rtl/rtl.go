@@ -12,6 +12,8 @@
 // and (c) the final memory image matches the reference interpreter. This
 // closes the loop between the allocation model and an implementable
 // control structure.
+//
+//repro:deterministic-output
 package rtl
 
 import (

@@ -9,6 +9,8 @@
 // output is deterministic, golden-tested, and intended for inspection and
 // downstream synthesis experiments; this repository does not run a
 // synthesizer (see DESIGN.md for the substitution).
+//
+//repro:deterministic-output
 package vhdl
 
 import (
