@@ -14,13 +14,17 @@
 //     themselves (the paper argues CPA-RA's exponential worst case is
 //     irrelevant on real loop bodies; these put numbers on that).
 //   - BenchmarkAnalyze, BenchmarkPlan, BenchmarkSimulate, ... — one
-//     benchmark per pipeline layer, with allocation counts.
+//     benchmark per pipeline layer, with allocation counts, up to the
+//     served request (BenchmarkServeRequest).
 package repro
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"testing"
 
@@ -37,6 +41,7 @@ import (
 	"repro/internal/rtl"
 	"repro/internal/scalarrepl"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/simcache"
 	"repro/internal/trace"
@@ -425,6 +430,59 @@ func BenchmarkExploreInstrumented(b *testing.B) {
 				if _, err := e.Explore(sp); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkServeRequest measures the serve request layer: POSTs of the
+// stock spec to an in-process serve.Server (one engine worker per
+// request) behind httptest, once one request has warmed its store and
+// analysis memo, as `dse serve` answers a repeated sweep. The csv
+// request returns the CLI's CSV bytes (checked once, before timing) and
+// the ndjson request streams the shard encoding; the client reads each
+// body through. Allocation counts cover client and server alike.
+func BenchmarkServeRequest(b *testing.B) {
+	sp := dse.DefaultSpace()
+	spec, err := json.Marshal(dse.Spec(sp))
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, m := simcache.New(), obs.New()
+	store.SetObs(m)
+	srv, err := serve.New(store, m, serve.Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(b *testing.B, query string, body io.Writer) {
+		resp, err := http.Post(ts.URL+"/v1/explore"+query, "application/json", bytes.NewReader(spec))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(body, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("POST %s: %s, %v", query, resp.Status, err)
+		}
+	}
+	var got, want bytes.Buffer
+	post(b, "?format=csv", &got)
+	rs, err := dse.Engine{}.Explore(sp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := (dse.CSVReporter{Pareto: true}).Report(&want, rs); err != nil {
+		b.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		b.Fatal("served CSV differs from the local sweep's")
+	}
+	for _, bench := range []struct{ name, query string }{{"csv", "?format=csv"}, {"ndjson", ""}} {
+		b.Run(bench.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				post(b, bench.query, io.Discard)
 			}
 		})
 	}

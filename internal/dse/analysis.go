@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"repro/internal/core"
 	"repro/internal/hls"
 	"repro/internal/kernels"
 	"repro/internal/memo"
@@ -8,14 +9,33 @@ import (
 )
 
 // AnalysisCache memoizes front-end analyses in process, keyed by the
-// kernel's name and its whole nest (hls.KernelFingerprint). A long-running
-// process (one `dse serve`, one fleet driver) keeps a single AnalysisCache
-// for its lifetime, so a warm request's analyze cost is one key and one
-// map lookup. Nothing below it stores analyses: they are a closed form,
-// cheaper to recompute than to decode (DESIGN.md §18). The zero value is
-// not usable; use NewAnalysisCache. A nil *AnalysisCache memoizes nothing.
+// kernel's name and its whole nest (hls.KernelFingerprint), and beside
+// each analysis the unit schedules explored on it: one hls.Schedule (the
+// allocation, its storage plan and their simulation) per allocator,
+// budget and scheduler configuration (DESIGN.md §24). A long-running
+// process (one `dse serve`) keeps a single AnalysisCache for its
+// lifetime, so a warm request's analyze cost is one key and one map
+// lookup per kernel, and a unit any earlier exploration scheduled goes
+// straight to the device models. Nothing below it stores analyses: they
+// are a closed form, cheaper to recompute than to decode (DESIGN.md
+// §18). The zero value is not usable; use NewAnalysisCache. A nil
+// *AnalysisCache memoizes nothing.
 type AnalysisCache struct {
-	memo memo.Memo[string, *hls.Analysis]
+	memo      memo.Memo[string, *hls.Analysis]
+	schedules memo.Memo[scheduleKey, hls.Member]
+}
+
+// scheduleKey pins exactly the inputs hls.Analysis.Schedule reads, as
+// simKey does for a simulation: the analysis (the kernel's nest, reuse
+// summary and body graph, one object per memo key), the allocator, the
+// budget Schedule resolves, the latency model and the RAM port count.
+// The device is not in it: Realize applies that per point.
+type scheduleKey struct {
+	an     *hls.Analysis
+	alg    string
+	budget int
+	lat    string
+	ports  int
 }
 
 // analysisPanic names an analysis in a recovered panic's error, memoized
@@ -24,7 +44,10 @@ const analysisPanic = "dse: analysis"
 
 // NewAnalysisCache returns an empty analysis memo.
 func NewAnalysisCache() *AnalysisCache {
-	return &AnalysisCache{memo: memo.Memo[string, *hls.Analysis]{What: analysisPanic}}
+	return &AnalysisCache{
+		memo:      memo.Memo[string, *hls.Analysis]{What: analysisPanic},
+		schedules: memo.Memo[scheduleKey, hls.Member]{What: estimator},
+	}
 }
 
 // Get returns the analysis of k, memoized on a non-nil cache, and records
@@ -47,4 +70,32 @@ func (ac *AnalysisCache) Get(k kernels.Kernel, store *simcache.Cache) (*hls.Anal
 		store.AnalysisHit()
 	}
 	return an, err
+}
+
+// schedule returns alg's schedule of an under opt as a member: its Err is
+// the schedule's own failure (an infeasible budget, say). The error
+// returned beside it is a recovered panic, "estimator panic: …", which
+// fails the whole point. On a non-nil cache an must come from Get, and
+// the member is memoized, panics included, with the lookup recorded on
+// store (when non-nil) as Get records analyses. A nil cache calls
+// Schedule directly, lets a panic reach the caller's recover and records
+// nothing.
+func (ac *AnalysisCache) schedule(an *hls.Analysis, alg core.Allocator, opt hls.Options, sim hls.SimFunc, store *simcache.Cache) (hls.Member, error) {
+	run := func() (hls.Member, error) {
+		s, err := an.Schedule(alg, opt, sim)
+		return hls.Member{Schedule: s, Err: err}, nil
+	}
+	if ac == nil {
+		return run()
+	}
+	key := scheduleKey{an: an, alg: alg.Name(), budget: an.Budget(opt), lat: opt.Sched.Lat.Fingerprint(), ports: opt.Sched.PortsPerRAM}
+	m, o, err := ac.schedules.Get(key, run)
+	if store != nil {
+		if o == memo.Claimed {
+			store.ScheduleMiss()
+		} else {
+			store.ScheduleHit()
+		}
+	}
+	return m, err
 }

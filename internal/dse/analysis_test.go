@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -14,7 +15,9 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/fpga"
 	"repro/internal/hls"
+	"repro/internal/ir"
 	"repro/internal/kernels"
+	"repro/internal/sched"
 	"repro/internal/simcache"
 )
 
@@ -242,5 +245,145 @@ func TestAnalysisCacheBudgetZero(t *testing.T) {
 		if !r.Ok() || r.Design.Registers > small.Rmax {
 			t.Errorf("%s: %s, want at most %d registers", r.Point.ID(), designText(r.Design)+errText(r.Err), small.Rmax)
 		}
+	}
+}
+
+// reportAll renders rs in every report format.
+func reportAll(t *testing.T, rs *ResultSet) string {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, r := range []Reporter{TableReporter{}, CSVReporter{Pareto: true}, JSONReporter{Indent: true}} {
+		if err := r.Report(&buf, rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.String()
+}
+
+// twoSpaces explores a, then b, on one engine that shares an analysis
+// memo, and returns b's result set with its bytes there and on a fresh
+// engine: the units a scheduled first must not change b's output.
+func twoSpaces(t *testing.T, a, b Space) (rs *ResultSet, got, want string) {
+	t.Helper()
+	shared := Engine{Workers: 2, Analyses: NewAnalysisCache()}
+	mustExplore(t, shared, a)
+	rs = mustExplore(t, shared, b)
+	return rs, reportAll(t, rs), reportAll(t, mustExplore(t, Engine{Workers: 2}, b))
+}
+
+// TestScheduleMemoKey: the shared memo keeps a unit's schedule under
+// every input Schedule reads, so a space that differs from an earlier one
+// in any of them renders as on a fresh engine. Each case differs from the
+// base space in one input only, and the last reads the plain units back
+// as portfolio members.
+func TestScheduleMemoKey(t *testing.T) {
+	base := func() Space {
+		return Space{
+			Kernels:    []kernels.Kernel{kernels.FIR()},
+			Allocators: core.All(),
+			Budgets:    []int{16},
+			Devices:    []fpga.Device{fpga.XCV1000()},
+			Scheds:     []SchedVariant{DefaultSchedVariant()},
+		}
+	}
+	nest := func(name string, k kernels.Kernel) kernels.Kernel {
+		k.Name = name
+		return k
+	}
+	big, small := kernels.FIR(), kernels.FIR()
+	big.Rmax, small.Rmax = 64, 8
+	pairs := kernels.Kernel{Name: "pairs", Rmax: 16, Nest: dsl.MustParse(`
+kernel pairs;
+array x[128]:16;
+array o[64]:16;
+for i = 0..64 {
+  o[i] = x[2*i] + x[2*i+1];
+}
+`)}
+	cases := []struct {
+		name   string
+		edit   func(a, b *Space)
+		hits   int64 // schedule hits and misses b must make
+		misses int64
+	}{
+		{"budget", func(_, b *Space) { b.Budgets = []int{64} }, 0, 4},
+		{"latency", func(_, b *Space) {
+			cfg := sched.DefaultConfig()
+			cfg.Lat.Op[ir.OpMul] = 5
+			b.Scheds = []SchedVariant{{Name: "default", Config: cfg}}
+		}, 0, 4},
+		{"ports", func(a, b *Space) {
+			// No allocator's cycles on the six kernels depend on the
+			// port count; this nest reads x twice per iteration.
+			a.Kernels = []kernels.Kernel{pairs}
+			b.Kernels = []kernels.Kernel{pairs}
+			cfg := sched.DefaultConfig()
+			cfg.PortsPerRAM = 2
+			b.Scheds = []SchedVariant{{Name: "default", Config: cfg}}
+		}, 0, 4},
+		{"nest", func(a, b *Space) {
+			a.Kernels = []kernels.Kernel{nest("k", kernels.FIR())}
+			b.Kernels = []kernels.Kernel{nest("k", kernels.MAT())}
+		}, 0, 4},
+		{"budget0-rmax", func(a, b *Space) {
+			a.Budgets, b.Budgets = []int{0}, []int{0}
+			a.Kernels, b.Kernels = []kernels.Kernel{big}, []kernels.Kernel{small}
+		}, 0, 4},
+		{"portfolio-after-plain", func(_, b *Space) { b.Portfolio = true }, 4, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, b := base(), base()
+			c.edit(&a, &b)
+			rs, got, want := twoSpaces(t, a, b)
+			if got != want {
+				t.Errorf("a shared memo renders b differently from a fresh engine")
+			}
+			if rs.Cache.ScheduleHits != c.hits || rs.Cache.ScheduleMisses != c.misses {
+				t.Errorf("b made %d schedule hits and %d misses, want %d and %d",
+					rs.Cache.ScheduleHits, rs.Cache.ScheduleMisses, c.hits, c.misses)
+			}
+		})
+	}
+}
+
+// TestScheduleMemoConcurrentColdExplorations is the memo's race check
+// (run it under -race): two explorations start cold on one analysis memo
+// at once. Each renders a fresh engine's bytes, and between them they
+// schedule every unit once: a key is claimed by one of them, and the
+// other finds it settled or waits for it.
+func TestScheduleMemoConcurrentColdExplorations(t *testing.T) {
+	sp := unitSpace()
+	want := reportAll(t, mustExplore(t, Engine{Workers: 2}, sp))
+	units := int64(len(sp.Kernels) * len(sp.Allocators) * len(sp.Budgets) * len(sp.Scheds))
+	shared := Engine{Workers: 2, Analyses: NewAnalysisCache()}
+	var rss [2]*ResultSet
+	var wg sync.WaitGroup
+	for i := range rss {
+		wg.Add(1)
+		go func() { //repro:norecover Explore recovers its workers; a panic here fails the test
+			defer wg.Done()
+			rs, err := shared.Explore(sp)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rss[i] = rs
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	var hits, misses int64
+	for i, rs := range rss {
+		if got := reportAll(t, rs); got != want {
+			t.Errorf("exploration %d renders differently from a fresh engine", i)
+		}
+		hits += rs.Cache.ScheduleHits
+		misses += rs.Cache.ScheduleMisses
+	}
+	if misses != units || hits != units {
+		t.Errorf("%d schedule misses and %d hits over both explorations, want %d of each", misses, hits, units)
 	}
 }

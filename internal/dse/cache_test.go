@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/hls"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/scalarrepl"
 	"repro/internal/sched"
 	"repro/internal/simcache"
@@ -67,27 +69,65 @@ func TestSimCachePanicDoesNotPoisonEntry(t *testing.T) {
 // TestEngineSimCachePrecedence: a provided SimCache wins over SimCacheDir,
 // whose directory is then never created, and it and a provided analysis
 // memo accumulate across explorations — the long-running-service
-// contract.
+// contract. A repeated exploration recomputes nothing: no analysis,
+// schedule or class miss, no class lookup at all, no allocator, plan or
+// simulation stage, every unit a schedule hit, and the same bytes. The
+// class store still serves new units: after the stock space without
+// budget 128, the full space's 24 budget-128 units schedule afresh and
+// find every class they need in the store.
 func TestEngineSimCachePrecedence(t *testing.T) {
 	shared := simcache.New()
 	dir := filepath.Join(t.TempDir(), "never-created")
-	e := Engine{Workers: 2, SimCache: shared, Analyses: NewAnalysisCache(), SimCacheDir: dir}
+	m := obs.New()
+	e := Engine{Workers: 2, SimCache: shared, Analyses: NewAnalysisCache(), SimCacheDir: dir, Obs: m}
 	sp := smallSpace()
-	mustExplore(t, e, sp)
+	cold := mustExplore(t, e, sp)
 	first := shared.Snapshot()
-	if first.ClassMisses == 0 {
+	if first.ClassMisses == 0 || first.ScheduleMisses == 0 {
 		t.Fatalf("shared cache saw no lookups: %+v", first)
 	}
-	mustExplore(t, e, sp)
+	stages := func() map[string]int64 {
+		counts := map[string]int64{}
+		for name, st := range m.Snapshot().Stages {
+			if strings.HasPrefix(name, "alloc/") || name == "plan" || name == "sim" {
+				counts[name] = st.Count
+			}
+		}
+		return counts
+	}
+	before := stages()
+	warm := mustExplore(t, e, sp)
 	second := shared.Snapshot().Sub(first)
-	if second.ClassMisses != 0 || second.AnalysisMisses != 0 {
+	if second.ClassMisses != 0 || second.AnalysisMisses != 0 || second.ScheduleMisses != 0 {
 		t.Errorf("second exploration recomputed through the shared cache: %+v", second)
 	}
-	if second.ClassHits == 0 {
-		t.Errorf("second exploration did not reuse the shared cache: %+v", second)
+	if second.ClassHits != 0 || second.PlanHits+second.PlanMisses != 0 {
+		t.Errorf("second exploration simulated: %+v", second)
+	}
+	if second.ScheduleHits != first.ScheduleMisses {
+		t.Errorf("second exploration found %d units in the memo, want all %d", second.ScheduleHits, first.ScheduleMisses)
+	}
+	if after := stages(); len(before) == 0 || !maps.Equal(after, before) {
+		t.Errorf("second exploration ran allocator, plan or simulation stages: %v, then %v", before, after)
+	}
+	if reportAll(t, warm) != reportAll(t, cold) {
+		t.Error("second exploration renders differently")
 	}
 	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("SimCacheDir was created beside a provided SimCache: %v", err)
+	}
+
+	store := simcache.New()
+	e = Engine{Workers: 2, SimCache: store, Analyses: NewAnalysisCache()}
+	part := DefaultSpace()
+	part.Budgets = []int{16, 32, 64}
+	mustExplore(t, e, part)
+	full := mustExplore(t, e, DefaultSpace())
+	if c := full.Cache; c.ScheduleMisses != 24 || c.ScheduleHits != 72 || c.ClassMisses != 0 || c.ClassHits == 0 {
+		t.Errorf("full space after the first three budgets: %+v, want 24 schedule misses, 72 hits, and class hits only", c)
+	}
+	if reportAll(t, full) != reportAll(t, mustExplore(t, Engine{Workers: 2}, DefaultSpace())) {
+		t.Error("full space renders differently from a fresh engine")
 	}
 }
 

@@ -19,7 +19,9 @@
 // (hls.Realize). A concurrency-safe simulation cache keyed by (kernel,
 // plan fingerprint, latency model, RAM ports) then shares one cycle
 // simulation among every schedule whose allocator converged to the same
-// β vector — saturated budgets and agreeing allocators.
+// β vector — saturated budgets and agreeing allocators. An engine given a
+// shared AnalysisCache also keeps each schedule there, so a unit that an
+// earlier exploration scheduled is only realized.
 //
 // Results are stored by point index, so the output is byte-identical
 // whatever the worker count or completion order; per-point estimation
@@ -145,11 +147,14 @@ type Engine struct {
 	// once, at construction, before concurrent use.
 	SimCache *simcache.Cache
 	// Analyses, when non-nil, is a process-lifetime memo of front-end
-	// analyses shared across explorations: a warm request's analyze stage
-	// becomes one key and one map lookup. Nil memoizes nothing: an
-	// exploration analyzes each of its kernels once anyway, since a space
-	// names every kernel once. Like SimCache, a provided memo is
-	// externally owned and safe for concurrent explorations.
+	// analyses and unit schedules shared across explorations: a warm
+	// request's analyze stage becomes one key and one map lookup, and a
+	// unit any exploration scheduled before goes straight to the device
+	// models — no allocator, plan or simulation. Nil memoizes nothing: an
+	// exploration analyzes each of its kernels and schedules each of its
+	// units once anyway, since a space names every coordinate once. Like
+	// SimCache, a provided memo is externally owned and safe for
+	// concurrent explorations.
 	Analyses *AnalysisCache
 	// Window caps the order-restoring window of the streaming entry
 	// points (ExploreStream/ExploreShardStream): at most Window results
@@ -243,10 +248,20 @@ type scheduled struct {
 	err     error
 }
 
+// scheduler is what one exploration schedules its units with: the
+// simulation step, and the engine's analysis memo (nil: none), which
+// keeps each schedule, with the store its lookups are counted on.
+type scheduler struct {
+	sim   hls.SimFunc
+	ac    *AnalysisCache
+	store *simcache.Cache
+}
+
 // schedule computes the slot for point p, converting an estimator panic
 // into the slot's error, so every point of the unit that shares the
-// schedule records the same panic.
-func (s *scheduled) schedule(an *hls.Analysis, p Point, sim hls.SimFunc, m *obs.Metrics, tr *obs.Tracer) {
+// schedule records the same panic. A portfolio point schedules its
+// members in list order, and a member's panic fails the whole point.
+func (s *scheduled) schedule(an *hls.Analysis, p Point, sc scheduler, m *obs.Metrics, tr *obs.Tracer) {
 	s.done = true
 	defer func() {
 		if v := recover(); v != nil {
@@ -255,14 +270,30 @@ func (s *scheduled) schedule(an *hls.Analysis, p Point, sim hls.SimFunc, m *obs.
 	}()
 	opt := p.Options()
 	opt.Obs, opt.Trace, opt.Point = m, tr, p.Index
-	if pf, ok := p.Allocator.(Portfolio); ok {
-		s.members = an.SchedulePortfolio(pf.Allocators, opt, sim)
+	pf, ok := p.Allocator.(Portfolio)
+	if !ok {
+		mb, err := sc.ac.schedule(an, p.Allocator, opt, sc.sim, sc.store)
+		if err == nil {
+			err = mb.Err
+		}
+		s.sched, s.err = mb.Schedule, err
 		return
 	}
-	s.sched, s.err = an.Schedule(p.Allocator, opt, sim)
+	s.members = make([]hls.Member, len(pf.Allocators))
+	for i, alg := range pf.Allocators {
+		var err error
+		if s.members[i], err = sc.ac.schedule(an, alg, opt, sc.sim, sc.store); err != nil {
+			*s = scheduled{done: true, err: err}
+			return
+		}
+	}
 }
 
-func estimatorPanic(v any) error { return fmt.Errorf("estimator panic: %v", v) }
+// estimator names the estimate in a recovered panic's error, memoized
+// (AnalysisCache's schedules) or not (estimatorPanic).
+const estimator = "estimator"
+
+func estimatorPanic(v any) error { return fmt.Errorf("%s panic: %v", estimator, v) }
 
 // evaluate estimates one design point from its sched variant's slot,
 // scheduling it first if no earlier point of the unit did, and converts
@@ -272,9 +303,9 @@ func estimatorPanic(v any) error { return fmt.Errorf("estimator panic: %v", v) }
 // wg.Wait forever. A portfolio point realizes every member on its device
 // and keeps the best design; with members set it also carries every
 // member's design on the result (the -portfolio-all diagnostic).
-func evaluate(an *hls.Analysis, p Point, sim hls.SimFunc, members bool, slot *scheduled, m *obs.Metrics, tr *obs.Tracer) (res Result) {
+func evaluate(an *hls.Analysis, p Point, sc scheduler, members bool, slot *scheduled, m *obs.Metrics, tr *obs.Tracer) (res Result) {
 	if !slot.done {
-		slot.schedule(an, p, sim, m, tr)
+		slot.schedule(an, p, sc, m, tr)
 	}
 	if slot.err != nil {
 		return Result{Point: p, Err: slot.err}
@@ -302,15 +333,15 @@ func evaluate(an *hls.Analysis, p Point, sim hls.SimFunc, members bool, slot *sc
 // by kernel and stage. A point that computes its unit's schedule carries
 // the allocator, plan and simulation stages in its span; the others carry
 // only the device models. With obs disabled it is exactly evaluate.
-func (e Engine) evalPoint(an *hls.Analysis, p Point, sim hls.SimFunc, members bool, slot *scheduled) Result {
+func (e Engine) evalPoint(an *hls.Analysis, p Point, sc scheduler, members bool, slot *scheduled) Result {
 	if e.Obs == nil && e.Trace == nil {
-		return evaluate(an, p, sim, members, slot, nil, nil)
+		return evaluate(an, p, sc, members, slot, nil, nil)
 	}
 	var r Result
 	sp := obs.Begin(e.Obs, e.Trace, p.Index, p.Kernel.Name, "point")
 	e.Obs.Do(func() {
 		rtrace.WithRegion(context.Background(), "point", func() {
-			r = evaluate(an, p, sim, members, slot, e.Obs, e.Trace)
+			r = evaluate(an, p, sc, members, slot, e.Obs, e.Trace)
 		})
 	}, p.Kernel.Name, "point", "")
 	sp.End("")

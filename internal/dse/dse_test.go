@@ -171,45 +171,69 @@ func (a panicAllocator) Allocate(p *core.Problem) (*core.Allocation, error) {
 // other point still evaluated. On a two-device space the panic happens
 // once per schedule, and every point of the unit that shares the schedule
 // records it — in portfolio mode too, where one panicking member fails
-// its kernel's every point.
+// its kernel's every point. An engine sharing an analysis memo memoizes
+// the panic with the schedule: its cold run and its warm rerun, which
+// schedules nothing, record the same errors.
 func TestExploreSurvivesEstimatorPanic(t *testing.T) {
 	for _, portfolio := range []bool{false, true} {
-		sp := Space{
-			Kernels:    []kernels.Kernel{kernels.Figure1(), kernels.FIR()},
-			Allocators: []core.Allocator{panicAllocator{kernel: "fir"}, core.CPARA{}},
-			Budgets:    []int{32, 64},
-			Devices:    []fpga.Device{fpga.XCV1000(), fpga.XC2V6000()},
-			Scheds:     []SchedVariant{DefaultSchedVariant()},
-			Portfolio:  portfolio,
-		}
-		done := make(chan *ResultSet, 1)
-		go func() { //repro:norecover test harness: a panic here fails the test via the timeout below
-			// Fewer workers than panicking points: without recovery the pool
-			// drains completely and Explore hangs.
-			rs := mustExplore(t, Engine{Workers: 1}, sp)
-			done <- rs
-		}()
-		var rs *ResultSet
-		select {
-		case rs = <-done:
-		case <-time.After(30 * time.Second):
-			t.Fatal("Explore deadlocked on a panicking estimator")
-		}
-		if len(rs.Results) != sp.Size() {
-			t.Fatalf("got %d results, want %d", len(rs.Results), sp.Size())
-		}
-		for _, r := range rs.Results {
-			panics := r.Point.Kernel.Name == "fir" && (portfolio || r.Point.Allocator.Name() == "PANIC-RA")
-			switch {
-			case panics && r.Ok():
-				t.Errorf("%s: panicking point succeeded", r.Point.ID())
-			case panics && r.Err.Error() != "estimator panic: injected allocator panic":
-				t.Errorf("%s: error %q does not record the panic", r.Point.ID(), r.Err)
-			case !panics && !r.Ok():
-				t.Errorf("%s: unexpected failure: %v", r.Point.ID(), r.Err)
+		want := testEstimatorPanic(t, "fresh", Engine{Workers: 1}, portfolio)
+		shared := Engine{Workers: 1, Analyses: NewAnalysisCache()}
+		for _, run := range []string{"shared-cold", "shared-warm"} {
+			got := testEstimatorPanic(t, run, shared, portfolio)
+			// The warm rerun schedules nothing; the cold run schedules
+			// every unit.
+			if warm := run == "shared-warm"; (got.Cache.ScheduleMisses == 0) != warm {
+				t.Errorf("%s: %d schedule misses", run, got.Cache.ScheduleMisses)
+			}
+			for i, r := range got.Results {
+				if g, w := errText(r.Err), errText(want.Results[i].Err); g != w {
+					t.Errorf("%s: %s: error %q, a fresh engine %q", run, r.Point.ID(), g, w)
+				}
 			}
 		}
 	}
+}
+
+// testEstimatorPanic explores the panic space on e within a deadline and
+// checks every point's outcome.
+func testEstimatorPanic(t *testing.T, name string, e Engine, portfolio bool) *ResultSet {
+	t.Helper()
+	sp := Space{
+		Kernels:    []kernels.Kernel{kernels.Figure1(), kernels.FIR()},
+		Allocators: []core.Allocator{panicAllocator{kernel: "fir"}, core.CPARA{}},
+		Budgets:    []int{32, 64},
+		Devices:    []fpga.Device{fpga.XCV1000(), fpga.XC2V6000()},
+		Scheds:     []SchedVariant{DefaultSchedVariant()},
+		Portfolio:  portfolio,
+	}
+	done := make(chan *ResultSet, 1)
+	go func() { //repro:norecover test harness: a panic here fails the test via the timeout below
+		// Fewer workers than panicking points: without recovery the pool
+		// drains completely and Explore hangs.
+		rs := mustExplore(t, e, sp)
+		done <- rs
+	}()
+	var rs *ResultSet
+	select {
+	case rs = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Explore deadlocked on a panicking estimator")
+	}
+	if len(rs.Results) != sp.Size() {
+		t.Fatalf("got %d results, want %d", len(rs.Results), sp.Size())
+	}
+	for _, r := range rs.Results {
+		panics := r.Point.Kernel.Name == "fir" && (portfolio || r.Point.Allocator.Name() == "PANIC-RA")
+		switch {
+		case panics && r.Ok():
+			t.Errorf("%s: %s: panicking point succeeded", name, r.Point.ID())
+		case panics && r.Err.Error() != "estimator panic: injected allocator panic":
+			t.Errorf("%s: %s: error %q does not record the panic", name, r.Point.ID(), r.Err)
+		case !panics && !r.Ok():
+			t.Errorf("%s: %s: unexpected failure: %v", name, r.Point.ID(), r.Err)
+		}
+	}
+	return rs
 }
 
 // TestSimCacheByteIdenticalAndDeduplicates pins the cache contract: every

@@ -193,6 +193,26 @@ func TestObsCacheTiersMirrorSnapshot(t *testing.T) {
 	if got := cnt("cache/analysis/miss"); got != c.AnalysisMisses {
 		t.Errorf("analysis miss = %d, stats AnalysisMisses = %d", got, c.AnalysisMisses)
 	}
+	// Without an analysis memo nothing looks a schedule up, and the
+	// schedule stages stay unregistered, so CLI metrics docs and shard
+	// trailers carry none.
+	for _, name := range []string{"cache/schedule/hit", "cache/schedule/miss"} {
+		if _, ok := snap.Stages[name]; ok {
+			t.Errorf("stage %s registered without a schedule memo", name)
+		}
+	}
+	// With one, a cold and a warm run: the stages count every run's
+	// lookups, as the two snapshots do together.
+	m = obs.New()
+	e = Engine{Workers: 4, Obs: m, Analyses: NewAnalysisCache()}
+	cold, warm := mustExplore(t, e, smallSpace()).Cache, mustExplore(t, e, smallSpace()).Cache
+	snap = m.Snapshot()
+	if got, want := cnt("cache/schedule/hit"), cold.ScheduleHits+warm.ScheduleHits; got != want || want == 0 {
+		t.Errorf("schedule hit = %d, stats ScheduleHits = %d", got, want)
+	}
+	if got, want := cnt("cache/schedule/miss"), cold.ScheduleMisses+warm.ScheduleMisses; got != want || want == 0 {
+		t.Errorf("schedule miss = %d, stats ScheduleMisses = %d", got, want)
+	}
 }
 
 // TestObsDisabledResultSetZero: an engine without obs reports a zero
@@ -332,7 +352,7 @@ func TestPointStagesKeepTheirLabels(t *testing.T) {
 		simLabels = goroutineLabels(t)
 		return sched.SimulateGraph(nest, g, plan, cfg)
 	}
-	if r := (Engine{Obs: m}).evalPoint(an, p, sim, false, &scheduled{}); !r.Ok() {
+	if r := (Engine{Obs: m}).evalPoint(an, p, scheduler{sim: sim}, false, &scheduled{}); !r.Ok() {
 		t.Fatalf("point failed: %v", r.Err)
 	}
 	if want := `{"kernel":"fir", "shard":"0/1", "stage":"alloc"}`; allocLabels != want {

@@ -51,9 +51,10 @@ type Space struct {
 
 // Portfolio is the pseudo-allocator occupying the allocator coordinate of
 // portfolio-mode design points. The engine resolves it: every member is
-// scheduled once per unit and sched variant (hls.Analysis.SchedulePortfolio)
-// and the winner is picked per device (RealizePortfolio); its Allocate
-// method exists only to satisfy core.Allocator and always errors.
+// scheduled once per unit and sched variant (hls.Analysis.Schedule, one
+// member at a time, through the engine's caches) and the winner is
+// picked per device (RealizePortfolio); its Allocate method exists only
+// to satisfy core.Allocator and always errors.
 type Portfolio struct {
 	Allocators []core.Allocator
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/hls"
 	"repro/internal/obs"
 	"repro/internal/simcache"
 )
@@ -190,11 +189,11 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded
 		return StreamStats{}, err
 	}
 
-	sim := hls.SimFunc(simDirect)
+	sc := scheduler{sim: simDirect, ac: e.Analyses, store: store}
 	var cache *simCache
 	if store != nil {
 		cache = newSimCache(store, e.Obs)
-		sim = cache.simulate
+		sc.sim = cache.simulate
 	}
 	// The "explore" stage is the engine's own wall clock, stopped before the
 	// snapshot so it lands inside it; "window" observes the order-restoring
@@ -246,7 +245,7 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded
 				an := analyses[pts[unit[0]].Kernel.Name]
 				for _, i := range unit {
 					select {
-					case results <- e.evalPoint(an, pts[i], sim, sp.PortfolioAll, &slots[i%nsched]):
+					case results <- e.evalPoint(an, pts[i], sc, sp.PortfolioAll, &slots[i%nsched]):
 					case <-stop:
 						return
 					}

@@ -48,7 +48,11 @@ func standalone(t *testing.T, an map[string]*hls.Analysis, p Point, members bool
 	t.Helper()
 	a := an[p.Kernel.Name]
 	if pf, ok := p.Allocator.(Portfolio); ok {
-		d, ms, err := a.EstimatePortfolio(pf.Allocators, p.Options(), nil)
+		schedules := make([]hls.Member, len(pf.Allocators))
+		for i, alg := range pf.Allocators {
+			schedules[i].Schedule, schedules[i].Err = a.Schedule(alg, p.Options(), nil)
+		}
+		d, ms, err := a.RealizePortfolio(schedules, p.Device)
 		if !members {
 			ms = nil
 		}

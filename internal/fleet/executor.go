@@ -35,9 +35,9 @@ type Executor interface {
 // the tests (and single-host fleets) use. The Engine value is copied per
 // Run, but its SimCache and Analyses pointers are shared: give every
 // executor of one fleet the same store and the same dse.AnalysisCache and
-// a kernel analyzed by any attempt — including an attempt that later
-// failed or was cancelled as a straggler — is a memo hit for every retry
-// and steal that follows.
+// a kernel analyzed, or a unit scheduled, by any attempt — including an
+// attempt that later failed or was cancelled as a straggler — is a memo
+// hit for every retry and steal that follows.
 type EngineExecutor struct {
 	Label  string
 	Engine dse.Engine

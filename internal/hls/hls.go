@@ -195,11 +195,7 @@ func (an *Analysis) Schedule(alg core.Allocator, opt Options, sim SimFunc) (Sche
 		}
 	}
 	k := an.Kernel
-	rmax := k.Rmax
-	if opt.Rmax > 0 {
-		rmax = opt.Rmax
-	}
-	prob, err := core.NewProblemFrom(k.Nest, an.Infos, an.Graph, rmax, opt.Sched.Lat)
+	prob, err := core.NewProblemFrom(k.Nest, an.Infos, an.Graph, an.Budget(opt), opt.Sched.Lat)
 	if err != nil {
 		return Schedule{}, fmt.Errorf("hls: %s: %w", k.Name, err)
 	}
@@ -245,6 +241,15 @@ func (an *Analysis) Schedule(alg core.Allocator, opt Options, sim SimFunc) (Sche
 	}, nil
 }
 
+// Budget returns the register budget Schedule allocates under: opt.Rmax
+// when positive, the analyzed kernel's Rmax otherwise.
+func (an *Analysis) Budget(opt Options) int {
+	if opt.Rmax > 0 {
+		return opt.Rmax
+	}
+	return an.Kernel.Rmax
+}
+
 // Realize applies one device's models to a schedule of this analysis:
 // the capacity check (Fit), then the clock, area and RAM-block models.
 // Safe to call concurrently, on one schedule from many goroutines too.
@@ -271,47 +276,26 @@ func (an *Analysis) Realize(s *Schedule, dev fpga.Device) (*Design, error) {
 	return d, nil
 }
 
-// EstimatePortfolio evaluates the design point under every allocator in
-// algs and returns the best design by the objective order: lowest
-// wall-clock time, then fewest slices, then fewest registers, then the
-// earlier allocator in list order — a deterministic total order, so
-// portfolio sweeps are reproducible whatever the evaluation schedule. It
-// also returns every member's design, in allocator list order (failed
-// members are absent), the winner included: `dse -portfolio-all`
-// reports them next to the winner so the win margins are visible. All
-// candidates run through the same sim function, so a sweep's simulation
-// caches are shared across the whole portfolio (allocators frequently
-// agree on β for part of the space, and even disagreeing plans share
-// iteration-class schedules). Per-allocator failures (infeasible budget,
-// device capacity) only fail the point when every allocator fails. It is
-// SchedulePortfolio then RealizePortfolio on opt.Device.
-func (an *Analysis) EstimatePortfolio(algs []core.Allocator, opt Options, sim SimFunc) (*Design, []*Design, error) {
-	return an.RealizePortfolio(an.SchedulePortfolio(algs, opt, sim), opt.Device)
-}
-
 // Member is one portfolio allocator's schedule, or the error that stopped
-// it before any device was applied.
+// it before any device was applied: whether that error fails the point
+// depends on the other members and, through Fit, on the device
+// (RealizePortfolio).
 type Member struct {
 	Schedule Schedule
 	Err      error
 }
 
-// SchedulePortfolio schedules the design point under every allocator in
-// algs, in list order. A member's failure is kept as its Err rather than
-// returned: whether it fails the point depends on the other members and,
-// through Fit, on the device (RealizePortfolio).
-func (an *Analysis) SchedulePortfolio(algs []core.Allocator, opt Options, sim SimFunc) []Member {
-	ms := make([]Member, len(algs))
-	for i, alg := range algs {
-		ms[i].Schedule, ms[i].Err = an.Schedule(alg, opt, sim)
-	}
-	return ms
-}
-
 // RealizePortfolio realizes every member schedule on dev and returns the
-// best design by EstimatePortfolio's objective order, with every member's
-// design in list order (failed members absent). The point fails only
-// when every member fails, with their deduplicated errors in list order.
+// best design by the objective order: lowest wall-clock time, then fewest
+// slices, then fewest registers, then the earlier member in list order —
+// a deterministic total order, so portfolio sweeps are reproducible
+// whatever the evaluation schedule. It also returns every member's
+// design, in list order (failed members absent), the winner included:
+// `dse -portfolio-all` reports them next to the winner so the win margins
+// are visible. Per-member failures (infeasible budget, device capacity)
+// fail the point only when every member fails, with their deduplicated
+// errors in list order. The sweep engine schedules the members (one
+// Schedule per allocator, through its caches) and realizes them here.
 func (an *Analysis) RealizePortfolio(ms []Member, dev fpga.Device) (*Design, []*Design, error) {
 	if len(ms) == 0 {
 		return nil, nil, fmt.Errorf("hls: %s: empty allocator portfolio", an.Kernel.Name)

@@ -181,6 +181,16 @@ func TestScheduleRealizePerDevice(t *testing.T) {
 	}
 }
 
+// schedulePortfolio schedules every allocator of algs in list order, as
+// the sweep engine does for a portfolio point.
+func schedulePortfolio(an *Analysis, algs []core.Allocator, opt Options) []Member {
+	ms := make([]Member, len(algs))
+	for i, alg := range algs {
+		ms[i].Schedule, ms[i].Err = an.Schedule(alg, opt, nil)
+	}
+	return ms
+}
+
 // TestRealizePortfolioErrors: a portfolio point fails only when every
 // member fails on the device, with the members' distinct errors in list
 // order; an empty portfolio is an error of its own.
@@ -191,14 +201,14 @@ func TestRealizePortfolioErrors(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.Rmax = 3 // figure1 has 5 references: every allocator refuses
-	ms := an.SchedulePortfolio(core.All(), opt, nil)
+	ms := schedulePortfolio(an, core.All(), opt)
 	_, _, err = an.RealizePortfolio(ms, fpga.XCV1000())
 	want := "hls: figure1: every portfolio allocator failed: " + ms[0].Err.Error()
 	if err == nil || err.Error() != want {
 		t.Errorf("infeasible portfolio error %v, want %q", err, want)
 	}
 	opt.Rmax = 64
-	ms = an.SchedulePortfolio(core.All(), opt, nil)
+	ms = schedulePortfolio(an, core.All(), opt)
 	tiny := fpga.Device{Name: "tiny", Slices: 10, BlockRAMs: 1, BlockRAMBits: 4096}
 	if _, _, err := an.RealizePortfolio(ms, tiny); err == nil || !strings.Contains(err.Error(), "every portfolio allocator failed") {
 		t.Errorf("portfolio on a 10-slice device: %v", err)

@@ -1,7 +1,11 @@
 // Package serve is the long-running estimation service behind `dse serve`:
 // an HTTP/JSON API that runs design-space explorations against one
-// process-wide warm simcache, so most traffic after warm-up is answered
-// from memoized analyses and class schedules instead of recomputation.
+// process-wide warm simcache and analysis memo, so most traffic after
+// warm-up is answered from memoized analyses and unit schedules (each
+// (kernel, allocator, budget, sched) unit's allocation, plan and
+// simulation) instead of recomputation: a repeated spec only applies the
+// device models. Units a request is the first to schedule still share the
+// store's class schedules.
 //
 //	POST /v1/explore?format=ndjson|table|csv|json   run a dse.SpaceSpec
 //	     &shard=i/n                                 shard i of n (ndjson only)
@@ -99,9 +103,10 @@ type Config struct {
 // Server runs explorations against one shared warm cache.
 type Server struct {
 	cache *simcache.Cache
-	// analyses is the process-lifetime memo of front-end analyses: a warm
-	// request's analyze stage is one key and one map lookup, however many
-	// requests came before.
+	// analyses is the process-lifetime memo of front-end analyses and unit
+	// schedules: a warm request's analyze stage is one key and one map
+	// lookup, and each unit an earlier request scheduled is one more,
+	// however many requests came before.
 	analyses *dse.AnalysisCache
 	metrics  *obs.Metrics
 	cfg      Config
@@ -318,8 +323,17 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// The body is one spec, decoded as `dse -space` decodes a file: data
+	// after the first JSON value is an error, not ignored.
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecSize+1))
+	if err == nil && len(body) > maxSpecSize {
+		err = fmt.Errorf("body exceeds %d bytes", maxSpecSize)
+	}
 	var spec dse.SpaceSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxSpecSize)).Decode(&spec); err != nil {
+	if err == nil {
+		err = json.Unmarshal(body, &spec)
+	}
+	if err != nil {
 		s.errorT.Inc()
 		http.Error(w, "bad space spec: "+err.Error(), http.StatusBadRequest)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -129,8 +130,22 @@ func TestExploreByteIdentity(t *testing.T) {
 	}
 }
 
+// stageCounts returns the counts of the metrics doc's allocator, plan and
+// simulation stages: the work a unit's schedule costs.
+func stageCounts(doc MetricsDoc) map[string]int64 {
+	counts := map[string]int64{}
+	for name, st := range doc.Obs.Stages {
+		if strings.HasPrefix(name, "alloc/") || name == "plan" || name == "sim" {
+			counts[name] = st.Count
+		}
+	}
+	return counts
+}
+
 // TestSecondRequestWarm: the service's reason to exist — a repeated spec
-// recomputes nothing, every class-schedule lookup is a memory hit.
+// recomputes nothing. The warm request misses no analysis, schedule or
+// class, looks up no class at all, runs no allocator, plan or
+// simulation, finds every unit in the memo, and answers the same bytes.
 func TestSecondRequestWarm(t *testing.T) {
 	s, ts, cache := newTestServer(t, Config{})
 	spec := smallSpec(t)
@@ -141,9 +156,10 @@ func TestSecondRequestWarm(t *testing.T) {
 		t.Fatalf("cold: status %d: %s", resp.StatusCode, cold)
 	}
 	after1 := cache.Snapshot()
-	if after1.ClassMisses == 0 || after1.AnalysisMisses == 0 {
+	if after1.ClassMisses == 0 || after1.AnalysisMisses == 0 || after1.ScheduleMisses == 0 {
 		t.Fatalf("cold request computed nothing: %+v", after1)
 	}
+	stages1 := stageCounts(s.Doc())
 
 	resp = postSpec(t, ts.URL, spec, "csv")
 	warm := readBody(t, resp)
@@ -151,11 +167,17 @@ func TestSecondRequestWarm(t *testing.T) {
 		t.Fatalf("warm: status %d: %s", resp.StatusCode, warm)
 	}
 	delta := cache.Snapshot().Sub(after1)
-	if delta.ClassMisses != 0 || delta.AnalysisMisses != 0 {
-		t.Errorf("warm request recomputed class schedules or analyses: %+v", delta)
+	if delta.ClassMisses != 0 || delta.AnalysisMisses != 0 || delta.ScheduleMisses != 0 {
+		t.Errorf("warm request recomputed analyses, schedules or classes: %+v", delta)
 	}
-	if delta.ClassHits == 0 {
-		t.Errorf("warm request did not hit the shared store: %+v", delta)
+	if delta.ClassHits != 0 {
+		t.Errorf("warm request looked up class schedules: %+v", delta)
+	}
+	if delta.ScheduleHits != after1.ScheduleMisses {
+		t.Errorf("warm request found %d units in the memo, want all %d: %+v", delta.ScheduleHits, after1.ScheduleMisses, delta)
+	}
+	if stages2 := stageCounts(s.Doc()); len(stages1) == 0 || !maps.Equal(stages1, stages2) {
+		t.Errorf("warm request ran allocator, plan or simulation stages: %v, then %v", stages1, stages2)
 	}
 	if !bytes.Equal(cold, warm) {
 		t.Error("warm response differs from cold response")
@@ -166,53 +188,70 @@ func TestSecondRequestWarm(t *testing.T) {
 		t.Errorf("Doc points = %d, want an even accumulated total", doc.Points)
 	}
 	names := doc.Obs.Names()
-	has := func(name string) bool {
-		for _, n := range names {
-			if n == name {
-				return true
-			}
-		}
-		return false
-	}
-	for _, want := range []string{"serve/request", "cache/class/hit", "explore"} {
-		if !has(want) {
+	for _, want := range []string{"serve/request", "cache/schedule/hit", "cache/schedule/miss", "explore"} {
+		if !slices.Contains(names, want) {
 			t.Errorf("metrics doc missing stage %q (have %v)", want, names)
 		}
 	}
 }
 
 // TestNDJSONTrailerCarriesRequestDelta: the trailer's cache counters are
-// this request's lookups, not the shared store's lifetime totals.
+// this request's lookups, not the shared store's lifetime totals: a warm
+// request's trailer shows every unit as a schedule hit and no miss of
+// any kind, no class lookup, and no allocator, plan or simulation stage,
+// and its rows are the cold request's.
 func TestNDJSONTrailerCarriesRequestDelta(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	spec := smallSpec(t)
-	readBody(t, postSpec(t, ts.URL, spec, "")) // warm the store
-	nd := readBody(t, postSpec(t, ts.URL, spec, ""))
+	type trailer struct {
+		EOF        bool               `json:"eof"`
+		UniqueSims int                `json:"unique_sims"`
+		Cache      *simcache.Snapshot `json:"cache"`
+		Obs        obs.Snapshot       `json:"obs"`
+	}
+	split := func(nd []byte) (rows string, tr trailer) {
+		t.Helper()
+		body := strings.TrimSpace(string(nd))
+		i := strings.LastIndexByte(body, '\n')
+		if err := json.Unmarshal([]byte(body[i+1:]), &tr); err != nil || !tr.EOF {
+			t.Fatalf("last line is not a trailer: %v %q", err, body[i+1:])
+		}
+		if tr.Cache == nil {
+			t.Fatal("trailer carries no cache snapshot")
+		}
+		return body[:i+1], tr
+	}
+	coldRows, cold := split(readBody(t, postSpec(t, ts.URL, spec, ""))) // warm the store
+	warmRows, warm := split(readBody(t, postSpec(t, ts.URL, spec, "")))
 
-	lines := strings.Split(strings.TrimSpace(string(nd)), "\n")
-	var trailer struct {
-		EOF   bool               `json:"eof"`
-		Cache *simcache.Snapshot `json:"cache"`
+	if cold.Cache.ScheduleMisses == 0 || cold.Obs.Stages["plan"].Count == 0 {
+		t.Fatalf("cold request trailer reports no schedule misses or no plan stage: %+v", *cold.Cache)
 	}
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); err != nil || !trailer.EOF {
-		t.Fatalf("last line is not a trailer: %v %q", err, lines[len(lines)-1])
+	c := *warm.Cache
+	if c.ClassMisses != 0 || c.ScheduleMisses != 0 || c.PlanMisses != 0 {
+		t.Errorf("warm request trailer reports misses: %+v", c)
 	}
-	if trailer.Cache == nil {
-		t.Fatal("trailer carries no cache snapshot")
+	if c.ClassHits != 0 || c.PlanHits != 0 || warm.UniqueSims != 0 {
+		t.Errorf("warm request trailer reports simulation lookups: %+v, %d unique simulations", c, warm.UniqueSims)
 	}
-	if trailer.Cache.ClassMisses != 0 {
-		t.Errorf("warm request trailer reports misses: %+v", *trailer.Cache)
-	}
-	if trailer.Cache.ClassHits == 0 {
-		t.Errorf("warm request trailer reports no hits: %+v", *trailer.Cache)
+	if c.ScheduleHits != cold.Cache.ScheduleMisses {
+		t.Errorf("warm request trailer reports %d schedule hits, want every unit's %d", c.ScheduleHits, cold.Cache.ScheduleMisses)
 	}
 	// The front-end memo is process-lifetime: the warm request's analyze
 	// stage is all hits, no misses.
-	if trailer.Cache.AnalysisMisses != 0 {
-		t.Errorf("warm request trailer reports analysis misses: %+v", *trailer.Cache)
+	if c.AnalysisMisses != 0 {
+		t.Errorf("warm request trailer reports analysis misses: %+v", c)
 	}
-	if trailer.Cache.AnalysisHits == 0 {
-		t.Errorf("warm request trailer reports no analysis hits: %+v", *trailer.Cache)
+	if c.AnalysisHits == 0 {
+		t.Errorf("warm request trailer reports no analysis hits: %+v", c)
+	}
+	for name, st := range warm.Obs.Stages {
+		if (strings.HasPrefix(name, "alloc/") || name == "plan" || name == "sim") && st.Count != 0 {
+			t.Errorf("warm request trailer reports stage %s %d times", name, st.Count)
+		}
+	}
+	if warmRows != coldRows {
+		t.Error("warm request rows differ from the cold request's")
 	}
 }
 
@@ -226,6 +265,34 @@ func TestExploreValidation(t *testing.T) {
 	}
 	if readBody(t, resp); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d, want 400", resp.StatusCode)
+	}
+
+	// Trailing data after the spec: `dse -space` (json.Unmarshal)
+	// rejects these bytes, and so must the server, instead of sweeping
+	// the first value. Trailing whitespace is no data.
+	good, err := json.Marshal(smallSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tail string
+		code int
+	}{
+		{string(good), http.StatusBadRequest},
+		{" junk", http.StatusBadRequest},
+		{"{}", http.StatusBadRequest},
+		{" \n\t\r\n", http.StatusOK},
+		// The cap bounds the whole body, whitespace included.
+		{strings.Repeat(" ", maxSpecSize), http.StatusBadRequest},
+	} {
+		body := string(good) + c.tail
+		resp, err := http.Post(ts.URL+"/v1/explore?format=csv", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := readBody(t, resp); resp.StatusCode != c.code {
+			t.Errorf("spec followed by %d bytes %.8q: status %d, want %d: %s", len(c.tail), c.tail, resp.StatusCode, c.code, msg)
+		}
 	}
 
 	// Unknown kernel.

@@ -32,10 +32,12 @@
 // Front-end analyses are not stored: they are a closed form, cheaper to
 // recompute than to decode (DESIGN.md §18). The package still counts
 // them, as reported by the in-process analysis memo of internal/dse
-// (AnalysisHit, AnalysisMiss), next to the per-stage hit statistics of
-// entry fragments, class schedules and whole-plan simulations (the last
-// counted by the sweep engine's plan-level cache) that the CLIs report and
-// shard merging sums; a sweep's entry counters read 0.
+// (AnalysisHit, AnalysisMiss), and the unit schedules that memo keeps
+// beside them (ScheduleHit, ScheduleMiss, DESIGN.md §24), next to the
+// per-stage hit statistics of entry fragments, class schedules and
+// whole-plan simulations (the last counted by the sweep engine's
+// plan-level cache) that the CLIs report and shard merging sums; a
+// sweep's entry counters read 0.
 package simcache
 
 import (
@@ -107,9 +109,13 @@ type Cache struct {
 	classes kind[ClassLen]
 
 	analysisHits, analysisMisses atomic.Int64
+	scheduleHits, scheduleMisses atomic.Int64
 	planHits, planMisses         atomic.Int64
 	analysisHitT, analysisMissT  *obs.StageStats
 	planHitT, planMissT          *obs.StageStats
+	// obs registers the cache/schedule stages on first use, so a process
+	// without a schedule memo (every CLI sweep) shows none of them.
+	obs *obs.Metrics
 }
 
 // New returns an in-memory cache.
@@ -153,7 +159,8 @@ func (c *Cache) Dir() string { return c.dir }
 
 // SetObs mirrors the cache's tier outcomes into per-stage obs counters
 // ("cache/frag/{hit,disk,miss,wait}", "cache/class/{hit,miss,wait}",
-// "cache/{analysis,plan}/{hit,miss}"), with the wait tier a nanosecond
+// "cache/{analysis,plan}/{hit,miss}", and "cache/schedule/{hit,miss}"
+// from the first schedule lookup on), with the wait tier a nanosecond
 // histogram of time spent blocked behind another goroutine's in-flight
 // computation. The stats Snapshot counters are unaffected. Call before
 // concurrent use.
@@ -167,6 +174,7 @@ func (c *Cache) SetObs(m *obs.Metrics) {
 	c.analysisMissT = m.Stage("cache/analysis/miss")
 	c.planHitT = m.Stage("cache/plan/hit")
 	c.planMissT = m.Stage("cache/plan/miss")
+	c.obs = m
 }
 
 // Fragment returns the memoized fragment for key, running compute on the
@@ -195,6 +203,20 @@ func (c *Cache) AnalysisHit() {
 func (c *Cache) AnalysisMiss() {
 	c.analysisMisses.Add(1)
 	c.analysisMissT.Inc()
+}
+
+// ScheduleHit and ScheduleMiss record the outcomes of the unit-schedule
+// memo beside the analyses (internal/dse): a lookup answered by the memo
+// (waits included), and one that ran the allocator, the plan and the
+// simulation.
+func (c *Cache) ScheduleHit() {
+	c.scheduleHits.Add(1)
+	c.obs.Stage("cache/schedule/hit").Inc()
+}
+
+func (c *Cache) ScheduleMiss() {
+	c.scheduleMisses.Add(1)
+	c.obs.Stage("cache/schedule/miss").Inc()
 }
 
 // PlanHit and PlanMiss record the whole-plan simulation cache outcomes the

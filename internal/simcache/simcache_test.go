@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -248,6 +249,41 @@ func TestAnalysisHitCountsMemoLayer(t *testing.T) {
 	if hit, miss := st["cache/analysis/hit"].Count, st["cache/analysis/miss"].Count; hit != 2 || miss != 1 {
 		t.Fatalf("obs hit %d miss %d, want 2 and 1", hit, miss)
 	}
+}
+
+// TestScheduleCountsRegisterOnFirstUse: the schedule counters are the
+// memo's reports, one per call, on the snapshot and on obs stages that
+// exist only once a schedule was looked up; String names the stage only
+// then, so a CLI stats line is unchanged.
+func TestScheduleCountsRegisterOnFirstUse(t *testing.T) {
+	c := New()
+	m := obs.New()
+	c.SetObs(m)
+	if _, ok := m.Snapshot().Stages["cache/schedule/hit"]; ok {
+		t.Fatal("schedule stage registered before any lookup")
+	}
+	if s := c.Snapshot().String(); strings.Contains(s, "schedule") {
+		t.Fatalf("String names the schedule stage before any lookup: %s", s)
+	}
+	c.ScheduleHit()
+	c.ScheduleHit()
+	c.ScheduleMiss()
+	s := c.Snapshot()
+	if s.ScheduleHits != 2 || s.ScheduleMisses != 1 {
+		t.Fatalf("stats %+v, want 2 schedule hits and 1 miss", s)
+	}
+	st := m.Snapshot().Stages
+	if hit, miss := st["cache/schedule/hit"].Count, st["cache/schedule/miss"].Count; hit != 2 || miss != 1 {
+		t.Fatalf("obs hit %d miss %d, want 2 and 1", hit, miss)
+	}
+	if str := s.String(); !strings.HasSuffix(str, ", schedule 2/1") {
+		t.Fatalf("String = %q, want the schedule stage last", str)
+	}
+	if d := s.Add(s).Sub(s); d != s {
+		t.Fatalf("Add then Sub = %+v, want %+v", d, s)
+	}
+	// A cache without obs counts all the same.
+	New().ScheduleHit()
 }
 
 func TestSnapshotAddAndString(t *testing.T) {

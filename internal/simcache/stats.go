@@ -33,6 +33,10 @@ type Snapshot struct {
 	AnalysisDiskHits   int64 `json:"analysis_disk_hits,omitempty"`
 	AnalysisRemoteHits int64 `json:"analysis_remote_hits,omitempty"`
 	AnalysisMisses     int64 `json:"analysis_misses,omitempty"`
+	// Unit schedules are memoized only where a process shares an analysis
+	// memo (dse serve), so every CLI and shard trailer omits them.
+	ScheduleHits   int64 `json:"schedule_hits,omitempty"`
+	ScheduleMisses int64 `json:"schedule_misses,omitempty"`
 
 	PlanHits   int64 `json:"plan_hits"`
 	PlanMisses int64 `json:"plan_misses"`
@@ -44,6 +48,7 @@ func (c *Cache) Snapshot() Snapshot {
 	s.EntryHits, s.EntryDiskHits, s.EntryMisses = c.frags.counts()
 	s.ClassHits, s.ClassDiskHits, s.ClassMisses = c.classes.counts()
 	s.AnalysisHits, s.AnalysisMisses = c.analysisHits.Load(), c.analysisMisses.Load()
+	s.ScheduleHits, s.ScheduleMisses = c.scheduleHits.Load(), c.scheduleMisses.Load()
 	s.PlanHits, s.PlanMisses = c.planHits.Load(), c.planMisses.Load()
 	return s
 }
@@ -65,6 +70,8 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		AnalysisDiskHits:   s.AnalysisDiskHits + o.AnalysisDiskHits,
 		AnalysisRemoteHits: s.AnalysisRemoteHits + o.AnalysisRemoteHits,
 		AnalysisMisses:     s.AnalysisMisses + o.AnalysisMisses,
+		ScheduleHits:       s.ScheduleHits + o.ScheduleHits,
+		ScheduleMisses:     s.ScheduleMisses + o.ScheduleMisses,
 
 		PlanHits:   s.PlanHits + o.PlanHits,
 		PlanMisses: s.PlanMisses + o.PlanMisses,
@@ -89,6 +96,8 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		AnalysisDiskHits:   s.AnalysisDiskHits - o.AnalysisDiskHits,
 		AnalysisRemoteHits: s.AnalysisRemoteHits - o.AnalysisRemoteHits,
 		AnalysisMisses:     s.AnalysisMisses - o.AnalysisMisses,
+		ScheduleHits:       s.ScheduleHits - o.ScheduleHits,
+		ScheduleMisses:     s.ScheduleMisses - o.ScheduleMisses,
 
 		PlanHits:   s.PlanHits - o.PlanHits,
 		PlanMisses: s.PlanMisses - o.PlanMisses,
@@ -99,7 +108,9 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 func (s Snapshot) Zero() bool { return s == Snapshot{} }
 
 // String renders the per-stage counters for stderr stats lines, as
-// hits+diskHits+remoteHits/misses per stage.
+// hits+diskHits+remoteHits/misses per stage. The schedule stage is
+// appended only when the run looked one up, so a CLI line reads as it
+// always did.
 func (s Snapshot) String() string {
 	stage := func(h, d, r, m int64) string {
 		switch {
@@ -112,9 +123,13 @@ func (s Snapshot) String() string {
 		}
 		return fmt.Sprintf("%d/%d", h, m)
 	}
-	return fmt.Sprintf("analysis %s, frag %s, class %s, plan %s",
+	str := fmt.Sprintf("analysis %s, frag %s, class %s, plan %s",
 		stage(s.AnalysisHits, s.AnalysisDiskHits, s.AnalysisRemoteHits, s.AnalysisMisses),
 		stage(s.EntryHits, s.EntryDiskHits, s.EntryRemoteHits, s.EntryMisses),
 		stage(s.ClassHits, s.ClassDiskHits, s.ClassRemoteHits, s.ClassMisses),
 		stage(s.PlanHits, 0, 0, s.PlanMisses))
+	if s.ScheduleHits != 0 || s.ScheduleMisses != 0 {
+		str += ", schedule " + stage(s.ScheduleHits, 0, 0, s.ScheduleMisses)
+	}
+	return str
 }
