@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -28,13 +29,14 @@ func main() {
 		verify = flag.Bool("verify", false, "machine-check the storage plan against the reference interpreter")
 	)
 	flag.Parse()
-	if err := run(*kernel, *algo, *regs, *ports, *trace, *verify); err != nil {
+	if err := run(os.Stdout, *kernel, *algo, *regs, *ports, *trace, *verify); err != nil {
 		fmt.Fprintln(os.Stderr, "regalloc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(kernel, algo string, regs, ports int, trace, verify bool) error {
+// run estimates kernel under allocator algo and prints the report to w.
+func run(w io.Writer, kernel, algo string, regs, ports int, trace, verify bool) error {
 	k, err := kernels.ByName(kernel)
 	if err != nil {
 		return err
@@ -50,9 +52,9 @@ func run(kernel, algo string, regs, ports int, trace, verify bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("kernel %s — %s\n", k.Name, k.Description)
-	fmt.Print(k.Nest.String())
-	fmt.Printf("\nallocation (%s, budget %d):\n", alg.Name(), d.Allocation.Rmax)
+	fmt.Fprintf(w, "kernel %s — %s\n", k.Name, k.Description)
+	fmt.Fprint(w, k.Nest.String())
+	fmt.Fprintf(w, "\nallocation (%s, budget %d):\n", alg.Name(), d.Allocation.Rmax)
 	for _, e := range d.Plan.Order() {
 		state := "RAM"
 		switch {
@@ -61,26 +63,26 @@ func run(kernel, algo string, regs, ports int, trace, verify bool) error {
 		case e.Coverage > 0:
 			state = fmt.Sprintf("registers for %d of %d window elements", e.Coverage, e.Info.Nu)
 		}
-		fmt.Printf("  %-22s ν=%-5d β=%-4d → %s\n", e.Info.Key(), e.Info.Nu, e.Beta, state)
+		fmt.Fprintf(w, "  %-22s ν=%-5d β=%-4d → %s\n", e.Info.Key(), e.Info.Nu, e.Beta, state)
 	}
 	if trace {
-		fmt.Println("\ndecision trace:")
+		fmt.Fprintln(w, "\ndecision trace:")
 		for _, line := range d.Allocation.Trace() {
-			fmt.Println("  " + line)
+			fmt.Fprintln(w, "  "+line)
 		}
 	}
-	fmt.Printf("\nmetrics: %d registers | %d cycles (Tmem %d, overhead %d) | clock %.1f ns | %.1f µs | %d slices (%.1f%%) | %d BRAMs\n",
+	fmt.Fprintf(w, "\nmetrics: %d registers | %d cycles (Tmem %d, overhead %d) | clock %.1f ns | %.1f µs | %d slices (%.1f%%) | %d BRAMs\n",
 		d.Registers, d.Cycles, d.MemCycles, d.Sim.OverheadCycles, d.ClockNs, d.TimeUs, d.Slices, d.SliceUtil, d.RAMs)
 	loads, stores, err := sched.Transfers(k.Nest, d.Plan)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("transfer traffic: %d loads, %d stores (overlapped)\n", loads, stores)
+	fmt.Fprintf(w, "transfer traffic: %d loads, %d stores (overlapped)\n", loads, stores)
 	if verify {
 		if err := d.Verify(1); err != nil {
 			return fmt.Errorf("semantics check FAILED: %w", err)
 		}
-		fmt.Println("semantics check: storage plan matches the reference interpreter ✓")
+		fmt.Fprintln(w, "semantics check: storage plan matches the reference interpreter ✓")
 	}
 	return nil
 }
