@@ -305,10 +305,10 @@ func BenchmarkClassLen(b *testing.B) {
 }
 
 // BenchmarkTransfers measures sched.Transfers, the transfer replay run on
-// demand, on every Table-1 kernel under its CPA-RA plan. With the
-// per-subtree steady-state extrapolation the cost tracks the collapsed
-// walk (transient × cycle × inner region), not the trip product — BIC's
-// ~208k-point nest is the regression canary.
+// demand (one call per regalloc run; no sweep calls it), on every Table-1
+// kernel under its CPA-RA plan. Each covered entry walks one reuse region
+// in full, so the cost tracks the region's iteration points: BIC's is the
+// largest.
 func BenchmarkTransfers(b *testing.B) {
 	for _, k := range kernels.All() {
 		_, plan := cpaPlan(b, k)

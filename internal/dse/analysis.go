@@ -75,12 +75,12 @@ func (ac *AnalysisCache) Get(k kernels.Kernel, store *simcache.Cache) (*hls.Anal
 // schedule returns alg's schedule of an under opt as a member: its Err is
 // the schedule's own failure (an infeasible budget, say). The error
 // returned beside it is a recovered panic, "estimator panic: …", which
-// fails the whole point. On a non-nil cache an must come from Get, and
-// the member is memoized, panics included, with the lookup recorded on
-// store (when non-nil) as Get records analyses. A nil cache calls
-// Schedule directly, lets a panic reach the caller's recover and records
-// nothing.
-func (ac *AnalysisCache) schedule(an *hls.Analysis, alg core.Allocator, opt hls.Options, sim hls.SimFunc, store *simcache.Cache) (hls.Member, error) {
+// fails the whole point. On a non-nil cache an must come from Get, lat
+// must be opt.Sched.Lat.Fingerprint(), and the member is memoized, panics
+// included, with the lookup recorded on store (when non-nil) as Get
+// records analyses. A nil cache ignores lat, calls Schedule directly,
+// lets a panic reach the caller's recover and records nothing.
+func (ac *AnalysisCache) schedule(an *hls.Analysis, alg core.Allocator, opt hls.Options, lat string, sim hls.SimFunc, store *simcache.Cache) (hls.Member, error) {
 	run := func() (hls.Member, error) {
 		s, err := an.Schedule(alg, opt, sim)
 		return hls.Member{Schedule: s, Err: err}, nil
@@ -88,7 +88,7 @@ func (ac *AnalysisCache) schedule(an *hls.Analysis, alg core.Allocator, opt hls.
 	if ac == nil {
 		return run()
 	}
-	key := scheduleKey{an: an, alg: alg.Name(), budget: an.Budget(opt), lat: opt.Sched.Lat.Fingerprint(), ports: opt.Sched.PortsPerRAM}
+	key := scheduleKey{an: an, alg: alg.Name(), budget: an.Budget(opt), lat: lat, ports: opt.Sched.PortsPerRAM}
 	m, o, err := ac.schedules.Get(key, run)
 	if store != nil {
 		if o == memo.Claimed {

@@ -250,11 +250,24 @@ type scheduled struct {
 
 // scheduler is what one exploration schedules its units with: the
 // simulation step, and the engine's analysis memo (nil: none), which
-// keeps each schedule, with the store its lookups are counted on.
+// keeps each schedule, with the store its lookups are counted on. With a
+// memo, lats holds each sched variant's rendered latency fingerprint, the
+// memo key's costliest field, rendered once per exploration.
 type scheduler struct {
 	sim   hls.SimFunc
 	ac    *AnalysisCache
 	store *simcache.Cache
+	lats  []string
+}
+
+// lat returns the latency fingerprint of p's sched variant ("" without a
+// memo). The sched axis is innermost, so the variant is p's index modulo
+// the variant count.
+func (sc scheduler) lat(p Point) string {
+	if sc.lats == nil {
+		return ""
+	}
+	return sc.lats[p.Index%len(sc.lats)]
 }
 
 // schedule computes the slot for point p, converting an estimator panic
@@ -270,9 +283,10 @@ func (s *scheduled) schedule(an *hls.Analysis, p Point, sc scheduler, m *obs.Met
 	}()
 	opt := p.Options()
 	opt.Obs, opt.Trace, opt.Point = m, tr, p.Index
+	lat := sc.lat(p)
 	pf, ok := p.Allocator.(Portfolio)
 	if !ok {
-		mb, err := sc.ac.schedule(an, p.Allocator, opt, sc.sim, sc.store)
+		mb, err := sc.ac.schedule(an, p.Allocator, opt, lat, sc.sim, sc.store)
 		if err == nil {
 			err = mb.Err
 		}
@@ -282,7 +296,7 @@ func (s *scheduled) schedule(an *hls.Analysis, p Point, sc scheduler, m *obs.Met
 	s.members = make([]hls.Member, len(pf.Allocators))
 	for i, alg := range pf.Allocators {
 		var err error
-		if s.members[i], err = sc.ac.schedule(an, alg, opt, sc.sim, sc.store); err != nil {
+		if s.members[i], err = sc.ac.schedule(an, alg, opt, lat, sc.sim, sc.store); err != nil {
 			*s = scheduled{done: true, err: err}
 			return
 		}

@@ -190,6 +190,12 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded
 	}
 
 	sc := scheduler{sim: simDirect, ac: e.Analyses, store: store}
+	if sc.ac != nil {
+		sc.lats = make([]string, len(sp.Scheds))
+		for v, sv := range sp.Scheds {
+			sc.lats[v] = sv.Config.Lat.Fingerprint()
+		}
+	}
 	var cache *simCache
 	if store != nil {
 		cache = newSimCache(store, e.Obs)
@@ -286,25 +292,12 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded
 		wg.Wait()
 		close(results)
 	}()
-	// Cancellation watcher: a cancelled context halts dispatch through the
-	// same stop channel a reporter error uses, so the feeder and workers
-	// exit promptly instead of lingering until the next row emission
-	// notices. watchDone releases the watcher on every return path.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	if done := ctx.Done(); done != nil {
-		go func() {
-			defer func() {
-				if v := recover(); v != nil {
-					onPanic(fmt.Errorf("dse: cancellation watcher panic: %v", v))
-				}
-			}()
-			select {
-			case <-done:
-				halt()
-			case <-watchDone:
-			}
-		}()
+	// A cancelled context halts dispatch through the same stop channel a
+	// reporter error uses, so the feeder and workers exit promptly instead
+	// of lingering until the next row emission notices. halt only closes
+	// stop once, so the runtime's AfterFunc goroutine cannot panic.
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, halt)()
 	}
 
 	var st StreamStats

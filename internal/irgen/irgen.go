@@ -21,11 +21,11 @@ type Config struct {
 	// InteriorZeroProb, when positive, excludes each non-innermost loop
 	// variable from a reference's index functions with this probability —
 	// biasing references toward zero coefficients at interior walk depths
-	// (`a[i][k]` under an `i,j,k` nest), the shapes the simulator's
-	// per-subtree steady-state extrapolation collapses. The innermost
-	// variable is never excluded, so references stay non-constant. Zero
-	// (the default) draws nothing from the rng and leaves generated
-	// programs identical to earlier seeds.
+	// (`a[i][k]` under an `i,j,k` nest): windows revisited across an
+	// interior loop, rare in unbiased draws. The innermost variable is
+	// never excluded, so references stay non-constant. Zero (the default)
+	// draws nothing from the rng and leaves generated programs identical
+	// to earlier seeds.
 	InteriorZeroProb float64
 }
 

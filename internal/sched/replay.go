@@ -1,7 +1,5 @@
 package sched
 
-import "encoding/binary"
-
 // replay is the transfer-protocol automaton of one covered entry: which
 // window elements are register-resident, which of those are dirty, and the
 // transfer traffic so far. Semantics match the xferFile of the fused
@@ -15,20 +13,14 @@ import "encoding/binary"
 // (the sliding-window case) appends at tail; the run is compacted to the
 // front of the buffer only when tail reaches its end, at least capacity
 // appends apart, so appends cost amortized O(1). The dirty count is
-// maintained incrementally, so the per-subtree walker's state snapshots
-// and the region-end flush never rescan the resident set.
+// maintained incrementally, so the region-end flush never rescans the
+// resident set.
 type replay struct {
 	capacity      int
 	buf           []slot // the resident set is buf[head:tail], ascending by flat
 	head, tail    int
 	ndirty        int // resident elements with the dirty bit set
 	loads, stores int
-
-	// Scratch buffer reused across signature calls: the per-subtree walker
-	// takes a snapshot per iteration of every non-innermost walk loop, so
-	// building one must not allocate. Callers consume the returned bytes
-	// (map probe or interning copy) before the next signature call.
-	sigBuf []byte
 }
 
 // slot is one register-resident window element.
@@ -111,41 +103,3 @@ func (r *replay) insert(i int, s slot) {
 //
 //repro:hotpath
 func (r *replay) dirtyCount() int { return r.ndirty }
-
-// signature renders the automaton state (resident flats with dirty bits)
-// canonically, normalized by subtracting offset from every flat — the
-// translation-aware form the per-subtree cycle detector compares: two
-// states yield equal signatures iff one is the other translated by the
-// difference of their offsets, dirty bits aligned. Transfer counters are
-// excluded — they are outputs, not state. The run is already in flat
-// order, so it is read as is. The returned slice aliases an internal
-// scratch buffer valid until the next signature call; detectors probe maps
-// with string(sig) (no allocation) and copy only on insert.
-//
-//repro:hotpath
-func (r *replay) signature(offset int) []byte {
-	buf := r.sigBuf[:0]
-	for _, s := range r.buf[r.head:r.tail] {
-		buf = binary.AppendVarint(buf, int64(s.flat-offset))
-		if s.dirty {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	r.sigBuf = buf
-	return buf
-}
-
-// translate shifts every resident flat by delta, preserving dirty bits and
-// counters. Used when the cycle detector skips extrapolated iterations of a
-// non-zero-coefficient loop: the automaton state after the skipped span is
-// the current state translated by the span's accumulated flat offset. A
-// uniform shift preserves the run's order, so it is shifted in place.
-//
-//repro:hotpath
-func (r *replay) translate(delta int) {
-	for i := r.head; i < r.tail; i++ {
-		r.buf[i].flat += delta
-	}
-}

@@ -1,17 +1,15 @@
 package sched
 
 import (
-	"bytes"
-	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
 
 // heapReplay is the map + min-heap transfer automaton the sorted-run replay
 // replaced, kept as its differential oracle: the resident set is a map from
-// flat to dirty bit, mirrored in a min-heap for eviction, and snapshots
-// copy and sort the heap.
+// flat to dirty bit, mirrored in a min-heap for eviction.
 type heapReplay struct {
 	capacity      int
 	dirty         map[int]bool
@@ -46,30 +44,16 @@ func (r *heapReplay) access(flat int, w bool) {
 	}
 }
 
-func (r *heapReplay) signature(offset int) []byte {
+// resident returns the resident set in ascending flat order, with dirty
+// bits: the sorted-run automaton's buf[head:tail].
+func (r *heapReplay) resident() []slot {
 	flats := append([]int(nil), r.heap...)
 	sort.Ints(flats)
-	var buf []byte
-	for _, f := range flats {
-		buf = binary.AppendVarint(buf, int64(f-offset))
-		if r.dirty[f] {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+	set := make([]slot, len(flats))
+	for i, f := range flats {
+		set[i] = slot{flat: f, dirty: r.dirty[f]}
 	}
-	return buf
-}
-
-func (r *heapReplay) translate(delta int) {
-	shifted := make(map[int]bool, len(r.dirty))
-	for f, d := range r.dirty {
-		shifted[f+delta] = d
-	}
-	r.dirty = shifted
-	for i := range r.heap {
-		r.heap[i] += delta
-	}
+	return set
 }
 
 func (r *heapReplay) push(f int) {
@@ -123,31 +107,24 @@ var replayShapes = []struct {
 }
 
 // TestReplayMatchesHeapOracle runs the sorted-run automaton against the
-// map + heap oracle on every access shape at several capacities, with a
-// translation every 37 steps: loads, stores, the dirty count and the
-// normalized signature must agree after every step.
+// map + heap oracle on every access shape at several capacities: loads,
+// stores, the dirty count and the resident set with its dirty bits must
+// agree after every step.
 func TestReplayMatchesHeapOracle(t *testing.T) {
 	for _, shape := range replayShapes {
 		for _, capacity := range []int{1, 2, 3, 5, 8, 31} {
 			rng := rand.New(rand.NewSource(7))
 			got, want := newReplay(capacity), newHeapReplay(capacity)
 			for i := 0; i < 2000; i++ {
-				if i%37 == 36 {
-					shift := rng.Intn(21) - 10
-					got.translate(shift)
-					want.translate(shift)
-				} else {
-					flat, w := shape.flat(rng, i), rng.Intn(3) == 0
-					got.access(flat, w)
-					want.access(flat, w)
-				}
+				flat, w := shape.flat(rng, i), rng.Intn(3) == 0
+				got.access(flat, w)
+				want.access(flat, w)
 				if got.loads != want.loads || got.stores != want.stores || got.dirtyCount() != want.ndirty {
 					t.Fatalf("%s cap %d step %d: loads/stores/dirty = %d/%d/%d, oracle %d/%d/%d",
 						shape.name, capacity, i, got.loads, got.stores, got.dirtyCount(), want.loads, want.stores, want.ndirty)
 				}
-				offset := i % 5
-				if g, w := got.signature(offset), want.signature(offset); !bytes.Equal(g, w) {
-					t.Fatalf("%s cap %d step %d: signature %x, oracle %x", shape.name, capacity, i, g, w)
+				if g, w := got.buf[got.head:got.tail], want.resident(); !slices.Equal(g, w) {
+					t.Fatalf("%s cap %d step %d: resident %v, oracle %v", shape.name, capacity, i, g, w)
 				}
 			}
 		}
@@ -155,8 +132,8 @@ func TestReplayMatchesHeapOracle(t *testing.T) {
 }
 
 // TestReplayAllocFree pins the automaton's hot path at run time: on a warm
-// automaton a scripted sequence of hits, evictions (new minima, new maxima
-// and mid-run inserts), snapshots and translations allocates nothing.
+// automaton a scripted sequence of hits and evictions (new minima, new
+// maxima and mid-run inserts) allocates nothing.
 func TestReplayAllocFree(t *testing.T) {
 	r := newReplay(8)
 	script := func() {
@@ -169,12 +146,8 @@ func TestReplayAllocFree(t *testing.T) {
 		for _, f := range []int{25, 7, 33, 25, 12, 30} {
 			r.access(f, true) // hits and mid-run inserts
 		}
-		_ = r.signature(5)
 		_ = r.dirtyCount()
-		r.translate(3)
-		r.translate(-3)
 	}
-	script() // warm the signature buffer
 	if allocs := testing.AllocsPerRun(100, script); allocs != 0 {
 		t.Fatalf("warm replay automaton allocates %.1f/op, want 0", allocs)
 	}

@@ -233,7 +233,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // shed rejects one request with 503 and the configured Retry-After hint.
 // Every shed path goes through here so the hint is never forgotten — the
-// simcache Remote and the fleet's HTTP executor key their backoff on it.
+// fleet's HTTP executor keys its backoff on it.
 func (s *Server) shed(w http.ResponseWriter, msg string) {
 	secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
