@@ -405,6 +405,20 @@ func BenchmarkExplore(b *testing.B) {
 	}
 }
 
+// BenchmarkExploreStream measures the benchmark's stock-cold op: the
+// stock sweep (DefaultSpace, 192 points) on a fresh one-worker engine,
+// streamed to the CSV reporter with the pareto column into a fresh
+// buffer. Its allocs/op and B/op are that workload's allocation per op.
+func BenchmarkExploreStream(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var buf bytes.Buffer
+		if _, err := (dse.Engine{Workers: 1}).ExploreStream(dse.DefaultSpace(), dse.CSVReporter{Pareto: true}.Stream(&buf)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExploreInstrumented measures the stock sweep on a warm
 // one-worker engine (store and analysis memo filled by an earlier sweep,
 // as `dse serve` runs a repeated request) with and without metrics; the

@@ -15,9 +15,7 @@
 //   - map and slice composite literals, make(map/slice/chan), new(T)
 //   - function literals that capture enclosing variables (the closure
 //     context escapes to the heap)
-//   - conversions between string and []byte/[]rune — except string(b)
-//     used directly as the index of a map read, which the compiler
-//     performs without copying (a store through it still copies the key)
+//   - conversions between string and []byte/[]rune
 //   - boxing into an interface: explicit conversions, assignments to
 //     interface-typed variables, and concrete arguments passed to
 //     interface-typed parameters
@@ -83,41 +81,6 @@ func (c *checker) report(n ast.Node, format string, args ...interface{}) {
 }
 
 func (c *checker) check(body *ast.BlockStmt) {
-	// string(b) directly indexing a map read is the compiler's zero-copy
-	// map probe idiom; collect those conversions so the walk can allow
-	// them. A store through the same index (m[string(b)] = v, += v, ++)
-	// materializes the key, so it gets no exemption. Preorder visits a
-	// statement before its operands, so stores are known when reached.
-	mapProbe := map[*ast.CallExpr]bool{}
-	stores := map[*ast.IndexExpr]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, l := range n.Lhs {
-				if ix, ok := ast.Unparen(l).(*ast.IndexExpr); ok {
-					stores[ix] = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if ix, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok {
-				stores[ix] = true
-			}
-		}
-		ix, ok := n.(*ast.IndexExpr)
-		if !ok || stores[ix] {
-			return true
-		}
-		if t := c.pass.TypesInfo.TypeOf(ix.X); t != nil {
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-		}
-		if call, ok := ix.Index.(*ast.CallExpr); ok && c.isConversion(call) {
-			mapProbe[call] = true
-		}
-		return true
-	})
-
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.BinaryExpr:
@@ -150,13 +113,13 @@ func (c *checker) check(body *ast.BlockStmt) {
 				return false // one finding per capturing closure is enough
 			}
 		case *ast.CallExpr:
-			return c.checkCall(n, mapProbe)
+			return c.checkCall(n)
 		}
 		return true
 	})
 }
 
-func (c *checker) checkCall(call *ast.CallExpr, mapProbe map[*ast.CallExpr]bool) bool {
+func (c *checker) checkCall(call *ast.CallExpr) bool {
 	// Conversions.
 	if c.isConversion(call) {
 		dst := c.pass.TypesInfo.TypeOf(call)
@@ -172,8 +135,8 @@ func (c *checker) checkCall(call *ast.CallExpr, mapProbe map[*ast.CallExpr]bool)
 			c.report(call, "conversion boxes %s into %s", src, dst)
 		case isString(src) && isByteOrRuneSlice(dst):
 			c.report(call, "string→slice conversion allocates")
-		case isByteOrRuneSlice(src) && isString(dst) && !mapProbe[call]:
-			c.report(call, "slice→string conversion allocates (map-index reads m[string(b)] are exempt)")
+		case isByteOrRuneSlice(src) && isString(dst):
+			c.report(call, "slice→string conversion allocates")
 		}
 		return true
 	}

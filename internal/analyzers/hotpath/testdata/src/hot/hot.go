@@ -81,19 +81,7 @@ func stringToBytes(s string) []byte {
 
 var table = map[string]int{}
 
-// probe: string(b) directly indexing a map read (plain or comma-ok) is the
-// compiler's zero-copy idiom and passes.
-//
-//repro:hotpath
-func probe(b []byte) int {
-	v, ok := table[string(b)]
-	if !ok {
-		return -1
-	}
-	return v + table[string(b)]
-}
-
-// store: writing through the same index materializes the key.
+// store: a map store through string(b) materializes the key.
 //
 //repro:hotpath
 func store(b []byte) {

@@ -340,24 +340,60 @@ func evaluate(an *hls.Analysis, p Point, sc scheduler, members bool, slot *sched
 	return Result{Point: p, Design: d, Err: err}
 }
 
-// evalPoint is evaluate under the engine's observability: a "point" span
-// spanning the whole per-point pipeline, a runtime/trace user region (so
-// `go tool trace` shows per-point blocks when -exectrace is on), and pprof
-// (kernel, stage) labels on the worker goroutine so CPU profiles decompose
-// by kernel and stage. A point that computes its unit's schedule carries
-// the allocator, plan and simulation stages in its span; the others carry
-// only the device models. With obs disabled it is exactly evaluate.
-func (e Engine) evalPoint(an *hls.Analysis, p Point, sc scheduler, members bool, slot *scheduled) Result {
-	if e.Obs == nil && e.Trace == nil {
-		return evaluate(an, p, sc, members, slot, nil, nil)
+// evaluator is what a worker evaluates one exploration's units with:
+// the scheduler, the portfolio-all switch, and the engine's observability
+// sinks, with the "point" stage resolved once per exploration.
+type evaluator struct {
+	sc         scheduler
+	members    bool
+	m          *obs.Metrics
+	tr         *obs.Tracer
+	pointStage *obs.StageStats
+}
+
+// unit evaluates one unit's points in order, sending each result on
+// results, and returns false once stop is closed. It checks stop before
+// each point: a send to the engine's buffered results channel is always
+// ready, so the check is what keeps a halted worker to its in-flight
+// point. The worker runs the whole unit under the pprof labels (kernel,
+// "point"), switched once per unit, so CPU profiles decompose by kernel
+// and stage; it holds no labels after the unit.
+func (ev evaluator) unit(an *hls.Analysis, pts []Point, unit []int, slots []scheduled, results chan<- Result, stop <-chan struct{}) (ok bool) {
+	ev.m.Do(func() {
+		for _, i := range unit {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r := ev.eval(an, pts[i], &slots[i%len(slots)])
+			select {
+			case results <- r:
+			case <-stop:
+				return
+			}
+		}
+		ok = true
+	}, pts[unit[0]].Kernel.Name, "point", "")
+	clear(slots)
+	return ok
+}
+
+// eval is evaluate under the engine's observability: a "point" span
+// spanning the whole per-point pipeline and a runtime/trace user region
+// (so `go tool trace` shows per-point blocks when -exectrace is on). A
+// point that computes its unit's schedule carries the allocator, plan and
+// simulation stages in its span; the others carry only the device
+// models. With obs disabled it is exactly evaluate.
+func (ev evaluator) eval(an *hls.Analysis, p Point, slot *scheduled) Result {
+	if ev.m == nil && ev.tr == nil {
+		return evaluate(an, p, ev.sc, ev.members, slot, nil, nil)
 	}
 	var r Result
-	sp := obs.Begin(e.Obs, e.Trace, p.Index, p.Kernel.Name, "point")
-	e.Obs.Do(func() {
-		rtrace.WithRegion(context.Background(), "point", func() {
-			r = evaluate(an, p, sc, members, slot, e.Obs, e.Trace)
-		})
-	}, p.Kernel.Name, "point", "")
+	sp := ev.pointStage.Begin(ev.tr, p.Index, p.Kernel.Name, "point")
+	rtrace.WithRegion(context.Background(), "point", func() {
+		r = evaluate(an, p, ev.sc, ev.members, slot, ev.m, ev.tr)
+	})
 	sp.End("")
 	return r
 }

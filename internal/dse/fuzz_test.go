@@ -2,6 +2,8 @@ package dse
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -52,6 +54,42 @@ func FuzzSpaceSpec(f *testing.F) {
 		}
 		if got, want := Spec(again).Fingerprint(), canon.Fingerprint(); got != want {
 			t.Fatalf("resolving a resolved space's spec changed its fingerprint: %s -> %s", want, got)
+		}
+	})
+}
+
+// FuzzTenths holds the CSV reporter's float rendering to fmt's "%.1f",
+// byte for byte. Seeds: shortest-digit ties, carries through every digit,
+// negative zero, the non-finite values, neighbours of 2^49 (the first
+// binade whose spacing exceeds a tenth) and of the 1e15 fallback bound,
+// and every clock, time and utilization figure of the stock sweep.
+func FuzzTenths(f *testing.F) {
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), 0.05, 0.25, 0.35, -0.25, 0.04, -0.04, 0.96, -0.96,
+		9.95, 99.96, 999.99, 1.45, 2.675, 5e-324, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		f.Add(v)
+	}
+	for _, c := range []float64{1 << 49, 1e15} {
+		f.Add(math.Nextafter(c, 0))
+		f.Add(c)
+		f.Add(math.Nextafter(c, math.Inf(1)))
+		f.Add(c + 0.25)
+		f.Add(c - 0.25)
+	}
+	rs, err := Engine{}.Explore(DefaultSpace())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range rs.Ok() {
+		f.Add(r.Design.ClockNs)
+		f.Add(r.Design.TimeUs)
+		f.Add(r.Design.SliceUtil)
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		if got, want := formatTenths(v), fmt.Sprintf("%.1f", v); got != want {
+			t.Fatalf("formatTenths(%v) = %q, fmt gives %q", v, got, want)
 		}
 	})
 }

@@ -331,10 +331,11 @@ func (a labelAllocator) Allocate(p *core.Problem) (*core.Allocation, error) {
 	return a.Allocator.Allocate(p)
 }
 
-// TestPointStagesKeepTheirLabels: within an instrumented point, the
-// allocator runs under (kernel, alloc) and hands the goroutine back to
-// the point's labels, so the simulation runs under (kernel, point); the
-// point leaves no labels behind.
+// TestPointStagesKeepTheirLabels: a worker runs an instrumented unit
+// under (kernel, point); within it the allocator runs under (kernel,
+// alloc) and hands the goroutine back to the unit's labels, so the
+// simulation runs under (kernel, point); the unit leaves no labels
+// behind.
 func TestPointStagesKeepTheirLabels(t *testing.T) {
 	m := obs.New()
 	m.SetBase("shard", "0/1")
@@ -343,8 +344,8 @@ func TestPointStagesKeepTheirLabels(t *testing.T) {
 		Kernels:    []kernels.Kernel{kernels.FIR()},
 		Allocators: []core.Allocator{labelAllocator{core.CPARA{}, t, &allocLabels}},
 	})
-	p := sp.Points()[0]
-	an, err := hls.Analyze(p.Kernel)
+	pts := sp.Points()
+	an, err := hls.Analyze(pts[0].Kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,12 @@ func TestPointStagesKeepTheirLabels(t *testing.T) {
 		simLabels = goroutineLabels(t)
 		return sched.SimulateGraph(nest, g, plan, cfg)
 	}
-	if r := (Engine{Obs: m}).evalPoint(an, p, scheduler{sim: sim}, false, &scheduled{}); !r.Ok() {
+	ev := evaluator{sc: scheduler{sim: sim}, m: m, pointStage: m.Stage("point")}
+	results := make(chan Result, 1)
+	if !ev.unit(an, pts, []int{0}, make([]scheduled, 1), results, make(chan struct{})) {
+		t.Fatal("the unit stopped without a stop")
+	}
+	if r := <-results; !r.Ok() {
 		t.Fatalf("point failed: %v", r.Err)
 	}
 	if want := `{"kernel":"fir", "shard":"0/1", "stage":"alloc"}`; allocLabels != want {
@@ -362,7 +368,7 @@ func TestPointStagesKeepTheirLabels(t *testing.T) {
 		t.Errorf("simulation ran under %q, want %s", simLabels, want)
 	}
 	if got := goroutineLabels(t); got != "" {
-		t.Errorf("labels after the point = %s, want none", got)
+		t.Errorf("labels after the unit = %s, want none", got)
 	}
 }
 

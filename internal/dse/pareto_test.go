@@ -80,7 +80,7 @@ func TestFrontierSkipsFailures(t *testing.T) {
 	}
 }
 
-var errFake = fpga.Device{}.Fit(fpga.DesignStats{Registers: 1 << 20, RegisterBits: 1 << 24})
+var _, errFake = fpga.Device{}.Fit(1, fpga.DesignStats{})
 
 // naiveFrontier is the seed all-pairs O(n²) extraction, kept as the oracle
 // for the frontier tracker.

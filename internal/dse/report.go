@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -239,8 +240,8 @@ func (c *csvStream) record(r Result, role string, member *hls.Design, pareto, on
 	if r.Ok() {
 		rec = append(rec,
 			strconv.Itoa(d.Registers), strconv.Itoa(d.Cycles), strconv.Itoa(d.MemCycles),
-			fmt.Sprintf("%.1f", d.ClockNs), fmt.Sprintf("%.1f", d.TimeUs),
-			strconv.Itoa(d.Slices), fmt.Sprintf("%.1f", d.SliceUtil), strconv.Itoa(d.RAMs), "")
+			formatTenths(d.ClockNs), formatTenths(d.TimeUs),
+			strconv.Itoa(d.Slices), formatTenths(d.SliceUtil), strconv.Itoa(d.RAMs), "")
 	} else {
 		rec = append(rec, "", "", "", "", "", "", "", "", errString(r))
 	}
@@ -252,6 +253,58 @@ func (c *csvStream) record(r Result, role string, member *hls.Design, pareto, on
 		rec = append(rec, m)
 	}
 	return rec
+}
+
+// formatTenths renders f as fmt's "%.1f" does, byte for byte, without
+// fmt and without strconv's fixed-precision path, which works in big
+// decimals (strconv.bigFtoa): it rounds the shortest digits that identify
+// f at the first decimal, carry included. Rounding those digits rounds
+// f's exact value to the same tenth, since no tenths boundary (a tenth
+// and a half) lies between f and its shortest digits, except in three
+// cases, which take the exact path:
+//
+//   - the shortest digits end in a tie, exactly one 5 after the first
+//     decimal: f's exact value may lie on either side of it;
+//   - |f| ≥ 1e15, where the shortest digits may round off integer digits;
+//   - NaN and ±Inf.
+//
+// FuzzTenths holds it to fmt.
+func formatTenths(f float64) string {
+	if !(math.Abs(f) < 1e15) { // NaN compares false
+		return strconv.FormatFloat(f, 'f', 1, 64)
+	}
+	var buf [32]byte
+	s := strconv.AppendFloat(buf[:0], f, 'f', -1, 64)
+	dot := bytes.IndexByte(s, '.')
+	switch {
+	case dot < 0:
+		return string(append(s, '.', '0'))
+	case len(s) == dot+2:
+		return string(s)
+	case len(s) == dot+3 && s[dot+2] == '5':
+		return strconv.FormatFloat(f, 'f', 1, 64)
+	}
+	up := s[dot+2] >= '5'
+	s = s[:dot+2]
+	if !up {
+		return string(s)
+	}
+	i := len(s) - 1
+	for ; i >= 0 && s[i] != '-'; i-- {
+		switch s[i] {
+		case '.':
+		case '9':
+			s[i] = '0'
+		default:
+			s[i]++
+			return string(s)
+		}
+	}
+	// Every digit was a 9: the carry is a new leading 1, after any sign.
+	s = append(s, 0)
+	copy(s[i+2:], s[i+1:])
+	s[i+1] = '1'
+	return string(s)
 }
 
 func mark(on bool) string {

@@ -220,7 +220,10 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded
 		sem = make(chan struct{}, e.window(unit))
 	}
 	unitCh := make(chan []int)
-	results := make(chan Result)
+	// Bounded, the semaphore holds the dispatched-but-unemitted points to
+	// the window, so a results buffer of the window's size never makes a
+	// worker wait to deliver, and costs no goroutine switch per point.
+	results := make(chan Result, cap(sem))
 	stop := make(chan struct{})
 	// A worker or feeder panic becomes an error returned after the drain
 	// (first one wins) and halts dispatch so the pool unwinds cleanly;
@@ -239,24 +242,18 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded
 		halt()
 	}
 	var wg sync.WaitGroup
-	nsched := len(sp.Scheds)
+	ev := evaluator{sc: sc, members: sp.PortfolioAll, m: e.Obs, tr: e.Trace, pointStage: e.Obs.Stage("point")}
 	for w := 0; w < e.workers(); w++ {
 		wg.Add(1)
 		goRecover(&wg, onPanic, func() {
 			// One slot per sched variant; a unit's points cycle through
 			// them (the sched axis is innermost), and clearing them after
 			// the unit keeps no schedule alive past it.
-			slots := make([]scheduled, nsched)
+			slots := make([]scheduled, len(sp.Scheds))
 			for unit := range unitCh {
-				an := analyses[pts[unit[0]].Kernel.Name]
-				for _, i := range unit {
-					select {
-					case results <- e.evalPoint(an, pts[i], sc, sp.PortfolioAll, &slots[i%nsched]):
-					case <-stop:
-						return
-					}
+				if !ev.unit(analyses[pts[unit[0]].Kernel.Name], pts, unit, slots, results, stop) {
+					return
 				}
-				clear(slots)
 			}
 		})
 	}

@@ -96,7 +96,9 @@ type DesignStats struct {
 	RAMArrays []int
 }
 
-// Slices estimates the slice count of the design.
+// Slices estimates the slice count of the design. The model is the same
+// on every device, so one count serves each device a design is realized
+// on (Device.Fit, Device.Utilization).
 //
 // Per-operator costs follow Virtex-era LUT structures: ripple adds and
 // comparisons cost ~w/2 slices, LUT-based multipliers ~w²/4, dividers
@@ -104,7 +106,7 @@ type DesignStats struct {
 // per two bits (two flip-flops per slice); the register-file read network
 // costs ~w/8 slices per register of fan-in; control contributes per loop
 // counter and per iteration class.
-func (d Device) SlicesFor(s DesignStats) int {
+func (s DesignStats) Slices() int {
 	w := s.Width
 	slices := 0
 	for op, n := range s.OpCounts {
@@ -135,12 +137,13 @@ func opSlices(op ir.OpKind, w int) int {
 	}
 }
 
-// ClockNs estimates the post-P&R clock period in nanoseconds:
-// a device base, the slowest single-cycle datapath stage, a register-file
-// fan-in term that grows with the number of registers the muxing network
-// must reach, and a control-decode term that grows with the number of
-// iteration classes.
-func (d Device) ClockNs(s DesignStats) float64 {
+// PeriodNs estimates the post-P&R clock period in nanoseconds on the
+// Virtex-era baseline: a device base, the slowest single-cycle datapath
+// stage, a register-file fan-in term that grows with the number of
+// registers the muxing network must reach, and a control-decode term that
+// grows with the number of iteration classes. Device.ClockNs scales it to
+// a device and rounds it.
+func (s DesignStats) PeriodNs() float64 {
 	period := 20.0
 	stage := 8.0 // RAM access stage
 	for op, n := range s.OpCounts {
@@ -154,10 +157,17 @@ func (d Device) ClockNs(s DesignStats) float64 {
 	period += stage
 	period += 0.06 * float64(s.Registers)
 	period += 2.0 * math.Log2(float64(1+s.Classes))
+	return period
+}
+
+// ClockNs returns the device's clock period for a design whose baseline
+// period is periodNs (DesignStats.PeriodNs): scaled by ClockScale, then
+// rounded to 0.1 ns.
+func (d Device) ClockNs(periodNs float64) float64 {
 	if d.ClockScale > 0 {
-		period *= d.ClockScale
+		periodNs *= d.ClockScale
 	}
-	return math.Round(period*10) / 10
+	return math.Round(periodNs*10) / 10
 }
 
 func opStageNs(op ir.OpKind, w int) float64 {
@@ -186,18 +196,22 @@ func (d Device) RAMBlocks(s DesignStats) int {
 	return blocks
 }
 
-// Fit validates the design against the device's capacity.
-func (d Device) Fit(s DesignStats) error {
-	if sl := d.SlicesFor(s); sl > d.Slices {
-		return fmt.Errorf("fpga: design needs %d slices, %s has %d", sl, d.Name, d.Slices)
+// Fit validates a design of the given slice count (DesignStats.Slices)
+// against the device's capacity, slices first, and returns the block RAMs
+// its RAM-mapped arrays occupy.
+func (d Device) Fit(slices int, s DesignStats) (int, error) {
+	if slices > d.Slices {
+		return 0, fmt.Errorf("fpga: design needs %d slices, %s has %d", slices, d.Name, d.Slices)
 	}
-	if rb := d.RAMBlocks(s); rb > d.BlockRAMs {
-		return fmt.Errorf("fpga: design needs %d block RAMs, %s has %d", rb, d.Name, d.BlockRAMs)
+	rb := d.RAMBlocks(s)
+	if rb > d.BlockRAMs {
+		return 0, fmt.Errorf("fpga: design needs %d block RAMs, %s has %d", rb, d.Name, d.BlockRAMs)
 	}
-	return nil
+	return rb, nil
 }
 
-// Utilization returns the slice occupancy as a percentage.
-func (d Device) Utilization(s DesignStats) float64 {
-	return 100 * float64(d.SlicesFor(s)) / float64(d.Slices)
+// Utilization returns the occupancy of a design of the given slice count
+// as a percentage of the device's slices.
+func (d Device) Utilization(slices int) float64 {
+	return 100 * float64(slices) / float64(d.Slices)
 }

@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -29,31 +30,29 @@ func TestXCV1000Capacity(t *testing.T) {
 }
 
 func TestSlicesComposition(t *testing.T) {
-	d := XCV1000()
 	s := sampleStats()
-	total := d.SlicesFor(s)
+	total := s.Slices()
 	// Remove the multipliers: area must drop by exactly 2·(w²/4+2).
 	s2 := sampleStats()
 	s2.OpCounts = map[ir.OpKind]int{ir.OpAdd: 1}
-	if got, want := total-d.SlicesFor(s2), 2*(8*8/4+2); got != want {
+	if got, want := total-s2.Slices(), 2*(8*8/4+2); got != want {
 		t.Errorf("multiplier area delta = %d, want %d", got, want)
 	}
 	// Halve the register bits: area drops by 128 slices.
 	s3 := sampleStats()
 	s3.RegisterBits = 256
-	if got, want := total-d.SlicesFor(s3), 128; got != want {
+	if got, want := total-s3.Slices(), 128; got != want {
 		t.Errorf("register area delta = %d, want %d", got, want)
 	}
 }
 
 func TestSlicesMonotoneInRegisters(t *testing.T) {
-	d := XCV1000()
 	prev := -1
 	for regs := 0; regs <= 256; regs += 16 {
 		s := sampleStats()
 		s.Registers = regs
 		s.RegisterBits = regs * 8
-		got := d.SlicesFor(s)
+		got := s.Slices()
 		if got <= prev {
 			t.Fatalf("slices not strictly increasing at %d registers: %d then %d", regs, prev, got)
 		}
@@ -84,7 +83,7 @@ func TestOpSlices(t *testing.T) {
 func TestClockPlausibleRange(t *testing.T) {
 	d := XCV1000()
 	s := sampleStats()
-	ns := d.ClockNs(s)
+	ns := d.ClockNs(s.PeriodNs())
 	// Paper-era designs: tens of nanoseconds.
 	if ns < 30 || ns > 80 {
 		t.Fatalf("clock %v ns outside the plausible 30-80 ns band", ns)
@@ -99,7 +98,7 @@ func TestClockDegradesWithRegistersAndClasses(t *testing.T) {
 	big := sampleStats()
 	big.Registers = 64
 	big.Classes = 3
-	cs, cb := d.ClockNs(small), d.ClockNs(big)
+	cs, cb := d.ClockNs(small.PeriodNs()), d.ClockNs(big.PeriodNs())
 	if cb <= cs {
 		t.Fatalf("clock must degrade: %v → %v", cs, cb)
 	}
@@ -120,27 +119,33 @@ func TestRAMBlocksRounding(t *testing.T) {
 
 func TestFit(t *testing.T) {
 	d := XCV1000()
-	if err := d.Fit(sampleStats()); err != nil {
-		t.Fatalf("sample design should fit: %v", err)
+	s := sampleStats()
+	if rams, err := d.Fit(s.Slices(), s); err != nil || rams != d.RAMBlocks(s) {
+		t.Fatalf("sample design should fit in %d block RAMs: %d, %v", d.RAMBlocks(s), rams, err)
 	}
 	huge := sampleStats()
 	huge.RegisterBits = 1 << 20
-	if err := d.Fit(huge); err == nil {
+	if _, err := d.Fit(huge.Slices(), huge); err == nil {
 		t.Fatal("oversized design should not fit")
 	}
 	manyRAM := sampleStats()
 	for i := 0; i < 40; i++ {
 		manyRAM.RAMArrays = append(manyRAM.RAMArrays, 4096)
 	}
-	if err := d.Fit(manyRAM); err == nil {
+	if _, err := d.Fit(manyRAM.Slices(), manyRAM); err == nil {
 		t.Fatal("design with 40+ BRAMs should not fit in 32")
+	}
+	// Slices are checked first: a device without block RAM bits reports
+	// an oversized design without dividing by zero.
+	if _, err := (Device{Name: "none"}).Fit(s.Slices(), s); err == nil || !strings.Contains(err.Error(), "slices") {
+		t.Fatalf("a device without slices must fail on slices first: %v", err)
 	}
 }
 
 func TestUtilization(t *testing.T) {
 	d := XCV1000()
 	s := sampleStats()
-	u := d.Utilization(s)
+	u := d.Utilization(s.Slices())
 	if u <= 0 || u >= 100 {
 		t.Fatalf("utilization %.2f%% out of range", u)
 	}
@@ -183,15 +188,15 @@ func TestDeviceByName(t *testing.T) {
 
 func TestClockScaleSpeedsVirtexII(t *testing.T) {
 	s := sampleStats()
-	v1 := XCV1000().ClockNs(s)
-	v2 := XC2V6000().ClockNs(s)
+	v1 := XCV1000().ClockNs(s.PeriodNs())
+	v2 := XC2V6000().ClockNs(s.PeriodNs())
 	if v2 >= v1 {
 		t.Fatalf("Virtex-II clock %v ns not faster than Virtex %v ns", v2, v1)
 	}
 	// The zero value keeps the calibrated baseline.
 	var d Device
 	d.Slices = 1
-	if got := d.ClockNs(s); got != v1 {
+	if got := d.ClockNs(s.PeriodNs()); got != v1 {
 		t.Fatalf("zero ClockScale changed the baseline clock: %v vs %v", got, v1)
 	}
 }

@@ -180,7 +180,12 @@ type Schedule struct {
 	sim *sched.Result
 	// stats holds the device models' inputs: the kernel's statistics
 	// completed with this schedule's register file and class count.
-	stats fpga.DesignStats
+	// slices and periodNs are the models' device-independent outputs
+	// (DesignStats.Slices and PeriodNs), computed once for every device
+	// the schedule is realized on.
+	stats    fpga.DesignStats
+	slices   int
+	periodNs float64
 }
 
 // Schedule runs the device-independent half of an estimate: allocation,
@@ -232,12 +237,15 @@ func (an *Analysis) Schedule(alg core.Allocator, opt Options, sim SimFunc) (Sche
 	if err != nil {
 		return Schedule{}, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
 	}
+	stats := an.designStats(alloc, res)
 	return Schedule{
 		algorithm: alg.Name(),
 		alloc:     alloc,
 		plan:      plan,
 		sim:       res,
-		stats:     an.designStats(alloc, res),
+		stats:     stats,
+		slices:    stats.Slices(),
+		periodNs:  stats.PeriodNs(),
 	}, nil
 }
 
@@ -250,11 +258,14 @@ func (an *Analysis) Budget(opt Options) int {
 	return an.Kernel.Rmax
 }
 
-// Realize applies one device's models to a schedule of this analysis:
-// the capacity check (Fit), then the clock, area and RAM-block models.
-// Safe to call concurrently, on one schedule from many goroutines too.
+// Realize applies one device to a schedule of this analysis: the
+// capacity check (Fit, which also counts the block RAMs), the clock
+// period's scaling and rounding, and the slice occupancy. The slice count
+// and the baseline period come with the schedule. Safe to call
+// concurrently, on one schedule from many goroutines too.
 func (an *Analysis) Realize(s *Schedule, dev fpga.Device) (*Design, error) {
-	if err := dev.Fit(s.stats); err != nil {
+	rams, err := dev.Fit(s.slices, s.stats)
+	if err != nil {
 		return nil, fmt.Errorf("hls: %s/%s: %w", an.Kernel.Name, s.algorithm, err)
 	}
 	d := &Design{
@@ -266,10 +277,10 @@ func (an *Analysis) Realize(s *Schedule, dev fpga.Device) (*Design, error) {
 		Registers:  s.alloc.Total(),
 		Cycles:     s.sim.TotalCycles,
 		MemCycles:  s.sim.MemCycles,
-		ClockNs:    dev.ClockNs(s.stats),
-		Slices:     dev.SlicesFor(s.stats),
-		SliceUtil:  dev.Utilization(s.stats),
-		RAMs:       dev.RAMBlocks(s.stats),
+		ClockNs:    dev.ClockNs(s.periodNs),
+		Slices:     s.slices,
+		SliceUtil:  dev.Utilization(s.slices),
+		RAMs:       rams,
 		nest:       an.Kernel.Nest,
 	}
 	d.TimeUs = float64(d.Cycles) * d.ClockNs / 1000.0

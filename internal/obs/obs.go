@@ -442,10 +442,17 @@ type Span struct {
 // Begin opens a span attributed to one design point (point < 0 for
 // per-kernel or global work). Either sink may be nil.
 func Begin(m *Metrics, tr *Tracer, point int, kernel, stage string) Span {
-	if m == nil && tr == nil {
+	return m.Stage(stage).Begin(tr, point, kernel, stage)
+}
+
+// Begin opens a span on this stage's counters, which a caller opening
+// one per design point resolves once (Metrics.Stage) instead of per span;
+// stage names the stage in the trace. Either sink may be nil.
+func (s *StageStats) Begin(tr *Tracer, point int, kernel, stage string) Span {
+	if s == nil && tr == nil {
 		return Span{}
 	}
-	return Span{s: m.Stage(stage), tr: tr, point: point, kernel: kernel, stage: stage, t0: time.Now()}
+	return Span{s: s, tr: tr, point: point, kernel: kernel, stage: stage, t0: time.Now()}
 }
 
 // End closes the span: the duration lands in the stage histogram and, when
