@@ -377,32 +377,25 @@ func BenchmarkPlan(b *testing.B) {
 }
 
 // BenchmarkExplore measures the full stock design-space sweep (DefaultSpace,
-// 192 points) through the concurrent engine, with and without the
-// cross-point simulation cache; the gap between the two is the redundant
-// simulation work the cache removes.
+// 192 points) through the concurrent engine, buffered into a ResultSet.
+// The sub-benchmark keeps its "cached" name so runs from before the
+// cache-free engine was retired still compare.
 func BenchmarkExplore(b *testing.B) {
-	for _, bench := range []struct {
-		name    string
-		nocache bool
-	}{{"cached", false}, {"nocache", true}} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var sims int
-			for i := 0; i < b.N; i++ {
-				rs, err := dse.Engine{NoSimCache: bench.nocache}.Explore(dse.DefaultSpace())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n := len(rs.Failed()); n > 0 {
-					b.Fatalf("%d points failed", n)
-				}
-				sims = rs.UniqueSims
+	b.Run("cached", func(b *testing.B) {
+		b.ReportAllocs()
+		var sims int
+		for i := 0; i < b.N; i++ {
+			rs, err := dse.Engine{}.Explore(dse.DefaultSpace())
+			if err != nil {
+				b.Fatal(err)
 			}
-			if !bench.nocache {
-				b.ReportMetric(float64(sims), "unique_sims")
+			if n := len(rs.Failed()); n > 0 {
+				b.Fatalf("%d points failed", n)
 			}
-		})
-	}
+			sims = rs.UniqueSims
+		}
+		b.ReportMetric(float64(sims), "unique_sims")
+	})
 }
 
 // BenchmarkExploreStream measures the benchmark's stock-cold op: the

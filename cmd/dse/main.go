@@ -95,7 +95,6 @@ func main() {
 	flag.StringVar(&cfg.shardSpec, "shard", "", "evaluate one shard i/n of the space and emit the portable shard encoding instead of a report")
 	flag.StringVar(&cfg.pointsSpec, "points", "", "evaluate exactly these comma-separated global point indices and emit the portable task encoding (the `dse fleet` worker shape)")
 	flag.BoolVar(&cfg.strict, "strict", false, "exit non-zero when any design point fails")
-	flag.BoolVar(&cfg.nocache, "nocache", false, "disable the cross-point simulation cache (diagnostic; output is byte-identical either way)")
 	flag.BoolVar(&cfg.portfolio, "portfolio", false, "run every allocator per point and keep the best design by (time, slices, registers)")
 	flag.BoolVar(&cfg.pfAll, "portfolio-all", false, "with -portfolio (implied), additionally report every member allocator's metrics per point (CSV role column, JSON portfolio array, indented table rows)")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the stderr stats summary")
@@ -141,16 +140,16 @@ func main() {
 
 // cliConfig is the parsed command line.
 type cliConfig struct {
-	space                      *spaceFlags
-	workers                    int
-	format, shardSpec          string
-	pointsSpec                 string
-	formatSet, strict, nocache bool
-	portfolio, pfAll, quiet    bool
-	metricsPath, metricsAddr   string
-	linger                     time.Duration
-	tracePath, execTracePath   string
-	traceCap                   int
+	space                    *spaceFlags
+	workers                  int
+	format, shardSpec        string
+	pointsSpec               string
+	formatSet, strict        bool
+	portfolio, pfAll, quiet  bool
+	metricsPath, metricsAddr string
+	linger                   time.Duration
+	tracePath, execTracePath string
+	traceCap                 int
 }
 
 // spaceFlags are the space description `dse` and `dse fleet` share: the
@@ -242,10 +241,7 @@ func run(cfg cliConfig) error {
 	if cfg.tracePath != "" {
 		tracer = obs.NewTracer(cfg.traceCap)
 	}
-	engine := dse.Engine{
-		Workers: cfg.workers, NoSimCache: cfg.nocache,
-		Obs: metrics, Trace: tracer,
-	}
+	engine := dse.Engine{Workers: cfg.workers, Obs: metrics, Trace: tracer}
 
 	if cfg.execTracePath != "" {
 		f, err := os.Create(cfg.execTracePath)
@@ -353,8 +349,8 @@ func run(cfg cliConfig) error {
 		} else if cfg.pointsSpec != "" {
 			prefix = fmt.Sprintf("dse: points[%d]", st.Points)
 		}
-		fmt.Fprintf(os.Stderr, "%s: %d points in %v (%d failed, %s)\n%s: stages: %s\n",
-			prefix, st.Points, wall.Round(time.Millisecond), st.Failed, simsNote(st, cfg.nocache),
+		fmt.Fprintf(os.Stderr, "%s: %d points in %v (%d failed, %d unique simulations%s)\n%s: stages: %s\n",
+			prefix, st.Points, wall.Round(time.Millisecond), st.Failed, st.UniqueSims, cacheNote(st.Cache),
 			prefix, doc.Obs.Summary(5))
 	}
 	if srv != nil && cfg.linger > 0 {
@@ -377,13 +373,6 @@ func writeTrace(path string, tr *obs.Tracer) error {
 		return err
 	}
 	return f.Close()
-}
-
-func simsNote(st dse.StreamStats, nocache bool) string {
-	if nocache {
-		return "cache off"
-	}
-	return fmt.Sprintf("%d unique simulations%s", st.UniqueSims, cacheNote(st.Cache))
 }
 
 // cacheNote renders the per-stage hit counters (front-end analyses, entry

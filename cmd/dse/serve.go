@@ -24,7 +24,6 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("dse serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	workers := fs.Int("workers", 0, "per-request worker pool size (0 = GOMAXPROCS)")
-	window := fs.Int("window", 0, "per-request order-restoring window in points (0 = engine default; raised to the largest unit, |devices|·|sched variants|)")
 	maxInflight := fs.Int("max-inflight", 2, "maximum concurrently running sweeps")
 	maxQueue := fs.Int("max-queue", 16, "maximum sweeps waiting for a slot before 503")
 	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-request deadline, queue wait included (0 = none)")
@@ -48,8 +47,7 @@ func runServe(args []string) error {
 		logw = os.Stderr
 	}
 	srv, err := serve.New(cache, metrics, serve.Config{
-		Workers: *workers, Window: *window,
-		MaxInflight: *maxInflight, MaxQueue: *maxQueue,
+		Workers: *workers, MaxInflight: *maxInflight, MaxQueue: *maxQueue,
 		Timeout: *reqTimeout, Log: logw,
 	})
 	if err != nil {

@@ -51,22 +51,19 @@ func NewAnalysisCache() *AnalysisCache {
 }
 
 // Get returns the analysis of k, memoized on a non-nil cache, and records
-// the lookup on store (when non-nil): a miss when this call ran the
-// analysis, a hit when the memo answered it (waits included). A nil cache
-// analyzes on every call and records one miss per call, without rendering
-// a key.
+// the lookup on store: a miss when this call ran the analysis, a hit when
+// the memo answered it (waits included). A nil cache analyzes on every
+// call and records one miss per call, without rendering a key.
 func (ac *AnalysisCache) Get(k kernels.Kernel, store *simcache.Cache) (*hls.Analysis, error) {
 	analyze := func() (*hls.Analysis, error) {
-		if store != nil {
-			store.AnalysisMiss()
-		}
+		store.AnalysisMiss()
 		return hls.Analyze(k)
 	}
 	if ac == nil {
 		return memo.Do(analysisPanic, analyze)
 	}
 	an, o, err := ac.memo.Get(k.Name+"\x00"+hls.KernelFingerprint(k), analyze)
-	if o != memo.Claimed && store != nil {
+	if o != memo.Claimed {
 		store.AnalysisHit()
 	}
 	return an, err
@@ -77,9 +74,9 @@ func (ac *AnalysisCache) Get(k kernels.Kernel, store *simcache.Cache) (*hls.Anal
 // returned beside it is a recovered panic, "estimator panic: …", which
 // fails the whole point. On a non-nil cache an must come from Get, lat
 // must be opt.Sched.Lat.Fingerprint(), and the member is memoized, panics
-// included, with the lookup recorded on store (when non-nil) as Get
-// records analyses. A nil cache ignores lat, calls Schedule directly,
-// lets a panic reach the caller's recover and records nothing.
+// included, with the lookup recorded on store as Get records analyses. A
+// nil cache ignores lat, calls Schedule directly, lets a panic reach the
+// caller's recover and records nothing.
 func (ac *AnalysisCache) schedule(an *hls.Analysis, alg core.Allocator, opt hls.Options, lat string, sim hls.SimFunc, store *simcache.Cache) (hls.Member, error) {
 	run := func() (hls.Member, error) {
 		s, err := an.Schedule(alg, opt, sim)
@@ -90,12 +87,10 @@ func (ac *AnalysisCache) schedule(an *hls.Analysis, alg core.Allocator, opt hls.
 	}
 	key := scheduleKey{an: an, alg: alg.Name(), budget: an.Budget(opt), lat: lat, ports: opt.Sched.PortsPerRAM}
 	m, o, err := ac.schedules.Get(key, run)
-	if store != nil {
-		if o == memo.Claimed {
-			store.ScheduleMiss()
-		} else {
-			store.ScheduleHit()
-		}
+	if o == memo.Claimed {
+		store.ScheduleMiss()
+	} else {
+		store.ScheduleHit()
 	}
 	return m, err
 }

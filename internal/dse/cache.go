@@ -43,8 +43,7 @@ type simKey struct {
 	ports  int
 }
 
-// simPanic names a simulation in a recovered panic's error, on the cached
-// and the cache-free path alike.
+// simPanic names a simulation in a recovered panic's error.
 const simPanic = "simulation"
 
 // newSimCache wraps a simulation store with the per-exploration plan-level
@@ -82,20 +81,6 @@ func (c *simCache) simulate(ctx hls.SimCtx, nest *ir.Nest, g *dfg.Graph, plan *s
 
 // snapshot returns the combined per-stage cache counters.
 func (c *simCache) snapshot() simcache.Snapshot { return c.sim.Cache.Snapshot() }
-
-// simDirect is the cache-free hls.SimFunc: it wraps a simulation panic in
-// the same error the cache records, so NoSimCache output stays
-// byte-identical to the cached engine on every path, including failures.
-// Obs still works — the per-call Simulator carries the metrics, so the
-// "sim/class" stage and "sim" spans survive disabling the cache.
-func simDirect(ctx hls.SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (*sched.Result, error) {
-	sp := obs.Begin(ctx.Obs, ctx.Trace, ctx.Point, ctx.Kernel, "sim")
-	defer sp.End("")
-	sim := sched.Simulator{Obs: ctx.Obs}
-	return memo.Do(simPanic, func() (*sched.Result, error) {
-		return sim.SimulateGraph(nest, g, plan, cfg)
-	})
-}
 
 // size returns the number of distinct simulations run so far.
 func (c *simCache) size() int { return c.memo.Len() }

@@ -77,9 +77,9 @@ type ResultSet struct {
 	Space   Space // normalized: every axis populated
 	Results []Result
 	// UniqueSims is the number of distinct cycle simulations the
-	// exploration ran (0 when the simulation cache was disabled). The gap
-	// to len(Results) is the work the cross-point cache deduplicated; the
-	// count depends only on the space, never on worker scheduling.
+	// exploration ran. The gap to len(Results) is the work the
+	// cross-point cache deduplicated; the count depends only on the
+	// space, never on worker scheduling.
 	UniqueSims int
 	// Cache holds the per-stage simulation-cache counters (analyses,
 	// class schedules, whole plans); for a merged sharded run it is the
@@ -127,17 +127,13 @@ func (rs *ResultSet) FirstErr() error {
 type Engine struct {
 	// Workers is the pool size; ≤0 uses GOMAXPROCS.
 	Workers int
-	// NoSimCache disables the cross-point simulation cache (diagnostic;
-	// results are byte-identical either way, the cache only removes
-	// redundant work).
-	NoSimCache bool
-	// SimCacheDir, when non-empty (and the cache is enabled), builds the
-	// exploration's store with simcache.NewDir over the given directory
-	// (created if absent). No sweep reads or writes it: class schedules
-	// live in memory, since computing one is cheaper than reading it back
-	// (DESIGN.md §22), and analyses are never stored. The field remains
-	// for the benchmark's shard-disk workload and goes when it stops
-	// setting it (ROADMAP item 1).
+	// SimCacheDir, when non-empty, builds the exploration's store with
+	// simcache.NewDir over the given directory (created if absent). No
+	// sweep reads or writes it: class schedules live in memory, since
+	// computing one is cheaper than reading it back (DESIGN.md §22), and
+	// analyses are never stored. The field remains for the benchmark's
+	// shard-disk workload and goes when it stops setting it (ROADMAP
+	// item 2).
 	SimCacheDir string
 	// SimCache, when non-nil, is a pre-built simulation store
 	// the exploration uses instead of constructing its own (SimCacheDir is
@@ -156,17 +152,6 @@ type Engine struct {
 	// SimCache, a provided memo is externally owned and safe for
 	// concurrent explorations.
 	Analyses *AnalysisCache
-	// Window caps the order-restoring window of the streaming entry
-	// points (ExploreStream/ExploreShardStream): at most Window results
-	// are dispatched-but-unemitted at any moment, so a slow head-of-line
-	// point throttles the pool instead of growing an unbounded reorder
-	// buffer. It counts points, and a unit (the owned points of one
-	// kernel, allocator and budget: up to |Devices|·|Scheds|) takes one
-	// slot per point before it is dispatched, so a window below the
-	// largest owned unit is raised to that size. ≤0 uses 4×workers units
-	// (minimum 16 points). The buffered Explore/ExploreShard entries are
-	// unaffected — they hold every result anyway.
-	Window int
 	// Obs, when non-nil, collects per-stage metrics across the whole
 	// pipeline — front-end analysis, allocator runs, planning, simulation
 	// and its class scheduling, cache tiers, window occupancy —
@@ -187,15 +172,18 @@ func (e Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// window resolves Engine.Window for a run whose largest owned unit has
-// unit points: a unit takes one slot per point before it is dispatched,
-// so the window is never below one unit, and the default holds four
-// units per worker.
+// window returns the slot count of the order-restoring window for a run
+// whose largest owned unit has unit points. A unit (the owned points of
+// one kernel, allocator and budget: up to |Devices|·|Scheds|) takes one
+// slot from its dispatch until its last point is emitted. The window
+// holds four units per worker, and at least 16 points: ⌈16/unit⌉ slots.
+// A run that owns no point (unit 0) gets the per-worker floor.
 func (e Engine) window(unit int) int {
-	if e.Window > 0 {
-		return max(e.Window, unit)
+	slots := 4 * e.workers()
+	if unit > 0 {
+		slots = max(slots, (16+unit-1)/unit)
 	}
-	return max(4*e.workers()*unit, 16)
+	return slots
 }
 
 // Explore evaluates every point of the space and returns the full result
@@ -218,8 +206,7 @@ func (e Engine) Explore(sp Space) (*ResultSet, error) {
 // per-kernel front-end memoization keeps paying off inside each shard.
 func (e Engine) ExploreShard(sp Space, shardIndex, shardCount int) (*ResultSet, error) {
 	var col collector
-	// No backpressure: the collector buffers everything anyway.
-	st, err := e.exploreStream(context.Background(), sp, shardIndex, shardCount, false, &col)
+	st, err := e.exploreStream(context.Background(), sp, shardIndex, shardCount, &col)
 	if err != nil {
 		return nil, err
 	}
@@ -249,9 +236,9 @@ type scheduled struct {
 }
 
 // scheduler is what one exploration schedules its units with: the
-// simulation step, and the engine's analysis memo (nil: none), which
-// keeps each schedule, with the store its lookups are counted on. With a
-// memo, lats holds each sched variant's rendered latency fingerprint, the
+// simulation step, the engine's analysis memo (nil: none), which keeps
+// each schedule, and the store its lookups are counted on. With a memo,
+// lats holds each sched variant's rendered latency fingerprint, the
 // memo key's costliest field, rendered once per exploration.
 type scheduler struct {
 	sim   hls.SimFunc
@@ -353,11 +340,11 @@ type evaluator struct {
 
 // unit evaluates one unit's points in order, sending each result on
 // results, and returns false once stop is closed. It checks stop before
-// each point: a send to the engine's buffered results channel is always
-// ready, so the check is what keeps a halted worker to its in-flight
-// point. The worker runs the whole unit under the pprof labels (kernel,
-// "point"), switched once per unit, so CPU profiles decompose by kernel
-// and stage; it holds no labels after the unit.
+// each point: the engine's results channel holds the whole window, so a
+// send never blocks, and the check is what keeps a halted worker to its
+// in-flight point. The worker runs the whole unit under the pprof labels
+// (kernel, "point"), switched once per unit, so CPU profiles decompose by
+// kernel and stage; it holds no labels after the unit.
 func (ev evaluator) unit(an *hls.Analysis, pts []Point, unit []int, slots []scheduled, results chan<- Result, stop <-chan struct{}) (ok bool) {
 	ev.m.Do(func() {
 		for _, i := range unit {
@@ -366,12 +353,7 @@ func (ev evaluator) unit(an *hls.Analysis, pts []Point, unit []int, slots []sche
 				return
 			default:
 			}
-			r := ev.eval(an, pts[i], &slots[i%len(slots)])
-			select {
-			case results <- r:
-			case <-stop:
-				return
-			}
+			results <- ev.eval(an, pts[i], &slots[i%len(slots)])
 		}
 		ok = true
 	}, pts[unit[0]].Kernel.Name, "point", "")
@@ -401,9 +383,9 @@ func (ev evaluator) eval(an *hls.Analysis, p Point, slot *scheduled) Result {
 // analyzeKernels builds the front-end of every included kernel on the
 // axis, concurrently (one analysis per kernel, however many points share
 // it). A nil include set means every kernel. Lookups go through the
-// engine's AnalysisCache, which may be nil, and are counted on store when
-// it is non-nil: the cache/analysis/{hit,miss} obs stages record whether
-// the memo answered.
+// engine's AnalysisCache, which may be nil, and are counted on store:
+// the cache/analysis/{hit,miss} obs stages record whether the memo
+// answered.
 func (e Engine) analyzeKernels(sp Space, include map[string]bool, store *simcache.Cache) (map[string]*hls.Analysis, error) {
 	analyses := make(map[string]*hls.Analysis, len(sp.Kernels))
 	errs := make([]error, len(sp.Kernels))

@@ -225,11 +225,11 @@ func TestObsDisabledResultSetZero(t *testing.T) {
 }
 
 // TestObsWindowUnit: the window stage observes occupancy (results), so its
-// max can never exceed the engine window and its count equals the number of
-// completed points.
+// max can never exceed the stream's MaxWindow and its count equals the
+// number of completed points.
 func TestObsWindowUnit(t *testing.T) {
 	m := obs.New()
-	e := Engine{Workers: 4, Window: 8, Obs: m}
+	e := Engine{Workers: 4, Obs: m}
 	var buf bytes.Buffer
 	st, err := e.ExploreStream(smallSpace(), TableReporter{}.Stream(&buf))
 	if err != nil {

@@ -101,7 +101,8 @@ func TestPortfolioPicksBestByObjective(t *testing.T) {
 }
 
 // TestPortfolioDeterministicAndCacheAgnostic: portfolio output must not
-// depend on worker count or on the simulation cache.
+// depend on worker count. That it matches estimating each point without
+// the caches is TestUnitDispatchMatchesStandaloneEstimates.
 func TestPortfolioDeterministicAndCacheAgnostic(t *testing.T) {
 	sp := smallSpace()
 	sp.Portfolio = true
@@ -116,9 +117,6 @@ func TestPortfolioDeterministicAndCacheAgnostic(t *testing.T) {
 	base := render(Engine{Workers: 1})
 	if got := render(Engine{Workers: 7}); got != base {
 		t.Error("portfolio output varies with worker count")
-	}
-	if got := render(Engine{NoSimCache: true}); got != base {
-		t.Error("portfolio output varies with the simulation cache")
 	}
 }
 

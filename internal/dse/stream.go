@@ -13,7 +13,7 @@ import (
 // order as they are produced, instead of receiving the whole ResultSet at
 // the end: Begin once, then Point once per result in strictly increasing
 // global point index order, then End. The engine restores order through a
-// bounded window (see Engine.Window), so a streaming consumer holds at
+// bounded window (see exploreOwned), so a streaming consumer holds at
 // most the in-flight window in memory however large the space is.
 type StreamReporter interface {
 	// Begin is called once before any result, with the normalized space
@@ -32,17 +32,17 @@ type StreamStats struct {
 	// carried a per-point error.
 	Points int
 	Failed int
-	// UniqueSims is the number of distinct cycle simulations run (0 when
-	// the simulation cache was disabled), as on ResultSet.
+	// UniqueSims is the number of distinct cycle simulations run, as on
+	// ResultSet.
 	UniqueSims int
 	// Cache holds the per-stage cache counters of the run — analyses,
-	// class schedules and whole-plan simulations (zero when the
-	// simulation cache was disabled). Its disk and remote counters read 0:
-	// a sweep reads no file and no network store.
+	// class schedules and whole-plan simulations. Its disk and remote
+	// counters read 0: a sweep reads no file and no network store.
 	Cache simcache.Snapshot
 	// MaxWindow is the peak number of completed-but-unemitted results the
-	// order-restoring window held — bounded by the window Engine.Window
-	// resolves to, and the memory high-water mark of the streaming path.
+	// order-restoring window held — at most its slots times the largest
+	// owned unit (Engine.window), and the memory high-water mark of the
+	// streaming path.
 	MaxWindow int
 	// Obs is the per-stage metrics snapshot of the run, taken just before
 	// End is delivered (so End's own encode time is excluded — the CLIs
@@ -57,7 +57,7 @@ type StreamStats struct {
 // complete. Unlike Explore, memory is bounded by the window (plus whatever
 // sr retains), not by the number of points.
 func (e Engine) ExploreStream(sp Space, sr StreamReporter) (StreamStats, error) {
-	return e.exploreStream(context.Background(), sp, 0, 1, true, sr)
+	return e.exploreStream(context.Background(), sp, 0, 1, sr)
 }
 
 // ExploreShardStream is ExploreStream restricted to one shard of an
@@ -71,7 +71,7 @@ func (e Engine) ExploreStream(sp Space, sr StreamReporter) (StreamStats, error) 
 // of the portable encoding sees a truncated, salvageable file rather than
 // a complete one. Returns ctx.Err().
 func (e Engine) ExploreShardStream(ctx context.Context, sp Space, shardIndex, shardCount int, sr StreamReporter) (StreamStats, error) {
-	return e.exploreStream(ctx, sp, shardIndex, shardCount, true, sr)
+	return e.exploreStream(ctx, sp, shardIndex, shardCount, sr)
 }
 
 // ExploreSubsetStream evaluates exactly the given global point indices —
@@ -82,7 +82,7 @@ func (e Engine) ExploreShardStream(ctx context.Context, sp Space, shardIndex, sh
 // output byte-identity after reassembly) is unaffected by how the subset
 // was chosen.
 func (e Engine) ExploreSubsetStream(ctx context.Context, sp Space, points []int, sr StreamReporter) (StreamStats, error) {
-	return e.exploreOwned(ctx, sp, points, true, sr)
+	return e.exploreOwned(ctx, sp, points, sr)
 }
 
 // CheckPoints validates an explicit owned point list over a space of
@@ -102,7 +102,7 @@ func CheckPoints(points []int, total int) error {
 
 // exploreStream selects the owned units of an n-way partition and runs
 // the core over them.
-func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCount int, bounded bool, sr StreamReporter) (StreamStats, error) {
+func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCount int, sr StreamReporter) (StreamStats, error) {
 	if shardCount < 1 || shardIndex < 0 || shardIndex >= shardCount {
 		return StreamStats{}, fmt.Errorf("dse: invalid shard %d/%d (want count ≥ 1 and 0 ≤ index < count)", shardIndex, shardCount)
 	}
@@ -116,7 +116,7 @@ func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCo
 		return StreamStats{}, err
 	}
 	owned := shardPoints(shardIndex, shardCount, nsp.Size(), len(nsp.Devices)*len(nsp.Scheds))
-	return e.exploreOwned(ctx, sp, owned, bounded, sr)
+	return e.exploreOwned(ctx, sp, owned, sr)
 }
 
 // exploreOwned is the engine core every entry point funnels into: it
@@ -128,19 +128,18 @@ func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCo
 // schedule, sending each result as it is made. Workers complete out of
 // order; completed results park in an order-restoring window keyed by
 // global point index and are emitted as soon as the run of consecutive
-// owned indices extends. When bounded, a window semaphore backpressures
-// the feeder, one slot per point, so at most Engine.window results are
-// dispatched-but-unemitted at any moment: a slow head-of-line unit
-// throttles the pool instead of growing an unbounded reorder buffer. The
-// window is never below the largest owned unit, so every unit can be
-// dispatched. Deadlock-free because units are contiguous and
-// dispatched in emission order: if the next result to emit is not yet
-// dispatched, every dispatched result has been emitted and its slot
-// released. Cancelling ctx halts dispatch (the same mechanism as a
-// reporter error), stops delivery — no Point after the cancellation is
-// observed, however many results are parked — and returns ctx.Err()
-// without delivering End.
-func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded bool, sr StreamReporter) (StreamStats, error) {
+// owned indices extends. A window semaphore backpressures the feeder,
+// one slot per unit, taken before the unit is dispatched and returned
+// once its last owned point is emitted, so at most Engine.window units
+// are dispatched-but-unemitted at any moment: a slow head-of-line unit
+// throttles the pool instead of growing an unbounded reorder buffer.
+// Deadlock-free because units are contiguous and dispatched in emission
+// order: if the next result to emit is not yet dispatched, every
+// dispatched unit has been emitted and its slot released. Cancelling ctx
+// halts dispatch (the same mechanism as a reporter error), stops
+// delivery — no Point after the cancellation is observed, however many
+// results are parked — and returns ctx.Err() without delivering End.
+func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, sr StreamReporter) (StreamStats, error) {
 	sp, err := sp.normalized()
 	if err != nil {
 		return StreamStats{}, err
@@ -161,26 +160,21 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded
 	// The byte store is built (or adopted) before the front-end runs, and
 	// the baseline snapshot taken first, so this run's analysis-cache
 	// lookups land in the per-run delta alongside its simulation lookups.
-	var store *simcache.Cache
-	var cacheBase simcache.Snapshot
-	if !e.NoSimCache {
-		store = e.SimCache
-		if store == nil {
-			// Engine-owned store: built fresh for this exploration, so the
-			// engine also wires its observability. A provided SimCache is
-			// externally owned and arrives already wired (re-attaching obs
-			// here would race with concurrent explorations sharing it).
-			var err error
-			if store, err = e.simStore(); err != nil {
-				return StreamStats{}, err
-			}
-			store.SetObs(e.Obs)
+	store := e.SimCache
+	if store == nil {
+		// Engine-owned store: built fresh for this exploration, so the
+		// engine also wires its observability. A provided SimCache is
+		// externally owned and arrives already wired (re-attaching obs
+		// here would race with concurrent explorations sharing it).
+		if store, err = e.simStore(); err != nil {
+			return StreamStats{}, err
 		}
-		// A shared store arrives with history; StreamStats reports this
-		// exploration's own lookups, so shard trailers and request metrics
-		// stay per-run whatever the store's age.
-		cacheBase = store.Snapshot()
+		store.SetObs(e.Obs)
 	}
+	// A shared store arrives with history; StreamStats reports this
+	// exploration's own lookups, so shard trailers and request metrics
+	// stay per-run whatever the store's age.
+	cacheBase := store.Snapshot()
 	analyses, err := e.analyzeKernels(sp, ownedKernels, store)
 	if err != nil {
 		return StreamStats{}, err
@@ -189,17 +183,13 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded
 		return StreamStats{}, err
 	}
 
-	sc := scheduler{sim: simDirect, ac: e.Analyses, store: store}
+	cache := newSimCache(store, e.Obs)
+	sc := scheduler{sim: cache.simulate, ac: e.Analyses, store: store}
 	if sc.ac != nil {
 		sc.lats = make([]string, len(sp.Scheds))
 		for v, sv := range sp.Scheds {
 			sc.lats[v] = sv.Config.Lat.Fingerprint()
 		}
-	}
-	var cache *simCache
-	if store != nil {
-		cache = newSimCache(store, e.Obs)
-		sc.sim = cache.simulate
 	}
 	// The "explore" stage is the engine's own wall clock, stopped before the
 	// snapshot so it lands inside it; "window" observes the order-restoring
@@ -209,21 +199,19 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded
 	winStats := e.Obs.Stage("window")
 
 	block := len(sp.Devices) * len(sp.Scheds)
-	var sem chan struct{}
-	if bounded {
-		unit := 0
-		for lo := 0; lo < len(owned); {
-			hi := nextUnit(owned, lo, block)
-			unit = max(unit, hi-lo)
-			lo = hi
-		}
-		sem = make(chan struct{}, e.window(unit))
+	unit := 0
+	for lo := 0; lo < len(owned); {
+		hi := nextUnit(owned, lo, block)
+		unit = max(unit, hi-lo)
+		lo = hi
 	}
+	sem := make(chan struct{}, e.window(unit))
 	unitCh := make(chan []int)
-	// Bounded, the semaphore holds the dispatched-but-unemitted points to
-	// the window, so a results buffer of the window's size never makes a
-	// worker wait to deliver, and costs no goroutine switch per point.
-	results := make(chan Result, cap(sem))
+	// The semaphore holds the dispatched-but-unemitted units to the
+	// window, so a results buffer of slots × the largest unit (or of every
+	// owned point, if fewer) never makes a worker wait to deliver, and
+	// costs no goroutine switch per point.
+	results := make(chan Result, min(cap(sem)*unit, len(owned)))
 	stop := make(chan struct{})
 	// A worker or feeder panic becomes an error returned after the drain
 	// (first one wins) and halts dispatch so the pool unwinds cleanly;
@@ -262,14 +250,10 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded
 		defer close(unitCh)
 		for lo := 0; lo < len(owned); {
 			hi := nextUnit(owned, lo, block)
-			if sem != nil {
-				for range hi - lo {
-					select {
-					case sem <- struct{}{}:
-					case <-stop:
-						return
-					}
-				}
+			select {
+			case sem <- struct{}{}:
+			case <-stop:
+				return
 			}
 			select {
 			case unitCh <- owned[lo:hi]:
@@ -309,7 +293,9 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded
 				break
 			}
 			next++
-			if sem != nil {
+			// The unit's last owned point returns its slot: no owned index
+			// is left, or the next one lies in another block.
+			if next == len(owned) || owned[next]/block != q.Point.Index/block {
 				<-sem
 			}
 			st.Points++
@@ -350,10 +336,8 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, bounded
 	if err := ctx.Err(); err != nil {
 		return st, err
 	}
-	if cache != nil {
-		st.UniqueSims = cache.size()
-		st.Cache = cache.snapshot().Sub(cacheBase)
-	}
+	st.UniqueSims = cache.size()
+	st.Cache = cache.snapshot().Sub(cacheBase)
 	exploreTm.Stop()
 	st.Obs = e.Obs.Snapshot()
 	if err := sr.End(st); err != nil {

@@ -52,22 +52,19 @@ func TestStreamMatchesBuffered(t *testing.T) {
 }
 
 // TestStreamWindowBound is the memory contract: the order-restoring
-// window never exceeds Engine.Window, however many points the space has
-// and however workers race.
+// window never holds more than its slots' worth of points, however many
+// points the space has. The stock space at one worker has 2-point units
+// and 8 slots, which hold 16 of its 192 points.
 func TestStreamWindowBound(t *testing.T) {
-	sp := Space{
-		Kernels:    []kernels.Kernel{kernels.Figure1()},
-		Allocators: []core.Allocator{core.FRRA{}, core.PRRA{}},
-		Budgets:    []int{6, 8, 10, 12, 16, 20, 24, 32, 48, 64, 80, 96},
-	} // 24 points
-	const window = 4
+	sp := DefaultSpace()
+	const window = 16
 	var buf bytes.Buffer
-	st, err := Engine{Workers: 8, Window: window}.ExploreStream(sp, (CSVReporter{}).Stream(&buf))
+	st, err := Engine{Workers: 1}.ExploreStream(sp, (CSVReporter{}).Stream(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Points != 24 {
-		t.Fatalf("streamed %d points, want 24", st.Points)
+	if st.Points != sp.Size() {
+		t.Fatalf("streamed %d points, want %d", st.Points, sp.Size())
 	}
 	if st.MaxWindow < 1 || st.MaxWindow > window {
 		t.Errorf("MaxWindow = %d, want within [1,%d]", st.MaxWindow, window)
@@ -134,7 +131,7 @@ func TestStreamReporterErrorAborts(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { //repro:norecover test harness: a panic here fails the test via the timeout below
 		n := 0
-		_, err := Engine{Workers: 2, Window: 2}.ExploreStream(sp, funcReporter{
+		_, err := Engine{Workers: 2}.ExploreStream(sp, funcReporter{
 			point: func(Result) error {
 				n++
 				if n == 3 {

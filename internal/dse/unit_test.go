@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -43,9 +44,8 @@ func errText(err error) string {
 }
 
 // standalone estimates one point outside the engine: a fresh estimate
-// of the point alone, with no simulation cache.
-func standalone(t *testing.T, an map[string]*hls.Analysis, p Point, members bool) Result {
-	t.Helper()
+// of the point alone, with no plan memo, class store or schedule memo.
+func standalone(an map[string]*hls.Analysis, p Point, members bool) Result {
 	a := an[p.Kernel.Name]
 	if pf, ok := p.Allocator.(Portfolio); ok {
 		schedules := make([]hls.Member, len(pf.Allocators))
@@ -58,13 +58,13 @@ func standalone(t *testing.T, an map[string]*hls.Analysis, p Point, members bool
 		}
 		return Result{Point: p, Design: d, Members: ms, Err: err}
 	}
-	d, err := a.EstimateSim(p.Allocator, p.Options(), nil)
+	d, err := a.Estimate(p.Allocator, p.Options())
 	return Result{Point: p, Design: d, Err: err}
 }
 
-// checkAgainstStandalone asserts every result equals a standalone estimate
-// of its point: design metrics, member designs and error text.
-func checkAgainstStandalone(t *testing.T, label string, sp Space, got []Result) (ok, failed int) {
+// standaloneAll estimates every point of sp standalone, indexed by global
+// point index.
+func standaloneAll(t *testing.T, sp Space) []Result {
 	t.Helper()
 	an := map[string]*hls.Analysis{}
 	for _, k := range sp.Kernels {
@@ -74,8 +74,21 @@ func checkAgainstStandalone(t *testing.T, label string, sp Space, got []Result) 
 		}
 		an[k.Name] = a
 	}
+	pts := sp.Points()
+	wants := make([]Result, len(pts))
+	for i, p := range pts {
+		wants[i] = standalone(an, p, sp.PortfolioAll)
+	}
+	return wants
+}
+
+// checkAgainstStandalone asserts every result equals the standalone
+// estimate of its point (wants, from standaloneAll): design metrics,
+// member designs and error text.
+func checkAgainstStandalone(t *testing.T, label string, wants, got []Result) (ok, failed int) {
+	t.Helper()
 	for _, r := range got {
-		want := standalone(t, an, r.Point, sp.PortfolioAll)
+		want := wants[r.Point.Index]
 		if g, w := errText(r.Err), errText(want.Err); g != w {
 			t.Errorf("%s: %s: error %q, standalone %q", label, r.Point.ID(), g, w)
 		}
@@ -100,26 +113,53 @@ func checkAgainstStandalone(t *testing.T, label string, sp Space, got []Result) 
 	return ok, failed
 }
 
+// memPortSpace is the stock space with the CLI's `-memlat 1,2 -ports
+// 1,2`: 768 points in 8-point blocks.
+func memPortSpace() Space {
+	sp := DefaultSpace()
+	sp.Scheds = SchedAxis([]int{1, 2}, []int{1, 2})
+	return sp
+}
+
 // TestUnitDispatchMatchesStandaloneEstimates is the differential test of
-// the unit dispatch: one schedule per (kernel, allocator, budget, sched)
-// realized on every device must give each point exactly what estimating
-// the point alone gives, in plain and portfolio mode, whatever the worker
-// count, and on every shard of a 3-way partition (whose units are
-// strided subsets of the blocks).
+// the engine against the memo-free reference: one schedule per (kernel,
+// allocator, budget, sched) realized on every device, the plan memo and
+// the class store must give each point exactly what estimating the point
+// alone gives, in plain and portfolio mode, whatever the worker count,
+// and on every shard of a 3-way partition (whose units are strided
+// subsets of the blocks). unitSpace's units mix fits and Fit failures on
+// one schedule; the stock space, plain and portfolio-all, and its
+// memlat × ports widening are the CLI's own sweeps.
 func TestUnitDispatchMatchesStandaloneEstimates(t *testing.T) {
+	type input struct {
+		name  string
+		sp    Space
+		mixed bool // the space must mix fits and Fit failures
+	}
+	var inputs []input
 	for _, mode := range []string{"plain", "portfolio", "portfolio-all"} {
 		sp := unitSpace()
 		sp.Portfolio = mode != "plain"
 		sp.PortfolioAll = mode == "portfolio-all"
-		want := sp.Size()
+		inputs = append(inputs, input{"unit/" + mode, sp, true})
+	}
+	pfAll := DefaultSpace()
+	pfAll.Portfolio, pfAll.PortfolioAll = true, true
+	inputs = append(inputs,
+		input{"stock/plain", DefaultSpace(), false},
+		input{"stock/portfolio-all", pfAll, false},
+		input{"stock/memlat×ports", memPortSpace(), false})
+	for _, in := range inputs {
+		sp := in.sp
+		wants := standaloneAll(t, sp)
 		for _, workers := range []int{1, 8} {
-			label := fmt.Sprintf("%s/workers=%d", mode, workers)
+			label := fmt.Sprintf("%s/workers=%d", in.name, workers)
 			rs := mustExplore(t, Engine{Workers: workers}, sp)
-			if len(rs.Results) != want {
-				t.Fatalf("%s: %d results, want %d", label, len(rs.Results), want)
+			if len(rs.Results) != len(wants) {
+				t.Fatalf("%s: %d results, want %d", label, len(rs.Results), len(wants))
 			}
-			ok, failed := checkAgainstStandalone(t, label, sp, rs.Results)
-			if ok == 0 || failed == 0 {
+			ok, failed := checkAgainstStandalone(t, label, wants, rs.Results)
+			if in.mixed && (ok == 0 || failed == 0) {
 				t.Errorf("%s: %d ok, %d failed: the space must mix fits and Fit failures", label, ok, failed)
 			}
 		}
@@ -134,51 +174,67 @@ func TestUnitDispatchMatchesStandaloneEstimates(t *testing.T) {
 			}
 			shards = append(shards, rs.Results...)
 		}
-		if len(shards) != want {
-			t.Fatalf("%s: shards hold %d results, want %d", mode, len(shards), want)
+		if len(shards) != len(wants) {
+			t.Fatalf("%s: shards hold %d results, want %d", in.name, len(shards), len(wants))
 		}
-		checkAgainstStandalone(t, mode+"/shard", sp, shards)
+		checkAgainstStandalone(t, in.name+"/shard", wants, shards)
 	}
 }
 
-// TestUnitDispatchSmallWindow: a window smaller than a unit is raised to
-// the unit size, so the stream completes (a unit takes one slot per
-// point before it is dispatched) and parks no more than one unit.
-func TestUnitDispatchSmallWindow(t *testing.T) {
-	sp := unitSpace()
-	unit := len(sp.Devices) * len(sp.Scheds)
-	for _, window := range []int{1, 2, unit - 1} {
-		done := make(chan StreamStats, 1)
-		var got []int
-		go func() { //repro:norecover test harness: a panic here fails the test via the timeout below
-			st, err := Engine{Workers: 4, Window: window}.ExploreStream(sp, funcReporter{
-				point: func(r Result) error {
-					got = append(got, r.Point.Index)
-					return nil
-				},
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			done <- st
-		}()
-		var st StreamStats
-		select {
-		case st = <-done:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("Window %d: the stream deadlocked", window)
+// TestUnitDispatchPartialUnits: a subset that cuts every block into a
+// partial unit streams to completion and in order through the default
+// window at eight workers, under a reporter slow enough that the pool
+// fills the window, and parks at most slots × the largest unit.
+func TestUnitDispatchPartialUnits(t *testing.T) {
+	sp := memPortSpace()
+	block := len(sp.Devices) * len(sp.Scheds)
+	var subset []int
+	for g := range sp.Size() {
+		if g%3 != 0 {
+			subset = append(subset, g)
 		}
-		if st.Points != sp.Size() || len(got) != sp.Size() {
-			t.Fatalf("Window %d: streamed %d points, want %d", window, len(got), sp.Size())
+	}
+	unit := 0
+	for lo := 0; lo < len(subset); {
+		hi := nextUnit(subset, lo, block)
+		unit = max(unit, hi-lo)
+		lo = hi
+	}
+	if unit == 0 || unit >= block {
+		t.Fatalf("largest unit %d of %d-point blocks: the subset must cut blocks", unit, block)
+	}
+	e := Engine{Workers: 8}
+	done := make(chan StreamStats, 1)
+	var got []int
+	go func() { //repro:norecover test harness: a panic here fails the test via the timeout below
+		st, err := e.ExploreSubsetStream(context.Background(), sp, subset, funcReporter{
+			point: func(r Result) error {
+				got = append(got, r.Point.Index)
+				time.Sleep(20 * time.Microsecond)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Error(err)
 		}
-		for i, idx := range got {
-			if idx != i {
-				t.Fatalf("Window %d: position %d carried point %d", window, i, idx)
-			}
+		done <- st
+	}()
+	var st StreamStats
+	select {
+	case st = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the stream deadlocked")
+	}
+	if st.Points != len(subset) || len(got) != len(subset) {
+		t.Fatalf("streamed %d points, want %d", len(got), len(subset))
+	}
+	for i, idx := range got {
+		if idx != subset[i] {
+			t.Fatalf("position %d carried point %d, want %d", i, idx, subset[i])
 		}
-		if st.MaxWindow < 1 || st.MaxWindow > unit {
-			t.Errorf("Window %d: MaxWindow = %d, want within [1,%d]", window, st.MaxWindow, unit)
-		}
+	}
+	if bound := e.window(unit) * unit; st.MaxWindow < 1 || st.MaxWindow > bound {
+		t.Errorf("MaxWindow = %d, want within [1,%d] (%d slots × %d-point units)", st.MaxWindow, bound, e.window(unit), unit)
 	}
 }
 
@@ -211,24 +267,22 @@ func TestUnitsFollowBlocks(t *testing.T) {
 	}
 }
 
-// TestWindowCountsUnits: an explicit window is raised to the largest
-// unit, and the default holds four units per worker (at least 16 points),
-// which on one-point units is the old 4×workers.
+// TestWindowCountsUnits: the window holds four units per worker, in
+// slots of one unit each, and at least 16 points rounded up to whole
+// units; a run that owns no point (unit 0) gets four slots per worker.
 func TestWindowCountsUnits(t *testing.T) {
 	for _, tc := range []struct {
-		e          Engine
-		unit, want int
+		workers, unit, want int
 	}{
-		{Engine{Workers: 1}, 1, 16},
-		{Engine{Workers: 8}, 1, 32},
-		{Engine{Workers: 2}, 2, 16},
-		{Engine{Workers: 2}, 18, 144},
-		{Engine{Workers: 2, Window: 4}, 18, 18},
-		{Engine{Workers: 2, Window: 40}, 18, 40},
+		{1, 1, 16},
+		{8, 1, 32},
+		{2, 2, 8},
+		{1, 3, 6},
+		{2, 18, 8},
+		{1, 0, 4},
 	} {
-		if got := tc.e.window(tc.unit); got != tc.want {
-			t.Errorf("Engine{Workers: %d, Window: %d}.window(%d) = %d, want %d",
-				tc.e.Workers, tc.e.Window, tc.unit, got, tc.want)
+		if got := (Engine{Workers: tc.workers}).window(tc.unit); got != tc.want {
+			t.Errorf("Engine{Workers: %d}.window(%d) = %d slots, want %d", tc.workers, tc.unit, got, tc.want)
 		}
 	}
 }

@@ -147,17 +147,11 @@ type SimCtx struct {
 // converge to identical plans and can share one simulation.
 type SimFunc func(ctx SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (*sched.Result, error)
 
-// Estimate evaluates one design point on the cached front-end. It is safe
-// to call concurrently from multiple goroutines.
+// Estimate evaluates one design point on the cached front-end: Schedule,
+// then Realize on opt.Device. It is safe to call concurrently from
+// multiple goroutines.
 func (an *Analysis) Estimate(alg core.Allocator, opt Options) (*Design, error) {
-	return an.EstimateSim(alg, opt, nil)
-}
-
-// EstimateSim is Estimate with a pluggable simulation step: sim, when
-// non-nil, replaces (or memoizes) sched.SimulateGraph. It is Schedule then
-// Realize on opt.Device.
-func (an *Analysis) EstimateSim(alg core.Allocator, opt Options, sim SimFunc) (*Design, error) {
-	s, err := an.Schedule(alg, opt, sim)
+	s, err := an.Schedule(alg, opt, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -76,11 +76,9 @@ const maxSpecSize = 1 << 20
 
 // Config tunes one Server.
 type Config struct {
-	// Workers and Window are handed to each request's engine (0 = engine
-	// defaults: GOMAXPROCS workers, a window of 4×workers units). The
-	// engine raises a window below the space's largest unit to that size.
+	// Workers is handed to each request's engine (0 = GOMAXPROCS); the
+	// engine sizes its order-restoring window from it.
 	Workers int
-	Window  int
 	// MaxInflight caps concurrently running sweeps (≤0 = 2): each sweep
 	// saturates its own worker pool, so a small number keeps the host
 	// busy without thrashing.
@@ -376,7 +374,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	// trailer carries its snapshot); the shared cache keeps feeding the
 	// process registry it was wired to at startup.
 	reqObs := obs.New()
-	engine := dse.Engine{Workers: s.cfg.Workers, Window: s.cfg.Window, SimCache: s.cache, Analyses: s.analyses, Obs: reqObs}
+	engine := dse.Engine{Workers: s.cfg.Workers, SimCache: s.cache, Analyses: s.analyses, Obs: reqObs}
 	tm := s.requestT.Start()
 	start := time.Now()
 	var st dse.StreamStats
