@@ -1,10 +1,10 @@
 // Command dse runs a concurrent design-space exploration over the kernel
 // suite: the cross-product of kernels × allocators × register budgets ×
 // devices × scheduler configurations is evaluated on a worker pool and the
-// results stream — through an order-restoring window, so memory stays
-// bounded however large the space — into a table, CSV or JSON report with
-// per-kernel Pareto frontiers. Output is byte-identical whatever the
-// worker count.
+// results stream in point order — through a bounded window of dispatched
+// units, so memory stays bounded however large the space — into a table,
+// CSV or JSON report with per-kernel Pareto frontiers. Output is
+// byte-identical whatever the worker count.
 //
 // Simulation work is deduplicated at two levels within a process:
 // identical plans share one simulation (the plan cache), and distinct

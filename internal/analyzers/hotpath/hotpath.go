@@ -2,7 +2,7 @@
 // //repro:hotpath.
 //
 // The per-iteration-point code — the transfer replay walker's innermost
-// sweep, the replay automaton, the stream reorder window, the disabled
+// sweep, the replay automaton, the shard row writer, the disabled
 // observability paths — must not allocate: AllocsPerRun pins prove it
 // for a few entry points at runtime, this pass proves it for every
 // annotated function at compile time, and catches the regression in the

@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -39,39 +40,82 @@ func (c *cancelReporter) Point(Result) error {
 }
 func (c *cancelReporter) End(StreamStats) error { return errors.New("End after cancellation") }
 
-// TestExploreShardStreamCancelExitsPromptly pins the fleet-executor
-// cancellation contract: a cancelled context halts dispatch, the engine
-// returns ctx.Err() without calling End, and no pool goroutine — worker,
-// feeder, closer or watcher — outlives the call.
+// TestExploreShardStreamCancelExitsPromptly pins the engine's shutdown
+// contract on each halt a caller can cause — a cancelled context (the
+// fleet executor's), a reporter error and a reporter panic, which dse
+// serve recovers: the call ends without End, and no pool goroutine —
+// worker or watcher — outlives it.
 func TestExploreShardStreamCancelExitsPromptly(t *testing.T) {
-	before := runtime.NumGoroutine()
-	rep := newCancelReporter(5)
-	defer rep.cancel()
-	st, err := Engine{Workers: 4}.ExploreShardStream(rep.ctx, DefaultSpace(), 0, 1, rep)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if st.Points >= 192 {
-		t.Fatalf("cancellation after 5 rows still emitted all %d points", st.Points)
-	}
-	// The pool must fully unwind: poll for the goroutine count to return
-	// to (near) baseline. Allowance of +3 covers unrelated runtime noise.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before+3 {
-			break
-		} else if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked after cancel: %d before, %d after\n%s",
-				before, g, buf[:runtime.Stack(buf, true)])
+	boom := errors.New("sink failed")
+	errPanicked := errors.New("reporter panicked")
+	// failAt returns a reporter whose fifth Point calls fail.
+	failAt := func(fail func() error) StreamReporter {
+		n := 0
+		return funcReporter{
+			point: func(Result) error {
+				if n++; n == 5 {
+					return fail()
+				}
+				return nil
+			},
+			end: func(StreamStats) error { return errors.New("End after a halt") },
 		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	explore := func(ctx context.Context, sr StreamReporter) (StreamStats, error) {
+		return Engine{Workers: 4}.ExploreShardStream(ctx, DefaultSpace(), 0, 1, sr)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (StreamStats, error)
+		want error
+	}{
+		{"cancel", func() (StreamStats, error) {
+			rep := newCancelReporter(5)
+			defer rep.cancel()
+			return explore(rep.ctx, rep)
+		}, context.Canceled},
+		{"reporter error", func() (StreamStats, error) {
+			return explore(context.Background(), failAt(func() error { return boom }))
+		}, boom},
+		{"reporter panic", func() (st StreamStats, err error) {
+			defer func() {
+				if v := recover(); v != nil {
+					err = fmt.Errorf("%w: %v", errPanicked, v)
+				}
+			}()
+			return explore(context.Background(), failAt(func() error { panic("sink panicked") }))
+		}, errPanicked},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			st, err := tc.run()
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if st.Points >= 192 {
+				t.Fatalf("a halt after 5 rows still emitted all %d points", st.Points)
+			}
+			// The pool must fully unwind: poll for the goroutine count to
+			// return to (near) baseline. Allowance of +3 covers unrelated
+			// runtime noise.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if g := runtime.NumGoroutine(); g <= before+3 {
+					break
+				} else if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("goroutines leaked after the halt: %d before, %d after\n%s",
+						before, g, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 
 // TestNoPointAfterCancel: the engine owns cancellation, so a reporter
 // needs no context check of its own — once ctx is done, results already
-// parked in the window are drained, never delivered.
+// computed are dropped, never delivered.
 func TestNoPointAfterCancel(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		rep := newCancelReporter(5)

@@ -48,11 +48,11 @@ import (
 )
 
 // The engine also streams: ExploreStream/ExploreShardStream (stream.go)
-// feed a StreamReporter through a bounded order-restoring window instead
-// of buffering the whole ResultSet, and the space partitions across
-// processes by whole (kernel, allocator, budget) units (partition.go,
-// internal/shard) — ExploreShard evaluates one shard's units while
-// preserving global point numbering.
+// feed a StreamReporter in point order as units complete, holding a
+// bounded window of dispatched units instead of the whole ResultSet, and
+// the space partitions across processes by whole (kernel, allocator,
+// budget) units (partition.go, internal/shard) — ExploreShard evaluates
+// one shard's units while preserving global point numbering.
 
 // Result is the outcome of one design point: the estimated design, or the
 // estimation error (infeasible budget, device capacity, ...).
@@ -172,10 +172,10 @@ func (e Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// window returns the slot count of the order-restoring window for a run
-// whose largest owned unit has unit points. A unit (the owned points of
-// one kernel, allocator and budget: up to |Devices|·|Scheds|) takes one
-// slot from its dispatch until its last point is emitted. The window
+// window returns how many units a run whose largest owned unit has unit
+// points keeps dispatched but not yet emitted. A unit (the owned points
+// of one kernel, allocator and budget: up to |Devices|·|Scheds|) holds
+// one slot from its dispatch until its last point is emitted. The window
 // holds four units per worker, and at least 16 points: ⌈16/unit⌉ slots.
 // A run that owns no point (unit 0) gets the per-worker floor.
 func (e Engine) window(unit int) int {
@@ -299,11 +299,11 @@ func estimatorPanic(v any) error { return fmt.Errorf("%s panic: %v", estimator, 
 // evaluate estimates one design point from its sched variant's slot,
 // scheduling it first if no earlier point of the unit did, and converts
 // an estimator panic into the point's error. Without the recover, a
-// panicking allocator would kill its worker goroutine with the unit
-// channel undrained, blocking the feeder and deadlocking Explore's
-// wg.Wait forever. A portfolio point realizes every member on its device
-// and keeps the best design; with members set it also carries every
-// member's design on the result (the -portfolio-all diagnostic).
+// panicking allocator would kill its worker goroutine and halt the whole
+// exploration with a worker panic instead of failing one point. A
+// portfolio point realizes every member on its device and keeps the best
+// design; with members set it also carries every member's design on the
+// result (the -portfolio-all diagnostic).
 func evaluate(an *hls.Analysis, p Point, sc scheduler, members bool, slot *scheduled, m *obs.Metrics, tr *obs.Tracer) (res Result) {
 	if !slot.done {
 		slot.schedule(an, p, sc, m, tr)
@@ -340,8 +340,8 @@ type evaluator struct {
 
 // unit evaluates one unit's points in order, sending each result on
 // results, and returns false once stop is closed. It checks stop before
-// each point: the engine's results channel holds the whole window, so a
-// send never blocks, and the check is what keeps a halted worker to its
+// each point: the unit's results channel holds the whole unit, so a send
+// never blocks, and the check is what keeps a halted worker to its
 // in-flight point. The worker runs the whole unit under the pprof labels
 // (kernel, "point"), switched once per unit, so CPU profiles decompose by
 // kernel and stage; it holds no labels after the unit.

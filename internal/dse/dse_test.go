@@ -164,11 +164,9 @@ func (a panicAllocator) Allocate(p *core.Problem) (*core.Allocation, error) {
 	return core.FRRA{}.Allocate(p)
 }
 
-// TestExploreSurvivesEstimatorPanic guards against the worker-pool
-// deadlock: a panicking estimator used to kill its worker goroutine, leaving
-// the unit channel undrained so the feeder blocked and wg.Wait never
-// returned. The panic must instead surface as the point's error, with every
-// other point still evaluated. On a two-device space the panic happens
+// TestExploreSurvivesEstimatorPanic: a panicking estimator must not take
+// its worker, or the exploration, down with it. The panic must surface as
+// the point's error, with every other point still evaluated. On a two-device space the panic happens
 // once per schedule, and every point of the unit that shares the schedule
 // records it — in portfolio mode too, where one panicking member fails
 // its kernel's every point. An engine sharing an analysis memo memoizes

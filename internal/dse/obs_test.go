@@ -224,9 +224,9 @@ func TestObsDisabledResultSetZero(t *testing.T) {
 	}
 }
 
-// TestObsWindowUnit: the window stage observes occupancy (results), so its
-// max can never exceed the stream's MaxWindow and its count equals the
-// number of completed points.
+// TestObsWindowUnit: the window stage observes the points dispatched but
+// not yet emitted (not nanoseconds) once per emitted point, so its count
+// is the point count and its max the stream's MaxWindow.
 func TestObsWindowUnit(t *testing.T) {
 	m := obs.New()
 	e := Engine{Workers: 4, Obs: m}
@@ -239,8 +239,8 @@ func TestObsWindowUnit(t *testing.T) {
 	if w.Count != int64(st.Points) {
 		t.Errorf("window observations = %d, want one per point (%d)", w.Count, st.Points)
 	}
-	if w.Max > int64(st.MaxWindow) {
-		t.Errorf("window max %d exceeds MaxWindow %d", w.Max, st.MaxWindow)
+	if w.Max != int64(st.MaxWindow) {
+		t.Errorf("window max %d, want MaxWindow %d", w.Max, st.MaxWindow)
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 // StreamReporter consumes one exploration's results in canonical point
 // order as they are produced, instead of receiving the whole ResultSet at
 // the end: Begin once, then Point once per result in strictly increasing
-// global point index order, then End. The engine restores order through a
-// bounded window (see exploreOwned), so a streaming consumer holds at
-// most the in-flight window in memory however large the space is.
+// global point index order, then End. The engine reads units back in
+// the order it dispatched them and keeps a bounded window of them in
+// flight (see exploreOwned), so a streaming consumer holds at most that
+// window in memory however large the space is.
 type StreamReporter interface {
 	// Begin is called once before any result, with the normalized space
 	// and the number of results the stream will carry (the owned subset
@@ -39,10 +40,10 @@ type StreamStats struct {
 	// class schedules and whole-plan simulations. Its disk and remote
 	// counters read 0: a sweep reads no file and no network store.
 	Cache simcache.Snapshot
-	// MaxWindow is the peak number of completed-but-unemitted results the
-	// order-restoring window held — at most its slots times the largest
-	// owned unit (Engine.window), and the memory high-water mark of the
-	// streaming path.
+	// MaxWindow is the peak number of points dispatched but not yet
+	// emitted — at most the window's slots times the largest owned unit
+	// (Engine.window), and the memory high-water mark of the streaming
+	// path. It depends only on the owned points and the worker count.
 	MaxWindow int
 	// Obs is the per-stage metrics snapshot of the run, taken just before
 	// End is delivered (so End's own encode time is excluded — the CLIs
@@ -53,9 +54,9 @@ type StreamStats struct {
 }
 
 // ExploreStream evaluates every point of the space, feeding results to sr
-// in canonical order through the order-restoring window as workers
-// complete. Unlike Explore, memory is bounded by the window (plus whatever
-// sr retains), not by the number of points.
+// in canonical order as workers complete them. Unlike Explore, memory is
+// bounded by the window (plus whatever sr retains), not by the number of
+// points.
 func (e Engine) ExploreStream(sp Space, sr StreamReporter) (StreamStats, error) {
 	return e.exploreStream(context.Background(), sp, 0, 1, sr)
 }
@@ -66,10 +67,10 @@ func (e Engine) ExploreStream(sp Space, sr StreamReporter) (StreamStats, error) 
 // ⌊g/w⌋ mod shardCount = shardIndex, w = |Devices|·|Scheds| (ShardPoint)
 // — each still carrying its global Index. When ctx is cancelled,
 // dispatch halts immediately (workers finish at most their in-flight
-// point, the feeder exits, no goroutine lingers past the return), sr
-// receives no further Point, and the stream ends without End — a consumer
-// of the portable encoding sees a truncated, salvageable file rather than
-// a complete one. Returns ctx.Err().
+// point, no goroutine lingers past the return), sr receives no further
+// Point, and the stream ends without End — a consumer of the portable
+// encoding sees a truncated, salvageable file rather than a complete one.
+// Returns ctx.Err().
 func (e Engine) ExploreShardStream(ctx context.Context, sp Space, shardIndex, shardCount int, sr StreamReporter) (StreamStats, error) {
 	return e.exploreStream(ctx, sp, shardIndex, shardCount, sr)
 }
@@ -122,23 +123,22 @@ func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCo
 // exploreOwned is the engine core every entry point funnels into: it
 // normalizes the space, validates the owned index list, analyzes the
 // kernels the owned points touch, and runs the worker pool. The pool
-// takes units, not points: a unit is the owned run of one (kernel,
-// allocator, budget) block (see nextUnit), and one worker schedules it
-// once per sched variant and realizes each owned point's device on that
-// schedule, sending each result as it is made. Workers complete out of
-// order; completed results park in an order-restoring window keyed by
-// global point index and are emitted as soon as the run of consecutive
-// owned indices extends. A window semaphore backpressures the feeder,
-// one slot per unit, taken before the unit is dispatched and returned
-// once its last owned point is emitted, so at most Engine.window units
-// are dispatched-but-unemitted at any moment: a slow head-of-line unit
-// throttles the pool instead of growing an unbounded reorder buffer.
-// Deadlock-free because units are contiguous and dispatched in emission
-// order: if the next result to emit is not yet dispatched, every
-// dispatched unit has been emitted and its slot released. Cancelling ctx
-// halts dispatch (the same mechanism as a reporter error), stops
-// delivery — no Point after the cancellation is observed, however many
-// results are parked — and returns ctx.Err() without delivering End.
+// takes jobs, not points: a job is one unit — the owned run of one
+// (kernel, allocator, budget) block (see nextUnit) — and the channel its
+// results come back on, buffered to the unit. One worker schedules the
+// unit once per sched variant and realizes each owned point's device on
+// that schedule, sending the results in point order, so a worker never
+// waits to deliver. The calling goroutine dispatches jobs in unit order
+// and reads their channels in the same order: dispatch order is emission
+// order, and no result waits out of order. It keeps at most
+// Engine.window jobs dispatched but not emitted, dispatching the next
+// unit once the head one is emitted, so a slow head-of-line unit
+// throttles the pool and at most slots × the largest unit results exist
+// at once. Cancelling ctx halts dispatch (the same mechanism as a
+// reporter error or a worker panic), stops delivery — no Point after the
+// cancellation is observed — and returns ctx.Err() without delivering
+// End. Every return, a reporter panic included, first stops and joins
+// the pool.
 func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, sr StreamReporter) (StreamStats, error) {
 	sp, err := sp.normalized()
 	if err != nil {
@@ -192,9 +192,9 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, sr Stre
 		}
 	}
 	// The "explore" stage is the engine's own wall clock, stopped before the
-	// snapshot so it lands inside it; "window" observes the order-restoring
-	// window's occupancy (unit: parked results, not nanoseconds) at every
-	// insertion, so its histogram is the window-pressure profile.
+	// snapshot so it lands inside it; "window" observes the points
+	// dispatched but not yet emitted (unit: points, not nanoseconds) at
+	// every emission, so its histogram is the window-pressure profile.
 	exploreTm := e.Obs.Stage("explore").Start()
 	winStats := e.Obs.Stage("window")
 
@@ -205,18 +205,15 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, sr Stre
 		unit = max(unit, hi-lo)
 		lo = hi
 	}
-	sem := make(chan struct{}, e.window(unit))
-	unitCh := make(chan []int)
-	// The semaphore holds the dispatched-but-unemitted units to the
-	// window, so a results buffer of slots × the largest unit (or of every
-	// owned point, if fewer) never makes a worker wait to deliver, and
-	// costs no goroutine switch per point.
-	results := make(chan Result, min(cap(sem)*unit, len(owned)))
+	window := e.window(unit)
+	// The emitter keeps at most window jobs dispatched but not emitted, so
+	// a queue of that many never makes a dispatch wait.
+	work := make(chan job, window)
 	stop := make(chan struct{})
-	// A worker or feeder panic becomes an error returned after the drain
+	// A worker panic becomes an error returned after the pool is joined
 	// (first one wins) and halts dispatch so the pool unwinds cleanly;
-	// stopOnce arbitrates with the reporter-error path, which closes the
-	// same stop channel.
+	// stopOnce arbitrates with the other halts, which close the same stop
+	// channel.
 	var panicMu sync.Mutex
 	var panicErr error
 	var stopOnce sync.Once
@@ -238,93 +235,81 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, sr Stre
 			// them (the sched axis is innermost), and clearing them after
 			// the unit keeps no schedule alive past it.
 			slots := make([]scheduled, len(sp.Scheds))
-			for unit := range unitCh {
-				if !ev.unit(analyses[pts[unit[0]].Kernel.Name], pts, unit, slots, results, stop) {
+			for j := range work {
+				if !ev.unit(analyses[pts[j.unit[0]].Kernel.Name], pts, j.unit, slots, j.out, stop) {
 					return
 				}
 			}
 		})
 	}
-	wg.Add(1)
-	goRecover(&wg, onPanic, func() {
-		defer close(unitCh)
-		for lo := 0; lo < len(owned); {
-			hi := nextUnit(owned, lo, block)
-			select {
-			case sem <- struct{}{}:
-			case <-stop:
-				return
-			}
-			select {
-			case unitCh <- owned[lo:hi]:
-			case <-stop:
-				return
-			}
-			lo = hi
-		}
-	})
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				onPanic(fmt.Errorf("dse: closer panic: %v", v))
-				close(results)
-			}
-		}()
+	// Every return, a reporter panic included, stops and joins the pool: a
+	// worker checks stop before each point and never blocks on a send, so
+	// the join waits out at most one in-flight point per worker.
+	shutdown := sync.OnceFunc(func() {
+		halt()
+		close(work)
 		wg.Wait()
-		close(results)
-	}()
+	})
+	defer shutdown()
 	// A cancelled context halts dispatch through the same stop channel a
-	// reporter error uses, so the feeder and workers exit promptly instead
-	// of lingering until the next row emission notices. halt only closes
-	// stop once, so the runtime's AfterFunc goroutine cannot panic.
+	// reporter error uses, so the workers exit promptly instead of
+	// lingering until the next row emission notices. halt only closes stop
+	// once, so the runtime's AfterFunc goroutine cannot panic.
 	if ctx.Done() != nil {
 		defer context.AfterFunc(ctx, halt)()
 	}
 
 	var st StreamStats
 	var reportErr error
-	win := reorderWindow{pending: map[int]Result{}}
-	next := 0 // position in owned of the next index to emit
-	for r := range results {
-		winStats.Observe(int64(win.put(r)))
-		for next < len(owned) {
-			q, ok := win.take(owned[next])
-			if !ok {
-				break
+	// jobs is a ring of the dispatched-but-unemitted jobs in dispatch
+	// order, the head at jobs[emitted%window]; pending counts their points.
+	jobs := make([]job, window)
+	dispatched, emitted, pending := 0, 0, 0
+	lo := 0 // position in owned of the next unit to dispatch
+emit:
+	for lo < len(owned) || emitted < dispatched {
+		for ; lo < len(owned) && dispatched-emitted < window; dispatched++ {
+			hi := nextUnit(owned, lo, block)
+			j := job{unit: owned[lo:hi], out: make(chan Result, hi-lo)}
+			jobs[dispatched%window] = j
+			work <- j
+			pending += hi - lo
+			lo = hi
+		}
+		st.MaxWindow = max(st.MaxWindow, pending)
+		head := jobs[emitted%window]
+		emitted++
+		for range head.unit {
+			var r Result
+			select {
+			case r = <-head.out:
+			case <-stop:
+				break emit
 			}
-			next++
-			// The unit's last owned point returns its slot: no owned index
-			// is left, or the next one lies in another block.
-			if next == len(owned) || owned[next]/block != q.Point.Index/block {
-				<-sem
-			}
+			winStats.Observe(int64(pending))
+			pending--
 			st.Points++
-			if q.Err != nil {
+			if r.Err != nil {
 				st.Failed++
 				if st.FirstErr == nil {
-					st.FirstErr = fmt.Errorf("%s: %w", q.Point.ID(), q.Err)
+					st.FirstErr = fmt.Errorf("%s: %w", r.Point.ID(), r.Err)
 				}
 			}
-			if reportErr == nil {
-				// A cancelled context ends delivery like a reporter error:
-				// stop dispatching, but keep draining so the pool shuts
-				// down cleanly.
-				if reportErr = ctx.Err(); reportErr == nil {
-					reportErr = sr.Point(q)
-				}
-				if reportErr != nil {
-					halt()
-				}
+			// A cancelled context ends delivery like a reporter error.
+			if reportErr = ctx.Err(); reportErr == nil {
+				reportErr = sr.Point(r)
+			}
+			if reportErr != nil {
+				break emit
 			}
 		}
 	}
-	st.MaxWindow = win.max
+	shutdown()
 	if reportErr != nil {
 		return st, reportErr
 	}
-	// The drain only ends once every worker exited (wg → close(results)),
-	// and goRecover publishes panics before wg.Done, so this read sees any
-	// worker panic.
+	// The pool is joined, and goRecover publishes panics before wg.Done,
+	// so this read sees any worker panic.
 	panicMu.Lock()
 	perr := panicErr
 	panicMu.Unlock()
@@ -346,6 +331,13 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, sr Stre
 	return st, nil
 }
 
+// job is one dispatched unit and the channel its results come back on,
+// buffered to the unit so its worker never waits to deliver.
+type job struct {
+	unit []int
+	out  chan Result
+}
+
 // nextUnit returns the end of the unit that starts at owned[lo]: the
 // owned points of one (kernel, allocator, budget) block, which holds
 // block = |Devices|·|Scheds| consecutive global indices (devices outer,
@@ -358,37 +350,6 @@ func nextUnit(owned []int, lo, block int) int {
 		hi++
 	}
 	return hi
-}
-
-// reorderWindow is the order-restoring buffer between the pool's
-// completion-order results and the canonical emission order. One put and
-// up to one successful take run per evaluated point, so both sit on the
-// streaming hot path.
-type reorderWindow struct {
-	pending map[int]Result
-	max     int // high-water occupancy, reported as StreamStats.MaxWindow
-}
-
-// put parks a result and returns the window occupancy.
-//
-//repro:hotpath
-func (w *reorderWindow) put(r Result) int {
-	w.pending[r.Point.Index] = r
-	if len(w.pending) > w.max {
-		w.max = len(w.pending)
-	}
-	return len(w.pending)
-}
-
-// take removes and returns the result for a point index, if parked.
-//
-//repro:hotpath
-func (w *reorderWindow) take(idx int) (Result, bool) {
-	r, ok := w.pending[idx]
-	if ok {
-		delete(w.pending, idx)
-	}
-	return r, ok
 }
 
 // collector buffers a stream back into result order — the adapter behind

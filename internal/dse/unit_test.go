@@ -184,7 +184,8 @@ func TestUnitDispatchMatchesStandaloneEstimates(t *testing.T) {
 // TestUnitDispatchPartialUnits: a subset that cuts every block into a
 // partial unit streams to completion and in order through the default
 // window at eight workers, under a reporter slow enough that the pool
-// fills the window, and parks at most slots × the largest unit.
+// fills the window, and keeps at most slots × the largest unit points
+// dispatched but not emitted.
 func TestUnitDispatchPartialUnits(t *testing.T) {
 	sp := memPortSpace()
 	block := len(sp.Devices) * len(sp.Scheds)

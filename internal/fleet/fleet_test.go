@@ -210,17 +210,45 @@ func TestFleetSharedFrontEnd(t *testing.T) {
 	}
 }
 
+// failThenOpen fails every attempt without writing a byte, and opens
+// release on its after-th failure. One executor's attempts run one at a
+// time, so fails needs no lock.
+type failThenOpen struct {
+	brokenExec
+	release chan struct{}
+	after   int
+	fails   int
+}
+
+func (f *failThenOpen) Run(ctx context.Context, spec dse.SpaceSpec, points []int, w io.Writer) error {
+	if f.fails++; f.fails == f.after {
+		close(f.release)
+	}
+	return f.brokenExec.Run(ctx, spec, points, w)
+}
+
 // TestFleetWorkStealing: a dead executor's tasks migrate to the healthy
 // one, the dead one retires, and the sweep still completes identically.
+//
+// The healthy executor's attempts wait until the dead one has failed
+// twice and so retired; otherwise it could drain both tasks before the
+// dead one ran. The wait cannot deadlock: the healthy executor holds at
+// most one of the two tasks, so the dead one pulls the other, and pulls
+// it again after failing. The test's deadline bounds the wait all the
+// same.
 func TestFleetWorkStealing(t *testing.T) {
 	sp, spec := testSpace(t)
 	want := wantRender(t, sp)
+	release := make(chan struct{})
 	d, err := fleet.New(fleet.Config{Tasks: 2, MaxExecFails: 2, Backoff: time.Millisecond},
-		&brokenExec{label: "dead"}, engineExec("alive"))
+		&failThenOpen{brokenExec: brokenExec{label: "dead"}, release: release, after: 2},
+		&gatedExec{inner: engineExec("alive"), entered: make(chan struct{}), release: release})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, rep, err := d.Run(context.Background(), spec)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rs, rep, err := d.Run(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +544,7 @@ func TestFleetHTTPExecutorSurvivesCutsAndSheds(t *testing.T) {
 	cache := simcache.New()
 	metrics := obs.New()
 	cache.SetObs(metrics)
-	srv, err := serve.New(cache, metrics, serve.Config{RetryAfter: time.Second})
+	srv, err := serve.New(cache, metrics, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,6 +580,12 @@ func TestFleetHTTPExecutorSurvivesCutsAndSheds(t *testing.T) {
 // stock 192-point space: killed attempts, a dead host, and a flaky
 // remote — the fleet must still produce output byte-identical to the
 // single-process run in every format.
+//
+// The flaky and steady executors' attempts wait until the dead one has
+// failed once; otherwise the two could drain all four tasks before it
+// ran, and nothing would be stolen. The wait cannot deadlock: the two
+// hold at most two of the four tasks, so the dead executor pulls one and
+// fails. The test's deadline bounds the wait all the same.
 func TestFleetChaosStock192(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stock space chaos sweep in -short mode")
@@ -569,14 +603,20 @@ func TestFleetChaosStock192(t *testing.T) {
 				Rows:  10 + sched.Intn(40),
 				Times: 2 + sched.Intn(2),
 			}
+			release := make(chan struct{})
+			gated := func(ex fleet.Executor) *gatedExec {
+				return &gatedExec{inner: ex, entered: make(chan struct{}), release: release}
+			}
 			d, err := fleet.New(fleet.Config{
 				Tasks: 4, Backoff: time.Millisecond,
 				MaxExecFails: 4, AttemptBudget: 64,
-			}, killer, &brokenExec{label: "dead"}, engineExec("steady"))
+			}, gated(killer), &failThenOpen{brokenExec: brokenExec{label: "dead"}, release: release, after: 1}, gated(engineExec("steady")))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, rep, err := d.Run(context.Background(), spec)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			rs, rep, err := d.Run(ctx, spec)
 			if err != nil {
 				t.Fatalf("seed %d: %v (report %+v)", seed, err, rep)
 			}

@@ -46,9 +46,6 @@ func (a Affine) Clone() Affine {
 // Coeff returns the coefficient of variable v (0 when absent).
 func (a Affine) Coeff(v string) int { return a.Coeffs[v] }
 
-// UsesVar reports whether v appears with a non-zero coefficient.
-func (a Affine) UsesVar(v string) bool { return a.Coeffs[v] != 0 }
-
 // Vars returns the variables with non-zero coefficients, sorted by name.
 func (a Affine) Vars() []string {
 	var vs []string

@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,7 +76,7 @@ const maxSpecSize = 1 << 20
 // Config tunes one Server.
 type Config struct {
 	// Workers is handed to each request's engine (0 = GOMAXPROCS); the
-	// engine sizes its order-restoring window from it.
+	// engine sizes its window of dispatched units from it.
 	Workers int
 	// MaxInflight caps concurrently running sweeps (≤0 = 2): each sweep
 	// saturates its own worker pool, so a small number keeps the host
@@ -90,10 +89,6 @@ type Config struct {
 	// none). The engine owns cancellation: at the deadline (or a client
 	// disconnect) it halts dispatch and writes no further row.
 	Timeout time.Duration
-	// RetryAfter is the hint sent with every 503 shed, telling clients
-	// when to come back (rounded up to whole seconds on the wire; ≤0 =
-	// 1s). Roughly the expected drain time of one queued sweep.
-	RetryAfter time.Duration
 	// Log, when non-nil, receives one line per completed request.
 	Log io.Writer
 }
@@ -140,9 +135,6 @@ func New(cache *simcache.Cache, metrics *obs.Metrics, cfg Config) (*Server, erro
 	}
 	if cfg.MaxQueue < 0 {
 		cfg.MaxQueue = 0
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	s := &Server{
 		cache:    cache,
@@ -229,12 +221,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-// shed rejects one request with 503 and the configured Retry-After hint.
-// Every shed path goes through here so the hint is never forgotten — the
-// fleet's HTTP executor keys its backoff on it.
+// shed rejects one request with 503 and a Retry-After hint of one second,
+// roughly the drain time of one queued sweep. Every shed path goes
+// through here so the hint is never forgotten — the fleet's HTTP executor
+// keys its backoff on it.
 func (s *Server) shed(w http.ResponseWriter, msg string) {
-	secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", "1")
 	http.Error(w, msg, http.StatusServiceUnavailable)
 }
 

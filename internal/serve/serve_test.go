@@ -489,30 +489,30 @@ func postSlice(t *testing.T, url string, spec dse.SpaceSpec, query string) *http
 }
 
 // TestShedCarriesRetryAfter: every 503 shed — queue-full and draining —
-// carries the configured Retry-After hint, rounded up to whole seconds.
+// carries the one-second Retry-After hint.
 func TestShedCarriesRetryAfter(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{MaxInflight: 1, MaxQueue: 0, RetryAfter: 1500 * time.Millisecond})
+	s, ts, _ := newTestServer(t, Config{MaxInflight: 1, MaxQueue: 0})
 	s.sem <- struct{}{}
 	resp := postSpec(t, ts.URL, smallSpec(t), "csv")
 	if readBody(t, resp); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Errorf("busy Retry-After = %q, want \"2\" (1.5s rounded up)", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("busy Retry-After = %q, want \"1\"", got)
 	}
 	<-s.sem
 
 	s.SetDraining(true)
 	resp = postSpec(t, ts.URL, smallSpec(t), "csv")
-	if readBody(t, resp); resp.Header.Get("Retry-After") != "2" {
-		t.Errorf("draining explore shed lacks Retry-After hint")
+	if readBody(t, resp); resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("draining explore Retry-After = %q, want \"1\"", resp.Header.Get("Retry-After"))
 	}
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if readBody(t, resp); resp.Header.Get("Retry-After") != "2" {
-		t.Errorf("draining healthz lacks Retry-After hint")
+	if readBody(t, resp); resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("draining healthz Retry-After = %q, want \"1\"", resp.Header.Get("Retry-After"))
 	}
 }
 
