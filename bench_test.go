@@ -242,8 +242,9 @@ func BenchmarkSimulate(b *testing.B) {
 // rests on (DESIGN.md §22). compute list-schedules every class of the
 // Table-1 kernels' CPA-RA plans, full and memory-level, as a store miss
 // does, and reports one class's share as ns/class; hit is one warm lookup
-// in a memory store, under a key as long as the one the simulator renders
-// for FIR's densest class.
+// in a memory store, under the key the simulator renders for a FIR class:
+// the prefix of graph, latency and port fingerprints, then the class's
+// signature.
 func BenchmarkClassLen(b *testing.B) {
 	type class struct {
 		g   *dfg.Graph
@@ -258,20 +259,19 @@ func BenchmarkClassLen(b *testing.B) {
 		seen := map[string]bool{}
 		for v := inner.Lo; v < inner.Hi; v += inner.Step {
 			hit := make([]bool, len(plan.Order()))
-			sig, hitKeys := make([]byte, len(hit)), ""
+			sig := make([]byte, len(hit))
 			for i, e := range plan.Order() {
 				hit[i], sig[i] = e.HitInner(v), '0'
 				if hit[i] {
 					sig[i] = '1'
-					hitKeys += e.Info.Key() + ","
 				}
 			}
 			if !seen[string(sig)] {
 				seen[string(sig)] = true
 				classes = append(classes, class{prob.Graph, hit})
 			}
-			if k.Name == "fir" && len(hitKeys) > len(key) {
-				key = fmt.Sprintf("%s|%s|P%d|%s", prob.Graph.Fingerprint(), cfg.Lat.Fingerprint(), cfg.PortsPerRAM, hitKeys)
+			if k.Name == "fir" && key == "" {
+				key = fmt.Sprintf("%s|%s|P%d|%s", prob.Graph.Fingerprint(), cfg.Lat.Fingerprint(), cfg.PortsPerRAM, sig)
 			}
 		}
 	}

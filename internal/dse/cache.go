@@ -34,6 +34,10 @@ type simCache struct {
 	// residual unique plans cheap, since plans differing in a few β values
 	// share most of their iteration classes.
 	sim *sched.Simulator
+	// lats holds the exploration's latency fingerprints by sched variant:
+	// a lookup reads the one of the point it runs for (SimCtx.Point)
+	// instead of rendering it.
+	lats variantLats
 }
 
 type simKey struct {
@@ -47,21 +51,25 @@ type simKey struct {
 const simPanic = "simulation"
 
 // newSimCache wraps a simulation store with the per-exploration plan-level
-// cache. It does not touch the store's obs wiring — the store's owner does
-// that once (the engine for caches it builds itself, the serving process
-// for a shared Engine.SimCache).
-func newSimCache(store *simcache.Cache, m *obs.Metrics) *simCache {
+// cache over the exploration's sched variants. It does not touch the
+// store's obs wiring — the store's owner does that once (the engine for
+// caches it builds itself, the serving process for a shared
+// Engine.SimCache).
+func newSimCache(store *simcache.Cache, m *obs.Metrics, lats variantLats) *simCache {
 	return &simCache{
 		memo: memo.Memo[simKey, *sched.Result]{What: simPanic},
 		sim:  &sched.Simulator{Cache: store, Obs: m},
+		lats: lats,
 	}
 }
 
-// simulate implements hls.SimFunc. The "sim" span covers the whole lookup —
-// the cache hit path included, so the trace shows what each point paid, not
-// what the simulator cost — and carries the plan-cache outcome as its tier.
+// simulate implements hls.SimFunc for the exploration's points: cfg must
+// be ctx.Point's sched variant, whose latency fingerprint the key takes
+// from lats. The "sim" span covers the whole lookup — the cache hit path
+// included, so the trace shows what each point paid, not what the
+// simulator cost — and carries the plan-cache outcome as its tier.
 func (c *simCache) simulate(ctx hls.SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (*sched.Result, error) {
-	key := simKey{kernel: ctx.Kernel, plan: plan.Fingerprint(), lat: cfg.Lat.Fingerprint(), ports: cfg.PortsPerRAM}
+	key := simKey{kernel: ctx.Kernel, plan: plan.Fingerprint(), lat: c.lats.of(ctx.Point), ports: cfg.PortsPerRAM}
 	sp := obs.Begin(ctx.Obs, ctx.Trace, ctx.Point, ctx.Kernel, "sim")
 	res, o, err := c.memo.Get(key, func() (*sched.Result, error) {
 		return c.sim.SimulateGraph(nest, g, plan, cfg)

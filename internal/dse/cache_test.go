@@ -46,7 +46,7 @@ func TestSimCachePanicDoesNotPoisonEntry(t *testing.T) {
 	// with an error before indexing anything.
 	var g *dfg.Graph
 	ctx := hls.SimCtx{Kernel: k.Name}
-	c := newSimCache(simcache.New(), nil)
+	c := newSimCache(simcache.New(), nil, newVariantLats([]SchedVariant{DefaultSchedVariant()}))
 	var first error
 	for call := 0; call < 2; call++ {
 		res, err := c.simulate(ctx, k.Nest, g, plan, sched.DefaultConfig())
@@ -176,10 +176,12 @@ func TestPoisonedClassFileIgnored(t *testing.T) {
 }
 
 // classKeys renders the class-store key of every class of kernel k's plan
-// under alg at budget, as sched.Simulator forms them: the body DFG
-// fingerprint, the latency model's fingerprint and the RAM port count,
-// then the keys of the class's register-resident references in plan
-// order. A class is the hit pattern of one innermost loop position.
+// under alg at budget as older builds formed them, the names their class
+// files carry: the body DFG fingerprint, the latency model's fingerprint
+// and the RAM port count, then the keys of the class's register-resident
+// references in plan order. (sched.Simulator now ends the key with the
+// class's signature instead.) A class is the hit pattern of one innermost
+// loop position.
 func classKeys(t *testing.T, k kernels.Kernel, alg core.Allocator, budget int, cfg sched.Config) []string {
 	t.Helper()
 	an, err := hls.Analyze(k)

@@ -237,25 +237,33 @@ type scheduled struct {
 
 // scheduler is what one exploration schedules its units with: the
 // simulation step, the engine's analysis memo (nil: none), which keeps
-// each schedule, and the store its lookups are counted on. With a memo,
-// lats holds each sched variant's rendered latency fingerprint, the
-// memo key's costliest field, rendered once per exploration.
+// each schedule, the store its lookups are counted on, and the sched
+// variants' latency fingerprints, the memo key's costliest field.
 type scheduler struct {
 	sim   hls.SimFunc
 	ac    *AnalysisCache
 	store *simcache.Cache
-	lats  []string
+	lats  variantLats
 }
 
-// lat returns the latency fingerprint of p's sched variant ("" without a
-// memo). The sched axis is innermost, so the variant is p's index modulo
-// the variant count.
-func (sc scheduler) lat(p Point) string {
-	if sc.lats == nil {
-		return ""
+// variantLats holds each sched variant's latency fingerprint, rendered
+// once per exploration: the schedule memo and the plan memo both key on
+// it.
+type variantLats []string
+
+// newVariantLats renders the latency fingerprint of every sched variant.
+func newVariantLats(scheds []SchedVariant) variantLats {
+	lats := make(variantLats, len(scheds))
+	for v, sv := range scheds {
+		lats[v] = sv.Config.Lat.Fingerprint()
 	}
-	return sc.lats[p.Index%len(sc.lats)]
+	return lats
 }
+
+// of returns the latency fingerprint of global point index i's sched
+// variant. The sched axis is innermost, so the variant is i modulo the
+// variant count.
+func (l variantLats) of(i int) string { return l[i%len(l)] }
 
 // schedule computes the slot for point p, converting an estimator panic
 // into the slot's error, so every point of the unit that shares the
@@ -270,7 +278,7 @@ func (s *scheduled) schedule(an *hls.Analysis, p Point, sc scheduler, m *obs.Met
 	}()
 	opt := p.Options()
 	opt.Obs, opt.Trace, opt.Point = m, tr, p.Index
-	lat := sc.lat(p)
+	lat := sc.lats.of(p.Index)
 	pf, ok := p.Allocator.(Portfolio)
 	if !ok {
 		mb, err := sc.ac.schedule(an, p.Allocator, opt, lat, sc.sim, sc.store)

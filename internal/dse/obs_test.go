@@ -353,7 +353,7 @@ func TestPointStagesKeepTheirLabels(t *testing.T) {
 		simLabels = goroutineLabels(t)
 		return sched.SimulateGraph(nest, g, plan, cfg)
 	}
-	ev := evaluator{sc: scheduler{sim: sim}, m: m, pointStage: m.Stage("point")}
+	ev := evaluator{sc: scheduler{sim: sim, lats: newVariantLats(sp.Scheds)}, m: m, pointStage: m.Stage("point")}
 	results := make(chan Result, 1)
 	if !ev.unit(an, pts, []int{0}, make([]scheduled, 1), results, make(chan struct{})) {
 		t.Fatal("the unit stopped without a stop")

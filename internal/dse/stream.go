@@ -183,14 +183,9 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, sr Stre
 		return StreamStats{}, err
 	}
 
-	cache := newSimCache(store, e.Obs)
-	sc := scheduler{sim: cache.simulate, ac: e.Analyses, store: store}
-	if sc.ac != nil {
-		sc.lats = make([]string, len(sp.Scheds))
-		for v, sv := range sp.Scheds {
-			sc.lats[v] = sv.Config.Lat.Fingerprint()
-		}
-	}
+	lats := newVariantLats(sp.Scheds)
+	cache := newSimCache(store, e.Obs, lats)
+	sc := scheduler{sim: cache.simulate, ac: e.Analyses, store: store, lats: lats}
 	// The "explore" stage is the engine's own wall clock, stopped before the
 	// snapshot so it lands inside it; "window" observes the points
 	// dispatched but not yet emitted (unit: points, not nanoseconds) at

@@ -189,6 +189,22 @@ func (e *Entry) HitInner(v int) bool {
 	return e.Coverage > 0 && e.ordinal(v) < e.Coverage
 }
 
+// InnerHits returns the number of leading innermost positions at which
+// the access hits registers: HitInner holds at exactly the positions
+// below it. Ordinals grow with the position (or stay 0 when the innermost
+// coefficient is 0), so the hits are a prefix of the sweep: none without
+// coverage, every position when the coefficient is 0, and the first
+// min(Coverage, trip) otherwise.
+func (e *Entry) InnerHits() int {
+	switch {
+	case e.Coverage == 0:
+		return 0
+	case e.innerCoef == 0:
+		return e.inner.Trip()
+	}
+	return min(e.Coverage, e.inner.Trip())
+}
+
 // FullyReplaced reports whether every access of the reference hits.
 func (e *Entry) FullyReplaced() bool {
 	return e.Coverage > 0 && e.Coverage >= e.WindowSize()

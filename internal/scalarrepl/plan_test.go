@@ -389,7 +389,8 @@ func newWindowOracle(nest *ir.Nest, e *Entry) windowOracle {
 // checkWindow asserts that every closed-form window query of every plan
 // entry — WindowSize, FullyReplaced, RotatingSlots, and WindowOrdinal and
 // HitInner at each innermost position — equals the enumeration's answer,
-// and that innermost values outside the plan's loop panic.
+// that HitInner holds at exactly the first InnerHits positions, and that
+// innermost values outside the plan's loop panic.
 func checkWindow(t *testing.T, label string, nest *ir.Nest, p *Plan) {
 	t.Helper()
 	inner := nest.Loops[nest.Depth()-1]
@@ -415,14 +416,22 @@ func checkWindow(t *testing.T, label string, nest *ir.Nest, p *Plan) {
 		if got, want := e.RotatingSlots(), o.rotating; got != want {
 			t.Fatalf("%s: RotatingSlots = %t, enumeration %t", where, got, want)
 		}
-		for v := inner.Lo; v < inner.Hi; v += inner.Step {
+		hits := e.InnerHits()
+		if hits < 0 || hits > inner.Trip() {
+			t.Fatalf("%s: InnerHits = %d outside [0, %d]", where, hits, inner.Trip())
+		}
+		for pos, v := 0, inner.Lo; v < inner.Hi; pos, v = pos+1, v+inner.Step {
 			want := o.ordinal[o.relConst+o.innerCoef*v]
 			env[inner.Var] = v
 			if got := e.WindowOrdinal(env); got != want {
 				t.Fatalf("%s: WindowOrdinal at %s=%d is %d, enumeration %d", where, inner.Var, v, got, want)
 			}
-			if got, want := e.HitInner(v), e.Coverage > 0 && want < e.Coverage; got != want {
-				t.Fatalf("%s: HitInner(%d) = %t, enumeration %t", where, v, got, want)
+			hit := e.Coverage > 0 && want < e.Coverage
+			if got := e.HitInner(v); got != hit {
+				t.Fatalf("%s: HitInner(%d) = %t, enumeration %t", where, v, got, hit)
+			}
+			if got := pos < hits; got != hit {
+				t.Fatalf("%s: position %d below InnerHits %d is %t, enumeration hit %t", where, pos, hits, got, hit)
 			}
 		}
 		for _, v := range outside {

@@ -23,17 +23,15 @@ import (
 // no cycle count includes them. The counts equal the seed's full-space
 // replay and the functional simulation's fills and write-backs exactly.
 func Transfers(nest *ir.Nest, plan *scalarrepl.Plan) (loads, stores int, err error) {
-	if err := checkSteps(nest); err != nil {
+	if err := checkNest(nest, plan); err != nil {
 		return 0, 0, err
 	}
-	order := plan.Order()
-	hitAt := innerHitVectors(nest, order)
 	pats := accessPatterns(nest, plan)
-	for i, e := range order {
+	for _, e := range plan.Order() {
 		if e.Coverage == 0 {
 			continue
 		}
-		l, s := computeFragment(nest, e, pats[e.Info.Key()], hitAt[i])
+		l, s := computeFragment(nest, e, pats[e.Info.Key()], e.InnerHits())
 		loads += l
 		stores += s
 	}
@@ -77,9 +75,12 @@ func accessPatterns(nest *ir.Nest, plan *scalarrepl.Plan) map[string][]bool {
 // region sub-space: the loops at and below the reuse level, with the outer
 // loops pinned to their lower bounds.
 //
-// Eviction picks the smallest resident flat; the automaton keeps the
-// resident set as one sorted run (replay.go), so that is the run's head.
-func computeFragment(nest *ir.Nest, e *scalarrepl.Entry, pattern []bool, hitAt []bool) (loads, stores int) {
+// The entry hits at exactly its first hits innermost positions
+// (scalarrepl.Entry.InnerHits), so each innermost sweep replays those and
+// stops. Eviction picks the smallest resident flat; the automaton keeps
+// the resident set as one sorted run (replay.go), so that is the run's
+// head.
+func computeFragment(nest *ir.Nest, e *scalarrepl.Entry, pattern []bool, hits int) (loads, stores int) {
 	depth := nest.Depth()
 	level := e.Info.ReuseLevel
 	if level < 0 {
@@ -101,7 +102,7 @@ func computeFragment(nest *ir.Nest, e *scalarrepl.Entry, pattern []bool, hitAt [
 			base += coef[d] * l.Lo
 		}
 	}
-	w := &fragWalker{nest: nest, coef: coef, pattern: pattern, hitAt: hitAt, st: newReplay(e.Coverage)}
+	w := &fragWalker{nest: nest, coef: coef, pattern: pattern, hits: hits, st: newReplay(e.Coverage)}
 	w.walk(level, base)
 	// The region-end flush writes back whatever is dirty after the walk.
 	return regions * w.st.loads, regions * (w.st.stores + w.st.dirtyCount())
@@ -112,7 +113,7 @@ type fragWalker struct {
 	nest    *ir.Nest
 	coef    []int // flat-index coefficient per loop depth
 	pattern []bool
-	hitAt   []bool
+	hits    int // leading innermost positions that hit registers
 	st      *replay
 }
 
@@ -129,23 +130,22 @@ func (w *fragWalker) walk(d, flat int) {
 	}
 }
 
-// walkInner replays one full sweep of the innermost loop starting at flat
+// walkInner replays one sweep of the innermost loop starting at flat
 // offset flat. It is the walker's per-iteration-point path, so it must not
-// allocate: the hit vector gates each position, and every body occurrence
-// of the entry goes straight to the automaton.
+// allocate: the sweep stops after the hits leading positions, the only
+// ones that touch registers, and every body occurrence of the entry goes
+// straight to the automaton.
 //
 //repro:hotpath
 func (w *fragWalker) walkInner(flat int) {
 	d := len(w.coef) - 1
 	l := w.nest.Loops[d]
-	pos := 0
-	for v := l.Lo; v < l.Hi; v += l.Step {
-		if w.hitAt[pos] {
-			f := flat + w.coef[d]*v
-			for _, wr := range w.pattern {
-				w.st.access(f, wr)
-			}
+	v := l.Lo
+	for range w.hits {
+		f := flat + w.coef[d]*v
+		for _, wr := range w.pattern {
+			w.st.access(f, wr)
 		}
-		pos++
+		v += l.Step
 	}
 }

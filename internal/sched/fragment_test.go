@@ -301,7 +301,7 @@ func TestWarmCacheHitsDoNotAllocate(t *testing.T) {
 
 // fragmentInputs builds the per-entry fragment inputs of a kernel's CPA-RA
 // plan — the tests below drive computeFragment directly.
-func fragmentInputs(t *testing.T, k kernels.Kernel) (*scalarrepl.Plan, [][]bool, map[string][]bool) {
+func fragmentInputs(t *testing.T, k kernels.Kernel) (*scalarrepl.Plan, map[string][]bool) {
 	t.Helper()
 	prob, err := core.NewProblem(k.Nest, k.Rmax, dfg.DefaultLatencies())
 	if err != nil {
@@ -315,7 +315,7 @@ func fragmentInputs(t *testing.T, k kernels.Kernel) (*scalarrepl.Plan, [][]bool,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return plan, innerHitVectors(k.Nest, plan.Order()), accessPatterns(k.Nest, plan)
+	return plan, accessPatterns(k.Nest, plan)
 }
 
 // mustNest assembles a validated nest whose array shapes are derived from
@@ -345,7 +345,7 @@ func TestSimulateGraphRejectsBadSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _, _ := fragmentInputs(t, k)
+	plan, _ := fragmentInputs(t, k)
 	for _, step := range []int{0, -1} {
 		bad := &ir.Nest{Name: "bad", Loops: append([]ir.Loop(nil), k.Nest.Loops...), Body: k.Nest.Body}
 		bad.Loops[0].Step = step
@@ -363,17 +363,11 @@ func TestSimulateGraphRejectsBadSteps(t *testing.T) {
 // oracle disagreement.
 func TestFragmentValueStability(t *testing.T) {
 	k := kernels.FIR()
-	plan, hitAt, pats := fragmentInputs(t, k)
+	plan, pats := fragmentInputs(t, k)
 	e := plan.ByKey("x[i + k]")
-	var idx int
-	for i, x := range plan.Order() {
-		if x == e {
-			idx = i
-		}
-	}
 	// The sliding FIR window loads each of the 1023 distinct x elements
 	// once (31 covered at a time) and never writes back.
-	if loads, stores := computeFragment(k.Nest, e, pats[e.Info.Key()], hitAt[idx]); loads != 1022 || stores != 0 {
+	if loads, stores := computeFragment(k.Nest, e, pats[e.Info.Key()], e.InnerHits()); loads != 1022 || stores != 0 {
 		t.Fatalf("fragment value drifted: got %d/%d, want 1022/0", loads, stores)
 	}
 	loads, stores, err := Transfers(k.Nest, plan)

@@ -15,7 +15,7 @@ import (
 // Result.
 func TestSimulatorObsRecordsClassStageOnly(t *testing.T) {
 	for _, k := range []kernels.Kernel{kernels.BIC(), kernels.FIR()} {
-		plan, _, _ := fragmentInputs(t, k)
+		plan, _ := fragmentInputs(t, k)
 		g, err := dfg.Build(k.Nest)
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package sched turns a storage plan into cycle counts: it schedules the
 // loop body's data-flow graph per iteration class (ASAP list scheduling
-// with per-RAM port constraints), weights the classes analytically from the
-// per-entry innermost hit vectors, and prices the cold-start/epilogue
+// with per-RAM port constraints), weights the classes in closed form from
+// each entry's innermost hit threshold, and prices the cold-start/epilogue
 // overhead. The estimate is class weights + class schedules + overhead;
 // the class schedules are memoizable across plans via internal/simcache.
 //
@@ -30,9 +30,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -109,8 +109,8 @@ func Simulate(nest *ir.Nest, plan *scalarrepl.Plan, cfg Config) (*Result, error)
 
 // SimulateGraph runs the cycle-level simulation of the nest under the plan
 // on a prebuilt (and already validated) body data-flow graph: class
-// weights come analytically from the per-entry innermost hit vectors and
-// each iteration class is list-scheduled once. The graph is only read, so
+// weights come in closed form from the per-entry innermost hit thresholds
+// and each iteration class is list-scheduled once. The graph is only read, so
 // one graph can back any number of concurrent simulations. Sweeps that
 // simulate many related plans should share a Simulator with a
 // simcache.Cache instead, which memoizes the class schedules across plans.
@@ -143,27 +143,22 @@ func (s *Simulator) SimulateGraph(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.
 	if cfg.PortsPerRAM < 1 {
 		return nil, fmt.Errorf("sched: PortsPerRAM must be ≥1, got %d", cfg.PortsPerRAM)
 	}
-	if err := checkSteps(nest); err != nil {
+	if err := checkNest(nest, plan); err != nil {
 		return nil, err
 	}
 	if err := checkPlan(nest, g, plan); err != nil {
 		return nil, err
 	}
-	order := plan.Order()
-	counts := classWeights(nest, order, innerHitVectors(nest, order))
+	counts := classWeights(nest, plan.Order())
 	return assembleResult(g, plan, cfg, counts, s.classLen(g, cfg))
 }
 
-// checkPlan rejects a plan built for another nest than the one simulated:
-// the simulation indexes plan entries by the graph's reference numbers and
-// classifies positions of the nest's innermost loop by the plan's windows.
+// checkPlan rejects a plan whose references are not the graph's: the
+// simulation indexes plan entries by the graph's reference numbers.
 func checkPlan(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan) error {
 	order := plan.Order()
 	if len(order) != g.NumRefs() {
 		return fmt.Errorf("sched: %q: the plan has %d entries, the graph %d references", nest.Name, len(order), g.NumRefs())
-	}
-	if !slices.Equal(plan.Nest.Loops, nest.Loops) {
-		return fmt.Errorf("sched: %q: the plan was built for another loop nest", nest.Name)
 	}
 	for _, n := range g.Nodes {
 		if n.Kind == dfg.KindRef && order[n.RefID].Info.Key() != n.RefKey {
@@ -174,13 +169,18 @@ func checkPlan(nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan) error {
 	return nil
 }
 
-// checkSteps rejects hand-built nests with zero or negative steps: every
-// loop over a nest's positions advances by Step and would never end.
-func checkSteps(nest *ir.Nest) error {
+// checkNest rejects hand-built nests with zero or negative steps — every
+// loop over a nest's positions advances by Step and would never end — and
+// a plan built for other loop bounds: its entries' hit thresholds count
+// positions of the plan's own innermost loop.
+func checkNest(nest *ir.Nest, plan *scalarrepl.Plan) error {
 	for _, l := range nest.Loops {
 		if l.Step <= 0 {
 			return fmt.Errorf("sched: loop %q has non-positive step %d (validate the nest with ir.NewNest)", l.Var, l.Step)
 		}
+	}
+	if !slices.Equal(plan.Nest.Loops, nest.Loops) {
+		return fmt.Errorf("sched: %q: the plan was built for another loop nest", nest.Name)
 	}
 	return nil
 }
@@ -203,23 +203,17 @@ func (s *Simulator) classLen(g *dfg.Graph, cfg Config) classLenFunc {
 		return iter, mem, nil
 	}
 	if s.Cache == nil {
-		return func(_ string, hit []bool, _ []*scalarrepl.Entry) (int, int, error) {
+		return func(_ string, hit []bool) (int, int, error) {
 			return direct(hit)
 		}
 	}
 	prefix := g.Fingerprint() + "|" + cfg.Lat.Fingerprint() + "|P" + strconv.Itoa(cfg.PortsPerRAM) + "|"
-	return func(sig string, hit []bool, order []*scalarrepl.Entry) (int, int, error) {
-		// The hit set in first-use entry order is canonical: all plans of
-		// one nest list entries identically, and across nests the DFG
-		// fingerprint already differs.
-		var b strings.Builder
-		for i, e := range order {
-			if sig[i] == '1' {
-				b.WriteString(e.Info.Key())
-				b.WriteByte(',')
-			}
-		}
-		cl, err := s.Cache.ClassLen(prefix+b.String(), func() (simcache.ClassLen, error) {
+	return func(sig string, hit []bool) (int, int, error) {
+		// The signature names the hit set: its byte i is reference number
+		// i, checkPlan ties number i to the graph's i-th reference key in
+		// first-use order, and the DFG fingerprint renders those keys in
+		// node order, so one prefix numbers them one way.
+		cl, err := s.Cache.ClassLen(prefix+sig, func() (simcache.ClassLen, error) {
 			iter, mem, err := direct(hit)
 			return simcache.ClassLen{Iter: iter, Mem: mem}, err
 		})
@@ -227,12 +221,17 @@ func (s *Simulator) classLen(g *dfg.Graph, cfg Config) classLenFunc {
 	}
 }
 
-// classWeights computes the iteration-class weights analytically: the class
-// of an iteration depends only on its innermost position, and every
-// innermost position occurs exactly once per combination of outer loop
-// values. Only classes with a positive count are returned (zero-trip nests
-// yield none), matching the walkers' filtered output exactly.
-func classWeights(nest *ir.Nest, order []*scalarrepl.Entry, hitAt [][]bool) map[string]int {
+// classWeights computes the iteration-class weights in closed form. The
+// class of an iteration depends only on its innermost position p, and
+// entry i hits there exactly when p < InnerHits() = h_i. The distinct
+// thresholds inside (0, trip) cut the positions [0, trip) into intervals
+// that are one class each: entry i hits throughout an interval iff h_i ≥
+// its end. Every innermost position occurs once per combination of outer
+// loop values, so a class counts its interval's length times the outer
+// trip product. Only classes with a positive count are returned
+// (zero-trip nests yield none), matching the walkers' filtered output
+// exactly.
+func classWeights(nest *ir.Nest, order []*scalarrepl.Entry) map[string]int {
 	counts := map[string]int{}
 	depth := nest.Depth()
 	if depth == 0 {
@@ -245,50 +244,42 @@ func classWeights(nest *ir.Nest, order []*scalarrepl.Entry, hitAt [][]bool) map[
 	for _, l := range nest.Loops[:depth-1] {
 		outer *= l.Trip()
 	}
-	if outer == 0 {
+	trip := nest.Loops[depth-1].Trip()
+	if outer == 0 || trip == 0 {
 		return counts
 	}
+	hits := make([]int, len(order))
+	ends := make([]int, 0, len(order)+1)
+	for i, e := range order {
+		hits[i] = e.InnerHits()
+		if hits[i] > 0 && hits[i] < trip {
+			ends = append(ends, hits[i])
+		}
+	}
+	ends = append(ends, trip)
+	slices.Sort(ends)
+	ends = slices.Compact(ends)
 	sig := make([]byte, len(order))
-	for pos := range nest.Loops[depth-1].Trip() {
-		for i := range order {
-			if hitAt[i][pos] {
+	lo := 0
+	for _, end := range ends {
+		for i, h := range hits {
+			if h >= end {
 				sig[i] = '1'
 			} else {
 				sig[i] = '0'
 			}
 		}
-		counts[string(sig)] += outer
+		counts[string(sig)] = (end - lo) * outer
+		lo = end
 	}
 	return counts
 }
 
-// innerHitVectors precomputes, per plan entry, the steady-state register
-// hit outcome at each innermost loop position — the single input the class
-// weights, the transfer replay and the fused walker test oracle classify
-// iterations and gate replays with. Nil for depth-0 nests.
-func innerHitVectors(nest *ir.Nest, order []*scalarrepl.Entry) [][]bool {
-	depth := nest.Depth()
-	if depth == 0 {
-		return nil
-	}
-	inner := nest.Loops[depth-1]
-	hitAt := make([][]bool, len(order))
-	for i, e := range order {
-		hitAt[i] = make([]bool, inner.Trip())
-		pos := 0
-		for v := inner.Lo; v < inner.Hi; v += inner.Step {
-			hitAt[i][pos] = e.HitInner(v)
-			pos++
-		}
-	}
-	return hitAt
-}
-
 // classLenFunc returns one iteration class's scheduled lengths (full model,
-// memory-level). sig and order give the class's identity for memoized
+// memory-level). sig gives the class's identity for memoized
 // implementations; hit is the residency vector ScheduleClass consumes,
 // read only during the call.
-type classLenFunc func(sig string, hit []bool, order []*scalarrepl.Entry) (iter, mem int, err error)
+type classLenFunc func(sig string, hit []bool) (iter, mem int, err error)
 
 // assembleResult builds the Result shared by the simulator and the fused
 // test oracle from the class weights: classes are emitted in
@@ -311,7 +302,7 @@ func assembleResult(g *dfg.Graph, plan *scalarrepl.Plan, cfg Config, counts map[
 	for sig := range counts {
 		sigs = append(sigs, sig)
 	}
-	sort.Strings(sigs)
+	slices.Sort(sigs)
 	hit := make([]bool, len(order))
 	for _, sig := range sigs {
 		ram := 0
@@ -321,7 +312,7 @@ func assembleResult(g *dfg.Graph, plan *scalarrepl.Plan, cfg Config, counts map[
 				ram += nodesPerRef[i]
 			}
 		}
-		iterLen, memLen, err := classLen(sig, hit, order)
+		iterLen, memLen, err := classLen(sig, hit)
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +331,7 @@ func assembleResult(g *dfg.Graph, plan *scalarrepl.Plan, cfg Config, counts map[
 		res.MemCycles += cs.Count * cs.MemCycles
 		res.RAMAccesses += cs.Count * cs.RAMPerIter
 	}
-	sort.Slice(res.Classes, func(i, j int) bool { return res.Classes[i].Count > res.Classes[j].Count })
+	slices.SortFunc(res.Classes, func(a, b ClassStat) int { return cmp.Compare(b.Count, a.Count) })
 
 	res.OverheadCycles = overheadCycles(plan, cfg)
 	res.TotalCycles = res.LoopCycles + res.OverheadCycles

@@ -413,7 +413,8 @@ func TestMoreRegistersNeverSlower(t *testing.T) {
 // TestSimulateGraphRejectsForeignPlans: the simulation indexes plan
 // entries by the graph's reference numbers, so a plan built for another
 // nest — another kernel, or the same references under other loop bounds —
-// must fail with an error, never panic on an index.
+// must fail with an error, never panic on an index. Transfers refuses
+// other loop bounds as well.
 func TestSimulateGraphRejectsForeignPlans(t *testing.T) {
 	ks := append(kernels.All(), kernels.Figure1())
 	plans := make([]*scalarrepl.Plan, len(ks))
@@ -448,5 +449,10 @@ func TestSimulateGraphRejectsForeignPlans(t *testing.T) {
 	last := len(ks) - 1
 	if _, err := SimulateGraph(wider, graphs[last], plans[last], DefaultConfig()); err == nil {
 		t.Error("figure1 plan simulated on a nest with a longer innermost loop")
+	}
+	// Transfers reads each entry's hit count off the plan's own innermost
+	// loop, so it must refuse another loop nest too.
+	if _, _, err := Transfers(wider, plans[last]); err == nil {
+		t.Error("figure1 plan replayed on a nest with a longer innermost loop")
 	}
 }
