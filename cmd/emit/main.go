@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/codegen"
@@ -31,13 +32,18 @@ func main() {
 		regs   = flag.Int("regs", 0, "register budget (0 = kernel default)")
 	)
 	flag.Parse()
-	if err := run(*kernel, *algo, *format, *regs); err != nil {
+	if err := run(os.Stdout, *kernel, *algo, *format, *regs); err != nil {
 		fmt.Fprintln(os.Stderr, "emit:", err)
 		os.Exit(1)
 	}
+	if *format == "c" {
+		fmt.Fprintln(os.Stderr, "// generated code verified against the reference interpreter")
+	}
 }
 
-func run(kernel, algo, format string, regs int) error {
+// run lowers kernel under allocator algo and writes the format's listing
+// to w.
+func run(w io.Writer, kernel, algo, format string, regs int) error {
 	k, err := kernels.ByName(kernel)
 	if err != nil {
 		return err
@@ -71,17 +77,16 @@ func run(kernel, algo, format string, regs int) error {
 		if _, err := codegen.Verify(k.Nest, plan, 1); err != nil {
 			return err
 		}
-		fmt.Print(prog.String())
-		fmt.Fprintln(os.Stderr, "// generated code verified against the reference interpreter")
+		fmt.Fprint(w, prog.String())
 	case "fsm", "vhdl":
 		f, err := rtl.Build(k.Nest, plan, sched.DefaultConfig())
 		if err != nil {
 			return err
 		}
 		if format == "fsm" {
-			fmt.Print(f.String())
+			fmt.Fprint(w, f.String())
 		} else {
-			fmt.Print(vhdl.Emit(f, k.Name))
+			fmt.Fprint(w, vhdl.Emit(f, k.Name))
 		}
 	default:
 		return fmt.Errorf("unknown format %q (want c, fsm or vhdl)", format)
