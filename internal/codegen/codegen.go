@@ -14,7 +14,6 @@ package codegen
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/ir"
@@ -166,35 +165,24 @@ func (p *Program) expr(e ir.Expr) string {
 	}
 }
 
-// Run executes the lowered program with real values: register banks are
-// explicit arrays indexed by window ordinal, transfers happen at region
-// boundaries exactly as the listing describes, and the final store is the
-// program's memory image. It returns transfer statistics.
-//
-// Run is intentionally an independent implementation from sched.RunFuncSim
-// (banks indexed by ordinal here, associative files there); agreement of
-// the two executions and the reference interpreter is checked in tests.
+// RunStats is the transfer traffic of one Run.
 type RunStats struct {
-	PrologueLoads  int
-	EpilogueStores int
+	PrologueLoads  int // register fills from RAM
+	EpilogueStores int // dirty registers drained at region boundaries and at the end
 	RegisterReads  int
 	RegisterWrites int
-	RAMReads       int
-	RAMWrites      int
+	RAMReads       int // uncovered reads plus fills
+	RAMWrites      int // uncovered writes, write-backs of evicted registers, drains
 }
 
-type bank struct {
-	decl    *RegDecl
-	entry   *scalarrepl.Entry
-	vals    []int64
-	present []bool
-	dirty   []bool
-	// elem[i] is the absolute flat element the ordinal slot currently
-	// caches (-1 when empty) — needed when windows slide.
-	elem []int
-}
-
-// Run executes the program against the store.
+// Run executes the lowered program with real values against the store:
+// covered accesses go through the plan's direct-mapped register banks
+// (scalarrepl.Banks), transfers happen at region boundaries exactly as the
+// listing describes, and the final store is the program's memory image.
+//
+// Run is an independent implementation from sched.RunFuncSim (banks
+// addressed by slot here, associative files there); agreement of the two
+// executions and the reference interpreter is checked in tests.
 func (p *Program) Run(store *ir.Store) (*RunStats, error) {
 	for _, a := range p.Nest.Arrays() {
 		if !store.Bound(a.Name) {
@@ -202,178 +190,58 @@ func (p *Program) Run(store *ir.Store) (*RunStats, error) {
 		}
 	}
 	stats := &RunStats{}
-	banks := map[string]*bank{}
-	lastRegion := map[string]int{}
-	for i := range p.RegDecls {
-		d := &p.RegDecls[i]
-		e := p.Plan.ByKey(d.RefKey)
-		banks[d.RefKey] = &bank{
-			decl:    d,
-			entry:   e,
-			vals:    make([]int64, d.Size),
-			present: make([]bool, d.Size),
-			dirty:   make([]bool, d.Size),
-			elem:    make([]int, d.Size),
-		}
-		lastRegion[d.RefKey] = -1
+	banks := scalarrepl.NewBanks(p.Plan, store)
+	drained := func(stores int, err error) error {
+		stats.EpilogueStores += stores
+		stats.RAMWrites += stores
+		return err
 	}
-	env := map[string]int{}
-	flushBank := func(bk *bank) error {
-		arr := bk.entry.Info.Group.Ref.Array
-		for o := range bk.vals {
-			if bk.present[o] && bk.dirty[o] {
-				if err := storeFlat(store, arr, bk.elem[o], bk.vals[o]); err != nil {
-					return err
-				}
-				stats.EpilogueStores++
-				stats.RAMWrites++
+	err := p.Nest.Each(func(env map[string]int) error {
+		if err := drained(banks.Enter(env)); err != nil {
+			return err
+		}
+		read := func(r *ir.ArrayRef) (int64, error) {
+			e := p.Plan.ByKey(r.Key())
+			if e == nil || !e.Hit(env) {
+				stats.RAMReads++
+				return store.Load(r.Array, r.IndexAt(env))
 			}
-			bk.present[o], bk.dirty[o] = false, false
+			v, loads, stores, err := banks.Read(e.Info.Group.ID, env)
+			stats.PrologueLoads += loads
+			stats.RAMReads += loads
+			stats.RAMWrites += stores
+			stats.RegisterReads++
+			return v, err
 		}
-		return nil
-	}
-	slot := func(bk *bank, env map[string]int) (int, int) {
-		o := bk.entry.SlotOf(env)
-		flat := bk.entry.FlatAffine().Eval(env)
-		return o, flat
-	}
-	readRef := func(r *ir.ArrayRef) (int64, error) {
-		bk := banks[r.Key()]
-		if bk == nil || !bk.entry.Hit(env) {
-			stats.RAMReads++
-			return store.Load(r.Array, evalIdx(r, env))
-		}
-		o, flat := slot(bk, env)
-		if !bk.present[o] || bk.elem[o] != flat {
-			// Window slid (or first touch): spill the stale occupant and
-			// fill from RAM — the generated prologue/refill transfer.
-			if bk.present[o] && bk.dirty[o] {
-				if err := storeFlat(store, r.Array, bk.elem[o], bk.vals[o]); err != nil {
-					return 0, err
-				}
-				stats.RAMWrites++
-			}
-			v, err := store.Load(r.Array, evalIdx(r, env))
+		for _, st := range p.Nest.Body {
+			v, err := ir.Eval(st.RHS, env, read)
 			if err != nil {
-				return 0, err
-			}
-			stats.RAMReads++
-			stats.PrologueLoads++
-			bk.vals[o], bk.present[o], bk.dirty[o], bk.elem[o] = v, true, false, flat
-		}
-		stats.RegisterReads++
-		return bk.vals[o], nil
-	}
-	writeRef := func(r *ir.ArrayRef, v int64) error {
-		bk := banks[r.Key()]
-		if bk == nil || !bk.entry.Hit(env) {
-			stats.RAMWrites++
-			return store.StoreElem(r.Array, evalIdx(r, env), v)
-		}
-		o, flat := slot(bk, env)
-		if bk.present[o] && bk.elem[o] != flat && bk.dirty[o] {
-			if err := storeFlat(store, r.Array, bk.elem[o], bk.vals[o]); err != nil {
 				return err
 			}
-			stats.RAMWrites++
-		}
-		mask := int64(-1)
-		if bits := r.Array.ElemBits; bits < 64 {
-			mask = (int64(1) << uint(bits)) - 1
-		}
-		bk.vals[o], bk.present[o], bk.dirty[o], bk.elem[o] = v&mask, true, true, flat
-		stats.RegisterWrites++
-		return nil
-	}
-	var eval func(e ir.Expr) (int64, error)
-	eval = func(e ir.Expr) (int64, error) {
-		switch e := e.(type) {
-		case *ir.IntLit:
-			return e.Value, nil
-		case *ir.VarRef:
-			return int64(env[e.Name]), nil
-		case *ir.ArrayRef:
-			return readRef(e)
-		case *ir.BinOp:
-			l, err := eval(e.L)
-			if err != nil {
-				return 0, err
-			}
-			r, err := eval(e.R)
-			if err != nil {
-				return 0, err
-			}
-			return ir.EvalOp(e.Op, l, r)
-		default:
-			return 0, fmt.Errorf("codegen: unsupported expression %T", e)
-		}
-	}
-	var walk func(depth int) error
-	walk = func(depth int) error {
-		if depth == p.Nest.Depth() {
-			for key, bk := range banks {
-				r := bk.entry.RegionOf(p.Nest, env)
-				if lastRegion[key] != r {
-					if lastRegion[key] >= 0 {
-						if err := flushBank(bk); err != nil {
-							return err
-						}
-					}
-					lastRegion[key] = r
-				}
-			}
-			for _, st := range p.Nest.Body {
-				v, err := eval(st.RHS)
-				if err != nil {
+			e := p.Plan.ByKey(st.LHS.Key())
+			if e == nil || !e.Hit(env) {
+				stats.RAMWrites++
+				if err := store.StoreElem(st.LHS.Array, st.LHS.IndexAt(env), v); err != nil {
 					return err
 				}
-				if err := writeRef(st.LHS, v); err != nil {
-					return err
-				}
+				continue
 			}
-			return nil
-		}
-		l := p.Nest.Loops[depth]
-		for v := l.Lo; v < l.Hi; v += l.Step {
-			env[l.Var] = v
-			if err := walk(depth + 1); err != nil {
+			stores, err := banks.Write(e.Info.Group.ID, env, v)
+			stats.RAMWrites += stores
+			stats.RegisterWrites++
+			if err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	if err := walk(0); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	// Deterministic epilogue order.
-	var keys []string
-	for k := range banks {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := flushBank(banks[k]); err != nil {
-			return nil, err
-		}
+	if err := drained(banks.Drain()); err != nil {
+		return nil, err
 	}
 	return stats, nil
-}
-
-func evalIdx(r *ir.ArrayRef, env map[string]int) []int {
-	idx := make([]int, len(r.Index()))
-	for d, ix := range r.Index() {
-		idx[d] = ix.Eval(env)
-	}
-	return idx
-}
-
-func storeFlat(s *ir.Store, arr *ir.Array, flat int, v int64) error {
-	idx := make([]int, len(arr.Dims))
-	for d := len(arr.Dims) - 1; d >= 0; d-- {
-		idx[d] = flat % arr.Dims[d]
-		flat /= arr.Dims[d]
-	}
-	return s.StoreElem(arr, idx, v)
 }
 
 // Verify generates code for the plan, runs it on deterministic random

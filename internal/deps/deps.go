@@ -83,9 +83,8 @@ func Analyze(nest *ir.Nest) ([]Dependence, error) {
 		flat int
 	}
 	hist := map[elemKey][]access{}
-	env := map[string]int{}
 	seq := 0
-	record := func(r *ir.ArrayRef, w bool) {
+	record := func(r *ir.ArrayRef, w bool, env map[string]int) {
 		flat := 0
 		for d, ix := range r.Index() {
 			flat = flat*r.Array.Dims[d] + ix.Eval(env)
@@ -98,26 +97,17 @@ func Analyze(nest *ir.Nest) ([]Dependence, error) {
 		hist[k] = append(hist[k], access{iter: iter, key: r.Key(), isWrite: w, seq: seq})
 		seq++
 	}
-	var walk func(depth int)
-	walk = func(depth int) {
-		if depth == nest.Depth() {
-			for _, st := range nest.Body {
-				ir.WalkExpr(st.RHS, func(e ir.Expr) {
-					if r, ok := e.(*ir.ArrayRef); ok {
-						record(r, false)
-					}
-				})
-				record(st.LHS, true)
-			}
-			return
+	nest.Each(func(env map[string]int) error {
+		for _, st := range nest.Body {
+			ir.WalkExpr(st.RHS, func(e ir.Expr) {
+				if r, ok := e.(*ir.ArrayRef); ok {
+					record(r, false, env)
+				}
+			})
+			record(st.LHS, true, env)
 		}
-		l := nest.Loops[depth]
-		for v := l.Lo; v < l.Hi; v += l.Step {
-			env[l.Var] = v
-			walk(depth + 1)
-		}
-	}
-	walk(0)
+		return nil
+	})
 
 	seen := map[string]Dependence{}
 	for _, accs := range hist {

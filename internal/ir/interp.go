@@ -11,27 +11,16 @@ import (
 // checked: scalar replacement must never change the values a nest computes.
 type Store struct {
 	data map[string][]int64
-	mask map[string]int64 // value mask derived from element width
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{data: map[string][]int64{}, mask: map[string]int64{}}
+	return &Store{data: map[string][]int64{}}
 }
 
 // Bind allocates (zeroed) backing storage for an array. Binding the same
 // array twice resets its contents.
-func (s *Store) Bind(a *Array) {
-	s.data[a.Name] = make([]int64, a.Size())
-	s.mask[a.Name] = widthMask(a.ElemBits)
-}
-
-func widthMask(bits int) int64 {
-	if bits >= 64 {
-		return -1
-	}
-	return (int64(1) << uint(bits)) - 1
-}
+func (s *Store) Bind(a *Array) { s.data[a.Name] = make([]int64, a.Size()) }
 
 // Bound reports whether the array has backing storage.
 func (s *Store) Bound(name string) bool { _, ok := s.data[name]; return ok }
@@ -45,11 +34,7 @@ func (s *Store) Load(a *Array, idx []int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	d, ok := s.data[a.Name]
-	if !ok {
-		return 0, fmt.Errorf("store: array %q not bound", a.Name)
-	}
-	return d[flat], nil
+	return s.LoadFlat(a, flat)
 }
 
 // StoreElem writes one element, truncating the value to the element width.
@@ -58,12 +43,39 @@ func (s *Store) StoreElem(a *Array, idx []int, v int64) error {
 	if err != nil {
 		return err
 	}
+	return s.StoreFlat(a, flat, v)
+}
+
+// LoadFlat reads the element at a row-major flat offset.
+func (s *Store) LoadFlat(a *Array, flat int) (int64, error) {
+	d, err := s.elems(a, flat)
+	if err != nil {
+		return 0, err
+	}
+	return d[flat], nil
+}
+
+// StoreFlat writes the element at a row-major flat offset, truncating the
+// value to the element width.
+func (s *Store) StoreFlat(a *Array, flat int, v int64) error {
+	d, err := s.elems(a, flat)
+	if err != nil {
+		return err
+	}
+	d[flat] = v & a.Mask()
+	return nil
+}
+
+// elems returns the array's storage once flat is known to lie inside it.
+func (s *Store) elems(a *Array, flat int) ([]int64, error) {
 	d, ok := s.data[a.Name]
 	if !ok {
-		return fmt.Errorf("store: array %q not bound", a.Name)
+		return nil, fmt.Errorf("store: array %q not bound", a.Name)
 	}
-	d[flat] = v & s.mask[a.Name]
-	return nil
+	if flat < 0 || flat >= len(d) {
+		return nil, fmt.Errorf("array %s: flat index %d out of bounds [0,%d)", a.Name, flat, len(d))
+	}
+	return d, nil
 }
 
 // Clone returns a deep copy of the store.
@@ -71,7 +83,6 @@ func (s *Store) Clone() *Store {
 	out := NewStore()
 	for name, d := range s.data {
 		out.data[name] = append([]int64(nil), d...)
-		out.mask[name] = s.mask[name]
 	}
 	return out
 }
@@ -118,7 +129,7 @@ func (s *Store) RandomizeInputs(n *Nest, seed int64) {
 			continue
 		}
 		d := s.data[a.Name]
-		m := s.mask[a.Name]
+		m := a.Mask()
 		for i := range d {
 			d[i] = rng.Int63() & m
 		}
@@ -145,11 +156,7 @@ func Interp(n *Nest, s *Store) (accesses int, err error) {
 					return err
 				}
 				accesses += nr
-				idx, err := evalIndex(st.LHS, env)
-				if err != nil {
-					return err
-				}
-				if err := s.StoreElem(st.LHS.Array, idx, v); err != nil {
+				if err := s.StoreElem(st.LHS.Array, st.LHS.IndexAt(env), v); err != nil {
 					return err
 				}
 				accesses++
@@ -169,14 +176,6 @@ func Interp(n *Nest, s *Store) (accesses int, err error) {
 	return accesses, err
 }
 
-func evalIndex(r *ArrayRef, env map[string]int) ([]int, error) {
-	idx := make([]int, len(r.index))
-	for d, ix := range r.index {
-		idx[d] = ix.Eval(env)
-	}
-	return idx, nil
-}
-
 // evalExpr evaluates e, returning the value and the number of array reads
 // performed.
 func evalExpr(e Expr, env map[string]int, s *Store) (int64, int, error) {
@@ -186,11 +185,7 @@ func evalExpr(e Expr, env map[string]int, s *Store) (int64, int, error) {
 	case *VarRef:
 		return int64(env[e.Name]), 0, nil
 	case *ArrayRef:
-		idx, err := evalIndex(e, env)
-		if err != nil {
-			return 0, 0, err
-		}
-		v, err := s.Load(e.Array, idx)
+		v, err := s.Load(e.Array, e.IndexAt(env))
 		return v, 1, err
 	case *BinOp:
 		l, nl, err := evalExpr(e.L, env, s)

@@ -63,6 +63,15 @@ func (a *Array) Size() int {
 // Bits returns the total storage footprint of the array in bits.
 func (a *Array) Bits() int { return a.Size() * a.ElemBits }
 
+// Mask returns the value mask of the element width: every store of an
+// element, to RAM or to a register, truncates the value to it.
+func (a *Array) Mask() int64 {
+	if a.ElemBits >= 64 {
+		return -1
+	}
+	return int64(1)<<uint(a.ElemBits) - 1
+}
+
 // FlatIndex converts a multi-dimensional index to a row-major flat offset.
 // It returns an error when idx is out of bounds.
 func (a *Array) FlatIndex(idx []int) (int, error) {
@@ -177,6 +186,16 @@ func (*ArrayRef) isExpr() {}
 // read-only: build a new reference with Ref to change an index.
 func (r *ArrayRef) Index() []Affine { return r.index }
 
+// IndexAt evaluates the index functions at one iteration, outermost
+// dimension first.
+func (r *ArrayRef) IndexAt(env map[string]int) []int {
+	idx := make([]int, len(r.index))
+	for d, ix := range r.index {
+		idx[d] = ix.Eval(env)
+	}
+	return idx
+}
+
 // String renders the reference like d[i][k].
 func (r *ArrayRef) String() string {
 	var b strings.Builder
@@ -245,6 +264,32 @@ func (*VarRef) isExpr() {}
 
 func (v *VarRef) String() string { return v.Name }
 
+// Eval evaluates e at one iteration, reading every array element through
+// read: each executor that checks a plan against Interp supplies its own
+// storage path.
+func Eval(e Expr, env map[string]int, read func(*ArrayRef) (int64, error)) (int64, error) {
+	switch e := e.(type) {
+	case *IntLit:
+		return e.Value, nil
+	case *VarRef:
+		return int64(env[e.Name]), nil
+	case *ArrayRef:
+		return read(e)
+	case *BinOp:
+		l, err := Eval(e.L, env, read)
+		if err != nil {
+			return 0, err
+		}
+		r, err := Eval(e.R, env, read)
+		if err != nil {
+			return 0, err
+		}
+		return EvalOp(e.Op, l, r)
+	default:
+		return 0, fmt.Errorf("ir: unknown expression %T", e)
+	}
+}
+
 // Assign is one statement of the loop body: LHS = RHS.
 type Assign struct {
 	LHS *ArrayRef
@@ -284,6 +329,29 @@ func (n *Nest) IterationCount() int {
 		total *= l.Trip()
 	}
 	return total
+}
+
+// Each calls f once per iteration point in row-major order (outermost
+// loop slowest), with every loop variable bound in env. env is one map
+// reused across the whole walk: f must not retain it. Each stops at, and
+// returns, the first error f returns.
+func (n *Nest) Each(f func(env map[string]int) error) error {
+	env := make(map[string]int, len(n.Loops))
+	var walk func(depth int) error
+	walk = func(depth int) error {
+		if depth == len(n.Loops) {
+			return f(env)
+		}
+		l := n.Loops[depth]
+		for v := l.Lo; v < l.Hi; v += l.Step {
+			env[l.Var] = v
+			if err := walk(depth + 1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return walk(0)
 }
 
 // LoopIndex returns the position of the loop variable v in the nest

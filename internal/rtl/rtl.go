@@ -18,6 +18,7 @@ package rtl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -43,61 +44,56 @@ type ClassFSM struct {
 // FSMD is the full design: the shared datapath graph plus one control
 // sequence per iteration class.
 type FSMD struct {
-	Nest    *ir.Nest
-	Plan    *scalarrepl.Plan
-	Graph   *dfg.Graph
-	Cfg     sched.Config
-	Classes map[string]*ClassFSM
+	Nest  *ir.Nest
+	Plan  *scalarrepl.Plan
+	Graph *dfg.Graph
+	Cfg   sched.Config
+	// Classes holds one control sequence per iteration class, in
+	// signature order.
+	Classes []*ClassFSM
 }
 
-// Build constructs the FSMD for every iteration class the plan induces.
+// Build constructs the FSMD for every iteration class the plan induces:
+// the classes of the scheduler's closed form (sched.SimulateGraph).
+// Simulate classifies every executed iteration independently and fails
+// on one outside them.
 func Build(nest *ir.Nest, plan *scalarrepl.Plan, cfg sched.Config) (*FSMD, error) {
 	g, err := dfg.Build(nest)
 	if err != nil {
 		return nil, err
 	}
-	f := &FSMD{Nest: nest, Plan: plan, Graph: g, Cfg: cfg, Classes: map[string]*ClassFSM{}}
-	// Discover the classes by walking the iteration space once.
-	env := map[string]int{}
-	var walk func(depth int) error
-	walk = func(depth int) error {
-		if depth == nest.Depth() {
-			sig := plan.HitKeys(env)
-			if _, ok := f.Classes[sig]; !ok {
-				cf, err := f.buildClass(sig)
-				if err != nil {
-					return err
-				}
-				f.Classes[sig] = cf
-			}
-			return nil
-		}
-		l := nest.Loops[depth]
-		for v := l.Lo; v < l.Hi; v += l.Step {
-			env[l.Var] = v
-			if err := walk(depth + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(0); err != nil {
+	res, err := sched.SimulateGraph(nest, g, plan, cfg)
+	if err != nil {
 		return nil, err
 	}
+	f := &FSMD{Nest: nest, Plan: plan, Graph: g, Cfg: cfg}
+	for _, cs := range res.Classes {
+		cf, err := f.buildClass(cs.Signature)
+		if err != nil {
+			return nil, err
+		}
+		f.Classes = append(f.Classes, cf)
+	}
+	slices.SortFunc(f.Classes, func(a, b *ClassFSM) int { return strings.Compare(a.Signature, b.Signature) })
 	return f, nil
 }
 
-func (f *FSMD) buildClass(sig string) (*ClassFSM, error) {
-	hit := map[string]bool{}
-	for i, e := range f.Plan.Order() {
-		hit[e.Info.Key()] = sig[i] == '1'
+// Class returns the control sequence of the class with the signature, or
+// nil when the FSMD has none.
+func (f *FSMD) Class(sig string) *ClassFSM {
+	i, ok := slices.BinarySearchFunc(f.Classes, sig, func(c *ClassFSM, s string) int { return strings.Compare(c.Signature, s) })
+	if !ok {
+		return nil
 	}
-	// The scheduler reads residency by reference number.
-	hitVec := make([]bool, f.Graph.NumRefs())
-	for _, n := range f.Graph.Nodes {
-		if n.Kind == dfg.KindRef {
-			hitVec[n.RefID] = hit[n.RefKey]
-		}
+	return f.Classes[i]
+}
+
+func (f *FSMD) buildClass(sig string) (*ClassFSM, error) {
+	// Signature byte i is reference number i, as the scheduler reads it.
+	hit, hitVec := map[string]bool{}, make([]bool, len(sig))
+	for i, e := range f.Plan.Order() {
+		hitVec[i] = sig[i] == '1'
+		hit[e.Info.Key()] = hitVec[i]
 	}
 	sc, err := sched.ScheduleClass(f.Graph, hitVec, f.Cfg, false)
 	if err != nil {
@@ -119,14 +115,8 @@ func (f *FSMD) buildClass(sig string) (*ClassFSM, error) {
 // String renders the FSMD as a state table for inspection and golden tests.
 func (f *FSMD) String() string {
 	var b strings.Builder
-	var sigs []string
-	for s := range f.Classes {
-		sigs = append(sigs, s)
-	}
-	sort.Strings(sigs)
-	for _, sig := range sigs {
-		cf := f.Classes[sig]
-		fmt.Fprintf(&b, "class %s: %d states\n", sig, cf.States)
+	for _, cf := range f.Classes {
+		fmt.Fprintf(&b, "class %s: %d states\n", cf.Signature, cf.States)
 		for cyc := 0; cyc <= cf.States; cyc++ {
 			ids := cf.IssueAt[cyc]
 			if len(ids) == 0 {
@@ -163,8 +153,12 @@ type SimStats struct {
 }
 
 // Simulate executes the FSMD cycle by cycle with real values against the
-// store. It returns an error on any port-limit violation or semantic
-// failure (reading a value before its producing state).
+// store; covered accesses go through the plan's register banks
+// (scalarrepl.Banks), drained between iterations at region boundaries
+// (transfer states outside the steady FSM, like the paper's peeled
+// sections) and after the last one. It returns an error on any port-limit
+// violation or semantic failure (reading a value before its producing
+// state).
 func (f *FSMD) Simulate(store *ir.Store) (*SimStats, error) {
 	for _, a := range f.Nest.Arrays() {
 		if !store.Bound(a.Name) {
@@ -172,176 +166,107 @@ func (f *FSMD) Simulate(store *ir.Store) (*SimStats, error) {
 		}
 	}
 	stats := &SimStats{ClassCounts: map[string]int{}}
-	banks := newBanks(f.Plan)
-	lastRegion := map[string]int{}
-	for key := range banks {
-		lastRegion[key] = -1
-	}
-	env := map[string]int{}
+	banks := scalarrepl.NewBanks(f.Plan, store)
 	val := make([]int64, len(f.Graph.Nodes))
 	done := make([]int, len(f.Graph.Nodes)) // finish cycle of each node this iteration
-
-	evalArg := func(a dfg.Arg, cycle int) (int64, error) {
-		switch {
-		case a.Lit != nil:
-			return *a.Lit, nil
-		case a.Var != "":
-			return int64(env[a.Var]), nil
-		default:
-			if done[a.NodeID] > cycle {
+	err := f.Nest.Each(func(env map[string]int) error {
+		stores, err := banks.Enter(env)
+		stats.RAMWrites += stores
+		if err != nil {
+			return err
+		}
+		sig := f.Plan.HitKeys(env)
+		cf := f.Class(sig)
+		if cf == nil {
+			return fmt.Errorf("rtl: iteration fell into unknown class %s", sig)
+		}
+		stats.ClassCounts[sig]++
+		arg := func(a dfg.Arg, cycle int) (int64, error) {
+			switch {
+			case a.Lit != nil:
+				return *a.Lit, nil
+			case a.Var != "":
+				return int64(env[a.Var]), nil
+			case done[a.NodeID] > cycle:
 				return 0, fmt.Errorf("rtl: node %d consumed at cycle %d before ready at %d",
 					a.NodeID, cycle, done[a.NodeID])
 			}
 			return val[a.NodeID], nil
 		}
-	}
-
-	runIteration := func() error {
-		// Region flushes between iterations (transfer states outside the
-		// steady FSM, like the paper's peeled sections).
-		for key, bk := range banks {
-			r := bk.entry.RegionOf(f.Nest, env)
-			if lastRegion[key] != r {
-				if lastRegion[key] >= 0 {
-					w, err := bk.flush(store)
-					if err != nil {
-						return err
-					}
-					stats.RAMWrites += w
-				}
-				lastRegion[key] = r
-			}
-		}
-		sig := f.Plan.HitKeys(env)
-		cf := f.Classes[sig]
-		if cf == nil {
-			return fmt.Errorf("rtl: iteration fell into unknown class %s", sig)
-		}
-		stats.ClassCounts[sig]++
-		lat := func(n *dfg.Node) int {
-			if n.Kind == dfg.KindRef {
-				if cf.Hit[n.RefKey] {
-					return 0
-				}
-				return f.Cfg.Lat.Mem
-			}
-			return f.Cfg.Lat.OpLat(n.Op)
-		}
 		for cyc := 0; cyc <= cf.States; cyc++ {
 			portUse := map[string]int{}
 			for _, id := range cf.IssueAt[cyc] {
 				n := f.Graph.Nodes[id]
-				l := lat(n)
-				if n.Kind == dfg.KindRef && !cf.Hit[n.RefKey] && l > 0 {
-					portUse[n.Ref.Array.Name]++
-					if portUse[n.Ref.Array.Name] > f.Cfg.PortsPerRAM {
-						return fmt.Errorf("rtl: port violation on %s at state %d of class %s",
-							n.Ref.Array.Name, cyc, sig)
+				l := 0
+				switch {
+				case n.Kind == dfg.KindOp:
+					l = f.Cfg.Lat.OpLat(n.Op)
+				case !cf.Hit[n.RefKey] && f.Cfg.Lat.Mem > 0:
+					l = f.Cfg.Lat.Mem
+					arr := n.Ref.Array.Name
+					if portUse[arr]++; portUse[arr] > f.Cfg.PortsPerRAM {
+						return fmt.Errorf("rtl: port violation on %s at state %d of class %s", arr, cyc, sig)
 					}
-					if portUse[n.Ref.Array.Name] > stats.MaxPortUse {
-						stats.MaxPortUse = portUse[n.Ref.Array.Name]
-					}
+					stats.MaxPortUse = max(stats.MaxPortUse, portUse[arr])
 				}
-				v, rr, rw, err := f.execNode(n, cf, cyc, env, store, banks, evalArg)
+				v, err := f.execNode(n, cf, cyc, env, store, banks, stats, arg)
 				if err != nil {
 					return err
 				}
-				stats.RAMReads += rr
-				stats.RAMWrites += rw
-				val[id] = v
-				done[id] = cyc + l
+				val[id], done[id] = v, cyc+l
 			}
 		}
-		stats.Cycles += maxInt(cf.States, 1)
+		stats.Cycles += max(cf.States, 1)
 		stats.Iterations++
 		return nil
-	}
-	var walk func(depth int) error
-	walk = func(depth int) error {
-		if depth == f.Nest.Depth() {
-			return runIteration()
-		}
-		l := f.Nest.Loops[depth]
-		for v := l.Lo; v < l.Hi; v += l.Step {
-			env[l.Var] = v
-			if err := walk(depth + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(0); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	var keys []string
-	for k := range banks {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		w, err := banks[k].flush(store)
-		if err != nil {
-			return nil, err
-		}
-		stats.RAMWrites += w
+	stores, err := banks.Drain()
+	stats.RAMWrites += stores
+	if err != nil {
+		return nil, err
 	}
 	return stats, nil
 }
 
-// execNode executes one datapath node in its scheduled state.
-func (f *FSMD) execNode(n *dfg.Node, cf *ClassFSM, cycle int, env map[string]int,
-	store *ir.Store, banks map[string]*bank,
-	evalArg func(dfg.Arg, int) (int64, error)) (v int64, ramReads, ramWrites int, err error) {
+// execNode executes one datapath node in its scheduled state, counting
+// the RAM traffic it issues.
+func (f *FSMD) execNode(n *dfg.Node, cf *ClassFSM, cycle int, env map[string]int, store *ir.Store,
+	banks *scalarrepl.Banks, stats *SimStats, arg func(dfg.Arg, int) (int64, error)) (int64, error) {
 	switch {
 	case n.Kind == dfg.KindOp:
-		l, err := evalArg(n.Args[0], cycle)
+		l, err := arg(n.Args[0], cycle)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, err
 		}
-		r, err := evalArg(n.Args[1], cycle)
+		r, err := arg(n.Args[1], cycle)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, err
 		}
-		v, err := ir.EvalOp(n.Op, l, r)
-		return v, 0, 0, err
+		return ir.EvalOp(n.Op, l, r)
 	case n.IsWrite:
 		// A write node stores its producer's value; when also read later
 		// (forwarding node, e.g. d[i][k]) its value feeds consumers.
-		v, err := evalArg(n.Args[0], cycle)
+		v, err := arg(n.Args[0], cycle)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, err
 		}
-		bk := banks[n.RefKey]
-		if cf.Hit[n.RefKey] && bk != nil {
-			spills, err := bk.write(store, env, v)
-			return v, 0, spills, err
+		if cf.Hit[n.RefKey] {
+			stores, err := banks.Write(n.RefID, env, v)
+			stats.RAMWrites += stores
+			return v, err
 		}
-		if err := store.StoreElem(n.Ref.Array, evalIdx(n.Ref, env), v); err != nil {
-			return 0, 0, 0, err
-		}
-		return v, 0, 1, nil
-	default: // pure read
-		bk := banks[n.RefKey]
-		if cf.Hit[n.RefKey] && bk != nil {
-			v, loads, err := bk.read(store, env)
-			return v, loads, 0, err
-		}
-		v, err := store.Load(n.Ref.Array, evalIdx(n.Ref, env))
-		return v, 1, 0, err
+		stats.RAMWrites++
+		return v, store.StoreElem(n.Ref.Array, n.Ref.IndexAt(env), v)
+	case cf.Hit[n.RefKey]: // covered read
+		v, loads, stores, err := banks.Read(n.RefID, env)
+		stats.RAMReads += loads
+		stats.RAMWrites += stores
+		return v, err
+	default: // RAM read
+		stats.RAMReads++
+		return store.Load(n.Ref.Array, n.Ref.IndexAt(env))
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func evalIdx(r *ir.ArrayRef, env map[string]int) []int {
-	idx := make([]int, len(r.Index()))
-	for d, ix := range r.Index() {
-		idx[d] = ix.Eval(env)
-	}
-	return idx
 }

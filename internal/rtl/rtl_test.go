@@ -49,7 +49,7 @@ func TestFSMDClassesMatchScheduler(t *testing.T) {
 		t.Fatalf("FSMD has %d classes, scheduler %d", len(f.Classes), len(res.Classes))
 	}
 	for _, cs := range res.Classes {
-		cf := f.Classes[cs.Signature]
+		cf := f.Class(cs.Signature)
 		if cf == nil {
 			t.Fatalf("missing FSM for class %s", cs.Signature)
 		}

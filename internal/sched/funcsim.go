@@ -26,20 +26,13 @@ type regSlot struct {
 
 // regFile models the registers granted to one reference: a bounded
 // associative set over element addresses, evicting the lowest address
-// first (the element that a forward-moving window abandons first).
+// first (the element that a forward-moving window abandons first). It
+// stays apart from the direct-mapped banks (scalarrepl.Banks) the
+// generated code and the FSMD share, so the two organizations check each
+// other.
 type regFile struct {
 	entry *scalarrepl.Entry
 	slots map[int]*regSlot
-	mask  int64
-}
-
-func newRegFile(e *scalarrepl.Entry) *regFile {
-	bits := e.Info.Group.Ref.Array.ElemBits
-	var mask int64 = -1
-	if bits < 64 {
-		mask = (int64(1) << uint(bits)) - 1
-	}
-	return &regFile{entry: e, slots: map[int]*regSlot{}, mask: mask}
 }
 
 func (rf *regFile) evictVictim() int {
@@ -81,26 +74,11 @@ func RunFuncSim(nest *ir.Nest, plan *scalarrepl.Plan, store *ir.Store) (*FuncSim
 	}
 	for _, e := range plan.Order() {
 		if e.Coverage > 0 {
-			fs.regs[e.Info.Key()] = newRegFile(e)
+			fs.regs[e.Info.Key()] = &regFile{entry: e, slots: map[int]*regSlot{}}
 			fs.lastRegion[e.Info.Key()] = -1
 		}
 	}
-	env := map[string]int{}
-	var walk func(depth int) error
-	walk = func(depth int) error {
-		if depth == nest.Depth() {
-			return fs.iteration(env)
-		}
-		l := nest.Loops[depth]
-		for v := l.Lo; v < l.Hi; v += l.Step {
-			env[l.Var] = v
-			if err := walk(depth + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(0); err != nil {
+	if err := nest.Each(fs.iteration); err != nil {
 		return nil, err
 	}
 	// Epilogue: drain every dirty register.
@@ -139,8 +117,9 @@ func (fs *funcSim) iteration(env map[string]int) error {
 	if live > fs.stats.MaxLive {
 		fs.stats.MaxLive = live
 	}
+	read := func(r *ir.ArrayRef) (int64, error) { return fs.read(r, env) }
 	for _, st := range fs.nest.Body {
-		v, err := fs.eval(st.RHS, env)
+		v, err := ir.Eval(st.RHS, env, read)
 		if err != nil {
 			return err
 		}
@@ -151,50 +130,26 @@ func (fs *funcSim) iteration(env map[string]int) error {
 	return nil
 }
 
-func (fs *funcSim) eval(e ir.Expr, env map[string]int) (int64, error) {
-	switch e := e.(type) {
-	case *ir.IntLit:
-		return e.Value, nil
-	case *ir.VarRef:
-		return int64(env[e.Name]), nil
-	case *ir.ArrayRef:
-		return fs.read(e, env)
-	case *ir.BinOp:
-		l, err := fs.eval(e.L, env)
-		if err != nil {
-			return 0, err
-		}
-		r, err := fs.eval(e.R, env)
-		if err != nil {
-			return 0, err
-		}
-		return ir.EvalOp(e.Op, l, r)
-	default:
-		return 0, fmt.Errorf("funcsim: unsupported expression %T", e)
-	}
-}
-
 func (fs *funcSim) read(r *ir.ArrayRef, env map[string]int) (int64, error) {
 	entry := fs.plan.ByKey(r.Key())
 	if entry == nil {
 		return 0, fmt.Errorf("funcsim: no plan entry for %s", r.Key())
 	}
-	idx := evalIdx(r, env)
-	if entry.Coverage == 0 || !entry.Hit(env) {
-		fs.stats.RAMReads++
-		return fs.store.Load(r.Array, idx)
-	}
-	rf := fs.regs[r.Key()]
-	flat, err := r.Array.FlatIndex(idx)
+	flat, err := r.Array.FlatIndex(r.IndexAt(env))
 	if err != nil {
 		return 0, err
 	}
+	if entry.Coverage == 0 || !entry.Hit(env) {
+		fs.stats.RAMReads++
+		return fs.store.LoadFlat(r.Array, flat)
+	}
+	rf := fs.regs[r.Key()]
 	if slot, ok := rf.slots[flat]; ok {
 		fs.stats.RegisterHits++
 		return slot.val, nil
 	}
 	// Covered but not yet resident: fill from RAM.
-	v, err := fs.store.Load(r.Array, idx)
+	v, err := fs.store.LoadFlat(r.Array, flat)
 	if err != nil {
 		return 0, err
 	}
@@ -211,18 +166,16 @@ func (fs *funcSim) write(r *ir.ArrayRef, env map[string]int, v int64) error {
 	if entry == nil {
 		return fmt.Errorf("funcsim: no plan entry for %s", r.Key())
 	}
-	idx := evalIdx(r, env)
-	if entry.Coverage == 0 || !entry.Hit(env) {
-		fs.stats.RAMWrites++
-		return fs.store.StoreElem(r.Array, idx, v)
-	}
-	rf := fs.regs[r.Key()]
-	flat, err := r.Array.FlatIndex(idx)
+	flat, err := r.Array.FlatIndex(r.IndexAt(env))
 	if err != nil {
 		return err
 	}
+	if entry.Coverage == 0 || !entry.Hit(env) {
+		fs.stats.RAMWrites++
+		return fs.store.StoreFlat(r.Array, flat, v)
+	}
 	fs.stats.RegisterHits++
-	return fs.insert(rf, r.Array, flat, v&rf.mask, true)
+	return fs.insert(fs.regs[r.Key()], r.Array, flat, v&r.Array.Mask(), true)
 }
 
 // insert places a value into the register file, evicting (with write-back
@@ -251,7 +204,7 @@ func (fs *funcSim) spill(rf *regFile, arr *ir.Array, flat int) error {
 	}
 	fs.stats.RAMWrites++
 	fs.stats.WriteBacks++
-	return storeFlat(fs.store, arr, flat, slot.val)
+	return fs.store.StoreFlat(arr, flat, slot.val)
 }
 
 func (fs *funcSim) flush(rf *regFile) error {
@@ -262,23 +215,6 @@ func (fs *funcSim) flush(rf *regFile) error {
 		}
 	}
 	return nil
-}
-
-func evalIdx(r *ir.ArrayRef, env map[string]int) []int {
-	idx := make([]int, len(r.Index()))
-	for d, ix := range r.Index() {
-		idx[d] = ix.Eval(env)
-	}
-	return idx
-}
-
-func storeFlat(s *ir.Store, arr *ir.Array, flat int, v int64) error {
-	idx := make([]int, len(arr.Dims))
-	for d := len(arr.Dims) - 1; d >= 0; d-- {
-		idx[d] = flat % arr.Dims[d]
-		flat /= arr.Dims[d]
-	}
-	return s.StoreElem(arr, idx, v)
 }
 
 // VerifyPlan runs the functional simulation against the reference

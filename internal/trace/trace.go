@@ -26,38 +26,24 @@ func Walk(nest *ir.Nest, fn func(Event)) error {
 	if err := nest.Validate(); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	env := map[string]int{}
-	flat := func(r *ir.ArrayRef) int {
-		f := 0
-		for d, ix := range r.Index() {
-			f = f*r.Array.Dims[d] + ix.Eval(env)
-		}
-		return f
-	}
-	emit := func(r *ir.ArrayRef, w bool) {
-		fn(Event{Key: r.Key(), Array: r.Array.Name, Flat: flat(r), IsWrite: w})
-	}
-	var walk func(depth int)
-	walk = func(depth int) {
-		if depth == nest.Depth() {
-			for _, st := range nest.Body {
-				ir.WalkExpr(st.RHS, func(e ir.Expr) {
-					if r, ok := e.(*ir.ArrayRef); ok {
-						emit(r, false)
-					}
-				})
-				emit(st.LHS, true)
+	return nest.Each(func(env map[string]int) error {
+		emit := func(r *ir.ArrayRef, w bool) {
+			flat := 0
+			for d, ix := range r.Index() {
+				flat = flat*r.Array.Dims[d] + ix.Eval(env)
 			}
-			return
+			fn(Event{Key: r.Key(), Array: r.Array.Name, Flat: flat, IsWrite: w})
 		}
-		l := nest.Loops[depth]
-		for v := l.Lo; v < l.Hi; v += l.Step {
-			env[l.Var] = v
-			walk(depth + 1)
+		for _, st := range nest.Body {
+			ir.WalkExpr(st.RHS, func(e ir.Expr) {
+				if r, ok := e.(*ir.ArrayRef); ok {
+					emit(r, false)
+				}
+			})
+			emit(st.LHS, true)
 		}
-	}
-	walk(0)
-	return nil
+		return nil
+	})
 }
 
 // lru is a fully-associative LRU set over element indices.

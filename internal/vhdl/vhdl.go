@@ -16,7 +16,6 @@ package vhdl
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 
 	"repro/internal/dfg"
@@ -55,10 +54,9 @@ func Emit(f *rtl.FSMD, entity string) string {
 	}
 	// State enumeration: one state per cycle per class plus idle/done.
 	states := []string{"S_IDLE"}
-	for _, sig := range classOrder(f) {
-		cf := f.Classes[sig]
+	for _, cf := range f.Classes {
 		for cyc := 0; cyc < cf.States; cyc++ {
-			states = append(states, stateName(sig, cyc))
+			states = append(states, stateName(cf.Signature, cyc))
 		}
 	}
 	states = append(states, "S_DONE")
@@ -67,8 +65,8 @@ func Emit(f *rtl.FSMD, entity string) string {
 	b.WriteString("  done <= '1' when state = S_DONE else '0';\n\n")
 	b.WriteString("  control : process(clk)\n  begin\n    if rising_edge(clk) then\n      if rst = '1' then\n        state <= S_IDLE;\n      else\n        case state is\n")
 	b.WriteString("          when S_IDLE =>\n            if start = '1' then state <= " + states[1] + "; end if;\n")
-	for _, sig := range classOrder(f) {
-		cf := f.Classes[sig]
+	for _, cf := range f.Classes {
+		sig := cf.Signature
 		for cyc := 0; cyc < cf.States; cyc++ {
 			fmt.Fprintf(&b, "          when %s =>\n", stateName(sig, cyc))
 			for _, id := range cf.IssueAt[cyc] {
@@ -102,15 +100,6 @@ func emitNodeAction(b *strings.Builder, f *rtl.FSMD, cf *rtl.ClassFSM, n *dfg.No
 	default:
 		fmt.Fprintf(b, "            -- alu: %s (op %s)\n", n.Label(), n.Op)
 	}
-}
-
-func classOrder(f *rtl.FSMD) []string {
-	var sigs []string
-	for s := range f.Classes {
-		sigs = append(sigs, s)
-	}
-	sort.Strings(sigs)
-	return sigs
 }
 
 func stateName(sig string, cyc int) string {
