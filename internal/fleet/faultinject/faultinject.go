@@ -19,6 +19,7 @@
 package faultinject
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -268,15 +269,31 @@ type Proxy struct {
 	T *Transport
 }
 
+// maxBody bounds the request body the proxy forwards: `dse serve`
+// refuses a spec over 1 MiB, and the proxy reads the body whole.
+const maxBody = 1 << 20
+
 // ServeHTTP implements http.Handler.
 //
 //repro:nonnil constructed by the faultproxy CLI or test; never nil
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	// Reading the body before the Transport applies its latency lets
+	// net/http watch the client's connection meanwhile: a client that
+	// goes away cancels r.Context() and ends the delay, so a graceful
+	// stop does not wait it out.
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+	if err == nil && len(body) > maxBody {
+		err = fmt.Errorf("request body exceeds %d bytes", maxBody)
+	}
+	if err != nil {
+		http.Error(w, "faultproxy: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	url := strings.TrimRight(p.Target, "/") + r.URL.Path
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, r.Body)
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return

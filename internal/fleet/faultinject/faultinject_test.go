@@ -254,6 +254,29 @@ func TestProxyForwardsAndSheds(t *testing.T) {
 	}
 }
 
+// TestProxyClientGoneEndsDelay: once the client of a delayed request
+// gives up, the proxy's handler returns at once, so the server's Close
+// (a graceful stop) does not wait out the injected latency.
+func TestProxyClientGoneEndsDelay(t *testing.T) {
+	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer target.Close()
+	proxy := httptest.NewServer(&Proxy{Target: target.URL, T: &Transport{S: NewSchedule(1), LatencyRate: 1, Latency: 3 * time.Second}})
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, proxy.URL+"/v1/explore", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proxy.Client().Do(req); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("delayed request returned %v, want the client's deadline", err)
+	}
+	start := time.Now()
+	proxy.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v after the client cancelled", d)
+	}
+}
+
 func mustReq(t *testing.T, url string) *http.Request {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
