@@ -184,11 +184,7 @@ type RunStats struct {
 // addressed by slot here, associative files there); agreement of the two
 // executions and the reference interpreter is checked in tests.
 func (p *Program) Run(store *ir.Store) (*RunStats, error) {
-	for _, a := range p.Nest.Arrays() {
-		if !store.Bound(a.Name) {
-			store.Bind(a)
-		}
-	}
+	store.BindNest(p.Nest)
 	stats := &RunStats{}
 	banks := scalarrepl.NewBanks(p.Plan, store)
 	drained := func(stores int, err error) error {

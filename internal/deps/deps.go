@@ -97,7 +97,7 @@ func Analyze(nest *ir.Nest) ([]Dependence, error) {
 		hist[k] = append(hist[k], access{iter: iter, key: r.Key(), isWrite: w, seq: seq})
 		seq++
 	}
-	nest.Each(func(env map[string]int) error {
+	_ = nest.Each(func(env map[string]int) error { // records, never fails
 		for _, st := range nest.Body {
 			ir.WalkExpr(st.RHS, func(e ir.Expr) {
 				if r, ok := e.(*ir.ArrayRef); ok {

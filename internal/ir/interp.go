@@ -22,6 +22,16 @@ func NewStore() *Store {
 // array twice resets its contents.
 func (s *Store) Bind(a *Array) { s.data[a.Name] = make([]int64, a.Size()) }
 
+// BindNest binds zeroed storage for every array of the nest that has none
+// yet; arrays already bound keep their contents.
+func (s *Store) BindNest(n *Nest) {
+	for _, a := range n.Arrays() {
+		if !s.Bound(a.Name) {
+			s.Bind(a)
+		}
+	}
+}
+
 // Bound reports whether the array has backing storage.
 func (s *Store) Bound(name string) bool { _, ok := s.data[name]; return ok }
 
@@ -141,11 +151,7 @@ func (s *Store) RandomizeInputs(n *Nest, seed int64) {
 // accesses performed (reads + writes), which reuse analysis uses as an
 // oracle.
 func Interp(n *Nest, s *Store) (accesses int, err error) {
-	for _, a := range n.Arrays() {
-		if !s.Bound(a.Name) {
-			s.Bind(a)
-		}
-	}
+	s.BindNest(n)
 	env := map[string]int{}
 	var run func(depth int) error
 	run = func(depth int) error {

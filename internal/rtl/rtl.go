@@ -160,11 +160,7 @@ type SimStats struct {
 // violation or semantic failure (reading a value before its producing
 // state).
 func (f *FSMD) Simulate(store *ir.Store) (*SimStats, error) {
-	for _, a := range f.Nest.Arrays() {
-		if !store.Bound(a.Name) {
-			store.Bind(a)
-		}
-	}
+	store.BindNest(f.Nest)
 	stats := &SimStats{ClassCounts: map[string]int{}}
 	banks := scalarrepl.NewBanks(f.Plan, store)
 	val := make([]int64, len(f.Graph.Nodes))

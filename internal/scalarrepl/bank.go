@@ -17,15 +17,19 @@ type Banks struct {
 	bank []*bank
 }
 
-// bank is one entry's registers: a value, a dirty bit and the cached
-// element's flat index per slot.
+// bank is one covered entry's registers.
 type bank struct {
-	entry   *Entry
-	region  int // RegionOf at the last Enter; -1 before the first
-	vals    []int64
-	present []bool
-	dirty   []bool
-	elem    []int
+	entry  *Entry
+	region int // RegionOf at the last Enter; -1 before the first
+	slots  []slot
+}
+
+// slot is one register: the element it caches, by flat index, and
+// whether it holds one at all and differs from RAM.
+type slot struct {
+	val            int64
+	elem           int
+	present, dirty bool
 }
 
 // NewBanks returns the empty banks of the plan's covered entries over the
@@ -33,9 +37,8 @@ type bank struct {
 func NewBanks(p *Plan, store *ir.Store) *Banks {
 	b := &Banks{nest: p.Nest, store: store, bank: make([]*bank, len(p.order))}
 	for i, e := range p.order {
-		if c := e.Coverage; c > 0 {
-			b.bank[i] = &bank{entry: e, region: -1, vals: make([]int64, c),
-				present: make([]bool, c), dirty: make([]bool, c), elem: make([]int, c)}
+		if e.Coverage > 0 {
+			b.bank[i] = &bank{entry: e, region: -1, slots: make([]slot, e.Coverage)}
 		}
 	}
 	return b
@@ -67,17 +70,17 @@ func (b *Banks) Enter(env map[string]int) (stores int, err error) {
 // occupant and is filled from RAM.
 func (b *Banks) Read(id int, env map[string]int) (v int64, loads, stores int, err error) {
 	bk := b.bank[id]
-	o, flat := bk.entry.SlotOf(env), bk.entry.Info.Flat.Eval(env)
-	if bk.present[o] && bk.elem[o] == flat {
-		return bk.vals[o], 0, 0, nil
+	s, flat := &bk.slots[bk.entry.SlotOf(env)], bk.entry.Info.Flat.Eval(env)
+	if s.present && s.elem == flat {
+		return s.val, 0, 0, nil
 	}
-	if stores, err = b.evict(bk, o); err != nil {
+	if stores, err = b.evict(bk, s); err != nil {
 		return 0, 0, stores, err
 	}
 	if v, err = b.store.LoadFlat(bk.entry.Info.Group.Ref.Array, flat); err != nil {
 		return 0, 0, stores, err
 	}
-	bk.vals[o], bk.present[o], bk.dirty[o], bk.elem[o] = v, true, false, flat
+	*s = slot{val: v, elem: flat, present: true}
 	return v, 1, stores, nil
 }
 
@@ -85,13 +88,13 @@ func (b *Banks) Read(id int, env map[string]int) (v int64, loads, stores int, er
 // occupant that caches another element.
 func (b *Banks) Write(id int, env map[string]int, v int64) (stores int, err error) {
 	bk := b.bank[id]
-	o, flat := bk.entry.SlotOf(env), bk.entry.Info.Flat.Eval(env)
-	if bk.elem[o] != flat {
-		if stores, err = b.evict(bk, o); err != nil {
+	s, flat := &bk.slots[bk.entry.SlotOf(env)], bk.entry.Info.Flat.Eval(env)
+	if s.elem != flat {
+		if stores, err = b.evict(bk, s); err != nil {
 			return stores, err
 		}
 	}
-	bk.vals[o], bk.present[o], bk.dirty[o], bk.elem[o] = v&bk.entry.Info.Group.Ref.Array.Mask(), true, true, flat
+	*s = slot{val: v & bk.entry.Info.Group.Ref.Array.Mask(), elem: flat, present: true, dirty: true}
 	return stores, nil
 }
 
@@ -109,22 +112,22 @@ func (b *Banks) Drain() (stores int, err error) {
 	return stores, nil
 }
 
-// evict writes slot o's occupant back when it is dirty.
-func (b *Banks) evict(bk *bank, o int) (stores int, err error) {
-	if !bk.present[o] || !bk.dirty[o] {
+// evict writes a slot's occupant back when it is dirty.
+func (b *Banks) evict(bk *bank, s *slot) (stores int, err error) {
+	if !s.present || !s.dirty {
 		return 0, nil
 	}
-	return 1, b.store.StoreFlat(bk.entry.Info.Group.Ref.Array, bk.elem[o], bk.vals[o])
+	return 1, b.store.StoreFlat(bk.entry.Info.Group.Ref.Array, s.elem, s.val)
 }
 
 // flush writes back and empties every slot of one bank.
 func (b *Banks) flush(bk *bank) (stores int, err error) {
-	for o := range bk.vals {
-		n, err := b.evict(bk, o)
+	for i := range bk.slots {
+		n, err := b.evict(bk, &bk.slots[i])
 		if stores += n; err != nil {
 			return stores, err
 		}
-		bk.present[o], bk.dirty[o] = false, false
+		bk.slots[i] = slot{}
 	}
 	return stores, nil
 }

@@ -60,11 +60,7 @@ type funcSim struct {
 // data) and returns the traffic statistics. On return the store holds the
 // final memory image, dirty registers flushed.
 func RunFuncSim(nest *ir.Nest, plan *scalarrepl.Plan, store *ir.Store) (*FuncSimStats, error) {
-	for _, a := range nest.Arrays() {
-		if !store.Bound(a.Name) {
-			store.Bind(a)
-		}
-	}
+	store.BindNest(nest)
 	fs := &funcSim{
 		nest:       nest,
 		plan:       plan,
