@@ -377,10 +377,21 @@ func TestPointStagesKeepTheirLabels(t *testing.T) {
 // to the 192-point stock sweep (96 schedules) of the same kernels: label
 // sets and stages are built once per exploration, and no point or
 // schedule allocates for instrumentation. Each count is the fewest
-// allocations over several runs, since goroutine start-up adds a few
-// allocations to some runs and not others; a cost of one allocation per
-// schedule would part the two by 48.
+// allocations over several runs; a cost of one allocation per schedule
+// would part the two by 48.
+//
+// The test runs on one P. The runtime allocates a sudog for a goroutine
+// that blocks on a channel or a WaitGroup, and a g for a goroutine it
+// starts, unless the running P's free list holds one; a freed one goes
+// back to the list of the P it was freed on, and Mallocs counts each new
+// one. analyzeKernels starts six goroutines behind a one-slot semaphore
+// at one worker, so five of them block. With two Ps, a process can free
+// those sudogs on one P and block on the other in every run, so one side
+// reads five more allocations in all of its runs and the fewest keeps
+// them. With one P, each sweep takes its sudogs and gs from the list the
+// sweep before it filled.
 func TestInstrumentationCostPerExploration(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	store, ac := simcache.New(), NewAnalysisCache()
 	explore := func(sp Space, m *obs.Metrics) {
 		if _, err := (Engine{Workers: 1, SimCache: store, Analyses: ac, Obs: m}).Explore(sp); err != nil {
