@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/core"
-	"repro/internal/deps"
 	"repro/internal/dfg"
 	"repro/internal/dse"
 	"repro/internal/experiments"
@@ -45,7 +44,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/simcache"
 	"repro/internal/trace"
-	"repro/internal/transform"
 )
 
 // reportDesign attaches the Table 1 columns as benchmark metrics.
@@ -703,44 +701,6 @@ func BenchmarkCodegen(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkAblationUnroll measures innermost unrolling of FIR under CPA-RA:
-// fewer, fatter iterations trade control steps for datapath parallelism.
-func BenchmarkAblationUnroll(b *testing.B) {
-	base := kernels.FIR()
-	for _, f := range []int{1, 2, 4} {
-		k := base
-		if f > 1 {
-			u, err := transform.Unroll(base.Nest, f)
-			if err != nil {
-				b.Fatal(err)
-			}
-			k = kernels.Kernel{Name: fmt.Sprintf("fir_u%d", f), Nest: u, Rmax: base.Rmax, Description: "unrolled"}
-		}
-		b.Run(fmt.Sprintf("fir_unroll%d", f), func(b *testing.B) {
-			var d *hls.Design
-			var err error
-			for i := 0; i < b.N; i++ {
-				d, err = hls.Estimate(k, core.CPARA{}, hls.DefaultOptions())
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportDesign(b, d)
-		})
-	}
-}
-
-// BenchmarkDependenceAnalysis measures the exact dependence scan on the
-// largest kernel trace.
-func BenchmarkDependenceAnalysis(b *testing.B) {
-	n := kernels.MAT().Nest
-	for i := 0; i < b.N; i++ {
-		if _, err := deps.Analyze(n); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

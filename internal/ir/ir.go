@@ -156,15 +156,15 @@ type Expr interface {
 // ArrayRef is an array reference a[f1(i...)][f2(i...)]...; it appears both
 // as an Expr (a read) and as the left-hand side of an Assign (a write).
 //
-// A reference is immutable once built. Ref and Clone render its key once
-// and own their index storage, the index is readable only through Index,
-// and a changed reference is a new one built through Ref — so the key can
-// never go stale, and Key costs nothing on the per-point paths that group
-// and look up references by it.
+// A reference is immutable once built. Ref, its only constructor, renders
+// its key once and gives it its own index storage, the index is readable
+// only through Index, and a changed reference is a new one built through
+// Ref — so the key can never go stale, and Key costs nothing on the
+// per-point paths that group and look up references by it.
 type ArrayRef struct {
 	Array *Array
 	index []Affine
-	key   string // String() rendered once by Ref or Clone
+	key   string // String() rendered once by Ref
 }
 
 // Ref builds an ArrayRef over the given affine index expressions. The
@@ -214,16 +214,6 @@ func (r *ArrayRef) String() string {
 // one statement and read by the next) as a single reference for allocation
 // purposes; Key is what groups them.
 func (r *ArrayRef) Key() string { return r.key }
-
-// Clone returns a deep copy of the reference (the Array is shared; index
-// affines are copied).
-func (r *ArrayRef) Clone() *ArrayRef {
-	idx := make([]Affine, len(r.index))
-	for i, ix := range r.index {
-		idx[i] = ix.Clone()
-	}
-	return &ArrayRef{Array: r.Array, index: idx, key: r.key}
-}
 
 // BinOp is a binary operator application.
 type BinOp struct {

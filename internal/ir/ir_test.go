@@ -213,28 +213,15 @@ func TestRefKeyAllocFree(t *testing.T) {
 	}
 }
 
-// TestRefClone: a clone owns its index storage, a changed reference gets
-// its own key, and the original's key and rendering do not change.
-func TestRefClone(t *testing.T) {
+// TestRefIsImmutable: a changed reference is a new one with its own key,
+// the original's key and rendering do not change, and Ref does not share
+// index storage with its caller.
+func TestRefIsImmutable(t *testing.T) {
 	x := NewArray("x", 8, 10, 10)
 	r := Ref(x, AffVar("i"), AffVar("j").Add(AffConst(1)))
 	key, text := r.Key(), r.String()
 	if key != text {
 		t.Fatalf("key %q != rendering %q", key, text)
-	}
-	c := r.Clone()
-	if c.Key() != key || c.String() != text {
-		t.Fatalf("clone key %q, rendering %q; want %q", c.Key(), c.String(), key)
-	}
-	if c.Array != r.Array {
-		t.Error("clone should share the Array object")
-	}
-	// Writing into the clone's own index storage must not reach the
-	// original.
-	c.index[0].Coeffs["i"] = 7
-	c.index[1].Const = 9
-	if r.String() != text {
-		t.Errorf("clone shares index storage with original: %s", r)
 	}
 	// A changed reference is a new one, with its own key.
 	moved := Ref(r.Array, r.Index()[0].Add(AffConst(5)), r.Index()[1])

@@ -85,8 +85,9 @@ func TestFragmentSimMatchesOraclesOnKernels(t *testing.T) {
 		}, func(arrs map[string]*ir.Array) []*ir.Assign {
 			y, x := arrs["y"], arrs["x"]
 			ref := ir.Ref(x, ir.AffVar("i").Add(ir.AffVar("k")))
-			lhs := ir.Ref(y, ir.AffVar("i"), ir.AffVar("j"))
-			return []*ir.Assign{{LHS: lhs, RHS: ir.Bin(ir.OpAdd, lhs.Clone(), ref)}}
+			at := []ir.Affine{ir.AffVar("i"), ir.AffVar("j")}
+			lhs := ir.Ref(y, at...)
+			return []*ir.Assign{{LHS: lhs, RHS: ir.Bin(ir.OpAdd, ir.Ref(y, at...), ref)}}
 		}),
 	}
 	cache := simcache.New()
