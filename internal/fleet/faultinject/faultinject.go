@@ -1,8 +1,9 @@
 // Package faultinject is the chaos harness the fleet driver's fault
 // tolerance is tested against: seeded, deterministic injection of the
 // failures internal/fleet claims to survive — killed executors, hung
-// streams, shedding or erroring HTTP services, truncated checkpoint
-// files, mid-stream connection cuts.
+// streams, shedding or erroring HTTP services, mid-stream connection
+// cuts. Torn checkpoint files need no injector: the fleet tests and the
+// CI chaos smoke cut them short directly.
 //
 // Everything is driven by a Schedule, a seeded PRNG behind a mutex: the
 // same seed replays the same fault decisions in the same decision order,
@@ -13,9 +14,8 @@
 //
 // The injectors compose with the real code rather than mocking it: a
 // Transport wraps any http.RoundTripper (an HTTPExecutor's client),
-// KillAfterRows wraps any fleet.Executor, Proxy stands between real
-// processes in the CI chaos smoke, and TruncateFile corrupts real
-// checkpoint files.
+// KillAfterRows wraps any fleet.Executor, and Proxy stands between real
+// processes in the CI chaos smoke.
 package faultinject
 
 import (
@@ -24,7 +24,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -242,17 +241,6 @@ func (c *lineCutWriter) Write(p []byte) (int, error) {
 		return n, fmt.Errorf("faultinject: stream cut after %d lines", c.lines)
 	}
 	return n, nil
-}
-
-// TruncateFile cuts a file to frac of its length (clamped to [0,1]) —
-// the torn checkpoint a crashed host leaves on shared storage.
-func TruncateFile(path string, frac float64) error {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	frac = min(max(frac, 0), 1)
-	return os.Truncate(path, int64(frac*float64(fi.Size())))
 }
 
 // Proxy is a fault-injecting HTTP pass-through for chaos tests across

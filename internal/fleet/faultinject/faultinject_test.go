@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -192,29 +190,6 @@ func TestKillAfterRowsMidBuffer(t *testing.T) {
 	}
 	if _, err := c.Write([]byte("more\n")); err == nil {
 		t.Fatal("write after cut succeeded")
-	}
-}
-
-// TestTruncateFile: the file shrinks to the requested fraction, clamped.
-func TestTruncateFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "f")
-	if err := os.WriteFile(path, []byte(strings.Repeat("y", 100)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := TruncateFile(path, 0.4); err != nil {
-		t.Fatal(err)
-	}
-	if fi, _ := os.Stat(path); fi.Size() != 40 {
-		t.Fatalf("size %d after 0.4 truncate, want 40", fi.Size())
-	}
-	if err := TruncateFile(path, -1); err != nil {
-		t.Fatal(err)
-	}
-	if fi, _ := os.Stat(path); fi.Size() != 0 {
-		t.Fatalf("size %d after clamped truncate, want 0", fi.Size())
-	}
-	if err := TruncateFile(filepath.Join(t.TempDir(), "missing"), 0.5); err == nil {
-		t.Fatal("truncating a missing file succeeded")
 	}
 }
 

@@ -116,17 +116,6 @@ func (a Affine) Equal(b Affine) bool {
 	return d.Const == 0 && len(d.Vars()) == 0
 }
 
-// ConstDiff reports whether a and b differ only by a constant (the
-// "uniformly generated" condition for group reuse), returning that constant
-// delta a-b when they do.
-func (a Affine) ConstDiff(b Affine) (int, bool) {
-	d := a.Sub(b)
-	if len(d.Vars()) != 0 {
-		return 0, false
-	}
-	return d.Const, true
-}
-
 // RangeOver returns the minimum and maximum values the function takes over
 // the iteration box of the given loops. Because the function is affine, the
 // extremes occur at box corners; each variable contributes independently.

@@ -89,18 +89,6 @@ func TestAffineAddCommutativeAndCanonical(t *testing.T) {
 	}
 }
 
-func TestAffineConstDiff(t *testing.T) {
-	a := AffVar("i").Add(AffVar("k")) // i + k
-	b := a.Add(AffConst(3))
-	if d, ok := b.ConstDiff(a); !ok || d != 3 {
-		t.Fatalf("ConstDiff = %d,%v want 3,true", d, ok)
-	}
-	c := AffVar("i").Scale(2)
-	if _, ok := c.ConstDiff(a); ok {
-		t.Fatalf("2i and i+k should not be uniformly generated")
-	}
-}
-
 func TestAffineRangeOver(t *testing.T) {
 	loops := []Loop{
 		{Var: "i", Lo: 0, Hi: 4, Step: 1},  // i in 0..3
