@@ -144,16 +144,6 @@ type Cut []string
 
 func (c Cut) String() string { return "{" + strings.Join(c, ",") + "}" }
 
-// contains reports whether the cut includes key.
-func (c Cut) contains(key string) bool {
-	for _, k := range c {
-		if k == key {
-			return true
-		}
-	}
-	return false
-}
-
 // Cuts enumerates the minimal cuts of the critical graph over its reference
 // nodes, considering only references for which eligible returns true
 // (CPA-RA excludes references that are already fully replaced). Each cut is
@@ -286,42 +276,6 @@ func subset(a, b []int) bool {
 			return false
 		}
 		j++
-	}
-	return true
-}
-
-// Disconnects verifies the defining property of a cut against the CG:
-// removing the cut's reference nodes leaves no source→sink path. Exposed
-// for property-based testing.
-func (c *Critical) Disconnects(cut Cut) bool {
-	removed := map[int]bool{}
-	for i, n := range c.Graph.Nodes {
-		if n.Kind == KindRef && cut.contains(n.RefKey) {
-			removed[i] = true
-		}
-	}
-	// DFS from sources avoiding removed nodes.
-	g := c.Graph
-	visited := make([]bool, len(g.Nodes))
-	var stack []int
-	for _, s := range g.Sources() {
-		if !removed[s] {
-			stack = append(stack, s)
-			visited[s] = true
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if len(g.Succ[n]) == 0 {
-			return false // reached a sink
-		}
-		for _, nxt := range g.Succ[n] {
-			if !removed[nxt] && !visited[nxt] {
-				visited[nxt] = true
-				stack = append(stack, nxt)
-			}
-		}
 	}
 	return true
 }

@@ -133,17 +133,6 @@ func (g *Graph) Sources() []int {
 	return out
 }
 
-// Sinks returns nodes without successors (pure outputs).
-func (g *Graph) Sinks() []int {
-	var out []int
-	for i := range g.Nodes {
-		if len(g.Succ[i]) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // NumRefs returns the number of distinct references in the graph: every
 // reference node's RefID lies in [0, NumRefs).
 func (g *Graph) NumRefs() int { return g.numRefs }

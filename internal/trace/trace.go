@@ -109,26 +109,3 @@ func MissCurve(nest *ir.Nest, key string, sizes []int) ([]int, error) {
 	}
 	return out, nil
 }
-
-// Footprint returns the number of distinct elements a reference touches —
-// its compulsory (cold) miss count.
-func Footprint(nest *ir.Nest, key string) (int, error) {
-	seen := map[int]bool{}
-	err := Walk(nest, func(ev Event) {
-		if ev.Key == key {
-			seen[ev.Flat] = true
-		}
-	})
-	return len(seen), err
-}
-
-// Accesses returns the total dynamic access count of a reference.
-func Accesses(nest *ir.Nest, key string) (int, error) {
-	n := 0
-	err := Walk(nest, func(ev Event) {
-		if ev.Key == key {
-			n++
-		}
-	})
-	return n, err
-}

@@ -4,10 +4,34 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/kernels"
 	"repro/internal/reuse"
 )
+
+// Footprint returns the number of distinct elements a reference touches —
+// its compulsory (cold) miss count.
+func Footprint(nest *ir.Nest, key string) (int, error) {
+	seen := map[int]bool{}
+	err := Walk(nest, func(ev Event) {
+		if ev.Key == key {
+			seen[ev.Flat] = true
+		}
+	})
+	return len(seen), err
+}
+
+// Accesses returns the total dynamic access count of a reference.
+func Accesses(nest *ir.Nest, key string) (int, error) {
+	n := 0
+	err := Walk(nest, func(ev Event) {
+		if ev.Key == key {
+			n++
+		}
+	})
+	return n, err
+}
 
 // TestNuIsLRUSufficient is the central cross-validation: for every
 // reference of every kernel, a fully-associative LRU file of the analytic
