@@ -132,8 +132,8 @@ type Engine struct {
 	// sweep reads or writes it: class schedules live in memory, since
 	// computing one is cheaper than reading it back (DESIGN.md §22), and
 	// analyses are never stored. The field remains for the benchmark's
-	// shard-disk workload and goes when it stops setting it (ROADMAP
-	// item 2).
+	// shard-disk workload (bench/workloads.go) and goes when that stops
+	// setting it.
 	SimCacheDir string
 	// SimCache, when non-nil, is a pre-built simulation store
 	// the exploration uses instead of constructing its own (SimCacheDir is

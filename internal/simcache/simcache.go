@@ -25,9 +25,9 @@
 // file per key. Writes are atomic (temp file + rename), and unreadable or
 // corrupt files are misses. No sweep reads the directory: NewDir, Dir,
 // Fragment and the fragment files remain because the benchmark's tier
-// probe (bench/replay.go) times them, and they go when it stops (ROADMAP
-// item 1). Class files that older builds left in a directory are never
-// read nor deleted.
+// probe (bench/replay.go) times them, and they go when it stops calling
+// them. Class files that older builds left in a directory are never read
+// nor deleted.
 //
 // Front-end analyses are not stored: they are a closed form, cheaper to
 // recompute than to decode (DESIGN.md §18). The package still counts
@@ -55,7 +55,7 @@ import (
 // Fragment is one covered plan entry's transfer replay over the whole nest:
 // register-file fill loads and write-back stores. No sweep stores one; the
 // type remains for the benchmark's tier probe and goes with Cache.Fragment
-// (ROADMAP item 1).
+// when bench/replay.go stops calling it.
 type Fragment struct {
 	Loads  int
 	Stores int
@@ -142,8 +142,9 @@ func New() *Cache {
 // fragment missing from memory is looked up on disk before being
 // recomputed. Class lengths stay in memory, as in New. Multiple processes
 // may share a directory concurrently. No sweep reads the directory;
-// NewDir remains for the benchmark's tier probe and goes when it stops
-// (ROADMAP item 1).
+// NewDir remains for the benchmark (bench/replay.go's tier probe and the
+// shard-disk workload in bench/workloads.go) and goes when neither calls
+// it.
 func NewDir(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("simcache: %w", err)
