@@ -60,18 +60,13 @@ func TestStockRendersGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if got := buf.String(); got != string(want) {
-		t.Fatalf("stock renders differ from %s (run with -update to see the diff in git):\n%s", path, firstDiff(got, string(want)))
-	}
-}
-
-// firstDiff names the first line where got and want part.
-func firstDiff(got, want string) string {
-	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := range min(len(g), len(w)) {
-		if g[i] != w[i] {
-			return fmt.Sprintf("line %d:\n got: %q\nwant: %q", i+1, g[i], w[i])
+	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(got), len(wantLines)) {
+		if got[i] != wantLines[i] {
+			t.Fatalf("%s line %d:\n got: %q\nwant: %q", path, i+1, got[i], wantLines[i])
 		}
 	}
-	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
+	if len(got) != len(wantLines) {
+		t.Fatalf("the stock renders have %d lines, %s holds %d", len(got), path, len(wantLines))
+	}
 }
