@@ -23,7 +23,7 @@ import (
 // subprocesses and/or remote `dse serve` endpoints, with checkpointed
 // point-granular recovery. Rerunning with the same -dir resumes from
 // whatever the previous run salvaged.
-func runFleet(args []string) error {
+func runFleet(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("dse fleet", flag.ExitOnError)
 	spaceArgs := addSpaceFlags(fs, "load the space from this spec JSON file instead of the axis flags")
 	format := fs.String("format", "table", "output format: table, csv or json")
@@ -42,7 +42,7 @@ func runFleet(args []string) error {
 	strict := fs.Bool("strict", false, "exit non-zero when any design point fails")
 	quiet := fs.Bool("quiet", false, "suppress stderr scheduling and summary lines")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dse fleet [-local n] [-remote url,url] [-dir d] [axis flags | -space spec.json] [-format f] [tuning flags]")
+		fmt.Fprintln(stderr, "usage: dse fleet [-local n] [-remote url,url] [-dir d] [axis flags | -space spec.json] [-format f] [tuning flags]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -83,7 +83,7 @@ func runFleet(args []string) error {
 
 	var logw io.Writer
 	if !*quiet {
-		logw = os.Stderr
+		logw = stderr
 	}
 	d, err := fleet.New(fleet.Config{
 		Dir: *dir, Tasks: *tasks,
@@ -117,7 +117,7 @@ func runFleet(args []string) error {
 	if err != nil {
 		return err
 	}
-	out := bufio.NewWriter(os.Stdout)
+	out := bufio.NewWriter(stdout)
 	if err := rep.Report(out, rs); err != nil {
 		return err
 	}
@@ -125,7 +125,7 @@ func runFleet(args []string) error {
 		return err
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "dse fleet: %d points on %d executors in %v (%d tasks, %d attempts; resumed %d rows, salvaged %d attempts, stole %d tasks, killed %d stragglers, retired %d executors)\n",
+		fmt.Fprintf(stderr, "dse fleet: %d points on %d executors in %v (%d tasks, %d attempts; resumed %d rows, salvaged %d attempts, stole %d tasks, killed %d stragglers, retired %d executors)\n",
 			len(rs.Results), len(execs), time.Since(start).Round(time.Millisecond),
 			frep.Tasks, frep.Attempts, frep.ResumedRows, frep.Salvaged, frep.Stolen, frep.Stragglers, frep.Retired)
 	}

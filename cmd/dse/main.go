@@ -60,6 +60,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -75,39 +76,57 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		if sub, ok := map[string]func([]string) error{
-			"merge":      runMerge,
-			"serve":      runServe,
-			"fleet":      runFleet,
-			"faultproxy": runFaultProxy,
-		}[os.Args[1]]; ok {
-			if err := sub(os.Args[2:]); err != nil {
-				fmt.Fprintf(os.Stderr, "dse %s: %v\n", os.Args[1], err)
-				os.Exit(1)
-			}
-			return
+	os.Exit(command(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// subcommands are the verbs beside the sweep. serve and faultproxy run
+// until a signal, on the process's own streams.
+var subcommands = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"merge":      runMerge,
+	"fleet":      runFleet,
+	"serve":      func(args []string, _, _ io.Writer) error { return runServe(args) },
+	"faultproxy": func(args []string, _, _ io.Writer) error { return runFaultProxy(args) },
+}
+
+// command runs one dse command line (without the program name) and
+// returns its exit status: 1, with the error on stderr, if it fails.
+func command(args []string, stdout, stderr io.Writer) int {
+	name, cmd := "dse", run
+	if len(args) > 0 {
+		if sub, ok := subcommands[args[0]]; ok {
+			name, cmd, args = "dse "+args[0], sub, args[1:]
 		}
 	}
-	cfg := cliConfig{space: addSpaceFlags(flag.CommandLine, "load the space from this spec JSON file instead of the axis flags (mutually exclusive with them)")}
-	flag.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	flag.StringVar(&cfg.format, "format", "table", "output format: table, csv or json")
-	flag.StringVar(&cfg.shardSpec, "shard", "", "evaluate one shard i/n of the space and emit the portable shard encoding instead of a report")
-	flag.StringVar(&cfg.pointsSpec, "points", "", "evaluate exactly these comma-separated global point indices and emit the portable task encoding (the `dse fleet` worker shape)")
-	flag.BoolVar(&cfg.strict, "strict", false, "exit non-zero when any design point fails")
-	flag.BoolVar(&cfg.portfolio, "portfolio", false, "run every allocator per point and keep the best design by (time, slices, registers)")
-	flag.BoolVar(&cfg.pfAll, "portfolio-all", false, "with -portfolio (implied), additionally report every member allocator's metrics per point (CSV role column, JSON portfolio array, indented table rows)")
-	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the stderr stats summary")
-	flag.StringVar(&cfg.metricsPath, "metrics", "", "write the per-stage metrics snapshot as JSON to this file")
-	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve the live metrics snapshot as JSON over HTTP on this address (GET /metrics)")
-	flag.DurationVar(&cfg.linger, "metrics-linger", 0, "with -metrics-addr, keep serving the final snapshot this long after the sweep before exiting")
-	flag.StringVar(&cfg.tracePath, "trace", "", "write bounded per-point stage spans as JSONL to this file")
-	flag.IntVar(&cfg.traceCap, "trace-cap", 0, "per-point trace ring capacity (0 = default 8192; the slowest 64 spans are kept regardless)")
-	flag.StringVar(&cfg.execTracePath, "exectrace", "", "write a runtime execution trace (go tool trace) to this file")
-	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProf := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	flag.Parse()
-	flag.Visit(func(f *flag.Flag) {
+	if err := cmd(args, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", name, err)
+		return 1
+	}
+	return 0
+}
+
+// run is the sweep itself, `dse [flags]`.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	cfg := cliConfig{space: addSpaceFlags(fs, "load the space from this spec JSON file instead of the axis flags (mutually exclusive with them)")}
+	fs.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.StringVar(&cfg.format, "format", "table", "output format: table, csv or json")
+	fs.StringVar(&cfg.shardSpec, "shard", "", "evaluate one shard i/n of the space and emit the portable shard encoding instead of a report")
+	fs.StringVar(&cfg.pointsSpec, "points", "", "evaluate exactly these comma-separated global point indices and emit the portable task encoding (the `dse fleet` worker shape)")
+	fs.BoolVar(&cfg.strict, "strict", false, "exit non-zero when any design point fails")
+	fs.BoolVar(&cfg.portfolio, "portfolio", false, "run every allocator per point and keep the best design by (time, slices, registers)")
+	fs.BoolVar(&cfg.pfAll, "portfolio-all", false, "with -portfolio (implied), additionally report every member allocator's metrics per point (CSV role column, JSON portfolio array, indented table rows)")
+	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress the stderr stats summary")
+	fs.StringVar(&cfg.metricsPath, "metrics", "", "write the per-stage metrics snapshot as JSON to this file")
+	fs.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve the live metrics snapshot as JSON over HTTP on this address (GET /metrics)")
+	fs.DurationVar(&cfg.linger, "metrics-linger", 0, "with -metrics-addr, keep serving the final snapshot this long after the sweep before exiting")
+	fs.StringVar(&cfg.tracePath, "trace", "", "write bounded per-point stage spans as JSONL to this file")
+	fs.StringVar(&cfg.execTracePath, "exectrace", "", "write a runtime execution trace (go tool trace) to this file")
+	cpuProf := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProf := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "format" {
 			cfg.formatSet = true
 		}
@@ -115,15 +134,13 @@ func main() {
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dse:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "dse:", err)
-			os.Exit(1)
+			return err
 		}
 	}
-	err := run(cfg)
+	err := sweep(cfg, stdout, stderr)
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
 	}
@@ -132,10 +149,7 @@ func main() {
 			err = perr
 		}
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dse:", err)
-		os.Exit(1)
-	}
+	return err
 }
 
 // cliConfig is the parsed command line.
@@ -149,7 +163,6 @@ type cliConfig struct {
 	metricsPath, metricsAddr string
 	linger                   time.Duration
 	tracePath, execTracePath string
-	traceCap                 int
 }
 
 // spaceFlags are the space description `dse` and `dse fleet` share: the
@@ -217,7 +230,9 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-func run(cfg cliConfig) error {
+// sweep explores the space cfg describes, writing the report (or the
+// shard or task encoding) to stdout and the stats summary to stderr.
+func sweep(cfg cliConfig, stdout, stderr io.Writer) error {
 	if cfg.pfAll && (cfg.shardSpec != "" || cfg.pointsSpec != "") {
 		return errors.New("-portfolio-all is a local diagnostic and cannot be combined with -shard or -points (portable rows carry winners only)")
 	}
@@ -239,7 +254,7 @@ func run(cfg cliConfig) error {
 	metrics := obs.New()
 	var tracer *obs.Tracer
 	if cfg.tracePath != "" {
-		tracer = obs.NewTracer(cfg.traceCap)
+		tracer = obs.NewTracer(0)
 	}
 	engine := dse.Engine{Workers: cfg.workers, Obs: metrics, Trace: tracer}
 
@@ -270,7 +285,7 @@ func run(cfg cliConfig) error {
 		}
 		defer srv.Close()
 		if !cfg.quiet {
-			fmt.Fprintf(os.Stderr, "dse: serving metrics on http://%s/metrics\n", srv.Addr())
+			fmt.Fprintf(stderr, "dse: serving metrics on http://%s/metrics\n", srv.Addr())
 		}
 	}
 
@@ -283,9 +298,9 @@ func run(cfg cliConfig) error {
 		}
 		metrics.SetBase("shard", plan.String())
 		if cfg.formatSet {
-			fmt.Fprintln(os.Stderr, "dse: note: -format is ignored with -shard; shards always emit the portable encoding (render with `dse merge`)")
+			fmt.Fprintln(stderr, "dse: note: -format is ignored with -shard; shards always emit the portable encoding (render with `dse merge`)")
 		}
-		st, err = shard.Run(engine, sp, plan, os.Stdout)
+		st, err = shard.Run(engine, sp, plan, stdout)
 		if err != nil {
 			return err
 		}
@@ -296,9 +311,9 @@ func run(cfg cliConfig) error {
 		}
 		metrics.SetBase("points", fmt.Sprintf("%d", len(pts)))
 		if cfg.formatSet {
-			fmt.Fprintln(os.Stderr, "dse: note: -format is ignored with -points; explicit point-sets always emit the portable task encoding (assemble with `dse fleet` or `dse merge` tooling)")
+			fmt.Fprintln(stderr, "dse: note: -format is ignored with -points; explicit point-sets always emit the portable task encoding (assemble with `dse fleet` or `dse merge` tooling)")
 		}
-		out := bufio.NewWriter(os.Stdout)
+		out := bufio.NewWriter(stdout)
 		st, err = engine.ExploreSubsetStream(context.Background(), sp, pts, shard.NewTaskWriter(out, pts))
 		if err != nil {
 			return err
@@ -313,7 +328,7 @@ func run(cfg cliConfig) error {
 		}
 		// Streaming reporters write per point; buffer stdout so a large
 		// sweep is not O(points) small syscalls.
-		out := bufio.NewWriter(os.Stdout)
+		out := bufio.NewWriter(stdout)
 		st, err = engine.ExploreStream(sp, dse.InstrumentReporter(rep.Stream(out), metrics, cfg.format))
 		if err != nil {
 			return err
@@ -349,7 +364,7 @@ func run(cfg cliConfig) error {
 		} else if cfg.pointsSpec != "" {
 			prefix = fmt.Sprintf("dse: points[%d]", st.Points)
 		}
-		fmt.Fprintf(os.Stderr, "%s: %d points in %v (%d failed, %d unique simulations%s)\n%s: stages: %s\n",
+		fmt.Fprintf(stderr, "%s: %d points in %v (%d failed, %d unique simulations%s)\n%s: stages: %s\n",
 			prefix, st.Points, wall.Round(time.Millisecond), st.Failed, st.UniqueSims, cacheNote(st.Cache),
 			prefix, doc.Obs.Summary(5))
 	}

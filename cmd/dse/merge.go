@@ -1,10 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"repro/internal/dse"
@@ -14,14 +15,14 @@ import (
 
 // runMerge is the `dse merge` entry point: shard files (internal/shard)
 // reassembled into one report, byte-identical to the single-process run.
-func runMerge(args []string) error {
+func runMerge(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("dse merge", flag.ExitOnError)
 	format := fs.String("format", "table", "output format: table, csv or json")
 	strict := fs.Bool("strict", false, "exit non-zero when any design point fails")
 	quiet := fs.Bool("quiet", false, "suppress the stderr stats summary")
 	metricsPath := fs.String("metrics", "", "write the merged (stage-wise summed) metrics snapshot as JSON to this file")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dse merge [-format table|csv|json] [-strict] [-quiet] [-metrics m.json] shard.jsonl ...")
+		fmt.Fprintln(stderr, "usage: dse merge [-format table|csv|json] [-strict] [-quiet] [-metrics m.json] shard.jsonl ...")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -54,10 +55,15 @@ func runMerge(args []string) error {
 		if !rs.Obs.Zero() {
 			summary = fmt.Sprintf("\ndse merge: stages: %s", rs.Obs.Summary(5))
 		}
-		fmt.Fprintf(os.Stderr, "dse merge: %d shards, %d points (%d failed, %d unique simulations summed%s)%s\n",
+		fmt.Fprintf(stderr, "dse merge: %d shards, %d points (%d failed, %d unique simulations summed%s)%s\n",
 			fs.NArg(), len(rs.Results), len(rs.Failed()), rs.UniqueSims, cacheNote(rs.Cache), summary)
 	}
-	if err := rep.Report(os.Stdout, rs); err != nil {
+	// Reporters write per point; buffer stdout, as the sweep does.
+	out := bufio.NewWriter(stdout)
+	if err := rep.Report(out, rs); err != nil {
+		return err
+	}
+	if err := out.Flush(); err != nil {
 		return err
 	}
 	if *strict {

@@ -2,15 +2,12 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the golden file under testdata/")
+	"repro/internal/golden"
+)
 
 // goldenCase is one emit invocation the golden pins.
 type goldenCase struct{ kernel, algo, format string }
@@ -57,24 +54,5 @@ func TestEmitGolden(t *testing.T) {
 		buf.Write(outs[i].Bytes())
 		buf.WriteByte('\n')
 	}
-	path := filepath.Join("testdata", "emit.golden")
-	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range min(len(got), len(wantLines)) {
-		if got[i] != wantLines[i] {
-			t.Fatalf("%s line %d:\n got: %s\nwant: %s", path, i+1, got[i], wantLines[i])
-		}
-	}
-	if len(got) != len(wantLines) {
-		t.Fatalf("emit printed %d lines, %s holds %d", len(got), path, len(wantLines))
-	}
+	golden.Check(t, filepath.Join("testdata", "emit.golden"), buf.Bytes())
 }

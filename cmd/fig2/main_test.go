@@ -2,13 +2,11 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the golden file under testdata/")
+	"repro/internal/golden"
+)
 
 // TestFigure2Golden pins the text `fig2 -stage all` prints: the running
 // example, its data-flow and critical graphs, the cuts, and every
@@ -18,20 +16,7 @@ func TestFigure2Golden(t *testing.T) {
 	if err := run(&buf, "all"); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "fig2.golden")
-	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got := buf.String(); got != string(want) {
-		t.Fatalf("fig2 text differs from %s:\n got:\n%s\nwant:\n%s", path, got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "fig2.golden"), buf.Bytes())
 }
 
 // TestStagesPartitionAll: the three stages together print exactly what

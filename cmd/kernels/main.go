@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/dsl"
@@ -20,19 +21,20 @@ import (
 func main() {
 	dump := flag.String("dump", "", "dump one kernel's DSL source")
 	flag.Parse()
-	if err := run(*dump); err != nil {
+	if err := run(os.Stdout, *dump); err != nil {
 		fmt.Fprintln(os.Stderr, "kernels:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dump string) error {
+// run writes the suite listing, or kernel dump's source, to w.
+func run(w io.Writer, dump string) error {
 	if dump != "" {
 		k, err := kernels.ByName(dump)
 		if err != nil {
 			return err
 		}
-		fmt.Print(dsl.Format(k.Nest))
+		fmt.Fprint(w, dsl.Format(k.Nest))
 		return nil
 	}
 	all := append([]kernels.Kernel{kernels.Figure1()}, kernels.All()...)
@@ -41,11 +43,11 @@ func run(dump string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-8s %s\n", k.Name, k.Description)
-		fmt.Printf("         %d iterations, budget %d, full replacement needs %d registers\n",
+		fmt.Fprintf(w, "%-8s %s\n", k.Name, k.Description)
+		fmt.Fprintf(w, "         %d iterations, budget %d, full replacement needs %d registers\n",
 			k.Nest.IterationCount(), k.Rmax, reuse.TotalFullReplacementRegisters(infos))
 		for _, inf := range infos {
-			fmt.Printf("           %s\n", inf)
+			fmt.Fprintf(w, "           %s\n", inf)
 		}
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -26,13 +27,15 @@ func main() {
 		sizes  = flag.String("sizes", "1,2,4,8,16,32,64", "comma-separated LRU file sizes")
 	)
 	flag.Parse()
-	if err := run(*kernel, *sizes); err != nil {
+	if err := run(os.Stdout, *kernel, *sizes); err != nil {
 		fmt.Fprintln(os.Stderr, "misscurve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(kernel, sizes string) error {
+// run writes kernel's miss curves at the comma-separated sizes to w as
+// CSV.
+func run(w io.Writer, kernel, sizes string) error {
 	k, err := kernels.ByName(kernel)
 	if err != nil {
 		return err
@@ -52,9 +55,9 @@ func run(kernel, sizes string) error {
 		return err
 	}
 	infos := an.Infos
-	w := csv.NewWriter(os.Stdout)
-	defer w.Flush()
-	if err := w.Write([]string{"kernel", "reference", "nu", "size", "misses", "accesses"}); err != nil {
+	cw := csv.NewWriter(w)
+	defer cw.Flush()
+	if err := cw.Write([]string{"kernel", "reference", "nu", "size", "misses", "accesses"}); err != nil {
 		return err
 	}
 	for _, inf := range infos {
@@ -68,7 +71,7 @@ func run(kernel, sizes string) error {
 				k.Name, inf.Key(), strconv.Itoa(inf.Nu),
 				strconv.Itoa(size), strconv.Itoa(curve[i]), strconv.Itoa(total),
 			}
-			if err := w.Write(rec); err != nil {
+			if err := cw.Write(rec); err != nil {
 				return err
 			}
 		}

@@ -2,14 +2,12 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the golden file under testdata/")
+	"repro/internal/golden"
+)
 
 // goldenCase is one regalloc invocation the golden pins.
 type goldenCase struct {
@@ -61,18 +59,5 @@ func TestRegallocGolden(t *testing.T) {
 		}
 		buf.WriteByte('\n')
 	}
-	path := filepath.Join("testdata", "regalloc.golden")
-	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got := buf.String(); got != string(want) {
-		t.Fatalf("regalloc text differs from %s:\n got:\n%s\nwant:\n%s", path, got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "regalloc.golden"), buf.Bytes())
 }

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -27,13 +28,15 @@ func main() {
 		summary = flag.Bool("summary", true, "print aggregates and paper-shape check")
 	)
 	flag.Parse()
-	if err := run(*kernel, *ports, *regs, *summary); err != nil {
+	if err := run(os.Stdout, *kernel, *ports, *regs, *summary); err != nil {
 		fmt.Fprintln(os.Stderr, "table1:", err)
 		os.Exit(1)
 	}
 }
 
-func run(kernel string, ports, regs int, summary bool) error {
+// run prints the table for kernel (every kernel if empty) to w, with the
+// summary when asked for every kernel.
+func run(w io.Writer, kernel string, ports, regs int, summary bool) error {
 	opt := hls.DefaultOptions()
 	opt.Sched.PortsPerRAM = ports
 	opt.Rmax = regs
@@ -51,18 +54,18 @@ func run(kernel string, ports, regs int, summary bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(experiments.Format(rows))
+	fmt.Fprint(w, experiments.Format(rows))
 	if summary && kernel == "" {
-		fmt.Println()
-		fmt.Println(experiments.Aggregates(rows))
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, experiments.Aggregates(rows))
 		if violations := experiments.CheckPaperShape(rows); len(violations) > 0 {
-			fmt.Println("\npaper-shape VIOLATIONS:")
+			fmt.Fprintln(w, "\npaper-shape VIOLATIONS:")
 			for _, v := range violations {
-				fmt.Println("  -", v)
+				fmt.Fprintln(w, "  -", v)
 			}
 			return fmt.Errorf("%d paper-shape violations", len(violations))
 		}
-		fmt.Println("paper-shape check: all qualitative claims of §5 hold ✓")
+		fmt.Fprintln(w, "paper-shape check: all qualitative claims of §5 hold ✓")
 	}
 	return nil
 }

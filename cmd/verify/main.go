@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/codegen"
@@ -31,14 +32,15 @@ func main() {
 		seed   = flag.Int64("seed", 7, "input randomization seed")
 	)
 	flag.Parse()
-	if err := run(*kernel, *algo, *seed); err != nil {
+	if err := run(os.Stdout, *kernel, *algo, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "verify: FAILED:", err)
 		os.Exit(1)
 	}
-	fmt.Println("verify: all executors agree ✓")
 }
 
-func run(kernel, algo string, seed int64) error {
+// run verifies kernel under allocator algo on inputs seeded seed, writing
+// each executor's result to w.
+func run(w io.Writer, kernel, algo string, seed int64) error {
 	k, err := kernels.ByName(kernel)
 	if err != nil {
 		return err
@@ -66,7 +68,7 @@ func run(kernel, algo string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("kernel %s, %s, Σβ=%d\n", k.Name, alg.Name(), alloc.Total())
+	fmt.Fprintf(w, "kernel %s, %s, Σβ=%d\n", k.Name, alg.Name(), alloc.Total())
 
 	golden := ir.NewStore()
 	golden.RandomizeInputs(k.Nest, seed)
@@ -74,7 +76,7 @@ func run(kernel, algo string, seed int64) error {
 	if _, err := ir.Interp(k.Nest, golden); err != nil {
 		return err
 	}
-	fmt.Println("  [1/4] reference interpreter: done (oracle)")
+	fmt.Fprintln(w, "  [1/4] reference interpreter: done (oracle)")
 
 	fsim := inputs.Clone()
 	stats, err := sched.RunFuncSim(k.Nest, plan, fsim)
@@ -84,7 +86,7 @@ func run(kernel, algo string, seed int64) error {
 	if eq, diff := golden.Equal(fsim); !eq {
 		return fmt.Errorf("functional simulation diverged: %s", diff)
 	}
-	fmt.Printf("  [2/4] functional simulation: %d register hits, %d RAM reads, %d RAM writes ✓\n",
+	fmt.Fprintf(w, "  [2/4] functional simulation: %d register hits, %d RAM reads, %d RAM writes ✓\n",
 		stats.RegisterHits, stats.RAMReads, stats.RAMWrites)
 
 	prog, err := codegen.Generate(k.Nest, plan)
@@ -99,7 +101,7 @@ func run(kernel, algo string, seed int64) error {
 	if eq, diff := golden.Equal(gen); !eq {
 		return fmt.Errorf("generated code diverged: %s", diff)
 	}
-	fmt.Printf("  [3/4] generated code: %d fills, %d drains ✓\n", gstats.PrologueLoads, gstats.EpilogueStores)
+	fmt.Fprintf(w, "  [3/4] generated code: %d fills, %d drains ✓\n", gstats.PrologueLoads, gstats.EpilogueStores)
 
 	res, err := sched.SimulateGraph(k.Nest, an.Graph, plan, cfg)
 	if err != nil {
@@ -120,7 +122,8 @@ func run(kernel, algo string, seed int64) error {
 	if rstats.Cycles != res.LoopCycles {
 		return fmt.Errorf("FSMD executed %d cycles, scheduler predicted %d", rstats.Cycles, res.LoopCycles)
 	}
-	fmt.Printf("  [4/4] FSMD: %d cycles over %d iterations, matches the scheduler exactly ✓\n",
+	fmt.Fprintf(w, "  [4/4] FSMD: %d cycles over %d iterations, matches the scheduler exactly ✓\n",
 		rstats.Cycles, rstats.Iterations)
+	fmt.Fprintln(w, "verify: all executors agree ✓")
 	return nil
 }

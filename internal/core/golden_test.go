@@ -1,47 +1,15 @@
 package core
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/dfg"
+	"repro/internal/golden"
 	"repro/internal/kernels"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
-
-// checkGolden compares got against testdata/name, or rewrites the file
-// under -update.
-func checkGolden(t *testing.T, name, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := range min(len(gl), len(wl)) {
-			if gl[i] != wl[i] {
-				t.Fatalf("%s: first difference at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("%s: got %d lines, want %d", path, len(gl), len(wl))
-	}
-}
 
 // TestAllocationGolden pins the text every allocator produces — the
 // rendered β vector and the full decision trace — for the Figure 1 example
@@ -75,5 +43,5 @@ func TestAllocationGolden(t *testing.T) {
 			}
 		}
 	}
-	checkGolden(t, "allocations.golden", b.String())
+	golden.Check(t, filepath.Join("testdata", "allocations.golden"), []byte(b.String()))
 }

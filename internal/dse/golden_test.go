@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the golden file under testdata/")
+	"repro/internal/golden"
+)
 
 // TestStockRendersGolden pins the bytes of the stock sweep in every
 // format RendererFor names, as `dse -format <f>` prints them: the table
@@ -46,27 +45,5 @@ func TestStockRendersGolden(t *testing.T) {
 		buf.Write(out.Bytes())
 		buf.WriteByte('\n')
 	}
-	path := filepath.Join("testdata", "stock.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range min(len(got), len(wantLines)) {
-		if got[i] != wantLines[i] {
-			t.Fatalf("%s line %d:\n got: %q\nwant: %q", path, i+1, got[i], wantLines[i])
-		}
-	}
-	if len(got) != len(wantLines) {
-		t.Fatalf("the stock renders have %d lines, %s holds %d", len(got), path, len(wantLines))
-	}
+	golden.Check(t, filepath.Join("testdata", "stock.golden"), buf.Bytes())
 }

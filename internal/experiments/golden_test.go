@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+	"repro/internal/golden"
+)
 
 // TestTable1Golden pins the text cmd/table1 prints for the default
 // options: the formatted rows, the §5 aggregates and the paper-shape
@@ -23,22 +21,5 @@ func TestTable1Golden(t *testing.T) {
 	for _, v := range CheckPaperShape(rows) {
 		b.WriteString("  - " + v + "\n")
 	}
-	got := b.String()
-	path := filepath.Join("testdata", "table1.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got != string(want) {
-		t.Fatalf("Table 1 text differs from %s:\n got:\n%s\nwant:\n%s", path, got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "table1.golden"), []byte(b.String()))
 }

@@ -2,15 +2,13 @@ package repro
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/hls"
 	"repro/internal/ir"
 	"repro/internal/kernels"
@@ -18,8 +16,6 @@ import (
 	"repro/internal/scalarrepl"
 	"repro/internal/sched"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden file under testdata/")
 
 // TestTowerStatsGolden pins every executor's full statistics on every
 // kernel × allocator at its default budget, inputs seeded 7 (cmd/verify's
@@ -54,26 +50,7 @@ func TestTowerStatsGolden(t *testing.T) {
 	for i := range cases {
 		buf.Write(outs[i].Bytes())
 	}
-	path := filepath.Join("testdata", "stats.golden")
-	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range min(len(got), len(wantLines)) {
-		if got[i] != wantLines[i] {
-			t.Fatalf("%s line %d:\n got: %s\nwant: %s", path, i+1, got[i], wantLines[i])
-		}
-	}
-	if len(got) != len(wantLines) {
-		t.Fatalf("the executors printed %d lines, %s holds %d", len(got), path, len(wantLines))
-	}
+	golden.Check(t, filepath.Join("testdata", "stats.golden"), buf.Bytes())
 }
 
 // towerStats runs the four executors on kernel k under alg, as cmd/verify
