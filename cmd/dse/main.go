@@ -79,21 +79,17 @@ func main() {
 	os.Exit(command(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// subcommands are the verbs beside the sweep. serve and faultproxy run
-// until a signal, on the process's own streams.
-var subcommands = map[string]func(args []string, stdout, stderr io.Writer) error{
-	"merge":      runMerge,
-	"fleet":      runFleet,
-	"serve":      func(args []string, _, _ io.Writer) error { return runServe(args) },
-	"faultproxy": func(args []string, _, _ io.Writer) error { return runFaultProxy(args) },
-}
-
 // command runs one dse command line (without the program name) and
 // returns its exit status: 1, with the error on stderr, if it fails.
+// serve and faultproxy run until a signal, on the process's own streams.
 func command(args []string, stdout, stderr io.Writer) int {
 	name, cmd := "dse", run
 	if len(args) > 0 {
-		if sub, ok := subcommands[args[0]]; ok {
+		if sub, ok := map[string]func(args []string, stdout, stderr io.Writer) error{
+			"merge": runMerge, "fleet": runFleet,
+			"serve":      func(args []string, _, _ io.Writer) error { return runServe(args) },
+			"faultproxy": func(args []string, _, _ io.Writer) error { return runFaultProxy(args) },
+		}[args[0]]; ok {
 			name, cmd, args = "dse "+args[0], sub, args[1:]
 		}
 	}
@@ -126,11 +122,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "format" {
-			cfg.formatSet = true
-		}
-	})
+	fs.Visit(func(f *flag.Flag) { cfg.formatSet = cfg.formatSet || f.Name == "format" })
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -230,8 +222,6 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// sweep explores the space cfg describes, writing the report (or the
-// shard or task encoding) to stdout and the stats summary to stderr.
 func sweep(cfg cliConfig, stdout, stderr io.Writer) error {
 	if cfg.pfAll && (cfg.shardSpec != "" || cfg.pointsSpec != "") {
 		return errors.New("-portfolio-all is a local diagnostic and cannot be combined with -shard or -points (portable rows carry winners only)")

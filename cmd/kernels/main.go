@@ -27,7 +27,6 @@ func main() {
 	}
 }
 
-// run writes the suite listing, or kernel dump's source, to w.
 func run(w io.Writer, dump string) error {
 	if dump != "" {
 		k, err := kernels.ByName(dump)

@@ -33,8 +33,6 @@ func main() {
 	}
 }
 
-// run writes kernel's miss curves at the comma-separated sizes to w as
-// CSV.
 func run(w io.Writer, kernel, sizes string) error {
 	k, err := kernels.ByName(kernel)
 	if err != nil {

@@ -34,8 +34,6 @@ func main() {
 	}
 }
 
-// run prints the table for kernel (every kernel if empty) to w, with the
-// summary when asked for every kernel.
 func run(w io.Writer, kernel string, ports, regs int, summary bool) error {
 	opt := hls.DefaultOptions()
 	opt.Sched.PortsPerRAM = ports

@@ -38,8 +38,6 @@ func main() {
 	}
 }
 
-// run verifies kernel under allocator algo on inputs seeded seed, writing
-// each executor's result to w.
 func run(w io.Writer, kernel, algo string, seed int64) error {
 	k, err := kernels.ByName(kernel)
 	if err != nil {

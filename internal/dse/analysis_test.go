@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,6 +21,30 @@ import (
 	"repro/internal/sched"
 	"repro/internal/simcache"
 )
+
+// TestAnalyzeKernelsFirstErrorWins: when a kernel's analysis fails, the
+// exploration fails with that kernel's error, although a later kernel's
+// analysis panics and the pool holds fewer goroutines than kernels.
+// Without a memo the panic is recovered inside memo.Do; with one it
+// happens while fingerprinting the kernel, before the memo, and the
+// analyzing goroutine recovers it.
+func TestAnalyzeKernelsFirstErrorWins(t *testing.T) {
+	bad := kernels.Kernel{Name: "bad", Nest: &ir.Nest{Name: "bad"}} // no loops
+	boom := kernels.Kernel{Name: "boom"}                            // no nest: analysis panics
+	for _, ac := range []*AnalysisCache{nil, NewAnalysisCache()} {
+		for _, workers := range []int{1, 4} {
+			e := Engine{Workers: workers, Analyses: ac}
+			sp := Space{Kernels: []kernels.Kernel{kernels.Figure1(), bad, boom, kernels.FIR()}}
+			if _, err := e.analyzeKernels(sp, nil, simcache.New()); err == nil || !strings.Contains(err.Error(), `nest "bad": no loops`) {
+				t.Errorf("memo %t, %d workers: error %v, want bad's", ac != nil, workers, err)
+			}
+			sp.Kernels = []kernels.Kernel{kernels.FIR(), boom}
+			if _, err := e.analyzeKernels(sp, nil, simcache.New()); err == nil || !strings.Contains(err.Error(), "panic") {
+				t.Errorf("memo %t, %d workers: error %v, want boom's panic", ac != nil, workers, err)
+			}
+		}
+	}
+}
 
 // TestAnalysisCacheMemoizes: the memo answers repeats with the object it
 // computed first, and counts them as analysis hits.

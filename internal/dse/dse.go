@@ -41,8 +41,10 @@ import (
 	"runtime/debug"
 	rtrace "runtime/trace"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hls"
+	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/simcache"
 )
@@ -390,57 +392,56 @@ func (ev evaluator) eval(an *hls.Analysis, p Point, slot *scheduled) Result {
 
 // analyzeKernels builds the front-end of every included kernel on the
 // axis, concurrently (one analysis per kernel, however many points share
-// it). A nil include set means every kernel. Lookups go through the
-// engine's AnalysisCache, which may be nil, and are counted on store:
-// the cache/analysis/{hit,miss} obs stages record whether the memo
-// answered.
+// it): min(workers, kernels) goroutines take the kernels in axis order,
+// and the first error in that order wins. A nil include set means every
+// kernel. Lookups go through the engine's AnalysisCache, which may be
+// nil, and are counted on store: the cache/analysis/{hit,miss} obs
+// stages record whether the memo answered.
 func (e Engine) analyzeKernels(sp Space, include map[string]bool, store *simcache.Cache) (map[string]*hls.Analysis, error) {
-	analyses := make(map[string]*hls.Analysis, len(sp.Kernels))
-	errs := make([]error, len(sp.Kernels))
-	var (
-		wg  sync.WaitGroup
-		mu  sync.Mutex
-		sem = make(chan struct{}, e.workers())
-	)
-	for i, k := range sp.Kernels {
-		if include != nil && !include[k.Name] {
-			continue
+	var ks []kernels.Kernel
+	for _, k := range sp.Kernels {
+		if include == nil || include[k.Name] {
+			ks = append(ks, k)
 		}
+	}
+	results := make([]*hls.Analysis, len(ks))
+	errs := make([]error, len(ks))
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	for range min(e.workers(), len(ks)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// LIFO: this recover runs before wg.Done above, so the errs
-			// write is visible to the wg.Wait below.
+			i := -1
+			// LIFO: this recover runs before wg.Done, so wg.Wait sees the
+			// errs write. A goroutine that panics takes no further
+			// kernel, and every kernel it leaves follows the failed one.
 			defer func() {
 				if v := recover(); v != nil {
-					errs[i] = fmt.Errorf("dse: analyze %s panic: %v\n%s", k.Name, v, debug.Stack())
+					errs[i] = fmt.Errorf("dse: analyze %s panic: %v\n%s", ks[i].Name, v, debug.Stack())
 				}
 			}()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var a *hls.Analysis
-			var err error
-			if e.Obs != nil || e.Trace != nil {
-				sp := obs.Begin(e.Obs, e.Trace, -1, k.Name, "analyze")
-				e.Obs.Do(func() { a, err = e.Analyses.Get(k, store) }, k.Name, "analyze", "")
-				sp.End("")
-			} else {
-				a, err = e.Analyses.Get(k, store)
+			for i = int(next.Add(1)) - 1; i < len(ks); i = int(next.Add(1)) - 1 {
+				k := ks[i]
+				if e.Obs != nil || e.Trace != nil {
+					sp := obs.Begin(e.Obs, e.Trace, -1, k.Name, "analyze")
+					e.Obs.Do(func() { results[i], errs[i] = e.Analyses.Get(k, store) }, k.Name, "analyze", "")
+					sp.End("")
+				} else {
+					results[i], errs[i] = e.Analyses.Get(k, store)
+				}
 			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			mu.Lock()
-			analyses[k.Name] = a
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	analyses := make(map[string]*hls.Analysis, len(ks))
+	for i, k := range ks {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
+		analyses[k.Name] = results[i]
 	}
 	return analyses, nil
 }

@@ -384,12 +384,11 @@ func TestPointStagesKeepTheirLabels(t *testing.T) {
 // that blocks on a channel or a WaitGroup, and a g for a goroutine it
 // starts, unless the running P's free list holds one; a freed one goes
 // back to the list of the P it was freed on, and Mallocs counts each new
-// one. analyzeKernels starts six goroutines behind a one-slot semaphore
-// at one worker, so five of them block. With two Ps, a process can free
-// those sudogs on one P and block on the other in every run, so one side
-// reads five more allocations in all of its runs and the fewest keeps
-// them. With one P, each sweep takes its sudogs and gs from the list the
-// sweep before it filled.
+// one. Every sweep starts goroutines and blocks on its workers. With two
+// Ps, a process can free those sudogs and gs on one P and allocate them
+// on the other in every run, so one side reads more allocations in all
+// of its runs and the fewest keeps them. With one P, each sweep takes its
+// sudogs and gs from the list the sweep before it filled.
 func TestInstrumentationCostPerExploration(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	store, ac := simcache.New(), NewAnalysisCache()

@@ -1,30 +1,24 @@
 // Package golden compares a test's output with a file under testdata/.
-// Every golden test in the module goes through Check and so shares one
-// -update flag, which rewrites the file instead of comparing with it:
-//
-//	go test ./cmd/dse -run Golden -update
+// Every golden test calls Check, so one -update flag rewrites them all,
+// e.g. go test ./cmd/dse -run Golden -update.
 package golden
 
 import (
 	"bytes"
 	"flag"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files instead of comparing with them")
 
-// Check compares got with the file at path. Under -update it writes got
-// to path instead. A mismatch fails t at the first line that differs, with
-// both line counts.
+// Check compares got with the file at path, or under -update writes got
+// there. A mismatch fails t at the first line that differs, with both
+// line counts.
 func Check(t testing.TB, path string, got []byte) {
 	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -39,15 +33,10 @@ func Check(t testing.TB, path string, got []byte) {
 	}
 	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	i := 0
-	for i < min(len(gl), len(wl)) && gl[i] == wl[i] {
+	for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
 		i++
 	}
-	line := func(ls []string) string {
-		if i < len(ls) {
-			return ls[i]
-		}
-		return "(end of file)"
-	}
-	t.Fatalf("%s line %d differs (got %d lines, want %d):\n got: %q\nwant: %q",
-		path, i+1, len(gl), len(wl), line(gl), line(wl))
+	n, m := len(gl), len(wl)
+	gl, wl = append(gl, "(end of file)"), append(wl, "(end of file)")
+	t.Fatalf("%s line %d differs (got %d lines, want %d):\n got: %q\nwant: %q", path, i+1, n, m, gl[i], wl[i])
 }

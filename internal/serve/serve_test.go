@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -252,6 +253,97 @@ func TestNDJSONTrailerCarriesRequestDelta(t *testing.T) {
 	}
 	if warmRows != coldRows {
 		t.Error("warm request rows differ from the cold request's")
+	}
+}
+
+// TestNewUnitsReuseClasses: the stock spec after the same spec without
+// budget 128 schedules only its 24 budget-128 units and finds the other
+// 72 in the memo; every class schedule the new units need was computed
+// for the old ones.
+func TestNewUnitsReuseClasses(t *testing.T) {
+	_, ts, cache := newTestServer(t, Config{})
+	spec := dse.Spec(dse.DefaultSpace())
+	part := spec
+	part.Budgets = slices.DeleteFunc(slices.Clone(spec.Budgets), func(b int) bool { return b == 128 })
+	post := func(sp dse.SpaceSpec) {
+		t.Helper()
+		resp := postSpec(t, ts.URL, sp, "csv")
+		if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+	post(part)
+	before := cache.Snapshot()
+	post(spec)
+	d := cache.Snapshot().Sub(before)
+	if d.ScheduleMisses != 24 || d.ScheduleHits != 72 {
+		t.Errorf("the stock spec after its budgets 16-64 scheduled %d units and found %d, want 24 and 72: %+v", d.ScheduleMisses, d.ScheduleHits, d)
+	}
+	if d.ClassMisses != 0 || d.ClassHits == 0 {
+		t.Errorf("the new units computed %d class schedules and found %d, want 0 and some: %+v", d.ClassMisses, d.ClassHits, d)
+	}
+}
+
+// TestConcurrentRequestsMatchTheCLI: four concurrent stock requests, two
+// CSV and two NDJSON, read the process's shared kernels and build their
+// own label sets; each answers the CLI's bytes. The limits are `dse
+// serve`'s defaults, so two requests queue.
+func TestConcurrentRequestsMatchTheCLI(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{MaxInflight: 2, MaxQueue: 16})
+	sp := dse.DefaultSpace()
+	csv, err := dse.RendererFor("csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := (dse.Engine{}).ExploreStream(sp, csv.Stream(&want)); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(dse.Spec(sp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	formats := []string{"csv", "", "csv", ""}
+	got := make([][]byte, len(formats))
+	errs := make([]error, len(formats))
+	var wg sync.WaitGroup
+	for i, format := range formats {
+		wg.Add(1)
+		go func() { //repro:norecover an HTTP round trip read into a buffer
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/explore?format="+format, "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			if _, errs[i] = buf.ReadFrom(resp.Body); errs[i] == nil && resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, buf.Bytes())
+			}
+			got[i] = buf.Bytes()
+		}()
+	}
+	wg.Wait()
+	for i, format := range formats {
+		if errs[i] != nil {
+			t.Fatalf("request %d (%q): %v", i, format, errs[i])
+		}
+		b := got[i]
+		if format == "" {
+			rs, err := shard.Merge(bytes.NewReader(b))
+			if err != nil {
+				t.Fatalf("request %d: merge the NDJSON answer: %v", i, err)
+			}
+			var merged bytes.Buffer
+			if err := csv.Report(&merged, rs); err != nil {
+				t.Fatal(err)
+			}
+			b = merged.Bytes()
+		}
+		if !bytes.Equal(b, want.Bytes()) {
+			t.Errorf("request %d (%q): %d bytes of CSV, the CLI prints %d", i, format, len(b), want.Len())
+		}
 	}
 }
 
