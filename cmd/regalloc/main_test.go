@@ -33,7 +33,8 @@ func (c goldenCase) args() string {
 
 // goldenCases are every kernel under every allocator at its default
 // budget, plus the slowest transfer replay (bic, CPA-RA, 32 registers), a
-// two-port case and a decision trace.
+// two-port case and decision traces, two of them at a budget where every
+// reference fits fully (fir needs 65 registers).
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, k := range []string{"figure1", "fir", "decfir", "imi", "mat", "pat", "bic"} {
@@ -45,6 +46,8 @@ func goldenCases() []goldenCase {
 		goldenCase{kernel: "bic", algo: "CPA-RA", regs: 32, ports: 1},
 		goldenCase{kernel: "mat", algo: "PR-RA", ports: 2},
 		goldenCase{kernel: "figure1", algo: "CPA-RA", ports: 1, trace: true},
+		goldenCase{kernel: "fir", algo: "CPA-RA", regs: 128, ports: 1, trace: true},
+		goldenCase{kernel: "fir", algo: "KS-RA", regs: 128, ports: 1, trace: true},
 	)
 }
 

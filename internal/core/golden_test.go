@@ -9,17 +9,28 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/golden"
 	"repro/internal/kernels"
+	"repro/internal/reuse"
 )
 
 // TestAllocationGolden pins the text every allocator produces — the
 // rendered β vector and the full decision trace — for the Figure 1 example
-// and the six Table-1 kernels at budgets 16, 64 and the kernel's own
-// default. Infeasible budgets pin their error instead.
+// and the six Table-1 kernels at budgets 16, 64, the kernel's own default
+// and 128, and on either side of the saturation boundary: Σν−1, one
+// register short of full reuse everywhere, and Σν. Infeasible budgets pin
+// their error instead.
 func TestAllocationGolden(t *testing.T) {
 	var b strings.Builder
 	for _, k := range append([]kernels.Kernel{kernels.Figure1()}, kernels.All()...) {
+		infos, err := reuse.Analyze(k.Nest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := 0
+		for _, inf := range infos {
+			full += inf.Nu
+		}
 		seen := map[int]bool{}
-		for _, rmax := range []int{16, 64, k.Rmax} {
+		for _, rmax := range []int{16, 64, k.Rmax, 128, full - 1, full} {
 			if seen[rmax] {
 				continue
 			}
