@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -33,8 +34,10 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/dse"
 	"repro/internal/experiments"
+	"repro/internal/fpga"
 	"repro/internal/hls"
 	"repro/internal/ir"
+	"repro/internal/irgen"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/rtl"
@@ -181,21 +184,29 @@ func BenchmarkAblationKnapsack(b *testing.B) {
 
 // BenchmarkAllocatorOnly isolates the allocation algorithms' own cost
 // (no simulation): the practical answer to the worst-case-exponential
-// concern about cut enumeration.
+// concern about cut enumeration. The saturated cases run at a budget of
+// 1024, past the 681 registers that fit every reference of the example,
+// where each allocator's answer is a closed form.
 func BenchmarkAllocatorOnly(b *testing.B) {
 	k := kernels.Figure1()
-	prob, err := core.NewProblem(k.Nest, 64, dfg.DefaultLatencies())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, alg := range core.All() {
-		b.Run(alg.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := alg.Allocate(prob); err != nil {
-					b.Fatal(err)
+	for _, c := range []struct {
+		prefix string
+		rmax   int
+	}{{"", 64}, {"saturated/", 1024}} {
+		prob, err := core.NewProblem(k.Nest, c.rmax, dfg.DefaultLatencies())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, alg := range core.All() {
+			b.Run(c.prefix+alg.Name(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := alg.Allocate(prob); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -405,6 +416,35 @@ func BenchmarkExploreStream(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
 		if _, err := (dse.Engine{Workers: 1}).ExploreStream(dse.DefaultSpace(), dse.CSVReporter{Pareto: true}.Stream(&buf)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExploreRandomNests measures the random-nests benchmark's op on
+// its first input, set 0 at seed 1: 48 generated nests × the four
+// allocators × budgets {16, 64} × XC2V6000 (384 points), swept on a fresh
+// one-worker engine and streamed to the CSV reporter with the pareto
+// column. Most of its (nest, budget) pairs are saturated: every reference
+// fits, and the allocators take their closed form.
+func BenchmarkExploreRandomNests(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	cfg := irgen.Config{MaxDepth: 3, MaxTrip: 24, MaxArrays: 5, MaxStmts: 4, InteriorZeroProb: 0.35}
+	ks := make([]kernels.Kernel, 48)
+	for i := range ks {
+		ks[i] = kernels.Kernel{Name: fmt.Sprintf("rand%02d", i), Nest: irgen.Nest(rng, cfg), Rmax: kernels.DefaultRmax}
+	}
+	sp := dse.Space{
+		Kernels:    ks,
+		Allocators: core.All(),
+		Budgets:    []int{16, 64},
+		Devices:    []fpga.Device{fpga.XC2V6000()},
+		Scheds:     []dse.SchedVariant{dse.DefaultSchedVariant()},
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		var buf bytes.Buffer
+		if _, err := (dse.Engine{Workers: 1}).ExploreStream(sp, dse.CSVReporter{Pareto: true}.Stream(&buf)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dfg"
 	"repro/internal/dsl"
+	"repro/internal/irgen"
 	"repro/internal/kernels"
 	"repro/internal/reuse"
 )
@@ -179,6 +180,64 @@ func TestAllFitFastPath(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSaturatedBudgetsClosedForm: on 500 nests of the random-nests
+// benchmark's generator, at budgets from the reference count n to past the
+// saturation boundary Σν, every problem with Σν ≤ Rmax gets the closed
+// form. FR-RA, PR-RA and CPA-RA grant β=ν; KS-RA grants ν exactly to the
+// references that eliminate reads or cost nothing (ν=1), and leaves the
+// rest their staging register.
+func TestSaturatedBudgetsClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cfg := irgen.Config{MaxDepth: 3, MaxTrip: 24, MaxArrays: 5, MaxStmts: 4, InteriorZeroProb: 0.35}
+	saturated, short := 0, 0
+	for i := range 500 {
+		nest := irgen.Nest(rng, cfg)
+		infos, err := reuse.Analyze(nest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := dfg.Build(nest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := 0
+		for _, inf := range infos {
+			full += inf.Nu
+		}
+		for _, rmax := range []int{len(infos), 16, 64, full - 1, full, full + 7} {
+			p, err := NewProblemFrom(nest, infos, g, rmax, dfg.DefaultLatencies())
+			if err != nil {
+				continue // budget below the reference count
+			}
+			if full > rmax {
+				short++
+				continue
+			}
+			saturated++
+			for _, alg := range All() {
+				a, err := alg.Allocate(p)
+				if err != nil {
+					t.Fatalf("nest %d at %d: %s: %v", i, rmax, alg.Name(), err)
+				}
+				for j, inf := range infos {
+					want := inf.Nu
+					if alg.Name() == "KS-RA" && inf.SavedReads <= 0 && inf.Nu > 1 {
+						want = 1
+					}
+					if a.Beta[j] != want {
+						t.Fatalf("nest %d at %d (Σν=%d): %s gives β(%s)=%d, want %d",
+							i, rmax, full, alg.Name(), inf.Key(), a.Beta[j], want)
+					}
+				}
+			}
+		}
+	}
+	if saturated == 0 || short == 0 {
+		t.Fatalf("%d saturated and %d unsaturated problems: the budgets miss the boundary", saturated, short)
+	}
+	t.Logf("%d saturated problems checked, %d unsaturated skipped", saturated, short)
 }
 
 // TestMinimumBudget: with exactly one register per reference, every

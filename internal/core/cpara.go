@@ -29,8 +29,14 @@ func (CPARA) Name() string { return "CPA-RA" }
 // Allocate implements Allocator.
 func (CPARA) Allocate(p *Problem) (*Allocation, error) {
 	a := newAllocation(p, "CPA-RA")
-	byKey := reuse.ByKey(p.Infos)
 	remaining := p.Rmax - a.Total()
+	if fitsFully(p, remaining) {
+		// Every cut fits, so every round takes the full branch, and the
+		// residue sweep completes whatever the rounds left: β=ν.
+		takeAll(p, a)
+		return a, a.Validate(p)
+	}
+	byKey := reuse.ByKey(p.Infos)
 	// satisfied[i] tracks β ≥ ν for reference i: such references are
 	// register-resident on every path and no longer eligible for a cut.
 	satisfied := make([]bool, len(p.Infos))

@@ -20,20 +20,13 @@ func (FRRA) Allocate(p *Problem) (*Allocation, error) {
 
 // greedyFullReuse performs the shared FR-RA sweep and returns the remaining
 // budget together with the sorted reference order (PR-RA continues from
-// both).
+// both). When every reference fits it returns no order: nothing is left
+// unsatisfied for the residue to reach.
 func greedyFullReuse(p *Problem, a *Allocation) (remaining int, sorted []*reuse.Info) {
 	remaining = p.Rmax - a.Total()
 	// Fast path from the paper's pseudocode: when everything fits, take it.
-	need := 0
-	for _, inf := range p.Infos {
-		need += inf.Nu - 1
-	}
-	if need <= remaining {
-		for i, inf := range p.Infos {
-			a.Beta[i] = inf.Nu
-		}
-		a.tracef("all references fit fully (%d registers); no selection needed", a.Total())
-		return p.Rmax - a.Total(), reuse.SortByBenefitCost(p.Infos)
+	if fitsFully(p, remaining) {
+		return takeAll(p, a), nil
 	}
 	sorted = reuse.SortByBenefitCost(p.Infos)
 	for _, inf := range sorted {
@@ -50,4 +43,26 @@ func greedyFullReuse(p *Problem, a *Allocation) (remaining int, sorted []*reuse.
 		}
 	}
 	return remaining, sorted
+}
+
+// fitsFully reports whether the budget left after the staging registers
+// covers every reference's full requirement: Σ(ν−1) ≤ remaining, that is
+// Σν ≤ Rmax. The problem is then saturated, and every allocator's answer
+// is a closed form.
+func fitsFully(p *Problem, remaining int) bool {
+	need := 0
+	for _, inf := range p.Infos {
+		need += inf.Nu - 1
+	}
+	return need <= remaining
+}
+
+// takeAll grants every reference its full requirement, FR-RA's answer to
+// a saturated problem, and returns the registers left over.
+func takeAll(p *Problem, a *Allocation) int {
+	for i, inf := range p.Infos {
+		a.Beta[i] = inf.Nu
+	}
+	a.tracef("all references fit fully (%d registers); no selection needed", a.Total())
+	return p.Rmax - a.Total()
 }

@@ -15,6 +15,22 @@ func (Knapsack) Name() string { return "KS-RA" }
 func (Knapsack) Allocate(p *Problem) (*Allocation, error) {
 	a := newAllocation(p, "KS-RA")
 	capacity := p.Rmax - a.Total()
+	if fitsFully(p, capacity) {
+		// Everything fits, so dp[i][c] = Σ_{j≥i} max(value_j, 0) at every
+		// c the table's reconstruction visits, and it takes exactly the
+		// references of positive value or zero cost.
+		best, c := 0, capacity
+		for i, inf := range p.Infos {
+			if inf.SavedReads > 0 || inf.Nu == 1 {
+				a.Beta[i] = inf.Nu
+				c -= inf.Nu - 1
+				best += max(inf.SavedReads, 0)
+				a.tracef("select %s: value %d for %d registers", inf.Key(), inf.SavedReads, inf.Nu-1)
+			}
+		}
+		a.tracef("optimal eliminated accesses: %d (capacity %d, %d unused)", best, capacity, c)
+		return a, a.Validate(p)
+	}
 	n := len(p.Infos)
 	// 0/1 knapsack over the incremental cost ν-1 of fully replacing each
 	// reference beyond its staging register.

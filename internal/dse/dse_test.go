@@ -152,6 +152,61 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestSaturatedSpaceSharesTheFullPlan explores a space where most units
+// saturate (fir needs 65 registers, figure1 681) at 1 and 8 workers: the
+// bytes and the simulation count agree, and within one exploration every
+// design of a kernel whose β is ν everywhere carries the same plan. Under
+// -race it checks that concurrent units share the lazily built plan and
+// its memoized fingerprint safely.
+func TestSaturatedSpaceSharesTheFullPlan(t *testing.T) {
+	sp := Space{
+		Kernels:    []kernels.Kernel{kernels.Figure1(), kernels.FIR()},
+		Allocators: core.All(),
+		Budgets:    []int{64, 128, 256, 1024},
+		Devices:    []fpga.Device{fpga.XCV1000(), fpga.XC2V6000()},
+	}
+	render := func(workers int) (*ResultSet, string) {
+		rs := mustExplore(t, Engine{Workers: workers}, sp)
+		var b bytes.Buffer
+		if err := (CSVReporter{Pareto: true}).Report(&b, rs); err != nil {
+			t.Fatal(err)
+		}
+		return rs, b.String()
+	}
+	rs1, csv1 := render(1)
+	rs8, csv8 := render(8)
+	if csv8 != csv1 || rs8.UniqueSims != rs1.UniqueSims {
+		t.Fatalf("8 workers differ from 1: %d vs %d simulations", rs8.UniqueSims, rs1.UniqueSims)
+	}
+	full := map[string]*hls.Design{}
+	for _, r := range rs8.Results {
+		if !r.Ok() {
+			t.Fatalf("%s: %v", r.Point.ID(), r.Err)
+		}
+		d := r.Design
+		saturated := true
+		for _, e := range d.Plan.Order() {
+			saturated = saturated && e.Beta == e.Info.Nu
+		}
+		if !saturated {
+			continue
+		}
+		if first, ok := full[d.Kernel]; !ok {
+			full[d.Kernel] = d
+		} else if d.Plan != first.Plan {
+			t.Errorf("%s: a full plan of its own, want %s's", r.Point.ID(), first.Algorithm)
+		}
+	}
+	if len(full) != 2 {
+		t.Fatalf("full allocations on %d kernels, want both", len(full))
+	}
+	for _, d := range full {
+		if err := d.Verify(3); err != nil {
+			t.Errorf("%s: %v", d.Kernel, err)
+		}
+	}
+}
+
 // panicAllocator panics on a chosen kernel to exercise worker recovery.
 type panicAllocator struct{ kernel string }
 

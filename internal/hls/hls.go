@@ -71,9 +71,9 @@ type Design struct {
 	Allocation *core.Allocation
 	Plan       *scalarrepl.Plan
 	// Allocation, Plan and Sim are read-only after construction. The
-	// designs Realize builds from one Schedule share all three, and Sim
-	// may also be shared with other Designs when a sweep's simulation
-	// cache deduplicated the plan.
+	// designs Realize builds from one Schedule share all three. Plan is
+	// also shared by every design of the analysis with β=ν, and Sim with
+	// other Designs when a sweep's simulation cache deduplicated the plan.
 	Sim *sched.Result
 
 	Registers int     // Σβ
@@ -103,6 +103,25 @@ type Analysis struct {
 	// inputs — operator counts, datapath width, loop depth and the
 	// RAM-mapped arrays — shared read-only by every design of the kernel.
 	kernelStats fpga.DesignStats
+
+	// full is the storage plan for β=ν, built by the first schedule whose
+	// allocation grants it (plan) and shared by every later one.
+	fullOnce sync.Once
+	full     *scalarrepl.Plan
+	fullErr  error
+}
+
+// plan returns the storage plan for beta: the kernel's one full plan when
+// β=ν everywhere, a new one otherwise. Plans are read-only once built, so
+// any number of designs may carry the full plan.
+func (an *Analysis) plan(beta []int) (*scalarrepl.Plan, error) {
+	for i, inf := range an.Infos {
+		if beta[i] != inf.Nu {
+			return scalarrepl.NewPlan(an.Kernel.Nest, an.Infos, beta)
+		}
+	}
+	an.fullOnce.Do(func() { an.full, an.fullErr = scalarrepl.NewPlan(an.Kernel.Nest, an.Infos, beta) })
+	return an.full, an.fullErr
 }
 
 // Analyze runs the kernel front-end once: reuse analysis, DFG build and
@@ -218,10 +237,10 @@ func (an *Analysis) Schedule(alg core.Allocator, opt Options, sim SimFunc) (Sche
 	var plan *scalarrepl.Plan
 	if opt.obsOn() {
 		sp := obs.Begin(opt.Obs, opt.Trace, opt.Point, k.Name, "plan")
-		plan, err = scalarrepl.NewPlan(k.Nest, prob.Infos, alloc.Beta)
+		plan, err = an.plan(alloc.Beta)
 		sp.End("")
 	} else {
-		plan, err = scalarrepl.NewPlan(k.Nest, prob.Infos, alloc.Beta)
+		plan, err = an.plan(alloc.Beta)
 	}
 	if err != nil {
 		return Schedule{}, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fpga"
 	"repro/internal/kernels"
+	"repro/internal/scalarrepl"
 )
 
 func estimate(t *testing.T, kernel string, alg core.Allocator) *Design {
@@ -41,6 +42,51 @@ func TestEstimateFigure1AllAlgorithms(t *testing.T) {
 		if err := d.Verify(5); err != nil {
 			t.Errorf("%s: semantics check failed: %v", alg.Name(), err)
 		}
+	}
+}
+
+// TestSaturatedDesignsShareTheFullPlan: at budgets where every reference
+// of fir fits (Σν = 65), FR-RA, PR-RA and CPA-RA grant β=ν, and all their
+// designs on one analysis carry the analysis's one full-reuse plan, which
+// verifies. A budget that falls short still builds a plan of its own.
+func TestSaturatedDesignsShareTheFullPlan(t *testing.T) {
+	an, err := Analyze(kernels.FIR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shared *scalarrepl.Plan
+	for _, rmax := range []int{128, 256} {
+		for _, alg := range []core.Allocator{core.FRRA{}, core.PRRA{}, core.CPARA{}} {
+			opt := DefaultOptions()
+			opt.Rmax = rmax
+			d, err := an.Estimate(alg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shared == nil {
+				shared = d.Plan
+			}
+			if d.Plan != shared {
+				t.Errorf("%s at %d: a plan of its own, want the shared full plan", alg.Name(), rmax)
+			}
+			if err := d.Verify(5); err != nil {
+				t.Errorf("%s at %d: %v", alg.Name(), rmax, err)
+			}
+		}
+	}
+	for _, e := range shared.Order() {
+		if e.Beta != e.Info.Nu {
+			t.Errorf("shared plan: β(%s)=%d, want ν=%d", e.Info.Key(), e.Beta, e.Info.Nu)
+		}
+	}
+	opt := DefaultOptions()
+	opt.Rmax = 64
+	d, err := an.Estimate(core.CPARA{}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Plan == shared {
+		t.Error("CPA-RA at 64 carries the full plan, yet fir needs 65 registers")
 	}
 }
 

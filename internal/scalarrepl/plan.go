@@ -43,6 +43,8 @@ type Plan struct {
 	// key, the sweep's plan and simulation never do.
 	byKeyOnce sync.Once         //repro:nohash lookup index over order, never identity
 	byKey     map[string]*Entry //repro:nohash lookup index over order, never identity
+	fpOnce    sync.Once         //repro:nohash memo of Fingerprint's own result
+	fp        string            //repro:nohash memo of Fingerprint's own result
 }
 
 // Entry is the storage decision for one static reference.
@@ -294,28 +296,33 @@ func (p *Plan) HitKeys(env map[string]int) string {
 // (residency windows and regions are derived from the nest and the reuse
 // summary, which the entry keys pin down), so cross-design-point caches can
 // key on (kernel, fingerprint, scheduler config) to share one simulation
-// among all points whose allocators converged to the same β vector.
+// among all points whose allocators converged to the same β vector. The
+// string is rendered on the first call; a plan shared by many designs
+// renders it once.
 //
 //repro:nohash Plan.Nest — cache keys carry the kernel name, which pins the nest
 func (p *Plan) Fingerprint() string {
-	n := 0
-	for _, e := range p.order {
-		n += len(e.Info.Key()) + 32 // 20 bytes of fixed text, 12 of digits
-	}
-	b := make([]byte, 0, n)
-	for _, e := range p.order {
-		b = append(b, e.Info.Key()...)
-		b = append(b, "=β"...)
-		b = strconv.AppendInt(b, int64(e.Beta), 10)
-		b = append(b, ",c"...)
-		b = strconv.AppendInt(b, int64(e.Coverage), 10)
-		b = append(b, ",w"...)
-		b = strconv.AppendBool(b, e.WriteFirst)
-		b = append(b, ",a"...)
-		b = strconv.AppendBool(b, e.Aliased)
-		b = append(b, ';')
-	}
-	return string(b)
+	p.fpOnce.Do(func() {
+		n := 0
+		for _, e := range p.order {
+			n += len(e.Info.Key()) + 32 // 20 bytes of fixed text, 12 of digits
+		}
+		b := make([]byte, 0, n)
+		for _, e := range p.order {
+			b = append(b, e.Info.Key()...)
+			b = append(b, "=β"...)
+			b = strconv.AppendInt(b, int64(e.Beta), 10)
+			b = append(b, ",c"...)
+			b = strconv.AppendInt(b, int64(e.Coverage), 10)
+			b = append(b, ",w"...)
+			b = strconv.AppendBool(b, e.WriteFirst)
+			b = append(b, ",a"...)
+			b = strconv.AppendBool(b, e.Aliased)
+			b = append(b, ';')
+		}
+		p.fp = string(b)
+	})
+	return p.fp
 }
 
 // TotalRegisters sums β across the plan (diagnostic).
