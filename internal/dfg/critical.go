@@ -58,8 +58,6 @@ type Critical struct {
 	Graph *Graph
 	// Total is the critical-path latency of the parent graph.
 	Total int
-	// ParentID maps CG node index → parent DFG node index.
-	ParentID []int
 }
 
 // CriticalGraph extracts the CG under the latency model. A node is on some
@@ -74,7 +72,6 @@ func (g *Graph) CriticalGraph(lat LatencyFunc) (*Critical, error) {
 	}
 	cg := &Graph{numRefs: g.numRefs, numArrays: g.numArrays, rank: g.rank}
 	toCG := make([]int, len(g.Nodes))
-	var parent []int
 	for i := range toCG {
 		toCG[i] = -1
 	}
@@ -82,7 +79,6 @@ func (g *Graph) CriticalGraph(lat LatencyFunc) (*Critical, error) {
 		if distFrom[i]+distTo[i]-lat(n) == total {
 			toCG[i] = len(cg.Nodes)
 			cg.Nodes = append(cg.Nodes, n)
-			parent = append(parent, i)
 		}
 	}
 	cg.Succ = make([][]int, len(cg.Nodes))
@@ -100,7 +96,7 @@ func (g *Graph) CriticalGraph(lat LatencyFunc) (*Critical, error) {
 			}
 		}
 	}
-	return &Critical{Graph: cg, Total: total, ParentID: parent}, nil
+	return &Critical{Graph: cg, Total: total}, nil
 }
 
 // Paths enumerates every source→sink path of the graph as node-index

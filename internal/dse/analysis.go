@@ -55,8 +55,14 @@ func NewAnalysisCache() *AnalysisCache {
 // the memo answered it (waits included). A nil cache analyzes on every
 // call and records one miss per call, without rendering a key.
 func (ac *AnalysisCache) Get(k kernels.Kernel, store *simcache.Cache) (*hls.Analysis, error) {
+	return ac.get(k, store, new(hitMiss))
+}
+
+// get is Get, also counting the lookup on run.
+func (ac *AnalysisCache) get(k kernels.Kernel, store *simcache.Cache, run *hitMiss) (*hls.Analysis, error) {
 	analyze := func() (*hls.Analysis, error) {
 		store.AnalysisMiss()
+		run.add(memo.Claimed)
 		return hls.Analyze(k)
 	}
 	if ac == nil {
@@ -65,32 +71,33 @@ func (ac *AnalysisCache) Get(k kernels.Kernel, store *simcache.Cache) (*hls.Anal
 	an, o, err := ac.memo.Get(k.Name+"\x00"+hls.KernelFingerprint(k), analyze)
 	if o != memo.Claimed {
 		store.AnalysisHit()
+		run.add(o)
 	}
 	return an, err
 }
 
-// schedule returns alg's schedule of an under opt as a member: its Err is
+// member returns alg's schedule of an under opt as a member: its Err is
 // the schedule's own failure (an infeasible budget, say). The error
 // returned beside it is a recovered panic, "estimator panic: …", which
-// fails the whole point. On a non-nil cache an must come from Get, lat
-// must be opt.Sched.Lat.Fingerprint(), and the member is memoized, panics
-// included, with the lookup recorded on store as Get records analyses. A
-// nil cache ignores lat, calls Schedule directly, lets a panic reach the
-// caller's recover and records nothing.
-func (ac *AnalysisCache) schedule(an *hls.Analysis, alg core.Allocator, opt hls.Options, lat string, sim hls.SimFunc, store *simcache.Cache) (hls.Member, error) {
+// fails the whole point. With an analysis memo, an must come from it, and
+// the member is memoized, panics included, with the lookup recorded on
+// the exploration's cache and its store as analyses are. Without one,
+// member calls Schedule directly, lets a panic reach the caller's recover
+// and records nothing.
+func (ev *evaluator) member(an *hls.Analysis, alg core.Allocator, opt hls.Options) (hls.Member, error) {
 	run := func() (hls.Member, error) {
-		s, err := an.Schedule(alg, opt, sim)
+		s, err := an.Schedule(alg, opt, ev.sim)
 		return hls.Member{Schedule: s, Err: err}, nil
 	}
-	if ac == nil {
+	if ev.ac == nil {
 		return run()
 	}
-	key := scheduleKey{an: an, alg: alg.Name(), budget: an.Budget(opt), lat: lat, ports: opt.Sched.PortsPerRAM}
-	m, o, err := ac.schedules.Get(key, run)
-	if o == memo.Claimed {
-		store.ScheduleMiss()
+	key := scheduleKey{an: an, alg: alg.Name(), budget: an.Budget(opt), lat: ev.cache.lats.of(opt.Point), ports: opt.Sched.PortsPerRAM}
+	m, o, err := ev.ac.schedules.Get(key, run)
+	if ev.cache.schedules.add(o); o == memo.Claimed {
+		ev.cache.sim.Cache.ScheduleMiss()
 	} else {
-		store.ScheduleHit()
+		ev.cache.sim.Cache.ScheduleHit()
 	}
 	return m, err
 }

@@ -35,11 +35,11 @@ func TestAnalyzeKernelsFirstErrorWins(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			e := Engine{Workers: workers, Analyses: ac}
 			sp := Space{Kernels: []kernels.Kernel{kernels.Figure1(), bad, boom, kernels.FIR()}}
-			if _, err := e.analyzeKernels(sp, nil, simcache.New()); err == nil || !strings.Contains(err.Error(), `nest "bad": no loops`) {
+			if _, err := e.analyzeKernels(sp, nil, newSimCache(simcache.New(), nil, nil)); err == nil || !strings.Contains(err.Error(), `nest "bad": no loops`) {
 				t.Errorf("memo %t, %d workers: error %v, want bad's", ac != nil, workers, err)
 			}
 			sp.Kernels = []kernels.Kernel{kernels.FIR(), boom}
-			if _, err := e.analyzeKernels(sp, nil, simcache.New()); err == nil || !strings.Contains(err.Error(), "panic") {
+			if _, err := e.analyzeKernels(sp, nil, newSimCache(simcache.New(), nil, nil)); err == nil || !strings.Contains(err.Error(), "panic") {
 				t.Errorf("memo %t, %d workers: error %v, want boom's panic", ac != nil, workers, err)
 			}
 		}
@@ -392,5 +392,80 @@ func TestScheduleMemoConcurrentColdExplorations(t *testing.T) {
 	}
 	if misses != units || hits != units {
 		t.Errorf("%d schedule misses and %d hits over both explorations, want %d of each", misses, hits, units)
+	}
+}
+
+// exploreTogether runs two explorations of sp on e at once and returns
+// their result sets.
+func exploreTogether(t *testing.T, e Engine, sp Space) [2]*ResultSet {
+	t.Helper()
+	var rss [2]*ResultSet
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range rss {
+		wg.Add(1)
+		go func() { //repro:norecover Explore recovers its workers; a panic here fails the test
+			defer wg.Done()
+			<-start
+			rs, err := e.Explore(sp)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rss[i] = rs
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return rss
+}
+
+// TestConcurrentWarmExplorationsCountTheirOwnLookups: two warm stock
+// explorations at once on one store and one analysis memo each report
+// exactly what a sequential warm exploration reports — 6 analysis hits
+// and 96 schedule hits, nothing else — never the other's lookups, in
+// each of 50 rounds. A difference of store snapshots taken around one
+// exploration would count both.
+func TestConcurrentWarmExplorationsCountTheirOwnLookups(t *testing.T) {
+	e := Engine{Workers: 2, SimCache: simcache.New(), Analyses: NewAnalysisCache()}
+	sp := DefaultSpace()
+	mustExplore(t, e, sp)
+	want := mustExplore(t, e, sp).Cache
+	if want != (simcache.Snapshot{AnalysisHits: 6, ScheduleHits: 96}) {
+		t.Fatalf("a sequential warm exploration counts %+v, want 6 analysis and 96 schedule hits only", want)
+	}
+	for round := range 50 {
+		for i, rs := range exploreTogether(t, e, sp) {
+			if rs.Cache != want {
+				t.Fatalf("round %d, exploration %d counts %+v, want %+v", round, i, rs.Cache, want)
+			}
+		}
+	}
+}
+
+// TestConcurrentColdExplorationsSplitTheMisses: two cold stock
+// explorations at once on a fresh store and analysis memo each look up
+// every kernel and unit once, and between them compute each analysis,
+// unit schedule and class schedule once, so their misses sum to a
+// sequential cold exploration's: 6 analyses, 96 schedules and the same
+// classes.
+func TestConcurrentColdExplorationsSplitTheMisses(t *testing.T) {
+	sp := DefaultSpace()
+	fresh := func() Engine { return Engine{Workers: 2, SimCache: simcache.New(), Analyses: NewAnalysisCache()} }
+	classes := mustExplore(t, fresh(), sp).Cache.ClassMisses
+	for round := range 5 {
+		rss := exploreTogether(t, fresh(), sp)
+		a, b := rss[0].Cache, rss[1].Cache
+		for i, c := range []simcache.Snapshot{a, b} {
+			if c.AnalysisHits+c.AnalysisMisses != 6 || c.ScheduleHits+c.ScheduleMisses != 96 {
+				t.Errorf("round %d, exploration %d: %+v, want 6 analysis and 96 schedule lookups", round, i, c)
+			}
+		}
+		if a.AnalysisMisses+b.AnalysisMisses != 6 || a.ScheduleMisses+b.ScheduleMisses != 96 || a.ClassMisses+b.ClassMisses != classes {
+			t.Errorf("round %d: misses %+v and %+v, want 6 analyses, 96 schedules and %d classes between them", round, a, b, classes)
+		}
 	}
 }

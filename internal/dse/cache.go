@@ -1,9 +1,9 @@
 package dse
 
 import (
-	"repro/internal/dfg"
+	"sync/atomic"
+
 	"repro/internal/hls"
-	"repro/internal/ir"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/scalarrepl"
@@ -25,6 +25,8 @@ import (
 // claim a key runs the simulation, concurrent claimants block until it
 // settles and share the resulting *sched.Result read-only, and a
 // simulation panic becomes the key's memoized error.
+// It also counts the exploration's own lookups (snapshot), which a store
+// other explorations share cannot tell apart from theirs.
 type simCache struct {
 	memo memo.Memo[simKey, *sched.Result]
 	// sim is the simulator whose class-schedule store (sim.Cache) is
@@ -35,9 +37,25 @@ type simCache struct {
 	// share most of their iteration classes.
 	sim *sched.Simulator
 	// lats holds the exploration's latency fingerprints by sched variant:
-	// a lookup reads the one of the point it runs for (SimCtx.Point)
+	// a lookup reads the one of the point it runs for (Options.Point)
 	// instead of rendering it.
 	lats variantLats
+	// analyses, schedules and plans count the exploration's lookups of the
+	// analysis memo, the schedule memo and the plan memo; sim counts its
+	// class lookups.
+	analyses, schedules, plans hitMiss
+}
+
+// hitMiss counts one exploration's lookups of one memo by outcome: a
+// claim is a miss, anything else a hit.
+type hitMiss struct{ hits, misses atomic.Int64 }
+
+func (c *hitMiss) add(o memo.Outcome) {
+	if o == memo.Claimed {
+		c.misses.Add(1)
+	} else {
+		c.hits.Add(1)
+	}
 }
 
 type simKey struct {
@@ -63,21 +81,21 @@ func newSimCache(store *simcache.Cache, m *obs.Metrics, lats variantLats) *simCa
 	}
 }
 
-// simulate implements hls.SimFunc for the exploration's points: cfg must
-// be ctx.Point's sched variant, whose latency fingerprint the key takes
-// from lats. The "sim" span covers the whole lookup — the cache hit path
-// included, so the trace shows what each point paid, not what the
+// simulate implements hls.SimFunc for the exploration's points: opt.Sched
+// must be opt.Point's sched variant, whose latency fingerprint the key
+// takes from lats. The "sim" span covers the whole lookup — the cache hit
+// path included, so the trace shows what each point paid, not what the
 // simulator cost — and carries the plan-cache outcome as its tier.
-func (c *simCache) simulate(ctx hls.SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (*sched.Result, error) {
-	key := simKey{kernel: ctx.Kernel, plan: plan.Fingerprint(), lat: c.lats.of(ctx.Point), ports: cfg.PortsPerRAM}
-	sp := obs.Begin(ctx.Obs, ctx.Trace, ctx.Point, ctx.Kernel, "sim")
+func (c *simCache) simulate(an *hls.Analysis, plan *scalarrepl.Plan, opt hls.Options) (*sched.Result, error) {
+	key := simKey{kernel: an.Kernel.Name, plan: plan.Fingerprint(), lat: c.lats.of(opt.Point), ports: opt.Sched.PortsPerRAM}
+	sp := obs.Begin(opt.Obs, opt.Trace, opt.Point, an.Kernel.Name, "sim")
 	res, o, err := c.memo.Get(key, func() (*sched.Result, error) {
-		return c.sim.SimulateGraph(nest, g, plan, cfg)
+		return c.sim.SimulateGraph(an.Kernel.Nest, an.Graph, plan, opt.Sched)
 	})
 	// Hit/miss counts are deterministic for a space: misses count distinct
 	// keys, never worker scheduling.
 	tier := "plan-hit"
-	if o == memo.Claimed {
+	if c.plans.add(o); o == memo.Claimed {
 		tier = "plan-miss"
 		c.sim.Cache.PlanMiss()
 	} else {
@@ -87,8 +105,14 @@ func (c *simCache) simulate(ctx hls.SimCtx, nest *ir.Nest, g *dfg.Graph, plan *s
 	return res, err
 }
 
-// snapshot returns the combined per-stage cache counters.
-func (c *simCache) snapshot() simcache.Snapshot { return c.sim.Cache.Snapshot() }
-
-// size returns the number of distinct simulations run so far.
-func (c *simCache) size() int { return c.memo.Len() }
+// snapshot returns the exploration's own cache counters (a sweep looks
+// no fragment up).
+func (c *simCache) snapshot() simcache.Snapshot {
+	s := simcache.Snapshot{
+		AnalysisHits: c.analyses.hits.Load(), AnalysisMisses: c.analyses.misses.Load(),
+		ScheduleHits: c.schedules.hits.Load(), ScheduleMisses: c.schedules.misses.Load(),
+		PlanHits: c.plans.hits.Load(), PlanMisses: c.plans.misses.Load(),
+	}
+	s.ClassHits, s.ClassMisses = c.sim.ClassLookups()
+	return s
+}

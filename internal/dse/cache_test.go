@@ -44,12 +44,11 @@ func TestSimCachePanicDoesNotPoisonEntry(t *testing.T) {
 	// Simulate on a nil graph: the simulator dereferences it and panics.
 	// A plan from another nest cannot serve here: SimulateGraph rejects it
 	// with an error before indexing anything.
-	var g *dfg.Graph
-	ctx := hls.SimCtx{Kernel: k.Name}
+	an := &hls.Analysis{Kernel: k}
 	c := newSimCache(simcache.New(), nil, newVariantLats([]SchedVariant{DefaultSchedVariant()}))
 	var first error
 	for call := 0; call < 2; call++ {
-		res, err := c.simulate(ctx, k.Nest, g, plan, sched.DefaultConfig())
+		res, err := c.simulate(an, plan, hls.Options{Sched: sched.DefaultConfig()})
 		if res != nil || err == nil || !strings.HasPrefix(err.Error(), "simulation panic: ") {
 			t.Fatalf("call %d: res=%v err=%v, want nil result and the memoized panic error", call, res, err)
 		}
@@ -59,8 +58,8 @@ func TestSimCachePanicDoesNotPoisonEntry(t *testing.T) {
 			t.Fatalf("call %d: error %q, first call %q", call, err, first)
 		}
 	}
-	if c.size() != 1 {
-		t.Errorf("cache holds %d entries, want the single poisoned-key entry", c.size())
+	if n := c.memo.Len(); n != 1 {
+		t.Errorf("cache holds %d entries, want the single poisoned-key entry", n)
 	}
 }
 

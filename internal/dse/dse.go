@@ -237,17 +237,6 @@ type scheduled struct {
 	err     error
 }
 
-// scheduler is what one exploration schedules its units with: the
-// simulation step, the engine's analysis memo (nil: none), which keeps
-// each schedule, the store its lookups are counted on, and the sched
-// variants' latency fingerprints, the memo key's costliest field.
-type scheduler struct {
-	sim   hls.SimFunc
-	ac    *AnalysisCache
-	store *simcache.Cache
-	lats  variantLats
-}
-
 // variantLats holds each sched variant's latency fingerprint, rendered
 // once per exploration: the schedule memo and the plan memo both key on
 // it.
@@ -271,7 +260,7 @@ func (l variantLats) of(i int) string { return l[i%len(l)] }
 // into the slot's error, so every point of the unit that shares the
 // schedule records the same panic. A portfolio point schedules its
 // members in list order, and a member's panic fails the whole point.
-func (s *scheduled) schedule(an *hls.Analysis, p Point, sc scheduler, m *obs.Metrics, tr *obs.Tracer) {
+func (ev *evaluator) schedule(an *hls.Analysis, p Point, s *scheduled) {
 	s.done = true
 	defer func() {
 		if v := recover(); v != nil {
@@ -279,11 +268,10 @@ func (s *scheduled) schedule(an *hls.Analysis, p Point, sc scheduler, m *obs.Met
 		}
 	}()
 	opt := p.Options()
-	opt.Obs, opt.Trace, opt.Point = m, tr, p.Index
-	lat := sc.lats.of(p.Index)
+	opt.Obs, opt.Trace, opt.Point = ev.m, ev.tr, p.Index
 	pf, ok := p.Allocator.(Portfolio)
 	if !ok {
-		mb, err := sc.ac.schedule(an, p.Allocator, opt, lat, sc.sim, sc.store)
+		mb, err := ev.member(an, p.Allocator, opt)
 		if err == nil {
 			err = mb.Err
 		}
@@ -293,7 +281,7 @@ func (s *scheduled) schedule(an *hls.Analysis, p Point, sc scheduler, m *obs.Met
 	s.members = make([]hls.Member, len(pf.Allocators))
 	for i, alg := range pf.Allocators {
 		var err error
-		if s.members[i], err = sc.ac.schedule(an, alg, opt, lat, sc.sim, sc.store); err != nil {
+		if s.members[i], err = ev.member(an, alg, opt); err != nil {
 			*s = scheduled{done: true, err: err}
 			return
 		}
@@ -314,9 +302,9 @@ func estimatorPanic(v any) error { return fmt.Errorf("%s panic: %v", estimator, 
 // portfolio point realizes every member on its device and keeps the best
 // design; with members set it also carries every member's design on the
 // result (the -portfolio-all diagnostic).
-func evaluate(an *hls.Analysis, p Point, sc scheduler, members bool, slot *scheduled, m *obs.Metrics, tr *obs.Tracer) (res Result) {
+func (ev *evaluator) evaluate(an *hls.Analysis, p Point, slot *scheduled) (res Result) {
 	if !slot.done {
-		slot.schedule(an, p, sc, m, tr)
+		ev.schedule(an, p, slot)
 	}
 	if slot.err != nil {
 		return Result{Point: p, Err: slot.err}
@@ -328,7 +316,7 @@ func evaluate(an *hls.Analysis, p Point, sc scheduler, members bool, slot *sched
 	}()
 	if _, ok := p.Allocator.(Portfolio); ok {
 		d, ms, err := an.RealizePortfolio(slot.members, p.Device)
-		if !members {
+		if !ev.members {
 			ms = nil
 		}
 		return Result{Point: p, Design: d, Members: ms, Err: err}
@@ -337,11 +325,15 @@ func evaluate(an *hls.Analysis, p Point, sc scheduler, members bool, slot *sched
 	return Result{Point: p, Design: d, Err: err}
 }
 
-// evaluator is what a worker evaluates one exploration's units with:
-// the scheduler, the portfolio-all switch, and the engine's observability
-// sinks, with the "point" stage resolved once per exploration.
+// evaluator is what a worker evaluates one exploration's units with: the
+// exploration's cache and its simulate method, the engine's analysis
+// memo (nil: none), which keeps each schedule, the portfolio-all switch,
+// and the engine's observability sinks, with the "point" stage resolved
+// once per exploration.
 type evaluator struct {
-	sc         scheduler
+	cache      *simCache
+	sim        hls.SimFunc
+	ac         *AnalysisCache
 	members    bool
 	m          *obs.Metrics
 	tr         *obs.Tracer
@@ -355,7 +347,7 @@ type evaluator struct {
 // in-flight point. The worker runs the whole unit under the pprof labels
 // (kernel, "point"), switched once per unit, so CPU profiles decompose by
 // kernel and stage; it holds no labels after the unit.
-func (ev evaluator) unit(an *hls.Analysis, pts []Point, unit []int, slots []scheduled, results chan<- Result, stop <-chan struct{}) (ok bool) {
+func (ev *evaluator) unit(an *hls.Analysis, pts []Point, unit []int, slots []scheduled, results chan<- Result, stop <-chan struct{}) (ok bool) {
 	ev.m.Do(func() {
 		for _, i := range unit {
 			select {
@@ -376,15 +368,17 @@ func (ev evaluator) unit(an *hls.Analysis, pts []Point, unit []int, slots []sche
 // (so `go tool trace` shows per-point blocks when -exectrace is on). A
 // point that computes its unit's schedule carries the allocator, plan and
 // simulation stages in its span; the others carry only the device
-// models. With obs disabled it is exactly evaluate.
-func (ev evaluator) eval(an *hls.Analysis, p Point, slot *scheduled) Result {
+// models. It is the pipeline's one observability fork: without sinks it
+// is exactly evaluate, since a region and a span for every unobserved
+// point raised stock-cold's latency_cal p50 0.4% (DESIGN.md §25).
+func (ev *evaluator) eval(an *hls.Analysis, p Point, slot *scheduled) Result {
 	if ev.m == nil && ev.tr == nil {
-		return evaluate(an, p, ev.sc, ev.members, slot, nil, nil)
+		return ev.evaluate(an, p, slot)
 	}
 	var r Result
 	sp := ev.pointStage.Begin(ev.tr, p.Index, p.Kernel.Name, "point")
 	rtrace.WithRegion(context.Background(), "point", func() {
-		r = evaluate(an, p, ev.sc, ev.members, slot, ev.m, ev.tr)
+		r = ev.evaluate(an, p, slot)
 	})
 	sp.End("")
 	return r
@@ -395,9 +389,9 @@ func (ev evaluator) eval(an *hls.Analysis, p Point, slot *scheduled) Result {
 // it): min(workers, kernels) goroutines take the kernels in axis order,
 // and the first error in that order wins. A nil include set means every
 // kernel. Lookups go through the engine's AnalysisCache, which may be
-// nil, and are counted on store: the cache/analysis/{hit,miss} obs
-// stages record whether the memo answered.
-func (e Engine) analyzeKernels(sp Space, include map[string]bool, store *simcache.Cache) (map[string]*hls.Analysis, error) {
+// nil, and are counted on the exploration's cache c and its store: the
+// cache/analysis/{hit,miss} obs stages record whether the memo answered.
+func (e Engine) analyzeKernels(sp Space, include map[string]bool, c *simCache) (map[string]*hls.Analysis, error) {
 	var ks []kernels.Kernel
 	for _, k := range sp.Kernels {
 		if include == nil || include[k.Name] {
@@ -425,13 +419,9 @@ func (e Engine) analyzeKernels(sp Space, include map[string]bool, store *simcach
 			}()
 			for i = int(next.Add(1)) - 1; i < len(ks); i = int(next.Add(1)) - 1 {
 				k := ks[i]
-				if e.Obs != nil || e.Trace != nil {
-					sp := obs.Begin(e.Obs, e.Trace, -1, k.Name, "analyze")
-					e.Obs.Do(func() { results[i], errs[i] = e.Analyses.Get(k, store) }, k.Name, "analyze", "")
-					sp.End("")
-				} else {
-					results[i], errs[i] = e.Analyses.Get(k, store)
-				}
+				sp := obs.Begin(e.Obs, e.Trace, -1, k.Name, "analyze")
+				e.Obs.Do(func() { results[i], errs[i] = e.Analyses.get(k, c.sim.Cache, &c.analyses) }, k.Name, "analyze", "")
+				sp.End("")
 			}
 		}()
 	}

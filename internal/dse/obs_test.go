@@ -9,10 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dfg"
 	"repro/internal/fpga"
 	"repro/internal/hls"
-	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/scalarrepl"
@@ -226,7 +224,9 @@ func TestObsDisabledResultSetZero(t *testing.T) {
 
 // TestObsWindowUnit: the window stage observes the points dispatched but
 // not yet emitted (not nanoseconds) once per emitted point, so its count
-// is the point count and its max the stream's MaxWindow.
+// is the point count and its max the stream's peak: smallSpace's eight
+// 2-point units all fit the window at once, so the first emission sees
+// every point pending.
 func TestObsWindowUnit(t *testing.T) {
 	m := obs.New()
 	e := Engine{Workers: 4, Obs: m}
@@ -239,24 +239,46 @@ func TestObsWindowUnit(t *testing.T) {
 	if w.Count != int64(st.Points) {
 		t.Errorf("window observations = %d, want one per point (%d)", w.Count, st.Points)
 	}
-	if w.Max != int64(st.MaxWindow) {
-		t.Errorf("window max %d, want MaxWindow %d", w.Max, st.MaxWindow)
+	if w.Max != int64(st.Points) {
+		t.Errorf("window max %d, want every point (%d)", w.Max, st.Points)
 	}
 }
 
-// TestObsDisabledHotPathAllocFree pins the satellite contract for the
-// stream-window hot loop: the handle held when obs is disabled adds zero
-// allocations per observation, and the disabled point-span path allocates
-// nothing either.
+// TestObsDisabledHotPathAllocFree pins the disabled path the pipeline
+// runs unforked: the handle held when obs is disabled adds zero
+// allocations per observation, and neither the disabled point span, a
+// nil registry's Do running a closure that assigns captured locals (as
+// hls.Analysis.Schedule runs its allocator) nor the disabled allocator
+// span allocates.
 func TestObsDisabledHotPathAllocFree(t *testing.T) {
 	var winStats *obs.StageStats // what e.Obs.Stage("window") returns for a nil-Obs engine
-	allocs := testing.AllocsPerRun(1000, func() {
-		winStats.Observe(7)
-		sp := obs.Begin(nil, nil, 3, "fir", "point")
-		sp.End("")
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled window/point instrumentation allocates %.1f/op, want 0", allocs)
+	var m *obs.Metrics           // a nil-Obs engine's registry
+	alloc := &core.Allocation{Beta: []int{1, 2}}
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"window observation and point span", func() {
+			winStats.Observe(7)
+			sp := obs.Begin(nil, nil, 3, "fir", "point")
+			sp.End("")
+		}},
+		{"nil Do assigning captured locals", func() {
+			var got *core.Allocation
+			var err error
+			m.Do(func() { got, err = alloc, nil }, "fir", "alloc", "point")
+			if got != alloc || err != nil {
+				t.Fatal("the closure did not run")
+			}
+		}},
+		{"allocator span", func() {
+			sp := obs.Begin(nil, nil, 3, "fir", "alloc/CPA-RA")
+			sp.End("")
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(1000, tc.f); allocs != 0 {
+			t.Errorf("disabled %s allocates %.1f/op, want 0", tc.name, allocs)
+		}
 	}
 }
 
@@ -349,11 +371,11 @@ func TestPointStagesKeepTheirLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := func(_ hls.SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (*sched.Result, error) {
+	sim := func(an *hls.Analysis, plan *scalarrepl.Plan, opt hls.Options) (*sched.Result, error) {
 		simLabels = goroutineLabels(t)
-		return sched.SimulateGraph(nest, g, plan, cfg)
+		return sched.SimulateGraph(an.Kernel.Nest, an.Graph, plan, opt.Sched)
 	}
-	ev := evaluator{sc: scheduler{sim: sim, lats: newVariantLats(sp.Scheds)}, m: m, pointStage: m.Stage("point")}
+	ev := &evaluator{sim: sim, m: m, pointStage: m.Stage("point")}
 	results := make(chan Result, 1)
 	if !ev.unit(an, pts, []int{0}, make([]scheduled, 1), results, make(chan struct{})) {
 		t.Fatal("the unit stopped without a stop")

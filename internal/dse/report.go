@@ -435,22 +435,14 @@ type jsonStream struct {
 	n      int // points written so far
 }
 
-// fragment marshals v and, in indent mode, re-indents it to sit at the
-// given prefix inside the hand-assembled document (the first line carries
-// no prefix, matching where the caller writes it).
+// fragment marshals v, in indent mode indented to sit at the given prefix
+// inside the hand-assembled document (the first line carries no prefix,
+// matching where the caller writes it).
 func (s *jsonStream) fragment(v any, prefix string) ([]byte, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
 	if !s.indent {
-		return data, nil
+		return json.Marshal(v)
 	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, data, prefix, "  "); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return json.MarshalIndent(v, prefix, "  ")
 }
 
 func (s *jsonStream) Begin(sp Space, total int) error {

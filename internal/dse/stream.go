@@ -36,15 +36,12 @@ type StreamStats struct {
 	// UniqueSims is the number of distinct cycle simulations run, as on
 	// ResultSet.
 	UniqueSims int
-	// Cache holds the per-stage cache counters of the run — analyses,
-	// class schedules and whole-plan simulations. Its disk and remote
-	// counters read 0: a sweep reads no file and no network store.
+	// Cache holds the per-stage cache counters of the run's own lookups —
+	// analyses, unit schedules, class schedules and whole-plan simulations
+	// — whatever other explorations share its store. Its fragment, disk
+	// and remote counters read 0: a sweep replays no transfer and reads no
+	// file and no network store.
 	Cache simcache.Snapshot
-	// MaxWindow is the peak number of points dispatched but not yet
-	// emitted — at most the window's slots times the largest owned unit
-	// (Engine.window), and the memory high-water mark of the streaming
-	// path. It depends only on the owned points and the worker count.
-	MaxWindow int
 	// Obs is the per-stage metrics snapshot of the run, taken just before
 	// End is delivered (so End's own encode time is excluded — the CLIs
 	// re-snapshot for their final artifacts). Zero when Engine.Obs was nil.
@@ -83,6 +80,10 @@ func (e Engine) ExploreShardStream(ctx context.Context, sp Space, shardIndex, sh
 // output byte-identity after reassembly) is unaffected by how the subset
 // was chosen.
 func (e Engine) ExploreSubsetStream(ctx context.Context, sp Space, points []int, sr StreamReporter) (StreamStats, error) {
+	sp, err := sp.normalized()
+	if err != nil {
+		return StreamStats{}, err
+	}
 	return e.exploreOwned(ctx, sp, points, sr)
 }
 
@@ -101,8 +102,8 @@ func CheckPoints(points []int, total int) error {
 	return nil
 }
 
-// exploreStream selects the owned units of an n-way partition and runs
-// the core over them.
+// exploreStream normalizes the space, selects the owned units of an n-way
+// partition and runs the core over them.
 func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCount int, sr StreamReporter) (StreamStats, error) {
 	if shardCount < 1 || shardIndex < 0 || shardIndex >= shardCount {
 		return StreamStats{}, fmt.Errorf("dse: invalid shard %d/%d (want count ≥ 1 and 0 ≤ index < count)", shardIndex, shardCount)
@@ -112,17 +113,17 @@ func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCo
 		// diagnostic is a local rendering concern, not a portable one.
 		return StreamStats{}, fmt.Errorf("dse: the portfolio-all diagnostic is not supported with sharding")
 	}
-	nsp, err := sp.normalized()
+	sp, err := sp.normalized()
 	if err != nil {
 		return StreamStats{}, err
 	}
-	owned := shardPoints(shardIndex, shardCount, nsp.Size(), len(nsp.Devices)*len(nsp.Scheds))
+	owned := shardPoints(shardIndex, shardCount, sp.Size(), len(sp.Devices)*len(sp.Scheds))
 	return e.exploreOwned(ctx, sp, owned, sr)
 }
 
-// exploreOwned is the engine core every entry point funnels into: it
-// normalizes the space, validates the owned index list, analyzes the
-// kernels the owned points touch, and runs the worker pool. The pool
+// exploreOwned is the engine core every entry point funnels into, on a
+// space its caller normalized: it validates the owned index list, analyzes
+// the kernels the owned points touch, and runs the worker pool. The pool
 // takes jobs, not points: a job is one unit — the owned run of one
 // (kernel, allocator, budget) block (see nextUnit) — and the channel its
 // results come back on, buffered to the unit. One worker schedules the
@@ -140,10 +141,6 @@ func (e Engine) exploreStream(ctx context.Context, sp Space, shardIndex, shardCo
 // End. Every return, a reporter panic included, first stops and joins
 // the pool.
 func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, sr StreamReporter) (StreamStats, error) {
-	sp, err := sp.normalized()
-	if err != nil {
-		return StreamStats{}, err
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -157,25 +154,23 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, sr Stre
 	for _, i := range owned {
 		ownedKernels[pts[i].Kernel.Name] = true
 	}
-	// The byte store is built (or adopted) before the front-end runs, and
-	// the baseline snapshot taken first, so this run's analysis-cache
-	// lookups land in the per-run delta alongside its simulation lookups.
 	store := e.SimCache
 	if store == nil {
 		// Engine-owned store: built fresh for this exploration, so the
 		// engine also wires its observability. A provided SimCache is
 		// externally owned and arrives already wired (re-attaching obs
 		// here would race with concurrent explorations sharing it).
+		var err error
 		if store, err = e.simStore(); err != nil {
 			return StreamStats{}, err
 		}
 		store.SetObs(e.Obs)
 	}
-	// A shared store arrives with history; StreamStats reports this
-	// exploration's own lookups, so shard trailers and request metrics
-	// stay per-run whatever the store's age.
-	cacheBase := store.Snapshot()
-	analyses, err := e.analyzeKernels(sp, ownedKernels, store)
+	// The exploration's cache counts its own lookups, the front-end's
+	// included, so shard trailers and request metrics stay per-run however
+	// many explorations share the store.
+	cache := newSimCache(store, e.Obs, newVariantLats(sp.Scheds))
+	analyses, err := e.analyzeKernels(sp, ownedKernels, cache)
 	if err != nil {
 		return StreamStats{}, err
 	}
@@ -183,9 +178,6 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, sr Stre
 		return StreamStats{}, err
 	}
 
-	lats := newVariantLats(sp.Scheds)
-	cache := newSimCache(store, e.Obs, lats)
-	sc := scheduler{sim: cache.simulate, ac: e.Analyses, store: store, lats: lats}
 	// The "explore" stage is the engine's own wall clock, stopped before the
 	// snapshot so it lands inside it; "window" observes the points
 	// dispatched but not yet emitted (unit: points, not nanoseconds) at
@@ -222,7 +214,7 @@ func (e Engine) exploreOwned(ctx context.Context, sp Space, owned []int, sr Stre
 		halt()
 	}
 	var wg sync.WaitGroup
-	ev := evaluator{sc: sc, members: sp.PortfolioAll, m: e.Obs, tr: e.Trace, pointStage: e.Obs.Stage("point")}
+	ev := &evaluator{cache: cache, sim: cache.simulate, ac: e.Analyses, members: sp.PortfolioAll, m: e.Obs, tr: e.Trace, pointStage: e.Obs.Stage("point")}
 	for w := 0; w < e.workers(); w++ {
 		wg.Add(1)
 		goRecover(&wg, onPanic, func() {
@@ -271,7 +263,6 @@ emit:
 			pending += hi - lo
 			lo = hi
 		}
-		st.MaxWindow = max(st.MaxWindow, pending)
 		head := jobs[emitted%window]
 		emitted++
 		for range head.unit {
@@ -316,8 +307,9 @@ emit:
 	if err := ctx.Err(); err != nil {
 		return st, err
 	}
-	st.UniqueSims = cache.size()
-	st.Cache = cache.snapshot().Sub(cacheBase)
+	// Each distinct simulation is one plan-memo miss.
+	st.Cache = cache.snapshot()
+	st.UniqueSims = int(st.Cache.PlanMisses)
 	exploreTm.Stop()
 	st.Obs = e.Obs.Snapshot()
 	if err := sr.End(st); err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 )
 
 // TestStreamMatchesBuffered pins the wrapper contract: streaming each
@@ -55,20 +56,21 @@ func TestStreamMatchesBuffered(t *testing.T) {
 // its window's slots of units dispatched but not emitted, however many
 // points the space has. The stock space has 2-point units and
 // max(4·workers, 8) slots; its 96 units fill the window whatever the
-// completion order, so the peak is exactly slots × 2 points.
+// completion order, so the peak the window stage records is exactly
+// slots × 2 points.
 func TestStreamWindowBound(t *testing.T) {
 	sp := DefaultSpace()
 	for _, tc := range []struct{ workers, window int }{{1, 16}, {4, 32}, {8, 64}} {
 		var buf bytes.Buffer
-		st, err := Engine{Workers: tc.workers}.ExploreStream(sp, (CSVReporter{}).Stream(&buf))
+		st, err := Engine{Workers: tc.workers, Obs: obs.New()}.ExploreStream(sp, (CSVReporter{}).Stream(&buf))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Points != sp.Size() {
 			t.Fatalf("%d workers: streamed %d points, want %d", tc.workers, st.Points, sp.Size())
 		}
-		if st.MaxWindow != tc.window {
-			t.Errorf("%d workers: MaxWindow = %d, want %d", tc.workers, st.MaxWindow, tc.window)
+		if peak := st.Obs.Stages["window"].Max; peak != int64(tc.window) {
+			t.Errorf("%d workers: window peak = %d, want %d", tc.workers, peak, tc.window)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fpga"
 	"repro/internal/hls"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 )
 
 // unitSpace has 12-point units whose schedules repeat every 4 points:
@@ -204,7 +205,7 @@ func TestUnitDispatchPartialUnits(t *testing.T) {
 	if unit == 0 || unit >= block {
 		t.Fatalf("largest unit %d of %d-point blocks: the subset must cut blocks", unit, block)
 	}
-	e := Engine{Workers: 8}
+	e := Engine{Workers: 8, Obs: obs.New()}
 	done := make(chan StreamStats, 1)
 	var got []int
 	go func() { //repro:norecover test harness: a panic here fails the test via the timeout below
@@ -234,8 +235,8 @@ func TestUnitDispatchPartialUnits(t *testing.T) {
 			t.Fatalf("position %d carried point %d, want %d", i, idx, subset[i])
 		}
 	}
-	if bound := e.window(unit) * unit; st.MaxWindow < 1 || st.MaxWindow > bound {
-		t.Errorf("MaxWindow = %d, want within [1,%d] (%d slots × %d-point units)", st.MaxWindow, bound, e.window(unit), unit)
+	if bound, peak := e.window(unit)*unit, st.Obs.Stages["window"].Max; peak < 1 || peak > int64(bound) {
+		t.Errorf("window peak = %d, want within [1,%d] (%d slots × %d-point units)", peak, bound, e.window(unit), unit)
 	}
 }
 

@@ -105,16 +105,13 @@ type Config struct {
 	// MaxExecFails retires an executor after this many consecutive failed
 	// attempts (0 = 3); a retired executor's work is stolen by the rest.
 	MaxExecFails int
-	// Obs receives the fleet/* stages (dispatch, salvage, steal, retry,
-	// straggler, retire, resume, rowgap). May be nil; the driver then
-	// keeps a private registry so straggler detection still sees gaps.
-	Obs *obs.Metrics
 	// Log, when non-nil, receives one line per scheduling event.
 	Log io.Writer
 }
 
 // Report is the recovery accounting of one Run — what the fault
-// tolerance actually did, for logs, tests and the CI chaos smoke.
+// tolerance actually did, for logs, tests and the CI chaos smoke — and
+// the run's only record of it.
 type Report struct {
 	Tasks       int `json:"tasks"`        // tasks ever scheduled (initial + splits)
 	Attempts    int `json:"attempts"`     // dispatches consumed from the budget
@@ -131,15 +128,10 @@ type Driver struct {
 	cfg   Config
 	execs []Executor
 
-	metrics    *obs.Metrics
-	dispatchT  *obs.StageStats
-	salvageT   *obs.StageStats
-	stealT     *obs.StageStats
-	retryT     *obs.StageStats
-	stragglerT *obs.StageStats
-	retireT    *obs.StageStats
-	resumeT    *obs.StageStats
-	rowgapT    *obs.StageStats
+	// metrics is a private registry holding one stage, fleet/rowgap: the
+	// fleet-wide inter-row gap histogram straggler detection keys on.
+	metrics *obs.Metrics
+	rowgapT *obs.StageStats
 }
 
 // New builds a Driver over at least one executor. Executor names must be
@@ -179,23 +171,8 @@ func New(cfg Config, execs ...Executor) (*Driver, error) {
 	if cfg.MaxExecFails <= 0 {
 		cfg.MaxExecFails = 3
 	}
-	m := cfg.Obs
-	if m == nil {
-		// A private registry: the rowgap histogram feeds straggler
-		// detection whether or not the caller wants the counters.
-		m = obs.New()
-	}
-	return &Driver{
-		cfg: cfg, execs: execs, metrics: m,
-		dispatchT:  m.Stage("fleet/dispatch"),
-		salvageT:   m.Stage("fleet/salvage"),
-		stealT:     m.Stage("fleet/steal"),
-		retryT:     m.Stage("fleet/retry"),
-		stragglerT: m.Stage("fleet/straggler"),
-		retireT:    m.Stage("fleet/retire"),
-		resumeT:    m.Stage("fleet/resume"),
-		rowgapT:    m.Stage("fleet/rowgap"),
-	}, nil
+	m := obs.New()
+	return &Driver{cfg: cfg, execs: execs, metrics: m, rowgapT: m.Stage("fleet/rowgap")}, nil
 }
 
 // task is one schedulable unit: a point-set, its consecutive-failure
@@ -346,7 +323,6 @@ func (d *Driver) resume(dir string, asm *shard.Assembler, rep *Report) error {
 			return fmt.Errorf("fleet: resume from %s: %w", p, err)
 		}
 		if added > 0 {
-			d.resumeT.Observe(int64(added))
 			rep.ResumedRows += added
 			d.logf("resume: %s contributed %d rows", filepath.Base(p), added)
 		}
@@ -431,7 +407,6 @@ func (s *sched) worker(ex Executor) {
 		}
 		fails++
 		if fails >= s.d.cfg.MaxExecFails {
-			s.d.retireT.Inc()
 			s.mu.Lock()
 			s.rep.Retired++
 			s.mu.Unlock()
@@ -456,7 +431,6 @@ func (s *sched) runTask(ex Executor, t *task, streak int) bool {
 	s.rep.Attempts++
 	s.mu.Unlock()
 	if t.fails > 0 {
-		s.d.retryT.Inc()
 		backoff := min(s.d.cfg.Backoff<<(t.fails-1), 5*time.Second)
 		select {
 		case <-time.After(backoff):
@@ -465,7 +439,6 @@ func (s *sched) runTask(ex Executor, t *task, streak int) bool {
 		}
 	}
 	if t.origin != "" && t.origin != ex.Name() {
-		s.d.stealT.Inc()
 		s.mu.Lock()
 		s.rep.Stolen++
 		s.mu.Unlock()
@@ -474,7 +447,6 @@ func (s *sched) runTask(ex Executor, t *task, streak int) bool {
 	if t.origin == "" {
 		t.origin = ex.Name()
 	}
-	s.d.dispatchT.Inc()
 
 	path := filepath.Join(s.dir, fmt.Sprintf("t%x-%03d.a%02d.jsonl", s.stamp, t.id, t.fails))
 	f, err := os.Create(path)
@@ -531,7 +503,6 @@ func (s *sched) runTask(ex Executor, t *task, streak int) bool {
 		if runErr != nil {
 			// Failed by its own account, but the stream carried everything
 			// — count the salvage, the task is done regardless.
-			s.d.salvageT.Inc()
 			s.mu.Lock()
 			s.rep.Salvaged++
 			s.mu.Unlock()
@@ -545,7 +516,6 @@ func (s *sched) runTask(ex Executor, t *task, streak int) bool {
 		runErr = fmt.Errorf("fleet: executor %s returned success but left %d points uncovered", ex.Name(), len(need))
 	}
 	if added > 0 {
-		s.d.salvageT.Inc()
 		s.mu.Lock()
 		s.rep.Salvaged++
 		s.mu.Unlock()
@@ -594,7 +564,6 @@ func (s *sched) watch(cancelAttempt func(), pw *progressWriter, stop chan struct
 		silent := time.Duration(time.Now().UnixNano() - pw.last.Load())
 		if silent > s.threshold() {
 			straggler.Store(true)
-			s.d.stragglerT.Inc()
 			cancelAttempt()
 			return
 		}

@@ -42,9 +42,6 @@ type Options struct {
 	Point int
 }
 
-// obsOn reports whether any observability sink is attached.
-func (o Options) obsOn() bool { return o.Obs != nil || o.Trace != nil }
-
 // allocStages maps an allocator name to its metrics stage name,
 // "alloc/<name>", built once per name: the names are a handful of
 // registry constants, and a schedule should not concatenate one.
@@ -150,21 +147,16 @@ func Estimate(k kernels.Kernel, alg core.Allocator, opt Options) (*Design, error
 	return a.Estimate(alg, opt)
 }
 
-// SimCtx identifies the design point on whose behalf a simulation runs,
-// plus its observability sinks — threaded to SimFunc so caches can
-// attribute the call (which kernel, which global point index) and record
-// stage timings and trace spans against it.
-type SimCtx struct {
-	Kernel string
-	Point  int
-	Obs    *obs.Metrics
-	Trace  *obs.Tracer
-}
+// SimFunc runs the cycle simulation of plan on an's front-end under
+// opt.Sched for design point opt.Point, with opt's sinks. Sweep engines
+// interpose a cross-design-point cache here (see internal/dse): many
+// points converge to identical plans and can share one simulation.
+type SimFunc func(an *Analysis, plan *scalarrepl.Plan, opt Options) (*sched.Result, error)
 
-// SimFunc runs one cycle simulation on a prebuilt front-end. Sweep engines
-// interpose a cross-design-point cache here (see internal/dse): many points
-// converge to identical plans and can share one simulation.
-type SimFunc func(ctx SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (*sched.Result, error)
+// simulate is the standalone SimFunc: one simulation, no cache.
+func simulate(an *Analysis, plan *scalarrepl.Plan, opt Options) (*sched.Result, error) {
+	return sched.SimulateGraph(an.Kernel.Nest, an.Graph, plan, opt.Sched)
+}
 
 // Estimate evaluates one design point on the cached front-end: Schedule,
 // then Realize on opt.Device. It is safe to call concurrently from
@@ -208,45 +200,33 @@ type Schedule struct {
 // rebuilds it. Safe to call concurrently.
 func (an *Analysis) Schedule(alg core.Allocator, opt Options, sim SimFunc) (Schedule, error) {
 	if sim == nil {
-		sim = func(_ SimCtx, nest *ir.Nest, g *dfg.Graph, plan *scalarrepl.Plan, cfg sched.Config) (*sched.Result, error) {
-			return sched.SimulateGraph(nest, g, plan, cfg)
-		}
+		sim = simulate
 	}
 	k := an.Kernel
 	prob, err := core.NewProblemFrom(k.Nest, an.Infos, an.Graph, an.Budget(opt), opt.Sched.Lat)
 	if err != nil {
 		return Schedule{}, fmt.Errorf("hls: %s: %w", k.Name, err)
 	}
+	// One metrics stage per allocator name, so a portfolio point's member
+	// costs read apart; the pprof label stays coarse ("alloc") to keep
+	// profile label cardinality down. Schedule runs within its design
+	// point's stage, so the allocator hands the goroutine back to the
+	// point's labels and the plan and simulation stay labelled. Without
+	// sinks, Begin, End and Do do nothing and allocate nothing.
 	var alloc *core.Allocation
-	if opt.obsOn() {
-		// One metrics stage per allocator name, so a portfolio point's
-		// member costs read apart; the pprof label stays coarse ("alloc")
-		// to keep profile label cardinality down. Schedule runs within
-		// its design point's stage, so the allocator hands the goroutine
-		// back to the point's labels and the plan and simulation stay
-		// labelled.
-		sp := obs.Begin(opt.Obs, opt.Trace, opt.Point, k.Name, allocStage(alg.Name()))
-		opt.Obs.Do(func() { alloc, err = alg.Allocate(prob) }, k.Name, "alloc", "point")
-		sp.End("")
-	} else {
-		alloc, err = alg.Allocate(prob)
-	}
+	sp := obs.Begin(opt.Obs, opt.Trace, opt.Point, k.Name, allocStage(alg.Name()))
+	opt.Obs.Do(func() { alloc, err = alg.Allocate(prob) }, k.Name, "alloc", "point")
+	sp.End("")
 	if err != nil {
 		return Schedule{}, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
 	}
-	var plan *scalarrepl.Plan
-	if opt.obsOn() {
-		sp := obs.Begin(opt.Obs, opt.Trace, opt.Point, k.Name, "plan")
-		plan, err = an.plan(alloc.Beta)
-		sp.End("")
-	} else {
-		plan, err = an.plan(alloc.Beta)
-	}
+	sp = obs.Begin(opt.Obs, opt.Trace, opt.Point, k.Name, "plan")
+	plan, err := an.plan(alloc.Beta)
+	sp.End("")
 	if err != nil {
 		return Schedule{}, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
 	}
-	res, err := sim(SimCtx{Kernel: k.Name, Point: opt.Point, Obs: opt.Obs, Trace: opt.Trace},
-		k.Nest, an.Graph, plan, opt.Sched)
+	res, err := sim(an, plan, opt)
 	if err != nil {
 		return Schedule{}, fmt.Errorf("hls: %s/%s: %w", k.Name, alg.Name(), err)
 	}

@@ -35,6 +35,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/dfg"
 	"repro/internal/ir"
@@ -132,6 +133,16 @@ type Simulator struct {
 	// ("sim/class"). Cache hits record nothing here — the cache's own
 	// Snapshot counts them.
 	Obs *obs.Metrics
+
+	classLookups, classMisses atomic.Int64 // this simulator's own, in Cache
+}
+
+// ClassLookups returns how many of this simulator's class lookups the
+// cache answered and how many computed the class. The cache's Snapshot
+// also counts the lookups of every other simulator sharing it.
+func (s *Simulator) ClassLookups() (hits, misses int64) {
+	misses = s.classMisses.Load()
+	return s.classLookups.Load() - misses, misses
 }
 
 // SimulateGraph runs the cycle simulation of the nest under the plan on a
@@ -213,7 +224,9 @@ func (s *Simulator) classLen(g *dfg.Graph, cfg Config) classLenFunc {
 		// i, checkPlan ties number i to the graph's i-th reference key in
 		// first-use order, and the DFG fingerprint renders those keys in
 		// node order, so one prefix numbers them one way.
+		s.classLookups.Add(1)
 		cl, err := s.Cache.ClassLen(prefix+sig, func() (simcache.ClassLen, error) {
+			s.classMisses.Add(1)
 			iter, mem, err := direct(hit)
 			return simcache.ClassLen{Iter: iter, Mem: mem}, err
 		})

@@ -256,6 +256,68 @@ func TestNDJSONTrailerCarriesRequestDelta(t *testing.T) {
 	}
 }
 
+// TestConcurrentWarmTrailersCountTheirOwnLookups: two warm NDJSON
+// requests running at once on one server each carry a sequential warm
+// request's cache counters in their trailer, never the other request's
+// lookups, in each of 20 rounds.
+func TestConcurrentWarmTrailersCountTheirOwnLookups(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{MaxInflight: 2})
+	spec := dse.Spec(dse.DefaultSpace())
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailerCache := func(nd []byte) (simcache.Snapshot, error) {
+		lines := bytes.Split(bytes.TrimSpace(nd), []byte("\n"))
+		var tr struct {
+			EOF   bool               `json:"eof"`
+			Cache *simcache.Snapshot `json:"cache"`
+		}
+		if err := json.Unmarshal(lines[len(lines)-1], &tr); err != nil || !tr.EOF || tr.Cache == nil {
+			return simcache.Snapshot{}, fmt.Errorf("the last line is no trailer with a cache snapshot (%v): %.200s", err, lines[len(lines)-1])
+		}
+		return *tr.Cache, nil
+	}
+	readBody(t, postSpec(t, ts.URL, spec, "")) // warm the store and the memo
+	want, err := trailerCache(readBody(t, postSpec(t, ts.URL, spec, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.ScheduleHits != 96 || want.ScheduleMisses != 0 {
+		t.Fatalf("a sequential warm request's trailer counts %+v, want 96 schedule hits and no miss", want)
+	}
+	for round := range 20 {
+		var got [2]simcache.Snapshot
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() { //repro:norecover an HTTP round trip read into a buffer
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/v1/explore", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				defer resp.Body.Close()
+				var buf bytes.Buffer
+				if _, errs[i] = buf.ReadFrom(resp.Body); errs[i] == nil {
+					got[i], errs[i] = trailerCache(buf.Bytes())
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatalf("round %d, request %d: %v", round, i, errs[i])
+			}
+			if got[i] != want {
+				t.Fatalf("round %d, request %d: trailer counts %+v, want %+v", round, i, got[i], want)
+			}
+		}
+	}
+}
+
 // TestNewUnitsReuseClasses: the stock spec after the same spec without
 // budget 128 schedules only its 24 budget-128 units and finds the other
 // 72 in the memo; every class schedule the new units need was computed
