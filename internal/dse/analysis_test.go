@@ -354,47 +354,6 @@ for i = 0..64 {
 	}
 }
 
-// TestScheduleMemoConcurrentColdExplorations is the memo's race check
-// (run it under -race): two explorations start cold on one analysis memo
-// at once. Each renders a fresh engine's bytes, and between them they
-// schedule every unit once: a key is claimed by one of them, and the
-// other finds it settled or waits for it.
-func TestScheduleMemoConcurrentColdExplorations(t *testing.T) {
-	sp := unitSpace()
-	want := reportAll(t, mustExplore(t, Engine{Workers: 2}, sp))
-	units := int64(len(sp.Kernels) * len(sp.Allocators) * len(sp.Budgets) * len(sp.Scheds))
-	shared := Engine{Workers: 2, Analyses: NewAnalysisCache()}
-	var rss [2]*ResultSet
-	var wg sync.WaitGroup
-	for i := range rss {
-		wg.Add(1)
-		go func() { //repro:norecover Explore recovers its workers; a panic here fails the test
-			defer wg.Done()
-			rs, err := shared.Explore(sp)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			rss[i] = rs
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	var hits, misses int64
-	for i, rs := range rss {
-		if got := reportAll(t, rs); got != want {
-			t.Errorf("exploration %d renders differently from a fresh engine", i)
-		}
-		hits += rs.Cache.ScheduleHits
-		misses += rs.Cache.ScheduleMisses
-	}
-	if misses != units || hits != units {
-		t.Errorf("%d schedule misses and %d hits over both explorations, want %d of each", misses, hits, units)
-	}
-}
-
 // exploreTogether runs two explorations of sp on e at once and returns
 // their result sets.
 func exploreTogether(t *testing.T, e Engine, sp Space) [2]*ResultSet {
@@ -423,6 +382,61 @@ func exploreTogether(t *testing.T, e Engine, sp Space) [2]*ResultSet {
 	return rss
 }
 
+// TestScheduleMemoConcurrentColdExplorations is the memo's race check
+// (run it under -race): two explorations start cold on one analysis memo
+// at once, each on a store of its own or both on one shared store. Each
+// renders a fresh engine's bytes and looks up every kernel and unit once,
+// and between them they compute each analysis and unit schedule once: a
+// key is claimed by one of them, and the other finds it settled or waits
+// for it. On a shared store they also compute each class schedule once,
+// so their misses sum to a sequential cold exploration's (6 analyses, 96
+// schedules on the stock space); a difference of store snapshots taken
+// around one exploration would count the other's lookups too.
+func TestScheduleMemoConcurrentColdExplorations(t *testing.T) {
+	cases := []struct {
+		name   string
+		sp     Space
+		shared bool
+	}{
+		{"own stores", unitSpace(), false},
+		{"shared store", DefaultSpace(), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			seq := mustExplore(t, Engine{Workers: 2}, c.sp)
+			want := reportAll(t, seq)
+			kernels := int64(len(c.sp.Kernels))
+			units := kernels * int64(len(c.sp.Allocators)*len(c.sp.Budgets)*len(c.sp.Scheds))
+			for round := range 5 {
+				e := Engine{Workers: 2, Analyses: NewAnalysisCache()}
+				if c.shared {
+					e.SimCache = simcache.New()
+				}
+				var misses simcache.Snapshot
+				for i, rs := range exploreTogether(t, e, c.sp) {
+					if got := reportAll(t, rs); got != want {
+						t.Errorf("round %d, exploration %d renders differently from a fresh engine", round, i)
+					}
+					n := rs.Cache
+					if n.AnalysisHits+n.AnalysisMisses != kernels || n.ScheduleHits+n.ScheduleMisses != units {
+						t.Errorf("round %d, exploration %d: %+v, want %d analysis and %d schedule lookups", round, i, n, kernels, units)
+					}
+					misses.AnalysisMisses += n.AnalysisMisses
+					misses.ScheduleMisses += n.ScheduleMisses
+					misses.ClassMisses += n.ClassMisses
+				}
+				if misses.AnalysisMisses != kernels || misses.ScheduleMisses != units {
+					t.Errorf("round %d: %d analysis and %d schedule misses between them, want %d and %d",
+						round, misses.AnalysisMisses, misses.ScheduleMisses, kernels, units)
+				}
+				if c.shared && misses.ClassMisses != seq.Cache.ClassMisses {
+					t.Errorf("round %d: %d class misses between them, want a sequential cold run's %d", round, misses.ClassMisses, seq.Cache.ClassMisses)
+				}
+			}
+		})
+	}
+}
+
 // TestConcurrentWarmExplorationsCountTheirOwnLookups: two warm stock
 // explorations at once on one store and one analysis memo each report
 // exactly what a sequential warm exploration reports — 6 analysis hits
@@ -442,30 +456,6 @@ func TestConcurrentWarmExplorationsCountTheirOwnLookups(t *testing.T) {
 			if rs.Cache != want {
 				t.Fatalf("round %d, exploration %d counts %+v, want %+v", round, i, rs.Cache, want)
 			}
-		}
-	}
-}
-
-// TestConcurrentColdExplorationsSplitTheMisses: two cold stock
-// explorations at once on a fresh store and analysis memo each look up
-// every kernel and unit once, and between them compute each analysis,
-// unit schedule and class schedule once, so their misses sum to a
-// sequential cold exploration's: 6 analyses, 96 schedules and the same
-// classes.
-func TestConcurrentColdExplorationsSplitTheMisses(t *testing.T) {
-	sp := DefaultSpace()
-	fresh := func() Engine { return Engine{Workers: 2, SimCache: simcache.New(), Analyses: NewAnalysisCache()} }
-	classes := mustExplore(t, fresh(), sp).Cache.ClassMisses
-	for round := range 5 {
-		rss := exploreTogether(t, fresh(), sp)
-		a, b := rss[0].Cache, rss[1].Cache
-		for i, c := range []simcache.Snapshot{a, b} {
-			if c.AnalysisHits+c.AnalysisMisses != 6 || c.ScheduleHits+c.ScheduleMisses != 96 {
-				t.Errorf("round %d, exploration %d: %+v, want 6 analysis and 96 schedule lookups", round, i, c)
-			}
-		}
-		if a.AnalysisMisses+b.AnalysisMisses != 6 || a.ScheduleMisses+b.ScheduleMisses != 96 || a.ClassMisses+b.ClassMisses != classes {
-			t.Errorf("round %d: misses %+v and %+v, want 6 analyses, 96 schedules and %d classes between them", round, a, b, classes)
 		}
 	}
 }

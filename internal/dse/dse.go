@@ -368,13 +368,9 @@ func (ev *evaluator) unit(an *hls.Analysis, pts []Point, unit []int, slots []sch
 // (so `go tool trace` shows per-point blocks when -exectrace is on). A
 // point that computes its unit's schedule carries the allocator, plan and
 // simulation stages in its span; the others carry only the device
-// models. It is the pipeline's one observability fork: without sinks it
-// is exactly evaluate, since a region and a span for every unobserved
-// point raised stock-cold's latency_cal p50 0.4% (DESIGN.md §25).
+// models. Without sinks the span is a no-op and the region a disabled
+// one (DESIGN.md §9).
 func (ev *evaluator) eval(an *hls.Analysis, p Point, slot *scheduled) Result {
-	if ev.m == nil && ev.tr == nil {
-		return ev.evaluate(an, p, slot)
-	}
 	var r Result
 	sp := ev.pointStage.Begin(ev.tr, p.Index, p.Kernel.Name, "point")
 	rtrace.WithRegion(context.Background(), "point", func() {

@@ -56,12 +56,13 @@ type entry[V any] struct {
 }
 
 // Get returns the value of key, running compute on the first claim. Errors
-// (including recovered panics) are memoized like values.
+// (including recovered panics) are memoized like values. The claim is the
+// call whose compute runs, which need not be the call that added the key:
+// a later caller can reach the key's Once before it does.
 func (m *Memo[K, V]) Get(key K, compute func() (V, error)) (V, Outcome, error) {
 	m.mu.Lock()
 	e := m.m[key]
-	claimed := e == nil
-	if claimed {
+	if e == nil {
 		if m.m == nil {
 			m.m = map[K]*entry[V]{}
 		}
@@ -69,21 +70,19 @@ func (m *Memo[K, V]) Get(key K, compute func() (V, error)) (V, Outcome, error) {
 		m.m[key] = e
 	}
 	m.mu.Unlock()
-	settle := func() {
-		e.val, e.err = Do(m.What, compute)
-		e.done.Store(true)
-	}
-	switch {
-	case claimed:
-		e.once.Do(settle)
-		return e.val, Claimed, e.err
-	case e.done.Load():
+	if e.done.Load() {
 		return e.val, Hit, e.err
 	}
-	tm := m.Wait.Start()
-	e.once.Do(settle)
-	tm.Stop()
-	return e.val, Waited, e.err
+	o, tm := Waited, m.Wait.Start()
+	e.once.Do(func() {
+		o = Claimed
+		e.val, e.err = Do(m.What, compute)
+		e.done.Store(true)
+	})
+	if o == Waited {
+		tm.Stop()
+	}
+	return e.val, o, e.err
 }
 
 // Len returns the number of keys claimed so far.

@@ -121,3 +121,44 @@ func TestConcurrentCallersShareOneComputation(t *testing.T) {
 		t.Log("no caller reached the entry while the claim was in flight")
 	}
 }
+
+// TestClaimIsTheCallThatComputes: on every key exactly one call reports
+// Claimed, and it is the call whose compute ran, even when another caller
+// reaches the key's Once before the caller that added the key. That
+// window is a few instructions wide, so four callers race over 200,000
+// fresh keys, 10,000 to a memo. Owners count a claim as their own miss
+// (internal/dse's per-exploration counters), so a claim reported by the
+// wrong call moves a lookup from one exploration's counts to another's.
+func TestClaimIsTheCallThatComputes(t *testing.T) {
+	const callers, keys = 4, 10_000
+	for round := range 20 {
+		var m Memo[int, int]
+		var ran, claimed [keys][callers]bool
+		var wg sync.WaitGroup
+		for c := range callers {
+			wg.Add(1)
+			go func() { //repro:norecover Get recovers compute panics itself
+				defer wg.Done()
+				for k := range keys {
+					_, o, _ := m.Get(k, func() (int, error) { ran[k][c] = true; return k, nil })
+					claimed[k][c] = o == Claimed
+				}
+			}()
+		}
+		wg.Wait()
+		for k := range keys {
+			n := 0
+			for c := range callers {
+				if claimed[k][c] {
+					n++
+				}
+				if ran[k][c] != claimed[k][c] {
+					t.Fatalf("round %d, key %d, caller %d: compute ran %v, Claimed %v", round, k, c, ran[k][c], claimed[k][c])
+				}
+			}
+			if n != 1 {
+				t.Fatalf("round %d, key %d: %d calls report Claimed, want 1", round, k, n)
+			}
+		}
+	}
+}
