@@ -405,8 +405,8 @@ func TestScheduleMemoConcurrentColdExplorations(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			seq := mustExplore(t, Engine{Workers: 2}, c.sp)
 			want := reportAll(t, seq)
-			kernels := int64(len(c.sp.Kernels))
-			units := kernels * int64(len(c.sp.Allocators)*len(c.sp.Budgets)*len(c.sp.Scheds))
+			analyses := int64(len(c.sp.Kernels))
+			units := analyses * int64(len(c.sp.Allocators)*len(c.sp.Budgets)*len(c.sp.Scheds))
 			for round := range 5 {
 				e := Engine{Workers: 2, Analyses: NewAnalysisCache()}
 				if c.shared {
@@ -418,16 +418,16 @@ func TestScheduleMemoConcurrentColdExplorations(t *testing.T) {
 						t.Errorf("round %d, exploration %d renders differently from a fresh engine", round, i)
 					}
 					n := rs.Cache
-					if n.AnalysisHits+n.AnalysisMisses != kernels || n.ScheduleHits+n.ScheduleMisses != units {
-						t.Errorf("round %d, exploration %d: %+v, want %d analysis and %d schedule lookups", round, i, n, kernels, units)
+					if n.AnalysisHits+n.AnalysisMisses != analyses || n.ScheduleHits+n.ScheduleMisses != units {
+						t.Errorf("round %d, exploration %d: %+v, want %d analysis and %d schedule lookups", round, i, n, analyses, units)
 					}
 					misses.AnalysisMisses += n.AnalysisMisses
 					misses.ScheduleMisses += n.ScheduleMisses
 					misses.ClassMisses += n.ClassMisses
 				}
-				if misses.AnalysisMisses != kernels || misses.ScheduleMisses != units {
+				if misses.AnalysisMisses != analyses || misses.ScheduleMisses != units {
 					t.Errorf("round %d: %d analysis and %d schedule misses between them, want %d and %d",
-						round, misses.AnalysisMisses, misses.ScheduleMisses, kernels, units)
+						round, misses.AnalysisMisses, misses.ScheduleMisses, analyses, units)
 				}
 				if c.shared && misses.ClassMisses != seq.Cache.ClassMisses {
 					t.Errorf("round %d: %d class misses between them, want a sequential cold run's %d", round, misses.ClassMisses, seq.Cache.ClassMisses)
